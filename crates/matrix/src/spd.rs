@@ -19,17 +19,34 @@ pub fn test_rng(seed: u64) -> StdRng {
 /// uniform in `[-1, 1]`.  The diagonal shift keeps the condition number
 /// modest so that all algorithm variants agree to tight tolerances.
 pub fn random_spd(n: usize, rng: &mut impl Rng) -> Matrix<f64> {
+    random_spd_leading(n, n, rng)
+}
+
+/// The leading `lead x lead` block of `random_spd(n, rng)`, bit for bit,
+/// for `lead <= n`.  It draws all `n^2` entries of `G`, so `rng` is left
+/// exactly where `random_spd` leaves it, but forms only the block asked
+/// for: a caller that keeps a quarter of the matrix pays a quarter of the
+/// flops.
+///
+/// The Gram product streams columns: column `j` of the result accumulates
+/// `G[j.., k] * G[j, k]` over `k`, each a contiguous axpy.  Every element
+/// still sums its `n` products in ascending `k` starting from `0.0`, so
+/// the bits equal those of the dot-product form, which walks `G` at
+/// stride `n`.
+pub fn random_spd_leading(n: usize, lead: usize, rng: &mut impl Rng) -> Matrix<f64> {
+    assert!(lead <= n, "leading block larger than the matrix");
     let g = Matrix::from_fn(n, n, |_, _| rng.random_range(-1.0..1.0));
-    let mut a = Matrix::zeros(n, n);
-    for j in 0..n {
-        for i in j..n {
-            let mut s = 0.0;
-            for k in 0..n {
-                s += g[(i, k)] * g[(j, k)];
+    let mut a = Matrix::zeros(lead, lead);
+    for j in 0..lead {
+        let below = &mut a.col_mut(j)[j..];
+        for k in 0..n {
+            let gk = &g.col(k)[j..lead];
+            let gjk = gk[0];
+            for (s, &gik) in below.iter_mut().zip(gk) {
+                *s += gik * gjk;
             }
-            a[(i, j)] = s;
         }
-        a[(j, j)] += n as f64;
+        below[0] += n as f64;
     }
     a.mirror_lower();
     a
@@ -155,15 +172,19 @@ pub fn random_banded_spd(n: usize, bandwidth: usize, rng: &mut impl Rng) -> Matr
 /// workload of the example applications.
 pub fn rbf_kernel(points: &[f64], lengthscale: f64, noise: f64) -> Matrix<f64> {
     let n = points.len();
-    Matrix::from_fn(n, n, |i, j| {
-        let d = (points[i] - points[j]) / lengthscale;
-        let k = (-0.5 * d * d).exp();
-        if i == j {
-            k + noise * noise
-        } else {
-            k
+    // `(p_i - p_j) / l` and `(p_j - p_i) / l` differ only in sign, and the
+    // sign is squared away: the upper half is the lower half's bits.
+    let mut a = Matrix::zeros(n, n);
+    for (j, &pj) in points.iter().enumerate() {
+        let below = &mut a.col_mut(j)[j..];
+        for (k, &pi) in below.iter_mut().zip(&points[j..]) {
+            let d = (pi - pj) / lengthscale;
+            *k = (-0.5 * d * d).exp();
         }
-    })
+        below[0] += noise * noise;
+    }
+    a.mirror_lower();
+    a
 }
 
 #[cfg(test)]
@@ -171,6 +192,84 @@ mod tests {
     use super::*;
     use crate::kernels::potf2;
     use crate::norms::max_abs_diff;
+
+    /// `random_spd` as first written: one dot product per element, walking
+    /// `G` at stride `n`.  Kept as the bit-identity oracle.
+    fn random_spd_oracle(n: usize, rng: &mut impl Rng) -> Matrix<f64> {
+        let g = Matrix::from_fn(n, n, |_, _| rng.random_range(-1.0..1.0));
+        let mut a = Matrix::zeros(n, n);
+        for j in 0..n {
+            for i in j..n {
+                let mut s = 0.0;
+                for k in 0..n {
+                    s += g[(i, k)] * g[(j, k)];
+                }
+                a[(i, j)] = s;
+            }
+            a[(j, j)] += n as f64;
+        }
+        a.mirror_lower();
+        a
+    }
+
+    /// `rbf_kernel` as first written: every element computed on its own.
+    fn rbf_kernel_oracle(points: &[f64], lengthscale: f64, noise: f64) -> Matrix<f64> {
+        let n = points.len();
+        Matrix::from_fn(n, n, |i, j| {
+            let d = (points[i] - points[j]) / lengthscale;
+            let k = (-0.5 * d * d).exp();
+            if i == j {
+                k + noise * noise
+            } else {
+                k
+            }
+        })
+    }
+
+    fn oracle_orders() -> impl Iterator<Item = usize> {
+        (0..40).chain([64, 96, 192])
+    }
+
+    fn assert_same_bits(got: &Matrix<f64>, want: &Matrix<f64>, what: &str) {
+        assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()), "{what}");
+        for (idx, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {idx}");
+        }
+    }
+
+    #[test]
+    fn streaming_random_spd_matches_the_dot_product_oracle_bit_for_bit() {
+        for n in oracle_orders() {
+            let (mut r1, mut r2) = (test_rng(n as u64 + 11), test_rng(n as u64 + 11));
+            let got = random_spd(n, &mut r1);
+            let want = random_spd_oracle(n, &mut r2);
+            assert_same_bits(&got, &want, &format!("random_spd n={n}"));
+            // Both leave the generator in the same state.
+            assert_eq!(r1.next_u64(), r2.next_u64());
+        }
+    }
+
+    #[test]
+    fn leading_block_is_the_submatrix_of_the_full_matrix() {
+        for (n, lead) in [(0, 0), (2, 0), (2, 1), (7, 3), (16, 8), (33, 33), (192, 96)] {
+            let (mut r1, mut r2) = (test_rng(5), test_rng(5));
+            let got = random_spd_leading(n, lead, &mut r1);
+            let want = random_spd_oracle(n, &mut r2).submatrix(0, 0, lead, lead);
+            assert_same_bits(&got, &want, &format!("leading n={n} lead={lead}"));
+            assert_eq!(r1.next_u64(), r2.next_u64());
+        }
+    }
+
+    #[test]
+    fn mirrored_rbf_kernel_matches_the_elementwise_oracle_bit_for_bit() {
+        for n in oracle_orders() {
+            let mut rng = test_rng(n as u64 + 3);
+            let pts: Vec<f64> = (0..n).map(|_| rng.random_range(-4.0..4.0)).collect();
+            let got = rbf_kernel(&pts, 0.4, 0.05);
+            let want = rbf_kernel_oracle(&pts, 0.4, 0.05);
+            assert_same_bits(&got, &want, &format!("rbf_kernel n={n}"));
+        }
+    }
 
     #[test]
     fn random_spd_is_symmetric_and_factors() {

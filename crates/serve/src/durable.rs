@@ -219,7 +219,7 @@ impl DurableCache {
                 .and_then(|bytes| from_bytes(n, &bytes));
             match adopted {
                 Some(factor) => {
-                    cache.insert(key, factor);
+                    cache.insert_recovered(key, factor);
                     self.by_key.insert(key, gen);
                     report.recovered += 1;
                 }

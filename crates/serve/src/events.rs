@@ -281,20 +281,29 @@ impl Event {
     }
 }
 
-/// Sort records into canonical `(req, seq)` order.
+/// Sort records into canonical `(req, seq)` order.  Each request numbers
+/// its own events, so the keys are unique and an unstable in-place sort
+/// gives the one order a stable sort would, without its scratch buffer.
 pub fn canonicalize(mut records: Vec<EventRecord>) -> Vec<EventRecord> {
-    records.sort_by_key(|r| (r.req, r.seq));
+    records.sort_unstable_by_key(|r| (r.req, r.seq));
+    debug_assert!(
+        records
+            .windows(2)
+            .all(|w| (w[0].req, w[0].seq) < (w[1].req, w[1].seq)),
+        "two events share a (req, seq) key"
+    );
     records
 }
 
 /// FNV-1a digest over the canonical encoding of `records` (which must
 /// already be canonical — see [`canonicalize`]).
 pub fn log_digest(records: &[EventRecord]) -> u64 {
+    use std::fmt::Write;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut line = String::new();
     for r in records {
         line.clear();
-        line.push_str(&format!("{}:{}:", r.req, r.seq));
+        let _ = write!(line, "{}:{}:", r.req, r.seq);
         r.event.encode(&mut line);
         line.push('\n');
         for &byte in line.as_bytes() {
@@ -331,6 +340,50 @@ mod tests {
         let two = canonicalize(vec![b.clone(), a.clone(), c.clone()]);
         assert_eq!(one, two);
         assert_eq!(log_digest(&one), log_digest(&two));
+    }
+
+    /// Pinned on the commit before `log_digest` stopped allocating a
+    /// prefix string per record: the bytes digested must not move.
+    #[test]
+    fn digest_of_a_fixed_log_is_pinned() {
+        let log = canonicalize(vec![
+            EventRecord {
+                req: u64::MAX,
+                seq: 0,
+                event: Event::ServiceStarted {
+                    shards: 2,
+                    kernel: "fast-strict",
+                    parallel: false,
+                    batching: true,
+                    pool_threads: 7,
+                },
+            },
+            EventRecord {
+                req: 12,
+                seq: 1,
+                event: Event::Completed {
+                    source: Source::Batched,
+                    factor_digest: 0xdead_beef,
+                    vend_us: 345,
+                },
+            },
+            EventRecord {
+                req: 12,
+                seq: 0,
+                event: Event::Batched {
+                    bucket_n: 32,
+                    batch: 5,
+                },
+            },
+            EventRecord {
+                req: 3,
+                seq: 0,
+                event: Event::Failed { tag: "deadline" },
+            },
+        ]);
+        assert_eq!(log[0].req, 3);
+        assert_eq!((log[1].seq, log[2].seq), (0, 1));
+        assert_eq!(log_digest(&log), 0xf0ce_23d8_10b5_bf74);
     }
 
     #[test]

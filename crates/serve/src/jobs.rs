@@ -237,12 +237,12 @@ impl CvModel {
 pub fn innovation_covariance(n: usize, seed: u64) -> (Matrix<f64>, Vec<f64>) {
     let mut rng = spd::test_rng(seed);
     let state = 2 * n.max(1);
-    // Predicted covariance: random SPD, as after a few predict steps.
-    let p = spd::random_spd(state, &mut rng);
-    // H selects the first n state components (sensor i reads state i).
-    // S = H P H^T + R  is then the leading n x n block of P plus R.
+    // Predicted covariance P: random SPD of order `state`, as after a few
+    // predict steps.  H selects the first n state components (sensor i
+    // reads state i), so S = H P H^T + R is the leading n x n block of P
+    // plus R — the only block of P that is ever formed.
     let meas_noise = 0.5;
-    let mut s = p.submatrix(0, 0, n, n);
+    let mut s = spd::random_spd_leading(state, n, &mut rng);
     for d in 0..n {
         s[(d, d)] += meas_noise * meas_noise;
     }
@@ -254,7 +254,7 @@ pub fn innovation_covariance(n: usize, seed: u64) -> (Matrix<f64>, Vec<f64>) {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use cholcomm_matrix::matrix_digest;
+    use cholcomm_matrix::{matrix_digest, slice_digest};
 
     #[test]
     fn builders_are_pure_functions_of_the_triple() {
@@ -265,6 +265,50 @@ mod tests {
             assert_eq!(p1.rhs, p2.rhs, "{kind:?}");
             let p3 = build(kind, 43, 20);
             assert_ne!(matrix_digest(&p1.a), matrix_digest(&p3.a), "{kind:?}");
+        }
+    }
+
+    /// Captured on the commit before the builders were rewritten to
+    /// stream: `(kind, n, matrix_digest(a), slice_digest(rhs), rhs[0] bits)`
+    /// of `build(kind, 42, n)`.
+    #[test]
+    fn builders_keep_their_golden_bits() {
+        type Golden = (JobKind, usize, u64, Option<(u64, u64)>);
+        const GOLDEN: [Golden; 8] = [
+            (JobKind::Factor, 20, 0x9a83_6294_b0cc_e788, None),
+            (JobKind::Solve, 20, 0x16e2_6c1c_5471_1695, Some((0x627d_1e8d_078e_276e, 0x3fe5_f5b5_b3c7_4cc8))),
+            (JobKind::GpPosterior, 20, 0xee5f_adef_ea8d_8a79, Some((0x9bbd_7bec_aa62_d0fb, 0x3fb1_1625_6ab0_8d74))),
+            (JobKind::KalmanStep, 20, 0x0fc2_ebec_b712_7a3c, Some((0x926b_73cb_baa4_5b70, 0x3fe5_29d9_ae40_e480))),
+            (JobKind::Factor, 33, 0xd2a2_7070_9f73_a83d, None),
+            (JobKind::Solve, 33, 0xd721_ceea_e1e3_53a9, Some((0xdbf2_c56d_45dc_581c, 0xbfe5_aa74_e07a_f982))),
+            (JobKind::GpPosterior, 33, 0xa43b_1caa_3a9a_790b, Some((0x40f0_e8fe_9526_4da0, 0x3fc0_4e3c_b070_bc5e))),
+            (JobKind::KalmanStep, 33, 0x9e10_916a_39a4_e07f, Some((0xf290_7b91_615d_82d3, 0xbfc3_fa90_9169_de60))),
+        ];
+        for (kind, n, want_a, want_rhs) in GOLDEN {
+            let p = build(kind, 42, n);
+            assert_eq!(matrix_digest(&p.a), want_a, "{kind:?} n={n}");
+            let got_rhs = p.rhs.map(|r| (slice_digest(&r), r[0].to_bits()));
+            assert_eq!(got_rhs, want_rhs, "{kind:?} n={n}");
+        }
+    }
+
+    /// The definition `innovation_covariance` must keep: form all of `P`,
+    /// cut its leading block, and only then draw the innovation.
+    #[test]
+    fn innovation_covariance_equals_the_full_p_definition() {
+        for n in (0..24).chain([32, 48, 96]) {
+            let seed = problem_digest(JobKind::KalmanStep, 9, n);
+            let mut rng = spd::test_rng(seed);
+            let p = spd::random_spd(2 * n.max(1), &mut rng);
+            let mut want = p.submatrix(0, 0, n, n);
+            for d in 0..n {
+                want[(d, d)] += 0.25;
+            }
+            let want_innov: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
+
+            let (s, innov) = innovation_covariance(n, seed);
+            assert_eq!(matrix_digest(&s), matrix_digest(&want), "n={n}");
+            assert_eq!(slice_digest(&innov), slice_digest(&want_innov), "n={n}");
         }
     }
 

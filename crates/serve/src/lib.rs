@@ -59,7 +59,7 @@ mod shard;
 pub use admission::{Admission, BacklogGauge, Priority, Watermarks};
 pub use batcher::{bucket_of, BatchConfig};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use cache::{CacheRead, CacheStats, FactorCache};
+pub use cache::{CacheRead, CacheStats, FactorCache, Served};
 pub use durable::{DurableCache, RecoveryReport};
 pub use engine::{
     batch_cost_us, batched_request_cost_us, factor_batch, factor_cost_us, factor_resumable,

@@ -40,6 +40,10 @@ pub struct Counters {
     /// `completed`; the ratio to `batches_dispatched` is the realized
     /// mean batch size).
     pub batched_factorizations: u64,
+    /// Problems materialised by `jobs::build`: one per factorization
+    /// (fresh or batched lane), none per cache hit, plus one the first
+    /// time an entry recovered from the durable journal is used.
+    pub problems_built: u64,
 }
 
 impl Counters {
@@ -60,6 +64,7 @@ impl Counters {
         self.cache_recovered += other.cache_recovered;
         self.batches_dispatched += other.batches_dispatched;
         self.batched_factorizations += other.batched_factorizations;
+        self.problems_built += other.problems_built;
     }
 
     /// Fraction of submitted requests that completed.  Refusals are loud
@@ -171,13 +176,16 @@ mod tests {
     fn merge_adds_everything() {
         let mut a = Metrics::default();
         a.counters.completed = 1;
+        a.counters.problems_built = 4;
         a.virt_latency_us.push(10);
         let mut b = Metrics::default();
         b.counters.completed = 2;
+        b.counters.problems_built = 3;
         b.virt_latency_us.push(5);
         a.merge(&b);
         a.canonicalize();
         assert_eq!(a.counters.completed, 3);
+        assert_eq!(a.counters.problems_built, 7);
         assert_eq!(a.virt_latency_us, vec![5, 10]);
     }
 }

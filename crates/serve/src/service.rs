@@ -597,21 +597,96 @@ mod tests {
             },
             &plan,
         );
-        let fresh = service.call(request(JobKind::Factor, 4, 24, 0)).unwrap();
-        let healed = service.call(request(JobKind::Factor, 4, 24, 10_000)).unwrap();
+        let (want_digest, want_solution) = direct(JobKind::Solve, 4, 24, 16, KernelImpl::default());
+        let fresh = service.call(request(JobKind::Solve, 4, 24, 0)).unwrap();
+        assert_eq!(fresh.factor_digest, want_digest);
+        let healed = service.call(request(JobKind::Solve, 4, 24, 10_000)).unwrap();
         assert_eq!(healed.source, Source::Cache);
-        assert_eq!(healed.factor_digest, fresh.factor_digest, "healed read must be bit-exact");
+        assert_eq!(healed.factor_digest, want_digest, "healed read must be bit-exact");
+        assert_eq!(healed.solution, want_solution, "solved through the healed factor");
         // Two flips: the entry is evicted and the job re-factors fresh.
-        let refetched = service.call(request(JobKind::Factor, 4, 24, 20_000)).unwrap();
+        let refetched = service.call(request(JobKind::Solve, 4, 24, 20_000)).unwrap();
         assert_eq!(refetched.source, Source::Fresh);
-        assert_eq!(refetched.factor_digest, fresh.factor_digest);
+        assert_eq!(refetched.factor_digest, want_digest);
+        assert_eq!(refetched.solution, want_solution);
         let report = service.shutdown();
         assert_eq!(report.metrics.cache.healed, 1);
         assert_eq!(report.metrics.cache.corrupt_evictions, 1);
+        // The healed read built nothing; the evicted one built again.
+        assert_eq!(report.metrics.counters.problems_built, 2);
         assert!(report.records.iter().any(|r| matches!(
             r.event,
             Event::CacheRead { read: CacheRead::Corrupt, .. }
         )));
+    }
+
+    #[test]
+    fn a_clean_stream_builds_one_problem_per_factorization() {
+        let stream = crate::loadgen::Workload {
+            requests: 200,
+            deadline_factor: 1_000_000,
+            ..crate::loadgen::Workload::default()
+        }
+        .generate();
+        for batching in [false, true] {
+            let config = ServiceConfig {
+                shards: 2,
+                watermarks: Watermarks::bounded_by(u64::MAX / 4),
+                batch: BatchConfig {
+                    enabled: batching,
+                    ..BatchConfig::default()
+                },
+                ..ServiceConfig::default()
+            };
+            let mut service = Service::start(config, &FaultPlan::none());
+            let tickets: Vec<Ticket> = stream.iter().map(|r| service.submit(*r)).collect();
+            service.flush_batches();
+            for (ticket, r) in tickets.into_iter().zip(&stream) {
+                let resp = ticket.wait().unwrap();
+                let (want_digest, want_solution) =
+                    direct(r.kind, r.key, r.n, config.shard.block, config.shard.kernel);
+                assert_eq!(resp.factor_digest, want_digest);
+                assert_eq!(resp.solution, want_solution, "{:?} from {:?}", r.kind, resp.source);
+            }
+            let report = service.shutdown();
+            let c = report.metrics.counters;
+            assert_eq!(c.completed, 200);
+            assert_eq!(c.batched_factorizations > 0, batching);
+            assert!(report.metrics.cache.hits > 0, "hot keys repeat");
+            assert_eq!(
+                c.problems_built,
+                c.fresh_factorizations + c.batched_factorizations,
+                "batching={batching}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_stream_of_pure_hits_builds_nothing() {
+        // Warm six keys, then read each of them twenty times more: the
+        // longer run builds exactly what the warm-up alone builds.
+        let run = |rounds: u64| {
+            let mut service = Service::start(ServiceConfig::default(), &FaultPlan::none());
+            for round in 0..rounds {
+                for key in 0..6 {
+                    let kind = JobKind::ALL[key as usize % 4];
+                    let resp = service
+                        .call(request(kind, key, 24, round * 1_000 + key))
+                        .unwrap();
+                    let (want_digest, want_solution) =
+                        direct(kind, key, 24, 16, KernelImpl::default());
+                    assert_eq!(resp.source == Source::Cache, round > 0);
+                    assert_eq!(resp.factor_digest, want_digest);
+                    assert_eq!(resp.solution, want_solution);
+                }
+            }
+            service.shutdown().metrics
+        };
+        let (warm, hot) = (run(1), run(21));
+        assert_eq!(warm.counters.problems_built, 6);
+        assert_eq!(hot.counters.problems_built, 6);
+        assert_eq!(hot.counters.fresh_factorizations, 6);
+        assert_eq!(hot.cache.hits, 120);
     }
 
     #[test]
@@ -651,6 +726,44 @@ mod tests {
         let report = service.shutdown();
         assert_eq!(report.metrics.counters.cache_recovered, 1);
         assert_eq!(report.metrics.counters.fresh_factorizations, 0);
+    }
+
+    #[test]
+    fn a_recovered_solve_entry_builds_its_rhs_exactly_once() {
+        use cholcomm_faults::{SimDisk, SimStore, DEFAULT_SECTOR};
+        use std::sync::{Arc, Mutex};
+
+        let disk = Arc::new(Mutex::new(SimDisk::new(DEFAULT_SECTOR)));
+        let config = ServiceConfig {
+            shards: 1,
+            ..ServiceConfig::default()
+        };
+        let start = || {
+            Service::start_durable(config, &FaultPlan::none(), |_| {
+                Box::new(SimStore::new(Arc::clone(&disk)))
+            })
+        };
+        let (want_digest, want_solution) = direct(JobKind::Solve, 42, 32, 16, KernelImpl::default());
+
+        let mut service = start();
+        let first = service.call(request(JobKind::Solve, 42, 32, 0)).unwrap();
+        assert_eq!(first.solution, want_solution);
+        assert_eq!(service.shutdown().metrics.counters.problems_built, 1);
+
+        // The journal holds the factor only.  The restarted shard serves
+        // every repeat from it and builds the problem once, for the
+        // right-hand side, on the first.
+        let mut service = start();
+        for round in 0..4 {
+            let resp = service.call(request(JobKind::Solve, 42, 32, round)).unwrap();
+            assert_eq!(resp.source, Source::Cache);
+            assert_eq!(resp.factor_digest, want_digest);
+            assert_eq!(resp.solution, want_solution);
+        }
+        let counters = service.shutdown().metrics.counters;
+        assert_eq!(counters.cache_recovered, 1);
+        assert_eq!(counters.fresh_factorizations, 0);
+        assert_eq!(counters.problems_built, 1);
     }
 
     #[test]

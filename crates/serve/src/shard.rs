@@ -28,8 +28,8 @@ use crate::engine::{
 };
 use crate::error::ServeError;
 use crate::events::{Event, EventRecord, Source};
-use crate::jobs;
-use crate::metrics::Metrics;
+use crate::jobs::{self, Problem};
+use crate::metrics::{Counters, Metrics};
 use crate::service::{Request, Response, ShardConfig};
 use cholcomm_faults::{FaultPlan, JobFault};
 use cholcomm_matrix::{lower_digest, tri, Matrix};
@@ -98,6 +98,13 @@ fn silence_injected_crashes() {
             }
         }));
     });
+}
+
+/// Materialise `request`'s problem.  The shard's only call to
+/// [`jobs::build`], so `problems_built` counts every build.
+fn build_problem(counters: &mut Counters, request: &Request) -> Problem {
+    counters.problems_built += 1;
+    jobs::build(request.kind, request.key, request.n)
 }
 
 /// The shard worker loop: owned state plus the job receiver.
@@ -174,60 +181,83 @@ impl Shard {
         *seq += 1;
     }
 
-    /// Try to serve `job` from the verified cache.  Returns the factor
-    /// when servable.
-    fn cache_read(
-        &mut self,
-        job: &ShardJob,
-        seq: &mut u32,
-        degraded: bool,
-    ) -> (CacheRead, Option<Matrix<f64>>) {
+    /// Read `job`'s key through the verified cache.  True when the entry
+    /// is servable (clean or healed).
+    fn cache_read(&mut self, job: &ShardJob, seq: &mut u32, degraded: bool) -> bool {
         let n = job.request.n;
         let flips = self.plan.cache_flips(job.req_id, n, n);
-        let (read, factor) = self.cache.read(job.digest, &flips);
+        let read = self.cache.read(job.digest, &flips);
         if read != CacheRead::Miss || degraded {
             self.emit(job.req_id, seq, Event::CacheRead { read, degraded });
         }
-        (read, factor)
+        matches!(read, CacheRead::Hit | CacheRead::Healed)
     }
 
-    /// Complete `job` with `factor`, solving the RHS when the kind
-    /// carries one, and advance the virtual clock by `work_us`.
-    fn complete(
+    /// Complete `job` from the cache entry a servable read just left
+    /// behind.  Builds nothing, digests nothing and clones nothing — the
+    /// entry holds the digest and the right-hand side — except on the
+    /// first use of an entry recovered from the durable journal, whose
+    /// right-hand side is built here, once.
+    fn complete_cached(&mut self, job: &ShardJob, seq: &mut u32, source: Source, vstart_us: u64) {
+        let counters = &mut self.metrics.counters;
+        let served = self
+            .cache
+            .served(job.digest, || build_problem(counters, &job.request).rhs)
+            .expect("a servable read leaves its entry cached");
+        let solution = served
+            .rhs
+            .map(|rhs| tri::solve_with_factor(served.factor, rhs));
+        let digest = served.lower_digest;
+        self.respond(job, seq, source, digest, solution, vstart_us + CACHE_SERVE_COST_US);
+    }
+
+    /// Complete `job` at virtual time `vend_us` with its freshly computed
+    /// `factor`: solve `rhs` when the kind carries one, journal the
+    /// factor, and move it into the cache together with its digest and
+    /// `rhs`.
+    fn complete_factored(
         &mut self,
         job: &ShardJob,
         seq: &mut u32,
         factor: Matrix<f64>,
+        rhs: Option<Vec<f64>>,
         source: Source,
-        vstart_us: u64,
-        work_us: u64,
+        vend_us: u64,
     ) {
-        let solution = {
-            let problem = jobs::build(job.request.kind, job.request.key, job.request.n);
-            problem.rhs.map(|rhs| tri::solve_with_factor(&factor, &rhs))
-        };
+        let solution = rhs.as_deref().map(|rhs| tri::solve_with_factor(&factor, rhs));
         let digest = lower_digest(&factor);
-        let vend_us = vstart_us + work_us;
+        if let Some(d) = self.durable.as_mut() {
+            // Journal-commit the fresh factor.  Persistence is
+            // best-effort for a cache — the in-RAM copy is already
+            // correct — but the protocol itself never leaves a
+            // committed-yet-invalid entry behind.
+            let _ = d.record(job.digest, &factor);
+        }
+        self.cache.insert(job.digest, factor, digest, rhs);
+        self.respond(job, seq, source, digest, solution, vend_us);
+    }
+
+    /// Log the completion, advance the virtual clock to `vend_us`, and
+    /// answer the ticket.
+    fn respond(
+        &mut self,
+        job: &ShardJob,
+        seq: &mut u32,
+        source: Source,
+        factor_digest: u64,
+        solution: Option<Vec<f64>>,
+        vend_us: u64,
+    ) {
         self.vclock_us = vend_us;
         self.emit(
             job.req_id,
             seq,
             Event::Completed {
                 source,
-                factor_digest: digest,
+                factor_digest,
                 vend_us,
             },
         );
-        if matches!(source, Source::Fresh | Source::Batched) {
-            if let Some(d) = self.durable.as_mut() {
-                // Journal-commit the fresh factor.  Persistence is
-                // best-effort for a cache — the in-RAM copy is already
-                // correct — but the protocol itself never leaves a
-                // committed-yet-invalid entry behind.
-                let _ = d.record(job.digest, &factor);
-            }
-            self.cache.insert(job.digest, factor);
-        }
         self.metrics.counters.completed += 1;
         if source == Source::DegradedCache {
             self.metrics.counters.degraded_served += 1;
@@ -240,7 +270,7 @@ impl Shard {
         let _ = job.reply.send(Ok(Response {
             req: job.req_id,
             source,
-            factor_digest: digest,
+            factor_digest,
             solution,
             virt_latency_us: virt_latency,
         }));
@@ -282,9 +312,8 @@ impl Shard {
             watermark_us,
         } = job.admit
         {
-            let (read, factor) = self.cache_read(&job, &mut seq, true);
-            if let (CacheRead::Hit | CacheRead::Healed, Some(f)) = (read, factor) {
-                self.complete(&job, &mut seq, f, Source::DegradedCache, vstart_us, CACHE_SERVE_COST_US);
+            if self.cache_read(&job, &mut seq, true) {
+                self.complete_cached(&job, &mut seq, Source::DegradedCache, vstart_us);
             } else {
                 self.refuse(
                     &job,
@@ -309,9 +338,8 @@ impl Shard {
                     state: self.breaker.state(),
                 },
             );
-            let (read, factor) = self.cache_read(&job, &mut seq, true);
-            if let (CacheRead::Hit | CacheRead::Healed, Some(f)) = (read, factor) {
-                self.complete(&job, &mut seq, f, Source::DegradedCache, vstart_us, CACHE_SERVE_COST_US);
+            if self.cache_read(&job, &mut seq, true) {
+                self.complete_cached(&job, &mut seq, Source::DegradedCache, vstart_us);
             } else {
                 self.refuse(
                     &job,
@@ -326,9 +354,8 @@ impl Shard {
         }
 
         // --- Normal path: verified cache first. ---
-        let (read, factor) = self.cache_read(&job, &mut seq, false);
-        if let (CacheRead::Hit | CacheRead::Healed, Some(f)) = (read, factor) {
-            self.complete(&job, &mut seq, f, Source::Cache, vstart_us, CACHE_SERVE_COST_US);
+        if self.cache_read(&job, &mut seq, false) {
+            self.complete_cached(&job, &mut seq, Source::Cache, vstart_us);
             return;
         }
 
@@ -370,9 +397,8 @@ impl Shard {
         // Cache hits serve immediately; survivors go to the kernels.
         let mut pending: Vec<(ShardJob, u32)> = Vec::with_capacity(batch);
         for (job, mut seq) in jobs.into_iter().zip(seqs) {
-            let (read, factor) = self.cache_read(&job, &mut seq, false);
-            if let (CacheRead::Hit | CacheRead::Healed, Some(f)) = (read, factor) {
-                self.complete(&job, &mut seq, f, Source::Cache, vstart_us, CACHE_SERVE_COST_US);
+            if self.cache_read(&job, &mut seq, false) {
+                self.complete_cached(&job, &mut seq, Source::Cache, vstart_us);
                 continue;
             }
             let wait_us = vstart_us.saturating_sub(job.request.vtime_us);
@@ -404,17 +430,21 @@ impl Shard {
             return;
         }
 
-        let problems: Vec<Matrix<f64>> = pending
+        let (matrices, rhss): (Vec<Matrix<f64>>, Vec<Option<Vec<f64>>>) = pending
             .iter()
-            .map(|(job, _)| jobs::build(job.request.kind, job.request.key, job.request.n).a)
-            .collect();
+            .map(|(job, _)| {
+                let problem = build_problem(&mut self.metrics.counters, &job.request);
+                (problem.a, problem.rhs)
+            })
+            .unzip();
         let work_us = batch_cost_us(bucket_n, pending.len(), self.config.block);
-        let results = factor_batch(&problems, bucket_n, self.config.block, self.config.kernel);
-        for ((job, mut seq), result) in pending.into_iter().zip(results) {
+        let results = factor_batch(&matrices, bucket_n, self.config.block, self.config.kernel);
+        for (((job, mut seq), result), rhs) in pending.into_iter().zip(results).zip(rhss) {
             match result {
                 Ok(factor) => {
                     self.metrics.counters.batched_factorizations += 1;
-                    self.complete(&job, &mut seq, factor, Source::Batched, vstart_us, work_us);
+                    let vend_us = vstart_us + work_us;
+                    self.complete_factored(&job, &mut seq, factor, rhs, Source::Batched, vend_us);
                 }
                 Err(e) => {
                     self.vclock_us = vstart_us + work_us;
@@ -430,12 +460,6 @@ impl Shard {
         let panels = panel_count(n, b);
         let budget_us = job.request.deadline_us;
         let queue_wait_us = vstart_us.saturating_sub(job.request.vtime_us);
-
-        let problem = jobs::build(job.request.kind, job.request.key, n);
-        let mut ckpt = Checkpoint::fresh(problem.a);
-        let mut attempt: u32 = 1;
-        let mut work_us: u64 = 0; // virtual work+backoff consumed by this job
-        let mut had_fault = false;
 
         // Queue wait already counts against the deadline budget.
         if queue_wait_us >= budget_us {
@@ -459,6 +483,12 @@ impl Shard {
             );
             return;
         }
+
+        let Problem { a, rhs } = build_problem(&mut self.metrics.counters, &job.request);
+        let mut ckpt = Checkpoint::fresh(a);
+        let mut attempt: u32 = 1;
+        let mut work_us: u64 = 0; // virtual work+backoff consumed by this job
+        let mut had_fault = false;
 
         let outcome = loop {
             if attempt > self.config.retry_limit {
@@ -606,7 +636,8 @@ impl Shard {
         match outcome {
             Ok(factor) => {
                 self.metrics.counters.fresh_factorizations += 1;
-                self.complete(&job, &mut seq, factor, Source::Fresh, vstart_us, work_us);
+                let vend_us = vstart_us + work_us;
+                self.complete_factored(&job, &mut seq, factor, rhs, Source::Fresh, vend_us);
             }
             Err(e) => {
                 // Failed fresh work still consumed virtual time.
