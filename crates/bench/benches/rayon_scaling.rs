@@ -2,8 +2,8 @@
 //! growing thread pool.
 
 use criterion::{Criterion, criterion_group, criterion_main};
-use cholcomm_core::matrix::spd;
-use cholcomm_core::par::{par_recursive_potrf, par_tiled_potrf, wavefront_potrf};
+use cholcomm_core::matrix::{spd, KernelImpl};
+use cholcomm_core::par::{par_recursive_potrf, potrf_dag_with};
 use std::hint::black_box;
 
 fn bench_scaling(c: &mut Criterion) {
@@ -20,11 +20,11 @@ fn bench_scaling(c: &mut Criterion) {
             .num_threads(threads)
             .build()
             .unwrap();
-        g.bench_function(format!("tiled_t{threads}"), |bch| {
+        g.bench_function(format!("dag_t{threads}"), |bch| {
             bch.iter(|| {
                 pool.install(|| {
                     let mut f = a.clone();
-                    par_tiled_potrf(&mut f, 32).unwrap();
+                    potrf_dag_with(&mut f, 32, KernelImpl::Reference).unwrap();
                     black_box(f)
                 })
             })
@@ -36,13 +36,6 @@ fn bench_scaling(c: &mut Criterion) {
                     par_recursive_potrf(&mut f, 32).unwrap();
                     black_box(f)
                 })
-            })
-        });
-        g.bench_function(format!("wavefront_t{threads}"), |bch| {
-            bch.iter(|| {
-                let mut f = a.clone();
-                wavefront_potrf(&mut f, 32, threads).unwrap();
-                black_box(f)
             })
         });
         threads *= 2;

@@ -5,8 +5,8 @@
 use criterion::{Criterion, criterion_group, criterion_main};
 use cholcomm_core::cachesim::NullTracer;
 use cholcomm_core::layout::{ColMajor, Morton};
-use cholcomm_core::matrix::{kernels, spd};
-use cholcomm_core::par::{par_recursive_potrf, par_tiled_potrf, wavefront_potrf};
+use cholcomm_core::matrix::{kernels, spd, KernelImpl};
+use cholcomm_core::par::{par_recursive_potrf, potrf_dag_with};
 use cholcomm_core::seq::zoo::{run_alg, Algorithm};
 use std::hint::black_box;
 
@@ -49,10 +49,10 @@ fn bench_wallclock(c: &mut Criterion) {
             )
         })
     });
-    g.bench_function("par_tiled_b32", |bch| {
+    g.bench_function("dag_b32", |bch| {
         bch.iter(|| {
             let mut f = a.clone();
-            par_tiled_potrf(&mut f, 32).unwrap();
+            potrf_dag_with(&mut f, 32, KernelImpl::Reference).unwrap();
             black_box(f)
         })
     });
@@ -60,14 +60,6 @@ fn bench_wallclock(c: &mut Criterion) {
         bch.iter(|| {
             let mut f = a.clone();
             par_recursive_potrf(&mut f, 32).unwrap();
-            black_box(f)
-        })
-    });
-    let workers = std::thread::available_parallelism().map_or(4, |v| v.get());
-    g.bench_function("wavefront_b32", |bch| {
-        bch.iter(|| {
-            let mut f = a.clone();
-            wavefront_potrf(&mut f, 32, workers).unwrap();
             black_box(f)
         })
     });

@@ -112,7 +112,8 @@ fn run_identity() -> Identity {
     let mut fm = FileMatrix::create(&scratch_path("ob-ckpipe"), &a, b).expect("create");
     let ck1 = Checkpoint::at(&scratch_path("ob-ckpipe").with_extension("ckpt"));
     let cfg = PipelineConfig::new(cap).with_io_workers(2).with_lookahead(3);
-    cholcomm_core::ooc::ooc_potrf_checkpointed_pipelined(&mut fm, &ck1, &cfg)
+    let mut fs = cholcomm_core::faults::FsStore::new();
+    cholcomm_core::ooc::ooc_potrf_checkpointed_pipelined_in(&mut fm, &ck1, &mut fs, &cfg)
         .expect("pipelined checkpointed");
     configs += 1;
     let checkpointed_ok = fm.to_matrix().expect("read") == want;

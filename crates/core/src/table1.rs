@@ -5,7 +5,7 @@
 use crate::bounds::{self, Table1Row};
 use crate::report::{fnum, TextTable};
 use crate::sweep::{par_map, TraceCache};
-use cholcomm_matrix::{spd, Matrix};
+use cholcomm_matrix::{spd, KernelImpl, Matrix};
 use cholcomm_seq::zoo::{price_trace, Algorithm, LayoutKind, ModelKind};
 
 /// One measured row of the regenerated Table 1.
@@ -323,7 +323,8 @@ pub fn run_table1_extended(cfg: Table1Config, a: &Matrix<f64>) -> Vec<(String, u
             &counting,
             Box::new(|tr: &mut CompactTrace| {
                 let mut laid = Laid::from_matrix(a, Blocked::square(n, b));
-                lapack::potrf_blocked_right(&mut laid, tr, b, None).expect("SPD");
+                lapack::potrf_blocked_right_with(&mut laid, tr, b, None, KernelImpl::Reference)
+                    .expect("SPD");
             }),
         ),
         (

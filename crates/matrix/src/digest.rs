@@ -14,15 +14,26 @@ use crate::dense::Matrix;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a stream of `u64` words.
-fn fnv1a_words(mut h: u64, words: impl Iterator<Item = u64>) -> u64 {
-    for w in words {
-        for byte in w.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
+/// Fold `bytes` into a running FNV-1a state (start from
+/// [`fnv1a`]`(b"")`, or chain calls to hash a stream piecewise).
+pub fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Byte-wise 64-bit FNV-1a: the workspace's one integrity hash (journal
+/// records, checkpoint manifests and snapshots, replay digests).  Not
+/// cryptographic — it guards against truncation and bit rot.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_update(FNV_OFFSET, bytes)
+}
+
+/// FNV-1a over a stream of `u64` words (little-endian bytes).
+fn fnv1a_words(h: u64, words: impl Iterator<Item = u64>) -> u64 {
+    words.fold(h, |h, w| fnv1a_update(h, &w.to_le_bytes()))
 }
 
 /// Order-sensitive digest of the full matrix: dimensions, then every
@@ -58,6 +69,14 @@ pub fn slice_digest(xs: &[f64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_is_pinned_to_the_published_vectors() {
+        // Journal, manifest and replay-digest bytes depend on these.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_update(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
+    }
 
     #[test]
     fn digest_distinguishes_bits_not_values() {

@@ -1,0 +1,509 @@
+//! The right-looking tile schedule of the blocked Cholesky, written once.
+//!
+//! The blocked factorization the paper analyses is *data-oblivious*:
+//! which tile is factored, solved or updated next — and which tiles that
+//! touches — depends only on the tile-grid dimension `nb`.  This module
+//! owns that fact in three forms:
+//!
+//! * **the walk** ([`walk`]) — the sequential
+//!   right-looking order, driving a [`TileStore`] with exactly the access
+//!   sequence every sequential and out-of-core driver performs: the
+//!   diagonal tile held across the panel solves, the column operand of a
+//!   trailing update fetched once per block column;
+//! * **the arithmetic** ([`apply`]) — the one place a [`TileOp`] becomes a
+//!   kernel call and a tile-local `NotSpd` pivot becomes a global one;
+//! * **the DAG** ([`TileOp::dep_count`], [`TileOp::for_each_successor`],
+//!   [`TileOp::flops`] and the flat task-id coding) — the same ops as a
+//!   dependence graph, for the work-stealing executor and its scheduler
+//!   model in `cholcomm-par`.
+//!
+//! A [`TileStore`] says where tiles live and what moving one costs: a
+//! traced layout (`seq::lapack`), a checksum-carrying matrix
+//! (`seq::abft`), a tile cache over a file or a prefetching pipeline
+//! (`ooc`), a recorder that only notes the accesses (`ooc::pipeline`'s
+//! planner), or plain memory ([`MemTiles`]).  The walk never looks inside
+//! a tile — the `apply` closure it is handed does — so two stores that
+//! return the stored values produce bit-identical factors by
+//! construction, and a store that carries no data at all (`Tile = ()`)
+//! observes the schedule without running it.
+
+use crate::dense::Matrix;
+use crate::engine::KernelImpl;
+use crate::error::MatrixError;
+use crate::scalar::Scalar;
+use std::ops::Range;
+
+/// Tiles the walk holds live at once: the two panel operands and the
+/// tile being updated.  The floor under every tile cache's capacity and
+/// the `3 b^2 <= M` precondition of the blocked schedule.
+pub const WORKING_SET: usize = 3;
+
+/// Geometry of a square matrix of order `n` cut into `b x b` tiles
+/// (ragged at the bottom/right edge).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileGrid {
+    /// Matrix order.
+    pub n: usize,
+    /// Tile size.
+    pub b: usize,
+}
+
+impl TileGrid {
+    /// Grid of an order-`n` matrix with tile size `b`.
+    pub fn new(n: usize, b: usize) -> Self {
+        assert!(b > 0, "tile size must be positive");
+        TileGrid { n, b }
+    }
+
+    /// Tile-grid dimension.
+    pub fn nb(&self) -> usize {
+        self.n.div_ceil(self.b)
+    }
+
+    /// Live rows (equally, columns) of tile row `t`.
+    pub fn dim(&self, t: usize) -> usize {
+        (self.n - t * self.b).min(self.b)
+    }
+}
+
+/// One tile operation of the right-looking blocked Cholesky.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TileOp {
+    /// `potf2` on diagonal tile `(k, k)`.
+    Factor {
+        /// Panel step.
+        k: usize,
+    },
+    /// `trsm` of panel tile `(i, k)` against the factored `(k, k)`.
+    Solve {
+        /// Tile row, `i > k`.
+        i: usize,
+        /// Panel step.
+        k: usize,
+    },
+    /// Rank-`b` update `A(i,j) -= L(i,k) L(j,k)^T`, `k < j <= i`.
+    Update {
+        /// Tile row.
+        i: usize,
+        /// Tile column.
+        j: usize,
+        /// Panel step.
+        k: usize,
+    },
+}
+
+/// Triangular index of lower tile `(bi, bj)`, `bj <= bi`.
+#[inline]
+pub fn tile_idx(bi: usize, bj: usize) -> usize {
+    bi * (bi + 1) / 2 + bj
+}
+
+/// Inverse of [`tile_idx`].
+pub fn tile_coords(t_idx: usize) -> (usize, usize) {
+    // Largest bi with bi(bi+1)/2 <= t_idx.
+    let mut bi = ((((8 * t_idx + 1) as f64).sqrt() - 1.0) / 2.0) as usize;
+    while (bi + 1) * (bi + 2) / 2 <= t_idx {
+        bi += 1;
+    }
+    while bi * (bi + 1) / 2 > t_idx {
+        bi -= 1;
+    }
+    (bi, t_idx - bi * (bi + 1) / 2)
+}
+
+impl TileOp {
+    /// The op that writes tile `(bi, bj)` at step `k <= bj`: an update
+    /// while `k < bj`, then the tile's final factor or solve.
+    #[inline]
+    pub fn of(bi: usize, bj: usize, k: usize) -> TileOp {
+        debug_assert!(k <= bj && bj <= bi);
+        if k < bj {
+            TileOp::Update { i: bi, j: bj, k }
+        } else if bi == bj {
+            TileOp::Factor { k }
+        } else {
+            TileOp::Solve { i: bi, k }
+        }
+    }
+
+    /// The tile this op writes.
+    #[inline]
+    pub fn target(self) -> (usize, usize) {
+        match self {
+            TileOp::Factor { k } => (k, k),
+            TileOp::Solve { i, k } => (i, k),
+            TileOp::Update { i, j, .. } => (i, j),
+        }
+    }
+
+    /// The panel step this op belongs to.
+    #[inline]
+    pub fn step(self) -> usize {
+        match self {
+            TileOp::Factor { k } | TileOp::Solve { k, .. } | TileOp::Update { k, .. } => k,
+        }
+    }
+
+    /// Flat task id: tile `(bi, bj)` owns the `bj + 1` consecutive ids
+    /// `tile_idx * (nb + 1) + k`, `k <= bj`.  Ascending ids follow each
+    /// tile's update chain, which is the tie-break order of the
+    /// scheduler model.
+    #[inline]
+    pub fn id(self, nb: usize) -> usize {
+        let (bi, bj) = self.target();
+        tile_idx(bi, bj) * (nb + 1) + self.step()
+    }
+
+    /// Inverse of [`id`](Self::id), or `None` for the unused slots
+    /// (`k > bj`) of the flat id space.
+    #[inline]
+    pub fn from_id(nb: usize, id: usize) -> Option<TileOp> {
+        let (bi, bj) = tile_coords(id / (nb + 1));
+        let k = id % (nb + 1);
+        (k <= bj).then(|| TileOp::of(bi, bj, k))
+    }
+
+    /// Size of the flat id space for an `nb x nb` tile grid.
+    pub fn id_space(nb: usize) -> usize {
+        tile_idx(nb, 0) * (nb + 1)
+    }
+
+    /// Number of ops that must complete before this one may start.
+    ///
+    /// * `Update(i, j, k)` waits for `Solve(i, k)` and `Solve(j, k)` (one
+    ///   solve on the diagonal, where `i == j`), plus the previous update
+    ///   of the same tile when `k >= 1`.
+    /// * `Factor(k)` waits for `Update(k, k, k-1)` when `k >= 1`.
+    /// * `Solve(i, k)` waits for `Factor(k)`, plus `Update(i, k, k-1)`
+    ///   when `k >= 1`.
+    pub fn dep_count(self) -> usize {
+        let prior = usize::from(self.step() >= 1);
+        match self {
+            TileOp::Update { i, j, .. } => prior + if i == j { 1 } else { 2 },
+            TileOp::Factor { .. } => prior,
+            TileOp::Solve { .. } => prior + 1,
+        }
+    }
+
+    /// Visit every op unlocked (in part) by the completion of this one.
+    /// Shared by the executor and its scheduler model, so the two walk
+    /// the same graph by construction.
+    pub fn for_each_successor(self, nb: usize, mut visit: impl FnMut(TileOp)) {
+        match self {
+            // The next op of the same tile's chain.
+            TileOp::Update { i, j, k } => visit(TileOp::of(i, j, k + 1)),
+            // Every panel tile below the factored diagonal.
+            TileOp::Factor { k } => {
+                for i in (k + 1)..nb {
+                    visit(TileOp::Solve { i, k });
+                }
+            }
+            // Every update that reads panel tile (i, k): as the row
+            // operand of tiles (i, j) with k < j <= i, and as the column
+            // operand of tiles (i2, i) with i2 > i.  The diagonal tile
+            // (i, i) appears once, matching its dependency count.
+            TileOp::Solve { i, k } => {
+                for j in (k + 1)..=i {
+                    visit(TileOp::Update { i, j, k });
+                }
+                for i2 in (i + 1)..nb {
+                    visit(TileOp::Update { i: i2, j: i, k });
+                }
+            }
+        }
+    }
+
+    /// Flop weight of this op on `grid` (ragged edge tiles get their true
+    /// dimensions).
+    pub fn flops(self, grid: TileGrid) -> u64 {
+        let h = |t: usize| grid.dim(t) as u64;
+        match self {
+            TileOp::Update { i, j, k } => 2 * h(i) * h(j) * h(k),
+            TileOp::Factor { k } => (h(k) * h(k) * h(k)).div_ceil(3),
+            TileOp::Solve { i, k } => h(i) * h(k) * h(k),
+        }
+    }
+}
+
+/// Where the walk gets and puts its tiles.
+pub trait TileStore {
+    /// What a tile is to this store — a matrix for stores that compute,
+    /// `()` for one that only observes the schedule.
+    type Tile: Clone;
+    /// What moving a tile can fail with.
+    type Error;
+
+    /// Panel step `k` is about to run (integrity layers hook this).
+    fn begin_panel(&mut self, _k: usize) {}
+    /// Fetch tile `(i, j)`.
+    fn get(&mut self, i: usize, j: usize) -> Result<Self::Tile, Self::Error>;
+    /// Install the updated tile `(i, j)`.
+    fn put(&mut self, i: usize, j: usize, tile: Self::Tile) -> Result<(), Self::Error>;
+}
+
+/// The right-looking order over `panels` of an `nb x nb` tile grid: per
+/// panel step `k`, factor the diagonal tile, solve the panel below it,
+/// update the trailing submatrix.
+///
+/// `apply(op, target, operands)` performs `op` on `target`; `operands` is
+/// empty for a factor, `[diag]` for a solve and `[L(i,k), L(j,k)]` for an
+/// update.
+pub fn walk<St, F>(
+    store: &mut St,
+    nb: usize,
+    panels: Range<usize>,
+    mut apply: F,
+) -> Result<(), St::Error>
+where
+    St: TileStore,
+    F: FnMut(TileOp, &mut St::Tile, &[&St::Tile]) -> Result<(), St::Error>,
+{
+    for k in panels {
+        store.begin_panel(k);
+
+        let mut diag = store.get(k, k)?;
+        apply(TileOp::Factor { k }, &mut diag, &[])?;
+        store.put(k, k, diag.clone())?;
+
+        for i in (k + 1)..nb {
+            let mut t = store.get(i, k)?;
+            apply(TileOp::Solve { i, k }, &mut t, &[&diag])?;
+            store.put(i, k, t)?;
+        }
+
+        for j in (k + 1)..nb {
+            let lj = store.get(j, k)?;
+            for i in j..nb {
+                let li = store.get(i, k)?;
+                let mut t = store.get(i, j)?;
+                apply(TileOp::Update { i, j, k }, &mut t, &[&li, &lj])?;
+                store.put(i, j, t)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Perform `op` on `target` with `kernel`.
+///
+/// Tiles may be ragged (their live size) or zero-padded to `b x b` (the
+/// on-disk format): only the factor of a padded last diagonal tile has to
+/// tell the two apart, and works on the live leading block.  A failing
+/// pivot is reported in whole-matrix coordinates.
+pub fn apply<S: Scalar>(
+    op: TileOp,
+    kernel: KernelImpl,
+    grid: TileGrid,
+    target: &mut Matrix<S>,
+    operands: &[&Matrix<S>],
+) -> Result<(), MatrixError> {
+    match (op, operands) {
+        (TileOp::Factor { k }, []) => {
+            let live = grid.dim(k);
+            let done = if target.rows() == live {
+                kernel.potf2(target)
+            } else {
+                let mut part = target.submatrix(0, 0, live, live);
+                let done = kernel.potf2(&mut part);
+                target.set_submatrix(0, 0, &part);
+                done
+            };
+            done.map_err(|e| match e {
+                MatrixError::NotSpd { pivot, value } => MatrixError::NotSpd {
+                    pivot: k * grid.b + pivot,
+                    value,
+                },
+                other => other,
+            })
+        }
+        (TileOp::Solve { .. }, [diag]) => {
+            kernel.trsm_right_lower_transpose(target, diag);
+            Ok(())
+        }
+        (TileOp::Update { .. }, [li, lj]) => {
+            kernel.gemm_nt(target, -S::one(), li, lj);
+            Ok(())
+        }
+        _ => unreachable!("{op:?} handed {} operand tile(s)", operands.len()),
+    }
+}
+
+/// Factor `panels` over a store of real tiles: [`walk`] with [`apply`].
+pub fn factor<S, St>(
+    store: &mut St,
+    grid: TileGrid,
+    panels: Range<usize>,
+    kernel: KernelImpl,
+) -> Result<(), St::Error>
+where
+    S: Scalar,
+    St: TileStore<Tile = Matrix<S>>,
+    St::Error: From<MatrixError>,
+{
+    walk(store, grid.nb(), panels, |op, target, operands| {
+        apply(op, kernel, grid, target, operands).map_err(St::Error::from)
+    })
+}
+
+/// The lower-triangle tiles of a square matrix in memory — the plain
+/// store: what the DAG executor cuts its input into, and, through the
+/// sequential walk, the reference every other store's factor is
+/// compared against.
+#[derive(Debug, Clone)]
+pub struct MemTiles<S: Scalar> {
+    /// The grid the tiles were cut on.
+    pub grid: TileGrid,
+    /// The tiles in [`tile_idx`] order, ragged edge tiles at their true
+    /// size.
+    pub tiles: Vec<Matrix<S>>,
+}
+
+impl<S: Scalar> MemTiles<S> {
+    /// Cut the lower triangle of `a` into `b x b` tiles.
+    pub fn from_matrix(a: &Matrix<S>, b: usize) -> Result<Self, MatrixError> {
+        if !a.is_square() {
+            return Err(MatrixError::NotSquare {
+                rows: a.rows(),
+                cols: a.cols(),
+            });
+        }
+        let grid = TileGrid::new(a.rows(), b);
+        let mut tiles = Vec::with_capacity(tile_idx(grid.nb(), 0));
+        for bi in 0..grid.nb() {
+            for bj in 0..=bi {
+                tiles.push(a.submatrix(bi * b, bj * b, grid.dim(bi), grid.dim(bj)));
+            }
+        }
+        Ok(MemTiles { grid, tiles })
+    }
+
+    /// Write the tiles back over the lower triangle of `a` and zero its
+    /// strict upper triangle.
+    pub fn write_back(&self, a: &mut Matrix<S>) {
+        let TileGrid { n, b } = self.grid;
+        for bi in 0..self.grid.nb() {
+            for bj in 0..=bi {
+                a.set_submatrix(bi * b, bj * b, &self.tiles[tile_idx(bi, bj)]);
+            }
+        }
+        for j in 0..n {
+            for i in 0..j {
+                a[(i, j)] = S::zero();
+            }
+        }
+    }
+}
+
+impl<S: Scalar> TileStore for MemTiles<S> {
+    type Tile = Matrix<S>;
+    type Error = MatrixError;
+
+    fn get(&mut self, i: usize, j: usize) -> Result<Matrix<S>, MatrixError> {
+        Ok(self.tiles[tile_idx(i, j)].clone())
+    }
+
+    fn put(&mut self, i: usize, j: usize, tile: Matrix<S>) -> Result<(), MatrixError> {
+        self.tiles[tile_idx(i, j)] = tile;
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{kernels, norms, spd};
+    use std::convert::Infallible;
+
+    /// A store with no data: logs the op behind every put.
+    #[derive(Default)]
+    struct OpLog {
+        k: usize,
+        ops: Vec<TileOp>,
+    }
+
+    impl TileStore for OpLog {
+        type Tile = ();
+        type Error = Infallible;
+        fn begin_panel(&mut self, k: usize) {
+            self.k = k;
+        }
+        fn get(&mut self, _: usize, _: usize) -> Result<(), Infallible> {
+            Ok(())
+        }
+        fn put(&mut self, i: usize, j: usize, _: ()) -> Result<(), Infallible> {
+            self.ops.push(TileOp::of(i, j, self.k));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn walk_order_is_a_linear_extension_of_the_dag() {
+        for nb in 0..=9usize {
+            let mut log = OpLog::default();
+            let mut ops = Vec::new();
+            let Ok(()) = walk(&mut log, nb, 0..nb, |op, _, _| {
+                ops.push(op);
+                Ok(())
+            });
+            assert_eq!(ops, log.ops, "nb={nb}: every applied op is put, in order");
+            assert_eq!(ops.len(), nb * (nb + 1) * (nb + 2) / 6, "nb={nb}");
+
+            // Each tile's ops come in ascending k and end in its factor
+            // or solve; the id coding round-trips.
+            let mut pos = vec![usize::MAX; TileOp::id_space(nb)];
+            let mut next_k = vec![0usize; tile_idx(nb, 0)];
+            for (p, &op) in ops.iter().enumerate() {
+                let (bi, bj) = op.target();
+                assert_eq!(tile_coords(tile_idx(bi, bj)), (bi, bj));
+                assert_eq!(op.step(), next_k[tile_idx(bi, bj)], "nb={nb}: {op:?}");
+                assert_eq!(matches!(op, TileOp::Update { .. }), op.step() < bj);
+                next_k[tile_idx(bi, bj)] += 1;
+                assert_eq!(TileOp::from_id(nb, op.id(nb)), Some(op));
+                pos[op.id(nb)] = p;
+            }
+            let valid = (0..pos.len()).filter(|&id| TileOp::from_id(nb, id).is_some());
+            assert_eq!(valid.count(), ops.len(), "nb={nb}: no other id decodes");
+
+            // Every DAG edge points forward in walk order, and indegrees
+            // are what dep_count promises.
+            let mut indegree = vec![0usize; pos.len()];
+            for &op in &ops {
+                op.for_each_successor(nb, |succ| {
+                    assert!(pos[op.id(nb)] < pos[succ.id(nb)], "nb={nb}: {op:?} -> {succ:?}");
+                    indegree[succ.id(nb)] += 1;
+                });
+            }
+            for op in &ops {
+                assert_eq!(op.dep_count(), indegree[op.id(nb)], "nb={nb}: {op:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn mem_tiles_factor_matches_unblocked_on_ragged_and_padded_tiles() {
+        let mut rng = spd::test_rng(77);
+        for (n, b) in [(1usize, 1usize), (8, 3), (21, 8), (24, 8), (5, 16)] {
+            let a = spd::random_spd(n, &mut rng);
+            let mut tiles = MemTiles::from_matrix(&a, b).unwrap();
+            let grid = tiles.grid;
+            factor(&mut tiles, grid, 0..grid.nb(), KernelImpl::Reference).unwrap();
+            let mut got = a.clone();
+            tiles.write_back(&mut got);
+            let mut want = a.clone();
+            kernels::potf2(&mut want).unwrap();
+            let d = norms::max_abs_diff(&got, &want.lower_triangle().unwrap());
+            assert!(d < 1e-10, "n={n} b={b}: {d}");
+
+            // A zero-padded last diagonal tile factors to the same bits in
+            // its live block.
+            let k = grid.nb() - 1;
+            let live = grid.dim(k);
+            let mut exact = a.submatrix(k * b, k * b, live, live);
+            let mut padded = Matrix::zeros(b, b);
+            padded.set_submatrix(0, 0, &exact);
+            apply(TileOp::Factor { k }, KernelImpl::Reference, grid, &mut exact, &[]).unwrap();
+            apply(TileOp::Factor { k }, KernelImpl::Reference, grid, &mut padded, &[]).unwrap();
+            assert_eq!(padded.submatrix(0, 0, live, live), exact);
+        }
+    }
+}

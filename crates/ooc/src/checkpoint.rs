@@ -52,27 +52,76 @@
 //! simulated crash disk (`SimStore`) under the explorer.
 
 use crate::backend::IoBackend;
-use crate::potrf::{factor_panel_with, OocError, TileCache};
+use crate::potrf::{drive, CachedFront, OocError, TileCache};
 use cholcomm_faults::{FsStore, Store};
+use cholcomm_matrix::digest::fnv1a;
 use cholcomm_matrix::KernelImpl;
 use std::path::Path;
 
 const MANIFEST_MAGIC: &str = "cholcomm-ooc-checkpoint v3";
 
-/// FNV-1a over a byte string: the checkpoint integrity hash.  Not
-/// cryptographic — it guards against truncation and bit rot, the same
-/// threat model as the tile checksums.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn bad(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
+/// Cap on in-run rollbacks per panel (and for the final scrub).  A
+/// corruption strikes only once (the backend remembers landed faults
+/// across restores), so each retry makes progress; the cap is a safety
+/// net, not a policy.
+pub(crate) const MAX_RESTORE_RETRIES: usize = 4;
+
+/// Unhealable multi-element corruption (a checksumming backend's
+/// `InvalidData`): answered in-run by rolling the file back to the last
+/// panel checkpoint and retrying.
+pub(crate) fn unhealable(e: &OocError) -> bool {
+    matches!(e, OocError::Io(io) if io.kind() == std::io::ErrorKind::InvalidData)
+}
+
+/// What a fault plan's crash-after-panel surfaces as.
+pub(crate) fn simulated_crash() -> OocError {
+    OocError::Io(std::io::Error::other(
+        "simulated crash: process killed after panel",
+    ))
+}
+
+/// The checkpointing half of a run: where generations go and the
+/// report their traffic is charged to.
+pub(crate) struct Checkpointing<'a, St: Store> {
+    pub(crate) ckpt: &'a Checkpoint,
+    pub(crate) store: &'a mut St,
+    pub(crate) report: &'a mut CheckpointReport,
+}
+
+impl<St: Store> Checkpointing<'_, St> {
+    /// Where to start: restore the committed generation over `fm` and
+    /// resume at its panel, or — when nothing ever committed — snapshot
+    /// the pristine input and start at panel 0.  Without that baseline
+    /// a crash inside panel 0 would leave partially-updated tiles on
+    /// disk and the resume would factor corrupted input.
+    pub(crate) fn resume_point<B: IoBackend>(&mut self, fm: &mut B) -> Result<usize, OocError> {
+        let start = match self.ckpt.load_in(self.store)? {
+            Some(state) => {
+                if state.n != fm.n() || state.b != fm.b() {
+                    return Err(OocError::Io(bad(format!(
+                        "checkpoint is for n={} b={}, matrix has n={} b={}",
+                        state.n,
+                        state.b,
+                        fm.n(),
+                        fm.b()
+                    ))));
+                }
+                self.report.checkpoint_bytes += self.ckpt.restore_in(self.store, fm)?;
+                state.next_panel
+            }
+            None => {
+                self.report.checkpoint_bytes += self.ckpt.save_in(self.store, fm, 0)?;
+                self.report.checkpoints_written += 1;
+                0
+            }
+        };
+        self.report.start_panel = start;
+        Ok(start)
+    }
 }
 
 /// How strictly [`Checkpoint::save`] orders its commit record.
@@ -580,30 +629,27 @@ pub fn ooc_potrf_checkpointed<B: IoBackend>(
     capacity_tiles: usize,
     ckpt: &Checkpoint,
 ) -> Result<CheckpointReport, OocError> {
-    ooc_potrf_checkpointed_with(fm, capacity_tiles, ckpt, KernelImpl::Reference)
+    ooc_potrf_checkpointed_in(
+        fm,
+        capacity_tiles,
+        ckpt,
+        &mut FsStore::new(),
+        KernelImpl::Reference,
+    )
 }
 
-/// [`ooc_potrf_checkpointed`] with an explicit kernel engine.  The
-/// checkpoint/restore protocol and all tile I/O are engine-independent.
-/// `FastStrict` is bit-identical to `Reference`, so a run may even
-/// crash under one of those engines and resume under the other; `Fast`
-/// contracts multiply-adds through FMA, so mixing it with the others
-/// across a restart yields a factor that differs by the (tiny)
-/// contraction residual — restart under the engine you crashed with if
-/// bit-reproducibility matters.
-pub fn ooc_potrf_checkpointed_with<B: IoBackend>(
-    fm: &mut B,
-    capacity_tiles: usize,
-    ckpt: &Checkpoint,
-    kernel: KernelImpl,
-) -> Result<CheckpointReport, OocError> {
-    ooc_potrf_checkpointed_in(fm, capacity_tiles, ckpt, &mut FsStore::new(), kernel)
-}
-
-/// [`ooc_potrf_checkpointed_with`] over an explicit [`Store`] — the
-/// entry point the crash-point explorer drives with a `SimStore`, so
-/// checkpoint traffic and tile traffic land on the same recorded
-/// schedule.
+/// [`ooc_potrf_checkpointed`] with an explicit kernel engine over an
+/// explicit [`Store`] — the entry point the crash-point explorer drives
+/// with a `SimStore`, so checkpoint traffic and tile traffic land on the
+/// same recorded schedule.
+///
+/// The checkpoint/restore protocol and all tile I/O are
+/// engine-independent.  `FastStrict` is bit-identical to `Reference`, so
+/// a run may even crash under one of those engines and resume under the
+/// other; `Fast` contracts multiply-adds through FMA, so mixing it with
+/// the others across a restart yields a factor that differs by the
+/// (tiny) contraction residual — restart under the engine you crashed
+/// with if bit-reproducibility matters.
 pub fn ooc_potrf_checkpointed_in<B: IoBackend>(
     fm: &mut B,
     capacity_tiles: usize,
@@ -611,102 +657,15 @@ pub fn ooc_potrf_checkpointed_in<B: IoBackend>(
     store: &mut impl Store,
     kernel: KernelImpl,
 ) -> Result<CheckpointReport, OocError> {
-    let nb = fm.nb();
     let mut report = CheckpointReport::default();
-    let start = match ckpt.load_in(store)? {
-        Some(state) => {
-            if state.n != fm.n() || state.b != fm.b() {
-                return Err(OocError::Io(bad(format!(
-                    "checkpoint is for n={} b={}, matrix has n={} b={}",
-                    state.n,
-                    state.b,
-                    fm.n(),
-                    fm.b()
-                ))));
-            }
-            report.checkpoint_bytes += ckpt.restore_in(store, fm)?;
-            state.next_panel
-        }
-        None => {
-            // Snapshot the pristine input before any tile is mutated:
-            // a crash inside panel 0 leaves partially-updated tiles on
-            // disk, and without this baseline the resume would factor
-            // corrupted input.
-            report.checkpoint_bytes += ckpt.save_in(store, fm, 0)?;
-            report.checkpoints_written += 1;
-            0
-        }
+    let mut ck = Checkpointing {
+        ckpt,
+        store,
+        report: &mut report,
     };
-    report.start_panel = start;
-
-    // Unhealable multi-element corruption (a checksumming backend's
-    // `InvalidData`) is answered in-run: roll the file back to the last
-    // panel checkpoint and retry the panel.  A corruption strikes only
-    // once (the backend remembers landed faults across restores), so
-    // each retry makes progress; the cap is a safety net, not a policy.
-    const MAX_RESTORE_RETRIES: usize = 4;
-    let unhealable = |e: &OocError| {
-        matches!(e, OocError::Io(io) if io.kind() == std::io::ErrorKind::InvalidData)
-    };
-
-    let mut cache = TileCache::new(capacity_tiles);
-    for k in start..nb {
-        let mut retries = 0;
-        loop {
-            match factor_panel_with(fm, &mut cache, k, kernel) {
-                Ok(()) => break,
-                Err(e @ OocError::NotSpd { .. }) => {
-                    cache.flush(fm)?;
-                    return Err(e);
-                }
-                Err(e) if unhealable(&e) && retries < MAX_RESTORE_RETRIES => {
-                    retries += 1;
-                    report.restores += 1;
-                    // Everything in RAM reflects the poisoned panel run;
-                    // the snapshot on disk is the last trustworthy state.
-                    // Discarding dirty tiles is deliberate here — they
-                    // are exactly what the restore is rolling back.
-                    cache.clear_discarding();
-                    report.checkpoint_bytes += ckpt.restore_in(store, fm)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if fm.crash_after_panel(k) {
-            // The plan kills us after the panel but before its
-            // checkpoint: dirty cached tiles die with the process.
-            return Err(OocError::Io(std::io::Error::other(
-                "simulated crash: process killed after panel",
-            )));
-        }
-        cache.flush(fm)?;
-        report.checkpoint_bytes += ckpt.save_in(store, fm, k + 1)?;
-        report.checkpoints_written += 1;
-        report.panels_done += 1;
-    }
-
-    // Final integrity scrub, with the same restore-retry answer: the
-    // last checkpoint (written after the final panel) holds the
-    // finished factor, so rolling back and re-scrubbing converges.
-    let mut retries = 0;
-    loop {
-        match fm.scrub() {
-            Ok(()) => break,
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData
-                && retries < MAX_RESTORE_RETRIES =>
-            {
-                retries += 1;
-                report.restores += 1;
-                report.checkpoint_bytes += ckpt.restore_in(store, fm)?;
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-
-    // The factor must be durable in the data file *before* the
-    // checkpoint that could rebuild it is deleted.
-    fm.barrier()?;
-    ckpt.remove_in(store)?;
+    let start = ck.resume_point(fm)?;
+    let cache = TileCache::new(capacity_tiles);
+    drive(&mut CachedFront { fm, cache }, kernel, start, Some(ck))?;
     Ok(report)
 }
 

@@ -51,8 +51,8 @@ pub mod simmat;
 pub use abft::AbftBackend;
 pub use backend::{FaultyBackend, IoBackend, LatencyModel, SleepBackend};
 pub use checkpoint::{
-    ooc_potrf_checkpointed, ooc_potrf_checkpointed_in, ooc_potrf_checkpointed_with, Checkpoint,
-    CheckpointReport, CheckpointState, CommitDiscipline,
+    ooc_potrf_checkpointed, ooc_potrf_checkpointed_in, Checkpoint, CheckpointReport,
+    CheckpointState, CommitDiscipline,
 };
 pub use crashsim::{
     explore_crash_sites, record_run, record_run_pipelined, CrashExploration, DriverKind,
@@ -60,9 +60,9 @@ pub use crashsim::{
 };
 pub use filemat::{FileMatrix, IoStats};
 pub use pipeline::{
-    io_workers_from_env, model_overlap, ooc_potrf_checkpointed_pipelined,
-    ooc_potrf_checkpointed_pipelined_in, ooc_potrf_pipelined, ooc_potrf_pipelined_with,
-    ModelConfig, ModelReport, PipelineConfig, PipelineStats, DEFAULT_FLOPS_PER_US, WORKING_SET,
+    io_workers_from_env, model_overlap, ooc_potrf_checkpointed_pipelined_in,
+    ooc_potrf_pipelined_with, ModelConfig, ModelReport, PipelineConfig, PipelineStats,
+    DEFAULT_FLOPS_PER_US, WORKING_SET,
 };
 pub use potrf::{ooc_potrf, ooc_potrf_with, OocError, TileCache};
 pub use simmat::SimMatrix;

@@ -29,9 +29,10 @@
 //! # Why the factor is bit-identical
 //!
 //! The pipeline reorders *transport*, never *arithmetic*: the compute
-//! loop is the same [`factor_panel_src`] the synchronous driver runs,
-//! and every get returns the same stored bytes it would have returned
-//! synchronously.  Three hazards could break that, and each is closed
+//! loop is the same schedule walk ([`cholcomm_matrix::schedule`]) under
+//! the same driver loop the synchronous front runs, and every get
+//! returns the same stored bytes it would have returned synchronously.
+//! Three hazards could break that, and each is closed
 //! structurally:
 //!
 //! * **Evict-before-last-use** — a victim may not leave the in-RAM set
@@ -71,23 +72,25 @@
 //! latency to the wrong place.
 
 use crate::backend::{IoBackend, LatencyModel};
-use crate::checkpoint::{Checkpoint, CheckpointReport};
-use crate::potrf::{factor_panel_src, LruIndex, OocError, TileSource};
+use crate::checkpoint::{Checkpoint, CheckpointReport, Checkpointing};
+use crate::potrf::{drive, Front, LruIndex, OocError};
 use cholcomm_faults::{DiskOp, FsStore, Store};
+use cholcomm_matrix::schedule::{self, TileOp, TileStore};
 use cholcomm_matrix::{KernelImpl, Matrix};
 use cholcomm_par::io::{io_scope, IoScope};
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Tiles Algorithm 4 holds live at once inside one trailing-update
+/// Tiles the schedule holds live at once inside one trailing-update
 /// step (`lj`, `li`, and the updated tile) — the floor under the
 /// default lookahead so prefetch depth never cannibalizes the working
 /// set.
-pub const WORKING_SET: usize = 3;
+pub use cholcomm_matrix::schedule::WORKING_SET;
 
 /// I/O workers from `CHOLCOMM_IO_WORKERS`, clamped to `1..=8`;
 /// defaults to 2 (one read stream, one write-back stream).
@@ -125,7 +128,10 @@ impl PipelineConfig {
     /// `capacity_tiles - WORKING_SET` (at least 1), reference kernels,
     /// latency tallied but not slept.
     pub fn new(capacity_tiles: usize) -> Self {
-        assert!(capacity_tiles >= 3, "Algorithm 4 needs three tiles resident");
+        assert!(
+            capacity_tiles >= WORKING_SET,
+            "Algorithm 4 needs three tiles resident"
+        );
         PipelineConfig {
             capacity_tiles,
             io_workers: io_workers_from_env(),
@@ -197,14 +203,51 @@ impl PipelineStats {
     }
 }
 
-/// One logical tile access of Algorithm 4's schedule, plus the panel
-/// boundary marker the checkpointed driver flushes at.
+/// One logical tile access of the schedule, plus the panel boundary
+/// marker the checkpointed driver flushes at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Access {
     Get(usize, usize),
-    Put(usize, usize),
-    /// Panel `k` just finished; checkpointed runs flush here.
-    Boundary(usize),
+    /// The op whose result is installed (in its target tile).
+    Put(TileOp),
+    /// A panel just finished; checkpointed runs flush here.
+    Boundary,
+}
+
+/// The store that carries no tiles: walking the schedule over it
+/// records the access stream every real front will see.
+struct Recorder {
+    ops: Vec<Access>,
+    /// Mark panel boundaries (checkpointed runs flush there).
+    boundaries: bool,
+    k: usize,
+}
+
+impl Recorder {
+    /// A panel ends where the next begins, and after the last.
+    fn end_panel(&mut self) {
+        if self.boundaries && !self.ops.is_empty() {
+            self.ops.push(Access::Boundary);
+        }
+    }
+}
+
+impl TileStore for Recorder {
+    type Tile = ();
+    type Error = Infallible;
+
+    fn begin_panel(&mut self, k: usize) {
+        self.end_panel();
+        self.k = k;
+    }
+    fn get(&mut self, bi: usize, bj: usize) -> Result<(), Infallible> {
+        self.ops.push(Access::Get(bi, bj));
+        Ok(())
+    }
+    fn put(&mut self, bi: usize, bj: usize, _tile: ()) -> Result<(), Infallible> {
+        self.ops.push(Access::Put(TileOp::of(bi, bj, self.k)));
+        Ok(())
+    }
 }
 
 /// One planned miss: what to read, what must leave the cache to make
@@ -221,7 +264,7 @@ struct PlannedFetch {
     evict: Vec<((usize, usize), bool)>,
 }
 
-/// The deterministic lookahead plan: Algorithm 4's op schedule for
+/// The deterministic lookahead plan: the schedule's access stream for
 /// panels `start..nb` with the LRU cache simulated over it.
 #[derive(Debug)]
 struct Plan {
@@ -238,27 +281,18 @@ struct Plan {
 
 impl Plan {
     fn new(nb: usize, capacity: usize, start: usize, flush_at_boundaries: bool) -> Plan {
-        assert!(capacity >= 3, "Algorithm 4 needs three tiles resident");
-        let mut ops = Vec::new();
-        for k in start..nb {
-            ops.push(Access::Get(k, k));
-            ops.push(Access::Put(k, k));
-            for i in (k + 1)..nb {
-                ops.push(Access::Get(i, k));
-                ops.push(Access::Put(i, k));
-            }
-            for j in (k + 1)..nb {
-                ops.push(Access::Get(j, k));
-                for i in j..nb {
-                    ops.push(Access::Get(i, k));
-                    ops.push(Access::Get(i, j));
-                    ops.push(Access::Put(i, j));
-                }
-            }
-            if flush_at_boundaries {
-                ops.push(Access::Boundary(k));
-            }
-        }
+        assert!(
+            capacity >= WORKING_SET,
+            "Algorithm 4 needs three tiles resident"
+        );
+        let mut rec = Recorder {
+            ops: Vec::new(),
+            boundaries: flush_at_boundaries,
+            k: start,
+        };
+        let Ok(()) = schedule::walk(&mut rec, nb, start..nb, |_, _, _| Ok(()));
+        rec.end_panel();
+        let ops = rec.ops;
 
         // Replay TileCache's exact LRU discipline over the schedule.
         let mut order = LruIndex::new();
@@ -311,16 +345,16 @@ impl Plan {
                     }
                     last_access.insert(key, pos);
                 }
-                Access::Put(bi, bj) => {
-                    let key = (bi, bj);
-                    // Every put immediately follows a get of the same
-                    // tile in Algorithm 4, so puts never miss.
+                Access::Put(op) => {
+                    let key = op.target();
+                    // Every put follows a get of the same tile in the
+                    // schedule, so puts never miss.
                     debug_assert!(resident.contains_key(&key), "put of a non-resident tile");
                     resident.insert(key, true);
                     order.touch(key);
                     last_access.insert(key, pos);
                 }
-                Access::Boundary(_) => {
+                Access::Boundary => {
                     let mut keys: Vec<(usize, usize)> = resident
                         .iter()
                         .filter(|&(_, d)| *d)
@@ -545,8 +579,8 @@ impl<'fm, B: IoBackend> PipeIo<'fm, B> {
     }
 }
 
-/// The prefetching [`TileSource`]: resident tiles in RAM, the plan's
-/// fetch stream issued ahead of `pos`, write-backs deferred to the I/O
+/// The prefetching [`Front`]: resident tiles in RAM, the plan's fetch
+/// stream issued ahead of `pos`, write-backs deferred to the I/O
 /// workers.
 struct PipelineFront<'s, 'env, 'fm, B: IoBackend> {
     io: &'env PipeIo<'fm, B>,
@@ -571,9 +605,9 @@ struct PipelineFront<'s, 'env, 'fm, B: IoBackend> {
     /// fetch order).
     op_seq: u64,
     stats: PipelineStats,
-    n: usize,
-    b: usize,
     nb: usize,
+    /// The run checkpoints: plans carry panel-boundary flushes.
+    boundaries: bool,
 }
 
 impl<'s, 'env, 'fm: 'env, B: IoBackend + Send> PipelineFront<'s, 'env, 'fm, B> {
@@ -582,9 +616,8 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend + Send> PipelineFront<'s, 'env, 'fm, B> {
         scope: &'s IoScope<'s, 'env>,
         plan: Plan,
         cfg: &PipelineConfig,
-        n: usize,
-        b: usize,
         nb: usize,
+        boundaries: bool,
     ) -> Self {
         PipelineFront {
             io,
@@ -599,9 +632,8 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend + Send> PipelineFront<'s, 'env, 'fm, B> {
             boundaries_done: 0,
             op_seq: 0,
             stats: PipelineStats::default(),
-            n,
-            b,
             nb,
+            boundaries,
         }
     }
 
@@ -678,47 +710,9 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend + Send> PipelineFront<'s, 'env, 'fm, B> {
         }
     }
 
-    /// The epoch barrier at a panel boundary: enqueue every dirty
-    /// resident tile (sorted, mirroring `TileCache::flush`), mark them
-    /// clean, and drain the write queue so the checkpoint snapshot sees
-    /// the complete panel.
-    fn flush_boundary(&mut self) -> Result<(), OocError> {
-        debug_assert!(
-            matches!(self.plan.ops.get(self.pos), Some(Access::Boundary(_))),
-            "flush_boundary off the planned boundary"
-        );
-        let mut keys: Vec<(usize, usize)> = self
-            .resident
-            .iter()
-            .filter(|&(_, (_, d))| *d)
-            .map(|(&key, _)| key)
-            .collect();
-        keys.sort_unstable();
-        debug_assert_eq!(
-            keys, self.plan.boundary_writes[self.boundaries_done],
-            "boundary flush diverged from the plan"
-        );
-        for &key in &keys {
-            let tile = match self.resident.get_mut(&key) {
-                Some((t, d)) => {
-                    *d = false;
-                    t.clone()
-                }
-                None => continue,
-            };
-            self.enqueue_write(key, tile);
-            self.stats.flush_writes += 1;
-        }
-        self.boundaries_done += 1;
-        self.pos += 1; // consume the Boundary op
-        self.io.drain_writes()?;
-        self.pump();
-        Ok(())
-    }
-
-    /// Final flush (plain mode, and the NotSpd leave-a-well-defined-file
-    /// path): write every dirty resident tile sorted and drain.
-    fn flush_final(&mut self) -> Result<(), OocError> {
+    /// Enqueue a write-back of every dirty resident tile (sorted,
+    /// mirroring `TileCache::flush`) and mark them clean.
+    fn enqueue_dirty(&mut self) -> Vec<(usize, usize)> {
         let mut keys: Vec<(usize, usize)> = self
             .resident
             .iter()
@@ -737,45 +731,14 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend + Send> PipelineFront<'s, 'env, 'fm, B> {
             self.enqueue_write(key, tile);
             self.stats.flush_writes += 1;
         }
-        self.io.drain_writes()
-    }
-
-    /// Roll the front back for a restore-and-retry of panel `k`: wait
-    /// out every in-flight job (nothing stale may land after the
-    /// restore), drop all transport state, and re-plan from `k`.
-    fn reset(&mut self, k: usize, flush_at_boundaries: bool) {
-        self.io.quiesce();
-        {
-            let mut st = lock(&self.io.st);
-            st.fetched.clear();
-            st.error = None;
-            debug_assert!(
-                st.reads_inflight == 0
-                    && st.write_data.is_empty()
-                    && st.write_inflight.is_empty(),
-                "quiesce left jobs in flight"
-            );
-        }
-        self.plan = Plan::new(self.nb, self.capacity, k, flush_at_boundaries);
-        self.pos = 0;
-        self.next_fetch = 0;
-        self.fetch_consumed = 0;
-        self.boundaries_done = 0;
-        self.resident.clear();
-        // op_seq keeps counting: latency is a cost model, not a replay.
+        keys
     }
 }
 
-impl<'fm: 'env, 'env, B: IoBackend + Send> TileSource for PipelineFront<'_, 'env, 'fm, B> {
-    fn n(&self) -> usize {
-        self.n
-    }
-    fn b(&self) -> usize {
-        self.b
-    }
-    fn nb(&self) -> usize {
-        self.nb
-    }
+impl<'fm: 'env, 'env, B: IoBackend + Send> TileStore for PipelineFront<'_, 'env, 'fm, B> {
+    type Tile = Matrix<f64>;
+    type Error = OocError;
+
     fn begin_panel(&mut self, k: usize) {
         self.io.with_backend(|be| be.begin_panel(k));
     }
@@ -804,7 +767,7 @@ impl<'fm: 'env, 'env, B: IoBackend + Send> TileSource for PipelineFront<'_, 'env
         let slot = self
             .resident
             .get_mut(&(bi, bj))
-            .expect("Algorithm 4 puts only resident tiles");
+            .expect("the schedule puts only resident tiles");
         *slot = (tile, true);
         self.pos += 1;
         self.pump();
@@ -812,36 +775,87 @@ impl<'fm: 'env, 'env, B: IoBackend + Send> TileSource for PipelineFront<'_, 'env
     }
 }
 
-/// Pipelined out-of-core Cholesky with default configuration — the
-/// drop-in overlap counterpart of [`ooc_potrf`](crate::ooc_potrf),
-/// bit-identical factor included.
-pub fn ooc_potrf_pipelined<B: IoBackend + Send>(
-    fm: &mut B,
-    capacity_tiles: usize,
-) -> Result<PipelineStats, OocError> {
-    ooc_potrf_pipelined_with(fm, &PipelineConfig::new(capacity_tiles))
+impl<'fm: 'env, 'env, B: IoBackend + Send> Front for PipelineFront<'_, 'env, 'fm, B> {
+    type Backend = B;
+
+    fn with_backend<R>(&mut self, f: impl FnOnce(&mut B) -> R) -> R {
+        self.io.with_backend(f)
+    }
+
+    /// Final flush (plain mode, and the NotSpd leave-a-well-defined-file
+    /// path): let every write-back already queued land, then write
+    /// every dirty resident tile sorted and drain.
+    fn flush_final(&mut self) -> Result<(), OocError> {
+        self.io.drain_writes()?;
+        self.enqueue_dirty();
+        self.io.drain_writes()
+    }
+
+    /// The epoch barrier at a panel boundary: enqueue every dirty
+    /// resident tile, and drain the write queue so the checkpoint
+    /// snapshot sees the complete panel.
+    fn flush_boundary(&mut self) -> Result<(), OocError> {
+        debug_assert!(
+            matches!(self.plan.ops.get(self.pos), Some(Access::Boundary)),
+            "flush_boundary off the planned boundary"
+        );
+        let keys = self.enqueue_dirty();
+        debug_assert_eq!(
+            keys, self.plan.boundary_writes[self.boundaries_done],
+            "boundary flush diverged from the plan"
+        );
+        self.boundaries_done += 1;
+        self.pos += 1; // consume the Boundary op
+        self.io.drain_writes()?;
+        self.pump();
+        Ok(())
+    }
+
+    /// Roll the front back for a restore-and-retry of panel `k`: wait
+    /// out every in-flight job (nothing stale may land after the
+    /// restore), drop all transport state, and re-plan from `k`.
+    fn reset(&mut self, k: usize) {
+        self.io.quiesce();
+        {
+            let mut st = lock(&self.io.st);
+            st.fetched.clear();
+            st.error = None;
+            debug_assert!(
+                st.reads_inflight == 0
+                    && st.write_data.is_empty()
+                    && st.write_inflight.is_empty(),
+                "quiesce left jobs in flight"
+            );
+        }
+        self.plan = Plan::new(self.nb, self.capacity, k, self.boundaries);
+        self.pos = 0;
+        self.next_fetch = 0;
+        self.fetch_consumed = 0;
+        self.boundaries_done = 0;
+        self.resident.clear();
+        // op_seq keeps counting: latency is a cost model, not a replay.
+    }
 }
 
-/// Pipelined out-of-core Cholesky: prefetching tile reads and deferred
-/// write-backs on dedicated I/O workers, overlapped with Algorithm 4's
-/// compute.  Produces a factor **bit-identical** to
-/// [`ooc_potrf_with`](crate::ooc_potrf_with) at the same capacity, for
-/// every kernel engine, worker count, and lookahead (see the module
-/// docs for why), and the same on-disk state on a
-/// [`NotSpd`](OocError::NotSpd) abort.
-pub fn ooc_potrf_pipelined_with<B: IoBackend + Send>(
+/// Run panels `start..nb` through a [`PipelineFront`] on `cfg.io_workers`
+/// dedicated I/O threads.  An error return aborts the I/O hub, so the
+/// queued write-backs of a dead run never reach the disk.
+fn run_pipelined<B: IoBackend + Send, St: Store>(
     fm: &mut B,
     cfg: &PipelineConfig,
+    start: usize,
+    ck: Option<Checkpointing<'_, St>>,
 ) -> Result<PipelineStats, OocError> {
-    let (n, b, nb) = (fm.n(), fm.b(), fm.nb());
-    let plan = Plan::new(nb, cfg.capacity_tiles, 0, false);
+    let nb = fm.nb();
+    let boundaries = ck.is_some();
+    let plan = Plan::new(nb, cfg.capacity_tiles, start, boundaries);
     let io = PipeIo::new(fm, cfg.sleep_latency);
     io_scope(cfg.io_workers, |scope| {
-        let mut front = PipelineFront::new(&io, scope, plan, cfg, n, b, nb);
+        let mut front = PipelineFront::new(&io, scope, plan, cfg, nb, boundaries);
         let prev = cfg
             .parallel_kernels
             .then(|| cholcomm_matrix::parallel::set_kernel_parallelism(true));
-        let run = run_plain(&mut front, cfg, nb);
+        let run = drive(&mut front, cfg.kernel, start, ck);
         if let Some(p) = prev {
             cholcomm_matrix::parallel::set_kernel_parallelism(p);
         }
@@ -855,37 +869,18 @@ pub fn ooc_potrf_pipelined_with<B: IoBackend + Send>(
     })
 }
 
-fn run_plain<B: IoBackend + Send>(
-    front: &mut PipelineFront<'_, '_, '_, B>,
-    cfg: &PipelineConfig,
-    nb: usize,
-) -> Result<(), OocError> {
-    for k in 0..nb {
-        match factor_panel_src(front, k, cfg.kernel) {
-            Ok(()) => {}
-            Err(e @ OocError::NotSpd { .. }) => {
-                // Same contract as the sync driver: every completed
-                // update reaches the file before the error surfaces (a
-                // flush failure outranks the pivot failure).
-                front.io.drain_writes()?;
-                front.flush_final()?;
-                return Err(e);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    front.flush_final()?;
-    front.io.with_backend(|be| be.scrub())?;
-    Ok(())
-}
-
-/// [`ooc_potrf_checkpointed_pipelined_in`] on the real filesystem.
-pub fn ooc_potrf_checkpointed_pipelined<B: IoBackend + Send>(
+/// Pipelined out-of-core Cholesky: prefetching tile reads and deferred
+/// write-backs on dedicated I/O workers, overlapped with the schedule's
+/// compute.  Produces a factor **bit-identical** to
+/// [`ooc_potrf_with`](crate::ooc_potrf_with) at the same capacity, for
+/// every kernel engine, worker count, and lookahead (see the module
+/// docs for why), and the same on-disk state on a
+/// [`NotSpd`](OocError::NotSpd) abort.
+pub fn ooc_potrf_pipelined_with<B: IoBackend + Send>(
     fm: &mut B,
-    ckpt: &Checkpoint,
     cfg: &PipelineConfig,
-) -> Result<(CheckpointReport, PipelineStats), OocError> {
-    ooc_potrf_checkpointed_pipelined_in(fm, ckpt, &mut FsStore::new(), cfg)
+) -> Result<PipelineStats, OocError> {
+    run_pipelined::<_, FsStore>(fm, cfg, 0, None)
 }
 
 /// Pipelined out-of-core Cholesky with the panel-granularity journaled
@@ -911,125 +906,15 @@ pub fn ooc_potrf_checkpointed_pipelined_in<B: IoBackend + Send>(
     store: &mut impl Store,
     cfg: &PipelineConfig,
 ) -> Result<(CheckpointReport, PipelineStats), OocError> {
-    let (n, b, nb) = (fm.n(), fm.b(), fm.nb());
     let mut report = CheckpointReport::default();
-    let start = match ckpt.load_in(store)? {
-        Some(state) => {
-            if state.n != n || state.b != b {
-                return Err(OocError::Io(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
-                        "checkpoint is for n={} b={}, matrix has n={n} b={b}",
-                        state.n, state.b
-                    ),
-                )));
-            }
-            report.checkpoint_bytes += ckpt.restore_in(store, fm)?;
-            state.next_panel
-        }
-        None => {
-            // Baseline snapshot of the pristine input (see the sync
-            // driver: a crash inside panel 0 must not resume from
-            // partially-updated tiles).
-            report.checkpoint_bytes += ckpt.save_in(store, fm, 0)?;
-            report.checkpoints_written += 1;
-            0
-        }
+    let mut ck = Checkpointing {
+        ckpt,
+        store,
+        report: &mut report,
     };
-    report.start_panel = start;
-
-    let plan = Plan::new(nb, cfg.capacity_tiles, start, true);
-    let io = PipeIo::new(fm, cfg.sleep_latency);
-    let stats = io_scope(cfg.io_workers, |scope| {
-        let mut front = PipelineFront::new(&io, scope, plan, cfg, n, b, nb);
-        let prev = cfg
-            .parallel_kernels
-            .then(|| cholcomm_matrix::parallel::set_kernel_parallelism(true));
-        let run = run_checkpointed(&mut front, cfg, ckpt, store, &mut report, start, nb);
-        if let Some(p) = prev {
-            cholcomm_matrix::parallel::set_kernel_parallelism(p);
-        }
-        match run {
-            Ok(()) => Ok(front.stats),
-            Err(e) => {
-                io.fail();
-                Err(e)
-            }
-        }
-    })?;
+    let start = ck.resume_point(fm)?;
+    let stats = run_pipelined(fm, cfg, start, Some(ck))?;
     Ok((report, stats))
-}
-
-fn run_checkpointed<B: IoBackend + Send>(
-    front: &mut PipelineFront<'_, '_, '_, B>,
-    cfg: &PipelineConfig,
-    ckpt: &Checkpoint,
-    store: &mut impl Store,
-    report: &mut CheckpointReport,
-    start: usize,
-    nb: usize,
-) -> Result<(), OocError> {
-    const MAX_RESTORE_RETRIES: usize = 4;
-    let unhealable = |e: &OocError| {
-        matches!(e, OocError::Io(io) if io.kind() == std::io::ErrorKind::InvalidData)
-    };
-    for k in start..nb {
-        let mut retries = 0;
-        loop {
-            match factor_panel_src(front, k, cfg.kernel) {
-                Ok(()) => break,
-                Err(e @ OocError::NotSpd { .. }) => {
-                    front.io.drain_writes()?;
-                    front.flush_final()?;
-                    return Err(e);
-                }
-                Err(e) if unhealable(&e) && retries < MAX_RESTORE_RETRIES => {
-                    retries += 1;
-                    report.restores += 1;
-                    // Quiesce *before* the restore: no stale read may be
-                    // consumed and no stale write-back may land on the
-                    // freshly restored file.
-                    front.reset(k, true);
-                    report.checkpoint_bytes +=
-                        front.io.with_backend(|be| ckpt.restore_in(store, be))?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if front.io.with_backend(|be| be.crash_after_panel(k)) {
-            // The plan kills us after the panel but before its
-            // checkpoint: queued write-backs die with the process (the
-            // driver's Err return aborts the I/O hub).
-            return Err(OocError::Io(std::io::Error::other(
-                "simulated crash: process killed after panel",
-            )));
-        }
-        front.flush_boundary()?;
-        report.checkpoint_bytes += front.io.with_backend(|be| ckpt.save_in(store, be, k + 1))?;
-        report.checkpoints_written += 1;
-        report.panels_done += 1;
-    }
-
-    // Final scrub with the same restore-retry answer as the sync
-    // driver.  No front reset is needed here: the plan is exhausted, so
-    // nothing is in flight after the last boundary drain.
-    let mut retries = 0;
-    loop {
-        match front.io.with_backend(|be| be.scrub()) {
-            Ok(()) => break,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::InvalidData && retries < MAX_RESTORE_RETRIES =>
-            {
-                retries += 1;
-                report.restores += 1;
-                report.checkpoint_bytes += front.io.with_backend(|be| ckpt.restore_in(store, be))?;
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-    front.io.with_backend(|be| be.barrier())?;
-    ckpt.remove_in(store)?;
-    Ok(())
 }
 
 /// Default compute throughput of the modeled-time simulator: tile
@@ -1100,29 +985,21 @@ pub fn model_overlap(cfg: &ModelConfig) -> ModelReport {
     let nb = cfg.n.div_ceil(cfg.b);
     let plan = Plan::new(nb, cfg.capacity_tiles, 0, false);
 
-    // Per-op compute cost, mirroring the op generator's structure.
+    // Compute is charged where its result is put.
     let fb = cfg.b as f64;
     let potf2_us = ((fb * fb * fb / 3.0) / cfg.flops_per_us).round() as u64;
     let trsm_us = ((fb * fb * fb) / cfg.flops_per_us).round() as u64;
     let gemm_us = ((2.0 * fb * fb * fb) / cfg.flops_per_us).round() as u64;
-    let mut compute_cost = Vec::with_capacity(plan.ops.len());
-    for k in 0..nb {
-        compute_cost.push(0); // Get(k,k)
-        compute_cost.push(potf2_us); // Put(k,k)
-        for _ in (k + 1)..nb {
-            compute_cost.push(0); // Get(i,k)
-            compute_cost.push(trsm_us); // Put(i,k)
-        }
-        for j in (k + 1)..nb {
-            compute_cost.push(0); // Get(j,k)
-            for _ in j..nb {
-                compute_cost.push(0); // Get(i,k)
-                compute_cost.push(0); // Get(i,j)
-                compute_cost.push(gemm_us); // Put(i,j)
-            }
-        }
-    }
-    debug_assert_eq!(compute_cost.len(), plan.ops.len());
+    let compute_cost: Vec<u64> = plan
+        .ops
+        .iter()
+        .map(|access| match access {
+            Access::Put(TileOp::Factor { .. }) => potf2_us,
+            Access::Put(TileOp::Solve { .. }) => trsm_us,
+            Access::Put(TileOp::Update { .. }) => gemm_us,
+            Access::Get(..) | Access::Boundary => 0,
+        })
+        .collect();
 
     // Synchronous leg: one timeline, ops in execution order (evictions,
     // then the miss read — the order the front also samples in, so both
@@ -1254,9 +1131,76 @@ mod tests {
     use super::*;
     use crate::backend::FaultyBackend;
     use crate::filemat::{scratch_path, FileMatrix};
-    use crate::potrf::{ooc_potrf, ooc_potrf_with};
+    use crate::potrf::{ooc_potrf, ooc_potrf_with, CachedFront, TileCache};
     use cholcomm_faults::{CrashPoint, DiskFault, FaultPlan};
+    use cholcomm_matrix::schedule::TileGrid;
     use cholcomm_matrix::spd;
+
+    fn ooc_potrf_checkpointed_pipelined<B: IoBackend + Send>(
+        fm: &mut B,
+        ckpt: &Checkpoint,
+        cfg: &PipelineConfig,
+    ) -> Result<(CheckpointReport, PipelineStats), OocError> {
+        ooc_potrf_checkpointed_pipelined_in(fm, ckpt, &mut FsStore::new(), cfg)
+    }
+
+    /// A real front that also logs the accesses it serves.
+    struct Logged<'a, B: IoBackend> {
+        front: CachedFront<'a, B>,
+        k: usize,
+        seen: Vec<Access>,
+    }
+
+    impl<B: IoBackend> TileStore for Logged<'_, B> {
+        type Tile = Matrix<f64>;
+        type Error = OocError;
+        fn begin_panel(&mut self, k: usize) {
+            self.k = k;
+            self.front.begin_panel(k);
+        }
+        fn get(&mut self, bi: usize, bj: usize) -> Result<Matrix<f64>, OocError> {
+            self.seen.push(Access::Get(bi, bj));
+            self.front.get(bi, bj)
+        }
+        fn put(&mut self, bi: usize, bj: usize, tile: Matrix<f64>) -> Result<(), OocError> {
+            self.seen.push(Access::Put(TileOp::of(bi, bj, self.k)));
+            self.front.put(bi, bj, tile)
+        }
+    }
+
+    #[test]
+    fn plan_accesses_are_what_a_real_factor_panel_run_performs() {
+        let mut rng = spd::test_rng(229);
+        for (n, b, start) in [(40usize, 8usize, 0usize), (37, 8, 2), (8, 8, 0), (24, 8, 3)] {
+            let a = spd::random_spd(n, &mut rng);
+            let mut fm = FileMatrix::create(&scratch_path("planlog"), &a, b).unwrap();
+            let grid = TileGrid::new(n, b);
+            // Panels before `start` run unlogged, as a resumed run's
+            // predecessor would have.
+            let mut front = CachedFront {
+                fm: &mut fm,
+                cache: TileCache::new(4),
+            };
+            schedule::factor(&mut front, grid, 0..start, KernelImpl::Reference).unwrap();
+            let mut logged = Logged {
+                front,
+                k: start,
+                seen: Vec::new(),
+            };
+            for k in start..grid.nb() {
+                schedule::factor(&mut logged, grid, k..k + 1, KernelImpl::Reference).unwrap();
+                logged.seen.push(Access::Boundary);
+            }
+            let plan = Plan::new(grid.nb(), 4, start, true);
+            assert_eq!(plan.ops, logged.seen, "n={n} b={b} start={start}");
+            let plain: Vec<Access> = logged
+                .seen
+                .into_iter()
+                .filter(|a| *a != Access::Boundary)
+                .collect();
+            assert_eq!(Plan::new(grid.nb(), 4, start, false).ops, plain);
+        }
+    }
 
     #[test]
     fn plan_counts_match_the_synchronous_cache() {
@@ -1356,7 +1300,7 @@ mod tests {
         let sync_err = ooc_potrf(&mut sync, 3).unwrap_err();
         let want = sync.to_matrix().unwrap();
         let mut fm = FileMatrix::create(&scratch_path("nspd-pipe"), &m, 4).unwrap();
-        let err = ooc_potrf_pipelined(&mut fm, 3).unwrap_err();
+        let err = ooc_potrf_pipelined_with(&mut fm, &PipelineConfig::new(3)).unwrap_err();
         match (&sync_err, &err) {
             (
                 OocError::NotSpd { pivot: p0, .. },

@@ -2,6 +2,9 @@
 //! through a bounded tile cache.
 
 use crate::backend::IoBackend;
+use crate::checkpoint::{simulated_crash, unhealable, Checkpointing, MAX_RESTORE_RETRIES};
+use cholcomm_faults::{FsStore, Store};
+use cholcomm_matrix::schedule::{self, TileGrid, TileStore, WORKING_SET};
 use cholcomm_matrix::{KernelImpl, Matrix, MatrixError};
 use std::collections::HashMap;
 
@@ -148,7 +151,10 @@ pub struct TileCache {
 impl TileCache {
     /// Cache holding at most `capacity_tiles` tiles.
     pub fn new(capacity_tiles: usize) -> Self {
-        assert!(capacity_tiles >= 3, "Algorithm 4 needs three tiles resident");
+        assert!(
+            capacity_tiles >= WORKING_SET,
+            "Algorithm 4 needs three tiles resident"
+        );
         TileCache {
             capacity_tiles,
             tiles: HashMap::new(),
@@ -287,48 +293,49 @@ impl TileCache {
     }
 }
 
-/// Where a panel step gets and puts its tiles.
+/// What the one driver loop ([`drive`]) needs from a tile front beyond
+/// the schedule's gets and puts.
 ///
-/// Algorithm 4's arithmetic is written once, in [`factor_panel_src`],
-/// against this trait; how tiles actually move — synchronously through
-/// a [`TileCache`], or prefetched ahead of the compute front by the
-/// [`pipeline`](crate::pipeline) — is the implementor's business.
-/// Because every front sees the *same* logical get/put sequence and the
-/// schedule is data-oblivious, any two implementations that deliver the
-/// stored tile values produce bit-identical factors by construction.
-pub(crate) trait TileSource {
-    /// Matrix order.
-    fn n(&self) -> usize;
-    /// Tile size.
-    fn b(&self) -> usize;
-    /// Tile-grid dimension.
-    fn nb(&self) -> usize;
-    /// Panel step `k` is about to run (integrity layers hook this).
-    fn begin_panel(&mut self, k: usize);
-    /// Fetch tile `(bi, bj)`.
-    fn get(&mut self, bi: usize, bj: usize) -> Result<Matrix<f64>, OocError>;
-    /// Install an updated tile.
-    fn put(&mut self, bi: usize, bj: usize, tile: Matrix<f64>) -> Result<(), OocError>;
+/// The arithmetic and its order are [`cholcomm_matrix::schedule`]'s; how
+/// tiles actually move — synchronously through a [`TileCache`], or
+/// prefetched ahead of the compute front by the
+/// [`pipeline`](crate::pipeline) — is the front's business.  Because
+/// every front sees the *same* logical get/put sequence and the schedule
+/// is data-oblivious, any two fronts that deliver the stored tile values
+/// produce bit-identical factors by construction.
+pub(crate) trait Front: TileStore<Tile = Matrix<f64>, Error = OocError> {
+    /// The backend under the front.
+    type Backend: IoBackend;
+    /// Run `f` on the backend, serialized with any tile traffic the
+    /// front has in flight.
+    fn with_backend<R>(&mut self, f: impl FnOnce(&mut Self::Backend) -> R) -> R;
+    /// Write every dirty tile back: the end of a run, or the
+    /// leave-a-well-defined-file answer to a bad pivot.
+    fn flush_final(&mut self) -> Result<(), OocError>;
+    /// The flush at a panel boundary: every update of the finished panel
+    /// must be in the backend before the checkpoint snapshots it.
+    fn flush_boundary(&mut self) -> Result<(), OocError> {
+        self.flush_final()
+    }
+    /// Forget everything in RAM ahead of a checkpoint restore; compute
+    /// resumes at panel `k`.  Discarding dirty tiles is deliberate —
+    /// they are exactly what the restore rolls back.
+    fn reset(&mut self, k: usize);
 }
 
 /// The synchronous front: a backend behind a [`TileCache`], tile moves
 /// blocking the compute thread — the baseline the paper's sequential
-/// I/O counts describe.
+/// I/O counts describe, and the only front for backends that cannot
+/// cross threads.
 pub(crate) struct CachedFront<'a, B: IoBackend> {
     pub(crate) fm: &'a mut B,
-    pub(crate) cache: &'a mut TileCache,
+    pub(crate) cache: TileCache,
 }
 
-impl<B: IoBackend> TileSource for CachedFront<'_, B> {
-    fn n(&self) -> usize {
-        self.fm.n()
-    }
-    fn b(&self) -> usize {
-        self.fm.b()
-    }
-    fn nb(&self) -> usize {
-        self.fm.nb()
-    }
+impl<B: IoBackend> TileStore for CachedFront<'_, B> {
+    type Tile = Matrix<f64>;
+    type Error = OocError;
+
     fn begin_panel(&mut self, k: usize) {
         self.fm.begin_panel(k);
     }
@@ -340,72 +347,113 @@ impl<B: IoBackend> TileSource for CachedFront<'_, B> {
     }
 }
 
-/// One panel step `k` of the right-looking blocked Cholesky: factor the
-/// diagonal tile, solve the panel below it, update the trailing
-/// submatrix.  Shared by [`ooc_potrf`], the checkpointed driver, and
-/// the prefetching pipeline, parameterised by the kernel engine.  Tile
-/// gets and puts (the I/O the out-of-core analysis counts) are
-/// identical under every engine and every front; only the in-memory
-/// tile arithmetic changes with the engine, and only the tile
-/// *transport* changes with the front.
-pub(crate) fn factor_panel_src<S: TileSource>(
-    src: &mut S,
-    k: usize,
+impl<B: IoBackend> Front for CachedFront<'_, B> {
+    type Backend = B;
+
+    fn with_backend<R>(&mut self, f: impl FnOnce(&mut B) -> R) -> R {
+        f(self.fm)
+    }
+    fn flush_final(&mut self) -> Result<(), OocError> {
+        self.cache.flush(self.fm)
+    }
+    fn reset(&mut self, _k: usize) {
+        self.cache.clear_discarding();
+    }
+}
+
+/// The out-of-core driver loop: panels `start..nb` of the right-looking
+/// schedule through `front`, with the panel-granularity checkpoint
+/// protocol when `ck` is given.  Tile gets and puts (the I/O the
+/// out-of-core analysis counts) are identical under every engine and
+/// every front; only the in-memory tile arithmetic changes with the
+/// engine, and only the tile *transport* changes with the front.
+pub(crate) fn drive<F: Front, St: Store>(
+    front: &mut F,
     kernel: KernelImpl,
+    start: usize,
+    mut ck: Option<Checkpointing<'_, St>>,
 ) -> Result<(), OocError> {
-    let nb = src.nb();
-    let b = src.b();
-    let n = src.n();
-    src.begin_panel(k);
-
-    // Factor the diagonal tile (edge tiles are zero-padded on disk;
-    // factor only the live part).
-    let mut diag = src.get(k, k)?;
-    let live = (n - k * b).min(b);
-    let mut live_part = diag.submatrix(0, 0, live, live);
-    if let Err(MatrixError::NotSpd { pivot, value }) = kernel.potf2(&mut live_part) {
-        return Err(OocError::NotSpd {
-            pivot: k * b + pivot,
-            value,
-        });
-    }
-    diag.set_submatrix(0, 0, &live_part);
-    src.put(k, k, diag.clone())?;
-
-    // Panel solve.
-    for i in (k + 1)..nb {
-        let mut t = src.get(i, k)?;
-        // Solve against the live part of the diagonal tile; padded
-        // columns of the tile are zero and stay zero.
-        let mut x = t.submatrix(0, 0, b, live);
-        let l = diag.submatrix(0, 0, live, live);
-        kernel.trsm_right_lower_transpose(&mut x, &l);
-        t.set_submatrix(0, 0, &x);
-        src.put(i, k, t)?;
-    }
-
-    // Trailing update.
-    for j in (k + 1)..nb {
-        let lj = src.get(j, k)?;
-        for i in j..nb {
-            let li = src.get(i, k)?;
-            let mut t = src.get(i, j)?;
-            kernel.gemm_nt(&mut t, -1.0, &li, &lj);
-            src.put(i, j, t)?;
+    let grid = front.with_backend(|be| TileGrid::new(be.n(), be.b()));
+    let nb = grid.nb();
+    for k in start..nb {
+        let mut retries = 0;
+        loop {
+            match schedule::factor(front, grid, k..k + 1, kernel) {
+                Ok(()) => break,
+                Err(e @ OocError::NotSpd { .. }) => {
+                    // Leave the file in a well-defined state: everything
+                    // up to the bad pivot is written back.  A flush
+                    // failure outranks the pivot failure.
+                    front.flush_final()?;
+                    return Err(e);
+                }
+                Err(e) => roll_back(front, &mut ck, &mut retries, k, e)?,
+            }
         }
+        if let Some(ck) = ck.as_mut() {
+            if front.with_backend(|be| be.crash_after_panel(k)) {
+                // The plan kills us after the panel but before its
+                // checkpoint: dirty tiles and queued write-backs die
+                // with the process.
+                return Err(simulated_crash());
+            }
+            front.flush_boundary()?;
+            ck.report.checkpoint_bytes +=
+                front.with_backend(|be| ck.ckpt.save_in(ck.store, be, k + 1))?;
+            ck.report.checkpoints_written += 1;
+            ck.report.panels_done += 1;
+        }
+    }
+    if ck.is_none() {
+        front.flush_final()?;
+    }
+
+    // Integrity scrub: a checksumming backend re-verifies every stored
+    // tile, so a corruption landing after a tile's last algorithmic
+    // read still cannot escape into the output.  Unhealable corruption
+    // surfaces as an I/O error here; a checkpointed run answers it like
+    // any other — the last checkpoint (written after the final panel)
+    // holds the finished factor, so rolling back and re-scrubbing
+    // converges.
+    let mut retries = 0;
+    while let Err(e) = front.with_backend(|be| be.scrub()) {
+        roll_back(front, &mut ck, &mut retries, nb, e.into())?;
+    }
+
+    if let Some(ck) = ck {
+        // The factor must be durable in the data file *before* the
+        // checkpoint that could rebuild it is deleted.
+        front.with_backend(|be| be.barrier())?;
+        ck.ckpt.remove_in(ck.store)?;
     }
     Ok(())
 }
 
-/// [`factor_panel_src`] through the synchronous [`CachedFront`] — the
-/// signature the checkpointed driver has always used.
-pub(crate) fn factor_panel_with<B: IoBackend>(
-    fm: &mut B,
-    cache: &mut TileCache,
+/// Answer `err` by rolling the file back to the last committed
+/// checkpoint so the caller can retry from panel `k` — if the run has
+/// checkpoints, the error is unhealable corruption, and the retry
+/// budget allows.  Otherwise hand the error back.
+fn roll_back<F: Front, St: Store>(
+    front: &mut F,
+    ck: &mut Option<Checkpointing<'_, St>>,
+    retries: &mut usize,
     k: usize,
-    kernel: KernelImpl,
+    err: OocError,
 ) -> Result<(), OocError> {
-    factor_panel_src(&mut CachedFront { fm, cache }, k, kernel)
+    let Some(ck) = ck
+        .as_mut()
+        .filter(|_| unhealable(&err) && *retries < MAX_RESTORE_RETRIES)
+    else {
+        return Err(err);
+    };
+    *retries += 1;
+    ck.report.restores += 1;
+    // Reset *before* the restore: everything in RAM reflects the
+    // poisoned panel run, no stale read may be consumed and no stale
+    // write-back may land on the freshly restored file.
+    front.reset(k);
+    ck.report.checkpoint_bytes += front.with_backend(|be| ck.ckpt.restore_in(ck.store, be))?;
+    Ok(())
 }
 
 /// Out-of-core blocked right-looking Cholesky on the backing store,
@@ -427,29 +475,8 @@ pub fn ooc_potrf_with<B: IoBackend>(
     capacity_tiles: usize,
     kernel: KernelImpl,
 ) -> Result<(), OocError> {
-    let nb = fm.nb();
-    let mut cache = TileCache::new(capacity_tiles);
-    for k in 0..nb {
-        match factor_panel_with(fm, &mut cache, k, kernel) {
-            Ok(()) => {}
-            Err(e @ OocError::NotSpd { .. }) => {
-                // Leave the file in a well-defined state: everything up
-                // to the bad pivot is written back.  A flush failure
-                // outranks the pivot failure.
-                cache.flush(fm)?;
-                return Err(e);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    cache.flush(fm)?;
-    // Integrity scrub: a checksumming backend re-verifies every stored
-    // tile, so a corruption landing after a tile's last algorithmic
-    // read still cannot escape into the output.  Unhealable corruption
-    // surfaces as an I/O error here; recovering from *that* needs the
-    // checkpointed driver.
-    fm.scrub()?;
-    Ok(())
+    let cache = TileCache::new(capacity_tiles);
+    drive::<_, FsStore>(&mut CachedFront { fm, cache }, kernel, 0, None)
 }
 
 /// Errors from the out-of-core factorization.
@@ -867,11 +894,13 @@ mod tests {
         // the on-disk write pattern end to end.
         for cap in [3usize, 5] {
             let mut mem = LoggingMem::new(&a, b);
-            let mut cache = TileCache::new(cap);
             let mut model = TickModel::new(cap);
-            for k in 0..nb {
-                factor_panel_with(&mut mem, &mut cache, k, KernelImpl::Reference).unwrap();
-            }
+            let mut front = CachedFront {
+                fm: &mut mem,
+                cache: TileCache::new(cap),
+            };
+            schedule::factor(&mut front, TileGrid::new(a.rows(), b), 0..nb, KernelImpl::Reference)
+                .unwrap();
             // Replay the same logical schedule into the model.
             for k in 0..nb {
                 model.get((k, k));

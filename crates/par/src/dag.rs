@@ -1,114 +1,45 @@
 //! Task-DAG Cholesky on the work-stealing pool.
 //!
-//! [`par_tiled_potrf`](crate::par_tiled_potrf) is bulk-synchronous: every
-//! outer step `k` runs a data-parallel panel solve, waits, then runs a
-//! data-parallel trailing update, waits again.  Each barrier idles every
-//! worker until the slowest tile of the phase finishes, and the strictly
-//! sequential diagonal factorization sits between them.
-//!
-//! This module removes the barriers.  The same tiled right-looking
-//! factorization is expressed as its true dependence DAG —
+//! The tiled right-looking factorization of
+//! [`cholcomm_matrix::schedule`], executed as its true dependence DAG —
 //!
 //! * `FACTOR(k)`      — `potf2` on diagonal tile `(k, k)`;
 //! * `SOLVE(i, k)`    — `trsm` of panel tile `(i, k)` against `FACTOR(k)`;
 //! * `UPDATE(i, j, k)` — rank-`b` `gemm_nt` of panel `k` into tile `(i, j)`
 //!
-//! — and scheduled with [`rayon::scope`]: every task carries an atomic
-//! countdown of its unmet dependencies, and whichever worker completes the
-//! last dependency spawns the task right there.  Panel solves of step `k+1`
-//! overlap trailing updates of step `k`; no worker ever waits at a barrier.
+//! — instead of in the sequential walk's order.  Tasks are scheduled
+//! with [`rayon::scope`]: every task carries an atomic countdown of its
+//! unmet dependencies, and whichever worker completes the last
+//! dependency spawns the task right there.  Panel solves of step `k+1`
+//! overlap trailing updates of step `k`; no worker ever waits at a
+//! barrier.
 //!
 //! **Bit-identity.**  Each tile `(i, j)` receives exactly the same kernel
-//! calls in exactly the same order as under [`par_tiled_potrf_with`]
-//! (ascending-`k` `gemm_nt` updates, then its final `trsm`/`potf2`), and
-//! every operand tile is read only after it is fully factored.  Per-element
-//! arithmetic is therefore identical operation-for-operation, so the DAG
-//! schedule is *bitwise* equal to the barrier schedule — for every kernel
-//! engine, at every thread count, under every steal order.  The tests pin
-//! this down.
+//! calls in exactly the same order as under the sequential walk
+//! (ascending-`k` `gemm_nt` updates, then its final `trsm`/`potf2`,
+//! all through the one [`schedule::apply`]), and every operand tile is
+//! read only after it is fully factored.  Per-element arithmetic is
+//! therefore identical operation-for-operation, so the DAG schedule is
+//! *bitwise* equal to the walk over in-memory tiles — for every kernel
+//! engine, at every thread count, under every steal order.  The tests
+//! pin this down.
 //!
 //! **Model.**  [`simulate`] runs a deterministic greedy list scheduler over
-//! the same DAG (the successor/dependency functions are shared with the
-//! real executor) with flop-count task weights.  It reports the serial
-//! work, the greedy makespan on `p` workers, and their ratio — the
-//! machine-independent speedup the schedule admits.  `kernel_bench` gates
-//! on this model so the scaling claim is checkable even on a single-core
-//! CI host, alongside honestly-reported wall-clock numbers.
+//! the same DAG (the successor/dependency functions are the schedule's,
+//! shared with the real executor) with flop-count task weights.  It
+//! reports the serial work, the greedy makespan on `p` workers, and their
+//! ratio — the machine-independent speedup the schedule admits.
+//! `kernel_bench` gates on this model so the scaling claim is checkable
+//! even on a single-core CI host, alongside honestly-reported wall-clock
+//! numbers.
 
 use std::cell::UnsafeCell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use cholcomm_matrix::schedule::{self, tile_idx, MemTiles, TileGrid, TileOp};
 use cholcomm_matrix::{KernelImpl, Matrix, MatrixError};
-
-use crate::shared::tile_coords;
-
-/// Triangular tile index of tile `(bi, bj)`, `bj <= bi`.
-#[inline]
-fn idx(bi: usize, bj: usize) -> usize {
-    bi * (bi + 1) / 2 + bj
-}
-
-/// Flat task id.  Tile `(bi, bj)` owns `bj + 1` tasks: `UPDATE(bi, bj, k)`
-/// for `k < bj`, then (at `k == bj`) its final task — `FACTOR(bj)` on the
-/// diagonal, `SOLVE(bi, bj)` below it.
-#[inline]
-fn task_id(nb: usize, t_idx: usize, k: usize) -> usize {
-    t_idx * (nb + 1) + k
-}
-
-/// Number of unmet dependencies of task `(bi, bj, k)` at the start.
-///
-/// * `UPDATE(i, j, k)` waits for `SOLVE(i, k)` and `SOLVE(j, k)` (one
-///   solve, not two, on the diagonal where `i == j`), plus the previous
-///   update `UPDATE(i, j, k-1)` of the same tile when `k >= 1`.
-/// * `FACTOR(k)` waits for `UPDATE(k, k, k-1)` when `k >= 1`.
-/// * `SOLVE(i, k)` waits for `FACTOR(k)`, plus `UPDATE(i, k, k-1)` when
-///   `k >= 1`.
-fn dep_count(bi: usize, bj: usize, k: usize) -> usize {
-    let prior = usize::from(k >= 1);
-    if k < bj {
-        // UPDATE(bi, bj, k).
-        let solves = if bi == bj { 1 } else { 2 };
-        solves + prior
-    } else if bi == bj {
-        // FACTOR(bj).
-        prior
-    } else {
-        // SOLVE(bi, bj).
-        1 + prior
-    }
-}
-
-/// Task ids unlocked by the completion of task `(bi, bj, k)`.  Shared by
-/// the real executor and the [`simulate`] model, so the two walk the same
-/// graph by construction.
-fn successors(nb: usize, bi: usize, bj: usize, k: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    if k < bj {
-        // UPDATE(bi, bj, k) -> next task of the same tile.
-        out.push(task_id(nb, idx(bi, bj), k + 1));
-    } else if bi == bj {
-        // FACTOR(bj) -> SOLVE(i, bj) for every panel tile below.
-        for i2 in (bj + 1)..nb {
-            out.push(task_id(nb, idx(i2, bj), bj));
-        }
-    } else {
-        // SOLVE(bi, bj) -> every UPDATE that reads panel tile (bi, bj):
-        // as the row operand for tiles (bi, j2) with bj < j2 <= bi, and as
-        // the column operand for tiles (i2, bi) with i2 > bi.  The
-        // diagonal tile (bi, bi) appears once (j2 == bi), matching its
-        // dependency count of one solve.
-        for j2 in (bj + 1)..=bi {
-            out.push(task_id(nb, idx(bi, j2), bj));
-        }
-        for i2 in (bi + 1)..nb {
-            out.push(task_id(nb, idx(i2, bi), bj));
-        }
-    }
-    out
-}
 
 /// Shared-by-reference tile storage for the in-flight factorization.
 ///
@@ -147,151 +78,104 @@ impl Tiles {
 /// Everything the task bodies share.
 struct Ctx {
     tiles: Tiles,
+    /// Dependency countdowns, indexed by [`TileOp::id`].
     deps: Vec<AtomicUsize>,
     failed: AtomicBool,
     error: Mutex<Option<MatrixError>>,
     kernel: KernelImpl,
+    grid: TileGrid,
     nb: usize,
-    b: usize,
 }
 
 /// Decrement a successor's dependency counter; spawn it if this was the
 /// last unmet dependency.
-fn notify<'s>(ctx: &'s Ctx, s: &rayon::Scope<'s>, id: usize) {
-    if ctx.deps[id].fetch_sub(1, Ordering::AcqRel) == 1 {
-        let (t_idx, k) = (id / (ctx.nb + 1), id % (ctx.nb + 1));
-        s.spawn(move |s| run_task(ctx, s, t_idx, k));
+fn notify<'s>(ctx: &'s Ctx, s: &rayon::Scope<'s>, op: TileOp) {
+    if ctx.deps[op.id(ctx.nb)].fetch_sub(1, Ordering::AcqRel) == 1 {
+        s.spawn(move |s| run_task(ctx, s, op));
     }
 }
 
-/// Execute task `(tile t_idx, step k)` and unlock its successors.
-fn run_task<'s>(ctx: &'s Ctx, s: &rayon::Scope<'s>, t_idx: usize, k: usize) {
+/// Execute `op` and unlock its successors.
+fn run_task<'s>(ctx: &'s Ctx, s: &rayon::Scope<'s>, op: TileOp) {
     if ctx.failed.load(Ordering::Acquire) {
         // A pivot already failed: drain without spawning successors.
         return;
     }
-    let (bi, bj) = tile_coords(t_idx);
-    if k < bj {
-        // UPDATE(bi, bj, k): rank-b update from the factored panel k.
-        // SAFETY: panel tiles (bi,k) and (bj,k) are final (their solves
-        // are dependencies); (bi,bj) is exclusively ours (tile chain).
-        let li = unsafe { ctx.tiles.tile(idx(bi, k)) };
-        let lj = unsafe { ctx.tiles.tile(idx(bj, k)) };
-        let tile = unsafe { ctx.tiles.tile_mut(t_idx) };
-        ctx.kernel.gemm_nt(tile, -1.0, li, lj);
-    } else if bi == bj {
-        // FACTOR(bj): sequential potf2 on the diagonal tile.
-        // SAFETY: all updates of this tile are done; we are its last task.
-        let tile = unsafe { ctx.tiles.tile_mut(t_idx) };
-        if let Err(MatrixError::NotSpd { pivot, value }) = ctx.kernel.potf2(tile) {
-            let mut slot = ctx.error.lock().expect("error mutex poisoned");
-            if slot.is_none() {
-                *slot = Some(MatrixError::NotSpd {
-                    pivot: bj * ctx.b + pivot,
-                    value,
-                });
-            }
-            ctx.failed.store(true, Ordering::Release);
-            return; // no successors: the factorization is abandoned.
+    let (bi, bj) = op.target();
+    // SAFETY: the ops of a tile are chained and this one's predecessors
+    // are done, so (bi, bj) is exclusively ours.
+    let target = unsafe { ctx.tiles.tile_mut(tile_idx(bi, bj)) };
+    let done = match op {
+        TileOp::Factor { .. } => schedule::apply(op, ctx.kernel, ctx.grid, target, &[]),
+        TileOp::Solve { k, .. } => {
+            // SAFETY: FACTOR(k) is a dependency, so the diagonal is final.
+            let diag = unsafe { ctx.tiles.tile(tile_idx(k, k)) };
+            schedule::apply(op, ctx.kernel, ctx.grid, target, &[diag])
         }
-    } else {
-        // SOLVE(bi, bj): triangular solve against the factored diagonal.
-        // SAFETY: FACTOR(bj) is a dependency, so the diagonal is final;
-        // (bi,bj) is exclusively ours.
-        let diag = unsafe { ctx.tiles.tile(idx(bj, bj)) };
-        let tile = unsafe { ctx.tiles.tile_mut(t_idx) };
-        ctx.kernel.trsm_right_lower_transpose(tile, diag);
+        TileOp::Update { i, j, k } => {
+            // SAFETY: panel tiles (i,k) and (j,k) are final (their solves
+            // are dependencies).
+            let li = unsafe { ctx.tiles.tile(tile_idx(i, k)) };
+            let lj = unsafe { ctx.tiles.tile(tile_idx(j, k)) };
+            schedule::apply(op, ctx.kernel, ctx.grid, target, &[li, lj])
+        }
+    };
+    if let Err(e) = done {
+        let mut slot = ctx.error.lock().expect("error mutex poisoned");
+        slot.get_or_insert(e);
+        ctx.failed.store(true, Ordering::Release);
+        return; // no successors: the factorization is abandoned.
     }
-    for succ in successors(ctx.nb, bi, bj, k) {
-        notify(ctx, s, succ);
-    }
+    op.for_each_successor(ctx.nb, |succ| notify(ctx, s, succ));
 }
 
-/// DAG-scheduled tiled right-looking Cholesky with tile size `b`, using
-/// the reference kernels.  Bitwise equal to
-/// [`par_tiled_potrf`](crate::par_tiled_potrf) at every thread count.
-pub fn potrf_dag(a: &mut Matrix<f64>, b: usize) -> Result<(), MatrixError> {
-    potrf_dag_with(a, b, KernelImpl::Reference)
-}
-
-/// [`potrf_dag`] with an explicit kernel engine.
+/// DAG-scheduled tiled right-looking Cholesky with tile size `b`.
+/// Bitwise equal to the sequential walk over in-memory tiles at every
+/// thread count (run it inside a sized `ThreadPool::install` to pick
+/// one).
 ///
-/// On failure the matrix contents are unspecified (some tiles factored,
-/// some not), exactly like the barrier scheduler's failure mode; the
-/// returned [`MatrixError::NotSpd`] pivot is in whole-matrix coordinates.
+/// On failure the matrix is left untouched; the returned
+/// [`MatrixError::NotSpd`] pivot is in whole-matrix coordinates.
 pub fn potrf_dag_with(
     a: &mut Matrix<f64>,
     b: usize,
     kernel: KernelImpl,
 ) -> Result<(), MatrixError> {
-    let n = a.rows();
-    if !a.is_square() {
-        return Err(MatrixError::NotSquare {
-            rows: n,
-            cols: a.cols(),
-        });
-    }
-    assert!(b > 0);
-    let nb = n.div_ceil(b);
+    let MemTiles { grid, tiles } = MemTiles::from_matrix(a, b)?;
+    let nb = grid.nb();
     if nb == 0 {
         return Ok(());
     }
 
-    // Tile-ize the lower triangle (same layout as the barrier scheduler).
-    let mut cells: Vec<UnsafeCell<Matrix<f64>>> = Vec::with_capacity(nb * (nb + 1) / 2);
-    for bi in 0..nb {
-        for bj in 0..=bi {
-            let (i0, j0) = (bi * b, bj * b);
-            cells.push(UnsafeCell::new(a.submatrix(
-                i0,
-                j0,
-                (n - i0).min(b),
-                (n - j0).min(b),
-            )));
-        }
-    }
-
-    // Dependency countdowns, indexed by task id.
-    let deps: Vec<AtomicUsize> = (0..cells.len() * (nb + 1))
-        .map(|id| {
-            let (t_idx, k) = (id / (nb + 1), id % (nb + 1));
-            let (bi, bj) = tile_coords(t_idx);
-            AtomicUsize::new(if k <= bj { dep_count(bi, bj, k) } else { 0 })
-        })
-        .collect();
-
     let ctx = Ctx {
-        tiles: Tiles { cells },
-        deps,
+        tiles: Tiles {
+            cells: tiles.into_iter().map(UnsafeCell::new).collect(),
+        },
+        deps: (0..TileOp::id_space(nb))
+            .map(|id| AtomicUsize::new(TileOp::from_id(nb, id).map_or(0, TileOp::dep_count)))
+            .collect(),
         failed: AtomicBool::new(false),
         error: Mutex::new(None),
         kernel,
+        grid,
         nb,
-        b,
     };
 
     // FACTOR(0) is the unique root; everything else follows by
     // dependency-completion spawning.  scope() returns once every spawned
     // task has run.
-    rayon::scope(|s| run_task(&ctx, s, 0, 0));
+    rayon::scope(|s| run_task(&ctx, s, TileOp::Factor { k: 0 }));
 
     if let Some(err) = ctx.error.lock().expect("error mutex poisoned").take() {
         return Err(err);
     }
 
-    // Write the factored tiles back (zeroing the strict upper triangle).
-    let mut cells = ctx.tiles.cells.into_iter();
-    for bi in 0..nb {
-        for bj in 0..=bi {
-            let tile = cells.next().expect("tile count mismatch").into_inner();
-            a.set_submatrix(bi * b, bj * b, &tile);
-        }
+    let tiles = ctx.tiles.cells.into_iter().map(UnsafeCell::into_inner);
+    MemTiles {
+        grid,
+        tiles: tiles.collect(),
     }
-    for j in 0..n {
-        for i in 0..j {
-            a[(i, j)] = 0.0;
-        }
-    }
+    .write_back(a);
     Ok(())
 }
 
@@ -309,20 +193,6 @@ pub struct DagModel {
     pub speedup: f64,
 }
 
-/// Flop weight of task `(bi, bj, k)` for an `n x n` matrix with tile
-/// size `b` (ragged edge tiles get their true dimensions).
-fn task_flops(n: usize, b: usize, bi: usize, bj: usize, k: usize) -> u64 {
-    let h = |t: usize| (n - t * b).min(b) as u64;
-    let (hi, hj) = (h(bi), h(bj));
-    if k < bj {
-        2 * hi * hj * h(k) // gemm_nt
-    } else if bi == bj {
-        (hj * hj * hj).div_ceil(3) // potf2
-    } else {
-        hi * hj * hj // trsm
-    }
-}
-
 /// Deterministic greedy list scheduling of the POTRF task DAG.
 ///
 /// Event-driven simulation: `threads` workers, each ready task started as
@@ -332,58 +202,54 @@ fn task_flops(n: usize, b: usize, bi: usize, bj: usize, k: usize) -> u64 {
 /// exposes — the quantity `kernel_bench` gates on, since wall-clock
 /// scaling cannot be measured on a single-core host.
 pub fn simulate(n: usize, b: usize, threads: usize) -> DagModel {
-    assert!(b > 0);
     let p = threads.max(1);
-    let nb = n.div_ceil(b);
-    let n_tiles = nb * (nb + 1) / 2;
+    let grid = TileGrid::new(n, b);
+    let nb = grid.nb();
 
-    // Per-task indegree and weight; invalid ids keep weight 0 and are
+    // Per-task indegree and weight; the unused ids keep weight 0 and are
     // never released.
-    let slots = n_tiles * (nb + 1);
+    let slots = TileOp::id_space(nb);
     let mut indeg = vec![0usize; slots];
     let mut cost = vec![0u64; slots];
     let mut total: u64 = 0;
     let mut tasks = 0usize;
-    for t_idx in 0..n_tiles {
-        let (bi, bj) = tile_coords(t_idx);
-        for k in 0..=bj {
-            let id = task_id(nb, t_idx, k);
-            indeg[id] = dep_count(bi, bj, k);
-            cost[id] = task_flops(n, b, bi, bj, k);
-            total += cost[id];
-            tasks += 1;
+    let mut ready: BTreeSet<usize> = BTreeSet::new();
+    for id in 0..slots {
+        let Some(op) = TileOp::from_id(nb, id) else {
+            continue;
+        };
+        indeg[id] = op.dep_count();
+        cost[id] = op.flops(grid);
+        total += cost[id];
+        tasks += 1;
+        if indeg[id] == 0 {
+            ready.insert(id);
         }
     }
 
-    let mut ready: BTreeSet<usize> = (0..slots)
-        .filter(|&id| id % (nb + 1) <= tile_coords(id / (nb + 1)).1)
-        .filter(|&id| indeg[id] == 0)
-        .collect();
     let mut running: BTreeSet<(u64, usize)> = BTreeSet::new();
     let mut free = p;
     let mut now: u64 = 0;
 
     while !ready.is_empty() || !running.is_empty() {
         while free > 0 {
-            let Some(&id) = ready.iter().next() else { break };
-            ready.remove(&id);
+            let Some(id) = ready.pop_first() else { break };
             running.insert((now + cost[id], id));
             free -= 1;
         }
-        let Some(&(t, id)) = running.iter().next() else {
+        let Some((t, id)) = running.pop_first() else {
             break;
         };
-        running.remove(&(t, id));
         now = t;
         free += 1;
-        let (t_idx, k) = (id / (nb + 1), id % (nb + 1));
-        let (bi, bj) = tile_coords(t_idx);
-        for succ in successors(nb, bi, bj, k) {
+        let op = TileOp::from_id(nb, id).expect("only valid ids are ever released");
+        op.for_each_successor(nb, |succ| {
+            let succ = succ.id(nb);
             indeg[succ] -= 1;
             if indeg[succ] == 0 {
                 ready.insert(succ);
             }
-        }
+        });
     }
 
     let parallel = now.max(1);
@@ -436,8 +302,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shared::par_tiled_potrf_with;
-    use cholcomm_matrix::{matrix_digest, spd};
+    use cholcomm_matrix::{matrix_digest, norms, spd};
 
     fn engines() -> [KernelImpl; 3] {
         [
@@ -447,20 +312,53 @@ mod tests {
         ]
     }
 
+    fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool")
+            .install(f)
+    }
+
+    /// The reference: the sequential walk over the same in-memory tiles.
+    fn walk_potrf(a: &mut Matrix<f64>, b: usize, kernel: KernelImpl) -> Result<(), MatrixError> {
+        let mut tiles = MemTiles::from_matrix(a, b)?;
+        let grid = tiles.grid;
+        schedule::factor(&mut tiles, grid, 0..grid.nb(), kernel)?;
+        tiles.write_back(a);
+        Ok(())
+    }
+
     #[test]
-    fn dag_is_bitwise_equal_to_the_barrier_scheduler() {
-        for &(n, b) in &[(1usize, 1usize), (8, 3), (32, 8), (96, 32), (61, 16)] {
+    fn dag_is_bitwise_equal_to_the_sequential_walk_at_every_pool_size() {
+        // Ragged n, a single tile (b > n), and b=4 many-tiny-tiles stress
+        // ride along with the square cases.
+        let cases = [
+            (1usize, 1usize),
+            (8, 3),
+            (32, 8),
+            (96, 32),
+            (61, 16),
+            (33, 7),
+            (8, 16),
+            (64, 4),
+        ];
+        for &(n, b) in &cases {
             let a0 = spd::random_spd(n, &mut spd::test_rng(7 + n as u64));
             for kernel in engines() {
-                let mut dag = a0.clone();
-                let mut barrier = a0.clone();
-                potrf_dag_with(&mut dag, b, kernel).expect("dag potrf");
-                par_tiled_potrf_with(&mut barrier, b, kernel).expect("barrier potrf");
-                assert_eq!(
-                    matrix_digest(&dag),
-                    matrix_digest(&barrier),
-                    "n={n} b={b} kernel={kernel:?}"
-                );
+                let mut walked = a0.clone();
+                walk_potrf(&mut walked, b, kernel).expect("walk potrf");
+                let r = norms::cholesky_residual(&a0, &walked);
+                assert!(r < norms::residual_tolerance(n), "n={n} b={b}: residual {r}");
+                for threads in [1usize, 2, 4, 8] {
+                    let mut dag = a0.clone();
+                    in_pool(threads, || potrf_dag_with(&mut dag, b, kernel)).expect("dag potrf");
+                    assert_eq!(
+                        matrix_digest(&dag),
+                        matrix_digest(&walked),
+                        "n={n} b={b} kernel={kernel:?} threads={threads}"
+                    );
+                }
             }
         }
     }
@@ -486,9 +384,8 @@ mod tests {
         a[(17, 17)] = -1e6; // poison one pivot
         let dag_err = potrf_dag_with(&mut a.clone(), 8, KernelImpl::Reference)
             .expect_err("must fail");
-        let barrier_err = par_tiled_potrf_with(&mut a.clone(), 8, KernelImpl::Reference)
-            .expect_err("must fail");
-        assert_eq!(dag_err, barrier_err);
+        let walk_err = walk_potrf(&mut a.clone(), 8, KernelImpl::Reference).expect_err("must fail");
+        assert_eq!(dag_err, walk_err);
         match dag_err {
             MatrixError::NotSpd { pivot, .. } => assert_eq!(pivot, 17),
             other => panic!("expected NotSpd, got {other:?}"),
@@ -496,10 +393,28 @@ mod tests {
     }
 
     #[test]
+    fn indefinite_input_aborts_the_dag_without_hanging() {
+        // A failed pivot leaves tasks that are never released; the scope
+        // must still drain at every pool size.
+        let mut m = Matrix::<f64>::identity(16);
+        m[(9, 9)] = -5.0;
+        for threads in [1usize, 2, 4, 8] {
+            let err = in_pool(threads, || {
+                potrf_dag_with(&mut m.clone(), 4, KernelImpl::Reference)
+            })
+            .expect_err("must fail");
+            assert!(
+                matches!(err, MatrixError::NotSpd { pivot: 9, value } if value < 0.0),
+                "threads={threads}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn non_square_is_rejected() {
         let mut a = Matrix::<f64>::zeros(3, 4);
         assert!(matches!(
-            potrf_dag(&mut a, 2),
+            potrf_dag_with(&mut a, 2, KernelImpl::Reference),
             Err(MatrixError::NotSquare { rows: 3, cols: 4 })
         ));
     }

@@ -11,14 +11,14 @@
 //!   numerically verifiable while critical-path words, messages, and
 //!   flops are metered — this regenerates Table 2.
 //! * [`shared`] — an actual shared-memory parallel Cholesky built on
-//!   rayon: a tiled right-looking factorization with data-parallel panel
-//!   and trailing updates, and a fork-join recursive (AP00-shaped)
-//!   factorization.  These demonstrate that the communication-optimal
-//!   *schedules* of the paper are also the natural parallel ones.
-//! * [`dag`] — the same tiled factorization as a barrier-free task DAG
-//!   on `rayon::scope`, bitwise equal to [`shared`]'s barrier schedule
-//!   at every thread count, plus a deterministic greedy-scheduler model
+//!   rayon: a fork-join recursive (AP00-shaped) factorization.
+//! * [`dag`] — the tiled right-looking schedule of
+//!   `cholcomm_matrix::schedule` as a barrier-free task DAG on
+//!   `rayon::scope`, bitwise equal to the sequential walk at every
+//!   thread count, plus a deterministic greedy-scheduler model
 //!   ([`dag::simulate`]) that `kernel_bench` gates its scaling claim on.
+//!   Together these demonstrate that the communication-optimal
+//!   *schedules* of the paper are also the natural parallel ones.
 
 pub mod abft;
 pub mod blockcyclic;
@@ -30,16 +30,14 @@ pub mod onedim;
 pub mod pxpotrf;
 pub mod shared;
 pub mod spmd;
-pub mod wavefront;
 
 pub use abft::{abft_spmd_pxpotrf, AbftSpmdReport};
 pub use blockcyclic::DistMatrix;
-pub use dag::{potrf_dag, potrf_dag_with, scatter, simulate as dag_simulate, DagModel};
+pub use dag::{potrf_dag_with, scatter, simulate as dag_simulate, DagModel};
 pub use hier::{pxpotrf_hier, HierReport};
 pub use io::{io_scope, IoScope};
 pub use matmul25d::{matmul_25d, Mm25dReport};
 pub use onedim::pxpotrf_1d;
 pub use pxpotrf::{pxpotrf, PxPotrfReport};
-pub use shared::{par_recursive_potrf, par_tiled_potrf};
+pub use shared::par_recursive_potrf;
 pub use spmd::{spmd_pxpotrf, spmd_pxpotrf_faulty, SpmdError, SpmdReport};
-pub use wavefront::wavefront_potrf;

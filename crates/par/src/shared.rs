@@ -1,127 +1,16 @@
-//! Real shared-memory parallel Cholesky on rayon.
+//! Real shared-memory parallel Cholesky on rayon, the Ahmed–Pingali
+//! shape: [`par_recursive_potrf`] is a fork-join recursion where the
+//! recursive TRSM splits its rows and the recursive SYRK/GEMM splits its
+//! output block, each half running on its own rayon task.  Disjointness
+//! of the output regions is guaranteed by the recursion structure (the
+//! same argument that makes the sequential algorithm correct), which is
+//! what licenses the small unsafe shared pointer underneath.
 //!
-//! Two schedules, mirroring the two communication-optimal sequential
-//! shapes of the paper:
-//!
-//! * [`par_tiled_potrf`] — the ScaLAPACK/LAPACK shape: a right-looking
-//!   tiled factorization whose panel solves and trailing rank-`b` updates
-//!   are data-parallel over tiles (safe, clone-a-panel design).
-//! * [`par_recursive_potrf`] — the Ahmed–Pingali shape: fork-join
-//!   recursion where the recursive TRSM splits its rows and the recursive
-//!   SYRK/GEMM splits its output block, each half running on its own
-//!   rayon task.  Disjointness of the output regions is guaranteed by the
-//!   recursion structure (the same argument that makes the sequential
-//!   algorithm correct), which is what licenses the small unsafe shared
-//!   pointer underneath.
+//! The ScaLAPACK/LAPACK shape — the tiled right-looking schedule — runs
+//! as a task DAG in [`crate::dag`].
 
 use cholcomm_matrix::{KernelImpl, Matrix, MatrixError};
 use rayon::join;
-
-/// Parallel tiled right-looking Cholesky with tile size `b`.
-pub fn par_tiled_potrf(a: &mut Matrix<f64>, b: usize) -> Result<(), MatrixError> {
-    par_tiled_potrf_with(a, b, KernelImpl::Reference)
-}
-
-/// [`par_tiled_potrf`] with an explicit kernel engine.  The task graph —
-/// which tiles factor/solve/update in which order — is a property of the
-/// schedule and does not depend on the engine; only the per-tile
-/// arithmetic speed changes (bit-identically).
-pub fn par_tiled_potrf_with(
-    a: &mut Matrix<f64>,
-    b: usize,
-    kernel: KernelImpl,
-) -> Result<(), MatrixError> {
-    let n = a.rows();
-    if !a.is_square() {
-        return Err(MatrixError::NotSquare {
-            rows: n,
-            cols: a.cols(),
-        });
-    }
-    assert!(b > 0);
-    let nb = n.div_ceil(b);
-    let idx = |bi: usize, bj: usize| bi * (bi + 1) / 2 + bj;
-
-    // Tile-ize the lower triangle.
-    let mut tiles: Vec<Matrix<f64>> = Vec::with_capacity(nb * (nb + 1) / 2);
-    for bi in 0..nb {
-        for bj in 0..=bi {
-            let (i0, j0) = (bi * b, bj * b);
-            tiles.push(a.submatrix(i0, j0, (n - i0).min(b), (n - j0).min(b)));
-        }
-    }
-
-    for k in 0..nb {
-        // Diagonal factorization (sequential; O(b^3) work).
-        {
-            let t = &mut tiles[idx(k, k)];
-            if let Err(MatrixError::NotSpd { pivot, value }) = kernel.potf2(t) {
-                return Err(MatrixError::NotSpd {
-                    pivot: k * b + pivot,
-                    value,
-                });
-            }
-        }
-        let diag = tiles[idx(k, k)].clone();
-
-        // Panel solve: tiles (i, k), i > k, in parallel.
-        use rayon::prelude::*;
-        tiles.par_iter_mut().enumerate().for_each(|(t_idx, tile)| {
-            let (bi, bj) = tile_coords(t_idx);
-            if bj == k && bi > k {
-                kernel.trsm_right_lower_transpose(tile, &diag);
-            }
-        });
-
-        // Snapshot the factored panel for the trailing update.
-        let panel: Vec<Option<Matrix<f64>>> = (0..nb)
-            .map(|bi| {
-                if bi > k {
-                    Some(tiles[idx(bi, k)].clone())
-                } else {
-                    None
-                }
-            })
-            .collect();
-
-        // Trailing update: tiles (i, j) with j > k, i >= j, in parallel.
-        tiles.par_iter_mut().enumerate().for_each(|(t_idx, tile)| {
-            let (bi, bj) = tile_coords(t_idx);
-            if bj > k && bi >= bj {
-                // Both indices exceed k, so both panel slots are Some.
-                if let (Some(li), Some(lj)) = (panel[bi].as_ref(), panel[bj].as_ref()) {
-                    kernel.gemm_nt(tile, -1.0, li, lj);
-                }
-            }
-        });
-    }
-
-    // Write the factored tiles back (zeroing the strict upper triangle).
-    for bi in 0..nb {
-        for bj in 0..=bi {
-            a.set_submatrix(bi * b, bj * b, &tiles[idx(bi, bj)]);
-        }
-    }
-    for j in 0..n {
-        for i in 0..j {
-            a[(i, j)] = 0.0;
-        }
-    }
-    Ok(())
-}
-
-/// Inverse of the triangular tile index.
-pub(crate) fn tile_coords(t_idx: usize) -> (usize, usize) {
-    // Largest bi with bi(bi+1)/2 <= t_idx.
-    let mut bi = ((((8 * t_idx + 1) as f64).sqrt() - 1.0) / 2.0) as usize;
-    while (bi + 1) * (bi + 2) / 2 <= t_idx {
-        bi += 1;
-    }
-    while bi * (bi + 1) / 2 > t_idx {
-        bi -= 1;
-    }
-    (bi, t_idx - bi * (bi + 1) / 2)
-}
 
 /// A raw shared view of a square column-major matrix, for the fork-join
 /// recursion.
@@ -463,18 +352,6 @@ mod tests {
     use cholcomm_matrix::{norms, spd};
 
     #[test]
-    fn tiled_matches_sequential() {
-        let mut rng = spd::test_rng(120);
-        for (n, b) in [(16usize, 4usize), (33, 8), (40, 7), (12, 16)] {
-            let a = spd::random_spd(n, &mut rng);
-            let mut f = a.clone();
-            par_tiled_potrf(&mut f, b).unwrap();
-            let r = norms::cholesky_residual(&a, &f);
-            assert!(r < norms::residual_tolerance(n), "n={n} b={b}: {r}");
-        }
-    }
-
-    #[test]
     fn recursive_matches_sequential() {
         let mut rng = spd::test_rng(121);
         for (n, cutoff) in [(16usize, 4usize), (33, 8), (64, 16), (10, 1)] {
@@ -487,33 +364,15 @@ mod tests {
     }
 
     #[test]
-    fn both_agree_with_each_other() {
+    fn recursive_agrees_with_the_tiled_dag() {
         let mut rng = spd::test_rng(122);
         let n = 48;
         let a = spd::random_spd(n, &mut rng);
         let mut f1 = a.clone();
-        par_tiled_potrf(&mut f1, 8).unwrap();
+        crate::dag::potrf_dag_with(&mut f1, 8, KernelImpl::Reference).unwrap();
         let mut f2 = a.clone();
         par_recursive_potrf(&mut f2, 8).unwrap();
         assert!(norms::max_abs_diff(&f1, &f2) < 1e-8);
-    }
-
-    #[test]
-    fn tile_coords_roundtrip() {
-        let idx = |bi: usize, bj: usize| bi * (bi + 1) / 2 + bj;
-        for bi in 0..20 {
-            for bj in 0..=bi {
-                assert_eq!(tile_coords(idx(bi, bj)), (bi, bj));
-            }
-        }
-    }
-
-    #[test]
-    fn tiled_detects_indefinite() {
-        let mut m = Matrix::<f64>::identity(8);
-        m[(5, 5)] = -2.0;
-        let err = par_tiled_potrf(&mut m, 4).unwrap_err();
-        assert!(matches!(err, MatrixError::NotSpd { pivot: 5, .. }));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! ABFT-protected sequential Cholesky: the right-looking blocked
-//! schedule of [`crate::lapack::potrf_blocked_right`], running on a
+//! schedule of [`crate::lapack::potrf_blocked_right_with`], running on a
 //! checksum-augmented matrix ([`AbftMatrix`]) so silent data
 //! corruptions are detected, located, and corrected mid-factorization.
 //!
@@ -20,8 +20,8 @@
 
 use cholcomm_faults::FaultPlan;
 use cholcomm_matrix::abft::{AbftMatrix, AbftStats, TileHealth};
-use cholcomm_matrix::kernels::{gemm_nt, potf2, trsm_right_lower_transpose};
-use cholcomm_matrix::{Matrix, MatrixError};
+use cholcomm_matrix::schedule::{self, TileGrid, TileStore};
+use cholcomm_matrix::{KernelImpl, Matrix, MatrixError};
 
 /// Outcome of an ABFT-protected sequential factorization.
 #[derive(Debug)]
@@ -32,7 +32,7 @@ pub struct AbftPotrfReport {
     /// ABFT work tallies, separate from `clean_words`.
     pub abft: AbftStats,
     /// Words the clean schedule itself moves (tile loads/stores, as
-    /// [`crate::lapack::potrf_blocked_right`] counts them) — the
+    /// [`crate::lapack::potrf_blocked_right_with`] counts them) — the
     /// denominator for [`AbftStats::word_overhead`].
     pub clean_words: u64,
 }
@@ -54,88 +54,19 @@ pub fn abft_potrf(
             cols: a.cols(),
         });
     }
-    let mut am = AbftMatrix::encode(a, b);
+    let mut store = AbftTiles {
+        am: AbftMatrix::encode(a, b),
+        plan,
+        clean_words: 0,
+    };
+    let grid = TileGrid::new(n, b);
+    schedule::factor(&mut store, grid, 0..grid.nb(), KernelImpl::Reference)?;
+    let AbftTiles {
+        mut am,
+        clean_words,
+        ..
+    } = store;
     let nb = am.nb();
-    let mut clean_words: u64 = 0;
-
-    for k in 0..nb {
-        // --- Epoch snapshot: the recompute-from-checkpoint fallback for
-        // corruptions too wide for the checksums.  Charged as checkpoint
-        // traffic (one word per live lower-triangle element).
-        let snapshot = am.clone();
-        let mut epoch_words = 0u64;
-        for bj in 0..nb {
-            for bi in bj..nb {
-                let (h, w) = am.tile_dims(bi, bj);
-                epoch_words += (h * w) as u64;
-            }
-        }
-        am.add_stats(&AbftStats {
-            checkpoint_words: epoch_words,
-            ..AbftStats::new()
-        });
-
-        // --- Silent corruption lands now, checksums left stale.
-        let mut struck: Vec<(usize, usize)> = Vec::new();
-        for bj in 0..nb {
-            for bi in bj..nb {
-                let (h, w) = am.tile_dims(bi, bj);
-                let mut any = false;
-                for f in plan.bit_flips_at(k, (bi, bj)) {
-                    if f.elem.0 < h && f.elem.1 < w {
-                        am.flip_bits(bi, bj, f.elem, f.mask);
-                        any = true;
-                    }
-                }
-                if let Some(f) = plan.random_bit_flip(k, (bi, bj), h, w) {
-                    am.flip_bits(bi, bj, f.elem, f.mask);
-                    any = true;
-                }
-                if any {
-                    struck.push((bi, bj));
-                }
-            }
-        }
-
-        // --- Detect / locate / correct before any kernel reads the data.
-        for (bi, bj) in struck {
-            if let TileHealth::Unrecoverable { .. } = am.verify_tile(bi, bj) {
-                am.restore_tile_from(&snapshot, bi, bj);
-            }
-        }
-
-        // --- The clean right-looking step.
-        let (dw, _) = am.tile_dims(k, k);
-        let mut akk = am.tile(k, k);
-        clean_words += 2 * (dw * dw) as u64;
-        if let Err(MatrixError::NotSpd { pivot, value }) = potf2(&mut akk) {
-            return Err(MatrixError::NotSpd {
-                pivot: k * b + pivot,
-                value,
-            });
-        }
-        am.update_tile(k, k, &akk);
-
-        for i in (k + 1)..nb {
-            let mut aik = am.tile(i, k);
-            clean_words += 2 * (aik.rows() * aik.cols()) as u64;
-            trsm_right_lower_transpose(&mut aik, &akk);
-            am.update_tile(i, k, &aik);
-        }
-
-        for j in (k + 1)..nb {
-            let ljk = am.tile(j, k);
-            clean_words += (ljk.rows() * ljk.cols()) as u64;
-            for i in j..nb {
-                let lik = am.tile(i, k);
-                let mut aij = am.tile(i, j);
-                clean_words += (lik.rows() * lik.cols()) as u64;
-                clean_words += 2 * (aij.rows() * aij.cols()) as u64;
-                gemm_nt(&mut aij, -1.0, &lik, &ljk);
-                am.update_tile(i, j, &aij);
-            }
-        }
-    }
 
     // --- Final scrub: every output tile re-verified (and a straggler
     // single-element corruption corrected) before the factor leaves the
@@ -167,6 +98,81 @@ pub fn abft_potrf(
     })
 }
 
+/// The checksum-carrying matrix as a tile store.  Gets and puts are the
+/// clean schedule's word traffic; the resilience work happens at each
+/// panel's start, before any kernel reads the data.
+struct AbftTiles<'a> {
+    am: AbftMatrix,
+    plan: &'a FaultPlan,
+    clean_words: u64,
+}
+
+impl TileStore for AbftTiles<'_> {
+    type Tile = Matrix<f64>;
+    type Error = MatrixError;
+
+    fn begin_panel(&mut self, k: usize) {
+        let am = &mut self.am;
+        let nb = am.nb();
+        // --- Epoch snapshot: the recompute-from-checkpoint fallback for
+        // corruptions too wide for the checksums.  Charged as checkpoint
+        // traffic (one word per live lower-triangle element).
+        let snapshot = am.clone();
+        let mut epoch_words = 0u64;
+        for bj in 0..nb {
+            for bi in bj..nb {
+                let (h, w) = am.tile_dims(bi, bj);
+                epoch_words += (h * w) as u64;
+            }
+        }
+        am.add_stats(&AbftStats {
+            checkpoint_words: epoch_words,
+            ..AbftStats::new()
+        });
+
+        // --- Silent corruption lands now, checksums left stale.
+        let mut struck: Vec<(usize, usize)> = Vec::new();
+        for bj in 0..nb {
+            for bi in bj..nb {
+                let (h, w) = am.tile_dims(bi, bj);
+                let mut any = false;
+                for f in self.plan.bit_flips_at(k, (bi, bj)) {
+                    if f.elem.0 < h && f.elem.1 < w {
+                        am.flip_bits(bi, bj, f.elem, f.mask);
+                        any = true;
+                    }
+                }
+                if let Some(f) = self.plan.random_bit_flip(k, (bi, bj), h, w) {
+                    am.flip_bits(bi, bj, f.elem, f.mask);
+                    any = true;
+                }
+                if any {
+                    struck.push((bi, bj));
+                }
+            }
+        }
+
+        // --- Detect / locate / correct before any kernel reads the data.
+        for (bi, bj) in struck {
+            if let TileHealth::Unrecoverable { .. } = am.verify_tile(bi, bj) {
+                am.restore_tile_from(&snapshot, bi, bj);
+            }
+        }
+    }
+
+    fn get(&mut self, i: usize, j: usize) -> Result<Matrix<f64>, MatrixError> {
+        let tile = self.am.tile(i, j);
+        self.clean_words += (tile.rows() * tile.cols()) as u64;
+        Ok(tile)
+    }
+
+    fn put(&mut self, i: usize, j: usize, tile: Matrix<f64>) -> Result<(), MatrixError> {
+        self.clean_words += (tile.rows() * tile.cols()) as u64;
+        self.am.update_tile(i, j, &tile);
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,7 +182,8 @@ mod tests {
 
     fn reference(a: &Matrix<f64>, b: usize) -> Matrix<f64> {
         let mut laid = Laid::from_matrix(a, ColMajor::square(a.rows()));
-        crate::lapack::potrf_blocked_right(&mut laid, &mut NullTracer, b, None).unwrap();
+        crate::lapack::potrf_blocked_right_with(&mut laid, &mut NullTracer, b, None, KernelImpl::Reference)
+            .unwrap();
         let mut m = laid.to_matrix();
         for j in 0..a.rows() {
             for i in 0..j {

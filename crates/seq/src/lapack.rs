@@ -11,7 +11,8 @@
 use crate::tiles::{load_tile, store_tile};
 use cholcomm_cachesim::{FastMemGauge, Tracer};
 use cholcomm_layout::{Laid, Layout};
-use cholcomm_matrix::{KernelImpl, MatrixError, Scalar};
+use cholcomm_matrix::schedule::{self, TileGrid, TileStore};
+use cholcomm_matrix::{KernelImpl, Matrix, MatrixError, Scalar};
 
 /// Algorithm 4 with block size `b`, reference kernels.
 ///
@@ -115,7 +116,7 @@ pub fn potrf_blocked_with<S: Scalar, L: Layout, T: Tracer>(
 /// Unblocked Cholesky of a local tile, reporting the failing pivot in
 /// *global* coordinates.
 fn factor_lower_tile<S: Scalar>(
-    tile: &mut cholcomm_matrix::Matrix<S>,
+    tile: &mut Matrix<S>,
     global0: usize,
     kernel: KernelImpl,
 ) -> Result<(), MatrixError> {
@@ -240,24 +241,17 @@ mod tests {
 }
 
 /// The *right-looking* blocked variant (LAPACK ships both; Algorithm 4 in
-/// the paper is the left-looking one).  Each iteration factors the
-/// diagonal tile, solves the panel below, and immediately applies the
-/// rank-`b` update to the whole trailing matrix — re-reading and
-/// re-writing every trailing tile once per iteration.  Asymptotically the
-/// same `Theta(n^3 / sqrt(M))` bandwidth, but with a larger constant than
-/// the left-looking schedule (the trailing matrix is written `n/b` times
-/// instead of once); the tests pin the ratio down.
-pub fn potrf_blocked_right<S: Scalar, L: Layout, T: Tracer>(
-    a: &mut Laid<S, L>,
-    tracer: &mut T,
-    b: usize,
-    fast_memory: Option<usize>,
-) -> Result<(), MatrixError> {
-    potrf_blocked_right_with(a, tracer, b, fast_memory, KernelImpl::Reference)
-}
-
-/// [`potrf_blocked_right`] with an explicit kernel engine (same schedule,
-/// same counts, same bits — see [`potrf_blocked_with`]).
+/// the paper is the left-looking one): the shared tile schedule of
+/// [`cholcomm_matrix::schedule`] walked over traced storage.  Each
+/// iteration factors the diagonal tile, solves the panel below, and
+/// immediately applies the rank-`b` update to the whole trailing matrix —
+/// re-reading and re-writing every trailing tile once per iteration.
+/// Asymptotically the same `Theta(n^3 / sqrt(M))` bandwidth, but with a
+/// larger constant than the left-looking schedule (the trailing matrix is
+/// written `n/b` times instead of once); the tests pin the ratio down.
+///
+/// Same schedule, same counts, same bits under every engine — see
+/// [`potrf_blocked_with`].
 pub fn potrf_blocked_right_with<S: Scalar, L: Layout, T: Tracer>(
     a: &mut Laid<S, L>,
     tracer: &mut T,
@@ -274,53 +268,50 @@ pub fn potrf_blocked_right_with<S: Scalar, L: Layout, T: Tracer>(
     }
     assert!(b >= 1);
     if let Some(m) = fast_memory {
-        assert!(3 * b * b <= m, "needs 3 b^2 <= M (b = {b}, M = {m})");
+        assert!(
+            schedule::WORKING_SET * b * b <= m,
+            "needs 3 b^2 <= M (b = {b}, M = {m})"
+        );
     }
     let mut gauge = FastMemGauge::new(fast_memory.unwrap_or(usize::MAX));
-    let nb = n.div_ceil(b);
+    let grid = TileGrid::new(n, b);
+    let mut store = TracedTiles { a, tracer, grid };
+    schedule::walk(&mut store, grid.nb(), 0..grid.nb(), |op, target, operands| {
+        // The tiles a kernel touches are what fast memory holds while
+        // it runs.
+        let words = operands
+            .iter()
+            .fold(target.rows() * target.cols(), |w, t| w + t.rows() * t.cols());
+        gauge.claim(words);
+        let done = schedule::apply(op, kernel, grid, target, operands);
+        gauge.release(words);
+        done
+    })
+}
 
-    for kb in 0..nb {
-        let c0 = kb * b;
-        let bw = (n - c0).min(b);
+/// Traced slow memory as a tile store: every get is a tile read and
+/// every put a tile write charged to the tracer.
+struct TracedTiles<'a, S, L: Layout, T> {
+    a: &'a mut Laid<S, L>,
+    tracer: &'a mut T,
+    grid: TileGrid,
+}
 
-        // Factor the diagonal tile.
-        gauge.claim(bw * bw);
-        let mut akk = load_tile(a, tracer, c0, c0, bw, bw, false);
-        factor_lower_tile(&mut akk, c0, kernel)?;
-        store_tile(a, tracer, c0, c0, &akk, false);
+impl<S: Scalar, L: Layout, T: Tracer> TileStore for TracedTiles<'_, S, L, T> {
+    type Tile = Matrix<S>;
+    type Error = MatrixError;
 
-        // Panel solve below the diagonal.
-        for ib in (kb + 1)..nb {
-            let r0 = ib * b;
-            let bh = (n - r0).min(b);
-            gauge.claim(bh * bw);
-            let mut aik = load_tile(a, tracer, r0, c0, bh, bw, false);
-            kernel.trsm_right_lower_transpose(&mut aik, &akk);
-            store_tile(a, tracer, r0, c0, &aik, false);
-            gauge.release(bh * bw);
-        }
-        gauge.release(bw * bw);
-
-        // Trailing update: every tile (i, j) with k < j <= i.
-        for jb in (kb + 1)..nb {
-            let j0 = jb * b;
-            let jw = (n - j0).min(b);
-            gauge.claim(jw * bw);
-            let ljk = load_tile(a, tracer, j0, c0, jw, bw, false);
-            for ib in jb..nb {
-                let r0 = ib * b;
-                let bh = (n - r0).min(b);
-                gauge.claim(bh * bw + bh * jw);
-                let lik = load_tile(a, tracer, r0, c0, bh, bw, false);
-                let mut aij = load_tile(a, tracer, r0, j0, bh, jw, false);
-                kernel.gemm_nt(&mut aij, -S::one(), &lik, &ljk);
-                store_tile(a, tracer, r0, j0, &aij, false);
-                gauge.release(bh * bw + bh * jw);
-            }
-            gauge.release(jw * bw);
-        }
+    fn get(&mut self, i: usize, j: usize) -> Result<Matrix<S>, MatrixError> {
+        let TileGrid { b, .. } = self.grid;
+        let (h, w) = (self.grid.dim(i), self.grid.dim(j));
+        Ok(load_tile(self.a, self.tracer, i * b, j * b, h, w, false))
     }
-    Ok(())
+
+    fn put(&mut self, i: usize, j: usize, tile: Matrix<S>) -> Result<(), MatrixError> {
+        let TileGrid { b, .. } = self.grid;
+        store_tile(self.a, self.tracer, i * b, j * b, &tile, false);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -328,7 +319,8 @@ mod right_tests {
     use super::*;
     use cholcomm_cachesim::{CountingTracer, NullTracer};
     use cholcomm_layout::{Blocked, ColMajor};
-    use cholcomm_matrix::{norms, spd};
+    use cholcomm_matrix::schedule::MemTiles;
+    use cholcomm_matrix::{matrix_digest, norms, spd};
 
     #[test]
     fn right_looking_blocked_factors_correctly() {
@@ -337,7 +329,8 @@ mod right_tests {
         let a = spd::random_spd(n, &mut rng);
         for b in [4usize, 7, 8, 28] {
             let mut laid = Laid::from_matrix(&a, ColMajor::square(n));
-            potrf_blocked_right(&mut laid, &mut NullTracer, b, None).unwrap();
+            potrf_blocked_right_with(&mut laid, &mut NullTracer, b, None, KernelImpl::Reference)
+                .unwrap();
             let r = norms::cholesky_residual(&a, &laid.to_matrix());
             assert!(r < norms::residual_tolerance(n), "b = {b}: {r}");
         }
@@ -359,14 +352,31 @@ mod right_tests {
 
         let mut right = Laid::from_matrix(&a, Blocked::square(n, b));
         let mut tr = CountingTracer::uncapped();
-        potrf_blocked_right(&mut right, &mut tr, b, None).unwrap();
+        potrf_blocked_right_with(&mut right, &mut tr, b, None, KernelImpl::Reference).unwrap();
 
         let (wl, wr) = (tl.stats().words as f64, tr.stats().words as f64);
         assert!(wr > wl, "right {wr} should exceed left {wl}");
         assert!(wr / wl < 2.5, "but only by a constant: {}", wr / wl);
-        // Same factors, bit for bit.
-        assert_eq!(left.to_matrix().lower_triangle().unwrap().as_slice().len(),
-                   right.to_matrix().lower_triangle().unwrap().as_slice().len());
+        // The two orders sum each element's updates differently, so the
+        // factors agree numerically, not bitwise ...
+        let right_l = right.to_matrix().lower_triangle().unwrap();
+        let d = norms::max_abs_diff(&left.to_matrix().lower_triangle().unwrap(), &right_l);
+        assert!(d < 1e-10, "left vs right: {d}");
+        // ... while the traced walk is the in-memory walk, bit for bit.
+        let mut tiles = MemTiles::from_matrix(&a, b).unwrap();
+        let grid = tiles.grid;
+        schedule::factor(&mut tiles, grid, 0..grid.nb(), KernelImpl::Reference).unwrap();
+        let mut walked = a.clone();
+        tiles.write_back(&mut walked);
+        assert_eq!(matrix_digest(&right_l), matrix_digest(&walked));
+    }
+
+    #[test]
+    #[should_panic(expected = "3 b^2 <= M")]
+    fn oversized_block_is_rejected_by_the_right_looking_variant_too() {
+        let mut laid = Laid::<f64, _>::from_matrix(&Matrix::identity(8), ColMajor::square(8));
+        let kernel = KernelImpl::Reference;
+        let _ = potrf_blocked_right_with(&mut laid, &mut NullTracer, 4, Some(16), kernel);
     }
 
     #[test]
@@ -378,7 +388,7 @@ mod right_tests {
         let mut l1 = Laid::from_matrix(&a, ColMajor::square(n));
         potrf_blocked(&mut l1, &mut NullTracer, b, None).unwrap();
         let mut l2 = Laid::from_matrix(&a, ColMajor::square(n));
-        potrf_blocked_right(&mut l2, &mut NullTracer, b, None).unwrap();
+        potrf_blocked_right_with(&mut l2, &mut NullTracer, b, None, KernelImpl::Reference).unwrap();
         let d = norms::max_abs_diff(
             &l1.to_matrix().lower_triangle().unwrap(),
             &l2.to_matrix().lower_triangle().unwrap(),

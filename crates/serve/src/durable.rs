@@ -19,18 +19,9 @@
 
 use crate::cache::FactorCache;
 use cholcomm_faults::Store;
+use cholcomm_matrix::digest::fnv1a;
 use cholcomm_matrix::Matrix;
 use std::collections::BTreeMap;
-
-/// FNV-1a over bytes (journal records and entry payloads).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Append `rec_fnv=` self-authentication to a record body.
 fn journal_line(body: &str) -> String {

@@ -17,6 +17,7 @@ use crate::admission::Priority;
 use crate::breaker::BreakerState;
 use crate::cache::CacheRead;
 use crate::jobs::JobKind;
+use cholcomm_matrix::digest::{fnv1a, fnv1a_update};
 
 /// Where a completed response came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -299,17 +300,14 @@ pub fn canonicalize(mut records: Vec<EventRecord>) -> Vec<EventRecord> {
 /// already be canonical — see [`canonicalize`]).
 pub fn log_digest(records: &[EventRecord]) -> u64 {
     use std::fmt::Write;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = fnv1a(b"");
     let mut line = String::new();
     for r in records {
         line.clear();
         let _ = write!(line, "{}:{}:", r.req, r.seq);
         r.event.encode(&mut line);
         line.push('\n');
-        for &byte in line.as_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h = fnv1a_update(h, line.as_bytes());
     }
     h
 }

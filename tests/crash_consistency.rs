@@ -10,24 +10,13 @@
 use cholcomm::faults::{
     crash_sites_exhaustive, crash_sites_sampled, shrink_site, FsStore, Store,
 };
-use cholcomm::matrix::spd;
+use cholcomm::matrix::{digest::fnv1a, spd};
 use cholcomm::ooc::{
     explore_crash_sites, filemat::scratch_path, record_run, record_run_pipelined, Checkpoint,
     CommitDiscipline, FileMatrix,
 };
 
 const SECTOR: usize = 64;
-
-/// FNV-1a (the workspace integrity hash), local copy for hand-crafting
-/// a self-consistently hashed — but semantically wrong — manifest.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 // ---------------------------------------------------------------------
 // Tentpole: exhaustive exploration of the correct protocol.

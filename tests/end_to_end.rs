@@ -5,9 +5,9 @@
 
 use cholcomm::distsim::CostModel;
 use cholcomm::layout::{Laid, Morton, RecursivePacked};
-use cholcomm::matrix::{norms, spd, tri, Matrix};
+use cholcomm::matrix::{norms, spd, tri, KernelImpl, Matrix};
 use cholcomm::cachesim::NullTracer;
-use cholcomm::par::{par_recursive_potrf, par_tiled_potrf, pxpotrf::pxpotrf};
+use cholcomm::par::{par_recursive_potrf, potrf_dag_with, pxpotrf::pxpotrf};
 use cholcomm::seq::ap00::square_rchol;
 
 fn apply(a: &Matrix<f64>, x: &[f64]) -> Vec<f64> {
@@ -70,7 +70,7 @@ fn distributed_and_shared_memory_factors_agree() {
     let dist = pxpotrf(&a, 16, 16, CostModel::counting()).unwrap().factor;
 
     let mut tiled = a.clone();
-    par_tiled_potrf(&mut tiled, 16).unwrap();
+    potrf_dag_with(&mut tiled, 16, KernelImpl::Reference).unwrap();
 
     let mut recursive = a.clone();
     par_recursive_potrf(&mut recursive, 8).unwrap();
@@ -107,7 +107,7 @@ fn large_parallel_factorization_smoke() {
     let mut rng = spd::test_rng(505);
     let a = spd::random_spd(n, &mut rng);
     let mut f = a.clone();
-    par_tiled_potrf(&mut f, 32).unwrap();
+    potrf_dag_with(&mut f, 32, KernelImpl::Reference).unwrap();
     let r = norms::cholesky_residual(&a, &f);
     assert!(r < norms::residual_tolerance(n), "residual {r}");
 }

@@ -1,6 +1,6 @@
 //! Integration across the newer substrates: every execution vehicle in
-//! the workspace — sequential zoo, rayon fork-join, wavefront DAG
-//! runtime, simulated machine, SPMD threads, file-backed out-of-core —
+//! the workspace — sequential zoo, rayon fork-join, tiled task DAG,
+//! simulated machine, SPMD threads, file-backed out-of-core —
 //! must produce the same factorization; layouts must convert losslessly
 //! in every direction; recorded schedules must be data-independent.
 
@@ -8,11 +8,10 @@ use cholcomm::cachesim::{LruTracer, NullTracer, RecordingTracer};
 use cholcomm::distsim::CostModel;
 use cholcomm::layout::convert::convert_counted;
 use cholcomm::layout::{Blocked, ColMajor, Laid, Layered, Morton, RowMajor};
-use cholcomm::matrix::{kernels, norms, spd, Matrix};
+use cholcomm::matrix::{kernels, norms, spd, KernelImpl, Matrix};
 use cholcomm::ooc::{ooc_potrf, FileMatrix};
 use cholcomm::par::{
-    matmul_25d, par_recursive_potrf, par_tiled_potrf, pxpotrf::pxpotrf, pxpotrf_1d, spmd_pxpotrf,
-    wavefront_potrf,
+    matmul_25d, par_recursive_potrf, potrf_dag_with, pxpotrf::pxpotrf, pxpotrf_1d, spmd_pxpotrf,
 };
 use cholcomm::seq::ap00::square_rchol;
 use cholcomm::seq::zoo::{run_alg, Algorithm};
@@ -36,18 +35,23 @@ fn every_execution_vehicle_agrees() {
     square_rchol(&mut laid, &mut NullTracer, 4).unwrap();
     assert!(norms::max_abs_diff(&laid.to_matrix().lower_triangle().unwrap(), &want) < tol);
 
-    // Rayon fork-join + tiled.
+    // Rayon fork-join.
     let mut f1 = a.clone();
     par_recursive_potrf(&mut f1, 8).unwrap();
     assert!(norms::max_abs_diff(&f1, &want) < tol, "fork-join");
-    let mut f2 = a.clone();
-    par_tiled_potrf(&mut f2, 8).unwrap();
-    assert!(norms::max_abs_diff(&f2, &want) < tol, "tiled");
 
-    // Wavefront DAG runtime.
+    // Tiled task DAG, on the global pool and on four workers.
+    let mut f2 = a.clone();
+    potrf_dag_with(&mut f2, 8, KernelImpl::Reference).unwrap();
+    assert!(norms::max_abs_diff(&f2, &want) < tol, "tiled DAG");
     let mut f3 = a.clone();
-    wavefront_potrf(&mut f3, 8, 4).unwrap();
-    assert!(norms::max_abs_diff(&f3, &want) < tol, "wavefront");
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(4)
+        .build()
+        .unwrap()
+        .install(|| potrf_dag_with(&mut f3, 8, KernelImpl::Reference))
+        .unwrap();
+    assert_eq!(f3, f2, "tiled DAG on 4 workers");
 
     // Simulated distributed machine (2D and 1D).
     let d2 = pxpotrf(&a, 8, 16, CostModel::counting()).unwrap();
