@@ -119,6 +119,12 @@ impl<S: Scalar> Matrix<S> {
         &mut self.data
     }
 
+    /// Give up the column-major storage.
+    #[inline]
+    pub fn into_vec(self) -> Vec<S> {
+        self.data
+    }
+
     /// Linear (column-major) index of `(i, j)`.
     #[inline]
     pub fn lin(&self, i: usize, j: usize) -> usize {
@@ -161,7 +167,11 @@ impl<S: Scalar> Matrix<S> {
     /// Copy of the `h x w` submatrix whose top-left corner is `(i0, j0)`.
     pub fn submatrix(&self, i0: usize, j0: usize, h: usize, w: usize) -> Self {
         assert!(i0 + h <= self.rows && j0 + w <= self.cols, "submatrix out of range");
-        Self::from_fn(h, w, |i, j| self[(i0 + i, j0 + j)])
+        let mut data = Vec::with_capacity(h * w);
+        for j in j0..j0 + w {
+            data.extend_from_slice(&self.col(j)[i0..i0 + h]);
+        }
+        Matrix { data, rows: h, cols: w }
     }
 
     /// Overwrite the `h x w` region at `(i0, j0)` with `block`.
@@ -171,9 +181,15 @@ impl<S: Scalar> Matrix<S> {
             "set_submatrix out of range"
         );
         for j in 0..block.cols {
-            for i in 0..block.rows {
-                self[(i0 + i, j0 + j)] = block[(i, j)];
-            }
+            self.col_mut(j0 + j)[i0..i0 + block.rows].copy_from_slice(block.col(j));
+        }
+    }
+
+    /// Zero the strictly upper triangle in place.
+    pub fn zero_strict_upper(&mut self) {
+        for j in 0..self.cols {
+            let above = j.min(self.rows);
+            self.col_mut(j)[..above].fill(S::zero());
         }
     }
 
@@ -187,13 +203,9 @@ impl<S: Scalar> Matrix<S> {
                 cols: self.cols,
             });
         }
-        Ok(Self::from_fn(self.rows, self.cols, |i, j| {
-            if i >= j {
-                self[(i, j)]
-            } else {
-                S::zero()
-            }
-        }))
+        let mut lower = self.clone();
+        lower.zero_strict_upper();
+        Ok(lower)
     }
 
     /// Symmetrize the lower triangle into the upper: `A[i,j] = A[j,i]` for

@@ -27,7 +27,7 @@ use std::sync::OnceLock;
 use crate::dense::Matrix;
 use crate::error::MatrixError;
 use crate::kernels;
-use crate::kernels_fast;
+use crate::kernels_fast::{self, PackedTile};
 use crate::scalar::Scalar;
 
 /// Which arithmetic engine runs under a schedule.
@@ -46,6 +46,17 @@ pub enum KernelImpl {
     /// ([`crate::kernels_fast`]'s strict mode): bit-identical results,
     /// most of the speed.  `f64` only, like [`KernelImpl::Fast`].
     FastStrict,
+}
+
+/// A finished panel tile `L(i, k)` in the form an UPDATE reads it: as
+/// stored, or packed once for the fast engines' micro-kernel
+/// ([`KernelImpl::pack_tile`]).
+#[derive(Clone, Copy)]
+pub enum Operand<'a, S> {
+    /// The plain column-major tile.
+    Plain(&'a Matrix<S>),
+    /// The tile in micro-panel layout.
+    Packed(&'a PackedTile),
 }
 
 impl KernelImpl {
@@ -117,6 +128,39 @@ impl KernelImpl {
             }
         }
         kernels::gemm_nt(c, alpha, a, b);
+    }
+
+    /// `true` when this engine's [`update`](Self::update) reads the panel
+    /// tiles of a `b x b` grid of `S` packed: a fast engine, `f64`, and
+    /// tiles no larger than one packed block.  Decided per grid, not per
+    /// tile, so the two operands of an update are packed together or not
+    /// at all.
+    pub fn packs_tiles<S: Scalar>(self, b: usize) -> bool {
+        self.accelerates::<S>() && PackedTile::fits(b, b)
+    }
+
+    /// Pack a panel tile of a grid that [`packs_tiles`](Self::packs_tiles)
+    /// into `into`, reusing its buffer.
+    pub fn pack_tile<S: Scalar>(self, tile: &Matrix<S>, into: &mut PackedTile) {
+        into.pack(as_f64(tile).expect("only f64 tiles are packed (see packs_tiles)"));
+    }
+
+    /// The trailing update `C <- C - A * B^T` of the tile schedule.
+    /// Packed operands run the fast engines' micro-kernel straight over
+    /// them; plain ones are [`gemm_nt`](Self::gemm_nt) with `alpha = -1`.
+    /// Same bits either way, for every engine.
+    pub fn update<S: Scalar>(self, c: &mut Matrix<S>, a: Operand<'_, S>, b: Operand<'_, S>) {
+        match (a, b) {
+            (Operand::Plain(a), Operand::Plain(b)) => self.gemm_nt(c, -S::one(), a, b),
+            (Operand::Packed(a), Operand::Packed(b)) => {
+                let c = as_f64_mut(c).expect("only f64 tiles are packed (see packs_tiles)");
+                match self {
+                    KernelImpl::Fast => kernels_fast::fused::gemm_nt_packed(c, a, b),
+                    _ => kernels_fast::gemm_nt_packed(c, a, b),
+                }
+            }
+            _ => unreachable!("the operands of an update are packed together or not at all"),
+        }
     }
 
     /// Lower-triangle `C <- C - A * A^T` (see [`kernels::syrk_lower`]).

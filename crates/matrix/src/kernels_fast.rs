@@ -13,9 +13,13 @@
 //!   per-element bounds checks;
 //! * the innermost loop computes an [`MR`]`x`[`NR`] **register tile** of
 //!   `C`: hand-written AVX-512 intrinsics keep all accumulators in
-//!   vector registers (LLVM spills the generic tile body to memory),
-//!   with a portable generic fallback; the variant is selected by
-//!   runtime feature detection.
+//!   vector registers, loaded from and stored to `C` itself (LLVM spills
+//!   the generic tile body to memory), with a portable generic fallback;
+//!   the variant is selected by runtime feature detection;
+//! * an operand that is final and read many times — a solved panel tile
+//!   of the blocked Cholesky — is packed **once**, as a [`PackedTile`],
+//!   and [`gemm_nt_packed`] runs the micro-kernel straight over two of
+//!   them: one layout serves both sides of `C -= A * B^T`.
 //!
 //! The engine has two numeric modes sharing all of this machinery:
 //!
@@ -221,143 +225,349 @@ fn pack_b(
     }
 }
 
-/// The register-tiled micro-kernel: `acc += pa_strip * pb_strip` over
-/// `kc` depth steps.  `pa` strides by [`MR`], `pb` by [`NR`]; both are
-/// contiguous, so `chunks_exact` compiles to unchecked loads.  The
-/// accumulator tile is column-major (`acc[jj][ii]`), matching `C`'s
-/// layout, so the `ii` loop vectorizes over one contiguous register per
-/// column with `pb`'s element broadcast.
+/// A tile in the micro-panel layout the micro-kernel streams, packed
+/// once and read by every update that takes the tile as an operand.
+///
+/// The layout is [`pack_a`]'s: `MR`-row strips, strip `s` holding
+/// `data[(s * cols + k) * MR + ii] = T(s * MR + ii, k)`, zero past the
+/// last row.  One layout serves **both** operands of `C -= A * B^T`: the
+/// `NR = MR / 2` rows of `B` a micro-tile needs are the low or high half
+/// of an `MR`-row strip, read at stride `MR`.  Nothing is scaled at pack
+/// time — the update subtracts in the micro-kernel instead — so a tile is
+/// packed the same way whichever side it will be read from.
+///
+/// A packed tile is at most one [`MC`]`x`[`KC`] block ([`fits`]): one
+/// macro-tile multiplies it with no further cache blocking.
+///
+/// [`fits`]: Self::fits
+#[derive(Debug, Clone, Default)]
+pub struct PackedTile {
+    rows: usize,
+    cols: usize,
+    data: Vec<f64>,
+}
+
+impl PackedTile {
+    /// Whether a `rows x cols` tile is small enough to be kept packed.
+    pub fn fits(rows: usize, cols: usize) -> bool {
+        rows <= MC && cols <= KC
+    }
+
+    /// Pack `tile`, reusing this value's buffer.
+    pub fn pack(&mut self, tile: &Matrix<f64>) {
+        self.rows = tile.rows();
+        self.cols = tile.cols();
+        self.data.resize(Self::packed_len(tile), 0.0);
+        Self::pack_strips(&mut self.data, tile);
+    }
+
+    /// The packed form of `tile`, in `tile`'s own storage: the packed
+    /// form *replaces* the plain one, no second copy is ever resident
+    /// (the strips are laid out in this thread's packing scratch and
+    /// copied back).
+    pub fn replacing(tile: Matrix<f64>) -> Self {
+        let (rows, cols) = (tile.rows(), tile.cols());
+        let len = Self::packed_len(&tile);
+        let data = with_pack(|pack| {
+            let strips = &mut pack.pa[..len];
+            Self::pack_strips(strips, &tile);
+            let mut data = tile.into_vec();
+            data.clear();
+            data.extend_from_slice(strips);
+            data
+        });
+        PackedTile { rows, cols, data }
+    }
+
+    /// Elements of the packed form of `tile`, which must fit one block.
+    fn packed_len(tile: &Matrix<f64>) -> usize {
+        let (rows, cols) = (tile.rows(), tile.cols());
+        assert!(Self::fits(rows, cols), "{rows}x{cols} tile exceeds one packed block");
+        rows.div_ceil(MR) * cols * MR
+    }
+
+    fn pack_strips(data: &mut [f64], tile: &Matrix<f64>) {
+        let (rows, cols) = (tile.rows(), tile.cols());
+        if cols == 0 {
+            return;
+        }
+        for (s, strip) in data.chunks_exact_mut(cols * MR).enumerate() {
+            let i0 = s * MR;
+            let mr = (rows - i0).min(MR);
+            for (k, dst) in strip.chunks_exact_mut(MR).enumerate() {
+                dst[..mr].copy_from_slice(&tile.col(k)[i0..i0 + mr]);
+                dst[mr..].fill(0.0);
+            }
+        }
+    }
+
+    /// Rows of the tile.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Columns of the tile (the depth of an update reading it).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Write the tile over the region of `a` whose top-left corner is
+    /// `(i0, j0)` — [`Matrix::set_submatrix`] for a packed block.
+    pub fn unpack_into(&self, a: &mut Matrix<f64>, i0: usize, j0: usize) {
+        assert!(
+            i0 + self.rows <= a.rows() && j0 + self.cols <= a.cols(),
+            "unpack_into out of range"
+        );
+        if self.cols == 0 {
+            return;
+        }
+        for (s, strip) in self.data.chunks_exact(self.cols * MR).enumerate() {
+            let r0 = s * MR;
+            let mr = (self.rows - r0).min(MR);
+            for (k, src) in strip.chunks_exact(MR).enumerate() {
+                a.col_mut(j0 + k)[i0 + r0..i0 + r0 + mr].copy_from_slice(&src[..mr]);
+            }
+        }
+    }
+
+    /// The tile as a plain column-major matrix.
+    pub fn unpack(&self) -> Matrix<f64> {
+        let mut tile = Matrix::zeros(self.rows, self.cols);
+        self.unpack_into(&mut tile, 0, 0);
+        tile
+    }
+}
+
+/// One `MR x NR` micro-tile of `C`, column-major (`acc[jj][ii]`).
+type Acc = [[f64; MR]; NR];
+
+/// The register-tiled micro-kernel, portable form: `acc (+|-)= a * b^T`
+/// over `kc` depth steps, where depth step `k` reads the `MR` values at
+/// `pa[k * MR..]` and the `NR` values at `pb[k * ldb..]`.  `SUB` selects
+/// `c - a * b` over `c + a * b`; `FUSED` contracts either into one FMA.
+/// The accumulator tile matches `C`'s layout, so the `ii` loop vectorizes
+/// over one contiguous register per column with `pb`'s element broadcast.
 #[inline(always)]
-fn micro_kernel_body<const FUSED: bool>(
+fn micro_kernel_body<const FUSED: bool, const SUB: bool>(
     kc: usize,
     pa: &[f64],
     pb: &[f64],
-    acc: &mut [[f64; MR]; NR],
+    ldb: usize,
+    acc: &mut Acc,
 ) {
-    for (av, bv) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)).take(kc) {
-        for (accj, &bkj) in acc.iter_mut().zip(bv) {
+    for (av, bv) in pa.chunks_exact(MR).zip(pb.chunks(ldb)).take(kc) {
+        for (accj, &bkj) in acc.iter_mut().zip(&bv[..NR]) {
             for (acc_e, &aik) in accj.iter_mut().zip(av) {
-                if FUSED {
-                    *acc_e = aik.mul_add(bkj, *acc_e);
-                } else {
-                    *acc_e += aik * bkj;
-                }
+                *acc_e = match (FUSED, SUB) {
+                    (true, false) => aik.mul_add(bkj, *acc_e),
+                    (true, true) => (-aik).mul_add(bkj, *acc_e),
+                    (false, false) => *acc_e + aik * bkj,
+                    (false, true) => *acc_e - aik * bkj,
+                };
             }
         }
     }
 }
 
-/// Hand-vectorized AVX-512 micro-kernels (LLVM keeps the generic body's
-/// accumulators in memory instead of registers, costing ~10x, so the
-/// hot variants are written with explicit intrinsics: the `C` tile is
-/// 16 accumulator `zmm` registers — two per column — with one broadcast
-/// of `pb` per column per depth step).  The strict variant multiplies
-/// and adds in two individually rounded instructions; the fused variant
-/// contracts them into one FMA.  Narrower machines fall back to the
-/// autovectorized generic body.
-///
-/// # Safety
-/// Caller must have verified the named features via
-/// `is_x86_feature_detected!`, and `pa`/`pb` must hold at least
-/// `kc * MR` / `kc * NR` elements.
+/// Hand-vectorized AVX-512 micro-kernel (LLVM keeps the generic body's
+/// accumulators in memory instead of registers, costing ~10x, so the hot
+/// variant is written with explicit intrinsics: the `C` tile is 16
+/// accumulator `zmm` registers — two per column — loaded from and stored
+/// to `C` itself, with one broadcast of `pb` per column per depth step).
+/// The strict variants multiply and add in two individually rounded
+/// instructions; the fused variants contract them into one FMA.  Narrower
+/// machines fall back to the autovectorized generic body.
 #[cfg(target_arch = "x86_64")]
 mod mk_x86 {
-    use super::{micro_kernel_body, MR, NR};
+    use super::{micro_kernel_body, Acc, MR, NR};
     use std::arch::x86_64::*;
 
+    /// `C (+|-)= a * b^T` on the full `MR x NR` micro-tile at `c`
+    /// (column `jj` at `c + jj * ldc`), operands as in
+    /// [`micro_kernel_body`].
+    ///
+    /// # Safety
+    /// Caller must have detected `avx512f` and `fma`; `pa` must hold
+    /// `kc * MR` elements, `pb` `(kc - 1) * ldb + NR`, and every column
+    /// `c + jj * ldc`, `jj < NR`, `MR` elements the caller may write.
     #[target_feature(enable = "avx512f,fma")]
-    pub unsafe fn fused_avx512(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; MR]; NR]) {
-        debug_assert!(pa.len() >= kc * MR && pb.len() >= kc * NR);
+    pub unsafe fn avx512<const FUSED: bool, const SUB: bool>(
+        kc: usize,
+        pa: *const f64,
+        pb: *const f64,
+        ldb: usize,
+        c: *mut f64,
+        ldc: usize,
+    ) {
         let mut lo = [_mm512_setzero_pd(); NR];
         let mut hi = [_mm512_setzero_pd(); NR];
         for (j, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
-            *l = _mm512_loadu_pd(acc[j].as_ptr());
-            *h = _mm512_loadu_pd(acc[j].as_ptr().add(8));
+            *l = _mm512_loadu_pd(c.add(j * ldc));
+            *h = _mm512_loadu_pd(c.add(j * ldc + 8));
         }
-        let mut pap = pa.as_ptr();
-        let mut pbp = pb.as_ptr();
+        let (mut pap, mut pbp) = (pa, pb);
         for _ in 0..kc {
             let va = _mm512_loadu_pd(pap);
             let vb = _mm512_loadu_pd(pap.add(8));
             for (j, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
                 let s = _mm512_set1_pd(*pbp.add(j));
-                *l = _mm512_fmadd_pd(va, s, *l);
-                *h = _mm512_fmadd_pd(vb, s, *h);
+                (*l, *h) = match (FUSED, SUB) {
+                    (true, false) => (_mm512_fmadd_pd(va, s, *l), _mm512_fmadd_pd(vb, s, *h)),
+                    (true, true) => (_mm512_fnmadd_pd(va, s, *l), _mm512_fnmadd_pd(vb, s, *h)),
+                    // Strict: separate multiply and add/subtract, each
+                    // rounded individually, exactly like the reference
+                    // kernel's `c + a * b` (of which `c - a * b` is the
+                    // `b -> -b` case bit for bit: negation is exact).
+                    (false, false) => (
+                        _mm512_add_pd(*l, _mm512_mul_pd(va, s)),
+                        _mm512_add_pd(*h, _mm512_mul_pd(vb, s)),
+                    ),
+                    (false, true) => (
+                        _mm512_sub_pd(*l, _mm512_mul_pd(va, s)),
+                        _mm512_sub_pd(*h, _mm512_mul_pd(vb, s)),
+                    ),
+                };
             }
             pap = pap.add(MR);
-            pbp = pbp.add(NR);
+            pbp = pbp.add(ldb);
         }
         for (j, (l, h)) in lo.iter().zip(hi.iter()).enumerate() {
-            _mm512_storeu_pd(acc[j].as_mut_ptr(), *l);
-            _mm512_storeu_pd(acc[j].as_mut_ptr().add(8), *h);
+            _mm512_storeu_pd(c.add(j * ldc), *l);
+            _mm512_storeu_pd(c.add(j * ldc + 8), *h);
         }
     }
 
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn strict_avx512(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; MR]; NR]) {
-        debug_assert!(pa.len() >= kc * MR && pb.len() >= kc * NR);
-        let mut lo = [_mm512_setzero_pd(); NR];
-        let mut hi = [_mm512_setzero_pd(); NR];
-        for (j, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
-            *l = _mm512_loadu_pd(acc[j].as_ptr());
-            *h = _mm512_loadu_pd(acc[j].as_ptr().add(8));
-        }
-        let mut pap = pa.as_ptr();
-        let mut pbp = pb.as_ptr();
-        for _ in 0..kc {
-            let va = _mm512_loadu_pd(pap);
-            let vb = _mm512_loadu_pd(pap.add(8));
-            for (j, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
-                let s = _mm512_set1_pd(*pbp.add(j));
-                // Separate multiply and add: each rounds individually,
-                // exactly like the reference kernel's `c + a * b`.
-                *l = _mm512_add_pd(*l, _mm512_mul_pd(va, s));
-                *h = _mm512_add_pd(*h, _mm512_mul_pd(vb, s));
-            }
-            pap = pap.add(MR);
-            pbp = pbp.add(NR);
-        }
-        for (j, (l, h)) in lo.iter().zip(hi.iter()).enumerate() {
-            _mm512_storeu_pd(acc[j].as_mut_ptr(), *l);
-            _mm512_storeu_pd(acc[j].as_mut_ptr().add(8), *h);
-        }
-    }
-
+    /// # Safety
+    /// Caller must have detected `avx`.
     #[target_feature(enable = "avx")]
-    pub unsafe fn strict_avx(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; MR]; NR]) {
-        micro_kernel_body::<false>(kc, pa, pb, acc);
+    pub unsafe fn strict_avx<const SUB: bool>(
+        kc: usize,
+        pa: &[f64],
+        pb: &[f64],
+        ldb: usize,
+        acc: &mut Acc,
+    ) {
+        micro_kernel_body::<false, SUB>(kc, pa, pb, ldb, acc);
     }
 
+    /// # Safety
+    /// Caller must have detected `avx2` and `fma`.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn fused_avx2(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; MR]; NR]) {
-        micro_kernel_body::<true>(kc, pa, pb, acc);
+    pub unsafe fn fused_avx2<const SUB: bool>(
+        kc: usize,
+        pa: &[f64],
+        pb: &[f64],
+        ldb: usize,
+        acc: &mut Acc,
+    ) {
+        micro_kernel_body::<true, SUB>(kc, pa, pb, ldb, acc);
     }
 }
 
-#[inline]
-fn run_micro_kernel(mode: Mode, kc: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; MR]; NR]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::is_x86_feature_detected as det;
-        // SAFETY: each variant is called only after detecting its features.
-        unsafe {
-            if mode == Mode::Fused && det!("fma") {
-                if det!("avx512f") {
-                    return mk_x86::fused_avx512(kc, pa, pb, acc);
+/// The `kc`-deep operands of one micro-tile: an `MR`-row strip of `A`
+/// (depth step `k` at `pa[k * MR..]`) and `NR` rows of `B` (depth step
+/// `k` at `pb[k * ldb..]`).
+#[derive(Clone, Copy)]
+struct Strips<'a> {
+    kc: usize,
+    pa: &'a [f64],
+    pb: &'a [f64],
+    ldb: usize,
+}
+
+impl Strips<'_> {
+    /// The lengths every micro-kernel variant reads.
+    #[inline]
+    fn check(&self) {
+        assert!(
+            self.pa.len() >= self.kc * MR
+                && (self.kc == 0 || self.pb.len() >= (self.kc - 1) * self.ldb + NR),
+            "micro-kernel operands shorter than their depth"
+        );
+    }
+
+    /// Run the in-register AVX-512 kernel on the `MR x NR` tile at `c`,
+    /// if this machine has it; `false` means nothing was done.
+    ///
+    /// # Safety
+    /// [`check`](Self::check) passed, and every column `c + jj * ldc`,
+    /// `jj < NR`, is `MR` elements the caller may write.
+    #[inline]
+    unsafe fn run_avx512<const SUB: bool>(&self, mode: Mode, c: *mut f64, ldc: usize) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as det;
+            if det!("avx512f") && det!("fma") {
+                let Strips { kc, pa, pb, ldb } = *self;
+                let (pa, pb) = (pa.as_ptr(), pb.as_ptr());
+                // SAFETY: features detected; the rest is the caller's.
+                unsafe {
+                    match mode {
+                        Mode::Fused => mk_x86::avx512::<true, SUB>(kc, pa, pb, ldb, c, ldc),
+                        Mode::Strict => mk_x86::avx512::<false, SUB>(kc, pa, pb, ldb, c, ldc),
+                    }
                 }
-                if det!("avx2") {
-                    return mk_x86::fused_avx2(kc, pa, pb, acc);
-                }
-            }
-            if det!("avx512f") {
-                return mk_x86::strict_avx512(kc, pa, pb, acc);
-            }
-            if det!("avx") {
-                return mk_x86::strict_avx(kc, pa, pb, acc);
+                return true;
             }
         }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (mode, c, ldc);
+        false
     }
-    micro_kernel_body::<false>(kc, pa, pb, acc);
+
+    /// `acc (+|-)= a * b^T` on a micro-tile held in a stack array — the
+    /// path of ragged and diagonal edge tiles, whose `C` cells are not a
+    /// full `MR x NR` rectangle.
+    #[inline]
+    fn run_on_acc<const SUB: bool>(&self, mode: Mode, acc: &mut Acc) {
+        self.check();
+        // SAFETY: lengths checked; `acc` is a full tile with leading
+        // dimension MR.
+        if unsafe { self.run_avx512::<SUB>(mode, acc.as_mut_ptr().cast(), MR) } {
+            return;
+        }
+        let Strips { kc, pa, pb, ldb } = *self;
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as det;
+            // SAFETY: each variant is called only after detecting its features.
+            unsafe {
+                if mode == Mode::Fused && det!("fma") && det!("avx2") {
+                    return mk_x86::fused_avx2::<SUB>(kc, pa, pb, ldb, acc);
+                }
+                if det!("avx") {
+                    return mk_x86::strict_avx::<SUB>(kc, pa, pb, ldb, acc);
+                }
+            }
+        }
+        micro_kernel_body::<false, SUB>(kc, pa, pb, ldb, acc);
+    }
+
+    /// `C (+|-)= a * b^T` on a full `MR x NR` micro-tile of `C` itself:
+    /// the accumulators are loaded from and stored to `C` directly, so a
+    /// full tile never bounces through the stack.
+    ///
+    /// # Safety
+    /// Every column `c + jj * ldc`, `jj < NR`, must be `MR` elements the
+    /// caller owns exclusively.
+    #[inline]
+    unsafe fn run_in_place<const SUB: bool>(&self, mode: Mode, c: *mut f64, ldc: usize) {
+        self.check();
+        // SAFETY: lengths checked; the tile is the caller's.
+        if unsafe { self.run_avx512::<SUB>(mode, c, ldc) } {
+            return;
+        }
+        let mut acc = [[0.0f64; MR]; NR];
+        for (jj, accj) in acc.iter_mut().enumerate() {
+            // SAFETY: column jj of the caller's tile.
+            accj.copy_from_slice(unsafe { std::slice::from_raw_parts(c.add(jj * ldc), MR) });
+        }
+        self.run_on_acc::<SUB>(mode, &mut acc);
+        for (jj, accj) in acc.iter().enumerate() {
+            // SAFETY: column jj of the caller's tile.
+            unsafe { std::slice::from_raw_parts_mut(c.add(jj * ldc), MR) }.copy_from_slice(accj);
+        }
+    }
 }
 
 /// Shared mutable view of an output region for pool execution.
@@ -508,7 +718,7 @@ fn gemm_blocked(
                     pack_a(&mut pack.pa, a, a_row0, ic, mc, pc, kc);
                     // SAFETY: task `t` owns rows ic..ic+mc of columns
                     // jc..jc+nc of C exclusively within this par_for.
-                    macro_tile(out, ldc, ic, jc, mc, nc, kc, &pack.pa, &pack.pb, diag, mode);
+                    macro_tile::<false>(out, ldc, ic, jc, mc, nc, kc, &pack.pa, &pack.pb, NR, diag, mode);
                 });
             });
         }
@@ -531,7 +741,7 @@ fn gemm_blocked(
                     }
                     pack_a(&mut pack.pa, a, a_row0, ic, mc, pc, kc);
                     // SAFETY: single task — the whole region is owned.
-                    macro_tile(out, ldc, ic, jc, mc, nc, kc, &pack.pa, &pack.pb, diag, mode);
+                    macro_tile::<false>(out, ldc, ic, jc, mc, nc, kc, &pack.pa, &pack.pb, NR, diag, mode);
                 }
             }
         }
@@ -539,13 +749,22 @@ fn gemm_blocked(
 }
 
 /// Multiply one packed `A` block against one packed `B` block, micro-tile
-/// by micro-tile: load the `C` tile, accumulate `kc` steps, store it back.
+/// by micro-tile: `C (+|-)= A * B^T` with the accumulators living in `C`.
+///
+/// `pa` holds `MR`-row strips.  `pb` holds `NR`-row strips `kc * ldb`
+/// apart in groups of `ldb / NR`: `ldb == NR` is [`pack_b`]'s layout,
+/// `ldb == MR` reads a [`PackedTile`] as `B` — its `MR`-row strip is two
+/// `NR`-row strips side by side.
+///
+/// A full micro-tile on or below the diagonal runs in place; a ragged or
+/// diagonal-crossing one bounces through a stack array and stores back
+/// only its live cells.
 ///
 /// `c` is the shared output view; the caller owns rows `ic..ic+mc` of
 /// columns `jc..jc+nc` exclusively (see [`COut`]), which is exactly the
 /// range this touches.
 #[allow(clippy::too_many_arguments)]
-fn macro_tile(
+fn macro_tile<const SUB: bool>(
     c: COut,
     ldc: usize,
     ic: usize,
@@ -555,13 +774,20 @@ fn macro_tile(
     kc: usize,
     pa: &[f64],
     pb: &[f64],
+    ldb: usize,
     diag: Option<i64>,
     mode: Mode,
 ) {
+    // Memory safety of the in-place tiles below rests on this.
+    assert!(
+        (jc + nc - 1) * ldc + ic + mc <= c.len,
+        "macro-tile outside its output region"
+    );
+    let group = ldb / NR;
     for jr in 0..nc.div_ceil(NR) {
         let j0 = jc + jr * NR;
         let nr = (nc - jr * NR).min(NR);
-        let pb_strip = &pb[jr * kc * NR..(jr + 1) * kc * NR];
+        let pb_strip = &pb[(jr / group) * kc * ldb + (jr % group) * NR..];
         for ir in 0..mc.div_ceil(MR) {
             let i0 = ic + ir * MR;
             let mr = (mc - ir * MR).min(MR);
@@ -571,7 +797,19 @@ fn macro_tile(
                     continue;
                 }
             }
-            let pa_strip = &pa[ir * kc * MR..(ir + 1) * kc * MR];
+            let strips = Strips {
+                kc,
+                pa: &pa[ir * kc * MR..(ir + 1) * kc * MR],
+                pb: pb_strip,
+                ldb,
+            };
+            let below_diag = diag.is_none_or(|d| i0 as i64 + d >= (j0 + nr - 1) as i64);
+            if mr == MR && nr == NR && below_diag {
+                // SAFETY: a full tile inside the caller's owned range
+                // (asserted above), which no other task touches.
+                unsafe { strips.run_in_place::<SUB>(mode, c.ptr.add(j0 * ldc + i0), ldc) };
+                continue;
+            }
             let mut acc = [[0.0f64; MR]; NR];
             // Load C (the accumulators continue C's running sum, keeping
             // the per-element operation sequence of the reference loop).
@@ -580,7 +818,7 @@ fn macro_tile(
                 let col = unsafe { c.col_segment(ldc, i0, j0 + jj, mr) };
                 accj[..mr].copy_from_slice(col);
             }
-            run_micro_kernel(mode, kc, pa_strip, pb_strip, &mut acc);
+            strips.run_on_acc::<SUB>(mode, &mut acc);
             // Store back, masking cells above the diagonal.
             for (jj, accj) in acc.iter().enumerate().take(nr) {
                 // SAFETY: inside the caller's owned tile.
@@ -706,6 +944,19 @@ fn gemm_nt_impl(c: &mut Matrix<f64>, alpha: f64, a: &Matrix<f64>, b: &Matrix<f64
         None,
         mode,
     );
+}
+
+fn gemm_nt_packed_impl(c: &mut Matrix<f64>, a: &PackedTile, b: &PackedTile, mode: Mode) {
+    assert_eq!(a.cols, b.cols, "gemm_nt_packed: inner dimensions");
+    assert_eq!(c.rows(), a.rows, "gemm_nt_packed: C rows");
+    assert_eq!(c.cols(), b.rows, "gemm_nt_packed: C cols");
+    let (m, n, kdim) = (a.rows, b.rows, a.cols);
+    if m == 0 || n == 0 || kdim == 0 {
+        return;
+    }
+    // Single task: all of C is the macro-tile's owned range.
+    let out = COut::new(c.as_mut_slice());
+    macro_tile::<true>(out, m, 0, 0, m, n, kdim, &a.data, &b.data, MR, None, mode);
 }
 
 fn syrk_lower_impl(c: &mut Matrix<f64>, a: &Matrix<f64>, mode: Mode) {
@@ -1007,6 +1258,14 @@ pub fn gemm_nt(c: &mut Matrix<f64>, alpha: f64, a: &Matrix<f64>, b: &Matrix<f64>
     gemm_nt_impl(c, alpha, a, b, Mode::Strict);
 }
 
+/// `C <- C - A * B^T` over packed operands, bit-identical to
+/// [`gemm_nt`]`(c, -1.0, a, b)` on the tiles they were packed from (and so
+/// to the reference): `c - a * b` is `c + a * (-1.0 * b)` operation for
+/// operation, since negation is exact.
+pub fn gemm_nt_packed(c: &mut Matrix<f64>, a: &PackedTile, b: &PackedTile) {
+    gemm_nt_packed_impl(c, a, b, Mode::Strict);
+}
+
 /// Lower-triangle `C <- C - A * A^T`, bit-identical to
 /// [`crate::kernels::syrk_lower`] (the strict upper triangle of `C` is
 /// neither read for accumulation nor written).
@@ -1047,8 +1306,8 @@ pub fn potf2(a: &mut Matrix<f64>) -> Result<(), MatrixError> {
 /// [`KernelImpl::Fast`]: crate::engine::KernelImpl::Fast
 pub mod fused {
     use super::{
-        gemm_nn_impl, gemm_nt_impl, potf2_impl, syrk_lower_impl,
-        trsm_right_lower_transpose_impl, Matrix, MatrixError, Mode,
+        gemm_nn_impl, gemm_nt_impl, gemm_nt_packed_impl, potf2_impl, syrk_lower_impl,
+        trsm_right_lower_transpose_impl, Matrix, MatrixError, Mode, PackedTile,
     };
 
     /// `C <- C + alpha * A * B` (FMA-contracted [`super::gemm_nn`]).
@@ -1059,6 +1318,13 @@ pub mod fused {
     /// `C <- C + alpha * A * B^T` (FMA-contracted [`super::gemm_nt`]).
     pub fn gemm_nt(c: &mut Matrix<f64>, alpha: f64, a: &Matrix<f64>, b: &Matrix<f64>) {
         gemm_nt_impl(c, alpha, a, b, Mode::Fused);
+    }
+
+    /// `C <- C - A * B^T` over packed operands (FMA-contracted
+    /// [`super::gemm_nt_packed`]; the same bits as this module's
+    /// [`gemm_nt`]`(c, -1.0, a, b)`: `fnmadd(a, b, c)` is `fma(a, -b, c)`).
+    pub fn gemm_nt_packed(c: &mut Matrix<f64>, a: &PackedTile, b: &PackedTile) {
+        gemm_nt_packed_impl(c, a, b, Mode::Fused);
     }
 
     /// Lower-triangle `C <- C - A * A^T` (FMA-contracted
@@ -1132,6 +1398,42 @@ mod tests {
             kernels::gemm_nt(&mut c1, -1.0, &a, &b);
             gemm_nt(&mut c2, -1.0, &a, &b);
             assert_eq!(c1, c2, "{m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn portable_micro_kernel_matches_the_dispatched_one_in_every_variant() {
+        // On an AVX-512 host this holds the hand-written kernel to the
+        // portable body; elsewhere the two are the same code.
+        fn check<const FUSED: bool, const SUB: bool>(mode: Mode) {
+            for (kc, ldb) in [(0usize, NR), (1, NR), (37, NR), (1, MR), (37, MR)] {
+                let pa = random_matrix(kc * MR, 1, 31);
+                let pb = random_matrix(kc * ldb, 1, 32);
+                // The high half of an MR-row strip when ldb == MR.
+                let pb = &pb.as_slice()[ldb - NR..];
+                let init = random_matrix(MR, NR, 33);
+                let mut want = [[0.0; MR]; NR];
+                for (j, col) in want.iter_mut().enumerate() {
+                    col.copy_from_slice(init.col(j));
+                }
+                let mut got = want;
+                micro_kernel_body::<FUSED, SUB>(kc, pa.as_slice(), pb, ldb, &mut want);
+                let strips = Strips { kc, pa: pa.as_slice(), pb, ldb };
+                strips.run_on_acc::<SUB>(mode, &mut got);
+                assert_eq!(
+                    got.map(|c| c.map(f64::to_bits)),
+                    want.map(|c| c.map(f64::to_bits)),
+                    "fused={FUSED} sub={SUB} kc={kc} ldb={ldb}"
+                );
+            }
+        }
+        check::<false, false>(Mode::Strict);
+        check::<false, true>(Mode::Strict);
+        // Without hardware FMA the fused mode runs the strict kernels.
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("fma") && std::arch::is_x86_feature_detected!("avx2") {
+            check::<true, false>(Mode::Fused);
+            check::<true, true>(Mode::Fused);
         }
     }
 

@@ -47,7 +47,8 @@ pub mod tri;
 pub use abft::{verify_and_heal, AbftMatrix, AbftStats, TileChecksum, TileHealth};
 pub use dense::Matrix;
 pub use digest::{lower_digest, matrix_digest, slice_digest};
-pub use engine::KernelImpl;
+pub use engine::{KernelImpl, Operand};
 pub use error::MatrixError;
 pub use kernels_fast::batch::{BatchMode, BatchPack};
+pub use kernels_fast::PackedTile;
 pub use scalar::Scalar;

@@ -11,7 +11,10 @@
 //!   diagonal tile held across the panel solves, the column operand of a
 //!   trailing update fetched once per block column;
 //! * **the arithmetic** ([`apply`]) — the one place a [`TileOp`] becomes a
-//!   kernel call and a tile-local `NotSpd` pivot becomes a global one;
+//!   kernel call and a tile-local `NotSpd` pivot becomes a global one —
+//!   with [`Arithmetic`], the walk's form of it, which packs the column
+//!   operand the walk holds once per block column instead of once per
+//!   update;
 //! * **the DAG** ([`TileOp::dep_count`], [`TileOp::for_each_successor`],
 //!   [`TileOp::flops`] and the flat task-id coding) — the same ops as a
 //!   dependence graph, for the work-stealing executor and its scheduler
@@ -28,8 +31,9 @@
 //! observes the schedule without running it.
 
 use crate::dense::Matrix;
-use crate::engine::KernelImpl;
+use crate::engine::{KernelImpl, Operand};
 use crate::error::MatrixError;
+use crate::kernels_fast::PackedTile;
 use crate::scalar::Scalar;
 use std::ops::Range;
 
@@ -289,13 +293,15 @@ where
 /// Tiles may be ragged (their live size) or zero-padded to `b x b` (the
 /// on-disk format): only the factor of a padded last diagonal tile has to
 /// tell the two apart, and works on the live leading block.  A failing
-/// pivot is reported in whole-matrix coordinates.
+/// pivot is reported in whole-matrix coordinates.  The operands of an
+/// update may be packed (see [`KernelImpl::packs_tiles`]); the bits are
+/// the same.
 pub fn apply<S: Scalar>(
     op: TileOp,
     kernel: KernelImpl,
     grid: TileGrid,
     target: &mut Matrix<S>,
-    operands: &[&Matrix<S>],
+    operands: &[Operand<'_, S>],
 ) -> Result<(), MatrixError> {
     match (op, operands) {
         (TileOp::Factor { k }, []) => {
@@ -316,19 +322,78 @@ pub fn apply<S: Scalar>(
                 other => other,
             })
         }
-        (TileOp::Solve { .. }, [diag]) => {
+        (TileOp::Solve { .. }, [Operand::Plain(diag)]) => {
             kernel.trsm_right_lower_transpose(target, diag);
             Ok(())
         }
         (TileOp::Update { .. }, [li, lj]) => {
-            kernel.gemm_nt(target, -S::one(), li, lj);
+            kernel.update(target, *li, *lj);
             Ok(())
         }
         _ => unreachable!("{op:?} handed {} operand tile(s)", operands.len()),
     }
 }
 
-/// Factor `panels` over a store of real tiles: [`walk`] with [`apply`].
+/// [`apply`] as the sequential [`walk`] calls it, plus what it keeps
+/// between calls: under an engine that [packs](KernelImpl::packs_tiles)
+/// this grid's tiles, the column operand `L(j, k)` the walk holds across
+/// the updates of block column `j` is packed when that column starts and
+/// reused for every update in it, and the row operand is packed into a
+/// second reused buffer.  Both are scratch beside the walk's
+/// [`WORKING_SET`], like the kernels' own packing buffers.
+pub struct Arithmetic {
+    kernel: KernelImpl,
+    grid: TileGrid,
+    /// `(j, k)` of the column operand `lj` holds.
+    held: Option<(usize, usize)>,
+    lj: PackedTile,
+    li: PackedTile,
+}
+
+impl Arithmetic {
+    /// The arithmetic of one walk over `grid` with `kernel`.
+    pub fn new(kernel: KernelImpl, grid: TileGrid) -> Self {
+        Arithmetic {
+            kernel,
+            grid,
+            held: None,
+            lj: PackedTile::default(),
+            li: PackedTile::default(),
+        }
+    }
+
+    /// Perform `op` on `target`; `operands` as [`walk`] hands them over.
+    pub fn apply<S: Scalar>(
+        &mut self,
+        op: TileOp,
+        target: &mut Matrix<S>,
+        operands: &[&Matrix<S>],
+    ) -> Result<(), MatrixError> {
+        let Arithmetic { kernel, grid, .. } = *self;
+        match (op, operands) {
+            (TileOp::Update { j, k, .. }, [li, lj]) if kernel.packs_tiles::<S>(grid.b) => {
+                // The walk runs the updates of block column j back to
+                // back, and L(j, k) is final: pack it on the first.
+                if self.held != Some((j, k)) {
+                    kernel.pack_tile(lj, &mut self.lj);
+                    self.held = Some((j, k));
+                }
+                kernel.pack_tile(li, &mut self.li);
+                let packed = [Operand::Packed(&self.li), Operand::Packed(&self.lj)];
+                apply(op, kernel, grid, target, &packed)
+            }
+            (_, []) => apply(op, kernel, grid, target, &[]),
+            (_, [a]) => apply(op, kernel, grid, target, &[Operand::Plain(a)]),
+            (_, [a, b]) => {
+                apply(op, kernel, grid, target, &[Operand::Plain(a), Operand::Plain(b)])
+            }
+            _ => unreachable!("{op:?} handed {} operand tile(s)", operands.len()),
+        }
+    }
+}
+
+/// Factor `panels` over a store of real tiles: [`walk`] with
+/// [`Arithmetic`].
 pub fn factor<S, St>(
     store: &mut St,
     grid: TileGrid,
@@ -340,8 +405,9 @@ where
     St: TileStore<Tile = Matrix<S>>,
     St::Error: From<MatrixError>,
 {
+    let mut arith = Arithmetic::new(kernel, grid);
     walk(store, grid.nb(), panels, |op, target, operands| {
-        apply(op, kernel, grid, target, operands).map_err(St::Error::from)
+        arith.apply(op, target, operands).map_err(St::Error::from)
     })
 }
 
@@ -380,17 +446,13 @@ impl<S: Scalar> MemTiles<S> {
     /// Write the tiles back over the lower triangle of `a` and zero its
     /// strict upper triangle.
     pub fn write_back(&self, a: &mut Matrix<S>) {
-        let TileGrid { n, b } = self.grid;
+        let b = self.grid.b;
         for bi in 0..self.grid.nb() {
             for bj in 0..=bi {
                 a.set_submatrix(bi * b, bj * b, &self.tiles[tile_idx(bi, bj)]);
             }
         }
-        for j in 0..n {
-            for i in 0..j {
-                a[(i, j)] = S::zero();
-            }
-        }
+        a.zero_strict_upper();
     }
 }
 
@@ -504,6 +566,34 @@ mod tests {
             apply(TileOp::Factor { k }, KernelImpl::Reference, grid, &mut exact, &[]).unwrap();
             apply(TileOp::Factor { k }, KernelImpl::Reference, grid, &mut padded, &[]).unwrap();
             assert_eq!(padded.submatrix(0, 0, live, live), exact);
+        }
+    }
+
+    #[test]
+    fn mem_tiles_cut_and_write_back_move_exactly_the_lower_tiles() {
+        for (n, b) in [(1usize, 1usize), (7, 3), (21, 8), (24, 8), (5, 16), (37, 16)] {
+            let a = Matrix::<f64>::from_fn(n, n, |i, j| (1 + i + 100 * j) as f64);
+            let tiles = MemTiles::from_matrix(&a, b).unwrap();
+            let grid = tiles.grid;
+            assert_eq!(tiles.tiles.len(), tile_idx(grid.nb(), 0));
+            for (t, tile) in tiles.tiles.iter().enumerate() {
+                let (bi, bj) = tile_coords(t);
+                let want = Matrix::from_fn(grid.dim(bi), grid.dim(bj), |i, j| {
+                    a[(bi * b + i, bj * b + j)]
+                });
+                assert_eq!(tile, &want, "n={n} b={b} tile ({bi},{bj})");
+            }
+
+            // Written back over other contents: lower tiles restored, the
+            // strict upper triangle zeroed, element by element.
+            let mut back = Matrix::from_fn(n, n, |_, _| -1.0);
+            tiles.write_back(&mut back);
+            for j in 0..n {
+                for i in 0..n {
+                    let want = if i < j { 0.0 } else { a[(i, j)] };
+                    assert_eq!(back[(i, j)], want, "n={n} b={b} ({i},{j})");
+                }
+            }
         }
     }
 }

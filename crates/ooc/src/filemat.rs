@@ -41,6 +41,10 @@ pub struct FileMatrix {
     stats: IoStats,
     persist: bool,
     latency: crate::backend::LatencyModel,
+    /// One tile of little-endian bytes: what a transfer moves, kept so a
+    /// tile is converted to or from matrix storage once, with no other
+    /// copy and no allocation per transfer.
+    bytes: Vec<u8>,
 }
 
 impl FileMatrix {
@@ -69,19 +73,17 @@ impl FileMatrix {
             stats: IoStats::default(),
             persist: false,
             latency: crate::backend::LatencyModel::none(),
+            bytes: vec![0; b * b * 8],
         };
         // Initial population is not charged (the paper assumes the input
         // starts in slow memory).
         for bj in 0..nb {
             for bi in 0..nb {
-                let tile = Matrix::from_fn(b, b, |i, j| {
-                    let (gi, gj) = (bi * b + i, bj * b + j);
-                    if gi < n && gj < n {
-                        a[(gi, gj)]
-                    } else {
-                        0.0
-                    }
-                });
+                let (h, w) = (fm.live(bi), fm.live(bj));
+                let mut tile = Matrix::zeros(b, b);
+                for j in 0..w {
+                    tile.col_mut(j)[..h].copy_from_slice(&a.col(bj * b + j)[bi * b..bi * b + h]);
+                }
                 fm.write_tile_uncounted(bi, bj, &tile)?;
             }
         }
@@ -125,6 +127,7 @@ impl FileMatrix {
             // to recover (even if it fails and drops early).
             persist: true,
             latency: crate::backend::LatencyModel::none(),
+            bytes: vec![0; b * b * 8],
         })
     }
 
@@ -186,6 +189,11 @@ impl FileMatrix {
         self.file.sync_data()
     }
 
+    /// Live (unpadded) rows, equally columns, of tile row `t`.
+    fn live(&self, t: usize) -> usize {
+        (self.n - t * self.b).min(self.b)
+    }
+
     fn tile_offset(&self, bi: usize, bj: usize) -> u64 {
         debug_assert!(bi < self.nb && bj < self.nb);
         let per_tile = (self.b * self.b * 8) as u64;
@@ -211,18 +219,17 @@ impl FileMatrix {
     pub fn read_tile(&mut self, bi: usize, bj: usize) -> std::io::Result<Matrix<f64>> {
         let off = self.tile_offset(bi, bj);
         self.seek_to(off)?;
-        let bytes = self.b * self.b * 8;
-        let mut buf = vec![0u8; bytes];
-        self.file.read_exact(&mut buf)?;
-        self.cursor += bytes as u64;
-        self.stats.bytes_read += bytes as u64;
+        self.file.read_exact(&mut self.bytes)?;
+        let bytes = self.bytes.len() as u64;
+        self.cursor += bytes;
+        self.stats.bytes_read += bytes;
         self.stats.reads += 1;
-        let vals: Vec<f64> = buf
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect();
-        let b = self.b;
-        Ok(Matrix::from_fn(b, b, |i, j| vals[i + j * b]))
+        // The file holds the tile column-major, as the matrix does.
+        let mut tile = Matrix::zeros(self.b, self.b);
+        for (v, le) in tile.as_mut_slice().iter_mut().zip(self.bytes.chunks_exact(8)) {
+            *v = f64::from_le_bytes(le.try_into().expect("8-byte chunk"));
+        }
+        Ok(tile)
     }
 
     /// Write tile `(bi, bj)` to disk (one contiguous transfer).
@@ -244,14 +251,11 @@ impl FileMatrix {
         assert_eq!(tile.cols(), self.b);
         let off = self.tile_offset(bi, bj);
         self.seek_to(off)?;
-        let mut buf = Vec::with_capacity(self.b * self.b * 8);
-        for j in 0..self.b {
-            for i in 0..self.b {
-                buf.extend_from_slice(&tile[(i, j)].to_le_bytes());
-            }
+        for (le, v) in self.bytes.chunks_exact_mut(8).zip(tile.as_slice()) {
+            le.copy_from_slice(&v.to_le_bytes());
         }
-        self.file.write_all(&buf)?;
-        self.cursor += buf.len() as u64;
+        self.file.write_all(&self.bytes)?;
+        self.cursor += self.bytes.len() as u64;
         Ok(())
     }
 
@@ -262,13 +266,9 @@ impl FileMatrix {
         for bj in 0..self.nb {
             for bi in 0..self.nb {
                 let t = self.read_tile(bi, bj)?;
-                for j in 0..self.b {
-                    for i in 0..self.b {
-                        let (gi, gj) = (bi * self.b + i, bj * self.b + j);
-                        if gi < self.n && gj < self.n {
-                            out[(gi, gj)] = t[(i, j)];
-                        }
-                    }
+                let (b, h, w) = (self.b, self.live(bi), self.live(bj));
+                for j in 0..w {
+                    out.col_mut(bj * b + j)[bi * b..bi * b + h].copy_from_slice(&t.col(j)[..h]);
                 }
             }
         }

@@ -14,15 +14,23 @@
 //! overlap trailing updates of step `k`; no worker ever waits at a
 //! barrier.
 //!
+//! **Pack once, update many.**  A solved panel tile `L(i, k)` is final
+//! and is read by up to `nb - k` updates.  Under an engine that
+//! [packs](KernelImpl::packs_tiles) this grid's tiles, `SOLVE(i, k)`
+//! ends by replacing the tile with its packed form — the layout the
+//! update micro-kernel streams — so no update re-packs an operand, and
+//! the store holds each tile once, in whichever form its next reader
+//! wants (diagonal tiles stay plain: only `trsm` reads them).  The
+//! write-back unpacks.
+//!
 //! **Bit-identity.**  Each tile `(i, j)` receives exactly the same kernel
 //! calls in exactly the same order as under the sequential walk
-//! (ascending-`k` `gemm_nt` updates, then its final `trsm`/`potf2`,
-//! all through the one [`schedule::apply`]), and every operand tile is
-//! read only after it is fully factored.  Per-element arithmetic is
-//! therefore identical operation-for-operation, so the DAG schedule is
-//! *bitwise* equal to the walk over in-memory tiles — for every kernel
-//! engine, at every thread count, under every steal order.  The tests
-//! pin this down.
+//! (ascending-`k` updates, then its final `trsm`/`potf2`, all through the
+//! one [`schedule::apply`]), and every operand tile is read only after it
+//! is fully factored.  Per-element arithmetic is therefore identical
+//! operation-for-operation, so the DAG schedule is *bitwise* equal to the
+//! walk over in-memory tiles — for every kernel engine, at every thread
+//! count, under every steal order.  The tests pin this down.
 //!
 //! **Model.**  [`simulate`] runs a deterministic greedy list scheduler over
 //! the same DAG (the successor/dependency functions are the schedule's,
@@ -38,8 +46,24 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use cholcomm_matrix::schedule::{self, tile_idx, MemTiles, TileGrid, TileOp};
-use cholcomm_matrix::{KernelImpl, Matrix, MatrixError};
+use cholcomm_matrix::schedule::{self, tile_coords, tile_idx, MemTiles, TileGrid, TileOp};
+use cholcomm_matrix::{KernelImpl, Matrix, MatrixError, Operand, PackedTile};
+
+/// A tile of the in-flight factorization: plain while it is still
+/// written, packed once it is a final panel tile under a packing engine.
+enum Tile {
+    Plain(Matrix<f64>),
+    Packed(PackedTile),
+}
+
+impl Tile {
+    fn operand(&self) -> Operand<'_, f64> {
+        match self {
+            Tile::Plain(t) => Operand::Plain(t),
+            Tile::Packed(t) => Operand::Packed(t),
+        }
+    }
+}
 
 /// Shared-by-reference tile storage for the in-flight factorization.
 ///
@@ -49,7 +73,7 @@ use cholcomm_matrix::{KernelImpl, Matrix, MatrixError};
 /// dependency), so the `&mut`/`&` pairs handed out below never alias a
 /// concurrent writer.
 struct Tiles {
-    cells: Vec<UnsafeCell<Matrix<f64>>>,
+    cells: Vec<UnsafeCell<Tile>>,
 }
 
 // SAFETY: cross-thread access is disjoint by the DAG argument above.
@@ -61,7 +85,7 @@ impl Tiles {
     /// # Safety
     /// The caller must be the unique in-flight task of tile `t`.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn tile_mut(&self, t: usize) -> &mut Matrix<f64> {
+    unsafe fn tile_mut(&self, t: usize) -> &mut Tile {
         &mut *self.cells[t].get()
     }
 
@@ -70,8 +94,8 @@ impl Tiles {
     /// # Safety
     /// Tile `t`'s final task must be a (transitive) dependency of the
     /// caller, so no writer is concurrent.
-    unsafe fn tile(&self, t: usize) -> &Matrix<f64> {
-        &*self.cells[t].get()
+    unsafe fn tile(&self, t: usize) -> Operand<'_, f64> {
+        (*self.cells[t].get()).operand()
     }
 }
 
@@ -104,7 +128,10 @@ fn run_task<'s>(ctx: &'s Ctx, s: &rayon::Scope<'s>, op: TileOp) {
     let (bi, bj) = op.target();
     // SAFETY: the ops of a tile are chained and this one's predecessors
     // are done, so (bi, bj) is exclusively ours.
-    let target = unsafe { ctx.tiles.tile_mut(tile_idx(bi, bj)) };
+    let tile = unsafe { ctx.tiles.tile_mut(tile_idx(bi, bj)) };
+    let Tile::Plain(target) = tile else {
+        unreachable!("{op:?} writes a tile that was already packed as final");
+    };
     let done = match op {
         TileOp::Factor { .. } => schedule::apply(op, ctx.kernel, ctx.grid, target, &[]),
         TileOp::Solve { k, .. } => {
@@ -120,6 +147,13 @@ fn run_task<'s>(ctx: &'s Ctx, s: &rayon::Scope<'s>, op: TileOp) {
             schedule::apply(op, ctx.kernel, ctx.grid, target, &[li, lj])
         }
     };
+    let packs = ctx.kernel.packs_tiles::<f64>(ctx.grid.b);
+    if done.is_ok() && matches!(op, TileOp::Solve { .. }) && packs {
+        // The tile is final and every reader from here on is an update:
+        // keep only the form they consume.
+        let plain = std::mem::replace(target, Matrix::zeros(0, 0));
+        *tile = Tile::Packed(PackedTile::replacing(plain));
+    }
     if let Err(e) = done {
         let mut slot = ctx.error.lock().expect("error mutex poisoned");
         slot.get_or_insert(e);
@@ -149,7 +183,10 @@ pub fn potrf_dag_with(
 
     let ctx = Ctx {
         tiles: Tiles {
-            cells: tiles.into_iter().map(UnsafeCell::new).collect(),
+            cells: tiles
+                .into_iter()
+                .map(|t| UnsafeCell::new(Tile::Plain(t)))
+                .collect(),
         },
         deps: (0..TileOp::id_space(nb))
             .map(|id| AtomicUsize::new(TileOp::from_id(nb, id).map_or(0, TileOp::dep_count)))
@@ -170,12 +207,14 @@ pub fn potrf_dag_with(
         return Err(err);
     }
 
-    let tiles = ctx.tiles.cells.into_iter().map(UnsafeCell::into_inner);
-    MemTiles {
-        grid,
-        tiles: tiles.collect(),
+    for (t, cell) in ctx.tiles.cells.into_iter().enumerate() {
+        let (bi, bj) = tile_coords(t);
+        match cell.into_inner() {
+            Tile::Plain(tile) => a.set_submatrix(bi * b, bj * b, &tile),
+            Tile::Packed(tile) => tile.unpack_into(a, bi * b, bj * b),
+        }
     }
-    .write_back(a);
+    a.zero_strict_upper();
     Ok(())
 }
 
@@ -302,7 +341,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cholcomm_matrix::{matrix_digest, norms, spd};
+    use cholcomm_matrix::{lower_digest, matrix_digest, norms, spd};
 
     fn engines() -> [KernelImpl; 3] {
         [
@@ -331,8 +370,10 @@ mod tests {
 
     #[test]
     fn dag_is_bitwise_equal_to_the_sequential_walk_at_every_pool_size() {
-        // Ragged n, a single tile (b > n), and b=4 many-tiny-tiles stress
-        // ride along with the square cases.
+        // Ragged n (against the tile size and against the 16-row strips of
+        // the packed layout), a single tile (b > n), b=4 many-tiny-tiles
+        // stress, tiles of exactly one packed block (b=128) and past it
+        // (b=136) ride along with the square cases.
         let cases = [
             (1usize, 1usize),
             (8, 3),
@@ -342,14 +383,29 @@ mod tests {
             (33, 7),
             (8, 16),
             (64, 4),
+            (50, 4),
+            (100, 24),
+            (77, 32),
+            (300, 128),
+            (280, 136),
         ];
         for &(n, b) in &cases {
             let a0 = spd::random_spd(n, &mut spd::test_rng(7 + n as u64));
+            let mut reference_digest = 0;
             for kernel in engines() {
                 let mut walked = a0.clone();
                 walk_potrf(&mut walked, b, kernel).expect("walk potrf");
                 let r = norms::cholesky_residual(&a0, &walked);
                 assert!(r < norms::residual_tolerance(n), "n={n} b={b}: residual {r}");
+                // Reference never packs a tile, so this also holds the
+                // packed updates to the plain ones.
+                match kernel {
+                    KernelImpl::Reference => reference_digest = lower_digest(&walked),
+                    KernelImpl::FastStrict => {
+                        assert_eq!(lower_digest(&walked), reference_digest, "n={n} b={b}")
+                    }
+                    KernelImpl::Fast => {}
+                }
                 for threads in [1usize, 2, 4, 8] {
                     let mut dag = a0.clone();
                     in_pool(threads, || potrf_dag_with(&mut dag, b, kernel)).expect("dag potrf");
@@ -382,13 +438,16 @@ mod tests {
         let n = 24;
         let mut a = spd::random_spd(n, &mut spd::test_rng(3));
         a[(17, 17)] = -1e6; // poison one pivot
-        let dag_err = potrf_dag_with(&mut a.clone(), 8, KernelImpl::Reference)
-            .expect_err("must fail");
-        let walk_err = walk_potrf(&mut a.clone(), 8, KernelImpl::Reference).expect_err("must fail");
-        assert_eq!(dag_err, walk_err);
-        match dag_err {
-            MatrixError::NotSpd { pivot, .. } => assert_eq!(pivot, 17),
-            other => panic!("expected NotSpd, got {other:?}"),
+        for kernel in engines() {
+            let mut work = a.clone();
+            let dag_err = potrf_dag_with(&mut work, 8, kernel).expect_err("must fail");
+            assert_eq!(matrix_digest(&work), matrix_digest(&a), "{kernel:?}");
+            let walk_err = walk_potrf(&mut a.clone(), 8, kernel).expect_err("must fail");
+            assert_eq!(dag_err, walk_err, "{kernel:?}");
+            match dag_err {
+                MatrixError::NotSpd { pivot, .. } => assert_eq!(pivot, 17),
+                other => panic!("expected NotSpd, got {other:?}"),
+            }
         }
     }
 

@@ -276,6 +276,7 @@ pub fn potrf_blocked_right_with<S: Scalar, L: Layout, T: Tracer>(
     let mut gauge = FastMemGauge::new(fast_memory.unwrap_or(usize::MAX));
     let grid = TileGrid::new(n, b);
     let mut store = TracedTiles { a, tracer, grid };
+    let mut arith = schedule::Arithmetic::new(kernel, grid);
     schedule::walk(&mut store, grid.nb(), 0..grid.nb(), |op, target, operands| {
         // The tiles a kernel touches are what fast memory holds while
         // it runs.
@@ -283,7 +284,7 @@ pub fn potrf_blocked_right_with<S: Scalar, L: Layout, T: Tracer>(
             .iter()
             .fold(target.rows() * target.cols(), |w, t| w + t.rows() * t.cols());
         gauge.claim(words);
-        let done = schedule::apply(op, kernel, grid, target, operands);
+        let done = arith.apply(op, target, operands);
         gauge.release(words);
         done
     })

@@ -14,7 +14,7 @@
 //!   product) — results must agree to a contraction residual scaled by
 //!   the inner-product length.
 
-use cholcomm::matrix::{norms, spd, KernelImpl, Matrix};
+use cholcomm::matrix::{norms, spd, KernelImpl, Matrix, Operand, PackedTile};
 use proptest::prelude::*;
 
 /// Size classes that stress the blocking: 0 and 1 (empty/scalar), primes
@@ -188,4 +188,106 @@ fn engines_reject_the_same_indefinite_pivot() {
         other => panic!("expected NotSpd from both engines, got {other:?}"),
     };
     assert_eq!(rp, fp);
+}
+
+/// `mat` with signed zeros and subnormals sprinkled in: the entries where
+/// `c - a * b` and `c + a * (-b)` could part ways if they ever did.
+fn mat_with_edge_values(m: usize, n: usize, seed: u64) -> Matrix<f64> {
+    const EDGE: [f64; 4] = [0.0, -0.0, 5e-324, -2.2e-308];
+    let mut t = mat(m, n, seed);
+    for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+        if (i as u64 + seed).is_multiple_of(5) {
+            *v = EDGE[(i / 5 + seed as usize) % EDGE.len()];
+        }
+    }
+    t
+}
+
+fn bits(t: &Matrix<f64>) -> Vec<u64> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `C <- C - A * B^T` the way the tile schedule runs it on a `b x b`
+/// grid: over packed operands wherever the engine packs that grid.
+fn scheduled_update(
+    kernel: KernelImpl,
+    b: usize,
+    c: &mut Matrix<f64>,
+    li: &Matrix<f64>,
+    lj: &Matrix<f64>,
+) -> bool {
+    let packs = kernel.packs_tiles::<f64>(b);
+    if packs {
+        let (mut pi, mut pj) = (PackedTile::default(), PackedTile::default());
+        kernel.pack_tile(li, &mut pi);
+        kernel.pack_tile(lj, &mut pj);
+        kernel.update(c, Operand::Packed(&pi), Operand::Packed(&pj));
+    } else {
+        kernel.update(c, Operand::Plain(li), Operand::Plain(lj));
+    }
+    packs
+}
+
+#[test]
+fn packed_update_is_bit_identical_to_gemm_nt_for_every_engine() {
+    const SIZES: [usize; 10] = [1, 7, 8, 15, 16, 17, 24, 32, 100, 128];
+    let engines = [KernelImpl::Reference, KernelImpl::FastStrict, KernelImpl::Fast];
+    let mut shapes = Vec::new();
+    for m in SIZES {
+        for n in SIZES {
+            for k in SIZES {
+                shapes.push((m, n, k, true));
+            }
+        }
+    }
+    // No depth at all, and tiles past one MC x KC block in each
+    // dimension: those grids are never packed.
+    shapes.extend([(16, 8, 0, true), (33, 17, 0, true)]);
+    shapes.extend([(130, 16, 16, false), (16, 130, 16, false), (16, 16, 300, false)]);
+
+    for (case, &(m, n, k, packable)) in shapes.iter().enumerate() {
+        let seed = case as u64;
+        let li = mat_with_edge_values(m, k, seed);
+        let lj = mat_with_edge_values(n, k, seed ^ 0x5bd1e995);
+        let c0 = mat_with_edge_values(m, n, seed ^ 0x9e3779b9);
+        let mut reference = c0.clone();
+        KernelImpl::Reference.gemm_nt(&mut reference, -1.0, &li, &lj);
+        for kernel in engines {
+            let mut plain = c0.clone();
+            kernel.gemm_nt(&mut plain, -1.0, &li, &lj);
+            let mut scheduled = c0.clone();
+            let packed = scheduled_update(kernel, m.max(n).max(k), &mut scheduled, &li, &lj);
+            assert_eq!(packed, packable && kernel != KernelImpl::Reference, "{m}x{n}x{k}");
+            assert_eq!(bits(&scheduled), bits(&plain), "{kernel:?} {m}x{n}x{k}");
+            if kernel == KernelImpl::FastStrict {
+                assert_eq!(bits(&scheduled), bits(&reference), "strict {m}x{n}x{k}");
+            }
+        }
+    }
+}
+
+#[test]
+fn packing_round_trips_every_bit() {
+    for (m, n) in [(0, 0), (0, 5), (5, 0), (1, 1), (7, 3), (16, 16), (17, 33), (100, 128), (128, 256)] {
+        let t = mat_with_edge_values(m, n, (m * 131 + n) as u64);
+        let mut packed = PackedTile::default();
+        // Packing over a longer, dirty buffer must not leak its contents.
+        packed.pack(&mat(128, 64, 3));
+        packed.pack(&t);
+        assert_eq!((packed.rows(), packed.cols()), (m, n));
+        assert_eq!(bits(&packed.unpack()), bits(&t), "{m}x{n}");
+        let replaced = PackedTile::replacing(t.clone());
+        assert_eq!(bits(&replaced.unpack()), bits(&t), "{m}x{n} in place");
+
+        // unpack_into writes exactly the tile's cells.
+        let mut around = Matrix::from_fn(m + 3, n + 2, |_, _| 7.0);
+        packed.unpack_into(&mut around, 2, 1);
+        for j in 0..n + 2 {
+            for i in 0..m + 3 {
+                let inside = i >= 2 && i < 2 + m && j >= 1 && j < 1 + n;
+                let want = if inside { t[(i - 2, j - 1)] } else { 7.0 };
+                assert_eq!(around[(i, j)].to_bits(), want.to_bits(), "{m}x{n} ({i},{j})");
+            }
+        }
+    }
 }
