@@ -28,7 +28,8 @@
 //! system's bits are independent of the batch it rides in — a batch of
 //! 32 gives each system the same bits as a batch of 1, which equals the
 //! sequential factorization.  [`BatchMode::Fused`] contracts each
-//! update into one `mul_add`; still lane-local (batch-size invariant),
+//! update into one FMA where the hardware has it (and is the strict
+//! sweep where it does not); still lane-local (batch-size invariant),
 //! but rounded like the fused fast kernels rather than the reference.
 //!
 //! **Padding.**  Embedding an `m × m` system at the leading principal
@@ -41,6 +42,8 @@
 
 use crate::dense::Matrix;
 use crate::error::MatrixError;
+use crate::schedule::{walk_left, TileGrid, TileOp, TileStore};
+use std::convert::Infallible;
 
 /// Lane granularity of a pack: `stride` is rounded up to a multiple of
 /// this so the innermost system sweep is a whole number of SIMD-friendly
@@ -53,8 +56,9 @@ pub enum BatchMode {
     /// One individually-rounded multiply and add/subtract per update —
     /// bit-identical per system to the sequential reference path.
     Strict,
-    /// Contract each update into `mul_add`.  Lane-local (batch-size
-    /// invariant) but not reference-rounded.
+    /// Contract each update into one hardware FMA, as
+    /// [`super::fused`] does.  Lane-local (batch-size invariant) but not
+    /// reference-rounded.
     Fused,
 }
 
@@ -196,41 +200,47 @@ impl BatchPack {
     }
 }
 
-/// One lane-sweep update: `c ← c + a * b` per lane, strict (separate
-/// multiply and add, each rounded) or fused (`mul_add`).
+/// One lane sweep `c ← c ± a * b`: one multiply and one add/subtract per
+/// lane, each rounded, or — `FUSED` — one `mul_add`.
 #[inline(always)]
-fn lane_axpy(c: &mut [f64], a: &[f64], b: &[f64], mode: BatchMode) {
-    match mode {
-        BatchMode::Strict => {
-            for ((x, &u), &v) in c.iter_mut().zip(a).zip(b) {
-                *x += u * v;
-            }
-        }
-        BatchMode::Fused => {
-            for ((x, &u), &v) in c.iter_mut().zip(a).zip(b) {
-                *x = u.mul_add(v, *x);
-            }
-        }
+fn lane_sweep_body<const FUSED: bool, const SUB: bool>(c: &mut [f64], a: &[f64], b: &[f64]) {
+    for ((x, &u), &v) in c.iter_mut().zip(a).zip(b) {
+        *x = match (FUSED, SUB) {
+            (false, false) => *x + u * v,
+            (false, true) => *x - u * v,
+            (true, false) => u.mul_add(v, *x),
+            (true, true) => (-u).mul_add(v, *x),
+        };
     }
 }
 
-/// As [`lane_axpy`] but subtracting: `c ← c - a * b` per lane.  The
-/// strict form is one multiply and one subtract per step, exactly the
-/// reference kernels' rounding.
+/// The fused sweep compiled with FMA in scope, so `mul_add` is one
+/// vector instruction instead of a libm call per lane.
+///
+/// # Safety
+/// Caller must have detected `avx2` and `fma`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn lane_sweep_fma<const SUB: bool>(c: &mut [f64], a: &[f64], b: &[f64]) {
+    lane_sweep_body::<true, SUB>(c, a, b);
+}
+
+/// One lane sweep `c ← c - a * b` (`SUB`; in strict mode exactly the
+/// reference kernels' rounding) or `c ← c + a * b`, in `mode`.  Like
+/// [`super::fused`], the fused mode contracts only where the hardware
+/// has FMA and is the strict sweep elsewhere, so a batched fused factor
+/// equals a per-request one on every host.
 #[inline(always)]
-fn lane_axmy(c: &mut [f64], a: &[f64], b: &[f64], mode: BatchMode) {
-    match mode {
-        BatchMode::Strict => {
-            for ((x, &u), &v) in c.iter_mut().zip(a).zip(b) {
-                *x -= u * v;
-            }
-        }
-        BatchMode::Fused => {
-            for ((x, &u), &v) in c.iter_mut().zip(a).zip(b) {
-                *x = (-u).mul_add(v, *x);
-            }
+fn lane_sweep<const SUB: bool>(c: &mut [f64], a: &[f64], b: &[f64], mode: BatchMode) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as det;
+        if mode == BatchMode::Fused && det!("fma") && det!("avx2") {
+            // SAFETY: both features detected.
+            return unsafe { lane_sweep_fma::<SUB>(c, a, b) };
         }
     }
+    lane_sweep_body::<false, SUB>(c, a, b);
 }
 
 /// Batched `C ← C + alpha · A · Bᵀ` — the GEMM shape of the blocked
@@ -258,7 +268,7 @@ pub fn batch_gemm(c: &mut BatchPack, alpha: f64, a: &BatchPack, b: &BatchPack, m
             for i in 0..c.rows {
                 let cij = &mut c.data[((j * c.rows) + i) * stride..][..stride];
                 let aik = &a.data[((k * a.rows) + i) * stride..][..stride];
-                lane_axpy(cij, aik, &bjk, mode);
+                lane_sweep::<false>(cij, aik, &bjk, mode);
             }
         }
     }
@@ -280,7 +290,7 @@ pub fn batch_syrk_lower(c: &mut BatchPack, a: &BatchPack, mode: BatchMode) {
             for i in j..n {
                 let cij = &mut c.data[((j * n) + i) * stride..][..stride];
                 let aik = &a.data[((k * a.rows) + i) * stride..][..stride];
-                lane_axmy(cij, aik, ajk, mode);
+                lane_sweep::<true>(cij, aik, ajk, mode);
             }
         }
     }
@@ -305,7 +315,7 @@ pub fn batch_trsm(x: &mut BatchPack, l: &BatchPack, mode: BatchMode) {
                 // x[i, j] -= x[i, k] * l[j, k], lanewise.
                 let xij = &mut rest[i * stride..][..stride];
                 let xik = &done[((k * m) + i) * stride..][..stride];
-                lane_axmy(xij, xik, ljk, mode);
+                lane_sweep::<true>(xij, xik, ljk, mode);
             }
         }
         let ljj = &l.data[((j * l.rows) + j) * stride..][..stride];
@@ -353,7 +363,7 @@ fn batch_potf2_offset(
             for i in j..n {
                 let aij = &mut rest[i * stride..][..stride];
                 let aik = &done[((k * n) + i) * stride..][..stride];
-                lane_axmy(aij, aik, ajk, mode);
+                lane_sweep::<true>(aij, aik, ajk, mode);
             }
         }
         // Pivot: check, substitute failed lanes, square-root, scale.
@@ -388,55 +398,59 @@ fn batch_potf2_offset(
     results
 }
 
-/// Batched blocked Cholesky: the left-looking LAPACK schedule over
-/// `pb`-wide panels, composed from [`batch_syrk_lower`],
-/// [`batch_gemm`], [`batch_trsm`] and the [`batch_potf2`] base — the
-/// exact tile sequence of the serve engine's `factor_resumable`, so in
-/// strict mode every system's factor is bit-identical to the sequential
-/// path at any panel width and any batch size.
+/// Batched blocked Cholesky: the left-looking walk of
+/// [`crate::schedule`] over `pb`-wide panels of every lane at once, its
+/// ops performed by [`batch_syrk_lower`], [`batch_gemm`], [`batch_trsm`]
+/// and the [`batch_potf2`] base — the walk the serve engine's
+/// `factor_resumable` runs, so in strict mode every system's factor is
+/// bit-identical to the sequential path at any panel width and any batch
+/// size.  A lane whose pivot fails keeps its first error and rides along
+/// inert; the walk itself cannot fail.
 pub fn batch_potrf(a: &mut BatchPack, pb: usize, mode: BatchMode) -> Vec<Result<(), MatrixError>> {
     assert_eq!(a.rows, a.cols, "batch_potrf: square systems");
-    assert!(pb >= 1, "panel width must be at least 1");
-    let n = a.rows;
-    let nb = n.div_ceil(pb);
+    let grid = TileGrid::new(a.rows, pb);
     let mut results: Vec<Result<(), MatrixError>> = vec![Ok(()); a.batch];
-    for jb in 0..nb {
-        let c0 = jb * pb;
-        let bw = (n - c0).min(pb);
-
-        // Diagonal tile: SYRK chain (ascending kb), then POTF2.
-        let mut a22 = a.sub(c0, c0, bw, bw);
-        for kb in 0..jb {
-            let k0 = kb * pb;
-            let kw = (n - k0).min(pb);
-            let ajk = a.sub(c0, k0, bw, kw);
-            batch_syrk_lower(&mut a22, &ajk, mode);
-        }
-        for (res, tile_res) in results.iter_mut().zip(batch_potf2_offset(&mut a22, mode, c0)) {
-            if res.is_ok() {
-                *res = tile_res;
+    let mut lanes = Lanes { a, grid };
+    let Ok(()) = walk_left(&mut lanes, grid.nb(), 0..grid.nb(), |op, target, operands| {
+        match (op, operands) {
+            (TileOp::Factor { k }, []) => {
+                let tile_results = batch_potf2_offset(target, mode, k * pb);
+                for (res, tile_res) in results.iter_mut().zip(tile_results) {
+                    if res.is_ok() {
+                        *res = tile_res;
+                    }
+                }
             }
+            (TileOp::Solve { .. }, [diag]) => batch_trsm(target, diag, mode),
+            (TileOp::Update { i, j, .. }, [li, _]) if i == j => batch_syrk_lower(target, li, mode),
+            (TileOp::Update { .. }, [li, lj]) => batch_gemm(target, -1.0, li, lj, mode),
+            _ => unreachable!("{op:?} handed {} operand tile(s)", operands.len()),
         }
-        a.set_sub(c0, c0, &a22);
-
-        // Panel below: GEMM chains (ascending kb), then TRSM, tile by
-        // tile in the sequential schedule's order.
-        for ib in (jb + 1)..nb {
-            let r0 = ib * pb;
-            let bh = (n - r0).min(pb);
-            let mut aij = a.sub(r0, c0, bh, bw);
-            for kb in 0..jb {
-                let k0 = kb * pb;
-                let kw = (n - k0).min(pb);
-                let aik = a.sub(r0, k0, bh, kw);
-                let ajk = a.sub(c0, k0, bw, kw);
-                batch_gemm(&mut aij, -1.0, &aik, &ajk, mode);
-            }
-            batch_trsm(&mut aij, &a22, mode);
-            a.set_sub(r0, c0, &aij);
-        }
-    }
+        Ok(())
+    });
     results
+}
+
+/// The pack as a tile store: a tile is the same block of every lane.
+struct Lanes<'a> {
+    a: &'a mut BatchPack,
+    grid: TileGrid,
+}
+
+impl TileStore for Lanes<'_> {
+    type Tile = BatchPack;
+    type Error = Infallible;
+
+    fn get(&mut self, i: usize, j: usize) -> Result<BatchPack, Infallible> {
+        let TileGrid { b, .. } = self.grid;
+        Ok(self.a.sub(i * b, j * b, self.grid.dim(i), self.grid.dim(j)))
+    }
+
+    fn put(&mut self, i: usize, j: usize, tile: BatchPack) -> Result<(), Infallible> {
+        let TileGrid { b, .. } = self.grid;
+        self.a.set_sub(i * b, j * b, &tile);
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -23,9 +23,9 @@
 //! * [`parallel`] — per-thread gating and fan-out helpers that let the
 //!   fast kernels drive the vendored-rayon work-stealing pool while
 //!   keeping strict-mode results bit-identical at every thread count.
-//! * [`schedule`] — the right-looking tile schedule of the blocked
-//!   factorization, written once: the panel walk over a pluggable tile
-//!   store, the op-to-kernel dispatch, and the same ops as a task DAG.
+//! * [`schedule`] — the tile schedule of the blocked factorization,
+//!   written once: the right- and left-looking walks over a pluggable
+//!   tile store, the op-to-kernel dispatch, and the same ops as a task DAG.
 //! * [`tri`] — triangular solves and SPD system solution via the factor.
 //! * [`norms`] — Frobenius norms and factorization residuals used by every
 //!   correctness test in the workspace.

@@ -1,20 +1,23 @@
-//! The right-looking tile schedule of the blocked Cholesky, written once.
+//! The tile schedule of the blocked Cholesky, written once.
 //!
 //! The blocked factorization the paper analyses is *data-oblivious*:
 //! which tile is factored, solved or updated next — and which tiles that
 //! touches — depends only on the tile-grid dimension `nb`.  This module
 //! owns that fact in three forms:
 //!
-//! * **the walk** ([`walk`]) — the sequential
-//!   right-looking order, driving a [`TileStore`] with exactly the access
-//!   sequence every sequential and out-of-core driver performs: the
+//! * **the walks** — two sequential orders of the same ops, each driving
+//!   a [`TileStore`] with one fixed access sequence: [`walk`], the
+//!   right-looking order every out-of-core and ABFT driver performs (the
 //!   diagonal tile held across the panel solves, the column operand of a
-//!   trailing update fetched once per block column;
+//!   trailing update fetched once per block column), and [`walk_left`],
+//!   the left-looking order of the paper's Algorithm 4, which the traced
+//!   LAPACK schedule, the serve engine and the batched kernels perform
+//!   (every tile written once, the diagonal tile re-read per panel solve);
 //! * **the arithmetic** ([`apply`]) — the one place a [`TileOp`] becomes a
 //!   kernel call and a tile-local `NotSpd` pivot becomes a global one —
-//!   with [`Arithmetic`], the walk's form of it, which packs the column
-//!   operand the walk holds once per block column instead of once per
-//!   update;
+//!   with [`Arithmetic`], the walks' form of it, which packs the column
+//!   operand the right-looking walk holds once per block column instead
+//!   of once per update;
 //! * **the DAG** ([`TileOp::dep_count`], [`TileOp::for_each_successor`],
 //!   [`TileOp::flops`] and the flat task-id coding) — the same ops as a
 //!   dependence graph, for the work-stealing executor and its scheduler
@@ -24,11 +27,18 @@
 //! traced layout (`seq::lapack`), a checksum-carrying matrix
 //! (`seq::abft`), a tile cache over a file or a prefetching pipeline
 //! (`ooc`), a recorder that only notes the accesses (`ooc::pipeline`'s
-//! planner), or plain memory ([`MemTiles`]).  The walk never looks inside
-//! a tile — the `apply` closure it is handed does — so two stores that
-//! return the stored values produce bit-identical factors by
-//! construction, and a store that carries no data at all (`Tile = ()`)
-//! observes the schedule without running it.
+//! planner), a checkpoint updated in place (`serve::engine`), the lanes
+//! of a batch (`kernels_fast::batch`), or plain memory ([`MemTiles`]).  A
+//! walk never looks inside a tile — the `apply` closure it is handed does
+//! — so two stores that return the stored values produce bit-identical
+//! factors by construction, and a store that carries no data at all
+//! (`Tile = ()`) observes the schedule without running it.
+//!
+//! Both walks are linear extensions of the one DAG and hand each tile its
+//! updates in ascending `k`, and every kernel applies the per-element
+//! chain `c <- c - a * b` in ascending `k` too: the factor's bits are a
+//! function of the matrix and the engine, not of the order
+//! (`tests/order_independence.rs`).
 
 use crate::dense::Matrix;
 use crate::engine::{KernelImpl, Operand};
@@ -70,7 +80,7 @@ impl TileGrid {
     }
 }
 
-/// One tile operation of the right-looking blocked Cholesky.
+/// One tile operation of the blocked Cholesky.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TileOp {
     /// `potf2` on diagonal tile `(k, k)`.
@@ -288,6 +298,53 @@ where
     Ok(())
 }
 
+/// The left-looking order (the paper's Algorithm 4) over block columns
+/// `panels` of an `nb x nb` tile grid: per block column `j`, bring the
+/// diagonal tile up to date against every earlier panel and factor it,
+/// then do the same for each tile below and solve it.  The same ops with
+/// the same operands as [`walk`] — another linear extension of the same
+/// DAG — so `apply` is the same closure; a diagonal update is handed
+/// `L(j,k)` as both operands.
+///
+/// Every tile is put once, final.  The factored diagonal tile is fetched
+/// again for each solve below it: the `(n/b - j) * Theta(b^2)` term of
+/// the paper's analysis.
+pub fn walk_left<St, F>(
+    store: &mut St,
+    nb: usize,
+    panels: Range<usize>,
+    mut apply: F,
+) -> Result<(), St::Error>
+where
+    St: TileStore,
+    F: FnMut(TileOp, &mut St::Tile, &[&St::Tile]) -> Result<(), St::Error>,
+{
+    for j in panels {
+        store.begin_panel(j);
+
+        let mut diag = store.get(j, j)?;
+        for k in 0..j {
+            let lj = store.get(j, k)?;
+            apply(TileOp::Update { i: j, j, k }, &mut diag, &[&lj, &lj])?;
+        }
+        apply(TileOp::Factor { k: j }, &mut diag, &[])?;
+        store.put(j, j, diag)?;
+
+        for i in (j + 1)..nb {
+            let mut t = store.get(i, j)?;
+            for k in 0..j {
+                let li = store.get(i, k)?;
+                let lj = store.get(j, k)?;
+                apply(TileOp::Update { i, j, k }, &mut t, &[&li, &lj])?;
+            }
+            let diag = store.get(j, j)?;
+            apply(TileOp::Solve { i, k: j }, &mut t, &[&diag])?;
+            store.put(i, j, t)?;
+        }
+    }
+    Ok(())
+}
+
 /// Perform `op` on `target` with `kernel`.
 ///
 /// Tiles may be ragged (their live size) or zero-padded to `b x b` (the
@@ -295,7 +352,10 @@ where
 /// tell the two apart, and works on the live leading block.  A failing
 /// pivot is reported in whole-matrix coordinates.  The operands of an
 /// update may be packed (see [`KernelImpl::packs_tiles`]); the bits are
-/// the same.
+/// the same.  A diagonal update (`i == j`) on plain operands touches the
+/// lower triangle only, so the strict upper triangle of a diagonal tile
+/// keeps its input values; on packed operands it runs the full-tile
+/// micro-kernel like any other update (same lower triangle).
 pub fn apply<S: Scalar>(
     op: TileOp,
     kernel: KernelImpl,
@@ -326,6 +386,10 @@ pub fn apply<S: Scalar>(
             kernel.trsm_right_lower_transpose(target, diag);
             Ok(())
         }
+        (TileOp::Update { i, j, .. }, [Operand::Plain(li), _]) if i == j => {
+            kernel.syrk_lower(target, li);
+            Ok(())
+        }
         (TileOp::Update { .. }, [li, lj]) => {
             kernel.update(target, *li, *lj);
             Ok(())
@@ -334,13 +398,15 @@ pub fn apply<S: Scalar>(
     }
 }
 
-/// [`apply`] as the sequential [`walk`] calls it, plus what it keeps
-/// between calls: under an engine that [packs](KernelImpl::packs_tiles)
-/// this grid's tiles, the column operand `L(j, k)` the walk holds across
-/// the updates of block column `j` is packed when that column starts and
-/// reused for every update in it, and the row operand is packed into a
-/// second reused buffer.  Both are scratch beside the walk's
-/// [`WORKING_SET`], like the kernels' own packing buffers.
+/// [`apply`] as the sequential walks call it, plus what it keeps between
+/// calls: under an engine that [packs](KernelImpl::packs_tiles) this
+/// grid's tiles, the column operand `L(j, k)` the right-looking walk
+/// holds across the updates of block column `j` is packed when that
+/// column starts and reused for every update in it, and the row operand
+/// is packed into a second reused buffer.  Both are scratch beside the
+/// walk's [`WORKING_SET`], like the kernels' own packing buffers.  A
+/// diagonal update is never packed for: on plain operands [`apply`] keeps
+/// it to the lower triangle.
 pub struct Arithmetic {
     kernel: KernelImpl,
     grid: TileGrid,
@@ -362,7 +428,7 @@ impl Arithmetic {
         }
     }
 
-    /// Perform `op` on `target`; `operands` as [`walk`] hands them over.
+    /// Perform `op` on `target`; `operands` as the walks hand them over.
     pub fn apply<S: Scalar>(
         &mut self,
         op: TileOp,
@@ -371,9 +437,10 @@ impl Arithmetic {
     ) -> Result<(), MatrixError> {
         let Arithmetic { kernel, grid, .. } = *self;
         match (op, operands) {
-            (TileOp::Update { j, k, .. }, [li, lj]) if kernel.packs_tiles::<S>(grid.b) => {
-                // The walk runs the updates of block column j back to
-                // back, and L(j, k) is final: pack it on the first.
+            (TileOp::Update { i, j, k }, [li, lj]) if i != j && kernel.packs_tiles::<S>(grid.b) => {
+                // The right-looking walk runs the updates of block column
+                // j back to back, and L(j, k) is final: pack it on the
+                // first.
                 if self.held != Some((j, k)) {
                     kernel.pack_tile(lj, &mut self.lj);
                     self.held = Some((j, k));
@@ -476,39 +543,67 @@ mod tests {
     use crate::{kernels, norms, spd};
     use std::convert::Infallible;
 
-    /// A store with no data: logs the op behind every put.
-    #[derive(Default)]
-    struct OpLog {
-        k: usize,
-        ops: Vec<TileOp>,
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Access {
+        Get(usize, usize),
+        Put(usize, usize),
     }
+    use Access::{Get, Put};
 
-    impl TileStore for OpLog {
+    /// A store with no data: logs the access stream.
+    #[derive(Default)]
+    struct AccessLog(Vec<Access>);
+
+    impl TileStore for AccessLog {
         type Tile = ();
         type Error = Infallible;
-        fn begin_panel(&mut self, k: usize) {
-            self.k = k;
-        }
-        fn get(&mut self, _: usize, _: usize) -> Result<(), Infallible> {
+        fn get(&mut self, i: usize, j: usize) -> Result<(), Infallible> {
+            self.0.push(Get(i, j));
             Ok(())
         }
         fn put(&mut self, i: usize, j: usize, _: ()) -> Result<(), Infallible> {
-            self.ops.push(TileOp::of(i, j, self.k));
+            self.0.push(Put(i, j));
             Ok(())
         }
+    }
+
+    /// The ops one of the walks applies over `panels`, and its accesses.
+    fn observe(left: bool, nb: usize, panels: Range<usize>) -> (Vec<TileOp>, Vec<Access>) {
+        let mut log = AccessLog::default();
+        let mut ops = Vec::new();
+        let apply = |op, _: &mut (), _: &[&()]| {
+            ops.push(op);
+            Ok(())
+        };
+        let Ok(()) = if left {
+            walk_left(&mut log, nb, panels, apply)
+        } else {
+            walk(&mut log, nb, panels, apply)
+        };
+        (ops, log.0)
     }
 
     #[test]
     fn walk_order_is_a_linear_extension_of_the_dag() {
-        for nb in 0..=9usize {
-            let mut log = OpLog::default();
-            let mut ops = Vec::new();
-            let Ok(()) = walk(&mut log, nb, 0..nb, |op, _, _| {
-                ops.push(op);
-                Ok(())
-            });
-            assert_eq!(ops, log.ops, "nb={nb}: every applied op is put, in order");
-            assert_eq!(ops.len(), nb * (nb + 1) * (nb + 2) / 6, "nb={nb}");
+        for (nb, left) in (0..=9usize).flat_map(|nb| [(nb, false), (nb, true)]) {
+            let (ops, accesses) = observe(left, nb, 0..nb);
+            assert_eq!(ops.len(), nb * (nb + 1) * (nb + 2) / 6, "nb={nb} left={left}");
+            let puts = accesses.iter().filter(|a| matches!(a, Put(..)));
+            if left {
+                // Every tile is put once, final; the ops are the
+                // right-looking walk's, reordered.
+                assert_eq!(puts.count(), tile_idx(nb, 0), "nb={nb}");
+                let ids = |ops: &[TileOp]| {
+                    let mut ids: Vec<usize> = ops.iter().map(|op| op.id(nb)).collect();
+                    ids.sort_unstable();
+                    ids
+                };
+                assert_eq!(ids(&ops), ids(&observe(false, nb, 0..nb).0), "nb={nb}");
+            } else {
+                // Every applied op is put, in order.
+                let targets: Vec<Access> = ops.iter().map(|op| op.target()).map(|(i, j)| Put(i, j)).collect();
+                assert_eq!(puts.copied().collect::<Vec<_>>(), targets, "nb={nb}");
+            }
 
             // Each tile's ops come in ascending k and end in its factor
             // or solve; the id coding round-trips.
@@ -517,7 +612,7 @@ mod tests {
             for (p, &op) in ops.iter().enumerate() {
                 let (bi, bj) = op.target();
                 assert_eq!(tile_coords(tile_idx(bi, bj)), (bi, bj));
-                assert_eq!(op.step(), next_k[tile_idx(bi, bj)], "nb={nb}: {op:?}");
+                assert_eq!(op.step(), next_k[tile_idx(bi, bj)], "nb={nb} left={left}: {op:?}");
                 assert_eq!(matches!(op, TileOp::Update { .. }), op.step() < bj);
                 next_k[tile_idx(bi, bj)] += 1;
                 assert_eq!(TileOp::from_id(nb, op.id(nb)), Some(op));
@@ -531,13 +626,45 @@ mod tests {
             let mut indegree = vec![0usize; pos.len()];
             for &op in &ops {
                 op.for_each_successor(nb, |succ| {
-                    assert!(pos[op.id(nb)] < pos[succ.id(nb)], "nb={nb}: {op:?} -> {succ:?}");
+                    let forward = pos[op.id(nb)] < pos[succ.id(nb)];
+                    assert!(forward, "nb={nb} left={left}: {op:?} -> {succ:?}");
                     indegree[succ.id(nb)] += 1;
                 });
             }
             for op in &ops {
                 assert_eq!(op.dep_count(), indegree[op.id(nb)], "nb={nb}: {op:?}");
             }
+        }
+    }
+
+    #[test]
+    fn walk_left_moves_tiles_in_algorithm_4s_order_panel_by_panel() {
+        for nb in 0..=9usize {
+            // The load/store order of the hand-written Algorithm 4 nests
+            // this walk replaced.
+            let mut nest = Vec::new();
+            for jb in 0..nb {
+                nest.push(Get(jb, jb));
+                nest.extend((0..jb).map(|kb| Get(jb, kb)));
+                nest.push(Put(jb, jb));
+                for ib in (jb + 1)..nb {
+                    nest.push(Get(ib, jb));
+                    nest.extend((0..jb).flat_map(|kb| [Get(ib, kb), Get(jb, kb)]));
+                    nest.push(Get(jb, jb));
+                    nest.push(Put(ib, jb));
+                }
+            }
+            let (ops, accesses) = observe(true, nb, 0..nb);
+            assert_eq!(accesses, nest, "nb={nb}");
+
+            // One block column at a time is the same walk.
+            let (mut step_ops, mut step_accesses) = (Vec::new(), Vec::new());
+            for k in 0..nb {
+                let (o, a) = observe(true, nb, k..k + 1);
+                step_ops.extend(o);
+                step_accesses.extend(a);
+            }
+            assert_eq!((step_ops, step_accesses), (ops, accesses), "nb={nb}");
         }
     }
 

@@ -3,7 +3,10 @@
 //! The iteration over block columns performs SYRK on the diagonal block,
 //! an unblocked `POTF2` on it in fast memory, a GEMM update of the panel
 //! below, and a TRSM against the factored diagonal block — with every tile
-//! explicitly moved between slow and fast memory.  With
+//! explicitly moved between slow and fast memory.  The order itself is
+//! [`schedule::walk_left`]; this module supplies the traced storage it
+//! runs over (and runs the right-looking [`schedule::walk`] over the same
+//! storage for comparison).  With
 //! `b = Theta(sqrt(M))` the schedule moves `O(n^3 / sqrt(M) + n^2)` words
 //! (Conclusion 2); its latency is `O(n^3 / M^{3/2})` on block-contiguous
 //! storage but only `O(n^3 / M)` on column-major storage (Conclusion 3).
@@ -28,9 +31,10 @@ pub fn potrf_blocked<S: Scalar, L: Layout, T: Tracer>(
     potrf_blocked_with(a, tracer, b, fast_memory, KernelImpl::Reference)
 }
 
-/// Algorithm 4 with an explicit kernel engine.  The schedule — and hence
-/// every word/message charged to `tracer` — is identical under every
-/// engine; only the arithmetic inside the fast-memory tiles changes
+/// Algorithm 4 with an explicit kernel engine: the left-looking walk of
+/// [`cholcomm_matrix::schedule`] over traced storage.  The schedule — and
+/// hence every word/message charged to `tracer` — is identical under
+/// every engine; only the arithmetic inside the fast-memory tiles changes
 /// (bit-identically under `FastStrict`, to an FMA-contraction residual
 /// under `Fast` — see `cholcomm_matrix::kernels_fast`).
 pub fn potrf_blocked_with<S: Scalar, L: Layout, T: Tracer>(
@@ -40,6 +44,41 @@ pub fn potrf_blocked_with<S: Scalar, L: Layout, T: Tracer>(
     fast_memory: Option<usize>,
     kernel: KernelImpl,
 ) -> Result<(), MatrixError> {
+    potrf_traced(a, tracer, b, fast_memory, kernel, true)
+}
+
+/// The *right-looking* blocked variant (LAPACK ships both; Algorithm 4 in
+/// the paper is the left-looking one): the shared tile schedule of
+/// [`cholcomm_matrix::schedule`] walked over traced storage.  Each
+/// iteration factors the diagonal tile, solves the panel below, and
+/// immediately applies the rank-`b` update to the whole trailing matrix —
+/// re-reading and re-writing every trailing tile once per iteration.
+/// Asymptotically the same `Theta(n^3 / sqrt(M))` bandwidth, but with a
+/// larger constant than the left-looking schedule (the trailing matrix is
+/// written `n/b` times instead of once); the tests pin the ratio down.
+///
+/// Same schedule, same counts, same bits under every engine — see
+/// [`potrf_blocked_with`].
+pub fn potrf_blocked_right_with<S: Scalar, L: Layout, T: Tracer>(
+    a: &mut Laid<S, L>,
+    tracer: &mut T,
+    b: usize,
+    fast_memory: Option<usize>,
+    kernel: KernelImpl,
+) -> Result<(), MatrixError> {
+    potrf_traced(a, tracer, b, fast_memory, kernel, false)
+}
+
+/// Either walk of the shared tile schedule over traced storage, under a
+/// [`FastMemGauge`] that enforces the paper's `3 b^2 <= M` precondition.
+fn potrf_traced<S: Scalar, L: Layout, T: Tracer>(
+    a: &mut Laid<S, L>,
+    tracer: &mut T,
+    b: usize,
+    fast_memory: Option<usize>,
+    kernel: KernelImpl,
+    left_looking: bool,
+) -> Result<(), MatrixError> {
     let n = a.layout().rows();
     if a.layout().cols() != n {
         return Err(MatrixError::NotSquare {
@@ -47,86 +86,56 @@ pub fn potrf_blocked_with<S: Scalar, L: Layout, T: Tracer>(
             cols: a.layout().cols(),
         });
     }
-    assert!(b >= 1, "block size must be at least 1");
     if let Some(m) = fast_memory {
         assert!(
-            3 * b * b <= m,
+            schedule::WORKING_SET * b * b <= m,
             "LAPACK blocked schedule requires 3 b^2 <= M (b = {b}, M = {m})"
         );
     }
     let mut gauge = FastMemGauge::new(fast_memory.unwrap_or(usize::MAX));
-    let nb = n.div_ceil(b);
-
-    for jb in 0..nb {
-        let c0 = jb * b;
-        let bw = (n - c0).min(b);
-
-        // --- SYRK: A22 <- A22 - A21 * A21^T (line 3) ---
-        // Per the paper, the rank-b update is charged like a general
-        // matrix multiply, so the diagonal tile moves as a full (and, on
-        // block-contiguous storage, contiguous) b x b block.
-        gauge.claim(bw * bw);
-        let mut a22 = load_tile(a, tracer, c0, c0, bw, bw, false);
-        for kb in 0..jb {
-            let k0 = kb * b;
-            let kw = (n - k0).min(b);
-            gauge.claim(bw * kw);
-            let ajk = load_tile(a, tracer, c0, k0, bw, kw, false);
-            // Lower-triangle-only rank-kw update.
-            kernel.syrk_lower(&mut a22, &ajk);
-            gauge.release(bw * kw);
-        }
-
-        // --- POTF2 on the diagonal block in fast memory (line 4) ---
-        factor_lower_tile(&mut a22, c0, kernel)?;
-        store_tile(a, tracer, c0, c0, &a22, false);
-        gauge.release(bw * bw);
-
-        // --- Panel update (lines 5-6): GEMM then TRSM per tile below ---
-        for ib in (jb + 1)..nb {
-            let r0 = ib * b;
-            let bh = (n - r0).min(b);
-            gauge.claim(bh * bw);
-            let mut aij = load_tile(a, tracer, r0, c0, bh, bw, false);
-            // GEMM: A32 <- A32 - A31 * A21^T, one k-tile at a time.
-            for kb in 0..jb {
-                let k0 = kb * b;
-                let kw = (n - k0).min(b);
-                gauge.claim(bh * kw);
-                let aik = load_tile(a, tracer, r0, k0, bh, kw, false);
-                gauge.claim(bw * kw);
-                let ajk = load_tile(a, tracer, c0, k0, bw, kw, false);
-                kernel.gemm_nt(&mut aij, -S::one(), &aik, &ajk);
-                gauge.release(bh * kw + bw * kw);
-            }
-            // TRSM: A32 <- A32 * A22^{-T} against the factored diagonal
-            // block, which is re-read for each tile of the panel — the
-            // `(n/b - j) * Theta(b^2)` term of the paper's analysis.
-            gauge.claim(bw * bw);
-            let l22 = load_tile(a, tracer, c0, c0, bw, bw, false);
-            kernel.trsm_right_lower_transpose(&mut aij, &l22);
-            gauge.release(bw * bw);
-            store_tile(a, tracer, r0, c0, &aij, false);
-            gauge.release(bh * bw);
-        }
+    let grid = TileGrid::new(n, b);
+    let mut store = TracedTiles { a, tracer, grid };
+    let mut arith = schedule::Arithmetic::new(kernel, grid);
+    let apply = |op, target: &mut Matrix<S>, operands: &[&Matrix<S>]| {
+        // The tiles a kernel touches are what fast memory holds while
+        // it runs.
+        let words = operands
+            .iter()
+            .fold(target.rows() * target.cols(), |w, t| w + t.rows() * t.cols());
+        gauge.claim(words);
+        let done = arith.apply(op, target, operands);
+        gauge.release(words);
+        done
+    };
+    if left_looking {
+        schedule::walk_left(&mut store, grid.nb(), 0..grid.nb(), apply)
+    } else {
+        schedule::walk(&mut store, grid.nb(), 0..grid.nb(), apply)
     }
-    Ok(())
 }
 
-/// Unblocked Cholesky of a local tile, reporting the failing pivot in
-/// *global* coordinates.
-fn factor_lower_tile<S: Scalar>(
-    tile: &mut Matrix<S>,
-    global0: usize,
-    kernel: KernelImpl,
-) -> Result<(), MatrixError> {
-    match kernel.potf2(tile) {
-        Ok(()) => Ok(()),
-        Err(MatrixError::NotSpd { pivot, value }) => Err(MatrixError::NotSpd {
-            pivot: global0 + pivot,
-            value,
-        }),
-        Err(e) => Err(e),
+/// Traced slow memory as a tile store: every get is a tile read and
+/// every put a tile write charged to the tracer.
+struct TracedTiles<'a, S, L: Layout, T> {
+    a: &'a mut Laid<S, L>,
+    tracer: &'a mut T,
+    grid: TileGrid,
+}
+
+impl<S: Scalar, L: Layout, T: Tracer> TileStore for TracedTiles<'_, S, L, T> {
+    type Tile = Matrix<S>;
+    type Error = MatrixError;
+
+    fn get(&mut self, i: usize, j: usize) -> Result<Matrix<S>, MatrixError> {
+        let TileGrid { b, .. } = self.grid;
+        let (h, w) = (self.grid.dim(i), self.grid.dim(j));
+        Ok(load_tile(self.a, self.tracer, i * b, j * b, h, w, false))
+    }
+
+    fn put(&mut self, i: usize, j: usize, tile: Matrix<S>) -> Result<(), MatrixError> {
+        let TileGrid { b, .. } = self.grid;
+        store_tile(self.a, self.tracer, i * b, j * b, &tile, false);
+        Ok(())
     }
 }
 
@@ -231,87 +240,42 @@ mod tests {
     }
 
     #[test]
+    fn algorithm_4_counts_match_the_hand_written_nest() {
+        // (n, b), then words/messages on column-major and on
+        // block-contiguous storage at M = 3 b^2, captured from the nest
+        // this walk replaced.
+        let goldens = [
+            ((24usize, 8usize), (1280u64, 160u64), (1280u64, 20u64)),
+            ((26, 6), (2024, 412), (2024, 70)),
+            ((64, 8), (15360, 1920), (15360, 240)),
+            ((100, 32), (28192, 1224), (28192, 40)),
+            ((33, 4), (4626, 1314), (4626, 330)),
+        ];
+        for ((n, b), col_major, blocked) in goldens {
+            let a = spd::random_spd(n, &mut spd::test_rng(7));
+            for kernel in [KernelImpl::Reference, KernelImpl::FastStrict, KernelImpl::Fast] {
+                let mut cm = Laid::from_matrix(&a, ColMajor::square(n));
+                let mut tr = CountingTracer::uncapped();
+                potrf_blocked_with(&mut cm, &mut tr, b, Some(3 * b * b), kernel).unwrap();
+                let got = (tr.stats().words, tr.stats().messages);
+                assert_eq!(got, col_major, "n={n} b={b} {kernel:?} column-major");
+
+                let mut bl = Laid::from_matrix(&a, Blocked::square(n, b));
+                let mut tr = CountingTracer::uncapped();
+                potrf_blocked_with(&mut bl, &mut tr, b, Some(3 * b * b), kernel).unwrap();
+                let got = (tr.stats().words, tr.stats().messages);
+                assert_eq!(got, blocked, "n={n} b={b} {kernel:?} block-contiguous");
+            }
+        }
+    }
+
+    #[test]
     fn reports_global_pivot_on_failure() {
         let mut m = cholcomm_matrix::Matrix::<f64>::identity(12);
         m[(9, 9)] = -3.0;
         let mut laid = Laid::from_matrix(&m, ColMajor::square(12));
         let err = potrf_blocked(&mut laid, &mut NullTracer, 4, None).unwrap_err();
         assert!(matches!(err, MatrixError::NotSpd { pivot: 9, value } if value < 0.0));
-    }
-}
-
-/// The *right-looking* blocked variant (LAPACK ships both; Algorithm 4 in
-/// the paper is the left-looking one): the shared tile schedule of
-/// [`cholcomm_matrix::schedule`] walked over traced storage.  Each
-/// iteration factors the diagonal tile, solves the panel below, and
-/// immediately applies the rank-`b` update to the whole trailing matrix —
-/// re-reading and re-writing every trailing tile once per iteration.
-/// Asymptotically the same `Theta(n^3 / sqrt(M))` bandwidth, but with a
-/// larger constant than the left-looking schedule (the trailing matrix is
-/// written `n/b` times instead of once); the tests pin the ratio down.
-///
-/// Same schedule, same counts, same bits under every engine — see
-/// [`potrf_blocked_with`].
-pub fn potrf_blocked_right_with<S: Scalar, L: Layout, T: Tracer>(
-    a: &mut Laid<S, L>,
-    tracer: &mut T,
-    b: usize,
-    fast_memory: Option<usize>,
-    kernel: KernelImpl,
-) -> Result<(), MatrixError> {
-    let n = a.layout().rows();
-    if a.layout().cols() != n {
-        return Err(MatrixError::NotSquare {
-            rows: n,
-            cols: a.layout().cols(),
-        });
-    }
-    assert!(b >= 1);
-    if let Some(m) = fast_memory {
-        assert!(
-            schedule::WORKING_SET * b * b <= m,
-            "needs 3 b^2 <= M (b = {b}, M = {m})"
-        );
-    }
-    let mut gauge = FastMemGauge::new(fast_memory.unwrap_or(usize::MAX));
-    let grid = TileGrid::new(n, b);
-    let mut store = TracedTiles { a, tracer, grid };
-    let mut arith = schedule::Arithmetic::new(kernel, grid);
-    schedule::walk(&mut store, grid.nb(), 0..grid.nb(), |op, target, operands| {
-        // The tiles a kernel touches are what fast memory holds while
-        // it runs.
-        let words = operands
-            .iter()
-            .fold(target.rows() * target.cols(), |w, t| w + t.rows() * t.cols());
-        gauge.claim(words);
-        let done = arith.apply(op, target, operands);
-        gauge.release(words);
-        done
-    })
-}
-
-/// Traced slow memory as a tile store: every get is a tile read and
-/// every put a tile write charged to the tracer.
-struct TracedTiles<'a, S, L: Layout, T> {
-    a: &'a mut Laid<S, L>,
-    tracer: &'a mut T,
-    grid: TileGrid,
-}
-
-impl<S: Scalar, L: Layout, T: Tracer> TileStore for TracedTiles<'_, S, L, T> {
-    type Tile = Matrix<S>;
-    type Error = MatrixError;
-
-    fn get(&mut self, i: usize, j: usize) -> Result<Matrix<S>, MatrixError> {
-        let TileGrid { b, .. } = self.grid;
-        let (h, w) = (self.grid.dim(i), self.grid.dim(j));
-        Ok(load_tile(self.a, self.tracer, i * b, j * b, h, w, false))
-    }
-
-    fn put(&mut self, i: usize, j: usize, tile: Matrix<S>) -> Result<(), MatrixError> {
-        let TileGrid { b, .. } = self.grid;
-        store_tile(self.a, self.tracer, i * b, j * b, &tile, false);
-        Ok(())
     }
 }
 
@@ -358,12 +322,12 @@ mod right_tests {
         let (wl, wr) = (tl.stats().words as f64, tr.stats().words as f64);
         assert!(wr > wl, "right {wr} should exceed left {wl}");
         assert!(wr / wl < 2.5, "but only by a constant: {}", wr / wl);
-        // The two orders sum each element's updates differently, so the
-        // factors agree numerically, not bitwise ...
+        // Both orders hand each tile its updates in ascending k, so the
+        // factors agree bit for bit ...
         let right_l = right.to_matrix().lower_triangle().unwrap();
-        let d = norms::max_abs_diff(&left.to_matrix().lower_triangle().unwrap(), &right_l);
-        assert!(d < 1e-10, "left vs right: {d}");
-        // ... while the traced walk is the in-memory walk, bit for bit.
+        let left_l = left.to_matrix().lower_triangle().unwrap();
+        assert_eq!(matrix_digest(&left_l), matrix_digest(&right_l));
+        // ... and the traced walk is the in-memory walk.
         let mut tiles = MemTiles::from_matrix(&a, b).unwrap();
         let grid = tiles.grid;
         schedule::factor(&mut tiles, grid, 0..grid.nb(), KernelImpl::Reference).unwrap();
@@ -381,7 +345,7 @@ mod right_tests {
     }
 
     #[test]
-    fn both_blocked_variants_agree_numerically() {
+    fn both_blocked_variants_agree_bitwise() {
         let n = 24;
         let b = 8;
         let mut rng = spd::test_rng(57);
@@ -390,10 +354,9 @@ mod right_tests {
         potrf_blocked(&mut l1, &mut NullTracer, b, None).unwrap();
         let mut l2 = Laid::from_matrix(&a, ColMajor::square(n));
         potrf_blocked_right_with(&mut l2, &mut NullTracer, b, None, KernelImpl::Reference).unwrap();
-        let d = norms::max_abs_diff(
-            &l1.to_matrix().lower_triangle().unwrap(),
-            &l2.to_matrix().lower_triangle().unwrap(),
+        assert_eq!(
+            matrix_digest(&l1.to_matrix().lower_triangle().unwrap()),
+            matrix_digest(&l2.to_matrix().lower_triangle().unwrap()),
         );
-        assert!(d < 1e-10, "diff {d}");
     }
 }

@@ -3,26 +3,22 @@
 //! sequential LAPACK schedule (`cholcomm_seq::lapack::potrf_blocked`).
 //!
 //! Bit-identity is the service's core correctness claim, and it holds by
-//! construction: this engine performs *exactly* the left-looking per-tile
-//! kernel sequence of Algorithm 4 — for each panel `jb`, SYRK the
-//! diagonal tile against each earlier panel in ascending `kb` order, then
-//! POTF2; for each tile below, GEMM against each earlier panel in
-//! ascending order, then TRSM against the factored diagonal.  The tiles
-//! below the diagonal are mutually independent, so they run on the rayon
-//! work-stealing pool — parallelism changes *when* a tile's kernels run,
-//! never their operand bits or order, so the factor bits match the
-//! sequential schedule exactly.
+//! construction: this engine *is* that schedule — the left-looking walk
+//! of `cholcomm_matrix::schedule` (Algorithm 4), one block column per
+//! step, over the checkpoint's matrix updated in place, with the same
+//! `Arithmetic` the traced schedule runs.  Parallelism inside a request is
+//! the kernels' own, which `ShardConfig::parallel` switches.
 //!
 //! Between panels the engine yields to a control hook, which is where the
-//! service hangs its robustness machinery: the hook checkpoints the state
+//! service hangs its robustness machinery: the hook sees the state
 //! (panels `0..jb` final, trailing matrix untouched — the left-looking
-//! invariant that makes resumption exact), cancels on an expired deadline
-//! budget, or — under a chaos plan — dies mid-flight with a panic the
-//! shard supervisor must catch.
+//! invariant, the walk's by construction, that makes resumption exact),
+//! cancels on an expired deadline budget, or — under a chaos plan — dies
+//! mid-flight with a panic the shard supervisor must catch.
 
 use cholcomm_matrix::kernels_fast::batch::{batch_potrf, BatchMode, BatchPack, BATCH_LANES};
+use cholcomm_matrix::schedule::{self, Arithmetic, TileGrid, TileStore};
 use cholcomm_matrix::{KernelImpl, Matrix, MatrixError};
-use rayon::prelude::*;
 
 /// Calibration constant for virtual time: modelled kernel throughput.
 /// Only ratios matter for admission and deadlines; the absolute scale is
@@ -168,12 +164,11 @@ pub fn batched_request_cost_us(bucket_n: usize, b: usize) -> u64 {
 /// By design, when `ctl` returns [`PanelControl::Crash`] — with a
 /// [`PanelCrash`] payload the shard supervisor downcasts.
 pub fn factor_resumable(
-    ckpt: Checkpoint,
+    mut ckpt: Checkpoint,
     b: usize,
     kernel: KernelImpl,
     ctl: &mut dyn FnMut(usize, &Checkpoint) -> PanelControl,
 ) -> Result<FactorOutcome, MatrixError> {
-    let mut ckpt = ckpt;
     let n = ckpt.state.rows();
     if !ckpt.state.is_square() {
         return Err(MatrixError::NotSquare {
@@ -181,69 +176,50 @@ pub fn factor_resumable(
             cols: ckpt.state.cols(),
         });
     }
-    assert!(b >= 1, "block size must be at least 1");
-    let nb = panel_count(n, b);
+    let grid = TileGrid::new(n, b);
+    let mut arith = Arithmetic::new(kernel, grid);
 
-    while ckpt.next_panel < nb {
+    while ckpt.next_panel < grid.nb() {
         let jb = ckpt.next_panel;
         match ctl(jb, &ckpt) {
             PanelControl::Continue => {}
             PanelControl::Cancel => return Ok(FactorOutcome::Canceled { panel: jb }),
             PanelControl::Crash => std::panic::panic_any(PanelCrash { panel: jb }),
         }
-
-        let state = &mut ckpt.state;
-        let c0 = jb * b;
-        let bw = (n - c0).min(b);
-
-        // --- Diagonal tile: SYRK chain (ascending kb), then POTF2 ---
-        let mut a22 = state.submatrix(c0, c0, bw, bw);
-        for kb in 0..jb {
-            let k0 = kb * b;
-            let kw = (n - k0).min(b);
-            let ajk = state.submatrix(c0, k0, bw, kw);
-            kernel.syrk_lower(&mut a22, &ajk);
-        }
-        if let Err(MatrixError::NotSpd { pivot, value }) = kernel.potf2(&mut a22) {
-            return Err(MatrixError::NotSpd {
-                pivot: c0 + pivot,
-                value,
-            });
-        }
-        state.set_submatrix(c0, c0, &a22);
-
-        // --- Panel below: independent tiles on the work-stealing pool.
-        // Each tile runs its GEMM chain in ascending kb order and then
-        // its TRSM — the sequential schedule's exact kernel sequence per
-        // tile, so the bits cannot depend on the parallel interleaving.
-        let mut panel: Vec<(usize, Matrix<f64>)> = ((jb + 1)..nb)
-            .map(|ib| {
-                let r0 = ib * b;
-                let bh = (n - r0).min(b);
-                (ib, state.submatrix(r0, c0, bh, bw))
-            })
-            .collect();
-        let frozen = &*state;
-        panel.par_iter_mut().for_each(|(ib, aij)| {
-            let r0 = *ib * b;
-            let bh = (n - r0).min(b);
-            for kb in 0..jb {
-                let k0 = kb * b;
-                let kw = (n - k0).min(b);
-                let aik = frozen.submatrix(r0, k0, bh, kw);
-                let ajk = frozen.submatrix(c0, k0, bw, kw);
-                kernel.gemm_nt(aij, -1.0, &aik, &ajk);
-            }
-            kernel.trsm_right_lower_transpose(aij, &a22);
-        });
-        for (ib, tile) in &panel {
-            state.set_submatrix(ib * b, c0, tile);
-        }
-
+        let mut store = InPlace {
+            state: &mut ckpt.state,
+            grid,
+        };
+        schedule::walk_left(&mut store, grid.nb(), jb..jb + 1, |op, target, operands| {
+            arith.apply(op, target, operands)
+        })?;
         ckpt.next_panel = jb + 1;
     }
 
     Ok(FactorOutcome::Done(ckpt.state))
+}
+
+/// The checkpoint's matrix as a tile store, updated in place: a get
+/// copies the tile out, a put copies it back.
+struct InPlace<'a> {
+    state: &'a mut Matrix<f64>,
+    grid: TileGrid,
+}
+
+impl TileStore for InPlace<'_> {
+    type Tile = Matrix<f64>;
+    type Error = MatrixError;
+
+    fn get(&mut self, i: usize, j: usize) -> Result<Matrix<f64>, MatrixError> {
+        let TileGrid { b, .. } = self.grid;
+        Ok(self.state.submatrix(i * b, j * b, self.grid.dim(i), self.grid.dim(j)))
+    }
+
+    fn put(&mut self, i: usize, j: usize, tile: Matrix<f64>) -> Result<(), MatrixError> {
+        let TileGrid { b, .. } = self.grid;
+        self.state.set_submatrix(i * b, j * b, &tile);
+        Ok(())
+    }
 }
 
 /// Factor a whole size bucket of systems (each square, of order ≤
@@ -252,8 +228,8 @@ pub fn factor_resumable(
 ///
 /// Systems are packed [`BATCH_LANES`] at a time into interleaved
 /// [`BatchPack`]s with identity padding and factored by the blocked
-/// [`batch_potrf`] at panel width `b` — the exact tile schedule of
-/// [`factor_resumable`], lane-swept.  In strict mode (any kernel but
+/// [`batch_potrf`] at panel width `b` — the same left-looking walk as
+/// [`factor_resumable`], over lanes.  In strict mode (any kernel but
 /// [`KernelImpl::Fast`]) every system's factor is therefore
 /// **bit-identical** to what the per-request path would have produced,
 /// at any batch size; `Fast` gets the FMA-contracted rounding, which is
@@ -313,81 +289,68 @@ mod tests {
         laid.to_matrix()
     }
 
+    const ENGINES: [KernelImpl; 3] = [KernelImpl::Reference, KernelImpl::FastStrict, KernelImpl::Fast];
+
+    fn run_to_done(ckpt: Checkpoint, b: usize, kernel: KernelImpl) -> Matrix<f64> {
+        match factor_resumable(ckpt, b, kernel, &mut |_, _| PanelControl::Continue).unwrap() {
+            FactorOutcome::Done(m) => m,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
     #[test]
     fn bit_identical_to_the_sequential_blocked_schedule() {
         for (n, b, seed) in [(24usize, 8usize, 1u64), (26, 6, 2), (40, 16, 3), (16, 16, 4)] {
             let a = spd::random_spd(n, &mut spd::test_rng(seed));
-            for kernel in [KernelImpl::Reference, KernelImpl::FastStrict] {
+            for kernel in ENGINES {
                 let want = reference_factor(&a, b, kernel);
-                let got = match factor_resumable(
-                    Checkpoint::fresh(a.clone()),
-                    b,
-                    kernel,
-                    &mut |_, _| PanelControl::Continue,
-                )
-                .unwrap()
-                {
-                    FactorOutcome::Done(m) => m,
-                    other => panic!("unexpected {other:?}"),
-                };
+                let got = run_to_done(Checkpoint::fresh(a.clone()), b, kernel);
                 assert_eq!(
                     lower_digest(&got),
                     lower_digest(&want),
                     "n={n} b={b} {kernel:?}"
                 );
+                // The strict upper triangle retains the input values.
+                for j in 0..n {
+                    for i in 0..j {
+                        assert_eq!(got[(i, j)], a[(i, j)], "n={n} b={b} {kernel:?} ({i},{j})");
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn resuming_from_any_checkpoint_reproduces_the_same_bits() {
-        let n = 32;
-        let b = 8;
-        let a = spd::random_spd(n, &mut spd::test_rng(9));
-        let straight = match factor_resumable(
-            Checkpoint::fresh(a.clone()),
-            b,
-            KernelImpl::Reference,
-            &mut |_, _| PanelControl::Continue,
-        )
-        .unwrap()
-        {
-            FactorOutcome::Done(m) => lower_digest(&m),
-            other => panic!("unexpected {other:?}"),
-        };
+        for (n, b) in [(32usize, 8usize), (29, 6)] {
+            let a = spd::random_spd(n, &mut spd::test_rng(9));
+            for kernel in ENGINES {
+                let straight = lower_digest(&run_to_done(Checkpoint::fresh(a.clone()), b, kernel));
+                for stop_at in 0..panel_count(n, b) {
+                    // Cancel at `stop_at`, grabbing the checkpoint.
+                    let mut saved: Option<Checkpoint> = None;
+                    let out = factor_resumable(
+                        Checkpoint::fresh(a.clone()),
+                        b,
+                        kernel,
+                        &mut |jb, ck| {
+                            if jb == stop_at {
+                                saved = Some(ck.clone());
+                                PanelControl::Cancel
+                            } else {
+                                PanelControl::Continue
+                            }
+                        },
+                    )
+                    .unwrap();
+                    assert!(matches!(out, FactorOutcome::Canceled { panel } if panel == stop_at));
+                    let saved = saved.unwrap();
+                    assert_eq!(saved.next_panel, stop_at);
 
-        for stop_at in 1..panel_count(n, b) {
-            // Cancel at `stop_at`, grabbing the checkpoint.
-            let mut saved: Option<Checkpoint> = None;
-            let out = factor_resumable(
-                Checkpoint::fresh(a.clone()),
-                b,
-                KernelImpl::Reference,
-                &mut |jb, ck| {
-                    if jb == stop_at {
-                        saved = Some(ck.clone());
-                        PanelControl::Cancel
-                    } else {
-                        PanelControl::Continue
-                    }
-                },
-            )
-            .unwrap();
-            assert!(matches!(out, FactorOutcome::Canceled { panel } if panel == stop_at));
-
-            // Resume from the saved checkpoint.
-            let resumed = match factor_resumable(
-                saved.unwrap(),
-                b,
-                KernelImpl::Reference,
-                &mut |_, _| PanelControl::Continue,
-            )
-            .unwrap()
-            {
-                FactorOutcome::Done(m) => lower_digest(&m),
-                other => panic!("unexpected {other:?}"),
-            };
-            assert_eq!(resumed, straight, "resume at panel {stop_at}");
+                    let resumed = lower_digest(&run_to_done(saved, b, kernel));
+                    assert_eq!(resumed, straight, "n={n} b={b} {kernel:?} resume at {stop_at}");
+                }
+            }
         }
     }
 

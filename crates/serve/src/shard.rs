@@ -10,13 +10,14 @@
 //! fault plan.
 //!
 //! The supervisor structure: each factorization attempt runs inside
-//! `catch_unwind`.  The engine's control hook deposits a checkpoint into
-//! the shard's checkpoint slot before every panel, so when a chaos plan
-//! makes the worker die mid-factorization ([`PanelCrash`]), the
-//! supervisor catches the panic, logs the restart, recovers the
-//! in-flight job from the slot, and re-drives it from the last completed
-//! panel — recomputing bit-identical panels, never restarting from
-//! scratch unless the crash landed before panel 0 finished.
+//! `catch_unwind`.  A chaos plan makes the worker die
+//! mid-factorization ([`PanelCrash`]) from inside the engine's control
+//! hook, at a panel boundary, and the hook deposits the checkpoint it
+//! dies with into the supervisor's slot first: the supervisor catches
+//! the panic, logs the restart, recovers the in-flight job from the
+//! slot, and re-drives it from the last completed panel —
+//! recomputing bit-identical panels, never restarting from scratch
+//! unless the crash landed before panel 0 finished.
 
 use crate::admission::Admission;
 use crate::breaker::CircuitBreaker;
@@ -117,7 +118,6 @@ pub(crate) struct Shard {
     vclock_us: u64,
     events: Vec<EventRecord>,
     metrics: Metrics,
-    checkpoint_slot: Option<Checkpoint>,
     durable: Option<DurableCache>,
 }
 
@@ -143,7 +143,6 @@ impl Shard {
                 vclock_us: 0,
                 events: Vec::new(),
                 metrics: Metrics::default(),
-                checkpoint_slot: None,
                 durable,
             };
             // A durable shard first replays its journal: committed
@@ -534,20 +533,20 @@ impl Shard {
             };
 
             // Run the attempt under the supervisor's catch_unwind.  The
-            // control hook checkpoints, meters virtual work, enforces
-            // the deadline, and injects the crash.
+            // control hook meters virtual work, enforces the deadline,
+            // and injects the crash — leaving the checkpoint the engine
+            // dies with in the slot, the one place it is ever read from.
             let consumed = Cell::new(0u64);
-            let slot: &mut Option<Checkpoint> = &mut self.checkpoint_slot;
+            let mut slot: Option<Checkpoint> = None;
             let base_work = work_us;
-            let start_ckpt = ckpt.clone();
             let result = catch_unwind(AssertUnwindSafe(|| {
-                factor_resumable(start_ckpt, b, self.config.kernel, &mut |jb, ck| {
-                    *slot = Some(ck.clone());
+                factor_resumable(ckpt, b, self.config.kernel, &mut |jb, ck| {
                     let elapsed = queue_wait_us + base_work + consumed.get();
                     if elapsed >= budget_us {
                         return PanelControl::Cancel;
                     }
                     if crash_panel == Some(jb) {
+                        slot = Some(ck.clone());
                         return PanelControl::Crash;
                     }
                     consumed.set(consumed.get() + panel_cost_us(n, b, jb));
@@ -593,24 +592,18 @@ impl Shard {
                     self.metrics.counters.worker_crashes += 1;
                     had_fault = true;
                     // Supervisor: restart the worker state and re-drive
-                    // from the slot's last checkpoint.
-                    let recovered = self
-                        .checkpoint_slot
-                        .take()
-                        .unwrap_or_else(|| Checkpoint {
-                            next_panel: ckpt.next_panel,
-                            state: ckpt.state.clone(),
-                        });
+                    // from the slot's checkpoint.
+                    ckpt = slot
+                        .expect("an injected crash fires in the hook, which fills the slot first");
                     self.emit(
                         job.req_id,
                         &mut seq,
                         Event::WorkerRestarted {
                             shard: self.shard_id,
-                            from_panel: recovered.next_panel,
+                            from_panel: ckpt.next_panel,
                         },
                     );
                     self.metrics.counters.worker_restarts += 1;
-                    ckpt = recovered;
                     let backoff = backoff_us(
                         self.config.backoff_base_us,
                         self.config.seed,
@@ -623,7 +616,6 @@ impl Shard {
                 }
             }
         };
-        self.checkpoint_slot = None;
 
         // Breaker bookkeeping happens per job, after its outcome.
         let change = if had_fault {
