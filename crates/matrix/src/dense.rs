@@ -166,8 +166,18 @@ impl<S: Scalar> Matrix<S> {
 
     /// Copy of the `h x w` submatrix whose top-left corner is `(i0, j0)`.
     pub fn submatrix(&self, i0: usize, j0: usize, h: usize, w: usize) -> Self {
+        self.submatrix_into(i0, j0, h, w, Vec::new())
+    }
+
+    /// [`submatrix`](Self::submatrix) in the storage of `buf`, whose
+    /// contents are discarded: with `h * w` elements of capacity already
+    /// reserved nothing is allocated, and the reserved pages are first
+    /// touched here — by the thread that is about to work on the copy.
+    pub fn submatrix_into(&self, i0: usize, j0: usize, h: usize, w: usize, buf: Vec<S>) -> Self {
         assert!(i0 + h <= self.rows && j0 + w <= self.cols, "submatrix out of range");
-        let mut data = Vec::with_capacity(h * w);
+        let mut data = buf;
+        data.clear();
+        data.reserve_exact(h * w);
         for j in j0..j0 + w {
             data.extend_from_slice(&self.col(j)[i0..i0 + h]);
         }
@@ -180,8 +190,28 @@ impl<S: Scalar> Matrix<S> {
             i0 + block.rows <= self.rows && j0 + block.cols <= self.cols,
             "set_submatrix out of range"
         );
-        for j in 0..block.cols {
-            self.col_mut(j0 + j)[i0..i0 + block.rows].copy_from_slice(block.col(j));
+        if !block.data.is_empty() {
+            let ld = self.rows;
+            block.copy_to_cols(&mut self.data[i0 + j0 * ld..], ld);
+        }
+    }
+
+    /// Copy this matrix into a window of a column-major matrix with
+    /// leading dimension `ld`: column `j` goes to
+    /// `window[j * ld..j * ld + rows]`, nothing else is written.  The
+    /// window starts at the element the top-left corner lands on, so any
+    /// contiguous run of the target's columns — one block column, handed
+    /// to one task — can be written without the whole matrix in hand.
+    pub fn copy_to_cols(&self, window: &mut [S], ld: usize) {
+        if self.data.is_empty() {
+            return;
+        }
+        assert!(
+            self.rows <= ld && (self.cols - 1) * ld + self.rows <= window.len(),
+            "copy_to_cols out of range"
+        );
+        for (dst, src) in window.chunks_mut(ld).zip(self.data.chunks_exact(self.rows)) {
+            dst[..self.rows].copy_from_slice(src);
         }
     }
 

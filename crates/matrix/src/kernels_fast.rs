@@ -318,14 +318,31 @@ impl PackedTile {
             i0 + self.rows <= a.rows() && j0 + self.cols <= a.cols(),
             "unpack_into out of range"
         );
-        if self.cols == 0 {
+        if !self.data.is_empty() {
+            let ld = a.rows();
+            self.unpack_to_cols(&mut a.as_mut_slice()[i0 + j0 * ld..], ld);
+        }
+    }
+
+    /// [`Matrix::copy_to_cols`] for a packed tile: column `k` goes to
+    /// `window[k * ld..k * ld + rows]`.  Column-outer, so every column of
+    /// the target is written as one contiguous run gathered from the
+    /// strips; strip-outer would write `MR` elements per column and come
+    /// back to the same column `cols * MR` elements later — in a matrix of
+    /// order 2048 that is a new page for every 128 bytes written.
+    pub fn unpack_to_cols(&self, window: &mut [f64], ld: usize) {
+        if self.data.is_empty() {
             return;
         }
-        for (s, strip) in self.data.chunks_exact(self.cols * MR).enumerate() {
-            let r0 = s * MR;
-            let mr = (self.rows - r0).min(MR);
-            for (k, src) in strip.chunks_exact(MR).enumerate() {
-                a.col_mut(j0 + k)[i0 + r0..i0 + r0 + mr].copy_from_slice(&src[..mr]);
+        assert!(
+            self.rows <= ld && (self.cols - 1) * ld + self.rows <= window.len(),
+            "unpack_to_cols out of range"
+        );
+        let strip_len = self.cols * MR;
+        for (k, col) in window.chunks_mut(ld).take(self.cols).enumerate() {
+            for (s, dst) in col[..self.rows].chunks_mut(MR).enumerate() {
+                let src = s * strip_len + k * MR;
+                dst.copy_from_slice(&self.data[src..src + dst.len()]);
             }
         }
     }
@@ -1538,6 +1555,52 @@ mod tests {
         kernels::gemm_nt(&mut back, 1.0, &x, &l);
         // gemm_nt computes X * L^T via B(j,k) reads: back = X L^T.
         assert!(norms::max_abs_diff(&back, &b) <= 1e-9);
+    }
+
+    #[test]
+    fn packed_tile_unpacks_to_exactly_its_window_of_a_column_major_slice() {
+        const SENTINEL: f64 = -7.25;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for rows in [1usize, 7, 16, 17, 100, 128] {
+            for cols in [1usize, 8, 32, 128] {
+                // Signed zeros ride along: the unpack must copy bits.
+                let mut tile = random_matrix(rows, cols, (rows * 1000 + cols) as u64);
+                tile[(rows - 1, 0)] = -0.0;
+                let mut packed = PackedTile::default();
+                packed.pack(&tile);
+
+                // The tile lands at (3, 2) of a sentinel-filled matrix
+                // with a margin on every side: no sentinel moves.
+                let (ld, width, i0, j0) = (rows + 5, cols + 3, 3, 2);
+                let want = Matrix::from_fn(ld, width, |i, j| {
+                    if (i0..i0 + rows).contains(&i) && (j0..j0 + cols).contains(&j) {
+                        tile[(i - i0, j - j0)]
+                    } else {
+                        SENTINEL
+                    }
+                });
+                let mut got = vec![SENTINEL; ld * width];
+                packed.unpack_to_cols(&mut got[i0 + j0 * ld..], ld);
+                assert_eq!(bits(&got), bits(want.as_slice()), "{rows}x{cols}");
+                // Unpacking to a plain tile and setting that is the same.
+                let mut around = Matrix::from_fn(ld, width, |_, _| SENTINEL);
+                around.set_submatrix(i0, j0, &packed.unpack());
+                assert_eq!(bits(around.as_slice()), bits(want.as_slice()), "{rows}x{cols}");
+
+                // A window that ends with the tile's last element is
+                // enough; one element less is refused, not overrun.
+                let mut exact = vec![SENTINEL; (cols - 1) * ld + rows];
+                packed.unpack_to_cols(&mut exact, ld);
+                assert_eq!(bits(&exact[(cols - 1) * ld..]), bits(tile.col(cols - 1)));
+                let short = std::panic::catch_unwind(|| {
+                    let mut short = vec![SENTINEL; (cols - 1) * ld + rows - 1];
+                    packed.unpack_to_cols(&mut short, ld);
+                });
+                assert!(short.is_err(), "{rows}x{cols}: short window accepted");
+            }
+        }
+        // Nothing to write, nothing touched — even with no window at all.
+        PackedTile::default().unpack_to_cols(&mut [], 0);
     }
 
     #[test]

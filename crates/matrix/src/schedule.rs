@@ -23,6 +23,10 @@
 //!   dependence graph, for the work-stealing executor and its scheduler
 //!   model in `cholcomm-par`.
 //!
+//! It also owns the tile <-> matrix mapping of a column-major matrix in
+//! memory ([`TileGrid::cut_tile`], [`TileGrid::write_block_column`]):
+//! [`MemTiles`] runs it serially, the DAG executor from its tasks.
+//!
 //! A [`TileStore`] says where tiles live and what moving one costs: a
 //! traced layout (`seq::lapack`), a checksum-carrying matrix
 //! (`seq::abft`), a tile cache over a file or a prefetching pipeline
@@ -77,6 +81,76 @@ impl TileGrid {
     /// Live rows (equally, columns) of tile row `t`.
     pub fn dim(&self, t: usize) -> usize {
         (self.n - t * self.b).min(self.b)
+    }
+
+    /// The grid `a` is cut on with tile size `b`; `a` must be square.
+    pub fn of<S: Scalar>(a: &Matrix<S>, b: usize) -> Result<Self, MatrixError> {
+        if !a.is_square() {
+            return Err(MatrixError::NotSquare {
+                rows: a.rows(),
+                cols: a.cols(),
+            });
+        }
+        Ok(TileGrid::new(a.rows(), b))
+    }
+
+    /// Elements of tile `(bi, bj)`.
+    pub fn tile_len(&self, bi: usize, bj: usize) -> usize {
+        self.dim(bi) * self.dim(bj)
+    }
+
+    /// Cut tile `(bi, bj)` out of `a`, into the storage of `buf` (see
+    /// [`Matrix::submatrix_into`]).  With [`write_block_column`] this is
+    /// the whole tile <-> matrix mapping; [`MemTiles`] runs the two in a
+    /// loop, the DAG executor of `cholcomm-par` from its tasks.
+    ///
+    /// [`write_block_column`]: Self::write_block_column
+    pub fn cut_tile<S: Scalar>(
+        &self,
+        a: &Matrix<S>,
+        bi: usize,
+        bj: usize,
+        buf: Vec<S>,
+    ) -> Matrix<S> {
+        let b = self.b;
+        a.submatrix_into(bi * b, bj * b, self.dim(bi), self.dim(bj), buf)
+    }
+
+    /// The block columns of `a`, left to right.  A block column of a
+    /// column-major matrix is one contiguous run of `dim(bj) * n`
+    /// elements, so these are disjoint `&mut` slices: each can be handed
+    /// to its own task.
+    pub fn block_columns_mut<'a, S: Scalar>(
+        &self,
+        a: &'a mut Matrix<S>,
+    ) -> std::slice::ChunksMut<'a, S> {
+        assert!(a.rows() == self.n && a.cols() == self.n, "matrix is not this grid's");
+        // (An empty matrix has no block column; `chunks_mut(0)` panics.)
+        a.as_mut_slice().chunks_mut((self.b * self.n).max(1))
+    }
+
+    /// Write block column `bj` of the factor into `cols`, its slice of
+    /// the matrix (see [`block_columns_mut`](Self::block_columns_mut)), in
+    /// one sweep: `write_tile(bi, window, ld)` is called for each lower
+    /// tile `(bi, bj)`, top down, and copies that tile to `window` — the
+    /// slice from the tile's top-left corner on, leading dimension `ld`
+    /// ([`Matrix::copy_to_cols`], [`PackedTile::unpack_to_cols`]) — and
+    /// everything strictly above the diagonal is zeroed, whatever the
+    /// diagonal tile held there.
+    pub fn write_block_column<S: Scalar>(
+        &self,
+        bj: usize,
+        cols: &mut [S],
+        mut write_tile: impl FnMut(usize, &mut [S], usize),
+    ) {
+        let (n, b) = (self.n, self.b);
+        assert!(bj < self.nb() && cols.len() == self.dim(bj) * n, "not block column {bj}");
+        for bi in bj..self.nb() {
+            write_tile(bi, &mut cols[bi * b..], n);
+        }
+        for (c, col) in cols.chunks_exact_mut(n).enumerate() {
+            col[..bj * b + c].fill(S::zero());
+        }
     }
 }
 
@@ -180,6 +254,15 @@ impl TileOp {
     /// Size of the flat id space for an `nb x nb` tile grid.
     pub fn id_space(nb: usize) -> usize {
         tile_idx(nb, 0) * (nb + 1)
+    }
+
+    /// Every op of an `nb x nb` tile grid, in ascending [`id`](Self::id)
+    /// order — the way to fill a table indexed by id (decoding each slot
+    /// with [`from_id`](Self::from_id) costs a square root per slot).
+    pub fn all(nb: usize) -> impl Iterator<Item = TileOp> {
+        (0..nb).flat_map(move |bi| {
+            (0..=bi).flat_map(move |bj| (0..=bj).map(move |k| TileOp::of(bi, bj, k)))
+        })
     }
 
     /// Number of ops that must complete before this one may start.
@@ -479,9 +562,11 @@ where
 }
 
 /// The lower-triangle tiles of a square matrix in memory — the plain
-/// store: what the DAG executor cuts its input into, and, through the
-/// sequential walk, the reference every other store's factor is
-/// compared against.
+/// store, cut and written back serially: through the sequential walk,
+/// the reference every other store's factor is compared against.  (The
+/// DAG executor shares its two mapping primitives,
+/// [`TileGrid::cut_tile`] and [`TileGrid::write_block_column`], not the
+/// store.)
 #[derive(Debug, Clone)]
 pub struct MemTiles<S: Scalar> {
     /// The grid the tiles were cut on.
@@ -494,32 +579,25 @@ pub struct MemTiles<S: Scalar> {
 impl<S: Scalar> MemTiles<S> {
     /// Cut the lower triangle of `a` into `b x b` tiles.
     pub fn from_matrix(a: &Matrix<S>, b: usize) -> Result<Self, MatrixError> {
-        if !a.is_square() {
-            return Err(MatrixError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let grid = TileGrid::new(a.rows(), b);
+        let grid = TileGrid::of(a, b)?;
         let mut tiles = Vec::with_capacity(tile_idx(grid.nb(), 0));
         for bi in 0..grid.nb() {
             for bj in 0..=bi {
-                tiles.push(a.submatrix(bi * b, bj * b, grid.dim(bi), grid.dim(bj)));
+                tiles.push(grid.cut_tile(a, bi, bj, Vec::new()));
             }
         }
         Ok(MemTiles { grid, tiles })
     }
 
     /// Write the tiles back over the lower triangle of `a` and zero its
-    /// strict upper triangle.
+    /// strict upper triangle, block column by block column.
     pub fn write_back(&self, a: &mut Matrix<S>) {
-        let b = self.grid.b;
-        for bi in 0..self.grid.nb() {
-            for bj in 0..=bi {
-                a.set_submatrix(bi * b, bj * b, &self.tiles[tile_idx(bi, bj)]);
-            }
+        let grid = self.grid;
+        for (bj, cols) in grid.block_columns_mut(a).enumerate() {
+            grid.write_block_column(bj, cols, |bi, window, ld| {
+                self.tiles[tile_idx(bi, bj)].copy_to_cols(window, ld)
+            });
         }
-        a.zero_strict_upper();
     }
 }
 
@@ -698,8 +776,29 @@ mod tests {
 
     #[test]
     fn mem_tiles_cut_and_write_back_move_exactly_the_lower_tiles() {
-        for (n, b) in [(1usize, 1usize), (7, 3), (21, 8), (24, 8), (5, 16), (37, 16)] {
-            let a = Matrix::<f64>::from_fn(n, n, |i, j| (1 + i + 100 * j) as f64);
+        // n % b != 0 (a narrower last block column), n % b == 0, n == b,
+        // n < b (one ragged tile), n == 1, and tiles past one 16-row strip
+        // of the packed layout.
+        let shapes = [
+            (1usize, 1usize),
+            (7, 3),
+            (21, 8),
+            (24, 8),
+            (16, 16),
+            (5, 16),
+            (37, 16),
+            (50, 24),
+        ];
+        for (n, b) in shapes {
+            // Negative zeros below the diagonal must survive the round
+            // trip; above it everything becomes +0.0.
+            let a = Matrix::<f64>::from_fn(n, n, |i, j| {
+                if (i + j) % 5 == 4 {
+                    -0.0
+                } else {
+                    (1 + i + 100 * j) as f64
+                }
+            });
             let tiles = MemTiles::from_matrix(&a, b).unwrap();
             let grid = tiles.grid;
             assert_eq!(tiles.tiles.len(), tile_idx(grid.nb(), 0));
@@ -709,18 +808,58 @@ mod tests {
                     a[(bi * b + i, bj * b + j)]
                 });
                 assert_eq!(tile, &want, "n={n} b={b} tile ({bi},{bj})");
+                // Cutting into reserved storage is the same cut, in place.
+                let buf = Vec::with_capacity(grid.tile_len(bi, bj));
+                let at = buf.as_ptr();
+                let cut = grid.cut_tile(&a, bi, bj, buf);
+                assert_eq!((&cut, cut.as_slice().as_ptr()), (&want, at), "n={n} b={b} ({bi},{bj})");
             }
 
-            // Written back over other contents: lower tiles restored, the
-            // strict upper triangle zeroed, element by element.
+            // Written back over other contents: the lower triangle
+            // restored and +0.0 above it, bit for bit.
+            let want = Matrix::from_fn(n, n, |i, j| if i < j { 0.0 } else { a[(i, j)] });
+            let bits = |m: &Matrix<f64>| -> Vec<u64> {
+                m.as_slice().iter().map(|x| x.to_bits()).collect()
+            };
+
             let mut back = Matrix::from_fn(n, n, |_, _| -1.0);
             tiles.write_back(&mut back);
-            for j in 0..n {
-                for i in 0..n {
-                    let want = if i < j { 0.0 } else { a[(i, j)] };
-                    assert_eq!(back[(i, j)], want, "n={n} b={b} ({i},{j})");
-                }
+            assert_eq!(bits(&back), bits(&want), "n={n} b={b}: plain tiles");
+
+            // The same block columns from packed tiles, one column at a
+            // time and right to left: a block column's write touches
+            // nothing outside its slice.
+            let mut back = Matrix::from_fn(n, n, |_, _| -1.0);
+            let columns: Vec<&mut [f64]> = grid.block_columns_mut(&mut back).collect();
+            assert_eq!(columns.len(), grid.nb(), "n={n} b={b}");
+            for (bj, cols) in columns.into_iter().enumerate().rev() {
+                grid.write_block_column(bj, cols, |bi, window, ld| {
+                    let mut packed = PackedTile::default();
+                    packed.pack(&tiles.tiles[tile_idx(bi, bj)]);
+                    packed.unpack_to_cols(window, ld);
+                });
             }
+            assert_eq!(bits(&back), bits(&want), "n={n} b={b}: packed tiles");
+        }
+
+        // An empty matrix has no block column to write.
+        let mut empty = Matrix::<f64>::zeros(0, 0);
+        let none = MemTiles::from_matrix(&empty, 4).unwrap();
+        assert_eq!(none.grid.block_columns_mut(&mut empty).count(), 0);
+        none.write_back(&mut empty);
+        assert!(matches!(
+            TileGrid::of(&Matrix::<f64>::zeros(3, 4), 2),
+            Err(MatrixError::NotSquare { rows: 3, cols: 4 })
+        ));
+    }
+
+    #[test]
+    fn all_lists_every_op_once_in_id_order() {
+        for nb in 0..=9usize {
+            let by_decoding: Vec<TileOp> = (0..TileOp::id_space(nb))
+                .filter_map(|id| TileOp::from_id(nb, id))
+                .collect();
+            assert_eq!(TileOp::all(nb).collect::<Vec<_>>(), by_decoding, "nb={nb}");
         }
     }
 }

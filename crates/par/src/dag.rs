@@ -14,14 +14,33 @@
 //! overlap trailing updates of step `k`; no worker ever waits at a
 //! barrier.
 //!
-//! **Pack once, update many.**  A solved panel tile `L(i, k)` is final
-//! and is read by up to `nb - k` updates.  Under an engine that
-//! [packs](KernelImpl::packs_tiles) this grid's tiles, `SOLVE(i, k)`
-//! ends by replacing the tile with its packed form — the layout the
-//! update micro-kernel streams — so no update re-packs an operand, and
-//! the store holds each tile once, in whichever form its next reader
-//! wants (diagonal tiles stay plain: only `trsm` reads them).  The
-//! write-back unpacks.
+//! **The life of a tile.**  The column-major <-> tile conversion is work
+//! like any other, so it runs on the pool, not around it, and every
+//! element moves once each way.  The mapping itself is
+//! [`TileGrid::cut_tile`] and [`TileGrid::write_block_column`], the two
+//! primitives the serial [`MemTiles`](schedule::MemTiles) store is made
+//! of.
+//!
+//! * *Uncut.*  The caller reserves every tile's storage (capacity only:
+//!   no page is touched, and each buffer is later freed by the thread
+//!   that allocated it) and the graph starts.  Until it has succeeded the
+//!   input matrix is only read.
+//! * *Plain.*  A tile's first op — `UPDATE(i, j, 0)`, or its
+//!   `FACTOR`/`SOLVE` in block column 0 — cuts it from the input into
+//!   that storage, on the worker about to update it, and the tile stays
+//!   plain while it is written.
+//! * *Packed.*  A solved panel tile `L(i, k)` is final and is read by up
+//!   to `nb - k` updates.  Under an engine that
+//!   [packs](KernelImpl::packs_tiles) this grid's tiles, `SOLVE(i, k)`
+//!   ends by replacing the tile with its packed form — the layout the
+//!   update micro-kernel streams — so no update re-packs an operand, and
+//!   the store holds each tile once, in whichever form its next reader
+//!   wants (diagonal tiles stay plain: only `trsm` reads them).
+//! * *Written back.*  Once the graph has succeeded, one pool task per
+//!   block column copies or unpacks that column's tiles into its
+//!   contiguous slice of the matrix and zeroes the part above the
+//!   diagonal in the same sweep.  It waits for the whole graph because a
+//!   failing `FACTOR(k)` must leave the input untouched.
 //!
 //! **Bit-identity.**  Each tile `(i, j)` receives exactly the same kernel
 //! calls in exactly the same order as under the sequential walk
@@ -46,12 +65,15 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use cholcomm_matrix::schedule::{self, tile_coords, tile_idx, MemTiles, TileGrid, TileOp};
+use cholcomm_matrix::schedule::{self, tile_idx, TileGrid, TileOp};
 use cholcomm_matrix::{KernelImpl, Matrix, MatrixError, Operand, PackedTile};
 
-/// A tile of the in-flight factorization: plain while it is still
-/// written, packed once it is a final panel tile under a packing engine.
+/// A tile of the in-flight factorization (see "The life of a tile"):
+/// reserved storage until its first op cuts it from the input, plain
+/// while it is written, packed once it is a final panel tile under a
+/// packing engine.
 enum Tile {
+    Uncut(Vec<f64>),
     Plain(Matrix<f64>),
     Packed(PackedTile),
 }
@@ -59,8 +81,18 @@ enum Tile {
 impl Tile {
     fn operand(&self) -> Operand<'_, f64> {
         match self {
+            Tile::Uncut(_) => unreachable!("a final tile has been written, so it was cut"),
             Tile::Plain(t) => Operand::Plain(t),
             Tile::Packed(t) => Operand::Packed(t),
+        }
+    }
+
+    /// Copy the tile into a window of the matrix (leading dimension `ld`).
+    fn write_to_cols(&self, window: &mut [f64], ld: usize) {
+        match self {
+            Tile::Uncut(_) => unreachable!("every tile has an op, and the graph succeeded"),
+            Tile::Plain(t) => t.copy_to_cols(window, ld),
+            Tile::Packed(t) => t.unpack_to_cols(window, ld),
         }
     }
 }
@@ -71,12 +103,21 @@ impl Tile {
 /// access to the one tile it writes (tasks of a tile are chained) and that
 /// the tiles it reads are final (their last writer is a transitive
 /// dependency), so the `&mut`/`&` pairs handed out below never alias a
-/// concurrent writer.
+/// concurrent writer.  `schedule`'s
+/// `walk_order_is_a_linear_extension_of_the_dag` checks the graph those
+/// two claims are read off.
 struct Tiles {
     cells: Vec<UnsafeCell<Tile>>,
 }
 
-// SAFETY: cross-thread access is disjoint by the DAG argument above.
+// SAFETY: `Tile` is `Send`, and every cross-thread hand-over of a cell
+// goes through the `AcqRel` countdown in `notify`: a tile's writer
+// decrements before the next toucher is spawned, so accesses to one cell
+// are ordered, never concurrent.  A torn or stale tile would change the
+// factor's digest, which
+// `dag_is_bitwise_equal_to_the_sequential_walk_at_every_pool_size` holds
+// to the sequential walk's on 1, 2, 4 and 8 workers (and CI repeats
+// under AddressSanitizer).
 unsafe impl Sync for Tiles {}
 
 impl Tiles {
@@ -86,6 +127,9 @@ impl Tiles {
     /// The caller must be the unique in-flight task of tile `t`.
     #[allow(clippy::mut_from_ref)]
     unsafe fn tile_mut(&self, t: usize) -> &mut Tile {
+        // SAFETY: by the caller's contract nothing else holds a reference
+        // into cell `t`; the index is bounds-checked.  Every task of
+        // every test in this module comes through here.
         &mut *self.cells[t].get()
     }
 
@@ -95,12 +139,19 @@ impl Tiles {
     /// Tile `t`'s final task must be a (transitive) dependency of the
     /// caller, so no writer is concurrent.
     unsafe fn tile(&self, t: usize) -> Operand<'_, f64> {
+        // SAFETY: by the caller's contract the cell has no writer left, so
+        // shared references to it (several updates read one panel tile at
+        // once) are all there is.  Exercised by every SOLVE and UPDATE of
+        // the bit-identity test above.
         (*self.cells[t].get()).operand()
     }
 }
 
 /// Everything the task bodies share.
-struct Ctx {
+struct Ctx<'a> {
+    /// The matrix being factored.  Tiles are cut from it; nothing is
+    /// written to it until the graph has succeeded.
+    input: &'a Matrix<f64>,
     tiles: Tiles,
     /// Dependency countdowns, indexed by [`TileOp::id`].
     deps: Vec<AtomicUsize>,
@@ -113,36 +164,53 @@ struct Ctx {
 
 /// Decrement a successor's dependency counter; spawn it if this was the
 /// last unmet dependency.
-fn notify<'s>(ctx: &'s Ctx, s: &rayon::Scope<'s>, op: TileOp) {
+fn notify<'s>(ctx: &'s Ctx<'_>, s: &rayon::Scope<'s>, op: TileOp) {
     if ctx.deps[op.id(ctx.nb)].fetch_sub(1, Ordering::AcqRel) == 1 {
         s.spawn(move |s| run_task(ctx, s, op));
     }
 }
 
 /// Execute `op` and unlock its successors.
-fn run_task<'s>(ctx: &'s Ctx, s: &rayon::Scope<'s>, op: TileOp) {
+fn run_task<'s>(ctx: &'s Ctx<'_>, s: &rayon::Scope<'s>, op: TileOp) {
     if ctx.failed.load(Ordering::Acquire) {
         // A pivot already failed: drain without spawning successors.
         return;
     }
     let (bi, bj) = op.target();
-    // SAFETY: the ops of a tile are chained and this one's predecessors
-    // are done, so (bi, bj) is exclusively ours.
+    // SAFETY: the ops of a tile are chained (`dep_count` counts the
+    // previous op of the same tile) and this one's predecessors are done,
+    // so (bi, bj) is exclusively ours.  Two tasks in one tile would break
+    // `dag_is_bitwise_equal_to_the_sequential_walk_at_every_pool_size`
+    // (b = 4 on 8 workers is the many-tiny-tasks stress) and
+    // `tests/parallel_threads.rs`.
     let tile = unsafe { ctx.tiles.tile_mut(tile_idx(bi, bj)) };
+    if let Tile::Uncut(buf) = tile {
+        // First touch: this worker is about to stream the tile through
+        // its cache anyway.
+        *tile = Tile::Plain(ctx.grid.cut_tile(ctx.input, bi, bj, std::mem::take(buf)));
+    }
     let Tile::Plain(target) = tile else {
         unreachable!("{op:?} writes a tile that was already packed as final");
     };
     let done = match op {
         TileOp::Factor { .. } => schedule::apply(op, ctx.kernel, ctx.grid, target, &[]),
         TileOp::Solve { k, .. } => {
-            // SAFETY: FACTOR(k) is a dependency, so the diagonal is final.
+            // SAFETY: FACTOR(k) is a dependency, so the diagonal is final
+            // (and stays plain).  A solve that read it early would see an
+            // unfactored tile: the bit-identity test above runs every
+            // solve of every panel at four pool sizes.
             let diag = unsafe { ctx.tiles.tile(tile_idx(k, k)) };
             schedule::apply(op, ctx.kernel, ctx.grid, target, &[diag])
         }
         TileOp::Update { i, j, k } => {
-            // SAFETY: panel tiles (i,k) and (j,k) are final (their solves
-            // are dependencies).
+            // SAFETY: SOLVE(i, k) is a dependency, so panel tile (i, k) is
+            // final — and already packed, if it ever will be: the
+            // replacement below precedes the solve's `notify`.  The
+            // packed-vs-plain digests of the bit-identity test (b = 128
+            // packs, b = 136 does not) cover both forms.
             let li = unsafe { ctx.tiles.tile(tile_idx(i, k)) };
+            // SAFETY: likewise SOLVE(j, k) for the column operand; on the
+            // diagonal (i == j) it is the same tile, shared twice.
             let lj = unsafe { ctx.tiles.tile(tile_idx(j, k)) };
             schedule::apply(op, ctx.kernel, ctx.grid, target, &[li, lj])
         }
@@ -175,22 +243,28 @@ pub fn potrf_dag_with(
     b: usize,
     kernel: KernelImpl,
 ) -> Result<(), MatrixError> {
-    let MemTiles { grid, tiles } = MemTiles::from_matrix(a, b)?;
+    let grid = TileGrid::of(a, b)?;
     let nb = grid.nb();
     if nb == 0 {
         return Ok(());
     }
 
+    let mut deps = vec![0usize; TileOp::id_space(nb)];
+    for op in TileOp::all(nb) {
+        deps[op.id(nb)] = op.dep_count();
+    }
+    // Reserved here, filled by each tile's first op, freed here again:
+    // a worker that allocated the tile it cuts would do so from its own
+    // malloc arena and leave this thread to free it across arenas.
+    let uncut = (0..nb)
+        .flat_map(|bi| (0..=bi).map(move |bj| grid.tile_len(bi, bj)))
+        .map(|len| UnsafeCell::new(Tile::Uncut(Vec::with_capacity(len))));
     let ctx = Ctx {
+        input: a,
         tiles: Tiles {
-            cells: tiles
-                .into_iter()
-                .map(|t| UnsafeCell::new(Tile::Plain(t)))
-                .collect(),
+            cells: uncut.collect(),
         },
-        deps: (0..TileOp::id_space(nb))
-            .map(|id| AtomicUsize::new(TileOp::from_id(nb, id).map_or(0, TileOp::dep_count)))
-            .collect(),
+        deps: deps.into_iter().map(AtomicUsize::new).collect(),
         failed: AtomicBool::new(false),
         error: Mutex::new(None),
         kernel,
@@ -203,18 +277,24 @@ pub fn potrf_dag_with(
     // task has run.
     rayon::scope(|s| run_task(&ctx, s, TileOp::Factor { k: 0 }));
 
-    if let Some(err) = ctx.error.lock().expect("error mutex poisoned").take() {
+    let Ctx { tiles, error, .. } = ctx;
+    if let Some(err) = error.into_inner().expect("error mutex poisoned") {
         return Err(err);
     }
 
-    for (t, cell) in ctx.tiles.cells.into_iter().enumerate() {
-        let (bi, bj) = tile_coords(t);
-        match cell.into_inner() {
-            Tile::Plain(tile) => a.set_submatrix(bi * b, bj * b, &tile),
-            Tile::Packed(tile) => tile.unpack_into(a, bi * b, bj * b),
+    // The graph succeeded, so the input may be overwritten: one task per
+    // block column, each with its own contiguous slice of the matrix.
+    let tiles: Vec<Tile> = tiles.cells.into_iter().map(UnsafeCell::into_inner).collect();
+    let tiles = &tiles;
+    rayon::scope(|s| {
+        for (bj, cols) in grid.block_columns_mut(a).enumerate() {
+            s.spawn(move |_| {
+                grid.write_block_column(bj, cols, |bi, window, ld| {
+                    tiles[tile_idx(bi, bj)].write_to_cols(window, ld)
+                })
+            });
         }
-    }
-    a.zero_strict_upper();
+    });
     Ok(())
 }
 
@@ -253,10 +333,8 @@ pub fn simulate(n: usize, b: usize, threads: usize) -> DagModel {
     let mut total: u64 = 0;
     let mut tasks = 0usize;
     let mut ready: BTreeSet<usize> = BTreeSet::new();
-    for id in 0..slots {
-        let Some(op) = TileOp::from_id(nb, id) else {
-            continue;
-        };
+    for op in TileOp::all(nb) {
+        let id = op.id(nb);
         indeg[id] = op.dep_count();
         cost[id] = op.flops(grid);
         total += cost[id];
@@ -341,6 +419,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cholcomm_matrix::schedule::{tile_coords, MemTiles};
     use cholcomm_matrix::{lower_digest, matrix_digest, norms, spd};
 
     fn engines() -> [KernelImpl; 3] {
@@ -359,25 +438,41 @@ mod tests {
             .install(f)
     }
 
-    /// The reference: the sequential walk over the same in-memory tiles.
+    /// The reference: the sequential walk over the same in-memory tiles,
+    /// written back one element at a time — what the block-column tasks
+    /// must reproduce bit for bit, strict upper triangle (+0.0) included.
     fn walk_potrf(a: &mut Matrix<f64>, b: usize, kernel: KernelImpl) -> Result<(), MatrixError> {
         let mut tiles = MemTiles::from_matrix(a, b)?;
         let grid = tiles.grid;
         schedule::factor(&mut tiles, grid, 0..grid.nb(), kernel)?;
-        tiles.write_back(a);
+        for (t, tile) in tiles.tiles.iter().enumerate() {
+            let (bi, bj) = tile_coords(t);
+            for j in 0..tile.cols() {
+                for i in 0..tile.rows() {
+                    a[(bi * b + i, bj * b + j)] = tile[(i, j)];
+                }
+            }
+        }
+        for j in 0..a.cols() {
+            for i in 0..j {
+                a[(i, j)] = 0.0;
+            }
+        }
         Ok(())
     }
 
     #[test]
     fn dag_is_bitwise_equal_to_the_sequential_walk_at_every_pool_size() {
         // Ragged n (against the tile size and against the 16-row strips of
-        // the packed layout), a single tile (b > n), b=4 many-tiny-tiles
-        // stress, tiles of exactly one packed block (b=128) and past it
-        // (b=136) ride along with the square cases.
+        // the packed layout: the last block column is narrower than b), a
+        // single tile (b > n, b == n), b=4 many-tiny-tiles stress, tiles of
+        // exactly one packed block (b=128) and past it (b=136, written
+        // back plain under every engine) ride along with the square cases.
         let cases = [
             (1usize, 1usize),
             (8, 3),
             (32, 8),
+            (32, 32),
             (96, 32),
             (61, 16),
             (33, 7),
@@ -435,18 +530,30 @@ mod tests {
 
     #[test]
     fn not_spd_reports_the_whole_matrix_pivot() {
-        let n = 24;
-        let mut a = spd::random_spd(n, &mut spd::test_rng(3));
-        a[(17, 17)] = -1e6; // poison one pivot
-        for kernel in engines() {
-            let mut work = a.clone();
-            let dag_err = potrf_dag_with(&mut work, 8, kernel).expect_err("must fail");
-            assert_eq!(matrix_digest(&work), matrix_digest(&a), "{kernel:?}");
-            let walk_err = walk_potrf(&mut a.clone(), 8, kernel).expect_err("must fail");
-            assert_eq!(dag_err, walk_err, "{kernel:?}");
-            match dag_err {
-                MatrixError::NotSpd { pivot, .. } => assert_eq!(pivot, 17),
-                other => panic!("expected NotSpd, got {other:?}"),
+        // A pivot poisoned in the first, a middle and the last diagonal
+        // tile (the last: every write-back-ready tile but one is final
+        // when the graph fails).  Whatever ran before the failure, the
+        // error is the walk's and the input is bitwise untouched.
+        for (n, b) in [(24usize, 8usize), (96, 32), (77, 32), (300, 128)] {
+            let nb = n.div_ceil(b);
+            for p in [b / 2, (nb / 2) * b + 1, n - 1] {
+                let mut a = spd::random_spd(n, &mut spd::test_rng(3 + n as u64));
+                a[(p, p)] = -1e6;
+                for kernel in engines() {
+                    let walk_err = walk_potrf(&mut a.clone(), b, kernel).expect_err("must fail");
+                    assert!(
+                        matches!(walk_err, MatrixError::NotSpd { pivot, .. } if pivot == p),
+                        "n={n} b={b} p={p} {kernel:?}: {walk_err:?}"
+                    );
+                    for threads in [1usize, 2, 4, 8] {
+                        let mut work = a.clone();
+                        let dag_err = in_pool(threads, || potrf_dag_with(&mut work, b, kernel))
+                            .expect_err("must fail");
+                        let case = format!("n={n} b={b} p={p} {kernel:?} threads={threads}");
+                        assert_eq!(dag_err, walk_err, "{case}");
+                        assert_eq!(matrix_digest(&work), matrix_digest(&a), "{case}");
+                    }
+                }
             }
         }
     }
