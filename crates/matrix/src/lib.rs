@@ -46,7 +46,7 @@ pub mod tri;
 
 pub use abft::{verify_and_heal, AbftMatrix, AbftStats, TileChecksum, TileHealth};
 pub use dense::Matrix;
-pub use digest::{lower_digest, matrix_digest, slice_digest};
+pub use digest::{lower_digest, lower_digests, matrix_digest, slice_digest};
 pub use engine::{KernelImpl, Operand};
 pub use error::MatrixError;
 pub use kernels_fast::batch::{BatchMode, BatchPack};

@@ -118,9 +118,6 @@ pub struct PipelineConfig {
     /// Make the I/O workers really sleep each op's sampled latency
     /// (for measured overlap benches).  Off, latency is only tallied.
     pub sleep_latency: bool,
-    /// Enable data-parallel kernels on the compute thread while the
-    /// pipeline runs (thread-local; restored afterwards).
-    pub parallel_kernels: bool,
 }
 
 impl PipelineConfig {
@@ -138,7 +135,6 @@ impl PipelineConfig {
             lookahead: capacity_tiles.saturating_sub(WORKING_SET).max(1),
             kernel: KernelImpl::Reference,
             sleep_latency: false,
-            parallel_kernels: false,
         }
     }
 
@@ -163,12 +159,6 @@ impl PipelineConfig {
     /// Sleep sampled latency on the I/O workers.
     pub fn with_sleep_latency(mut self, sleep: bool) -> Self {
         self.sleep_latency = sleep;
-        self
-    }
-
-    /// Run the tile kernels data-parallel on the compute thread.
-    pub fn with_parallel_kernels(mut self, parallel: bool) -> Self {
-        self.parallel_kernels = parallel;
         self
     }
 }
@@ -852,14 +842,7 @@ fn run_pipelined<B: IoBackend + Send, St: Store>(
     let io = PipeIo::new(fm, cfg.sleep_latency);
     io_scope(cfg.io_workers, |scope| {
         let mut front = PipelineFront::new(&io, scope, plan, cfg, nb, boundaries);
-        let prev = cfg
-            .parallel_kernels
-            .then(|| cholcomm_matrix::parallel::set_kernel_parallelism(true));
-        let run = drive(&mut front, cfg.kernel, start, ck);
-        if let Some(p) = prev {
-            cholcomm_matrix::parallel::set_kernel_parallelism(p);
-        }
-        match run {
+        match drive(&mut front, cfg.kernel, start, ck) {
             Ok(()) => Ok(front.stats),
             Err(e) => {
                 io.fail();

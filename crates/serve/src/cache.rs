@@ -106,11 +106,11 @@ impl FactorCache {
         self.store(key, factor, lower_digest, Some(rhs));
     }
 
-    /// Insert a factor adopted from the durable journal: digested here,
-    /// its right-hand side left for the first [`FactorCache::served`].
-    pub fn insert_recovered(&mut self, key: u64, factor: Matrix<f64>) {
-        let digest = lower_digest(&factor);
-        self.store(key, factor, digest, None);
+    /// Insert a factor adopted from the durable journal with its
+    /// `lower_digest`; its right-hand side is left for the first
+    /// [`FactorCache::served`].
+    pub fn insert_recovered(&mut self, key: u64, factor: Matrix<f64>, lower_digest: u64) {
+        self.store(key, factor, lower_digest, None);
     }
 
     fn store(
@@ -284,7 +284,7 @@ mod tests {
         let mut c = FactorCache::new(2);
         let f = sample_factor(4);
         let want = lower_digest(&f);
-        c.insert_recovered(1, f);
+        c.insert_recovered(1, f, want);
         assert_eq!(c.read(1, &[]), CacheRead::Hit);
         let first = c.served(1, || Some(vec![1.5; 8])).unwrap();
         assert_eq!(first.lower_digest, want);

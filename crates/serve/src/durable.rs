@@ -20,8 +20,11 @@
 use crate::cache::FactorCache;
 use cholcomm_faults::Store;
 use cholcomm_matrix::digest::fnv1a;
-use cholcomm_matrix::Matrix;
+use cholcomm_matrix::{lower_digests, Matrix};
 use std::collections::BTreeMap;
+
+/// Recovered entries digested (and held outside the cache) at a time.
+const RECOVERY_CHUNK: usize = 32;
 
 /// Append `rec_fnv=` self-authentication to a record body.
 fn journal_line(body: &str) -> String {
@@ -197,24 +200,33 @@ impl DurableCache {
         }
         committed.sort_unstable();
 
-        for gen in committed {
-            let Some(Rec::Intent { key, n, len, fnv, .. }) = intents.get(&gen).copied() else {
-                continue;
-            };
-            let name = self.entry_file(gen);
-            let adopted = self
-                .store
-                .read(&name)
-                .ok()
-                .filter(|bytes| bytes.len() == len && fnv1a(bytes) == fnv)
-                .and_then(|bytes| from_bytes(n, &bytes));
-            match adopted {
-                Some(factor) => {
-                    cache.insert_recovered(key, factor);
-                    self.by_key.insert(key, gen);
-                    report.recovered += 1;
+        // A chunk of entries is validated, then digested in one call (the
+        // digests advance together, see `lower_digests`), then adopted in
+        // generation order; the chunk bounds what recovery holds outside
+        // the cache.
+        for chunk in committed.chunks(RECOVERY_CHUNK) {
+            let mut adopted = Vec::with_capacity(chunk.len());
+            for &gen in chunk {
+                let Some(Rec::Intent { key, n, len, fnv, .. }) = intents.get(&gen).copied() else {
+                    continue;
+                };
+                let factor = self
+                    .store
+                    .read(&self.entry_file(gen))
+                    .ok()
+                    .filter(|bytes| bytes.len() == len && fnv1a(bytes) == fnv)
+                    .and_then(|bytes| from_bytes(n, &bytes));
+                match factor {
+                    Some(factor) => adopted.push((key, gen, factor)),
+                    None => report.dropped += 1,
                 }
-                None => report.dropped += 1,
+            }
+            let factors: Vec<&Matrix<f64>> = adopted.iter().map(|(.., factor)| factor).collect();
+            let digests = lower_digests(&factors);
+            for ((key, gen, factor), digest) in adopted.into_iter().zip(digests) {
+                cache.insert_recovered(key, factor, digest);
+                self.by_key.insert(key, gen);
+                report.recovered += 1;
             }
         }
         self.next_gen = max_gen + 1;
@@ -320,6 +332,43 @@ mod tests {
         // supplies the key.
         assert_eq!(report.recovered, 1);
         assert_eq!(cache.stored_digest(5), Some(lower_digest(&new)));
+    }
+
+    /// More entries than one recovery chunk, of mixed orders, one of
+    /// them tampered and one key recorded again two chunks later: every
+    /// adopted entry carries the digest of its own bits, and entries are
+    /// adopted in generation order (the oldest is the one evicted).
+    #[test]
+    fn recovery_across_chunks_digests_each_entry_and_keeps_generation_order() {
+        let (disk, mut d) = sim_pair();
+        let count = 2 * RECOVERY_CHUNK as u64 + 3;
+        let factor_of = |key: u64| sample_factor(100 + key, [4, 8, 13, 16][key as usize % 4]);
+        for key in 0..count {
+            d.record(key, &factor_of(key)).unwrap();
+        }
+        let again = sample_factor(999, 8);
+        d.record(1, &again).unwrap(); // supersedes generation 2
+        {
+            let mut guard = disk.lock().unwrap();
+            let mut bytes = guard.read(&d.entry_file(6)).unwrap(); // key 5
+            bytes[9] ^= 0x40;
+            guard.write_file(&d.entry_file(6), &bytes);
+            guard.barrier();
+        }
+        let mut fresh = DurableCache::open(0, Box::new(SimStore::new(disk)));
+        // Room for all but one of the recovered entries.
+        let mut cache = FactorCache::new(count as usize - 2);
+        let report = fresh.recover_into(&mut cache);
+        // Dropped: key 5's tampered entry and key 1's pruned generation 2.
+        assert_eq!(report, RecoveryReport { recovered: count - 1, dropped: 2 });
+        assert_eq!(cache.stored_digest(0), None, "the oldest generation was evicted");
+        assert_eq!(cache.stored_digest(5), None);
+        for key in (1..count).filter(|&k| k != 5) {
+            let want = lower_digest(&if key == 1 { again.clone() } else { factor_of(key) });
+            let served = cache.served(key, || None).unwrap();
+            assert_eq!(served.lower_digest, want, "key {key}");
+            assert_eq!(lower_digest(served.factor), want, "key {key}");
+        }
     }
 
     #[test]

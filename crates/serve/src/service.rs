@@ -17,7 +17,7 @@ use crate::breaker::BreakerConfig;
 use crate::durable::DurableCache;
 use crate::engine::{batched_request_cost_us, factor_cost_us};
 use crate::error::ServeError;
-use crate::events::{canonicalize, log_digest, Event, EventRecord, Source};
+use crate::events::{log_digest, merge_canonical, Event, EventRecord, Source};
 use crate::jobs::{problem_digest, JobKind};
 use crate::metrics::Metrics;
 use crate::shard::{Shard, ShardJob, ShardMsg, ShardReport};
@@ -364,16 +364,19 @@ impl Service {
         let Service {
             senders,
             workers,
-            mut events,
+            events,
             submitted,
             ..
         } = self;
         drop(senders); // disconnect: each shard drains its queue and exits
         let mut metrics = Metrics::default();
+        // The client's stream first, then each shard's: the order in which
+        // `merge_canonical` finds a request's events already sorted.
+        let mut streams = vec![events];
         for worker in workers {
             match worker.join() {
                 Ok(report) => {
-                    events.extend(report.events);
+                    streams.push(report.events);
                     metrics.merge(&report.metrics);
                 }
                 Err(payload) => std::panic::resume_unwind(payload),
@@ -381,7 +384,7 @@ impl Service {
         }
         metrics.counters.submitted = submitted;
         metrics.canonicalize();
-        let records = canonicalize(events);
+        let records = merge_canonical(&streams);
         let digest = log_digest(&records);
         ServiceReport {
             records,
@@ -659,6 +662,62 @@ mod tests {
                 "batching={batching}"
             );
         }
+    }
+
+    /// The digests a batch computes in lanes are the ones the
+    /// per-request path computes one at a time, and neither leg's event
+    /// log moves by a byte: both `log_digest`s were pinned on the commit
+    /// before batches digested their factors together and before
+    /// `log_digest` stopped going through `fmt`.
+    #[test]
+    fn batching_changes_no_factor_digest_and_neither_leg_changes_its_log() {
+        let mut stream = crate::loadgen::Workload {
+            seed: 23,
+            requests: 400,
+            keys: 40,
+            n_min: 8,
+            n_max: 40,
+            mean_gap_us: 2,
+            deadline_factor: 1_000_000,
+            ..crate::loadgen::Workload::default()
+        }
+        .generate();
+        for (i, r) in stream.iter_mut().enumerate() {
+            if i % 4 != 3 {
+                // Mostly the batchable kinds; the rest stay per-request.
+                r.kind = [JobKind::Factor, JobKind::Solve][i % 2];
+            }
+        }
+        let run = |batching: bool| {
+            let config = ServiceConfig {
+                shards: 2,
+                watermarks: Watermarks::bounded_by(u64::MAX / 4),
+                shard: ShardConfig {
+                    cache_capacity: 8,
+                    ..ServiceConfig::default().shard
+                },
+                batch: BatchConfig {
+                    enabled: batching,
+                    ..BatchConfig::default()
+                },
+            };
+            let mut service = Service::start(config, &FaultPlan::none());
+            let tickets: Vec<Ticket> = stream.iter().map(|r| service.submit(*r)).collect();
+            service.flush_batches();
+            let digests: Vec<u64> = tickets
+                .into_iter()
+                .map(|t| t.wait().unwrap().factor_digest)
+                .collect();
+            (digests, service.shutdown())
+        };
+        let (batched, batched_report) = run(true);
+        let (single, single_report) = run(false);
+        assert_eq!(batched, single);
+        assert!(batched_report.metrics.counters.batched_factorizations > 100);
+        assert!(batched_report.metrics.counters.fresh_factorizations > 0);
+        assert_eq!(single_report.metrics.counters.batched_factorizations, 0);
+        assert_eq!(batched_report.log_digest, 0xf855_c91a_ea8f_c2d9);
+        assert_eq!(single_report.log_digest, 0x91ba_fda2_5800_13e5);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::jobs::{self, Problem};
 use crate::metrics::{Counters, Metrics};
 use crate::service::{Request, Response, ShardConfig};
 use cholcomm_faults::{FaultPlan, JobFault};
-use cholcomm_matrix::{lower_digest, tri, Matrix};
+use cholcomm_matrix::{lower_digest, lower_digests, tri, Matrix};
 use crossbeam::channel::{Receiver, Sender};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -211,20 +211,21 @@ impl Shard {
     }
 
     /// Complete `job` at virtual time `vend_us` with its freshly computed
-    /// `factor`: solve `rhs` when the kind carries one, journal the
-    /// factor, and move it into the cache together with its digest and
-    /// `rhs`.
+    /// `factor` and the factor's `lower_digest`: solve `rhs` when the
+    /// kind carries one, journal the factor, and move it into the cache
+    /// together with `digest` and `rhs`.
+    #[allow(clippy::too_many_arguments)]
     fn complete_factored(
         &mut self,
         job: &ShardJob,
         seq: &mut u32,
         factor: Matrix<f64>,
+        digest: u64,
         rhs: Option<Vec<f64>>,
         source: Source,
         vend_us: u64,
     ) {
         let solution = rhs.as_deref().map(|rhs| tri::solve_with_factor(&factor, rhs));
-        let digest = lower_digest(&factor);
         if let Some(d) = self.durable.as_mut() {
             // Journal-commit the fresh factor.  Persistence is
             // best-effort for a cache — the in-RAM copy is already
@@ -438,12 +439,26 @@ impl Shard {
             .unzip();
         let work_us = batch_cost_us(bucket_n, pending.len(), self.config.block);
         let results = factor_batch(&matrices, bucket_n, self.config.block, self.config.kernel);
+        // The certificates of the whole batch in one call: a digest is a
+        // chain of dependent multiplies, and the batch's chains do not
+        // depend on each other.
+        let factors: Vec<&Matrix<f64>> = results.iter().flatten().collect();
+        let mut digests = lower_digests(&factors).into_iter();
         for (((job, mut seq), result), rhs) in pending.into_iter().zip(results).zip(rhss) {
             match result {
                 Ok(factor) => {
                     self.metrics.counters.batched_factorizations += 1;
+                    let digest = digests.next().expect("one digest per factored member");
                     let vend_us = vstart_us + work_us;
-                    self.complete_factored(&job, &mut seq, factor, rhs, Source::Batched, vend_us);
+                    self.complete_factored(
+                        &job,
+                        &mut seq,
+                        factor,
+                        digest,
+                        rhs,
+                        Source::Batched,
+                        vend_us,
+                    );
                 }
                 Err(e) => {
                     self.vclock_us = vstart_us + work_us;
@@ -629,7 +644,8 @@ impl Shard {
             Ok(factor) => {
                 self.metrics.counters.fresh_factorizations += 1;
                 let vend_us = vstart_us + work_us;
-                self.complete_factored(&job, &mut seq, factor, rhs, Source::Fresh, vend_us);
+                let digest = lower_digest(&factor);
+                self.complete_factored(&job, &mut seq, factor, digest, rhs, Source::Fresh, vend_us);
             }
             Err(e) => {
                 // Failed fresh work still consumed virtual time.
