@@ -163,6 +163,24 @@ impl KernelImpl {
         }
     }
 
+    /// The diagonal trailing update, [`update`](Self::update) with `A` as
+    /// both operands and `C` a diagonal tile: only the lower triangle is
+    /// touched, whichever form `A` is in ([`syrk_lower`](Self::syrk_lower)
+    /// on a plain one; on a packed one the micro-tiles above the diagonal
+    /// are skipped).  Same bits either way, for every engine.
+    pub fn update_diag<S: Scalar>(self, c: &mut Matrix<S>, a: Operand<'_, S>) {
+        match a {
+            Operand::Plain(a) => self.syrk_lower(c, a),
+            Operand::Packed(a) => {
+                let c = as_f64_mut(c).expect("only f64 tiles are packed (see packs_tiles)");
+                match self {
+                    KernelImpl::Fast => kernels_fast::fused::syrk_lower_packed(c, a),
+                    _ => kernels_fast::syrk_lower_packed(c, a),
+                }
+            }
+        }
+    }
+
     /// Lower-triangle `C <- C - A * A^T` (see [`kernels::syrk_lower`]).
     pub fn syrk_lower<S: Scalar>(self, c: &mut Matrix<S>, a: &Matrix<S>) {
         if self != KernelImpl::Reference {

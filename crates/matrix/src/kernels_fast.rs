@@ -51,9 +51,25 @@
 //! reference at **every** thread count and under **every** steal order;
 //! the fused mode is equally partition-independent (its only deviation
 //! from strict is per-operation FMA contraction, which does not care
-//! which worker runs the tile).  The in-panel TRSM substitutions
-//! parallelise over row chunks — rows of a right-solve are mutually
-//! independent — with the same per-element order argument.
+//! which worker runs the tile).
+//!
+//! **Triangular kernels.**  `trsm` and `potf2` are the AP00-style
+//! recursions (`trsm_rec`, `potrf_rec`: split at a multiple of [`PB`],
+//! recurse left, apply the left half to the right through the packed GEMM
+//! engine, recurse right) down to panels of at most [`PB`] columns.  The
+//! base cases do not go through the micro-kernel — their `k` extent grows
+//! with the column — but they run from registers all the same: a column
+//! of a block of rows is loaded into a fixed-size accumulator, takes
+//! `acc <- acc - x_k * l_jk` for ascending `k < j` reading only the
+//! finished column `x_k` from L1, is divided by `l_jj` (after its `sqrt`,
+//! in `potf2`) and is stored once — one word moved per multiply-add
+//! instead of the three of a column-at-a-time `axpy`.  Each body is
+//! generic over the mode and compiled once per vector ISA (`in_panel`);
+//! the per-element sequence is the reference kernel's, so strict stays
+//! bit-identical and a failing pivot leaves the same bytes behind.
+//! Neither kernel reads or writes anything above the diagonal of `L`.
+//! The in-panel solves parallelise over row chunks — rows of a
+//! right-solve are mutually independent — with the same order argument.
 //!
 //! Only `f64` is provided: the starred scalars of the paper's reduction
 //! run through the reference kernels (their arithmetic is branchy and
@@ -75,10 +91,11 @@ pub const MC: usize = 128;
 pub const KC: usize = 256;
 /// Columns of the packed `B` block.
 pub const NC: usize = 512;
-/// Panel width of the blocked TRSM/POTRF drivers.  Kept narrow: the
-/// in-panel substitution runs at memory-bound axpy speed, so its flop
-/// share (proportional to `PB`) is minimized in favour of the packed
-/// micro-kernel doing the bulk.
+/// Panel width at which the recursive TRSM/POTRF drivers stop splitting.
+/// The in-panel base cases read one operand word per multiply-add where
+/// the packed micro-kernel reads a fifth of one, so their flop share
+/// (proportional to `PB`) is kept small; 16 leaves too little per call
+/// and 64 loses on every probe (EXPERIMENTS.md E22).
 pub const PB: usize = 32;
 
 /// Numeric mode: strict keeps reference rounding, fused lets FMA
@@ -612,6 +629,12 @@ impl COut {
         COut { ptr: c.as_mut_ptr(), len: c.len() }
     }
 
+    /// A view for [`read`](Self::read) alone — never to be handed to
+    /// anything that takes a segment of it.
+    fn read_only(c: &[f64]) -> Self {
+        COut { ptr: c.as_ptr().cast_mut(), len: c.len() }
+    }
+
     /// The `mr`-long segment of column `j` (leading dimension `ld`)
     /// starting at row `i0`, as a mutable slice.
     ///
@@ -642,8 +665,8 @@ impl COut {
 /// this (~a 256³ multiply) fork-join overhead beats the win.
 const PAR_MIN_PRODUCTS: usize = 1 << 23;
 
-/// Minimum rows per in-panel TRSM row chunk: keeps the axpy inner loops
-/// long enough to stay at vector throughput.
+/// Minimum rows per in-panel TRSM row chunk: four full 32-row blocks, so
+/// a stolen chunk is worth its fork.
 const PAR_ROW_CHUNK: usize = 128;
 
 /// Row-chunk count for the in-panel substitutions (1 = sequential).
@@ -836,85 +859,220 @@ fn macro_tile<const SUB: bool>(
                 accj[..mr].copy_from_slice(col);
             }
             strips.run_on_acc::<SUB>(mode, &mut acc);
-            // Store back, masking cells above the diagonal.
+            // Store back each column from its first row on or below the
+            // diagonal: the cells above it keep what C holds.
             for (jj, accj) in acc.iter().enumerate().take(nr) {
-                // SAFETY: inside the caller's owned tile.
-                let col = unsafe { c.col_segment(ldc, i0, j0 + jj, mr) };
-                for (ii, &v) in accj.iter().enumerate().take(mr) {
-                    if let Some(d) = diag {
-                        if (i0 + ii) as i64 + d < (j0 + jj) as i64 {
-                            continue;
-                        }
-                    }
-                    col[ii] = v;
-                }
+                let above = diag.map_or(0, |d| ((j0 + jj) as i64 - d - i0 as i64).clamp(0, mr as i64) as usize);
+                // SAFETY: inside the caller's owned tile (`above <= mr`);
+                // `packed_diagonal_update_is_syrk_on_the_lower_triangle_alone`
+                // checks every cell either side of the diagonal.
+                let col = unsafe { c.col_segment(ldc, i0 + above, j0 + jj, mr - above) };
+                col.copy_from_slice(&accj[above..mr]);
             }
         }
     }
 }
 
-/// In-panel column update `dst -= src * s`, vectorized per mode (the
-/// strict variant never contracts, the fused variant lets FMA fuse
-/// `src * s` into the subtraction).
+/// One step of an in-panel accumulation, `acc - x * l`: a rounded multiply
+/// then a rounded subtract (strict), or one FMA (fused).
 #[inline(always)]
-fn axpy_neg_body<const FUSED: bool>(dst: &mut [f64], src: &[f64], s: f64) {
-    for (v, &x) in dst.iter_mut().zip(src) {
-        if FUSED {
-            *v = x.mul_add(-s, *v);
-        } else {
-            *v -= x * s;
-        }
+fn sub_mul<const FUSED: bool>(acc: f64, x: f64, l: f64) -> f64 {
+    if FUSED {
+        x.mul_add(-l, acc)
+    } else {
+        acc - x * l
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-mod axpy_x86 {
-    use super::axpy_neg_body;
+/// A base case of the triangular recursions: a loop nest generic over the
+/// numeric mode, which [`in_panel`] runs as compiled for this machine's
+/// vector ISA.
+trait InPanel {
+    type Out;
+    fn run<const FUSED: bool>(self) -> Self::Out;
+}
 
-    /// # Safety
-    /// Caller must have detected `avx512f`.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn strict_avx512(dst: &mut [f64], src: &[f64], s: f64) {
-        axpy_neg_body::<false>(dst, src, s);
-    }
+/// The generic [`InPanel`] bodies under the vector ISAs they are
+/// dispatched to (they are `#[inline(always)]`, so each is compiled once
+/// per mode and feature set, like [`micro_kernel_body`]).
+#[cfg(target_arch = "x86_64")]
+mod panel_x86 {
+    use super::InPanel;
 
     /// # Safety
     /// Caller must have detected `avx512f` and `fma`.
     #[target_feature(enable = "avx512f,fma")]
-    pub unsafe fn fused_avx512(dst: &mut [f64], src: &[f64], s: f64) {
-        axpy_neg_body::<true>(dst, src, s);
+    pub unsafe fn avx512<const FUSED: bool, P: InPanel>(p: P) -> P::Out {
+        p.run::<FUSED>()
     }
 
     /// # Safety
     /// Caller must have detected `avx2` and `fma`.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn fused_avx2(dst: &mut [f64], src: &[f64], s: f64) {
-        axpy_neg_body::<true>(dst, src, s);
+    pub unsafe fn avx2<const FUSED: bool, P: InPanel>(p: P) -> P::Out {
+        p.run::<FUSED>()
     }
 }
 
-/// `dst -= src * s` with mode-appropriate vectorization.
-#[inline]
-fn axpy_neg(mode: Mode, dst: &mut [f64], src: &[f64], s: f64) {
+/// Run `p` in `mode` on the widest vector ISA this machine has.  Without
+/// hardware FMA the fused mode runs the strict body; other machines run
+/// the same body as compiled for the baseline target.
+fn in_panel<P: InPanel>(mode: Mode, p: P) -> P::Out {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::is_x86_feature_detected as det;
-        // SAFETY: each variant is called only after detecting its features.
+        let fused = mode == Mode::Fused;
+        // SAFETY: each variant is called only after detecting its
+        // features; `panel_bodies_match_the_dispatched_kernels` holds
+        // every one this machine has to the portable body.
         unsafe {
-            if mode == Mode::Fused && det!("fma") {
-                if det!("avx512f") {
-                    return axpy_x86::fused_avx512(dst, src, s);
-                }
-                if det!("avx2") {
-                    return axpy_x86::fused_avx2(dst, src, s);
-                }
-            }
-            if det!("avx512f") {
-                return axpy_x86::strict_avx512(dst, src, s);
+            match (det!("fma") && det!("avx512f"), det!("fma") && det!("avx2"), fused) {
+                (true, _, true) => return panel_x86::avx512::<true, P>(p),
+                (true, _, false) => return panel_x86::avx512::<false, P>(p),
+                (_, true, true) => return panel_x86::avx2::<true, P>(p),
+                (_, true, false) => return panel_x86::avx2::<false, P>(p),
+                _ => {}
             }
         }
     }
-    axpy_neg_body::<false>(dst, src, s);
+    p.run::<false>()
+}
+
+/// Rows `r0..r1` of a `cn <= PB`-column panel of the right-solve
+/// `X <- X * L^{-T}`, the base case of [`trsm_rec`] and [`trsm_region`]:
+/// `X(r, j)` is element `x0 + r + j * ldx` of `x`, `L(j, k)` element
+/// `l0 + j + k * ldl` of `l` (the same storage as `x` in [`trsm_region`]).
+/// The rows are the calling task's own; `l` is finished and only read.
+#[derive(Clone, Copy)]
+struct PanelSolve {
+    x: COut,
+    x0: usize,
+    ldx: usize,
+    l: COut,
+    l0: usize,
+    ldl: usize,
+    cn: usize,
+    r0: usize,
+    r1: usize,
+}
+
+impl InPanel for PanelSolve {
+    type Out = ();
+
+    /// Blocks of 32 rows, then 8, then single rows.
+    #[inline(always)]
+    fn run<const FUSED: bool>(self) {
+        let PanelSolve { x, x0, ldx, l, l0, ldl, cn, r0, r1 } = self;
+        // Memory safety of the segments and reads in `blocks` rests on this.
+        assert!(
+            cn == 0 || (x0 + (cn - 1) * ldx + r1 <= x.len && l0 + (cn - 1) * (ldl + 1) < l.len),
+            "panel solve outside its regions"
+        );
+        let r = self.blocks::<FUSED, 32>(r0);
+        let r = self.blocks::<FUSED, 8>(r);
+        self.blocks::<FUSED, 1>(r);
+    }
+}
+
+impl PanelSolve {
+    /// The whole `W`-row blocks of `r..r1`; returns the first row left.
+    /// Column `j` of a block lives in a `[f64; W]` accumulator from its
+    /// load to its one store: `acc <- acc - x_k * l_jk` for ascending
+    /// `k < j` reads only `x_k` (stored when column `k` finished) and the
+    /// multiplier, then a true division by `l_jj` — the reference
+    /// kernel's sequence on every element.
+    #[inline(always)]
+    fn blocks<const FUSED: bool, const W: usize>(&self, mut r: usize) -> usize {
+        let PanelSolve { x, x0, ldx, l, l0, ldl, cn, r1, .. } = *self;
+        while r + W <= r1 {
+            for j in 0..cn {
+                // SAFETY: rows r..r+W of panel column j, inside the range
+                // `run` asserted and the calling task's own; column k < j
+                // below never aliases it.  Every block width and ragged
+                // tail runs in `panel_bodies_match_the_dispatched_kernels`.
+                let xj = unsafe { x.col_segment(ldx, x0 + r, j, W) };
+                let mut acc = [0.0f64; W];
+                acc.copy_from_slice(xj);
+                for k in 0..j {
+                    // SAFETY: L(j, k), index asserted in `run`; L is
+                    // finished and no task writes it (same test).
+                    let ljk = unsafe { l.read(l0 + j + k * ldl) };
+                    // SAFETY: the same rows of the earlier column k, which
+                    // this task alone wrote, before column j (same test).
+                    let xk: &[f64] = unsafe { x.col_segment(ldx, x0 + r, k, W) };
+                    for (a, &xv) in acc.iter_mut().zip(xk) {
+                        *a = sub_mul::<FUSED>(*a, xv, ljk);
+                    }
+                }
+                // SAFETY: L(j, j), as for L(j, k) above.
+                let ljj = unsafe { l.read(l0 + j * (ldl + 1)) };
+                for (xv, a) in xj.iter_mut().zip(acc) {
+                    *xv = a / ljj;
+                }
+            }
+            r += W;
+        }
+        r
+    }
+}
+
+/// Left-looking unblocked factorization of the `n x n` (`n <= PB`)
+/// diagonal block at `(off, off)` of column-major `data` — the base case
+/// of [`potrf_rec`].  Rows below the block belong to the caller's TRSM;
+/// updates with `k < off` were already applied; nothing above the
+/// diagonal is read or written.
+struct PanelFactor<'a> {
+    data: &'a mut [f64],
+    ld: usize,
+    off: usize,
+    n: usize,
+}
+
+impl InPanel for PanelFactor<'_> {
+    type Out = Result<(), MatrixError>;
+
+    /// Column `j` is accumulated in a `[f64; PB]` over the finished
+    /// columns `k < j` — kept in `done`, zero above their diagonal and
+    /// past row `n`, so every step runs at the full fixed width — then
+    /// takes its `sqrt` and divisions and is stored once.
+    #[inline(always)]
+    fn run<const FUSED: bool>(self) -> Result<(), MatrixError> {
+        let PanelFactor { data, ld, off, n } = self;
+        let mut done = [[0.0f64; PB]; PB];
+        for j in 0..n {
+            let gc = off + j;
+            let col = &mut data[gc * ld + gc..gc * ld + off + n];
+            let mut acc = [0.0f64; PB];
+            acc[j..n].copy_from_slice(col);
+            for xk in &done[..j] {
+                let ljk = xk[j];
+                for (a, &xv) in acc.iter_mut().zip(xk) {
+                    *a = sub_mul::<FUSED>(*a, xv, ljk);
+                }
+            }
+            let d = acc[j];
+            // Same rejection rule as the reference kernel (non-finite
+            // pivots fall through to sqrt, producing NaN like LAPACK).
+            if d.is_finite() && d <= 0.0 {
+                // The updated, un-scaled column: what a failed factor has
+                // always left behind.
+                col.copy_from_slice(&acc[j..n]);
+                return Err(MatrixError::NotSpd {
+                    pivot: gc,
+                    value: -d.abs(),
+                });
+            }
+            let ljj = d.sqrt();
+            // The 8-row groups wholly above the diagonal hold no live row.
+            for a in acc[j / 8 * 8..].iter_mut() {
+                *a /= ljj;
+            }
+            acc[j] = ljj;
+            col.copy_from_slice(&acc[j..n]);
+            done[j] = acc;
+        }
+        Ok(())
+    }
 }
 
 fn gemm_nn_impl(c: &mut Matrix<f64>, alpha: f64, a: &Matrix<f64>, b: &Matrix<f64>, mode: Mode) {
@@ -963,7 +1121,13 @@ fn gemm_nt_impl(c: &mut Matrix<f64>, alpha: f64, a: &Matrix<f64>, b: &Matrix<f64
     );
 }
 
-fn gemm_nt_packed_impl(c: &mut Matrix<f64>, a: &PackedTile, b: &PackedTile, mode: Mode) {
+fn gemm_nt_packed_impl(
+    c: &mut Matrix<f64>,
+    a: &PackedTile,
+    b: &PackedTile,
+    diag: Option<i64>,
+    mode: Mode,
+) {
     assert_eq!(a.cols, b.cols, "gemm_nt_packed: inner dimensions");
     assert_eq!(c.rows(), a.rows, "gemm_nt_packed: C rows");
     assert_eq!(c.cols(), b.rows, "gemm_nt_packed: C cols");
@@ -973,7 +1137,7 @@ fn gemm_nt_packed_impl(c: &mut Matrix<f64>, a: &PackedTile, b: &PackedTile, mode
     }
     // Single task: all of C is the macro-tile's owned range.
     let out = COut::new(c.as_mut_slice());
-    macro_tile::<true>(out, m, 0, 0, m, n, kdim, &a.data, &b.data, MR, None, mode);
+    macro_tile::<true>(out, m, 0, 0, m, n, kdim, &a.data, &b.data, MR, diag, mode);
 }
 
 fn syrk_lower_impl(c: &mut Matrix<f64>, a: &Matrix<f64>, mode: Mode) {
@@ -1035,30 +1199,14 @@ fn trsm_rec(b: &mut Matrix<f64>, l: &Matrix<f64>, c0: usize, cn: usize, mode: Mo
         let threads = crate::parallel::effective_threads();
         let chunks = row_chunks(rows, cn, threads);
         let chunk = rows.div_ceil(chunks);
+        let n = l.rows();
         let (_, rest) = b.split_cols_mut(c0);
-        let out = COut::new(&mut rest[..cn * rows]);
+        let (x, l) = (COut::new(&mut rest[..cn * rows]), COut::read_only(l.as_slice()));
         crate::parallel::par_for(chunks, &|t| {
+            // Task `t` owns rows r0..r1 of every panel column exclusively.
             let r0 = t * chunk;
             let r1 = rows.min(r0 + chunk);
-            if r0 >= r1 {
-                return;
-            }
-            for j in 0..cn {
-                // SAFETY: task `t` owns rows r0..r1 of every panel
-                // column exclusively; columns j and k never alias.
-                let bj = unsafe { out.col_segment(rows, r0, j, r1 - r0) };
-                for k in 0..j {
-                    let ljk = l.at_ref(c0 + j, c0 + k);
-                    // SAFETY: same row range, earlier column — written
-                    // by this task only, before column j.
-                    let bk: &[f64] = unsafe { out.col_segment(rows, r0, k, r1 - r0) };
-                    axpy_neg(mode, bj, bk, ljk);
-                }
-                let ljj = l.at_ref(c0 + j, c0 + j);
-                for x in bj.iter_mut() {
-                    *x /= ljj;
-                }
-            }
+            in_panel(mode, PanelSolve { x, x0: 0, ldx: rows, l, l0: c0 * (n + 1), ldl: n, cn, r0, r1 });
         });
         return;
     }
@@ -1117,7 +1265,7 @@ fn potrf_rec(
     mode: Mode,
 ) -> Result<(), MatrixError> {
     if n <= PB {
-        return potf2_base(data, ld, off, n, mode);
+        return in_panel(mode, PanelFactor { data, ld, off, n });
     }
     let n1 = rec_split(n);
     let n2 = n - n1;
@@ -1145,43 +1293,6 @@ fn potrf_rec(
         );
     }
     potrf_rec(data, ld, off + n1, n2, mode)
-}
-
-/// Left-looking unblocked factorization of the `n x n` (`n <= PB`)
-/// diagonal block at `(off, off)`.  Rows below the block belong to the
-/// caller's TRSM; updates with `k < off` were already applied.
-fn potf2_base(
-    data: &mut [f64],
-    ld: usize,
-    off: usize,
-    n: usize,
-    mode: Mode,
-) -> Result<(), MatrixError> {
-    for j in 0..n {
-        let gc = off + j;
-        let (done, rest) = data.split_at_mut(gc * ld);
-        let col = &mut rest[gc..off + n];
-        for k in off..gc {
-            let src = &done[k * ld + gc..k * ld + off + n];
-            let ajk = src[0];
-            axpy_neg(mode, col, src, ajk);
-        }
-        let d = col[0];
-        // Same rejection rule as the reference kernel (non-finite
-        // pivots fall through to sqrt, producing NaN like LAPACK).
-        if d.is_finite() && d <= 0.0 {
-            return Err(MatrixError::NotSpd {
-                pivot: gc,
-                value: -d.abs(),
-            });
-        }
-        let ljj = d.sqrt();
-        col[0] = ljj;
-        for v in col[1..].iter_mut() {
-            *v /= ljj;
-        }
-    }
-    Ok(())
 }
 
 /// Recursive in-place triangular solve `X <- X * L^{-T}` where `X` and
@@ -1213,29 +1324,11 @@ fn trsm_region(
         let chunk = rows.div_ceil(chunks);
         let out = COut::new(data);
         crate::parallel::par_for(chunks, &|t| {
+            // Task `t` owns rows r0..r1 (all below L) exclusively.
             let r0 = row0 + t * chunk;
             let r1 = (row0 + rows).min(r0 + chunk);
-            if r0 >= r1 {
-                return;
-            }
-            for j in 0..ln {
-                let gc = l_off + j;
-                // SAFETY: row gc < row0 — finished L, no task writes it.
-                let ljj = unsafe { out.read(gc * ld + gc) };
-                // SAFETY: task `t` owns rows r0..r1 exclusively.
-                let col = unsafe { out.col_segment(ld, r0, gc, r1 - r0) };
-                for k in 0..j {
-                    let kc0 = l_off + k;
-                    // SAFETY: row gc < row0 — finished L.
-                    let ljk = unsafe { out.read(kc0 * ld + gc) };
-                    // SAFETY: same rows, earlier column — this task's.
-                    let src: &[f64] = unsafe { out.col_segment(ld, r0, kc0, r1 - r0) };
-                    axpy_neg(mode, col, src, ljk);
-                }
-                for x in col.iter_mut() {
-                    *x /= ljj;
-                }
-            }
+            let (x0, l0) = (l_off * ld, l_off * (ld + 1));
+            in_panel(mode, PanelSolve { x: out, x0, ldx: ld, l: out, l0, ldl: ld, cn: ln, r0, r1 });
         });
         return;
     }
@@ -1280,7 +1373,15 @@ pub fn gemm_nt(c: &mut Matrix<f64>, alpha: f64, a: &Matrix<f64>, b: &Matrix<f64>
 /// to the reference): `c - a * b` is `c + a * (-1.0 * b)` operation for
 /// operation, since negation is exact.
 pub fn gemm_nt_packed(c: &mut Matrix<f64>, a: &PackedTile, b: &PackedTile) {
-    gemm_nt_packed_impl(c, a, b, Mode::Strict);
+    gemm_nt_packed_impl(c, a, b, None, Mode::Strict);
+}
+
+/// Lower-triangle `C <- C - A * A^T` over a packed operand, bit-identical
+/// to [`syrk_lower`] on the tile it was packed from: the micro-tiles
+/// strictly above the diagonal are skipped, and the strict upper triangle
+/// of `C` is neither read for accumulation nor written.
+pub fn syrk_lower_packed(c: &mut Matrix<f64>, a: &PackedTile) {
+    gemm_nt_packed_impl(c, a, a, Some(0), Mode::Strict);
 }
 
 /// Lower-triangle `C <- C - A * A^T`, bit-identical to
@@ -1293,19 +1394,25 @@ pub fn syrk_lower(c: &mut Matrix<f64>, a: &Matrix<f64>) {
 /// Triangular solve `X <- B * L^{-T}` (`L` lower triangular), bit-identical
 /// to [`crate::kernels::trsm_right_lower_transpose`].
 ///
-/// Blocked over panels of [`PB`] columns: the contribution of the solved
-/// columns to the left of a panel is applied through the packed GEMM
-/// engine (their `k`-order is ascending either way), then the panel is
-/// finished with the reference-order in-panel substitution.
+/// Recursive over column blocks down to panels of [`PB`] columns
+/// (`trsm_rec`): the solved left half is applied to the right half
+/// through the packed GEMM engine (ascending `k` either way), and a panel
+/// is finished by the register-accumulated in-panel substitution
+/// (`PanelSolve`).  Only the lower triangle of `L` is read.
 pub fn trsm_right_lower_transpose(b: &mut Matrix<f64>, l: &Matrix<f64>) {
     trsm_right_lower_transpose_impl(b, l, Mode::Strict);
 }
 
-/// Blocked Cholesky of the lower triangle, bit-identical to
-/// [`crate::kernels::potf2`] — left-looking over panels of [`PB`]
-/// columns, bulk panel updates through the packed GEMM engine, in-panel
-/// factorization in reference order.  The strict upper triangle is left
-/// untouched.
+/// Cholesky of the lower triangle, bit-identical to
+/// [`crate::kernels::potf2`] — recursive down to diagonal blocks of
+/// [`PB`] columns (`potrf_rec`: factor the leading block, solve the
+/// rows below it, update the trailing block through the packed GEMM
+/// engine, recurse), each factored left-looking with its column
+/// accumulated in registers (`PanelFactor`).  The strict upper triangle
+/// is neither read nor written; on [`MatrixError::NotSpd`] the columns
+/// left of the pivot are final, the pivot's own holds its updated,
+/// un-scaled values, and the block columns to the right carry the updates
+/// of the blocks already finished.
 pub fn potf2(a: &mut Matrix<f64>) -> Result<(), MatrixError> {
     potf2_impl(a, Mode::Strict)
 }
@@ -1341,7 +1448,14 @@ pub mod fused {
     /// [`super::gemm_nt_packed`]; the same bits as this module's
     /// [`gemm_nt`]`(c, -1.0, a, b)`: `fnmadd(a, b, c)` is `fma(a, -b, c)`).
     pub fn gemm_nt_packed(c: &mut Matrix<f64>, a: &PackedTile, b: &PackedTile) {
-        gemm_nt_packed_impl(c, a, b, Mode::Fused);
+        gemm_nt_packed_impl(c, a, b, None, Mode::Fused);
+    }
+
+    /// Lower-triangle `C <- C - A * A^T` over a packed operand
+    /// (FMA-contracted [`super::syrk_lower_packed`]; the same bits as this
+    /// module's [`syrk_lower`]).
+    pub fn syrk_lower_packed(c: &mut Matrix<f64>, a: &PackedTile) {
+        gemm_nt_packed_impl(c, a, a, Some(0), Mode::Fused);
     }
 
     /// Lower-triangle `C <- C - A * A^T` (FMA-contracted
@@ -1363,19 +1477,6 @@ pub mod fused {
 }
 
 pub mod batch;
-
-/// Convenience accessor used by the in-panel loops (`l[(i, j)]` without
-/// the tuple-index sugar, kept `#[inline]`).
-trait At {
-    fn at_ref(&self, i: usize, j: usize) -> f64;
-}
-
-impl At for Matrix<f64> {
-    #[inline]
-    fn at_ref(&self, i: usize, j: usize) -> f64 {
-        self.col(j)[i]
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -1454,6 +1555,134 @@ mod tests {
         }
     }
 
+    /// Row counts around every block width of the in-panel solve (32, 8,
+    /// 1) and, at 300, past the row-chunk fan-out threshold.
+    const PANEL_ROWS: [usize; 12] = [1, 7, 8, 9, 31, 32, 33, 40, 127, 128, 129, 300];
+
+    #[test]
+    fn panel_bodies_match_the_dispatched_kernels() {
+        // On an AVX-512 or AVX2 host this holds the feature-compiled
+        // in-panel bodies to the portable ones; elsewhere the two are the
+        // same code.
+        fn check<const FUSED: bool>(mode: Mode) {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for cn in [1usize, 5, 31, 32] {
+                let mut l = spd::random_spd(cn, &mut spd::test_rng(34));
+                kernels::potf2(&mut l).unwrap();
+                for rows in PANEL_ROWS {
+                    let init = random_matrix(rows, cn, 35);
+                    let solve = |x: &mut Matrix<f64>, dispatched: bool| {
+                        let panel = PanelSolve {
+                            x: COut::new(x.as_mut_slice()),
+                            x0: 0,
+                            ldx: rows,
+                            l: COut::read_only(l.as_slice()),
+                            l0: 0,
+                            ldl: cn,
+                            cn,
+                            r0: 0,
+                            r1: rows,
+                        };
+                        if dispatched {
+                            in_panel(mode, panel)
+                        } else {
+                            panel.run::<FUSED>()
+                        }
+                    };
+                    let (mut want, mut got) = (init.clone(), init.clone());
+                    solve(&mut want, false);
+                    solve(&mut got, true);
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(want.as_slice()),
+                        "solve fused={FUSED} rows={rows} cn={cn}"
+                    );
+                }
+            }
+            // The base cases of a factorization whose last panel is
+            // ragged: a full panel, then what is left of the order.
+            for order in [33usize, 100, 136] {
+                let a = spd::random_spd(order, &mut spd::test_rng(36));
+                let last = order / PB * PB;
+                for (off, n) in [(last - PB, PB), (last, order - last)] {
+                    let (mut want, mut got) = (a.clone(), a.clone());
+                    let (data, ld) = (want.as_mut_slice(), order);
+                    PanelFactor { data, ld, off, n }.run::<FUSED>().unwrap();
+                    let data = got.as_mut_slice();
+                    in_panel(mode, PanelFactor { data, ld, off, n }).unwrap();
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(want.as_slice()),
+                        "factor fused={FUSED} order={order} off={off} n={n}"
+                    );
+                }
+            }
+        }
+        check::<false>(Mode::Strict);
+        // Without hardware FMA the fused mode runs the strict bodies.
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("fma") && std::arch::is_x86_feature_detected!("avx2") {
+            check::<true>(Mode::Fused);
+        }
+    }
+
+    #[test]
+    fn failed_potf2_leaves_the_bytes_it_always_left() {
+        // Order 100 is panels of 32, 32, 32 and 4; the bad pivot sits in
+        // the first, a middle and the last.  The digests (of the whole
+        // argument, upper triangle included) were captured at 181252c,
+        // before the in-panel loops moved to registers.
+        let spd = spd::random_spd(100, &mut spd::test_rng(41));
+        type Potf2 = fn(&mut Matrix<f64>) -> Result<(), MatrixError>;
+        let engines: [(&str, Potf2); 3] =
+            [("reference", kernels::potf2), ("strict", potf2), ("fused", fused::potf2)];
+        let golden: [(usize, [u64; 3]); 3] = [
+            (5, [0x028ef77409f3bb1f, 0x64261f0d64b4f5c6, 0x6d7f2e74c9c3d384]),
+            (40, [0x1562511061e3246d, 0xfd7feace37f21295, 0x1363a3e621cca4ec]),
+            (98, [0x1d9a0b95ed192069, 0x539da059cd7a7b8d, 0xd18202cd97183faa]),
+        ];
+        for (p, want) in golden {
+            let mut a = spd.clone();
+            a[(p, p)] = -1.0;
+            for ((name, engine), want) in engines.iter().zip(want) {
+                let mut f = a.clone();
+                match engine(&mut f) {
+                    Err(MatrixError::NotSpd { pivot, .. }) => assert_eq!(pivot, p, "{name}"),
+                    other => panic!("{name}, bad pivot {p}: {other:?}"),
+                }
+                assert_eq!(crate::digest::matrix_digest(&f), want, "{name}, bad pivot {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_diagonal_update_is_syrk_on_the_lower_triangle_alone() {
+        type Syrk = fn(&mut Matrix<f64>, &Matrix<f64>);
+        type SyrkPacked = fn(&mut Matrix<f64>, &PackedTile);
+        let modes: [(Syrk, SyrkPacked); 2] = [
+            (syrk_lower, syrk_lower_packed),
+            (fused::syrk_lower, fused::syrk_lower_packed),
+        ];
+        for b in [8usize, 24, 32, 100, 128] {
+            let a = random_matrix(b, b, 37);
+            let init = random_matrix(b, b, 38);
+            let mut packed = PackedTile::default();
+            packed.pack(&a);
+            for (m, (plain, on_packed)) in modes.iter().enumerate() {
+                let (mut want, mut got) = (init.clone(), init.clone());
+                plain(&mut want, &a);
+                on_packed(&mut got, &packed);
+                for j in 0..b {
+                    for i in 0..b {
+                        // Below the diagonal the update, above it the input.
+                        let w = if i >= j { want[(i, j)] } else { init[(i, j)] };
+                        assert_eq!(got[(i, j)].to_bits(), w.to_bits(), "b={b} mode {m} ({i},{j})");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn syrk_bit_identical_and_upper_untouched() {
         for (n, k) in [(5, 3), (66, 130), (131, 64)] {
@@ -1474,7 +1703,13 @@ mod tests {
 
     #[test]
     fn trsm_bit_identical_to_reference() {
-        for (m, n) in [(4, 4), (70, 65), (10, 130)] {
+        // Every row-block width of the in-panel solve with its ragged
+        // tails, against one-panel orders and orders whose last panel is
+        // ragged (33, 100, 136).
+        let shapes = PANEL_ROWS
+            .iter()
+            .flat_map(|&m| [1, 5, 31, 32, 33, 100, 136].map(|n| (m, n)));
+        for (m, n) in shapes.chain([(4, 4), (70, 65), (10, 130)]) {
             let mut rng = spd::test_rng(9);
             let mut l = spd::random_spd(n, &mut rng);
             kernels::potf2(&mut l).unwrap();
@@ -1489,7 +1724,7 @@ mod tests {
 
     #[test]
     fn potf2_bit_identical_to_reference() {
-        for n in [1usize, 2, 7, 64, 65, 129, 200] {
+        for n in [1usize, 2, 5, 7, 31, 32, 33, 64, 65, 100, 129, 136, 200] {
             let mut rng = spd::test_rng(11);
             let a = spd::random_spd(n, &mut rng);
             let mut f1 = a.clone();

@@ -435,10 +435,9 @@ where
 /// tell the two apart, and works on the live leading block.  A failing
 /// pivot is reported in whole-matrix coordinates.  The operands of an
 /// update may be packed (see [`KernelImpl::packs_tiles`]); the bits are
-/// the same.  A diagonal update (`i == j`) on plain operands touches the
-/// lower triangle only, so the strict upper triangle of a diagonal tile
-/// keeps its input values; on packed operands it runs the full-tile
-/// micro-kernel like any other update (same lower triangle).
+/// the same.  A diagonal update (`i == j`) touches the lower triangle
+/// only, packed or not, so the strict upper triangle of a diagonal tile
+/// keeps its input values.
 pub fn apply<S: Scalar>(
     op: TileOp,
     kernel: KernelImpl,
@@ -469,8 +468,8 @@ pub fn apply<S: Scalar>(
             kernel.trsm_right_lower_transpose(target, diag);
             Ok(())
         }
-        (TileOp::Update { i, j, .. }, [Operand::Plain(li), _]) if i == j => {
-            kernel.syrk_lower(target, li);
+        (TileOp::Update { i, j, .. }, [li, _]) if i == j => {
+            kernel.update_diag(target, *li);
             Ok(())
         }
         (TileOp::Update { .. }, [li, lj]) => {
@@ -488,8 +487,7 @@ pub fn apply<S: Scalar>(
 /// column starts and reused for every update in it, and the row operand
 /// is packed into a second reused buffer.  Both are scratch beside the
 /// walk's [`WORKING_SET`], like the kernels' own packing buffers.  A
-/// diagonal update is never packed for: on plain operands [`apply`] keeps
-/// it to the lower triangle.
+/// diagonal update is never packed for: it reads its one operand once.
 pub struct Arithmetic {
     kernel: KernelImpl,
     grid: TileGrid,
