@@ -50,6 +50,7 @@ use crate::error::MatrixError;
 use crate::kernels_fast::PackedTile;
 use crate::scalar::Scalar;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Tiles the walk holds live at once: the two panel operands and the
 /// tile being updated.  The floor under every tile cache's capacity and
@@ -334,6 +335,14 @@ pub trait TileStore {
     fn begin_panel(&mut self, _k: usize) {}
     /// Fetch tile `(i, j)`.
     fn get(&mut self, i: usize, j: usize) -> Result<Self::Tile, Self::Error>;
+    /// Fetch tile `(i, j)` to overwrite it: the walk hands it back with
+    /// [`put`](Self::put) before it touches the store again for that
+    /// tile.  A store that shares its tiles hands this one over instead,
+    /// so the write needs no copy; the walks take only the targets of
+    /// `Solve` and `Update`, which cannot fail.
+    fn take(&mut self, i: usize, j: usize) -> Result<Self::Tile, Self::Error> {
+        self.get(i, j)
+    }
     /// Install the updated tile `(i, j)`.
     fn put(&mut self, i: usize, j: usize, tile: Self::Tile) -> Result<(), Self::Error>;
 }
@@ -344,7 +353,9 @@ pub trait TileStore {
 ///
 /// `apply(op, target, operands)` performs `op` on `target`; `operands` is
 /// empty for a factor, `[diag]` for a solve and `[L(i,k), L(j,k)]` for an
-/// update.
+/// update.  The target of a solve or an update is
+/// [taken](TileStore::take); that of a factor, which can fail, is a
+/// [`get`](TileStore::get), so the store keeps what it held before.
 pub fn walk<St, F>(
     store: &mut St,
     nb: usize,
@@ -363,7 +374,7 @@ where
         store.put(k, k, diag.clone())?;
 
         for i in (k + 1)..nb {
-            let mut t = store.get(i, k)?;
+            let mut t = store.take(i, k)?;
             apply(TileOp::Solve { i, k }, &mut t, &[&diag])?;
             store.put(i, k, t)?;
         }
@@ -372,7 +383,7 @@ where
             let lj = store.get(j, k)?;
             for i in j..nb {
                 let li = store.get(i, k)?;
-                let mut t = store.get(i, j)?;
+                let mut t = store.take(i, j)?;
                 apply(TileOp::Update { i, j, k }, &mut t, &[&li, &lj])?;
                 store.put(i, j, t)?;
             }
@@ -414,7 +425,7 @@ where
         store.put(j, j, diag)?;
 
         for i in (j + 1)..nb {
-            let mut t = store.get(i, j)?;
+            let mut t = store.take(i, j)?;
             for k in 0..j {
                 let li = store.get(i, k)?;
                 let lj = store.get(j, k)?;
@@ -510,11 +521,11 @@ impl Arithmetic {
     }
 
     /// Perform `op` on `target`; `operands` as the walks hand them over.
-    pub fn apply<S: Scalar>(
+    pub fn apply<S: Scalar, T: MatrixTile<S>>(
         &mut self,
         op: TileOp,
         target: &mut Matrix<S>,
-        operands: &[&Matrix<S>],
+        operands: &[&T],
     ) -> Result<(), MatrixError> {
         let Arithmetic { kernel, grid, .. } = *self;
         match (op, operands) {
@@ -523,20 +534,50 @@ impl Arithmetic {
                 // j back to back, and L(j, k) is final: pack it on the
                 // first.
                 if self.held != Some((j, k)) {
-                    kernel.pack_tile(lj, &mut self.lj);
+                    kernel.pack_tile(lj.matrix(), &mut self.lj);
                     self.held = Some((j, k));
                 }
-                kernel.pack_tile(li, &mut self.li);
+                kernel.pack_tile(li.matrix(), &mut self.li);
                 let packed = [Operand::Packed(&self.li), Operand::Packed(&self.lj)];
                 apply(op, kernel, grid, target, &packed)
             }
             (_, []) => apply(op, kernel, grid, target, &[]),
-            (_, [a]) => apply(op, kernel, grid, target, &[Operand::Plain(a)]),
+            (_, [a]) => apply(op, kernel, grid, target, &[Operand::Plain(a.matrix())]),
             (_, [a, b]) => {
-                apply(op, kernel, grid, target, &[Operand::Plain(a), Operand::Plain(b)])
+                let operands = [Operand::Plain(a.matrix()), Operand::Plain(b.matrix())];
+                apply(op, kernel, grid, target, &operands)
             }
             _ => unreachable!("{op:?} handed {} operand tile(s)", operands.len()),
         }
+    }
+}
+
+/// A tile [`factor`] computes on: it reads as a [`Matrix`] and can be
+/// made unique for writing.  A `Matrix` is one; so is an `Arc<Matrix>`,
+/// through [`Arc::make_mut`] — which copies only while another holder
+/// still shares the tile.
+pub trait MatrixTile<S: Scalar>: Clone {
+    /// The tile's values.
+    fn matrix(&self) -> &Matrix<S>;
+    /// The tile's values, for writing.
+    fn matrix_mut(&mut self) -> &mut Matrix<S>;
+}
+
+impl<S: Scalar> MatrixTile<S> for Matrix<S> {
+    fn matrix(&self) -> &Matrix<S> {
+        self
+    }
+    fn matrix_mut(&mut self) -> &mut Matrix<S> {
+        self
+    }
+}
+
+impl<S: Scalar> MatrixTile<S> for Arc<Matrix<S>> {
+    fn matrix(&self) -> &Matrix<S> {
+        self
+    }
+    fn matrix_mut(&mut self) -> &mut Matrix<S> {
+        Arc::make_mut(self)
     }
 }
 
@@ -550,12 +591,13 @@ pub fn factor<S, St>(
 ) -> Result<(), St::Error>
 where
     S: Scalar,
-    St: TileStore<Tile = Matrix<S>>,
+    St: TileStore,
+    St::Tile: MatrixTile<S>,
     St::Error: From<MatrixError>,
 {
     let mut arith = Arithmetic::new(kernel, grid);
     walk(store, grid.nb(), panels, |op, target, operands| {
-        arith.apply(op, target, operands).map_err(St::Error::from)
+        arith.apply(op, target.matrix_mut(), operands).map_err(St::Error::from)
     })
 }
 

@@ -73,14 +73,14 @@
 
 use crate::backend::{IoBackend, LatencyModel};
 use crate::checkpoint::{Checkpoint, CheckpointReport, Checkpointing};
-use crate::potrf::{drive, Front, LruIndex, OocError};
+use crate::potrf::{drive, hand_out, Front, LruIndex, OocError, Slot};
 use cholcomm_faults::{DiskOp, FsStore, Store};
 use cholcomm_matrix::schedule::{self, TileOp, TileStore};
 use cholcomm_matrix::{KernelImpl, Matrix};
 use cholcomm_par::io::{io_scope, IoScope};
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -386,7 +386,7 @@ struct IoShared {
     /// Read jobs enqueued or running.
     reads_inflight: usize,
     /// Write-back payloads enqueued but not yet picked up.
-    write_data: HashMap<(usize, usize), Matrix<f64>>,
+    write_data: HashMap<(usize, usize), Arc<Matrix<f64>>>,
     /// Write jobs currently executing.
     write_inflight: HashSet<(usize, usize)>,
     /// First I/O error observed, surfaced to the compute thread.
@@ -518,6 +518,10 @@ impl<'fm, B: IoBackend> PipeIo<'fm, B> {
                 be.write_tile(tile.0, tile.1, &data)
             }))
         };
+        // Let go of the payload before the write counts as landed: the
+        // compute thread may still share it (a boundary flush), and once
+        // it has waited the write out it takes the tile without a copy.
+        drop(data);
         let mut st = lock(&self.st);
         st.write_inflight.remove(&tile);
         match result {
@@ -581,7 +585,7 @@ struct PipelineFront<'s, 'env, 'fm, B: IoBackend> {
     /// key -> (tile, dirty); mirrors the planned cache exactly, except
     /// victims leave at fetch-*issue* time (provably past their last
     /// use) instead of miss time.
-    resident: HashMap<(usize, usize), (Matrix<f64>, bool)>,
+    resident: HashMap<(usize, usize), (Slot, bool)>,
     /// Compute position in `plan.ops`.
     pos: usize,
     /// Next fetch to issue.
@@ -636,7 +640,7 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend + Send> PipelineFront<'s, 'env, 'fm, B> {
         self.scope.submit(move || io.read_job(tile, us));
     }
 
-    fn enqueue_write(&mut self, tile: (usize, usize), data: Matrix<f64>) {
+    fn enqueue_write(&mut self, tile: (usize, usize), data: Arc<Matrix<f64>>) {
         let us = self.io.model.sample(DiskOp::Write, self.op_seq);
         self.op_seq += 1;
         self.stats.modeled_io_us += us;
@@ -669,6 +673,7 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend + Send> PipelineFront<'s, 'env, 'fm, B> {
                     .expect("planned victim is resident at issue time");
                 debug_assert_eq!(dirty, planned_dirty, "planned dirtiness of {victim:?}");
                 if dirty {
+                    let data = data.expect("a taken tile's put comes before its eviction");
                     self.enqueue_write(victim, data);
                     self.stats.evict_writes += 1;
                 }
@@ -701,64 +706,71 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend + Send> PipelineFront<'s, 'env, 'fm, B> {
     }
 
     /// Enqueue a write-back of every dirty resident tile (sorted,
-    /// mirroring `TileCache::flush`) and mark them clean.
+    /// mirroring `TileCache::flush`) and mark them clean.  The tiles stay
+    /// resident, shared with their write-backs until those land.
     fn enqueue_dirty(&mut self) -> Vec<(usize, usize)> {
-        let mut keys: Vec<(usize, usize)> = self
+        let mut dirty: Vec<_> = self
             .resident
-            .iter()
-            .filter(|&(_, (_, d))| *d)
-            .map(|(&key, _)| key)
+            .iter_mut()
+            .filter(|(_, (_, d))| *d)
+            .map(|(&key, (t, d))| {
+                *d = false;
+                (key, hand_out(t, false))
+            })
             .collect();
-        keys.sort_unstable();
-        for &key in &keys {
-            let tile = match self.resident.get_mut(&key) {
-                Some((t, d)) => {
-                    *d = false;
-                    t.clone()
-                }
-                None => continue,
-            };
+        dirty.sort_unstable_by_key(|&(key, _)| key);
+        let keys = dirty.iter().map(|&(key, _)| key).collect();
+        for (key, tile) in dirty {
             self.enqueue_write(key, tile);
             self.stats.flush_writes += 1;
         }
         keys
     }
+
+    /// Serve the access at `pos` — from the resident set, or by waiting
+    /// out the prefetch of a miss — and advance the front past it.
+    fn fetch(&mut self, key: (usize, usize), take: bool) -> Result<Arc<Matrix<f64>>, OocError> {
+        if !self.resident.contains_key(&key) {
+            debug_assert_eq!(
+                self.plan.fetches.get(self.fetch_consumed).map(|f| f.tile),
+                Some(key),
+                "miss stream diverged from the plan"
+            );
+            self.pump(); // the needed fetch is issuable now (ready_at <= miss pos)
+            let tile = self.wait_fetched(key)?;
+            self.fetch_consumed += 1;
+            self.resident.insert(key, (Some(Arc::new(tile)), false));
+        }
+        let (slot, _) = self
+            .resident
+            .get_mut(&key)
+            .expect("the tile was just made resident");
+        let tile = hand_out(slot, take);
+        self.pos += 1;
+        self.pump();
+        Ok(tile)
+    }
 }
 
 impl<'fm: 'env, 'env, B: IoBackend + Send> TileStore for PipelineFront<'_, 'env, 'fm, B> {
-    type Tile = Matrix<f64>;
+    type Tile = Arc<Matrix<f64>>;
     type Error = OocError;
 
     fn begin_panel(&mut self, k: usize) {
         self.io.with_backend(|be| be.begin_panel(k));
     }
-    fn get(&mut self, bi: usize, bj: usize) -> Result<Matrix<f64>, OocError> {
-        let key = (bi, bj);
-        if let Some((t, _)) = self.resident.get(&key) {
-            let out = t.clone();
-            self.pos += 1;
-            self.pump();
-            return Ok(out);
-        }
-        debug_assert_eq!(
-            self.plan.fetches.get(self.fetch_consumed).map(|f| f.tile),
-            Some(key),
-            "miss stream diverged from the plan"
-        );
-        self.pump(); // the needed fetch is issuable now (ready_at <= miss pos)
-        let tile = self.wait_fetched(key)?;
-        self.fetch_consumed += 1;
-        self.resident.insert(key, (tile.clone(), false));
-        self.pos += 1;
-        self.pump();
-        Ok(tile)
+    fn get(&mut self, bi: usize, bj: usize) -> Result<Arc<Matrix<f64>>, OocError> {
+        self.fetch((bi, bj), false)
     }
-    fn put(&mut self, bi: usize, bj: usize, tile: Matrix<f64>) -> Result<(), OocError> {
+    fn take(&mut self, bi: usize, bj: usize) -> Result<Arc<Matrix<f64>>, OocError> {
+        self.fetch((bi, bj), true)
+    }
+    fn put(&mut self, bi: usize, bj: usize, tile: Arc<Matrix<f64>>) -> Result<(), OocError> {
         let slot = self
             .resident
             .get_mut(&(bi, bj))
             .expect("the schedule puts only resident tiles");
-        *slot = (tile, true);
+        *slot = (Some(tile), true);
         self.pos += 1;
         self.pump();
         Ok(())
@@ -1117,7 +1129,7 @@ mod tests {
     use crate::potrf::{ooc_potrf, ooc_potrf_with, CachedFront, TileCache};
     use cholcomm_faults::{CrashPoint, DiskFault, FaultPlan};
     use cholcomm_matrix::schedule::TileGrid;
-    use cholcomm_matrix::spd;
+    use cholcomm_matrix::{matrix_digest, spd};
 
     fn ooc_potrf_checkpointed_pipelined<B: IoBackend + Send>(
         fm: &mut B,
@@ -1127,27 +1139,83 @@ mod tests {
         ooc_potrf_checkpointed_pipelined_in(fm, ckpt, &mut FsStore::new(), cfg)
     }
 
-    /// A real front that also logs the accesses it serves.
-    struct Logged<'a, B: IoBackend> {
-        front: CachedFront<'a, B>,
-        k: usize,
-        seen: Vec<Access>,
+    /// What a `Solve` or `Update` did with its target: the allocation
+    /// and holder count of the tile taken for it, if it was taken, and
+    /// the allocation put back.
+    struct Handoff {
+        op: TileOp,
+        taken: Option<(*const Matrix<f64>, usize)>,
+        put: *const Matrix<f64>,
     }
 
-    impl<B: IoBackend> TileStore for Logged<'_, B> {
-        type Tile = Matrix<f64>;
+    /// A real front that also logs the accesses it serves, and how the
+    /// target of every `Solve` and `Update` crossed it.
+    struct Logged<F> {
+        front: F,
+        k: usize,
+        seen: Vec<Access>,
+        /// The last take: its tile, allocation and holder count.
+        taken: Option<((usize, usize), *const Matrix<f64>, usize)>,
+        handoffs: Vec<Handoff>,
+    }
+
+    impl<F> Logged<F> {
+        fn new(front: F, k: usize) -> Self {
+            Logged {
+                front,
+                k,
+                seen: Vec::new(),
+                taken: None,
+                handoffs: Vec::new(),
+            }
+        }
+    }
+
+    impl<F: Front> TileStore for Logged<F> {
+        type Tile = Arc<Matrix<f64>>;
         type Error = OocError;
         fn begin_panel(&mut self, k: usize) {
             self.k = k;
             self.front.begin_panel(k);
         }
-        fn get(&mut self, bi: usize, bj: usize) -> Result<Matrix<f64>, OocError> {
+        fn get(&mut self, bi: usize, bj: usize) -> Result<Arc<Matrix<f64>>, OocError> {
             self.seen.push(Access::Get(bi, bj));
             self.front.get(bi, bj)
         }
-        fn put(&mut self, bi: usize, bj: usize, tile: Matrix<f64>) -> Result<(), OocError> {
-            self.seen.push(Access::Put(TileOp::of(bi, bj, self.k)));
+        fn take(&mut self, bi: usize, bj: usize) -> Result<Arc<Matrix<f64>>, OocError> {
+            self.seen.push(Access::Get(bi, bj));
+            let t = self.front.take(bi, bj)?;
+            self.taken = Some(((bi, bj), Arc::as_ptr(&t), Arc::strong_count(&t)));
+            Ok(t)
+        }
+        fn put(&mut self, bi: usize, bj: usize, tile: Arc<Matrix<f64>>) -> Result<(), OocError> {
+            let op = TileOp::of(bi, bj, self.k);
+            self.seen.push(Access::Put(op));
+            if !matches!(op, TileOp::Factor { .. }) {
+                let taken = self.taken.take().filter(|&(key, ..)| key == (bi, bj));
+                self.handoffs.push(Handoff {
+                    op,
+                    taken: taken.map(|(_, at, holders)| (at, holders)),
+                    put: Arc::as_ptr(&tile),
+                });
+            }
             self.front.put(bi, bj, tile)
+        }
+    }
+
+    impl<F: Front> Front for Logged<F> {
+        type Backend = F::Backend;
+        fn with_backend<R>(&mut self, f: impl FnOnce(&mut F::Backend) -> R) -> R {
+            self.front.with_backend(f)
+        }
+        fn flush_final(&mut self) -> Result<(), OocError> {
+            self.front.flush_final()
+        }
+        fn flush_boundary(&mut self) -> Result<(), OocError> {
+            self.front.flush_boundary()
+        }
+        fn reset(&mut self, k: usize) {
+            self.front.reset(k);
         }
     }
 
@@ -1165,11 +1233,7 @@ mod tests {
                 cache: TileCache::new(4),
             };
             schedule::factor(&mut front, grid, 0..start, KernelImpl::Reference).unwrap();
-            let mut logged = Logged {
-                front,
-                k: start,
-                seen: Vec::new(),
-            };
+            let mut logged = Logged::new(front, start);
             for k in start..grid.nb() {
                 schedule::factor(&mut logged, grid, k..k + 1, KernelImpl::Reference).unwrap();
                 logged.seen.push(Access::Boundary);
@@ -1271,6 +1335,89 @@ mod tests {
         }
     }
 
+    /// One logged whole-matrix run of `a` (b = 8) at capacity `cap`,
+    /// checkpointed or not, through the sync front or — given `(workers,
+    /// lookahead)` — the pipeline: every target's hand-off, and the factor.
+    fn logged_run(
+        a: &Matrix<f64>,
+        cap: usize,
+        pipe: Option<(usize, usize)>,
+        checkpointed: bool,
+    ) -> (Vec<Handoff>, Matrix<f64>) {
+        let path = scratch_path(&format!("handoff-{cap}-{pipe:?}-{checkpointed}"));
+        let mut fm = FileMatrix::create(&path, a, 8).unwrap();
+        let ckpt = Checkpoint::at(&path.with_extension("ckpt"));
+        let (mut store, mut report) = (FsStore::new(), CheckpointReport::default());
+        let mut ck = checkpointed.then_some(Checkpointing {
+            ckpt: &ckpt,
+            store: &mut store,
+            report: &mut report,
+        });
+        if let Some(ck) = ck.as_mut() {
+            assert_eq!(ck.resume_point(&mut fm).unwrap(), 0);
+        }
+        let kernel = KernelImpl::Reference;
+        let handoffs = match pipe {
+            None => {
+                let front = CachedFront {
+                    fm: &mut fm,
+                    cache: TileCache::new(cap),
+                };
+                let mut logged = Logged::new(front, 0);
+                drive(&mut logged, kernel, 0, ck).unwrap();
+                logged.handoffs
+            }
+            Some((workers, lookahead)) => {
+                let cfg = PipelineConfig::new(cap)
+                    .with_io_workers(workers)
+                    .with_lookahead(lookahead);
+                let nb = fm.nb();
+                let plan = Plan::new(nb, cap, 0, checkpointed);
+                let io = PipeIo::new(&mut fm, false);
+                io_scope(workers, |scope| {
+                    let front = PipelineFront::new(&io, scope, plan, &cfg, nb, checkpointed);
+                    let mut logged = Logged::new(front, 0);
+                    drive(&mut logged, kernel, 0, ck).unwrap();
+                    logged.handoffs
+                })
+            }
+        };
+        (handoffs, fm.to_matrix().unwrap())
+    }
+
+    #[test]
+    fn solve_and_update_targets_cross_the_fronts_by_reference() {
+        let a = spd::random_spd(40, &mut spd::test_rng(236));
+        let nb = a.rows().div_ceil(8);
+        let fronts = [None, Some((1, 1)), Some((1, 4)), Some((2, 1)), Some((2, 4))];
+        let runs = [false, true].map(|checkpointed| fronts.map(|pipe| (checkpointed, pipe)));
+        for cap in [3usize, 5, 12] {
+            let writes: Vec<TileOp> = Plan::new(nb, cap, 0, false)
+                .ops
+                .into_iter()
+                .filter_map(|access| match access {
+                    Access::Put(op @ (TileOp::Solve { .. } | TileOp::Update { .. })) => Some(op),
+                    _ => None,
+                })
+                .collect();
+            let mut factors = Vec::new();
+            for (checkpointed, pipe) in runs.concat() {
+                let tag = format!("cap {cap}, pipeline {pipe:?}, checkpointed {checkpointed}");
+                let (handoffs, factor) = logged_run(&a, cap, pipe, checkpointed);
+                let ops: Vec<TileOp> = handoffs.iter().map(|h| h.op).collect();
+                assert_eq!(ops, writes, "{tag}");
+                for h in &handoffs {
+                    // Taken, held by nobody else — no write-back still
+                    // holding it either — and put back as the same
+                    // allocation: the kernel wrote in place.
+                    assert_eq!(h.taken, Some((h.put, 1)), "{tag}: {:?}", h.op);
+                }
+                factors.push(factor);
+            }
+            assert!(factors.windows(2).all(|w| w[0] == w[1]), "cap {cap}");
+        }
+    }
+
     #[test]
     fn pipelined_not_spd_leaves_the_same_file_state() {
         let n = 16;
@@ -1293,6 +1440,52 @@ mod tests {
         }
         let got = fm.to_matrix().unwrap();
         assert_eq!(got, want, "abort must leave the same on-disk state");
+
+        // The bytes themselves, pinned: `matrix_digest` of the file a bad
+        // pivot in the first, a middle or the last (ragged) diagonal tile
+        // of an order-37, b = 8 matrix leaves, per capacity and engine,
+        // captured before tiles crossed the fronts by reference.  The
+        // failed tile keeps its pre-factor bytes because a `Factor` target
+        // is a `get`, never a `take`.
+        use KernelImpl::{Fast, Reference};
+        const GOLDEN: [(usize, usize, KernelImpl, u64); 12] = [
+            (3, 0, Reference, 0xda55a5670a383986),
+            (3, 0, Fast, 0xda55a5670a383986),
+            (3, 2, Reference, 0x3568be49431f4293),
+            (3, 2, Fast, 0x8400ebaefb214740),
+            (3, 4, Reference, 0x83c3e50d0c92e0e6),
+            (3, 4, Fast, 0x613b215b5710de29),
+            (12, 0, Reference, 0xda55a5670a383986),
+            (12, 0, Fast, 0xda55a5670a383986),
+            (12, 2, Reference, 0x3568be49431f4293),
+            (12, 2, Fast, 0x8400ebaefb214740),
+            (12, 4, Reference, 0x83c3e50d0c92e0e6),
+            (12, 4, Fast, 0x613b215b5710de29),
+        ];
+        let a = spd::random_spd(37, &mut spd::test_rng(237));
+        for (cap, tile, kernel, want) in GOLDEN {
+            let pivot = tile * 8 + 2;
+            let mut m = a.clone();
+            m[(pivot, pivot)] = -1.0;
+            let mut fm = FileMatrix::create(&scratch_path("nspd-gold-sync"), &m, 8).unwrap();
+            let mut runs = vec![("sync", ooc_potrf_with(&mut fm, cap, kernel), fm.to_matrix())];
+            for (driver, workers) in [("W=1", 1usize), ("W=2", 2)] {
+                let mut fm = FileMatrix::create(&scratch_path("nspd-gold-pipe"), &m, 8).unwrap();
+                let cfg = PipelineConfig::new(cap)
+                    .with_kernel(kernel)
+                    .with_io_workers(workers);
+                let done = ooc_potrf_pipelined_with(&mut fm, &cfg).map(|_| ());
+                runs.push((driver, done, fm.to_matrix()));
+            }
+            for (driver, done, disk) in runs {
+                let tag = format!("cap {cap}, tile {tile}, {kernel:?}, {driver}");
+                assert!(
+                    matches!(done, Err(OocError::NotSpd { pivot: p, .. }) if p == pivot),
+                    "{tag}: {done:?}"
+                );
+                assert_eq!(matrix_digest(&disk.unwrap()), want, "{tag}");
+            }
+        }
     }
 
     #[test]

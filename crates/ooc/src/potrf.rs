@@ -7,6 +7,7 @@ use cholcomm_faults::{FsStore, Store};
 use cholcomm_matrix::schedule::{self, TileGrid, TileStore, WORKING_SET};
 use cholcomm_matrix::{KernelImpl, Matrix, MatrixError};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const NIL: usize = usize::MAX;
 
@@ -125,9 +126,22 @@ impl LruIndex {
     }
 }
 
+/// A resident tile: shared with the walk by [`TileStore::get`], empty
+/// between a [`TileStore::take`] and the `put` that refills it.
+pub(crate) type Slot = Option<Arc<Matrix<f64>>>;
+
+/// What a resident slot hands the walk: a share of its tile, or — for a
+/// take — the tile itself, leaving the slot empty.
+pub(crate) fn hand_out(slot: &mut Slot, take: bool) -> Arc<Matrix<f64>> {
+    if take { slot.take() } else { slot.clone() }
+        .expect("a taken tile is put back before it is fetched again")
+}
+
 /// An LRU cache of tiles standing in for fast memory: at most
 /// `capacity_tiles` tiles resident; dirty tiles are written back on
-/// eviction and at the end.
+/// eviction and at the end.  Tiles cross to the walk by reference: a
+/// `get` shares the resident `Arc`, a `take` moves it out until its
+/// `put`, so no tile is copied inside fast memory.
 ///
 /// # Error guarantee
 ///
@@ -143,7 +157,7 @@ impl LruIndex {
 #[derive(Debug)]
 pub struct TileCache {
     capacity_tiles: usize,
-    tiles: HashMap<(usize, usize), (Matrix<f64>, bool)>, // (tile, dirty)
+    tiles: HashMap<(usize, usize), (Slot, bool)>, // (tile, dirty)
     order: LruIndex,
     poisoned: bool,
 }
@@ -175,8 +189,9 @@ impl TileCache {
         while self.tiles.len() >= self.capacity_tiles {
             let key = self.order.lru().ok_or(OocError::CachePoisoned)?;
             // Write back *before* removing: if the write fails the tile
-            // stays resident and dirty, and the cache is poisoned.
-            if let Some((tile, dirty)) = self.tiles.get(&key) {
+            // stays resident and dirty, and the cache is poisoned.  (A
+            // taken tile is never the oldest: its put follows its take.)
+            if let Some((Some(tile), dirty)) = self.tiles.get(&key) {
                 if *dirty {
                     if let Err(e) = fm.write_tile(key.0, key.1, tile) {
                         self.poisoned = true;
@@ -190,24 +205,48 @@ impl TileCache {
         Ok(())
     }
 
-    /// Fetch a tile (from cache or the backing store).
+    /// Fetch a tile (from cache or the backing store), shared with the
+    /// cache.
     pub fn get<B: IoBackend>(
         &mut self,
         fm: &mut B,
         bi: usize,
         bj: usize,
-    ) -> Result<Matrix<f64>, OocError> {
+    ) -> Result<Arc<Matrix<f64>>, OocError> {
+        self.fetch(fm, bi, bj, false)
+    }
+
+    /// Fetch a tile to overwrite it: its slot stays resident, and dirty
+    /// if it was, but empty until the tile is [`put`](Self::put) back.
+    pub fn take<B: IoBackend>(
+        &mut self,
+        fm: &mut B,
+        bi: usize,
+        bj: usize,
+    ) -> Result<Arc<Matrix<f64>>, OocError> {
+        self.fetch(fm, bi, bj, true)
+    }
+
+    fn fetch<B: IoBackend>(
+        &mut self,
+        fm: &mut B,
+        bi: usize,
+        bj: usize,
+        take: bool,
+    ) -> Result<Arc<Matrix<f64>>, OocError> {
         self.check_poison()?;
-        if let Some((t, _)) = self.tiles.get(&(bi, bj)) {
-            let t = t.clone();
-            self.order.touch((bi, bj));
-            return Ok(t);
+        let key = (bi, bj);
+        if !self.tiles.contains_key(&key) {
+            self.evict_if_full(fm)?;
+            let t = fm.read_tile(bi, bj)?;
+            self.tiles.insert(key, (Some(Arc::new(t)), false));
         }
-        self.evict_if_full(fm)?;
-        let t = fm.read_tile(bi, bj)?;
-        self.tiles.insert((bi, bj), (t.clone(), false));
-        self.order.touch((bi, bj));
-        Ok(t)
+        self.order.touch(key);
+        let (slot, _) = self
+            .tiles
+            .get_mut(&key)
+            .expect("the tile was just made resident");
+        Ok(hand_out(slot, take))
     }
 
     /// Install an updated tile (marks it dirty).
@@ -216,16 +255,16 @@ impl TileCache {
         fm: &mut B,
         bi: usize,
         bj: usize,
-        tile: Matrix<f64>,
+        tile: Arc<Matrix<f64>>,
     ) -> Result<(), OocError> {
         self.check_poison()?;
         if let Some(slot) = self.tiles.get_mut(&(bi, bj)) {
-            *slot = (tile, true);
+            *slot = (Some(tile), true);
             self.order.touch((bi, bj));
             return Ok(());
         }
         self.evict_if_full(fm)?;
-        self.tiles.insert((bi, bj), (tile, true));
+        self.tiles.insert((bi, bj), (Some(tile), true));
         self.order.touch((bi, bj));
         Ok(())
     }
@@ -237,7 +276,7 @@ impl TileCache {
         let mut keys: Vec<(usize, usize)> = self.tiles.keys().copied().collect();
         keys.sort_unstable();
         for key in keys {
-            if let Some((tile, dirty)) = self.tiles.get(&key) {
+            if let Some((Some(tile), dirty)) = self.tiles.get(&key) {
                 if *dirty {
                     if let Err(e) = fm.write_tile(key.0, key.1, tile) {
                         self.poisoned = true;
@@ -303,7 +342,7 @@ impl TileCache {
 /// every front sees the *same* logical get/put sequence and the schedule
 /// is data-oblivious, any two fronts that deliver the stored tile values
 /// produce bit-identical factors by construction.
-pub(crate) trait Front: TileStore<Tile = Matrix<f64>, Error = OocError> {
+pub(crate) trait Front: TileStore<Tile = Arc<Matrix<f64>>, Error = OocError> {
     /// The backend under the front.
     type Backend: IoBackend;
     /// Run `f` on the backend, serialized with any tile traffic the
@@ -333,16 +372,19 @@ pub(crate) struct CachedFront<'a, B: IoBackend> {
 }
 
 impl<B: IoBackend> TileStore for CachedFront<'_, B> {
-    type Tile = Matrix<f64>;
+    type Tile = Arc<Matrix<f64>>;
     type Error = OocError;
 
     fn begin_panel(&mut self, k: usize) {
         self.fm.begin_panel(k);
     }
-    fn get(&mut self, bi: usize, bj: usize) -> Result<Matrix<f64>, OocError> {
+    fn get(&mut self, bi: usize, bj: usize) -> Result<Arc<Matrix<f64>>, OocError> {
         self.cache.get(self.fm, bi, bj)
     }
-    fn put(&mut self, bi: usize, bj: usize, tile: Matrix<f64>) -> Result<(), OocError> {
+    fn take(&mut self, bi: usize, bj: usize) -> Result<Arc<Matrix<f64>>, OocError> {
+        self.cache.take(self.fm, bi, bj)
+    }
+    fn put(&mut self, bi: usize, bj: usize, tile: Arc<Matrix<f64>>) -> Result<(), OocError> {
         self.cache.put(self.fm, bi, bj, tile)
     }
 }
