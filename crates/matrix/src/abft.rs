@@ -42,18 +42,20 @@ pub struct TileChecksum {
 }
 
 impl TileChecksum {
-    /// Encode `tile`.
+    /// Encode `tile`: one contiguous sweep per column, folding it into its
+    /// own parity and into the row parities.  XOR is exact and
+    /// order-free, so the sweep order cannot change a parity.
     pub fn of(tile: &Matrix<f64>) -> TileChecksum {
-        let (r, c) = (tile.rows(), tile.cols());
-        let mut col = vec![0u64; c];
-        let mut row = vec![0u64; r];
-        for j in 0..c {
-            for i in 0..r {
-                let bits = tile[(i, j)].to_bits();
-                col[j] ^= bits;
-                row[i] ^= bits;
-            }
-        }
+        let mut row = vec![0u64; tile.rows()];
+        let col = (0..tile.cols())
+            .map(|j| {
+                tile.col(j).iter().zip(&mut row).fold(0, |parity, (x, r)| {
+                    let bits = x.to_bits();
+                    *r ^= bits;
+                    parity ^ bits
+                })
+            })
+            .collect();
         TileChecksum { col, row }
     }
 
@@ -358,6 +360,38 @@ mod tests {
 
     fn sample_tile(r: usize, c: usize) -> Matrix<f64> {
         Matrix::from_fn(r, c, |i, j| ((i * 7 + j * 3) as f64).sin() + 0.25)
+    }
+
+    /// `TileChecksum::of` as first written: element by element through
+    /// the indexed path.  Kept as the oracle of the column sweep.
+    fn checksum_oracle(tile: &Matrix<f64>) -> TileChecksum {
+        let (r, c) = (tile.rows(), tile.cols());
+        let mut col = vec![0u64; c];
+        let mut row = vec![0u64; r];
+        for j in 0..c {
+            for i in 0..r {
+                let bits = tile[(i, j)].to_bits();
+                col[j] ^= bits;
+                row[i] ^= bits;
+            }
+        }
+        TileChecksum { col, row }
+    }
+
+    #[test]
+    fn column_sweep_equals_the_elementwise_parity() {
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        for (r, c) in [(0, 0), (0, 3), (3, 0), (1, 1), (7, 5), (33, 33)] {
+            let mut t = sample_tile(r, c);
+            if r * c > 0 {
+                t[(0, 0)] = -0.0;
+                t[(r - 1, c - 1)] = nan;
+                t[(r / 2, c / 3)] = -nan;
+            }
+            let ck = TileChecksum::of(&t);
+            assert_eq!(ck, checksum_oracle(&t), "{r}x{c}");
+            assert_eq!((ck.col.len(), ck.row.len()), (c, r), "{r}x{c}");
+        }
     }
 
     #[test]

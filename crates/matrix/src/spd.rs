@@ -7,6 +7,7 @@
 //! used by the Gaussian-process example application.
 
 use crate::dense::Matrix;
+use crate::engine::KernelImpl;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
@@ -28,38 +29,51 @@ pub fn random_spd(n: usize, rng: &mut impl Rng) -> Matrix<f64> {
 /// for: a caller that keeps a quarter of the matrix pays a quarter of the
 /// flops.
 ///
-/// The Gram product streams columns: column `j` of the result accumulates
-/// `G[j.., k] * G[j, k]` over `k`, each a contiguous axpy.  Every element
-/// still sums its `n` products in ascending `k` starting from `0.0`, so
-/// the bits equal those of the dot-product form, which walks `G` at
-/// stride `n`.
+/// The Gram product is one strict GEMM, `A = G_lead * G_lead^T` into
+/// zeros, where `G_lead` is the leading `lead` rows of `G`.  The strict
+/// engine keeps the reference's per-element order and rounding: each
+/// element is `0.0 + g_ik * (1.0 * g_jk)` summed over ascending `k`,
+/// which is the dot-product form's sum bit for bit.  The upper triangle
+/// needs no mirroring, since `g_ik * g_jk == g_jk * g_ik` exactly.
 pub fn random_spd_leading(n: usize, lead: usize, rng: &mut impl Rng) -> Matrix<f64> {
     assert!(lead <= n, "leading block larger than the matrix");
-    let g = Matrix::from_fn(n, n, |_, _| rng.random_range(-1.0..1.0));
-    let mut a = Matrix::zeros(lead, lead);
-    for j in 0..lead {
-        let below = &mut a.col_mut(j)[j..];
-        for k in 0..n {
-            let gk = &g.col(k)[j..lead];
-            let gjk = gk[0];
-            for (s, &gik) in below.iter_mut().zip(gk) {
-                *s += gik * gjk;
-            }
+    let mut g = Matrix::zeros(lead, n);
+    for k in 0..n {
+        for x in g.col_mut(k) {
+            *x = rng.random_range(-1.0..1.0);
         }
-        below[0] += n as f64;
+        for _ in lead..n {
+            let _: f64 = rng.random_range(-1.0..1.0);
+        }
     }
-    a.mirror_lower();
+    let mut a = Matrix::zeros(lead, lead);
+    KernelImpl::FastStrict.gemm_nt(&mut a, 1.0, &g, &g);
+    for d in 0..lead {
+        a[(d, d)] += n as f64;
+    }
     a
 }
 
 /// SPD matrix with approximately the requested 2-norm condition number,
 /// built as `Q D Q^T` with log-spaced eigenvalues and a random orthogonal
 /// `Q` (from Gram–Schmidt on a random matrix).
+///
+/// The product is one strict GEMM, `(Q D) * Q^T` into zeros: element
+/// `(i, j)` sums `(q_ik * d_k) * q_jk` over ascending `k` from `0.0`,
+/// the same rounded products in the same order as the elementwise form.
 pub fn random_spd_with_cond(n: usize, cond: f64, rng: &mut impl Rng) -> Matrix<f64> {
     assert!(cond >= 1.0, "condition number must be >= 1");
     let q = random_orthogonal(n, rng);
-    // Eigenvalues log-spaced in [1/cond, 1].
-    let eig: Vec<f64> = (0..n)
+    let eig = log_spaced_eigenvalues(n, cond);
+    let qd = Matrix::from_fn(n, n, |i, k| q[(i, k)] * eig[k]);
+    let mut a = Matrix::zeros(n, n);
+    KernelImpl::FastStrict.gemm_nt(&mut a, 1.0, &qd, &q);
+    a
+}
+
+/// `n` eigenvalues log-spaced in `[1/cond, 1]`, largest first.
+fn log_spaced_eigenvalues(n: usize, cond: f64) -> Vec<f64> {
+    (0..n)
         .map(|i| {
             if n == 1 {
                 1.0
@@ -67,14 +81,7 @@ pub fn random_spd_with_cond(n: usize, cond: f64, rng: &mut impl Rng) -> Matrix<f
                 (-(i as f64) / (n as f64 - 1.0) * cond.ln()).exp()
             }
         })
-        .collect();
-    Matrix::from_fn(n, n, |i, j| {
-        let mut s = 0.0;
-        for k in 0..n {
-            s += q[(i, k)] * eig[k] * q[(j, k)];
-        }
-        s
-    })
+        .collect()
 }
 
 /// Random orthogonal matrix via modified Gram–Schmidt on a random matrix.
@@ -212,6 +219,20 @@ mod tests {
         a
     }
 
+    /// `random_spd_with_cond` as first written: every element its own
+    /// `Q D Q^T` dot product.  Kept as the bit-identity oracle.
+    fn random_spd_with_cond_oracle(n: usize, cond: f64, rng: &mut impl Rng) -> Matrix<f64> {
+        let q = random_orthogonal(n, rng);
+        let eig = log_spaced_eigenvalues(n, cond);
+        Matrix::from_fn(n, n, |i, j| {
+            let mut s = 0.0;
+            for k in 0..n {
+                s += q[(i, k)] * eig[k] * q[(j, k)];
+            }
+            s
+        })
+    }
+
     /// `rbf_kernel` as first written: every element computed on its own.
     fn rbf_kernel_oracle(points: &[f64], lengthscale: f64, noise: f64) -> Matrix<f64> {
         let n = points.len();
@@ -257,6 +278,53 @@ mod tests {
             let want = random_spd_oracle(n, &mut r2).submatrix(0, 0, lead, lead);
             assert_same_bits(&got, &want, &format!("leading n={n} lead={lead}"));
             assert_eq!(r1.next_u64(), r2.next_u64());
+        }
+    }
+
+    /// The Gram product fans out over the pool once `m * n * k` passes the
+    /// GEMM's threshold (n = 256 and the (320, 256) block do), as on a
+    /// shard with kernel parallelism on: the bits must not depend on it.
+    #[test]
+    fn gram_product_on_the_pool_matches_the_oracle_bit_for_bit() {
+        let shapes = [(0, 0), (1, 1), (33, 33), (96, 48), (256, 256), (320, 256)];
+        let want: Vec<Matrix<f64>> = shapes
+            .iter()
+            .map(|&(n, lead)| {
+                random_spd_oracle(n, &mut test_rng(n as u64 + 7)).submatrix(0, 0, lead, lead)
+            })
+            .collect();
+        for workers in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(workers)
+                .build()
+                .expect("pool");
+            pool.install(|| {
+                let prev = crate::parallel::set_kernel_parallelism(true);
+                for (&(n, lead), want) in shapes.iter().zip(&want) {
+                    let what = format!("n={n} lead={lead} on {workers} workers");
+                    let got = random_spd_leading(n, lead, &mut test_rng(n as u64 + 7));
+                    assert_same_bits(&got, want, &what);
+                    if lead == n {
+                        let got = random_spd(n, &mut test_rng(n as u64 + 7));
+                        assert_same_bits(&got, want, &what);
+                    }
+                }
+                crate::parallel::set_kernel_parallelism(prev);
+            });
+        }
+    }
+
+    #[test]
+    fn conditioned_spd_matches_the_elementwise_oracle_bit_for_bit() {
+        for n in [0, 1, 2, 7, 16, 33, 64, 100] {
+            for cond in [1.0, 1e3, 1e6, 1e12] {
+                let (mut r1, mut r2) = (test_rng(n as u64 + 19), test_rng(n as u64 + 19));
+                let got = random_spd_with_cond(n, cond, &mut r1);
+                let want = random_spd_with_cond_oracle(n, cond, &mut r2);
+                let what = format!("random_spd_with_cond n={n} cond={cond:e}");
+                assert_same_bits(&got, &want, &what);
+                assert_eq!(r1.next_u64(), r2.next_u64());
+            }
         }
     }
 

@@ -12,6 +12,7 @@
 //! `kalman_filter` examples previously duplicated inline; both examples
 //! now import them from here.
 
+use cholcomm_matrix::digest::{fnv1a, fnv1a_update};
 use cholcomm_matrix::{spd, Matrix};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -63,16 +64,12 @@ pub struct Problem {
 
 /// Mix `(kind, key, n)` into the seed for the problem generators — also
 /// the cache key and the shard-routing key, so equal triples always mean
-/// bit-equal problems, one cache slot, and one home shard.
+/// bit-equal problems, one cache slot, and one home shard.  FNV-1a over
+/// the 24 little-endian bytes of `[kind + 1, key, n]`.
 pub fn problem_digest(kind: JobKind, key: u64, n: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in [kind as u64 + 1, key, n as u64] {
-        for byte in w.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    [kind as u64 + 1, key, n as u64]
+        .iter()
+        .fold(fnv1a(b""), |h, w| fnv1a_update(h, &w.to_le_bytes()))
 }
 
 /// Build the problem a `(kind, key, n)` request denotes.  Pure: equal
@@ -332,6 +329,14 @@ mod tests {
         assert_ne!(d, problem_digest(JobKind::Solve, 1, 16));
         assert_ne!(d, problem_digest(JobKind::Factor, 2, 16));
         assert_ne!(d, problem_digest(JobKind::Factor, 1, 24));
+    }
+
+    /// Captured on the commit before `problem_digest` reused
+    /// `digest::fnv1a_update`: every builder seed, cache key and home
+    /// shard depends on this value.
+    #[test]
+    fn problem_digest_is_pinned() {
+        assert_eq!(problem_digest(JobKind::Factor, 42, 20), 0x0516_0bd6_2239_9c9a);
     }
 
     #[test]
