@@ -2,8 +2,8 @@
 //! file-backed blocked Cholesky across cache capacities, plus an
 //! in-memory baseline.
 
-use cholcomm_core::matrix::{kernels, spd};
-use cholcomm_core::ooc::{ooc_potrf, ooc_potrf_pipelined_with, FileMatrix, PipelineConfig};
+use cholcomm_core::matrix::{kernels, spd, KernelImpl};
+use cholcomm_core::ooc::{ooc_potrf_pipelined_with, ooc_potrf_with, FileMatrix, PipelineConfig};
 use cholcomm_core::report::TextTable;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -29,7 +29,7 @@ fn bench_ooc(c: &mut Criterion) {
     for cap in [3usize, 8, 32, 256] {
         let path = cholcomm_core::ooc::filemat::scratch_path(&format!("bench{cap}"));
         let mut fm = FileMatrix::create(&path, &a, b).unwrap();
-        ooc_potrf(&mut fm, cap).unwrap();
+        ooc_potrf_with(&mut fm, cap, KernelImpl::Reference).unwrap();
         let s = fm.stats();
         t.row(vec![
             "sync".to_string(),
@@ -72,7 +72,7 @@ fn bench_ooc(c: &mut Criterion) {
                 let path =
                     cholcomm_core::ooc::filemat::scratch_path(&format!("iter{cap}"));
                 let mut fm = FileMatrix::create(&path, &a, b).unwrap();
-                ooc_potrf(&mut fm, cap).unwrap();
+                ooc_potrf_with(&mut fm, cap, KernelImpl::Reference).unwrap();
                 black_box(fm.stats())
             })
         });

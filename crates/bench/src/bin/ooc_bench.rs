@@ -8,7 +8,7 @@
 //! Four sections, written as `cholcomm-ooc-bench/v1` JSON:
 //!
 //! - **identity** — the pipelined driver's factor is byte-compared
-//!   against the synchronous `ooc_potrf_with` over a grid of cache
+//!   against the synchronous `ooc_potrf_with` (zero I/O workers) over a grid of cache
 //!   capacities, I/O worker counts, and lookahead depths (plus a
 //!   checkpointed-pipelined run); `mismatches` must be zero.
 //! - **model_gate** — the deterministic overlap model at n=2048, b=64
@@ -16,9 +16,10 @@
 //!   synchronous one by ≥ 2x.
 //! - **lookahead_sweep** — modeled prefetch hit rate across lookahead
 //!   depths; ≥ 90% at every lookahead ≥ 4.
-//! - **measured** — a real `FileMatrix` run with the I/O workers
-//!   actually sleeping the sampled latency, pipelined-vs-sync wall
-//!   clock plus the real seek/seek-distance tallies.  Wall numbers are
+//! - **measured** — a real `FileMatrix` run with every op actually
+//!   sleeping the sampled latency (on the compute thread at zero I/O
+//!   workers, on the workers otherwise), pipelined-vs-sync wall clock
+//!   plus the real seek/seek-distance tallies.  Wall numbers are
 //!   machine-dependent; the gate here is deliberately loose (≥ 1.2x)
 //!   and the section is excluded from CI's exact-match compare.
 //!
@@ -30,7 +31,7 @@ use cholcomm_core::matrix::spd;
 use cholcomm_core::ooc::{
     filemat::scratch_path, model_overlap, ooc_potrf_checkpointed, ooc_potrf_pipelined_with,
     ooc_potrf_with, Checkpoint, FileMatrix, IoStats, LatencyModel, ModelConfig, PipelineConfig,
-    SleepBackend, DEFAULT_FLOPS_PER_US,
+    DEFAULT_FLOPS_PER_US,
 };
 use cholcomm_core::matrix::KernelImpl;
 use std::fmt::Write as _;
@@ -177,14 +178,18 @@ fn run_measured(smoke: bool) -> Measured {
     let mut rng = spd::test_rng(601);
     let a = spd::random_spd(n, &mut rng);
 
-    // Synchronous leg: the backend sleeps its advertised latency inline.
+    // Synchronous leg (zero workers): every op sleeps inline, on the
+    // compute thread.
     let mut fm = FileMatrix::create(&scratch_path("ob-meas-sync"), &a, b).expect("create");
     fm.set_latency_model(LatencyModel::uniform(latency_us));
-    let mut sb = SleepBackend::new(fm);
+    let cfg = PipelineConfig::new(capacity)
+        .with_kernel(KernelImpl::Fast)
+        .with_io_workers(0)
+        .with_sleep_latency(true);
     let t0 = Instant::now();
-    ooc_potrf_with(&mut sb, capacity, KernelImpl::Fast).expect("sync measured");
+    ooc_potrf_pipelined_with(&mut fm, &cfg).expect("sync measured");
     let sync_wall_s = t0.elapsed().as_secs_f64();
-    let want = sb.into_inner().to_matrix().expect("read");
+    let want = fm.to_matrix().expect("read");
 
     // Pipelined legs: the I/O *workers* sleep, compute does not.
     let mut pipe_wall_s = [0.0f64; 2];

@@ -226,12 +226,12 @@ impl<B: IoBackend> IoBackend for AbftBackend<B> {
 mod tests {
     use super::*;
     use crate::filemat::{scratch_path, FileMatrix};
-    use crate::potrf::{ooc_potrf, OocError};
-    use cholcomm_matrix::{norms, spd};
+    use crate::potrf::{ooc_potrf_with, OocError};
+    use cholcomm_matrix::{norms, spd, KernelImpl};
 
     fn reference_factor(a: &Matrix<f64>, b: usize, cap: usize, tag: &str) -> Matrix<f64> {
         let mut fm = FileMatrix::create(&scratch_path(tag), a, b).unwrap();
-        ooc_potrf(&mut fm, cap).unwrap();
+        ooc_potrf_with(&mut fm, cap, KernelImpl::Reference).unwrap();
         fm.to_matrix().unwrap()
     }
 
@@ -242,7 +242,7 @@ mod tests {
         let want = reference_factor(&a, 8, 4, "abft-clean-ref");
         let fm = FileMatrix::create(&scratch_path("abft-clean"), &a, 8).unwrap();
         let mut ab = AbftBackend::new(fm, FaultPlan::none());
-        ooc_potrf(&mut ab, 4).unwrap();
+        ooc_potrf_with(&mut ab, 4, KernelImpl::Reference).unwrap();
         let got = ab.inner_mut().to_matrix().unwrap();
         assert_eq!(norms::max_abs_diff(&got, &want), 0.0);
         let s = ab.abft_stats();
@@ -262,7 +262,7 @@ mod tests {
             .build();
         let fm = FileMatrix::create(&scratch_path("abft-flip"), &a, 8).unwrap();
         let mut ab = AbftBackend::new(fm, plan);
-        ooc_potrf(&mut ab, 3).unwrap();
+        ooc_potrf_with(&mut ab, 3, KernelImpl::Reference).unwrap();
         let got = ab.inner_mut().to_matrix().unwrap();
         assert_eq!(
             norms::max_abs_diff(&got, &want),
@@ -283,7 +283,7 @@ mod tests {
             .build();
         let fm = FileMatrix::create(&scratch_path("abft-multi"), &a, 8).unwrap();
         let mut ab = AbftBackend::new(fm, plan);
-        match ooc_potrf(&mut ab, 3) {
+        match ooc_potrf_with(&mut ab, 3, KernelImpl::Reference) {
             Err(OocError::Io(e)) => {
                 assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
             }
@@ -301,7 +301,7 @@ mod tests {
             let plan = FaultPlan::builder(32).bit_flip_rate(0.2).build();
             let fm = FileMatrix::create(&scratch_path(tag), &a, 8).unwrap();
             let mut ab = AbftBackend::new(fm, plan);
-            ooc_potrf(&mut ab, 3).unwrap();
+            ooc_potrf_with(&mut ab, 3, KernelImpl::Reference).unwrap();
             (ab.inner_mut().to_matrix().unwrap(), ab.abft_stats())
         };
         let (m1, s1) = run("abft-rate-1");

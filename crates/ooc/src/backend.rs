@@ -20,9 +20,9 @@ use std::time::Duration;
 ///
 /// The model is *descriptive*: backends do not sleep it themselves.
 /// Consumers decide what to do with it — the OOC pipeline prices it in
-/// its modeled-time simulator (and optionally sleeps it on the I/O
-/// workers), and [`SleepBackend`] turns any backend into one that
-/// really pays the cost inline, for honest synchronous baselines.
+/// its modeled-time simulator, and optionally sleeps it where each op
+/// runs: on the I/O workers, or inline on the compute thread at zero
+/// workers (the honest synchronous baseline).
 /// Keeping the charge out of the backend keeps every existing test and
 /// recorded schedule byte-identical: latency changes *when* results
 /// arrive, never *what* they are.
@@ -109,8 +109,9 @@ impl LatencyModel {
 }
 
 /// A store of `b x b` matrix tiles with I/O accounting — the "slow
-/// memory" the blocked algorithm moves tiles in and out of.
-pub trait IoBackend {
+/// memory" the blocked algorithm moves tiles in and out of.  `Send`,
+/// because the pipeline's I/O workers call it from their own threads.
+pub trait IoBackend: Send {
     /// Matrix order.
     fn n(&self) -> usize;
     /// Tile size.
@@ -378,98 +379,6 @@ impl<B: IoBackend> IoBackend for FaultyBackend<B> {
     }
 }
 
-/// A backend that really *pays* its advertised latency: every read and
-/// write sleeps the wrapped backend's [`LatencyModel`] cost inline,
-/// then reports a free model so nobody charges the same microseconds
-/// twice.
-///
-/// This is the honest synchronous baseline for the overlap benches: the
-/// sequential OOC driver on a `SleepBackend` experiences disk latency
-/// exactly where the model says it occurs, on the one compute thread.
-/// The pipeline must *not* be wrapped in one — it pays the model on its
-/// I/O workers itself, which is the entire point.
-#[derive(Debug)]
-pub struct SleepBackend<B: IoBackend> {
-    inner: B,
-    model: LatencyModel,
-    /// Global op index for jitter sampling, shared by reads and writes
-    /// (mirrors [`FaultyBackend`]'s numbering).
-    ops: u64,
-}
-
-impl<B: IoBackend> SleepBackend<B> {
-    /// Wrap `inner`, sleeping its advertised model on every operation.
-    pub fn new(inner: B) -> Self {
-        let model = inner.latency_model();
-        SleepBackend {
-            inner,
-            model,
-            ops: 0,
-        }
-    }
-
-    /// Unwrap.
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
-
-    fn pay(&mut self, op: DiskOp) {
-        let us = self.model.sample(op, self.ops);
-        self.ops += 1;
-        if us > 0 {
-            std::thread::sleep(Duration::from_micros(us));
-        }
-    }
-}
-
-impl<B: IoBackend> IoBackend for SleepBackend<B> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-    fn b(&self) -> usize {
-        self.inner.b()
-    }
-    fn nb(&self) -> usize {
-        self.inner.nb()
-    }
-    fn read_tile(&mut self, bi: usize, bj: usize) -> std::io::Result<Matrix<f64>> {
-        self.pay(DiskOp::Read);
-        self.inner.read_tile(bi, bj)
-    }
-    fn write_tile(&mut self, bi: usize, bj: usize, tile: &Matrix<f64>) -> std::io::Result<()> {
-        self.pay(DiskOp::Write);
-        self.inner.write_tile(bi, bj, tile)
-    }
-    fn stats(&self) -> IoStats {
-        self.inner.stats()
-    }
-    fn path(&self) -> Option<&Path> {
-        self.inner.path()
-    }
-    fn crash_after_panel(&self, k: usize) -> bool {
-        self.inner.crash_after_panel(k)
-    }
-    fn storage_restored(&mut self) {
-        self.inner.storage_restored();
-    }
-    fn fault_stats(&self) -> FaultStats {
-        self.inner.fault_stats()
-    }
-    fn begin_panel(&mut self, k: usize) {
-        self.inner.begin_panel(k);
-    }
-    fn scrub(&mut self) -> std::io::Result<()> {
-        self.inner.scrub()
-    }
-    fn barrier(&mut self) -> std::io::Result<()> {
-        self.inner.barrier()
-    }
-    fn latency_model(&self) -> LatencyModel {
-        // Already paid inline; advertising it again would double-charge.
-        LatencyModel::none()
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -565,21 +474,6 @@ mod tests {
         fm2.set_latency_model(LatencyModel::uniform(7));
         let fb2 = FaultyBackend::new(fm2, FaultPlan::builder(12).build());
         assert_eq!(fb2.latency_model(), LatencyModel::uniform(7));
-    }
-
-    #[test]
-    fn sleep_backend_pays_and_then_reports_free() {
-        let mut fm = small_fm("sleep", 16, 8);
-        fm.set_latency_model(LatencyModel::uniform(200));
-        let mut sb = SleepBackend::new(fm);
-        assert!(sb.latency_model().is_zero(), "cost must not be charged twice");
-        let t0 = std::time::Instant::now();
-        let t = sb.read_tile(0, 0).unwrap();
-        sb.write_tile(0, 0, &t).unwrap();
-        assert!(
-            t0.elapsed() >= Duration::from_micros(400),
-            "two ops at 200us each must take >= 400us"
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Panel-granularity checkpoint/restart for the out-of-core Cholesky,
 //! on a journaled commit protocol.
 //!
-//! After each completed panel the driver flushes the tile cache and
+//! After each completed panel the driver writes every dirty tile back and
 //! writes a *generation*: a snapshot of the backing file plus a small
 //! manifest recording the next panel to run (and `n`, `b`, the
 //! snapshot's length and FNV-1a hash).  Generations are made durable by
@@ -52,10 +52,10 @@
 //! simulated crash disk (`SimStore`) under the explorer.
 
 use crate::backend::IoBackend;
-use crate::potrf::{drive, CachedFront, OocError, TileCache};
+use crate::pipeline::{ooc_potrf_checkpointed_pipelined_in, PipelineConfig};
+use crate::potrf::OocError;
 use cholcomm_faults::{FsStore, Store};
 use cholcomm_matrix::digest::fnv1a;
-use cholcomm_matrix::KernelImpl;
 use std::path::Path;
 
 const MANIFEST_MAGIC: &str = "cholcomm-ooc-checkpoint v3";
@@ -623,50 +623,16 @@ fn backend_data_name<B: IoBackend>(fm: &B) -> std::io::Result<String> {
 /// again with the same `ckpt`.  The resumed run recomputes only the
 /// panels after the last checkpoint, and — because the schedule is
 /// deterministic — produces a factor bit-identical to an uninterrupted
-/// run's.
+/// run's.  Every tile move blocks the compute thread: this is
+/// [`ooc_potrf_checkpointed_pipelined_in`] at zero I/O workers, with
+/// reference kernels, on the real filesystem.
 pub fn ooc_potrf_checkpointed<B: IoBackend>(
     fm: &mut B,
     capacity_tiles: usize,
     ckpt: &Checkpoint,
 ) -> Result<CheckpointReport, OocError> {
-    ooc_potrf_checkpointed_in(
-        fm,
-        capacity_tiles,
-        ckpt,
-        &mut FsStore::new(),
-        KernelImpl::Reference,
-    )
-}
-
-/// [`ooc_potrf_checkpointed`] with an explicit kernel engine over an
-/// explicit [`Store`] — the entry point the crash-point explorer drives
-/// with a `SimStore`, so checkpoint traffic and tile traffic land on the
-/// same recorded schedule.
-///
-/// The checkpoint/restore protocol and all tile I/O are
-/// engine-independent.  `FastStrict` is bit-identical to `Reference`, so
-/// a run may even crash under one of those engines and resume under the
-/// other; `Fast` contracts multiply-adds through FMA, so mixing it with
-/// the others across a restart yields a factor that differs by the
-/// (tiny) contraction residual — restart under the engine you crashed
-/// with if bit-reproducibility matters.
-pub fn ooc_potrf_checkpointed_in<B: IoBackend>(
-    fm: &mut B,
-    capacity_tiles: usize,
-    ckpt: &Checkpoint,
-    store: &mut impl Store,
-    kernel: KernelImpl,
-) -> Result<CheckpointReport, OocError> {
-    let mut report = CheckpointReport::default();
-    let mut ck = Checkpointing {
-        ckpt,
-        store,
-        report: &mut report,
-    };
-    let start = ck.resume_point(fm)?;
-    let cache = TileCache::new(capacity_tiles);
-    drive(&mut CachedFront { fm, cache }, kernel, start, Some(ck))?;
-    Ok(report)
+    let cfg = PipelineConfig::new(capacity_tiles).with_io_workers(0);
+    ooc_potrf_checkpointed_pipelined_in(fm, ckpt, &mut FsStore::new(), &cfg).map(|(r, _)| r)
 }
 
 #[cfg(test)]
@@ -675,9 +641,9 @@ mod tests {
     use super::*;
     use crate::backend::FaultyBackend;
     use crate::filemat::{scratch_path, FileMatrix};
-    use crate::potrf::ooc_potrf;
+    use crate::potrf::ooc_potrf_with;
     use cholcomm_faults::{CrashPoint, FaultPlan};
-    use cholcomm_matrix::{norms, spd};
+    use cholcomm_matrix::{norms, spd, KernelImpl};
     use std::path::PathBuf;
 
     fn ckpt_prefix(tag: &str) -> PathBuf {
@@ -690,7 +656,7 @@ mod tests {
         let a = spd::random_spd(32, &mut rng);
         let p1 = scratch_path("ckpt-plain");
         let mut plain = FileMatrix::create(&p1, &a, 8).unwrap();
-        ooc_potrf(&mut plain, 4).unwrap();
+        ooc_potrf_with(&mut plain, 4, KernelImpl::Reference).unwrap();
         let want = plain.to_matrix().unwrap();
 
         let p2 = scratch_path("ckpt-run");
@@ -719,7 +685,7 @@ mod tests {
         // Reference: uninterrupted factorization.
         let pref = scratch_path("ckpt-ref");
         let mut reference = FileMatrix::create(&pref, &a, 8).unwrap();
-        ooc_potrf(&mut reference, 4).unwrap();
+        ooc_potrf_with(&mut reference, 4, KernelImpl::Reference).unwrap();
         let want = reference.to_matrix().unwrap();
 
         // Crashing run: die somewhere in the middle of the tile traffic.
@@ -768,7 +734,7 @@ mod tests {
         let a = spd::random_spd(32, &mut rng);
         let pref = scratch_path("ckpt-p0-ref");
         let mut reference = FileMatrix::create(&pref, &a, 8).unwrap();
-        ooc_potrf(&mut reference, 4).unwrap();
+        ooc_potrf_with(&mut reference, 4, KernelImpl::Reference).unwrap();
         let want = reference.to_matrix().unwrap();
 
         let data_path = scratch_path("ckpt-p0");
@@ -807,7 +773,7 @@ mod tests {
         let a = spd::random_spd(32, &mut rng);
         let pref = scratch_path("ckpt-ap-ref");
         let mut reference = FileMatrix::create(&pref, &a, 8).unwrap();
-        ooc_potrf(&mut reference, 4).unwrap();
+        ooc_potrf_with(&mut reference, 4, KernelImpl::Reference).unwrap();
         let want = reference.to_matrix().unwrap();
 
         let data_path = scratch_path("ckpt-ap");
@@ -841,7 +807,7 @@ mod tests {
         let a = spd::random_spd(40, &mut rng);
         let pref = scratch_path("ckpt-flaky-ref");
         let mut reference = FileMatrix::create(&pref, &a, 8).unwrap();
-        ooc_potrf(&mut reference, 4).unwrap();
+        ooc_potrf_with(&mut reference, 4, KernelImpl::Reference).unwrap();
         let want = reference.to_matrix().unwrap();
 
         let data_path = scratch_path("ckpt-flaky");
@@ -882,7 +848,7 @@ mod tests {
         let a = spd::random_spd(32, &mut rng);
         let pref = scratch_path("ckpt-abft-ref");
         let mut reference = FileMatrix::create(&pref, &a, 8).unwrap();
-        ooc_potrf(&mut reference, 4).unwrap();
+        ooc_potrf_with(&mut reference, 4, KernelImpl::Reference).unwrap();
         let want = reference.to_matrix().unwrap();
 
         // Two elements of one tile struck in the same panel: beyond the
@@ -916,7 +882,7 @@ mod tests {
         let a = spd::random_spd(32, &mut rng);
         let pref = scratch_path("ckpt-scrub-ref");
         let mut reference = FileMatrix::create(&pref, &a, 8).unwrap();
-        ooc_potrf(&mut reference, 4).unwrap();
+        ooc_potrf_with(&mut reference, 4, KernelImpl::Reference).unwrap();
         let want = reference.to_matrix().unwrap();
 
         // Strike a long-finished panel tile at the final step: no kernel
@@ -1111,6 +1077,6 @@ mod tests {
         assert!(matches!(err, OocError::Io(_)));
         ckpt.remove().unwrap();
         // The original still factors fine from scratch after cleanup.
-        ooc_potrf(&mut fm, 4).unwrap();
+        ooc_potrf_with(&mut fm, 4, KernelImpl::Reference).unwrap();
     }
 }

@@ -17,43 +17,21 @@
 //! Recovery is exactly what a restarted production process would do:
 //! re-create the data-file container from the original input (the file
 //! on disk may be torn to a length no `open` accepts), then run
-//! [`ooc_potrf_checkpointed_in`] — which restores the last committed
-//! checkpoint over it, or legitimately starts from scratch when nothing
-//! ever committed.  A site **fails** when recovery errors out or
+//! [`ooc_potrf_checkpointed_pipelined_in`] with the recording's I/O
+//! workers — which restores the last committed checkpoint over it, or
+//! legitimately starts from scratch when nothing ever committed.  A site **fails** when recovery errors out or
 //! completes with a factor that differs from the clean run's in any
 //! bit; failing sites are shrunk (`shrink_site`) to a 1-minimal fault
 //! plan whose `Display` string reproduces the violation.
 
 use crate::backend::IoBackend;
-use crate::checkpoint::{ooc_potrf_checkpointed_in, Checkpoint, CommitDiscipline};
+use crate::checkpoint::{Checkpoint, CommitDiscipline};
 use crate::pipeline::{ooc_potrf_checkpointed_pipelined_in, PipelineConfig};
 use crate::potrf::OocError;
 use crate::simmat::SimMatrix;
 use cholcomm_faults::{crash_state, shrink_site, CrashSite, SimDisk, SimOp, SimState, SimStore};
-use cholcomm_matrix::{KernelImpl, Matrix};
+use cholcomm_matrix::Matrix;
 use std::sync::{Arc, Mutex};
-
-/// Which checkpointed driver a recorded run (and its recoveries) use.
-///
-/// The pipelined driver defers write-backs onto I/O workers, but its
-/// epoch barrier drains them before every checkpoint commit — so the
-/// crash-point explorer must find *zero* additional violations under
-/// it.  With one I/O worker the pipelined driver's disk-op order is
-/// identical to the synchronous driver's (jobs complete in submission
-/// order), making the recorded schedule deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriverKind {
-    /// [`ooc_potrf_checkpointed_in`]: every tile move blocks compute.
-    Sync,
-    /// [`ooc_potrf_checkpointed_pipelined_in`] with this worker count
-    /// and prefetch depth.
-    Pipelined {
-        /// Dedicated I/O workers.
-        io_workers: usize,
-        /// Maximum outstanding prefetches.
-        lookahead: usize,
-    },
-}
 
 /// One recorded checkpointed factorization on the simulated disk.
 #[derive(Debug)]
@@ -74,8 +52,11 @@ pub struct RecordedRun {
     pub clean_factor: Matrix<f64>,
     /// Panels in the factorization.
     pub total_panels: usize,
-    /// Driver the run was recorded with; recovery uses the same one.
-    pub driver: DriverKind,
+    /// I/O workers the run was recorded with (0: every tile move inline
+    /// on the compute thread); recovery uses the same.
+    pub io_workers: usize,
+    /// Prefetch depth the run was recorded with (moot at zero workers).
+    pub lookahead: usize,
     data_name: String,
     ckpt_prefix: String,
 }
@@ -84,8 +65,9 @@ const DATA_NAME: &str = "a.data";
 const CKPT_PREFIX: &str = "ckpt";
 
 /// Run one checkpointed factorization of `a` on a fresh simulated disk
-/// and record its op schedule.  The run itself is uncrashed; its
-/// schedule is the map every crash site is carved out of.
+/// and record its op schedule, every tile move inline on the compute
+/// thread (zero I/O workers).  The run itself is uncrashed; its schedule
+/// is the map every crash site is carved out of.
 pub fn record_run(
     a: &Matrix<f64>,
     b: usize,
@@ -93,14 +75,17 @@ pub fn record_run(
     sector: usize,
     discipline: CommitDiscipline,
 ) -> Result<RecordedRun, OocError> {
-    record_run_with(a, b, capacity, sector, discipline, DriverKind::Sync)
+    record_run_pipelined(a, b, capacity, sector, discipline, 0, 1)
 }
 
-/// [`record_run`] under the pipelined driver: same protocol, but tile
-/// traffic flows through prefetching I/O workers with deferred
-/// write-backs.  Record with `io_workers = 1` when the schedule itself
-/// must be deterministic (the exhaustive explorer); any worker count is
-/// fine when only recovery outcomes are asserted.
+/// [`record_run`] with `io_workers` I/O workers prefetching up to
+/// `lookahead` tiles and deferring write-backs.  The epoch barrier
+/// drains them before every checkpoint commit, so the explorer must
+/// find *zero* additional violations.  Record with `io_workers ≤ 1` when
+/// the schedule itself must be deterministic (the exhaustive explorer):
+/// one worker completes jobs in submission order, the same op order as
+/// zero workers.  Any worker count is fine when only recovery outcomes
+/// are asserted.
 pub fn record_run_pipelined(
     a: &Matrix<f64>,
     b: usize,
@@ -110,32 +95,12 @@ pub fn record_run_pipelined(
     io_workers: usize,
     lookahead: usize,
 ) -> Result<RecordedRun, OocError> {
-    record_run_with(
-        a,
-        b,
-        capacity,
-        sector,
-        discipline,
-        DriverKind::Pipelined {
-            io_workers,
-            lookahead,
-        },
-    )
-}
-
-fn record_run_with(
-    a: &Matrix<f64>,
-    b: usize,
-    capacity: usize,
-    sector: usize,
-    discipline: CommitDiscipline,
-    driver: DriverKind,
-) -> Result<RecordedRun, OocError> {
     let disk = Arc::new(Mutex::new(SimDisk::new(sector)));
     let mut sm = SimMatrix::create(Arc::clone(&disk), DATA_NAME, a, b)?;
     let mut store = SimStore::new(Arc::clone(&disk));
     let ckpt = Checkpoint::at(std::path::Path::new(CKPT_PREFIX)).with_discipline(discipline);
-    drive(&mut sm, capacity, &ckpt, &mut store, driver)?;
+    let cfg = config(capacity, io_workers, lookahead);
+    ooc_potrf_checkpointed_pipelined_in(&mut sm, &ckpt, &mut store, &cfg)?;
     let clean_factor = sm.to_matrix()?;
     let total_panels = sm.nb();
     let schedule = disk
@@ -152,37 +117,17 @@ fn record_run_with(
         schedule,
         clean_factor,
         total_panels,
-        driver,
+        io_workers,
+        lookahead,
         data_name: DATA_NAME.to_string(),
         ckpt_prefix: CKPT_PREFIX.to_string(),
     })
 }
 
-/// Run the checkpointed factorization `driver` names; returns the panel
-/// the run started at.
-fn drive(
-    sm: &mut SimMatrix,
-    capacity: usize,
-    ckpt: &Checkpoint,
-    store: &mut SimStore,
-    driver: DriverKind,
-) -> Result<usize, OocError> {
-    match driver {
-        DriverKind::Sync => {
-            let report = ooc_potrf_checkpointed_in(sm, capacity, ckpt, store, KernelImpl::Reference)?;
-            Ok(report.start_panel)
-        }
-        DriverKind::Pipelined {
-            io_workers,
-            lookahead,
-        } => {
-            let cfg = PipelineConfig::new(capacity)
-                .with_io_workers(io_workers)
-                .with_lookahead(lookahead);
-            let (report, _) = ooc_potrf_checkpointed_pipelined_in(sm, ckpt, store, &cfg)?;
-            Ok(report.start_panel)
-        }
-    }
+fn config(capacity: usize, io_workers: usize, lookahead: usize) -> PipelineConfig {
+    PipelineConfig::new(capacity)
+        .with_io_workers(io_workers)
+        .with_lookahead(lookahead)
 }
 
 impl RecordedRun {
@@ -207,11 +152,12 @@ impl RecordedRun {
         let mut store = SimStore::new(disk);
         // Recovery always runs the *correct* protocol: the discipline
         // under test only shapes the recorded schedule being explored.
-        // It does run the same *driver* as the recording, though — a
+        // It does run the same I/O workers as the recording, though — a
         // pipelined run is recovered by a pipelined process.
         let ckpt = Checkpoint::at(std::path::Path::new(&self.ckpt_prefix));
-        let start_panel = drive(&mut sm, self.capacity, &ckpt, &mut store, self.driver)?;
-        Ok((sm.to_matrix()?, start_panel))
+        let cfg = config(self.capacity, self.io_workers, self.lookahead);
+        let (report, _) = ooc_potrf_checkpointed_pipelined_in(&mut sm, &ckpt, &mut store, &cfg)?;
+        Ok((sm.to_matrix()?, report.start_panel))
     }
 
     /// Why `site` violates crash consistency, or `None` if recovery
@@ -363,7 +309,7 @@ mod tests {
         // The clean factor matches a plain (uncheckpointed) OOC run.
         let disk = Arc::new(Mutex::new(SimDisk::new(DEFAULT_SECTOR)));
         let mut plain = SimMatrix::create(disk, "plain.data", &a, 4).unwrap();
-        crate::potrf::ooc_potrf(&mut plain, 3).unwrap();
+        crate::ooc_potrf_with(&mut plain, 3, cholcomm_matrix::KernelImpl::Reference).unwrap();
         assert_eq!(run.clean_factor, plain.to_matrix().unwrap());
     }
 
@@ -395,9 +341,57 @@ mod tests {
                 .unwrap();
         assert_eq!(pipe.clean_factor, sync.clean_factor);
         // One worker completes jobs in submission order, and the epoch
-        // barrier drains before every checkpoint: the two drivers leave
-        // the *same* durable op schedule behind.
+        // barrier drains before every checkpoint: zero and one worker
+        // leave the *same* durable op schedule behind.
         assert_eq!(pipe.schedule, sync.schedule);
+    }
+
+    /// FNV-1a over a recorded schedule: each op's tag byte, then its
+    /// fields, strings and payloads length-prefixed.
+    fn schedule_digest(ops: &[SimOp]) -> u64 {
+        use cholcomm_matrix::digest::{fnv1a, fnv1a_update};
+        let field = |h: u64, bytes: &[u8]| {
+            fnv1a_update(fnv1a_update(h, &(bytes.len() as u64).to_le_bytes()), bytes)
+        };
+        ops.iter().fold(fnv1a(b""), |h, op| match op {
+            SimOp::WriteFile { name, bytes } => {
+                field(field(fnv1a_update(h, &[0]), name.as_bytes()), bytes)
+            }
+            SimOp::WriteAt {
+                name,
+                offset,
+                bytes,
+            } => {
+                let h = field(fnv1a_update(h, &[1]), name.as_bytes());
+                field(fnv1a_update(h, &offset.to_le_bytes()), bytes)
+            }
+            SimOp::Append { name, bytes } => {
+                field(field(fnv1a_update(h, &[2]), name.as_bytes()), bytes)
+            }
+            SimOp::Rename { from, to } => {
+                field(field(fnv1a_update(h, &[3]), from.as_bytes()), to.as_bytes())
+            }
+            SimOp::Remove { name } => field(fnv1a_update(h, &[4]), name.as_bytes()),
+            SimOp::Barrier => fnv1a_update(h, &[5]),
+        })
+    }
+
+    #[test]
+    fn recorded_schedules_equal_the_synchronous_drivers() {
+        // `crash_bench`'s three recordings, pinned on the synchronous
+        // driver that zero I/O workers replaced: op count and digest.
+        let runs = [
+            (8, 4, 3, CommitDiscipline::Barriered, 500, 33, 0x2a3fb20b81a903f4),
+            (24, 8, 4, CommitDiscipline::Barriered, 502, 47, 0x9f0bc1b73d04ba5e),
+            (8, 4, 3, CommitDiscipline::UnbarrieredCommit, 501, 30, 0xdec66978efe50e3f),
+        ];
+        for (n, b, cap, discipline, seed, ops, digest) in runs {
+            let a = spd::random_spd(n, &mut spd::test_rng(seed));
+            let run = record_run(&a, b, cap, DEFAULT_SECTOR, discipline).unwrap();
+            let tag = format!("n={n} b={b} cap={cap} {discipline:?}");
+            assert_eq!(run.schedule.len(), ops, "{tag}");
+            assert_eq!(schedule_digest(&run.schedule), digest, "{tag}");
+        }
     }
 
     #[test]

@@ -139,9 +139,8 @@ impl FileMatrix {
     }
 
     /// Declare the per-operation latency this storage charges.  The
-    /// model is *advertised*, not enforced here: consumers (the OOC
-    /// pipeline, [`SleepBackend`](crate::backend::SleepBackend)) decide
-    /// whether to sleep it or to price it symbolically.
+    /// model is *advertised*, not enforced here: the OOC pipeline
+    /// decides whether to sleep it or to price it symbolically.
     pub fn set_latency_model(&mut self, model: crate::backend::LatencyModel) {
         self.latency = model;
     }

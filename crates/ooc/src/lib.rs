@@ -3,18 +3,25 @@
 //! # cholcomm-ooc
 //!
 //! Out-of-core Cholesky with a *real* slow memory: the matrix lives in a
-//! file, tiles move through a bounded in-RAM cache, and actual I/O —
-//! bytes transferred and seeks issued — is counted by the storage layer
-//! itself.
+//! file, tiles move through a bounded in-RAM set of resident tiles, and
+//! actual I/O — bytes transferred and seeks issued — is counted by the
+//! storage layer itself.
 //!
 //! This is the two-level model of the paper made concrete: "slow memory"
-//! is the filesystem, "fast memory" is a tile cache holding at most
-//! `capacity_tiles` blocks, a "message" is a contiguous file read/write
+//! is the filesystem, "fast memory" holds at most `capacity_tiles`
+//! blocks under LRU, a "message" is a contiguous file read/write
 //! (block-contiguous tile layout, so one tile = one seek + one stream),
 //! and the factorization is the LAPACK blocked schedule of Algorithm 4.
 //! The measured seek counts land on the same `Theta(n^3 / M^{3/2})`
 //! curve as the simulator's message counts — see the paper's [B08]
 //! citation for the out-of-core framing.
+//!
+//! Tiles move through one front, the [`pipeline`]: the schedule's misses,
+//! evictions and write-backs are planned before the run, then issued
+//! either inline on the compute thread at each miss (zero I/O workers:
+//! [`ooc_potrf_with`], [`ooc_potrf_checkpointed`]) or ahead of compute
+//! on dedicated I/O workers ([`ooc_potrf_pipelined_with`]), with the same
+//! bits either way.
 //!
 //! The disk can also be made *flaky* on purpose: [`FaultyBackend`]
 //! injects transient `EIO`s, short reads, and crash points from a
@@ -49,14 +56,12 @@ pub mod potrf;
 pub mod simmat;
 
 pub use abft::AbftBackend;
-pub use backend::{FaultyBackend, IoBackend, LatencyModel, SleepBackend};
+pub use backend::{FaultyBackend, IoBackend, LatencyModel};
 pub use checkpoint::{
-    ooc_potrf_checkpointed, ooc_potrf_checkpointed_in, Checkpoint, CheckpointReport,
-    CheckpointState, CommitDiscipline,
+    ooc_potrf_checkpointed, Checkpoint, CheckpointReport, CheckpointState, CommitDiscipline,
 };
 pub use crashsim::{
-    explore_crash_sites, record_run, record_run_pipelined, CrashExploration, DriverKind,
-    RecordedRun,
+    explore_crash_sites, record_run, record_run_pipelined, CrashExploration, RecordedRun,
 };
 pub use filemat::{FileMatrix, IoStats};
 pub use pipeline::{
@@ -64,5 +69,5 @@ pub use pipeline::{
     ooc_potrf_pipelined_with, ModelConfig, ModelReport, PipelineConfig, PipelineStats,
     DEFAULT_FLOPS_PER_US, WORKING_SET,
 };
-pub use potrf::{ooc_potrf, ooc_potrf_with, OocError, TileCache};
+pub use potrf::{ooc_potrf_with, OocError};
 pub use simmat::SimMatrix;

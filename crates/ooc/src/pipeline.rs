@@ -1,25 +1,29 @@
-//! Double-buffered, prefetching out-of-core POTRF: tile I/O overlapped
-//! with compute.
+//! The out-of-core front: the schedule's tile I/O planned ahead, and
+//! run either inline on the compute thread or overlapped with compute on
+//! dedicated I/O workers.
 //!
-//! The synchronous driver ([`ooc_potrf`](crate::ooc_potrf)) blocks the
-//! compute thread on every tile move, so its wall time is
-//! `compute + I/O`.  But Algorithm 4's tile schedule is *data-oblivious*
-//! — the sequence of gets and puts is a pure function of `(nb,
-//! capacity)` — which means the entire miss stream, every eviction
-//! victim, and every write-back is known before the factorization
-//! starts.  This module exploits that:
+//! Algorithm 4's tile schedule is *data-oblivious* — the sequence of
+//! gets and puts is a pure function of `(nb, capacity)` — which means the
+//! entire miss stream, every eviction victim, and every write-back is
+//! known before the factorization starts.  This module exploits that:
 //!
-//! 1. A deterministic **lookahead planner** ([`Plan`]) replays the exact
-//!    LRU discipline of [`TileCache`](crate::TileCache) over the op
-//!    schedule and emits one [`PlannedFetch`] per miss: the tile to
-//!    read, the victims to evict (with their dirtiness), and `ready_at`
-//!    — the earliest compute position at which issuing the fetch is
-//!    safe (one past the last compute access of every victim).
-//! 2. A **prefetching front** ([`PipelineFront`]) walks the plan ahead
-//!    of the compute loop, issuing up to `lookahead` outstanding reads
-//!    on dedicated I/O workers ([`cholcomm_par::io_scope`]) and
-//!    deferring dirty write-backs onto the same workers.  Compute only
-//!    stalls when it reaches a miss whose read has not landed yet.
+//! 1. A deterministic **planner** ([`Plan`]) replays an LRU cache of
+//!    `capacity_tiles` tiles over the op schedule and emits one
+//!    [`PlannedFetch`] per miss: the tile to read, the victims to evict
+//!    (with their dirtiness), and `ready_at` — the earliest compute
+//!    position at which issuing the fetch is safe (one past the last
+//!    compute access of every victim).
+//! 2. The **front** ([`PipelineFront`]) runs that plan on
+//!    `io_workers = W` dedicated I/O threads ([`cholcomm_par::io_scope`]).
+//!    At **W = 0** there are none: each fetch, with its evictions, runs
+//!    inline at its own miss, and each write-back where it is issued, so
+//!    every tile move blocks the compute thread and wall time is
+//!    `compute + I/O` — the synchronous driver
+//!    ([`ooc_potrf_with`](crate::ooc_potrf_with)).  At W ≥ 1 the front
+//!    walks the plan ahead of compute, issuing up to `lookahead`
+//!    outstanding reads on the workers and deferring dirty write-backs
+//!    onto the same workers; compute only stalls when it reaches a miss
+//!    whose read has not landed yet.
 //! 3. An **epoch barrier** at each panel boundary
 //!    ([`PipelineFront::flush_boundary`]) drains every deferred
 //!    write-back before the checkpoint layer snapshots the data file,
@@ -28,12 +32,11 @@
 //!
 //! # Why the factor is bit-identical
 //!
-//! The pipeline reorders *transport*, never *arithmetic*: the compute
-//! loop is the same schedule walk ([`cholcomm_matrix::schedule`]) under
-//! the same driver loop the synchronous front runs, and every get
-//! returns the same stored bytes it would have returned synchronously.
-//! Three hazards could break that, and each is closed
-//! structurally:
+//! The front reorders *transport*, never *arithmetic*: the compute loop
+//! is the same schedule walk ([`cholcomm_matrix::schedule`]) under the
+//! same driver loop at every W, and every get returns the same stored
+//! bytes it returns at W = 0.  Three hazards could break that, and each
+//! is closed structurally:
 //!
 //! * **Evict-before-last-use** — a victim may not leave the in-RAM set
 //!   while compute still needs it.  Closed by `ready_at`: the planner
@@ -50,11 +53,15 @@
 //!   re-fetch read already waited out the first write.  The front
 //!   asserts this invariant at enqueue.
 //!
-//! With one I/O worker the submitted job order *is* the synchronous
-//! backend-op order, so even per-op fault plans
-//! ([`FaultyBackend`](crate::FaultyBackend)) fire at identical op
-//! indices.  With more workers only the completion order changes;
-//! the bytes never do.
+//! At W = 0 the backend sees the plan's ops in plan order, with
+//! `begin_panel` exactly where the schedule reaches each panel: the op
+//! order, the I/O counts and the peak residency of an LRU cache driven
+//! access by access.  With one I/O worker the submitted job order is the
+//! same op order, so even per-op fault plans
+//! ([`FaultyBackend`](crate::FaultyBackend)) fire at identical op indices
+//! at W = 0 and W = 1.  With more workers only the completion order
+//! changes; the bytes never do.  The first failed op stops the disk at
+//! every W: no job queued behind it touches the backend.
 //!
 //! # What is charged where
 //!
@@ -65,15 +72,13 @@
 //! (every op serialized on one timeline) against a pipelined leg
 //! (reads/writes on `io_workers` timelines, stalls only at unready
 //! misses) — which is what `ooc_bench` gates the overlap claim on.
-//! Set [`PipelineConfig::sleep_latency`] to make the I/O workers
-//! really sleep the sampled cost (the measured leg); do **not** wrap
-//! the pipeline's backend in [`SleepBackend`](crate::SleepBackend) —
-//! that serializes the sleeps under the backend lock and charges the
-//! latency to the wrong place.
+//! Set [`PipelineConfig::sleep_latency`] to make every op really sleep
+//! its sampled cost where it runs: on the I/O workers, or inline on the
+//! compute thread at W = 0 — the measured synchronous leg.
 
 use crate::backend::{IoBackend, LatencyModel};
 use crate::checkpoint::{Checkpoint, CheckpointReport, Checkpointing};
-use crate::potrf::{drive, hand_out, Front, LruIndex, OocError, Slot};
+use crate::potrf::{drive, Front, LruIndex, OocError};
 use cholcomm_faults::{DiskOp, FsStore, Store};
 use cholcomm_matrix::schedule::{self, TileOp, TileStore};
 use cholcomm_matrix::{KernelImpl, Matrix};
@@ -84,6 +89,17 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A resident tile: shared with the walk by [`TileStore::get`], empty
+/// between a [`TileStore::take`] and the `put` that refills it.
+type Slot = Option<Arc<Matrix<f64>>>;
+
+/// What a resident slot hands the walk: a share of its tile, or — for a
+/// take — the tile itself, leaving the slot empty.
+fn hand_out(slot: &mut Slot, take: bool) -> Arc<Matrix<f64>> {
+    if take { slot.take() } else { slot.clone() }
+        .expect("a taken tile is put back before it is fetched again")
 }
 
 /// Tiles the schedule holds live at once inside one trailing-update
@@ -101,22 +117,25 @@ pub fn io_workers_from_env() -> usize {
         .map_or(2, |w| w.clamp(1, 8))
 }
 
-/// Configuration for the pipelined drivers.
+/// Configuration for the out-of-core drivers.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// In-RAM tile budget of the (planned) LRU cache — same meaning as
-    /// the synchronous drivers' `capacity_tiles`.
+    /// In-RAM tile budget of the (planned) LRU cache.
     pub capacity_tiles: usize,
-    /// Dedicated I/O worker threads (see [`io_workers_from_env`]).
+    /// Dedicated I/O worker threads (see [`io_workers_from_env`]).  Zero
+    /// runs every tile move inline on the compute thread: the
+    /// synchronous driver.
     pub io_workers: usize,
     /// Maximum outstanding (issued but unconsumed) prefetches.  Peak
     /// RAM is `capacity_tiles + lookahead` tiles plus pending
-    /// write-backs.
+    /// write-backs.  Moot at zero workers, where each fetch is issued at
+    /// its own miss.
     pub lookahead: usize,
     /// Kernel engine for the tile arithmetic.
     pub kernel: KernelImpl,
-    /// Make the I/O workers really sleep each op's sampled latency
-    /// (for measured overlap benches).  Off, latency is only tallied.
+    /// Make each op really sleep its sampled latency where it runs — on
+    /// the I/O workers, or on the compute thread at zero workers (for
+    /// measured overlap benches).  Off, latency is only tallied.
     pub sleep_latency: bool,
 }
 
@@ -138,9 +157,9 @@ impl PipelineConfig {
         }
     }
 
-    /// Set the I/O worker count.
+    /// Set the I/O worker count; 0 is the synchronous driver.
     pub fn with_io_workers(mut self, workers: usize) -> Self {
-        self.io_workers = workers.max(1);
+        self.io_workers = workers;
         self
     }
 
@@ -156,24 +175,24 @@ impl PipelineConfig {
         self
     }
 
-    /// Sleep sampled latency on the I/O workers.
+    /// Sleep sampled latency where each op runs.
     pub fn with_sleep_latency(mut self, sleep: bool) -> Self {
         self.sleep_latency = sleep;
         self
     }
 }
 
-/// What a pipelined run did (transport-side; the factor itself is
-/// bit-identical to the synchronous driver's by construction).
+/// What a run did (transport-side; the factor itself is bit-identical
+/// at every worker count by construction).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineStats {
-    /// Tile reads issued (= the plan's misses = the sync driver's reads).
+    /// Tile reads issued (= the plan's misses, at every worker count).
     pub fetches: u64,
     /// Misses whose read had already landed when compute arrived.
     pub prefetch_hits: u64,
-    /// Misses compute had to block on.
+    /// Misses compute had to block on (every miss at zero workers).
     pub prefetch_stalls: u64,
-    /// Dirty evictions written back by the I/O workers.
+    /// Dirty evictions written back.
     pub evict_writes: u64,
     /// Boundary/final flush writes.
     pub flush_writes: u64,
@@ -260,8 +279,8 @@ struct PlannedFetch {
 struct Plan {
     ops: Vec<Access>,
     fetches: Vec<PlannedFetch>,
-    /// Per [`Access::Boundary`], the sorted dirty tiles its flush
-    /// writes (mirrors `TileCache::flush`'s sorted write order).
+    /// Per [`Access::Boundary`], the dirty tiles its flush writes, in
+    /// the sorted order the front writes them.
     boundary_writes: Vec<Vec<(usize, usize)>>,
     /// Sorted dirty tiles the final flush writes (plain mode).
     final_writes: Vec<(usize, usize)>,
@@ -284,7 +303,8 @@ impl Plan {
         rec.end_panel();
         let ops = rec.ops;
 
-        // Replay TileCache's exact LRU discipline over the schedule.
+        // Replay an LRU cache of `capacity` tiles over the schedule: a
+        // miss evicts least-recently-used tiles until one slot is free.
         let mut order = LruIndex::new();
         let mut resident: HashMap<(usize, usize), bool> = HashMap::new(); // key -> dirty
         let mut last_access: HashMap<(usize, usize), usize> = HashMap::new();
@@ -391,9 +411,18 @@ struct IoShared {
     write_inflight: HashSet<(usize, usize)>,
     /// First I/O error observed, surfaced to the compute thread.
     error: Option<std::io::Error>,
-    /// The run is dead (crash or unrecoverable failure): jobs must not
-    /// touch the disk any more.
+    /// The run is dead or an op failed: jobs must not touch the disk any
+    /// more (until a restore resets the front).
     abort: bool,
+}
+
+impl IoShared {
+    /// Record a failed op: compute sees the first error, and no job
+    /// queued behind it reaches the backend.
+    fn fail_with(&mut self, e: std::io::Error) {
+        self.error.get_or_insert(e);
+        self.abort = true;
+    }
 }
 
 /// The pipeline's I/O hub: the backend behind a mutex, the shared job
@@ -446,6 +475,13 @@ impl<'fm, B: IoBackend> PipeIo<'fm, B> {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    /// Run one backend op, a panic in it becoming an I/O error.
+    fn on_backend<T>(&self, op: impl FnOnce(&mut B) -> std::io::Result<T>) -> std::io::Result<T> {
+        let mut be = lock(&self.backend);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op(&mut **be)))
+            .unwrap_or_else(|_| Err(std::io::Error::other("a tile transfer panicked")))
+    }
+
     /// Body of a prefetch-read job.
     fn read_job(&self, tile: (usize, usize), us: u64) {
         self.pay(us);
@@ -454,42 +490,25 @@ impl<'fm, B: IoBackend> PipeIo<'fm, B> {
         // very tile must land first.  The conflicting write job was
         // always submitted before this read, so it is running or done —
         // never queued behind us — and this wait terminates.
-        while !st.abort
-            && st.error.is_none()
-            && (st.write_data.contains_key(&tile) || st.write_inflight.contains(&tile))
+        while !st.abort && (st.write_data.contains_key(&tile) || st.write_inflight.contains(&tile))
         {
             st = self.wait(st);
         }
-        if st.abort || st.error.is_some() {
+        if st.abort {
             st.reads_inflight -= 1;
             self.cv.notify_all();
             return;
         }
         drop(st);
-        let result = {
-            let mut be = lock(&self.backend);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                be.read_tile(tile.0, tile.1)
-            }))
-        };
+        let result = self.on_backend(|be| be.read_tile(tile.0, tile.1));
         let mut st = lock(&self.st);
         st.reads_inflight -= 1;
         match result {
-            Ok(Ok(t)) => {
-                if !st.abort {
-                    st.fetched.insert(tile, t);
-                }
+            Ok(t) if !st.abort => {
+                st.fetched.insert(tile, t);
             }
-            Ok(Err(e)) => {
-                if st.error.is_none() {
-                    st.error = Some(e);
-                }
-            }
-            Err(_) => {
-                if st.error.is_none() {
-                    st.error = Some(std::io::Error::other("tile read panicked on an I/O worker"));
-                }
-            }
+            Ok(_) => {}
+            Err(e) => st.fail_with(e),
         }
         self.cv.notify_all();
     }
@@ -500,7 +519,8 @@ impl<'fm, B: IoBackend> PipeIo<'fm, B> {
         let data = {
             let mut st = lock(&self.st);
             if st.abort {
-                // A dead process's queued write-backs never reach disk.
+                // A dead process's queued write-backs never reach disk,
+                // nor do those queued behind a failed op.
                 st.write_data.remove(&tile);
                 self.cv.notify_all();
                 return;
@@ -512,30 +532,15 @@ impl<'fm, B: IoBackend> PipeIo<'fm, B> {
             st.write_inflight.insert(tile);
             data
         };
-        let result = {
-            let mut be = lock(&self.backend);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                be.write_tile(tile.0, tile.1, &data)
-            }))
-        };
+        let result = self.on_backend(|be| be.write_tile(tile.0, tile.1, &data));
         // Let go of the payload before the write counts as landed: the
         // compute thread may still share it (a boundary flush), and once
         // it has waited the write out it takes the tile without a copy.
         drop(data);
         let mut st = lock(&self.st);
         st.write_inflight.remove(&tile);
-        match result {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                if st.error.is_none() {
-                    st.error = Some(e);
-                }
-            }
-            Err(_) => {
-                if st.error.is_none() {
-                    st.error = Some(std::io::Error::other("tile write panicked on an I/O worker"));
-                }
-            }
+        if let Err(e) = result {
+            st.fail_with(e);
         }
         self.cv.notify_all();
     }
@@ -573,18 +578,20 @@ impl<'fm, B: IoBackend> PipeIo<'fm, B> {
     }
 }
 
-/// The prefetching [`Front`]: resident tiles in RAM, the plan's fetch
-/// stream issued ahead of `pos`, write-backs deferred to the I/O
-/// workers.
+/// The one out-of-core [`Front`]: resident tiles in RAM, the plan's
+/// fetch stream issued at each miss (W = 0) or ahead of `pos` (W ≥ 1),
+/// write-backs run inline or deferred to the I/O workers.
 struct PipelineFront<'s, 'env, 'fm, B: IoBackend> {
     io: &'env PipeIo<'fm, B>,
     scope: &'s IoScope<'s, 'env>,
     plan: Plan,
     capacity: usize,
+    /// Prefetch window; 0 at W = 0, where each fetch is issued at its
+    /// own miss.
     lookahead: usize,
     /// key -> (tile, dirty); mirrors the planned cache exactly, except
     /// victims leave at fetch-*issue* time (provably past their last
-    /// use) instead of miss time.
+    /// use) instead of miss time — the same time at W = 0.
     resident: HashMap<(usize, usize), (Slot, bool)>,
     /// Compute position in `plan.ops`.
     pos: usize,
@@ -594,9 +601,8 @@ struct PipelineFront<'s, 'env, 'fm, B: IoBackend> {
     fetch_consumed: usize,
     /// Boundary flushes performed.
     boundaries_done: usize,
-    /// Backend op sequence number for latency sampling (same numbering
-    /// a synchronous run would use: evictions before their read, in
-    /// fetch order).
+    /// Backend op sequence number for latency sampling (the W = 0 op
+    /// order: evictions before their read, in fetch order).
     op_seq: u64,
     stats: PipelineStats,
     nb: usize,
@@ -604,7 +610,7 @@ struct PipelineFront<'s, 'env, 'fm, B: IoBackend> {
     boundaries: bool,
 }
 
-impl<'s, 'env, 'fm: 'env, B: IoBackend + Send> PipelineFront<'s, 'env, 'fm, B> {
+impl<'s, 'env, 'fm: 'env, B: IoBackend> PipelineFront<'s, 'env, 'fm, B> {
     fn new(
         io: &'env PipeIo<'fm, B>,
         scope: &'s IoScope<'s, 'env>,
@@ -618,7 +624,11 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend + Send> PipelineFront<'s, 'env, 'fm, B> {
             scope,
             plan,
             capacity: cfg.capacity_tiles,
-            lookahead: cfg.lookahead.max(1),
+            lookahead: if cfg.io_workers == 0 {
+                0
+            } else {
+                cfg.lookahead.max(1)
+            },
             resident: HashMap::new(),
             pos: 0,
             next_fetch: 0,
@@ -656,6 +666,27 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend + Send> PipelineFront<'s, 'env, 'fm, B> {
         self.scope.submit(move || io.write_job(tile, us));
     }
 
+    /// Issue the next planned fetch: its evictions, then its read.
+    fn issue(&mut self) {
+        let f = &mut self.plan.fetches[self.next_fetch];
+        let tile = f.tile;
+        for (victim, planned_dirty) in std::mem::take(&mut f.evict) {
+            let (data, dirty) = self
+                .resident
+                .remove(&victim)
+                .expect("planned victim is resident at issue time");
+            debug_assert_eq!(dirty, planned_dirty, "planned dirtiness of {victim:?}");
+            if dirty {
+                let data = data.expect("a taken tile's put comes before its eviction");
+                self.enqueue_write(victim, data);
+                self.stats.evict_writes += 1;
+            }
+        }
+        self.enqueue_read(tile);
+        self.stats.fetches += 1;
+        self.next_fetch += 1;
+    }
+
     /// Issue every fetch that is within the lookahead window and whose
     /// `ready_at` the compute front has passed.
     fn pump(&mut self) {
@@ -663,31 +694,15 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend + Send> PipelineFront<'s, 'env, 'fm, B> {
             && self.next_fetch - self.fetch_consumed < self.lookahead
             && self.plan.fetches[self.next_fetch].ready_at <= self.pos
         {
-            let f = &self.plan.fetches[self.next_fetch];
-            let tile = f.tile;
-            let evict = f.evict.clone();
-            for (victim, planned_dirty) in evict {
-                let (data, dirty) = self
-                    .resident
-                    .remove(&victim)
-                    .expect("planned victim is resident at issue time");
-                debug_assert_eq!(dirty, planned_dirty, "planned dirtiness of {victim:?}");
-                if dirty {
-                    let data = data.expect("a taken tile's put comes before its eviction");
-                    self.enqueue_write(victim, data);
-                    self.stats.evict_writes += 1;
-                }
-            }
-            self.enqueue_read(tile);
-            self.stats.fetches += 1;
-            self.next_fetch += 1;
+            self.issue();
         }
     }
 
     /// Block until the prefetch of `tile` lands (or the run errors).
     fn wait_fetched(&mut self, tile: (usize, usize)) -> Result<Matrix<f64>, OocError> {
         let mut st = lock(&self.io.st);
-        let mut stalled = false;
+        // At W = 0 the read ran inline: compute blocked on all of it.
+        let mut stalled = self.lookahead == 0;
         loop {
             if let Some(e) = st.error.take() {
                 return Err(OocError::Io(e));
@@ -705,9 +720,9 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend + Send> PipelineFront<'s, 'env, 'fm, B> {
         }
     }
 
-    /// Enqueue a write-back of every dirty resident tile (sorted,
-    /// mirroring `TileCache::flush`) and mark them clean.  The tiles stay
-    /// resident, shared with their write-backs until those land.
+    /// Enqueue a write-back of every dirty resident tile, sorted by key,
+    /// and mark them clean.  The tiles stay resident, shared with their
+    /// write-backs until those land.
     fn enqueue_dirty(&mut self) -> Vec<(usize, usize)> {
         let mut dirty: Vec<_> = self
             .resident
@@ -736,7 +751,12 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend + Send> PipelineFront<'s, 'env, 'fm, B> {
                 Some(key),
                 "miss stream diverged from the plan"
             );
-            self.pump(); // the needed fetch is issuable now (ready_at <= miss pos)
+            if self.next_fetch == self.fetch_consumed {
+                // Not prefetched (W = 0 never prefetches): issue it at
+                // its own miss, which is at or past its ready_at.
+                self.issue();
+            }
+            self.pump();
             let tile = self.wait_fetched(key)?;
             self.fetch_consumed += 1;
             self.resident.insert(key, (Some(Arc::new(tile)), false));
@@ -752,7 +772,7 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend + Send> PipelineFront<'s, 'env, 'fm, B> {
     }
 }
 
-impl<'fm: 'env, 'env, B: IoBackend + Send> TileStore for PipelineFront<'_, 'env, 'fm, B> {
+impl<'fm: 'env, 'env, B: IoBackend> TileStore for PipelineFront<'_, 'env, 'fm, B> {
     type Tile = Arc<Matrix<f64>>;
     type Error = OocError;
 
@@ -777,7 +797,7 @@ impl<'fm: 'env, 'env, B: IoBackend + Send> TileStore for PipelineFront<'_, 'env,
     }
 }
 
-impl<'fm: 'env, 'env, B: IoBackend + Send> Front for PipelineFront<'_, 'env, 'fm, B> {
+impl<'fm: 'env, 'env, B: IoBackend> Front for PipelineFront<'_, 'env, 'fm, B> {
     type Backend = B;
 
     fn with_backend<R>(&mut self, f: impl FnOnce(&mut B) -> R) -> R {
@@ -822,6 +842,7 @@ impl<'fm: 'env, 'env, B: IoBackend + Send> Front for PipelineFront<'_, 'env, 'fm
             let mut st = lock(&self.io.st);
             st.fetched.clear();
             st.error = None;
+            st.abort = false;
             debug_assert!(
                 st.reads_inflight == 0
                     && st.write_data.is_empty()
@@ -839,63 +860,83 @@ impl<'fm: 'env, 'env, B: IoBackend + Send> Front for PipelineFront<'_, 'env, 'fm
     }
 }
 
-/// Run panels `start..nb` through a [`PipelineFront`] on `cfg.io_workers`
-/// dedicated I/O threads.  An error return aborts the I/O hub, so the
-/// queued write-backs of a dead run never reach the disk.
-fn run_pipelined<B: IoBackend + Send, St: Store>(
+/// Run `body` on a [`PipelineFront`] planned for panels `start..nb`,
+/// with `cfg.io_workers` dedicated I/O threads (none at W = 0).  An
+/// error return aborts the I/O hub, so the queued write-backs of a dead
+/// run never reach the disk.
+fn with_front<B: IoBackend, R>(
+    fm: &mut B,
+    cfg: &PipelineConfig,
+    start: usize,
+    boundaries: bool,
+    body: impl FnOnce(&mut PipelineFront<'_, '_, '_, B>) -> Result<R, OocError>,
+) -> Result<R, OocError> {
+    let nb = fm.nb();
+    let plan = Plan::new(nb, cfg.capacity_tiles, start, boundaries);
+    let io = PipeIo::new(fm, cfg.sleep_latency);
+    io_scope(cfg.io_workers, |scope| {
+        let mut front = PipelineFront::new(&io, scope, plan, cfg, nb, boundaries);
+        body(&mut front).inspect_err(|_| io.fail())
+    })
+}
+
+/// Run panels `start..nb` through [`drive`], checkpointing when `ck` is
+/// given.
+fn run_pipelined<B: IoBackend, St: Store>(
     fm: &mut B,
     cfg: &PipelineConfig,
     start: usize,
     ck: Option<Checkpointing<'_, St>>,
 ) -> Result<PipelineStats, OocError> {
-    let nb = fm.nb();
-    let boundaries = ck.is_some();
-    let plan = Plan::new(nb, cfg.capacity_tiles, start, boundaries);
-    let io = PipeIo::new(fm, cfg.sleep_latency);
-    io_scope(cfg.io_workers, |scope| {
-        let mut front = PipelineFront::new(&io, scope, plan, cfg, nb, boundaries);
-        match drive(&mut front, cfg.kernel, start, ck) {
-            Ok(()) => Ok(front.stats),
-            Err(e) => {
-                io.fail();
-                Err(e)
-            }
-        }
+    with_front(fm, cfg, start, ck.is_some(), |front| {
+        drive(front, cfg.kernel, start, ck)?;
+        Ok(front.stats)
     })
 }
 
-/// Pipelined out-of-core Cholesky: prefetching tile reads and deferred
-/// write-backs on dedicated I/O workers, overlapped with the schedule's
-/// compute.  Produces a factor **bit-identical** to
-/// [`ooc_potrf_with`](crate::ooc_potrf_with) at the same capacity, for
-/// every kernel engine, worker count, and lookahead (see the module
-/// docs for why), and the same on-disk state on a
+/// Out-of-core Cholesky through the one front: at `cfg.io_workers ≥ 1`,
+/// prefetching tile reads and deferred write-backs on dedicated I/O
+/// workers, overlapped with the schedule's compute; at zero workers,
+/// the synchronous driver.  Produces a factor **bit-identical** to
+/// [`ooc_potrf_with`](crate::ooc_potrf_with) at the same capacity and
+/// engine, for every worker count and lookahead (see the module docs
+/// for why), and the same on-disk state on a
 /// [`NotSpd`](OocError::NotSpd) abort.
-pub fn ooc_potrf_pipelined_with<B: IoBackend + Send>(
+pub fn ooc_potrf_pipelined_with<B: IoBackend>(
     fm: &mut B,
     cfg: &PipelineConfig,
 ) -> Result<PipelineStats, OocError> {
     run_pipelined::<_, FsStore>(fm, cfg, 0, None)
 }
 
-/// Pipelined out-of-core Cholesky with the panel-granularity journaled
-/// checkpoint protocol of
-/// [`ooc_potrf_checkpointed_in`](crate::ooc_potrf_checkpointed_in),
-/// unchanged: the epoch barrier at each panel boundary drains every
-/// deferred write-back *before* the snapshot, so intent → data →
-/// barrier → commit sees exactly the states the synchronous driver
-/// commits.  Crash/resume therefore yields the same bit-identical
-/// factor, and unhealable ABFT corruption is answered by the same
-/// quiesce-restore-retry rollback.
+/// Out-of-core Cholesky with the panel-granularity journaled checkpoint
+/// protocol of [`checkpoint`](crate::checkpoint), over an explicit
+/// [`Store`] — the entry point the crash-point explorer drives with a
+/// `SimStore`, so checkpoint traffic and tile traffic land on the same
+/// recorded schedule.  [`ooc_potrf_checkpointed`](crate::ooc_potrf_checkpointed)
+/// is its W = 0 case on the real filesystem.  The epoch barrier at each
+/// panel boundary drains every deferred write-back *before* the
+/// snapshot, so intent → data → barrier → commit sees exactly the
+/// states W = 0 commits.  Crash/resume therefore yields the same
+/// bit-identical factor at every W, and unhealable ABFT corruption is
+/// answered by the same quiesce-restore-retry rollback.
 ///
-/// One ABFT nuance: a cross-panel prefetch may read a tile *before*
-/// `begin_panel` schedules that panel's corruption against it, so a
-/// given flip can land on a later read — or only on the final scrub —
-/// instead of the read the synchronous driver would have caught it on.
+/// One ABFT nuance at W ≥ 1: a cross-panel prefetch may read a tile
+/// *before* `begin_panel` schedules that panel's corruption against it,
+/// so a given flip can land on a later read — or only on the final
+/// scrub — instead of the read W = 0 would have caught it on.
 /// Detection and healing guarantees are unchanged (every read is
 /// verified and the scrub closes the gap); only the step at which a
 /// given flip is *observed* may shift.
-pub fn ooc_potrf_checkpointed_pipelined_in<B: IoBackend + Send>(
+///
+/// The checkpoint/restore protocol and all tile I/O are
+/// engine-independent.  `FastStrict` is bit-identical to `Reference`, so
+/// a run may even crash under one of those engines and resume under the
+/// other; `Fast` contracts multiply-adds through FMA, so mixing it with
+/// the others across a restart yields a factor that differs by the
+/// (tiny) contraction residual — restart under the engine you crashed
+/// with if bit-reproducibility matters.
+pub fn ooc_potrf_checkpointed_pipelined_in<B: IoBackend>(
     fm: &mut B,
     ckpt: &Checkpoint,
     store: &mut impl Store,
@@ -1126,12 +1167,12 @@ mod tests {
     use super::*;
     use crate::backend::FaultyBackend;
     use crate::filemat::{scratch_path, FileMatrix};
-    use crate::potrf::{ooc_potrf, ooc_potrf_with, CachedFront, TileCache};
+    use crate::potrf::ooc_potrf_with;
     use cholcomm_faults::{CrashPoint, DiskFault, FaultPlan};
     use cholcomm_matrix::schedule::TileGrid;
     use cholcomm_matrix::{matrix_digest, spd};
 
-    fn ooc_potrf_checkpointed_pipelined<B: IoBackend + Send>(
+    fn ooc_potrf_checkpointed_pipelined<B: IoBackend>(
         fm: &mut B,
         ckpt: &Checkpoint,
         cfg: &PipelineConfig,
@@ -1150,8 +1191,8 @@ mod tests {
 
     /// A real front that also logs the accesses it serves, and how the
     /// target of every `Solve` and `Update` crossed it.
-    struct Logged<F> {
-        front: F,
+    struct Logged<'a, F> {
+        front: &'a mut F,
         k: usize,
         seen: Vec<Access>,
         /// The last take: its tile, allocation and holder count.
@@ -1159,8 +1200,8 @@ mod tests {
         handoffs: Vec<Handoff>,
     }
 
-    impl<F> Logged<F> {
-        fn new(front: F, k: usize) -> Self {
+    impl<'a, F> Logged<'a, F> {
+        fn new(front: &'a mut F, k: usize) -> Self {
             Logged {
                 front,
                 k,
@@ -1171,7 +1212,7 @@ mod tests {
         }
     }
 
-    impl<F: Front> TileStore for Logged<F> {
+    impl<F: Front> TileStore for Logged<'_, F> {
         type Tile = Arc<Matrix<f64>>;
         type Error = OocError;
         fn begin_panel(&mut self, k: usize) {
@@ -1203,7 +1244,7 @@ mod tests {
         }
     }
 
-    impl<F: Front> Front for Logged<F> {
+    impl<F: Front> Front for Logged<'_, F> {
         type Backend = F::Backend;
         fn with_backend<R>(&mut self, f: impl FnOnce(&mut F::Backend) -> R) -> R {
             self.front.with_backend(f)
@@ -1226,22 +1267,22 @@ mod tests {
             let a = spd::random_spd(n, &mut rng);
             let mut fm = FileMatrix::create(&scratch_path("planlog"), &a, b).unwrap();
             let grid = TileGrid::new(n, b);
-            // Panels before `start` run unlogged, as a resumed run's
-            // predecessor would have.
-            let mut front = CachedFront {
-                fm: &mut fm,
-                cache: TileCache::new(4),
-            };
-            schedule::factor(&mut front, grid, 0..start, KernelImpl::Reference).unwrap();
-            let mut logged = Logged::new(front, start);
-            for k in start..grid.nb() {
-                schedule::factor(&mut logged, grid, k..k + 1, KernelImpl::Reference).unwrap();
-                logged.seen.push(Access::Boundary);
-            }
+            let cfg = PipelineConfig::new(4).with_io_workers(0);
+            let seen = with_front(&mut fm, &cfg, 0, false, |front| {
+                // Panels before `start` run unlogged, as a resumed run's
+                // predecessor would have.
+                schedule::factor(front, grid, 0..start, KernelImpl::Reference)?;
+                let mut logged = Logged::new(front, start);
+                for k in start..grid.nb() {
+                    schedule::factor(&mut logged, grid, k..k + 1, KernelImpl::Reference)?;
+                    logged.seen.push(Access::Boundary);
+                }
+                Ok(logged.seen)
+            })
+            .unwrap();
             let plan = Plan::new(grid.nb(), 4, start, true);
-            assert_eq!(plan.ops, logged.seen, "n={n} b={b} start={start}");
-            let plain: Vec<Access> = logged
-                .seen
+            assert_eq!(plan.ops, seen, "n={n} b={b} start={start}");
+            let plain: Vec<Access> = seen
                 .into_iter()
                 .filter(|a| *a != Access::Boundary)
                 .collect();
@@ -1250,14 +1291,14 @@ mod tests {
     }
 
     #[test]
-    fn plan_counts_match_the_synchronous_cache() {
+    fn plan_counts_match_the_real_file() {
         let mut rng = spd::test_rng(230);
         let a = spd::random_spd(40, &mut rng);
         let b = 8;
         let nb = a.rows().div_ceil(b);
         for cap in [3usize, 5, 12] {
             let mut fm = FileMatrix::create(&scratch_path(&format!("plan{cap}")), &a, b).unwrap();
-            ooc_potrf(&mut fm, cap).unwrap();
+            ooc_potrf_with(&mut fm, cap, KernelImpl::Reference).unwrap();
             let s = fm.stats();
             let plan = Plan::new(nb, cap, 0, false);
             assert_eq!(s.reads, plan.fetches.len() as u64, "cap {cap}: reads");
@@ -1275,7 +1316,7 @@ mod tests {
             }
         }
         // Checkpointed-shaped plan: boundary flushes account for every
-        // write the per-panel sync driver issues.
+        // write the checkpointed driver issues.
         let cap = 4;
         let mut fm = FileMatrix::create(&scratch_path("planck"), &a, b).unwrap();
         let ckpt = Checkpoint::at(&scratch_path("planck").with_extension("ckpt"));
@@ -1336,15 +1377,15 @@ mod tests {
     }
 
     /// One logged whole-matrix run of `a` (b = 8) at capacity `cap`,
-    /// checkpointed or not, through the sync front or — given `(workers,
-    /// lookahead)` — the pipeline: every target's hand-off, and the factor.
+    /// checkpointed or not, with `(workers, lookahead)`: every target's
+    /// hand-off, and the factor.
     fn logged_run(
         a: &Matrix<f64>,
         cap: usize,
-        pipe: Option<(usize, usize)>,
+        (workers, lookahead): (usize, usize),
         checkpointed: bool,
     ) -> (Vec<Handoff>, Matrix<f64>) {
-        let path = scratch_path(&format!("handoff-{cap}-{pipe:?}-{checkpointed}"));
+        let path = scratch_path(&format!("handoff-{cap}-{workers}-{lookahead}-{checkpointed}"));
         let mut fm = FileMatrix::create(&path, a, 8).unwrap();
         let ckpt = Checkpoint::at(&path.with_extension("ckpt"));
         let (mut store, mut report) = (FsStore::new(), CheckpointReport::default());
@@ -1356,32 +1397,15 @@ mod tests {
         if let Some(ck) = ck.as_mut() {
             assert_eq!(ck.resume_point(&mut fm).unwrap(), 0);
         }
-        let kernel = KernelImpl::Reference;
-        let handoffs = match pipe {
-            None => {
-                let front = CachedFront {
-                    fm: &mut fm,
-                    cache: TileCache::new(cap),
-                };
-                let mut logged = Logged::new(front, 0);
-                drive(&mut logged, kernel, 0, ck).unwrap();
-                logged.handoffs
-            }
-            Some((workers, lookahead)) => {
-                let cfg = PipelineConfig::new(cap)
-                    .with_io_workers(workers)
-                    .with_lookahead(lookahead);
-                let nb = fm.nb();
-                let plan = Plan::new(nb, cap, 0, checkpointed);
-                let io = PipeIo::new(&mut fm, false);
-                io_scope(workers, |scope| {
-                    let front = PipelineFront::new(&io, scope, plan, &cfg, nb, checkpointed);
-                    let mut logged = Logged::new(front, 0);
-                    drive(&mut logged, kernel, 0, ck).unwrap();
-                    logged.handoffs
-                })
-            }
-        };
+        let cfg = PipelineConfig::new(cap)
+            .with_io_workers(workers)
+            .with_lookahead(lookahead);
+        let handoffs = with_front(&mut fm, &cfg, 0, checkpointed, |front| {
+            let mut logged = Logged::new(front, 0);
+            drive(&mut logged, KernelImpl::Reference, 0, ck)?;
+            Ok(logged.handoffs)
+        })
+        .unwrap();
         (handoffs, fm.to_matrix().unwrap())
     }
 
@@ -1389,7 +1413,7 @@ mod tests {
     fn solve_and_update_targets_cross_the_fronts_by_reference() {
         let a = spd::random_spd(40, &mut spd::test_rng(236));
         let nb = a.rows().div_ceil(8);
-        let fronts = [None, Some((1, 1)), Some((1, 4)), Some((2, 1)), Some((2, 4))];
+        let fronts = [(0, 1), (1, 1), (1, 4), (2, 1), (2, 4)];
         let runs = [false, true].map(|checkpointed| fronts.map(|pipe| (checkpointed, pipe)));
         for cap in [3usize, 5, 12] {
             let writes: Vec<TileOp> = Plan::new(nb, cap, 0, false)
@@ -1402,7 +1426,7 @@ mod tests {
                 .collect();
             let mut factors = Vec::new();
             for (checkpointed, pipe) in runs.concat() {
-                let tag = format!("cap {cap}, pipeline {pipe:?}, checkpointed {checkpointed}");
+                let tag = format!("cap {cap}, (W, lookahead) {pipe:?}, checkpointed {checkpointed}");
                 let (handoffs, factor) = logged_run(&a, cap, pipe, checkpointed);
                 let ops: Vec<TileOp> = handoffs.iter().map(|h| h.op).collect();
                 assert_eq!(ops, writes, "{tag}");
@@ -1427,7 +1451,7 @@ mod tests {
         }
         m[(12, 12)] = -1.0; // tile (3,3) with b=4 goes bad
         let mut sync = FileMatrix::create(&scratch_path("nspd-sync"), &m, 4).unwrap();
-        let sync_err = ooc_potrf(&mut sync, 3).unwrap_err();
+        let sync_err = ooc_potrf_with(&mut sync, 3, KernelImpl::Reference).unwrap_err();
         let want = sync.to_matrix().unwrap();
         let mut fm = FileMatrix::create(&scratch_path("nspd-pipe"), &m, 4).unwrap();
         let err = ooc_potrf_pipelined_with(&mut fm, &PipelineConfig::new(3)).unwrap_err();
@@ -1467,23 +1491,18 @@ mod tests {
             let pivot = tile * 8 + 2;
             let mut m = a.clone();
             m[(pivot, pivot)] = -1.0;
-            let mut fm = FileMatrix::create(&scratch_path("nspd-gold-sync"), &m, 8).unwrap();
-            let mut runs = vec![("sync", ooc_potrf_with(&mut fm, cap, kernel), fm.to_matrix())];
-            for (driver, workers) in [("W=1", 1usize), ("W=2", 2)] {
-                let mut fm = FileMatrix::create(&scratch_path("nspd-gold-pipe"), &m, 8).unwrap();
+            for workers in [0usize, 1, 2] {
+                let mut fm = FileMatrix::create(&scratch_path("nspd-gold"), &m, 8).unwrap();
                 let cfg = PipelineConfig::new(cap)
                     .with_kernel(kernel)
                     .with_io_workers(workers);
-                let done = ooc_potrf_pipelined_with(&mut fm, &cfg).map(|_| ());
-                runs.push((driver, done, fm.to_matrix()));
-            }
-            for (driver, done, disk) in runs {
-                let tag = format!("cap {cap}, tile {tile}, {kernel:?}, {driver}");
+                let done = ooc_potrf_pipelined_with(&mut fm, &cfg);
+                let tag = format!("cap {cap}, tile {tile}, {kernel:?}, W={workers}");
                 assert!(
                     matches!(done, Err(OocError::NotSpd { pivot: p, .. }) if p == pivot),
                     "{tag}: {done:?}"
                 );
-                assert_eq!(matrix_digest(&disk.unwrap()), want, "{tag}");
+                assert_eq!(matrix_digest(&fm.to_matrix().unwrap()), want, "{tag}");
             }
         }
     }
@@ -1493,28 +1512,30 @@ mod tests {
         let mut rng = spd::test_rng(232);
         let a = spd::random_spd(32, &mut rng);
         let mut clean = FileMatrix::create(&scratch_path("flaky-clean"), &a, 8).unwrap();
-        ooc_potrf(&mut clean, 4).unwrap();
+        ooc_potrf_with(&mut clean, 4, KernelImpl::Reference).unwrap();
         let want = clean.to_matrix().unwrap();
 
-        // One worker: the backend op order equals the sync order, so a
-        // per-op plan fires at identical indices and the fault tallies
-        // must match the sync run's exactly.
-        let plan = || {
-            FaultPlan::builder(60)
-                .inject_disk_fault(2, 1, DiskFault::TransientEio)
-                .inject_disk_fault(7, 1, DiskFault::ShortRead)
-                .inject_disk_fault(7, 2, DiskFault::TransientEio)
-                .build()
-        };
-        let sync_fm = FileMatrix::create(&scratch_path("flaky-sync"), &a, 8).unwrap();
-        let mut sync_fb = FaultyBackend::new(sync_fm, plan());
-        ooc_potrf(&mut sync_fb, 4).unwrap();
-        let fm = FileMatrix::create(&scratch_path("flaky-w1"), &a, 8).unwrap();
-        let mut fb = FaultyBackend::new(fm, plan());
-        let cfg = PipelineConfig::new(4).with_io_workers(1);
-        ooc_potrf_pipelined_with(&mut fb, &cfg).unwrap();
-        assert_eq!(fb.fault_stats(), sync_fb.fault_stats(), "W=1 op order is sync order");
-        assert_eq!(fb.inner_mut().to_matrix().unwrap(), want);
+        // Zero and one worker: the backend sees the same op order, so a
+        // per-op plan fires at identical indices, and the tallies equal
+        // those pinned on the synchronous driver that W = 0 replaced.
+        let plan = FaultPlan::builder(60)
+            .inject_disk_fault(2, 1, DiskFault::TransientEio)
+            .inject_disk_fault(7, 1, DiskFault::ShortRead)
+            .inject_disk_fault(7, 2, DiskFault::TransientEio)
+            .build();
+        for workers in [0usize, 1] {
+            let fm = FileMatrix::create(&scratch_path("flaky-w01"), &a, 8).unwrap();
+            let mut fb = FaultyBackend::new(fm, plan.clone());
+            let cfg = PipelineConfig::new(4).with_io_workers(workers);
+            ooc_potrf_pipelined_with(&mut fb, &cfg).unwrap();
+            let f = fb.fault_stats();
+            let tallies = (f.disk_transients, f.disk_short_reads, f.disk_retries, fb.ops());
+            assert_eq!(tallies, (2, 1, 3, 33), "W={workers}");
+            let s = fb.stats();
+            let io = (s.reads, s.writes, s.bytes_read, s.bytes_written, s.seeks, s.seek_distance);
+            assert_eq!(io, (17, 16, 8704, 8192, 29, 76288), "W={workers}");
+            assert_eq!(fb.inner_mut().to_matrix().unwrap(), want, "W={workers}");
+        }
 
         // Two workers: op order may permute, so use rate faults; every
         // transient must still be healed below the factorization.
@@ -1532,7 +1553,7 @@ mod tests {
         let mut rng = spd::test_rng(233);
         let a = spd::random_spd(32, &mut rng);
         let mut clean = FileMatrix::create(&scratch_path("pckpt-clean"), &a, 8).unwrap();
-        ooc_potrf(&mut clean, 4).unwrap();
+        ooc_potrf_with(&mut clean, 4, KernelImpl::Reference).unwrap();
         let want = clean.to_matrix().unwrap();
 
         let path = scratch_path("pckpt");
@@ -1590,7 +1611,7 @@ mod tests {
         let mut rng = spd::test_rng(235);
         let a = spd::random_spd(32, &mut rng);
         let mut reference = FileMatrix::create(&scratch_path("pabft-ref"), &a, 8).unwrap();
-        ooc_potrf(&mut reference, 4).unwrap();
+        ooc_potrf_with(&mut reference, 4, KernelImpl::Reference).unwrap();
         let want = reference.to_matrix().unwrap();
 
         // Two elements of one tile struck in the same panel: beyond the
@@ -1612,6 +1633,26 @@ mod tests {
             want,
             "restored-and-retried factor must be bit-identical"
         );
+    }
+
+    #[test]
+    fn zero_workers_sleep_each_op_inline() {
+        // One tile: one read, then the final flush's one write.
+        let a = spd::random_spd(8, &mut spd::test_rng(238));
+        let mut fm = FileMatrix::create(&scratch_path("sleep-w0"), &a, 8).unwrap();
+        fm.set_latency_model(LatencyModel::uniform(200));
+        let cfg = PipelineConfig::new(3)
+            .with_io_workers(0)
+            .with_sleep_latency(true);
+        let t0 = std::time::Instant::now();
+        let stats = ooc_potrf_pipelined_with(&mut fm, &cfg).unwrap();
+        assert!(
+            t0.elapsed() >= std::time::Duration::from_micros(400),
+            "two ops at 200us each must take >= 400us"
+        );
+        assert_eq!((stats.fetches, stats.flush_writes), (1, 1));
+        assert_eq!(stats.modeled_io_us, 400);
+        assert_eq!(stats.prefetch_stalls, 1, "an inline read blocks compute");
     }
 
     #[test]

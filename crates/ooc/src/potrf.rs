@@ -1,10 +1,12 @@
 //! Out-of-core blocked Cholesky: Algorithm 4 against the backing store,
-//! through a bounded tile cache.
+//! through a bounded set of resident tiles — the driver loop every run
+//! goes through, the LRU order the planner replays, and the error type.
 
 use crate::backend::IoBackend;
 use crate::checkpoint::{simulated_crash, unhealable, Checkpointing, MAX_RESTORE_RETRIES};
-use cholcomm_faults::{FsStore, Store};
-use cholcomm_matrix::schedule::{self, TileGrid, TileStore, WORKING_SET};
+use crate::pipeline::{ooc_potrf_pipelined_with, PipelineConfig};
+use cholcomm_faults::Store;
+use cholcomm_matrix::schedule::{self, TileGrid, TileStore};
 use cholcomm_matrix::{KernelImpl, Matrix, MatrixError};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -24,7 +26,8 @@ struct LruSlot {
 /// LRU tracer; replaces the old per-eviction O(resident) min-tick scan.
 /// Pure bookkeeping — which tile is least recent is exactly what the
 /// tick ordering said, so resident-set behavior is unchanged (the
-/// regression test below drives both models side by side).
+/// regression test below drives the factorization and the tick model
+/// side by side).
 #[derive(Debug)]
 pub(crate) struct LruIndex {
     map: HashMap<(usize, usize), usize>,
@@ -116,232 +119,18 @@ impl LruIndex {
     pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
-
-    pub(crate) fn clear(&mut self) {
-        self.map.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-}
-
-/// A resident tile: shared with the walk by [`TileStore::get`], empty
-/// between a [`TileStore::take`] and the `put` that refills it.
-pub(crate) type Slot = Option<Arc<Matrix<f64>>>;
-
-/// What a resident slot hands the walk: a share of its tile, or — for a
-/// take — the tile itself, leaving the slot empty.
-pub(crate) fn hand_out(slot: &mut Slot, take: bool) -> Arc<Matrix<f64>> {
-    if take { slot.take() } else { slot.clone() }
-        .expect("a taken tile is put back before it is fetched again")
-}
-
-/// An LRU cache of tiles standing in for fast memory: at most
-/// `capacity_tiles` tiles resident; dirty tiles are written back on
-/// eviction and at the end.  Tiles cross to the walk by reference: a
-/// `get` shares the resident `Arc`, a `take` moves it out until its
-/// `put`, so no tile is copied inside fast memory.
-///
-/// # Error guarantee
-///
-/// If a write-back fails (eviction or [`flush`](Self::flush)), the
-/// cache **poisons itself**: the failed tile and every other dirty tile
-/// stay marked dirty, and all further operations return
-/// [`OocError::CachePoisoned`].  Nothing is silently dropped — the
-/// caller knows the file no longer matches the computation and must
-/// discard or re-create it.  Errors in the *computation* (a
-/// [`NotSpd`](OocError::NotSpd) pivot) do not
-/// poison the cache; [`ooc_potrf`] flushes before reporting them, so
-/// the file then holds every update completed before the bad pivot.
-#[derive(Debug)]
-pub struct TileCache {
-    capacity_tiles: usize,
-    tiles: HashMap<(usize, usize), (Slot, bool)>, // (tile, dirty)
-    order: LruIndex,
-    poisoned: bool,
-}
-
-impl TileCache {
-    /// Cache holding at most `capacity_tiles` tiles.
-    pub fn new(capacity_tiles: usize) -> Self {
-        assert!(
-            capacity_tiles >= WORKING_SET,
-            "Algorithm 4 needs three tiles resident"
-        );
-        TileCache {
-            capacity_tiles,
-            tiles: HashMap::new(),
-            order: LruIndex::new(),
-            poisoned: false,
-        }
-    }
-
-    fn check_poison(&self) -> Result<(), OocError> {
-        if self.poisoned {
-            Err(OocError::CachePoisoned)
-        } else {
-            Ok(())
-        }
-    }
-
-    fn evict_if_full<B: IoBackend>(&mut self, fm: &mut B) -> Result<(), OocError> {
-        while self.tiles.len() >= self.capacity_tiles {
-            let key = self.order.lru().ok_or(OocError::CachePoisoned)?;
-            // Write back *before* removing: if the write fails the tile
-            // stays resident and dirty, and the cache is poisoned.  (A
-            // taken tile is never the oldest: its put follows its take.)
-            if let Some((Some(tile), dirty)) = self.tiles.get(&key) {
-                if *dirty {
-                    if let Err(e) = fm.write_tile(key.0, key.1, tile) {
-                        self.poisoned = true;
-                        return Err(OocError::Io(e));
-                    }
-                }
-            }
-            self.tiles.remove(&key);
-            self.order.remove(key);
-        }
-        Ok(())
-    }
-
-    /// Fetch a tile (from cache or the backing store), shared with the
-    /// cache.
-    pub fn get<B: IoBackend>(
-        &mut self,
-        fm: &mut B,
-        bi: usize,
-        bj: usize,
-    ) -> Result<Arc<Matrix<f64>>, OocError> {
-        self.fetch(fm, bi, bj, false)
-    }
-
-    /// Fetch a tile to overwrite it: its slot stays resident, and dirty
-    /// if it was, but empty until the tile is [`put`](Self::put) back.
-    pub fn take<B: IoBackend>(
-        &mut self,
-        fm: &mut B,
-        bi: usize,
-        bj: usize,
-    ) -> Result<Arc<Matrix<f64>>, OocError> {
-        self.fetch(fm, bi, bj, true)
-    }
-
-    fn fetch<B: IoBackend>(
-        &mut self,
-        fm: &mut B,
-        bi: usize,
-        bj: usize,
-        take: bool,
-    ) -> Result<Arc<Matrix<f64>>, OocError> {
-        self.check_poison()?;
-        let key = (bi, bj);
-        if !self.tiles.contains_key(&key) {
-            self.evict_if_full(fm)?;
-            let t = fm.read_tile(bi, bj)?;
-            self.tiles.insert(key, (Some(Arc::new(t)), false));
-        }
-        self.order.touch(key);
-        let (slot, _) = self
-            .tiles
-            .get_mut(&key)
-            .expect("the tile was just made resident");
-        Ok(hand_out(slot, take))
-    }
-
-    /// Install an updated tile (marks it dirty).
-    pub fn put<B: IoBackend>(
-        &mut self,
-        fm: &mut B,
-        bi: usize,
-        bj: usize,
-        tile: Arc<Matrix<f64>>,
-    ) -> Result<(), OocError> {
-        self.check_poison()?;
-        if let Some(slot) = self.tiles.get_mut(&(bi, bj)) {
-            *slot = (Some(tile), true);
-            self.order.touch((bi, bj));
-            return Ok(());
-        }
-        self.evict_if_full(fm)?;
-        self.tiles.insert((bi, bj), (Some(tile), true));
-        self.order.touch((bi, bj));
-        Ok(())
-    }
-
-    /// Write every dirty tile back.  On failure the cache is poisoned
-    /// and every not-yet-written tile remains dirty.
-    pub fn flush<B: IoBackend>(&mut self, fm: &mut B) -> Result<(), OocError> {
-        self.check_poison()?;
-        let mut keys: Vec<(usize, usize)> = self.tiles.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            if let Some((Some(tile), dirty)) = self.tiles.get(&key) {
-                if *dirty {
-                    if let Err(e) = fm.write_tile(key.0, key.1, tile) {
-                        self.poisoned = true;
-                        return Err(OocError::Io(e));
-                    }
-                }
-            }
-            if let Some(slot) = self.tiles.get_mut(&key) {
-                slot.1 = false;
-            }
-        }
-        Ok(())
-    }
-
-    /// Currently resident tiles.
-    pub fn resident(&self) -> usize {
-        self.tiles.len()
-    }
-
-    /// Currently resident *dirty* (not yet written back) tiles.
-    pub fn dirty(&self) -> usize {
-        self.tiles.values().filter(|(_, d)| *d).count()
-    }
-
-    /// Has a failed write-back poisoned this cache?
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// Drop all cached state — but refuse if doing so would silently
-    /// lose un-flushed updates: a poisoned cache, or any dirty tile,
-    /// makes this an error ([`OocError::WouldDiscardDirty`]).  Callers
-    /// who *mean* to throw dirty state away (checkpoint restore, where
-    /// everything in RAM is stale by definition) must say so with
-    /// [`clear_discarding`](Self::clear_discarding).
-    pub fn clear(&mut self) -> Result<(), OocError> {
-        let dirty = self.dirty();
-        if self.poisoned || dirty > 0 {
-            return Err(OocError::WouldDiscardDirty { dirty });
-        }
-        self.clear_discarding();
-        Ok(())
-    }
-
-    /// Drop all cached state unconditionally, discarding dirty tiles
-    /// and un-poisoning the cache.  The recovery path: correct only
-    /// when the backing store is about to be (or was just) rewritten
-    /// from an authoritative copy.
-    pub fn clear_discarding(&mut self) {
-        self.tiles.clear();
-        self.order.clear();
-        self.poisoned = false;
-    }
 }
 
 /// What the one driver loop ([`drive`]) needs from a tile front beyond
 /// the schedule's gets and puts.
 ///
 /// The arithmetic and its order are [`cholcomm_matrix::schedule`]'s; how
-/// tiles actually move — synchronously through a [`TileCache`], or
-/// prefetched ahead of the compute front by the
-/// [`pipeline`](crate::pipeline) — is the front's business.  Because
-/// every front sees the *same* logical get/put sequence and the schedule
-/// is data-oblivious, any two fronts that deliver the stored tile values
-/// produce bit-identical factors by construction.
+/// tiles actually move — inline on the compute thread or prefetched by
+/// I/O workers ahead of it, see [`pipeline`](crate::pipeline) — is the
+/// front's business.  Because every front sees the *same* logical
+/// get/put sequence and the schedule is data-oblivious, any two fronts
+/// that deliver the stored tile values produce bit-identical factors by
+/// construction.
 pub(crate) trait Front: TileStore<Tile = Arc<Matrix<f64>>, Error = OocError> {
     /// The backend under the front.
     type Backend: IoBackend;
@@ -353,54 +142,11 @@ pub(crate) trait Front: TileStore<Tile = Arc<Matrix<f64>>, Error = OocError> {
     fn flush_final(&mut self) -> Result<(), OocError>;
     /// The flush at a panel boundary: every update of the finished panel
     /// must be in the backend before the checkpoint snapshots it.
-    fn flush_boundary(&mut self) -> Result<(), OocError> {
-        self.flush_final()
-    }
+    fn flush_boundary(&mut self) -> Result<(), OocError>;
     /// Forget everything in RAM ahead of a checkpoint restore; compute
     /// resumes at panel `k`.  Discarding dirty tiles is deliberate —
     /// they are exactly what the restore rolls back.
     fn reset(&mut self, k: usize);
-}
-
-/// The synchronous front: a backend behind a [`TileCache`], tile moves
-/// blocking the compute thread — the baseline the paper's sequential
-/// I/O counts describe, and the only front for backends that cannot
-/// cross threads.
-pub(crate) struct CachedFront<'a, B: IoBackend> {
-    pub(crate) fm: &'a mut B,
-    pub(crate) cache: TileCache,
-}
-
-impl<B: IoBackend> TileStore for CachedFront<'_, B> {
-    type Tile = Arc<Matrix<f64>>;
-    type Error = OocError;
-
-    fn begin_panel(&mut self, k: usize) {
-        self.fm.begin_panel(k);
-    }
-    fn get(&mut self, bi: usize, bj: usize) -> Result<Arc<Matrix<f64>>, OocError> {
-        self.cache.get(self.fm, bi, bj)
-    }
-    fn take(&mut self, bi: usize, bj: usize) -> Result<Arc<Matrix<f64>>, OocError> {
-        self.cache.take(self.fm, bi, bj)
-    }
-    fn put(&mut self, bi: usize, bj: usize, tile: Arc<Matrix<f64>>) -> Result<(), OocError> {
-        self.cache.put(self.fm, bi, bj, tile)
-    }
-}
-
-impl<B: IoBackend> Front for CachedFront<'_, B> {
-    type Backend = B;
-
-    fn with_backend<R>(&mut self, f: impl FnOnce(&mut B) -> R) -> R {
-        f(self.fm)
-    }
-    fn flush_final(&mut self) -> Result<(), OocError> {
-        self.cache.flush(self.fm)
-    }
-    fn reset(&mut self, _k: usize) {
-        self.cache.clear_discarding();
-    }
 }
 
 /// The out-of-core driver loop: panels `start..nb` of the right-looking
@@ -499,26 +245,25 @@ fn roll_back<F: Front, St: Store>(
 }
 
 /// Out-of-core blocked right-looking Cholesky on the backing store,
-/// with a cache of `capacity_tiles` tiles.  Returns the I/O-visible
-/// error or the factorization error.
+/// with `capacity_tiles` tiles resident and every tile move blocking the
+/// compute thread: the pipeline at zero I/O workers (see
+/// [`PipelineConfig::with_io_workers`]), the baseline the paper's
+/// sequential I/O counts describe.  The tile I/O is the same under every
+/// kernel engine (see [`cholcomm_matrix::kernels_fast`]).
 ///
-/// On [`OocError::NotSpd`] the cache is flushed before the
+/// On [`OocError::NotSpd`] every dirty tile is written back before the
 /// error is returned, so the file holds every update that completed
 /// before the failing pivot (a partially factored matrix, documented —
 /// not a torn one).
-pub fn ooc_potrf<B: IoBackend>(fm: &mut B, capacity_tiles: usize) -> Result<(), OocError> {
-    ooc_potrf_with(fm, capacity_tiles, KernelImpl::Reference)
-}
-
-/// [`ooc_potrf`] with an explicit kernel engine (same tile I/O, same
-/// bits; see [`cholcomm_matrix::kernels_fast`]).
 pub fn ooc_potrf_with<B: IoBackend>(
     fm: &mut B,
     capacity_tiles: usize,
     kernel: KernelImpl,
 ) -> Result<(), OocError> {
-    let cache = TileCache::new(capacity_tiles);
-    drive::<_, FsStore>(&mut CachedFront { fm, cache }, kernel, 0, None)
+    let cfg = PipelineConfig::new(capacity_tiles)
+        .with_io_workers(0)
+        .with_kernel(kernel);
+    ooc_potrf_pipelined_with(fm, &cfg).map(drop)
 }
 
 /// Errors from the out-of-core factorization.
@@ -535,16 +280,6 @@ pub enum OocError {
     Io(std::io::Error),
     /// A numerical kernel failed for a reason other than definiteness.
     Matrix(MatrixError),
-    /// A previous dirty write-back failed; cached state no longer
-    /// matches the file and all further cache operations are refused.
-    CachePoisoned,
-    /// [`TileCache::clear`] was asked to drop un-flushed updates; the
-    /// caller must flush first or opt in with
-    /// [`TileCache::clear_discarding`].
-    WouldDiscardDirty {
-        /// Dirty tiles that would have been lost.
-        dirty: usize,
-    },
 }
 
 impl From<std::io::Error> for OocError {
@@ -570,16 +305,6 @@ impl std::fmt::Display for OocError {
             }
             OocError::Io(e) => write!(f, "I/O error: {e}"),
             OocError::Matrix(e) => write!(f, "matrix error: {e}"),
-            OocError::CachePoisoned => {
-                write!(f, "tile cache poisoned by an earlier failed write-back")
-            }
-            OocError::WouldDiscardDirty { dirty } => {
-                write!(
-                    f,
-                    "refusing to clear a cache holding {dirty} dirty tile(s); \
-                     flush first or use clear_discarding()"
-                )
-            }
         }
     }
 }
@@ -599,6 +324,7 @@ impl std::error::Error for OocError {
 mod tests {
     use super::*;
     use crate::filemat::{scratch_path, FileMatrix};
+    use cholcomm_matrix::digest::fnv1a;
     use cholcomm_matrix::{kernels, norms, spd};
 
     #[test]
@@ -608,7 +334,7 @@ mod tests {
             let a = spd::random_spd(n, &mut rng);
             let path = scratch_path("factor");
             let mut fm = FileMatrix::create(&path, &a, b).unwrap();
-            ooc_potrf(&mut fm, cap).unwrap();
+            ooc_potrf_with(&mut fm, cap, KernelImpl::Reference).unwrap();
             let got = fm.to_matrix().unwrap().lower_triangle().unwrap();
             let mut want = a.clone();
             kernels::potf2(&mut want).unwrap();
@@ -629,7 +355,7 @@ mod tests {
         for cap in [3usize, 8, 40] {
             let path = scratch_path(&format!("cap{cap}"));
             let mut fm = FileMatrix::create(&path, &a, b).unwrap();
-            ooc_potrf(&mut fm, cap).unwrap();
+            ooc_potrf_with(&mut fm, cap, KernelImpl::Reference).unwrap();
             io.push(fm.stats().bytes_read);
         }
         assert!(io[0] > io[1], "cap 3 reads {} > cap 8 reads {}", io[0], io[1]);
@@ -648,7 +374,7 @@ mod tests {
         let a = spd::random_spd(n, &mut rng);
         let path = scratch_path("seeks");
         let mut fm = FileMatrix::create(&path, &a, 8).unwrap();
-        ooc_potrf(&mut fm, 4).unwrap();
+        ooc_potrf_with(&mut fm, 4, KernelImpl::Reference).unwrap();
         let s = fm.stats();
         assert!(
             s.seeks <= s.reads + s.writes + 1,
@@ -663,7 +389,7 @@ mod tests {
         m[(9, 9)] = -4.0;
         let path = scratch_path("indef");
         let mut fm = FileMatrix::create(&path, &m, 4).unwrap();
-        match ooc_potrf(&mut fm, 4) {
+        match ooc_potrf_with(&mut fm, 4, KernelImpl::Reference) {
             Err(OocError::NotSpd { pivot, value }) => {
                 assert_eq!(pivot, 9);
                 assert!(value < 0.0);
@@ -674,8 +400,8 @@ mod tests {
 
     #[test]
     fn indefinite_leaves_completed_updates_on_disk() {
-        // The documented guarantee: on a pivot failure the cache is
-        // flushed, so the first panels (factored before the bad pivot)
+        // The documented guarantee: on a pivot failure every dirty tile
+        // is written back, so the first panels (factored before the bad pivot)
         // are on disk, not lost in RAM.
         let n = 16;
         let mut m = cholcomm_matrix::Matrix::<f64>::identity(n);
@@ -685,7 +411,7 @@ mod tests {
         m[(12, 12)] = -1.0; // tile (3,3) with b=4 goes bad
         let path = scratch_path("indef-flush");
         let mut fm = FileMatrix::create(&path, &m, 4).unwrap();
-        match ooc_potrf(&mut fm, 3) {
+        match ooc_potrf_with(&mut fm, 3, KernelImpl::Reference) {
             Err(OocError::NotSpd { pivot, .. }) => assert_eq!(pivot, 12),
             other => panic!("expected pivot failure, got {other:?}"),
         }
@@ -699,81 +425,39 @@ mod tests {
         let a = spd::random_spd(21, &mut rng);
         let path = scratch_path("ragged");
         let mut fm = FileMatrix::create(&path, &a, 8).unwrap();
-        ooc_potrf(&mut fm, 5).unwrap();
+        ooc_potrf_with(&mut fm, 5, KernelImpl::Reference).unwrap();
         let got = fm.to_matrix().unwrap();
         let r = norms::cholesky_residual(&a, &got);
         assert!(r < norms::residual_tolerance(21), "residual {r}");
     }
 
-    #[test]
-    fn poisoned_cache_refuses_everything() {
-        use crate::backend::FaultyBackend;
-        use cholcomm_faults::{DiskFault, FaultPlan};
-
-        let mut rng = spd::test_rng(199);
-        let a = spd::random_spd(16, &mut rng);
-        let path = scratch_path("poison");
-        let fm = FileMatrix::create(&path, &a, 8).unwrap();
-        // Ops 0..=2 are the three cache-fill reads; op 3 is the first
-        // flush write-back.  Fail it on every attempt up to the cap so
-        // the flush error is permanent.
-        let mut builder = FaultPlan::builder(0).max_fault_attempts(3);
-        for attempt in 1..=4 {
-            builder = builder.inject_disk_fault(3, attempt, DiskFault::TransientEio);
-        }
-        let mut fb = FaultyBackend::new(fm, builder.build());
-        let mut cache = TileCache::new(3);
-        for (bi, bj) in [(0, 0), (1, 0), (0, 1)] {
-            let t = cache.get(&mut fb, bi, bj).unwrap();
-            cache.put(&mut fb, bi, bj, t).unwrap();
-        }
-        assert!(matches!(cache.flush(&mut fb), Err(OocError::Io(_))));
-        assert!(cache.is_poisoned());
-        assert!(matches!(
-            cache.get(&mut fb, 0, 0),
-            Err(OocError::CachePoisoned)
-        ));
-        assert!(matches!(
-            cache.flush(&mut fb),
-            Err(OocError::CachePoisoned)
-        ));
-        assert!(
-            matches!(cache.clear(), Err(OocError::WouldDiscardDirty { .. })),
-            "a poisoned cache still holds dirty tiles; clear() must refuse"
-        );
-        cache.clear_discarding();
-        assert!(!cache.is_poisoned(), "clear_discarding() is the recovery path");
+    /// One backend call, spelled the way the pinned op-log digests
+    /// spell it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Call {
+        Read(usize, usize),
+        Write(usize, usize),
+        Panel(usize),
     }
 
-    #[test]
-    fn clear_refuses_dirty_tiles_but_not_clean_ones() {
-        let mut rng = spd::test_rng(200);
-        let a = spd::random_spd(16, &mut rng);
-        let path = scratch_path("clear");
-        let mut fm = FileMatrix::create(&path, &a, 8).unwrap();
-        let mut cache = TileCache::new(3);
-        let t = cache.get(&mut fm, 0, 0).unwrap();
-        cache.clear().unwrap(); // clean resident tiles may be dropped
-        assert_eq!(cache.resident(), 0);
-        cache.put(&mut fm, 0, 0, t).unwrap();
-        match cache.clear() {
-            Err(OocError::WouldDiscardDirty { dirty }) => assert_eq!(dirty, 1),
-            other => panic!("expected WouldDiscardDirty, got {other:?}"),
+    impl std::fmt::Display for Call {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            match self {
+                Call::Read(bi, bj) => write!(f, "R{bi},{bj}"),
+                Call::Write(bi, bj) => write!(f, "W{bi},{bj}"),
+                Call::Panel(k) => write!(f, "P{k}"),
+            }
         }
-        assert_eq!(cache.resident(), 1, "refused clear must not drop anything");
-        cache.flush(&mut fm).unwrap();
-        cache.clear().unwrap(); // flushed tiles are clean again
     }
 
-    /// A backend over RAM that records the order of its tile writes, for
-    /// observing eviction / write-back behavior precisely.
+    /// A backend over RAM that logs every call that reaches it, in
+    /// order, for observing eviction / write-back behavior precisely.
     struct LoggingMem {
         n: usize,
         b: usize,
         nb: usize,
         tiles: HashMap<(usize, usize), Matrix<f64>>,
-        reads: Vec<(usize, usize)>,
-        writes: Vec<(usize, usize)>,
+        log: Vec<Call>,
     }
 
     impl LoggingMem {
@@ -801,9 +485,33 @@ mod tests {
                 b,
                 nb,
                 tiles,
-                reads: Vec::new(),
-                writes: Vec::new(),
+                log: Vec::new(),
             }
+        }
+
+        /// The tile transfers, without the panel markers.
+        fn transfers(&self) -> Vec<Call> {
+            self.log
+                .iter()
+                .copied()
+                .filter(|c| !matches!(c, Call::Panel(_)))
+                .collect()
+        }
+
+        fn reads(&self) -> Vec<(usize, usize)> {
+            let reads = self.log.iter().filter_map(|c| match *c {
+                Call::Read(bi, bj) => Some((bi, bj)),
+                _ => None,
+            });
+            reads.collect()
+        }
+
+        fn writes(&self) -> Vec<(usize, usize)> {
+            let writes = self.log.iter().filter_map(|c| match *c {
+                Call::Write(bi, bj) => Some((bi, bj)),
+                _ => None,
+            });
+            writes.collect()
         }
     }
 
@@ -818,11 +526,11 @@ mod tests {
             self.nb
         }
         fn read_tile(&mut self, bi: usize, bj: usize) -> std::io::Result<Matrix<f64>> {
-            self.reads.push((bi, bj));
+            self.log.push(Call::Read(bi, bj));
             Ok(self.tiles[&(bi, bj)].clone())
         }
         fn write_tile(&mut self, bi: usize, bj: usize, t: &Matrix<f64>) -> std::io::Result<()> {
-            self.writes.push((bi, bj));
+            self.log.push(Call::Write(bi, bj));
             self.tiles.insert((bi, bj), t.clone());
             Ok(())
         }
@@ -831,6 +539,46 @@ mod tests {
         }
         fn path(&self) -> Option<&std::path::Path> {
             None
+        }
+        fn begin_panel(&mut self, k: usize) {
+            self.log.push(Call::Panel(k));
+        }
+    }
+
+    #[test]
+    fn permanent_write_back_failure_stops_the_disk() {
+        use crate::backend::FaultyBackend;
+        use crate::pipeline::{ooc_potrf_pipelined_with, PipelineConfig};
+        use cholcomm_faults::{DiskFault, FaultPlan};
+
+        let a = spd::random_spd(24, &mut spd::test_rng(199));
+        let mut clean = LoggingMem::new(&a, 8);
+        ooc_potrf_with(&mut clean, 3, KernelImpl::Reference).unwrap();
+        let clean = clean.transfers();
+        // The first eviction write-back, failed on every attempt up to
+        // the cap so the failure is permanent.
+        let op = clean
+            .iter()
+            .position(|c| matches!(c, Call::Write(..)))
+            .unwrap();
+        assert!(
+            clean[op..].iter().any(|c| matches!(c, Call::Read(..))),
+            "an eviction, with reads behind it: {clean:?}"
+        );
+        let mut builder = FaultPlan::builder(0).max_fault_attempts(3);
+        for attempt in 1..=4 {
+            builder = builder.inject_disk_fault(op as u64, attempt, DiskFault::TransientEio);
+        }
+        let plan = builder.build();
+        for workers in [0usize, 1] {
+            let mut fb = FaultyBackend::new(LoggingMem::new(&a, 8), plan.clone());
+            let cfg = PipelineConfig::new(3).with_io_workers(workers);
+            let done = ooc_potrf_pipelined_with(&mut fb, &cfg);
+            assert!(matches!(done, Err(OocError::Io(_))), "W={workers}: {done:?}");
+            // Nothing was attempted after the failed write, and exactly
+            // the transfers before it landed.
+            assert_eq!(fb.ops(), op as u64 + 1, "W={workers}");
+            assert_eq!(fb.inner().transfers(), clean[..op], "W={workers}");
         }
     }
 
@@ -887,63 +635,32 @@ mod tests {
             self.evict_if_full();
             self.tiles.insert(key, (true, self.tick));
         }
+        /// The final flush: every dirty tile, in key order.
+        fn flush(&self) -> Vec<(usize, usize)> {
+            let mut dirty: Vec<_> = self
+                .tiles
+                .iter()
+                .filter(|(_, (d, _))| *d)
+                .map(|(&k, _)| k)
+                .collect();
+            dirty.sort_unstable();
+            dirty
+        }
     }
 
     #[test]
     fn lru_index_reproduces_the_tick_model_exactly() {
-        // Drive the real cache and the old tick model through the same
-        // access stream (a seeded mix of gets and puts, plus the real
-        // Algorithm 4 stream) and require identical miss sequences,
-        // eviction write-back order, and final resident sets.
-        let mut rng = spd::test_rng(201);
-        let a = spd::random_spd(40, &mut rng);
+        // The factorization stream through the inline (W = 0) front,
+        // where eviction order shapes the on-disk write pattern end to
+        // end: miss sequence and write-backs equal the tick model's.
+        let a = spd::random_spd(40, &mut spd::test_rng(201));
         let b = 8;
         let nb = a.rows().div_ceil(b);
-        for cap in [3usize, 4, 6] {
-            let mut mem = LoggingMem::new(&a, b);
-            let mut cache = TileCache::new(cap);
-            let mut model = TickModel::new(cap);
-            // Seeded pseudo-random access stream over the lower triangle.
-            let mut state = 0x5EEDu64 ^ (cap as u64);
-            let mut next = || {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                state >> 33
-            };
-            for _ in 0..400 {
-                let bj = (next() as usize) % nb;
-                let bi = bj + (next() as usize) % (nb - bj);
-                if next().is_multiple_of(3) {
-                    let t = cache.get(&mut mem, bi, bj).unwrap();
-                    cache.put(&mut mem, bi, bj, t).unwrap();
-                    model.get((bi, bj));
-                    model.put((bi, bj));
-                } else {
-                    cache.get(&mut mem, bi, bj).unwrap();
-                    model.get((bi, bj));
-                }
-            }
-            assert_eq!(mem.reads, model.misses, "cap {cap}: miss sequence");
-            assert_eq!(mem.writes, model.evict_writes, "cap {cap}: write-back order");
-            let mut resident: Vec<_> = cache.tiles.keys().copied().collect();
-            resident.sort_unstable();
-            let mut model_resident: Vec<_> = model.tiles.keys().copied().collect();
-            model_resident.sort_unstable();
-            assert_eq!(resident, model_resident, "cap {cap}: resident set");
-        }
-        // And the real factorization stream, where eviction order shapes
-        // the on-disk write pattern end to end.
         for cap in [3usize, 5] {
             let mut mem = LoggingMem::new(&a, b);
-            let mut model = TickModel::new(cap);
-            let mut front = CachedFront {
-                fm: &mut mem,
-                cache: TileCache::new(cap),
-            };
-            schedule::factor(&mut front, TileGrid::new(a.rows(), b), 0..nb, KernelImpl::Reference)
-                .unwrap();
+            ooc_potrf_with(&mut mem, cap, KernelImpl::Reference).unwrap();
             // Replay the same logical schedule into the model.
+            let mut model = TickModel::new(cap);
             for k in 0..nb {
                 model.get((k, k));
                 model.put((k, k));
@@ -960,11 +677,53 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(mem.reads, model.misses, "cap {cap}: factor miss sequence");
-            assert_eq!(
-                mem.writes, model.evict_writes,
-                "cap {cap}: factor write-back order"
-            );
+            assert_eq!(mem.reads(), model.misses, "cap {cap}: factor miss sequence");
+            let want = [model.evict_writes.clone(), model.flush()].concat();
+            assert_eq!(mem.writes(), want, "cap {cap}: factor write-back order");
+        }
+    }
+
+    #[test]
+    fn zero_workers_replay_the_synchronous_drivers_io() {
+        use crate::checkpoint::{ooc_potrf_checkpointed, Checkpoint};
+
+        // Pinned from the synchronous driver that W = 0 replaced: the
+        // digest of its backend call log (tile transfers interleaved
+        // with `begin_panel`), and its `IoStats` on a real file, plain
+        // and checkpointed, as (reads, writes, bytes read, bytes
+        // written, seeks, seek distance).
+        const OP_LOGS: [(usize, usize, usize, u64); 3] = [
+            (40, 8, 3, 0x657769a15b73a5dc),
+            (40, 8, 5, 0xe16864690c753b26),
+            (37, 8, 4, 0x5ebf0652278a3de1),
+        ];
+        type Io = (u64, u64, u64, u64, u64, u64);
+        const IO_STATS: [(usize, usize, usize, Io, Io); 4] = [
+            (40, 8, 3, (46, 33, 23552, 16896, 74, 209408), (46, 35, 23552, 17920, 73, 196096)),
+            (40, 8, 5, (36, 31, 18432, 15872, 62, 220672), (36, 35, 18432, 17920, 59, 195072)),
+            (37, 8, 4, (38, 31, 19456, 15872, 64, 192000), (38, 35, 19456, 17920, 62, 166400)),
+            (64, 8, 12, (105, 104, 53760, 53248, 197, 1734144), (105, 120, 53760, 61440, 181, 1469952)),
+        ];
+        for (n, b, cap, want) in OP_LOGS {
+            let mut mem = LoggingMem::new(&spd::random_spd(n, &mut spd::test_rng(901)), b);
+            ooc_potrf_with(&mut mem, cap, KernelImpl::Reference).unwrap();
+            let log: Vec<String> = mem.log.iter().map(Call::to_string).collect();
+            assert_eq!(fnv1a(log.join(" ").as_bytes()), want, "n={n} b={b} cap={cap}");
+        }
+        let io = |fm: &FileMatrix| {
+            let s = fm.stats();
+            (s.reads, s.writes, s.bytes_read, s.bytes_written, s.seeks, s.seek_distance)
+        };
+        for (n, b, cap, plain, checkpointed) in IO_STATS {
+            let a = spd::random_spd(n, &mut spd::test_rng(900));
+            let mut fm = FileMatrix::create(&scratch_path("w0-io"), &a, b).unwrap();
+            ooc_potrf_with(&mut fm, cap, KernelImpl::Reference).unwrap();
+            assert_eq!(io(&fm), plain, "n={n} b={b} cap={cap}, plain");
+            let path = scratch_path("w0-io-ck");
+            let mut fm = FileMatrix::create(&path, &a, b).unwrap();
+            ooc_potrf_checkpointed(&mut fm, cap, &Checkpoint::at(&path.with_extension("ckpt")))
+                .unwrap();
+            assert_eq!(io(&fm), checkpointed, "n={n} b={b} cap={cap}, checkpointed");
         }
     }
 }

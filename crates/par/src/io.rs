@@ -13,25 +13,45 @@
 //! panic payload is captured and re-thrown from [`io_scope`] itself
 //! after every worker has drained, so a poisoned pipeline run fails
 //! loudly in the caller's frame.
+//!
+//! Zero workers is a valid scope: no thread is spawned, and every job
+//! runs inline inside [`IoScope::submit`], on the caller's thread, with
+//! the same panic capture.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 type IoJob<'env> = Box<dyn FnOnce() + Send + 'env>;
+type PanicSlot = Mutex<Option<Box<dyn std::any::Any + Send>>>;
+
+/// Run `job`, keeping the first panic payload for [`io_scope`] to
+/// re-throw.
+fn run_caught(job: impl FnOnce(), panic_slot: &PanicSlot) {
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
+        let mut slot = panic_slot.lock().unwrap_or_else(PoisonError::into_inner);
+        // First panic wins; later ones are duplicates of the same broken
+        // run.
+        slot.get_or_insert(payload);
+    }
+}
 
 /// Handle for submitting jobs to the workers of an [`io_scope`].
 pub struct IoScope<'scope, 'env> {
     tx: crossbeam::channel::Sender<IoJob<'env>>,
     workers: usize,
-    _marker: std::marker::PhantomData<&'scope ()>,
+    panic_slot: &'scope PanicSlot,
 }
 
 impl<'env> IoScope<'_, 'env> {
     /// Enqueue `job` for execution on some I/O worker.  Jobs are
     /// started in submission order (the queue is a FIFO); with one
     /// worker they also *complete* in submission order, which is what
-    /// makes single-worker pipeline runs fully deterministic.
+    /// makes single-worker pipeline runs fully deterministic.  With
+    /// zero workers the job runs here, before `submit` returns.
     pub fn submit(&self, job: impl FnOnce() + Send + 'env) {
+        if self.workers == 0 {
+            return run_caught(job, self.panic_slot);
+        }
         // The only way the channel can be closed is the scope tearing
         // down, and submits only happen inside the scope body.
         assert!(
@@ -53,33 +73,27 @@ impl<'env> IoScope<'_, 'env> {
 /// joins them before returning, so every submitted job has fully
 /// finished (or panicked) by the time the caller gets its result back.
 /// If any job panicked, the first captured payload is re-thrown here.
+/// With `workers == 0` no thread is spawned and every job runs inline
+/// in [`IoScope::submit`].
 pub fn io_scope<'env, R>(workers: usize, body: impl FnOnce(&IoScope<'_, 'env>) -> R) -> R {
-    assert!(workers >= 1, "an I/O scope needs at least one worker");
     let (tx, rx) = crossbeam::channel::unbounded::<IoJob<'env>>();
     // Declared outside the thread scope so the payload outlives the
     // workers that may write it.
-    let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
+    let panic_slot: PanicSlot = Mutex::new(None);
     let result = std::thread::scope(|s| {
         for _ in 0..workers {
             let rx = rx.clone();
             let panic_slot = &panic_slot;
             s.spawn(move || {
                 while let Ok(job) = rx.recv() {
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                        let mut slot = panic_slot
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        // First panic wins; later ones are duplicates of
-                        // the same broken run.
-                        slot.get_or_insert(payload);
-                    }
+                    run_caught(job, panic_slot);
                 }
             });
         }
         let scope = IoScope {
             tx,
             workers,
-            _marker: std::marker::PhantomData,
+            panic_slot: &panic_slot,
         };
         let r = body(&scope);
         // Dropping the scope (and with it the last Sender) closes the
@@ -89,7 +103,7 @@ pub fn io_scope<'env, R>(workers: usize, body: impl FnOnce(&IoScope<'_, 'env>) -
     });
     if let Some(payload) = panic_slot
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .unwrap_or_else(PoisonError::into_inner)
         .take()
     {
         resume_unwind(payload);
@@ -120,14 +134,31 @@ mod tests {
 
     #[test]
     fn single_worker_completes_in_submission_order() {
-        let log = Mutex::new(Vec::new());
-        io_scope(1, |scope| {
-            for i in 0..20 {
-                let log = &log;
-                scope.submit(move || log.lock().unwrap().push(i));
+        for workers in [0, 1] {
+            let log = Mutex::new(Vec::new());
+            io_scope(workers, |scope| {
+                for i in 0..20 {
+                    let log = &log;
+                    scope.submit(move || log.lock().unwrap().push(i));
+                }
+            });
+            assert_eq!(*log.lock().unwrap(), (0..20).collect::<Vec<_>>(), "W={workers}");
+        }
+    }
+
+    #[test]
+    fn zero_workers_run_each_job_inline_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let done = AtomicUsize::new(0);
+        io_scope(0, |scope| {
+            for i in 0..5 {
+                scope.submit(|| {
+                    assert_eq!(std::thread::current().id(), caller);
+                    done.fetch_add(1, Ordering::SeqCst);
+                });
+                assert_eq!(done.load(Ordering::SeqCst), i + 1, "ran before submit returned");
             }
         });
-        assert_eq!(*log.lock().unwrap(), (0..20).collect::<Vec<_>>());
     }
 
     #[test]
@@ -146,34 +177,38 @@ mod tests {
 
     #[test]
     fn worker_panic_resurfaces_in_the_caller() {
-        let caught = std::panic::catch_unwind(|| {
-            io_scope(2, |scope| {
-                scope.submit(|| panic!("disk on fire"));
+        for workers in [0, 2] {
+            let caught = std::panic::catch_unwind(|| {
+                io_scope(workers, |scope| {
+                    scope.submit(|| panic!("disk on fire"));
+                });
             });
-        });
-        let payload = caught.expect_err("panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "disk on fire");
+            let payload = caught.expect_err("panic must propagate");
+            let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(msg, "disk on fire", "W={workers}");
+        }
     }
 
     #[test]
     fn panic_does_not_stop_other_jobs() {
-        let done = AtomicUsize::new(0);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            io_scope(1, |scope| {
-                scope.submit(|| panic!("first job dies"));
-                for _ in 0..10 {
-                    scope.submit(|| {
-                        done.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-        }));
-        assert!(caught.is_err(), "panic still propagates");
-        assert_eq!(
-            done.load(Ordering::SeqCst),
-            10,
-            "queued jobs behind the panicking one still ran"
-        );
+        for workers in [0, 1] {
+            let done = AtomicUsize::new(0);
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                io_scope(workers, |scope| {
+                    scope.submit(|| panic!("first job dies"));
+                    for _ in 0..10 {
+                        scope.submit(|| {
+                            done.fetch_add(1, Ordering::SeqCst);
+                        });
+                    }
+                });
+            }));
+            assert!(caught.is_err(), "W={workers}: panic still propagates");
+            assert_eq!(
+                done.load(Ordering::SeqCst),
+                10,
+                "W={workers}: queued jobs behind the panicking one still ran"
+            );
+        }
     }
 }

@@ -12,8 +12,10 @@
 
 use cholcomm::distsim::CostModel;
 use cholcomm::faults::FaultPlan;
-use cholcomm::matrix::{norms, spd};
-use cholcomm::ooc::{ooc_potrf, ooc_potrf_checkpointed, AbftBackend, Checkpoint, FileMatrix};
+use cholcomm::matrix::{norms, spd, KernelImpl};
+use cholcomm::ooc::{
+    ooc_potrf_checkpointed, ooc_potrf_with, AbftBackend, Checkpoint, FileMatrix,
+};
 use cholcomm::par::{abft_spmd_pxpotrf, spmd_pxpotrf};
 use cholcomm::seq::abft_potrf;
 
@@ -91,7 +93,7 @@ fn main() {
     println!("\n== out-of-core POTRF: disk rot under a checksum-verifying backend ==");
     let ref_path = cholcomm::ooc::filemat::scratch_path("abft-demo-ref");
     let mut reference = FileMatrix::create(&ref_path, &a, b).expect("create reference");
-    ooc_potrf(&mut reference, 4).expect("reference factorization");
+    ooc_potrf_with(&mut reference, 4, KernelImpl::Reference).expect("reference factorization");
     let want = reference.to_matrix().expect("read back reference");
     let ref_io = reference.stats();
 

@@ -9,9 +9,9 @@
 
 use cholcomm::distsim::CostModel;
 use cholcomm::faults::{CrashPoint, FaultPlan};
-use cholcomm::matrix::{norms, spd};
+use cholcomm::matrix::{norms, spd, KernelImpl};
 use cholcomm::ooc::{
-    ooc_potrf, ooc_potrf_checkpointed, Checkpoint, FaultyBackend, FileMatrix, IoBackend,
+    ooc_potrf_checkpointed, ooc_potrf_with, Checkpoint, FaultyBackend, FileMatrix, IoBackend,
 };
 use cholcomm::par::{spmd_pxpotrf, spmd_pxpotrf_faulty};
 
@@ -48,7 +48,7 @@ fn main() {
     println!("== Out-of-core POTRF, n={n} b={b}, flaky disk + crash/restart ==");
     let ref_path = cholcomm::ooc::filemat::scratch_path("demo-ref");
     let mut reference = FileMatrix::create(&ref_path, &a, b).expect("create reference");
-    ooc_potrf(&mut reference, 4).expect("reference factorization");
+    ooc_potrf_with(&mut reference, 4, KernelImpl::Reference).expect("reference factorization");
     let want = reference.to_matrix().expect("read back reference");
 
     let data_path = cholcomm::ooc::filemat::scratch_path("demo-crash");

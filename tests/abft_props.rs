@@ -6,8 +6,10 @@
 
 use cholcomm::distsim::CostModel;
 use cholcomm::faults::FaultPlan;
-use cholcomm::matrix::{kernels, norms, spd};
-use cholcomm::ooc::{ooc_potrf, ooc_potrf_checkpointed, AbftBackend, Checkpoint, FileMatrix};
+use cholcomm::matrix::{kernels, norms, spd, KernelImpl};
+use cholcomm::ooc::{
+    ooc_potrf_checkpointed, ooc_potrf_with, AbftBackend, Checkpoint, FileMatrix,
+};
 use cholcomm::par::{abft_spmd_pxpotrf, spmd_pxpotrf};
 use cholcomm::seq::abft_potrf;
 use proptest::prelude::*;
@@ -160,7 +162,7 @@ proptest! {
 
         let ref_path = cholcomm::ooc::filemat::scratch_path("abft-prop-ref");
         let mut reference = FileMatrix::create(&ref_path, &a, b).unwrap();
-        ooc_potrf(&mut reference, 3).unwrap();
+        ooc_potrf_with(&mut reference, 3, KernelImpl::Reference).unwrap();
         let want = reference.to_matrix().unwrap();
         drop(reference);
 

@@ -4,9 +4,9 @@
 
 use cholcomm::distsim::CostModel;
 use cholcomm::faults::{CrashPoint, FaultPlan};
-use cholcomm::matrix::{norms, spd};
+use cholcomm::matrix::{norms, spd, KernelImpl};
 use cholcomm::ooc::{
-    ooc_potrf, ooc_potrf_checkpointed, Checkpoint, FaultyBackend, FileMatrix, IoBackend,
+    ooc_potrf_checkpointed, ooc_potrf_with, Checkpoint, FaultyBackend, FileMatrix, IoBackend,
 };
 use cholcomm::par::spmd::{spmd_pxpotrf, spmd_pxpotrf_faulty};
 
@@ -57,7 +57,7 @@ fn crashed_ooc_run_resumes_to_the_uninterrupted_result() {
     // Uninterrupted reference on a perfect disk.
     let ref_path = cholcomm::ooc::filemat::scratch_path("smoke-ref");
     let mut reference = FileMatrix::create(&ref_path, &a, b).unwrap();
-    ooc_potrf(&mut reference, 4).unwrap();
+    ooc_potrf_with(&mut reference, 4, KernelImpl::Reference).unwrap();
     let want = reference.to_matrix().unwrap();
 
     // Flaky disk + mid-run crash.

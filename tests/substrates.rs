@@ -9,7 +9,7 @@ use cholcomm::distsim::CostModel;
 use cholcomm::layout::convert::convert_counted;
 use cholcomm::layout::{Blocked, ColMajor, Laid, Layered, Morton, RowMajor};
 use cholcomm::matrix::{kernels, norms, spd, KernelImpl, Matrix};
-use cholcomm::ooc::{ooc_potrf, FileMatrix};
+use cholcomm::ooc::{ooc_potrf_with, FileMatrix};
 use cholcomm::par::{
     matmul_25d, par_recursive_potrf, potrf_dag_with, pxpotrf::pxpotrf, pxpotrf_1d, spmd_pxpotrf,
 };
@@ -66,7 +66,7 @@ fn every_execution_vehicle_agrees() {
     // File-backed out-of-core.
     let path = std::env::temp_dir().join(format!("cholcomm-int-{}.bin", std::process::id()));
     let mut fm = FileMatrix::create(&path, &a, 8).unwrap();
-    ooc_potrf(&mut fm, 4).unwrap();
+    ooc_potrf_with(&mut fm, 4, KernelImpl::Reference).unwrap();
     let got = fm.to_matrix().unwrap().lower_triangle().unwrap();
     assert!(norms::max_abs_diff(&got, &want) < tol, "out-of-core");
 }
