@@ -1,36 +1,32 @@
-//! ABFT-protected SPMD `PxPOTRF`: the Algorithm 9 schedule of
-//! [`crate::spmd`], hardened against silent data corruption and
+//! ABFT-protected SPMD `PxPOTRF`: the rank executor of `crate::alg9`
+//! with resilience hooks, hardened against silent data corruption and
 //! fail-stop rank loss.
 //!
 //! Three mechanisms compose:
 //!
 //! 1. **Huang–Abraham checksums per block.**  Every rank keeps a GF(2)
 //!    checksum row/column ([`TileChecksum`]) beside each block it owns,
-//!    refreshed after every `potrf`/`trsm`/`syrk` tile operation.  At
-//!    the start of each panel step, after the fault plan's
-//!    [`BitFlip`](cholcomm_faults::BitFlip)s land, every owned block is
-//!    verified: a single corrupted element is *located and corrected in
-//!    place* (bit-exactly — the encoding is over bit patterns, see
-//!    `cholcomm_matrix::abft`), and a multi-element corruption falls
-//!    back to the epoch checkpoint.
+//!    refreshed after every tile operation.  At the start of each panel
+//!    step, after the fault plan's [`BitFlip`](cholcomm_faults::BitFlip)s
+//!    land, every struck block is verified: a single corrupted element is
+//!    *located and corrected in place* (bit-exactly — the encoding is over
+//!    bit patterns, see `cholcomm_matrix::abft`), and a multi-element
+//!    corruption falls back to the epoch checkpoint.
 //! 2. **Epoch checkpoints.**  At the start of panel step `k` (the
 //!    *epoch*), each rank deposits its owned blocks into a shared store
 //!    keyed `(block, epoch)`.  History is kept, not overwritten: ranks
-//!    skew (one may be two panels ahead of another), so recovery needs
-//!    the state of *every* block at one common epoch.
+//!    skew, so recovery needs every block at one common epoch.
 //! 3. **Survivor-side rank-loss recovery.**  A
-//!    [`RankKill`](cholcomm_faults::RankKill) makes the victim
-//!    checkpoint its epoch, then drop its channel endpoints
-//!    ([`ProcCtx::die`]).  Survivors observe typed
-//!    [`DistError::RankLost`] errors (never a panic), die in cascade,
-//!    and the driver restarts one recovery round: the dead rank's
-//!    *logical role* is adopted by a survivor (the ownership map is
-//!    composed with a `logical -> physical` substitution), every block
-//!    is reloaded from the kill epoch's checkpoints, and the
-//!    factorization finishes.  Because each block undergoes the same
-//!    kernel operations in the same order regardless of which physical
-//!    rank executes them, the recovered factor is **bit-identical** to
-//!    a fault-free run's.
+//!    [`RankKill`](cholcomm_faults::RankKill) makes the victim checkpoint
+//!    its epoch, then drop its channel endpoints ([`ProcCtx::die`]).
+//!    Survivors observe typed [`DistError::RankLost`] errors (never a
+//!    panic) and die in cascade.  One recovery round follows, with the
+//!    dead rank's *logical role* adopted by a survivor through the
+//!    executor's `logical -> physical` ownership map and every block
+//!    reloaded from the kill epoch's checkpoints.  Each block undergoes
+//!    the same kernel operations in the same order whichever physical
+//!    rank runs them, so the recovered factor is **bit-identical** to a
+//!    fault-free run's.
 //!
 //! All ABFT work — checksum words and flops, verifications, corrections,
 //! checkpoint traffic — is tallied in [`AbftStats`], strictly separate
@@ -42,32 +38,26 @@
 //! round's traffic depends on send-vs-death races, so only the *factor*
 //! (and the recovery outcome) is guaranteed deterministic.
 
-use crate::spmd::{dims, pack, unpack, SpmdError};
-use cholcomm_distsim::threaded::{
-    run_spmd_faulty, DistError, FaultReport, ProcCtx, RankClock, SpmdOutcome,
-};
-use cholcomm_distsim::{CostModel, ProcGrid};
+use crate::alg9::{gather, run_rank, Hook, RankOut, Schedule, Tiles};
+use crate::spmd::SpmdError;
+use cholcomm_distsim::threaded::{run_spmd_faulty, DistError, FaultReport, ProcCtx, SpmdOutcome};
+use cholcomm_distsim::CostModel;
 use cholcomm_faults::{FaultPlan, RankKill};
 use cholcomm_matrix::abft::{verify_and_heal, AbftStats, TileChecksum, TileHealth};
-use cholcomm_matrix::kernels::{gemm_nt, potf2, trsm_right_lower_transpose};
-use cholcomm_matrix::{Matrix, MatrixError};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use cholcomm_matrix::schedule::TileOp;
+use cholcomm_matrix::{KernelImpl, Matrix};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Shared epoch-checkpoint store: block `(bi, bj)` as it stood at the
 /// start of panel step `epoch`, keyed `(bi, bj, epoch)`.  History is
 /// retained because ranks skew; recovery reads one common epoch.
-type BlockStore = Arc<Mutex<HashMap<(usize, usize, usize), Matrix<f64>>>>;
+type BlockStore = Arc<Mutex<Checkpoints>>;
+type Checkpoints = HashMap<(usize, usize, usize), Matrix<f64>>;
 
-/// Per-rank outcome of one round: owned blocks, first failed pivot (and
-/// its value), and the rank's ABFT tallies — or the typed reason the
-/// rank aborted.
-type RoundState = (
-    HashMap<(usize, usize), Matrix<f64>>,
-    Option<(usize, f64)>,
-    AbftStats,
-);
-type RoundOut = Result<RoundState, DistError>;
+/// Per-rank outcome of one round: the rank executor's result and the
+/// rank's ABFT tallies — or the typed reason the rank aborted.
+type RoundOut = Result<(RankOut, AbftStats), DistError>;
 
 /// Outcome of an ABFT-protected SPMD run.
 #[derive(Debug)]
@@ -89,364 +79,144 @@ pub struct AbftSpmdReport {
     pub lost_rank: Option<usize>,
 }
 
-/// Map a logical member list to physical ranks, deduplicated.  After a
-/// rank death several logical roles share one physical rank; a
-/// single-member "broadcast" is satisfied locally and skipped.
-fn phys_members(logical: Vec<usize>, phys_of: &[usize]) -> Vec<usize> {
-    let mut v: Vec<usize> = logical.into_iter().map(|l| phys_of[l]).collect();
-    v.sort_unstable();
-    v.dedup();
-    v
+fn lock(store: &BlockStore) -> Result<MutexGuard<'_, Checkpoints>, DistError> {
+    store.lock().map_err(|_| DistError::Protocol("checkpoint store poisoned"))
 }
 
-/// Re-encode the checksum of `blk` after a kernel mutated it.
-fn refresh_checksum(
-    cks: &mut HashMap<(usize, usize), TileChecksum>,
-    stats: &mut AbftStats,
-    key: (usize, usize),
-    blk: &Matrix<f64>,
-) {
-    let ck = TileChecksum::of(blk);
-    stats.checksum_updates += 1;
-    stats.checksum_words += ck.words();
-    stats.checksum_flops += (blk.rows() * blk.cols()) as u64;
-    cks.insert(key, ck);
-}
-
-/// One rank's program for one round, with ownership remapped through
-/// `phys_of` and the panel loop starting at `start`.
-#[allow(clippy::too_many_arguments)]
-fn run_rank(
-    ctx: &mut ProcCtx,
-    grid: &ProcGrid,
-    phys_of: &[usize],
-    a: &Matrix<f64>,
-    b: usize,
-    start: usize,
+/// One rank's resilience layer: the hooks it hangs on the rank executor.
+struct Abft<'a> {
+    me: usize,
     kill: Option<RankKill>,
-    plan: &FaultPlan,
-    store: &BlockStore,
-    init_from_store: bool,
-) -> RoundOut {
-    let me = ctx.rank();
-    let n = a.rows();
-    let nb = n.div_ceil(b);
-    let (pr, pc) = (grid.rows(), grid.cols());
-    let mut stats = AbftStats::new();
+    plan: &'a FaultPlan,
+    store: &'a BlockStore,
+    cks: HashMap<(usize, usize), TileChecksum>,
+    stats: AbftStats,
+}
 
-    // Blocks whose logical owner maps to me — loaded from the input on
-    // a fresh round, or from the restart epoch's checkpoints during
-    // recovery (charged as checkpoint traffic).
-    let mut owned: HashMap<(usize, usize), Matrix<f64>> = HashMap::new();
-    for bj in 0..nb {
-        for bi in bj..nb {
-            if phys_of[grid.block_owner(bi, bj)] != me {
+impl Abft<'_> {
+    /// (Re-)encode the Huang–Abraham checksum of `blk`.
+    fn encode(&mut self, key: (usize, usize), blk: &Matrix<f64>) {
+        let ck = TileChecksum::of(blk);
+        self.stats.checksum_words += ck.words();
+        self.stats.checksum_flops += (blk.rows() * blk.cols()) as u64;
+        self.cks.insert(key, ck);
+    }
+}
+
+impl Hook for Abft<'_> {
+    /// Checkpoint the epoch, die if the plan says so, then let the
+    /// epoch's flips land and detect, locate and heal them.
+    fn begin_panel(&mut self, k: usize, tiles: &mut Tiles) -> Result<(), DistError> {
+        let mut keys: Vec<(usize, usize)> = tiles.keys().copied().collect();
+        keys.sort_unstable();
+        // Written before the kill and before any flip lands, so the store
+        // always holds clean state.
+        let mut guard = lock(self.store)?;
+        for key in &keys {
+            let blk = &tiles[key];
+            self.stats.checkpoint_words += (blk.rows() * blk.cols()) as u64;
+            guard.insert((key.0, key.1, k), blk.clone());
+        }
+        drop(guard);
+
+        // Fail-stop kill (the round's wrapper drops our endpoints).
+        if self.kill.is_some_and(|kill| kill.rank == self.me && kill.step == k) {
+            return Err(DistError::RankLost { rank: self.me });
+        }
+
+        for key in keys {
+            let blk = tiles.get_mut(&key).ok_or(DistError::Protocol("owned block missing"))?;
+            let mut flips = self.plan.bit_flips_at(k, key);
+            flips.extend(self.plan.random_bit_flip(k, key, blk.rows(), blk.cols()));
+            if flips.is_empty() {
                 continue;
             }
-            let blk = if init_from_store {
-                let guard = store
-                    .lock()
-                    .map_err(|_| DistError::Protocol("checkpoint store poisoned"))?;
-                let blk = guard
-                    .get(&(bi, bj, start))
-                    .ok_or(DistError::Protocol("missing checkpoint at restart epoch"))?
-                    .clone();
-                stats.checkpoint_words += (blk.rows() * blk.cols()) as u64;
-                blk
-            } else {
-                let (h, w) = dims(n, b, bi, bj);
-                a.submatrix(bi * b, bj * b, h, w)
-            };
-            owned.insert((bi, bj), blk);
-        }
-    }
-
-    // Huang–Abraham encode every owned block.
-    let mut cks: HashMap<(usize, usize), TileChecksum> = HashMap::new();
-    for (&key, blk) in &owned {
-        let ck = TileChecksum::of(blk);
-        stats.encodes += 1;
-        stats.checksum_words += ck.words();
-        stats.checksum_flops += (blk.rows() * blk.cols()) as u64;
-        cks.insert(key, ck);
-    }
-
-    let mut cache: HashMap<(usize, usize), Matrix<f64>> = HashMap::new();
-    let mut failed: Option<(usize, f64)> = None;
-    let mut keys: Vec<(usize, usize)> = owned.keys().copied().collect();
-    keys.sort_unstable();
-
-    for bj in start..nb {
-        // --- Epoch checkpoint: deposit every owned block as it stands
-        // at the start of this step.  Written before the kill and before
-        // any flip lands, so the store always holds clean state.
-        {
-            let mut guard = store
-                .lock()
-                .map_err(|_| DistError::Protocol("checkpoint store poisoned"))?;
-            for &key in &keys {
-                let blk = &owned[&key];
-                stats.checkpoint_words += (blk.rows() * blk.cols()) as u64;
-                guard.insert((key.0, key.1, bj), blk.clone());
-            }
-        }
-
-        // --- Fail-stop kill (the caller's wrapper drops our endpoints).
-        if let Some(k) = kill {
-            if me == k.rank && bj == k.step {
-                return Err(DistError::RankLost { rank: me });
-            }
-        }
-
-        // --- Silent corruption lands now; detect, locate, heal.
-        for &key in &keys {
-            let blk = owned
-                .get_mut(&key)
-                .ok_or(DistError::Protocol("owned block missing"))?;
-            let mut flips = plan.bit_flips_at(bj, key);
-            if let Some(f) = plan.random_bit_flip(bj, key, blk.rows(), blk.cols()) {
-                flips.push(f);
-            }
-            let struck = !flips.is_empty();
             for f in flips {
                 let (i, j) = f.elem;
                 if i < blk.rows() && j < blk.cols() {
                     blk[(i, j)] = f64::from_bits(blk[(i, j)].to_bits() ^ f.mask);
                 }
             }
-            if !struck {
-                continue;
-            }
-            stats.verifications += 1;
-            stats.checksum_flops += (blk.rows() * blk.cols()) as u64;
-            match verify_and_heal(blk, &cks[&key]) {
+            self.stats.verifications += 1;
+            self.stats.checksum_flops += (blk.rows() * blk.cols()) as u64;
+            match verify_and_heal(blk, &self.cks[&key]) {
                 TileHealth::Clean => {}
-                TileHealth::Corrected { .. } => stats.corrections += 1,
+                TileHealth::Corrected { .. } => self.stats.corrections += 1,
                 TileHealth::Unrecoverable { .. } => {
                     // Multi-element corruption: recompute-from-checkpoint
                     // fallback, reading this epoch's (pre-flip) snapshot.
-                    stats.unrecoverable += 1;
-                    let guard = store
-                        .lock()
-                        .map_err(|_| DistError::Protocol("checkpoint store poisoned"))?;
-                    *blk = guard
-                        .get(&(key.0, key.1, bj))
-                        .ok_or(DistError::Protocol("missing epoch snapshot"))?
-                        .clone();
-                    stats.restores += 1;
-                    stats.checkpoint_words += (blk.rows() * blk.cols()) as u64;
+                    self.stats.unrecoverable += 1;
+                    let snapshot = lock(self.store)?.get(&(key.0, key.1, k)).cloned();
+                    *blk = snapshot.ok_or(DistError::Protocol("missing epoch snapshot"))?;
+                    self.stats.restores += 1;
+                    self.stats.checkpoint_words += (blk.rows() * blk.cols()) as u64;
                 }
             }
         }
-
-        // --- The Algorithm 9 step, with logical roles mapped through
-        // `phys_of`.  Identical dataflow to `spmd_pxpotrf` when the map
-        // is the identity.
-        let gcol = bj % pc;
-        let (dh, _) = dims(n, b, bj, bj);
-        let diag_owner = phys_of[grid.block_owner(bj, bj)];
-
-        if me == diag_owner {
-            let blk = owned
-                .get_mut(&(bj, bj))
-                .ok_or(DistError::Protocol("owner holds diag"))?;
-            if let Err(MatrixError::NotSpd { pivot, value }) = potf2(blk) {
-                failed.get_or_insert((bj * b + pivot, value));
-            }
-            ctx.compute((dh as u64).pow(3) / 3 + (dh as u64).pow(2));
-            let blk = owned[&(bj, bj)].clone();
-            refresh_checksum(&mut cks, &mut stats, (bj, bj), &blk);
-        }
-
-        // Column broadcast of the factored diagonal block.
-        let col_members = phys_members(grid.col_ranks(gcol), phys_of);
-        if col_members.contains(&me) && col_members.len() > 1 {
-            let payload = if me == diag_owner {
-                Some(pack(&owned[&(bj, bj)]))
-            } else {
-                None
-            };
-            let data = ctx.bcast(diag_owner, &col_members, payload)?;
-            if me != diag_owner {
-                cache.insert((bj, bj), unpack(&data, dh, dh));
-            }
-        }
-
-        // Panel TRSM + aggregated row broadcasts.
-        for r in 0..pr {
-            let panel_proc = phys_of[grid.rank(r, gcol)];
-            let blocks: Vec<usize> = ((bj + 1)..nb).filter(|bi| bi % pr == r).collect();
-            if blocks.is_empty() {
-                continue;
-            }
-            let row_members = phys_members(grid.row_ranks(r), phys_of);
-            if me == panel_proc {
-                let diag = if me == diag_owner {
-                    owned[&(bj, bj)].clone()
-                } else {
-                    cache
-                        .get(&(bj, bj))
-                        .ok_or(DistError::Protocol("panel proc received the diag"))?
-                        .clone()
-                };
-                let mut payload = Vec::new();
-                for &bi in &blocks {
-                    let blk = owned
-                        .get_mut(&(bi, bj))
-                        .ok_or(DistError::Protocol("panel owner holds its blocks"))?;
-                    trsm_right_lower_transpose(blk, &diag);
-                    let (bh, bw) = (blk.rows() as u64, blk.cols() as u64);
-                    ctx.compute(bh * bw * bw);
-                    payload.extend_from_slice(blk.as_slice());
-                    let blk = owned[&(bi, bj)].clone();
-                    refresh_checksum(&mut cks, &mut stats, (bi, bj), &blk);
-                }
-                if row_members.len() > 1 {
-                    ctx.bcast(panel_proc, &row_members, Some(payload))?;
-                }
-            } else if row_members.contains(&me) && row_members.len() > 1 {
-                let data = ctx.bcast(panel_proc, &row_members, None)?;
-                let mut off = 0;
-                for &bi in &blocks {
-                    let (bh, bw) = dims(n, b, bi, bj);
-                    cache.insert((bi, bj), unpack(&data[off..off + bh * bw], bh, bw));
-                    off += bh * bw;
-                }
-            }
-        }
-
-        // Diagonal owners re-broadcast panel blocks down columns,
-        // grouped by their *logical* diagonal owner (BTreeMap order).
-        let mut regroups: BTreeMap<usize, Vec<usize>> = Default::default();
-        for bl in (bj + 1)..nb {
-            regroups.entry(grid.block_owner(bl, bl)).or_default().push(bl);
-        }
-        for (lreproc, bls) in regroups {
-            let reproc = phys_of[lreproc];
-            let gc = bls[0] % pc;
-            let members = phys_members(grid.col_ranks(gc), phys_of);
-            if !members.contains(&me) || members.len() <= 1 {
-                continue;
-            }
-            if me == reproc {
-                let mut payload = Vec::new();
-                for &l in &bls {
-                    let blk = owned
-                        .get(&(l, bj))
-                        .or_else(|| cache.get(&(l, bj)))
-                        .ok_or(DistError::Protocol("re-broadcaster has the panel block"))?;
-                    payload.extend_from_slice(blk.as_slice());
-                }
-                ctx.bcast(reproc, &members, Some(payload))?;
-            } else {
-                let data = ctx.bcast(reproc, &members, None)?;
-                let mut off = 0;
-                for &l in &bls {
-                    let (bh, bw) = dims(n, b, l, bj);
-                    cache.insert((l, bj), unpack(&data[off..off + bh * bw], bh, bw));
-                    off += bh * bw;
-                }
-            }
-        }
-
-        // Trailing update of my blocks.
-        for bl in (bj + 1)..nb {
-            for bk in bl..nb {
-                if phys_of[grid.block_owner(bk, bl)] != me {
-                    continue;
-                }
-                let lk = owned
-                    .get(&(bk, bj))
-                    .or_else(|| cache.get(&(bk, bj)))
-                    .ok_or(DistError::Protocol("L(k,j) available"))?
-                    .clone();
-                let ll = owned
-                    .get(&(bl, bj))
-                    .or_else(|| cache.get(&(bl, bj)))
-                    .ok_or(DistError::Protocol("L(l,j) available"))?
-                    .clone();
-                let blk = owned
-                    .get_mut(&(bk, bl))
-                    .ok_or(DistError::Protocol("trailing owner holds its block"))?;
-                gemm_nt(blk, -1.0, &lk, &ll);
-                let (bh, bw, kk) = (blk.rows() as u64, blk.cols() as u64, lk.cols() as u64);
-                ctx.compute(2 * bh * bw * kk);
-                let blk = owned[&(bk, bl)].clone();
-                refresh_checksum(&mut cks, &mut stats, (bk, bl), &blk);
-            }
-        }
-
-        cache.retain(|&(_, col), _| col != bj);
+        Ok(())
     }
-    Ok((owned, failed, stats))
+
+    /// Every tile op is followed by a checksum refresh of its target.
+    fn after_op(&mut self, _: usize, op: TileOp, target: &Matrix<f64>) {
+        self.stats.checksum_updates += 1;
+        self.encode(op.target(), target);
+    }
 }
 
-/// Run one round of the (possibly remapped) program on `p` threads.
+/// Run one round of the program on `s.procs.len()` threads, with
+/// ownership remapped through `phys`: from the input at panel 0, or, with
+/// `restart = Some(epoch)`, from that epoch's checkpoints (charged as
+/// checkpoint traffic).
 #[allow(clippy::too_many_arguments)]
 fn run_round(
+    s: &Schedule,
     a: &Matrix<f64>,
-    b: usize,
-    p: usize,
-    grid: &ProcGrid,
     model: CostModel,
     plan: &FaultPlan,
     store: &BlockStore,
-    phys_of: &[usize],
-    start: usize,
+    phys: &[usize],
+    restart: Option<usize>,
     kill: Option<RankKill>,
-    init_from_store: bool,
 ) -> SpmdOutcome<RoundOut> {
     let program = |ctx: &mut ProcCtx| -> RoundOut {
-        if init_from_store && !phys_of.contains(&ctx.rank()) {
+        let me = ctx.rank();
+        if restart.is_some() && !phys.contains(&me) {
             // The dead physical rank stays dead in the recovery round:
             // it owns no role and exchanges nothing.
-            return Ok((HashMap::new(), None, AbftStats::new()));
+            return Ok((RankOut::default(), AbftStats::new()));
         }
-        let r = run_rank(
-            ctx,
-            grid,
-            phys_of,
-            a,
-            b,
-            start,
-            kill,
-            plan,
-            store,
-            init_from_store,
-        );
-        if r.is_err() {
-            // Abort cascade: drop our endpoints so peers blocked on us
-            // observe `RankLost` instead of hanging.
-            ctx.die();
+        let mut hook = Abft { me, kill, plan, store, cks: HashMap::new(), stats: AbftStats::new() };
+        let mut load = || -> Result<Tiles, DistError> {
+            let mut tiles = Tiles::new();
+            for (i, j) in s.owned(phys, me) {
+                let blk = match restart {
+                    None => s.tiles.cut_tile(a, i, j, Vec::new()),
+                    Some(epoch) => {
+                        let blk = lock(store)?.get(&(i, j, epoch)).cloned();
+                        let blk = blk.ok_or(DistError::Protocol("missing restart checkpoint"))?;
+                        hook.stats.checkpoint_words += (blk.rows() * blk.cols()) as u64;
+                        blk
+                    }
+                };
+                hook.stats.encodes += 1;
+                hook.encode((i, j), &blk);
+                tiles.insert((i, j), blk);
+            }
+            Ok(tiles)
+        };
+        let panels = restart.unwrap_or(0)..s.tiles.nb();
+        let kernel = KernelImpl::Reference;
+        match load().and_then(|tiles| run_rank(ctx, s, phys, tiles, panels, kernel, &mut hook)) {
+            Ok(out) => Ok((out, hook.stats)),
+            Err(e) => {
+                // Abort cascade: drop our endpoints so peers blocked on us
+                // observe `RankLost` instead of hanging.
+                ctx.die();
+                Err(e)
+            }
         }
-        r
     };
-    run_spmd_faulty(p, model, plan.clone(), program)
-}
-
-/// Sum clean/wire traffic over every round's clocks (aborted rounds
-/// included — wasted retransmissions are part of the cost of the fault).
-fn aggregate_fault(rounds: &[Vec<RankClock>]) -> FaultReport {
-    let mut stats = cholcomm_faults::FaultStats::new();
-    let (mut cw, mut cm, mut fw, mut fm) = (0u64, 0u64, 0u64, 0u64);
-    for clocks in rounds {
-        for c in clocks {
-            stats.merge(&c.fault_stats);
-            cw += c.clean_words;
-            cm += c.clean_messages;
-            fw += c.words_sent;
-            fm += c.messages_sent;
-        }
-    }
-    FaultReport {
-        clean_words: cw,
-        clean_messages: cm,
-        faulted_words: fw,
-        faulted_messages: fm,
-        word_overhead: if cw == 0 { 1.0 } else { fw as f64 / cw as f64 },
-        message_overhead: if cm == 0 { 1.0 } else { fm as f64 / cm as f64 },
-        stats,
-    }
+    run_spmd_faulty(s.procs.len(), model, plan.clone(), program)
 }
 
 /// ABFT-protected SPMD `PxPOTRF` on `p` threads under `plan`.
@@ -465,102 +235,42 @@ pub fn abft_spmd_pxpotrf(
     model: CostModel,
     plan: FaultPlan,
 ) -> Result<AbftSpmdReport, SpmdError> {
-    let n = a.rows();
-    if !a.is_square() {
-        return Err(MatrixError::NotSquare {
-            rows: n,
-            cols: a.cols(),
-        }
-        .into());
-    }
-    let grid = ProcGrid::square(p);
-    let nb = n.div_ceil(b);
-    let kill = plan
-        .rank_kill()
-        .filter(|k| k.rank < p && k.step < nb);
-    assert!(
-        kill.is_none() || p > 1,
-        "rank-loss recovery needs at least one survivor"
-    );
+    let s = Schedule::new(a, b, p)?;
+    let kill = plan.rank_kill().filter(|k| k.rank < p && k.step < s.tiles.nb());
+    assert!(kill.is_none() || p > 1, "rank-loss recovery needs at least one survivor");
 
-    let store: BlockStore = Arc::new(Mutex::new(HashMap::new()));
+    let store = BlockStore::default();
     let identity: Vec<usize> = (0..p).collect();
-    let mut abft = AbftStats::new();
-    let mut round_clocks: Vec<Vec<RankClock>> = Vec::new();
-
-    let out1 = run_round(
-        a, b, p, &grid, model, &plan, &store, &identity, 0, kill, false,
-    );
-    let mut makespan = out1.makespan();
-    round_clocks.push(out1.clocks.clone());
-    for r in out1.results.iter().flatten() {
-        abft.merge(&r.2);
-    }
-
-    let lost = out1.results.iter().any(|r| r.is_err());
-    let (final_states, recovery_rounds, lost_rank) = if !lost {
-        let states: Vec<RoundState> = out1
-            .results
-            .into_iter()
-            .collect::<Result<_, _>>()
-            .map_err(SpmdError::Dist)?;
-        (states, 0, None)
-    } else {
+    let mut rounds = vec![run_round(&s, a, model, &plan, &store, &identity, None, kill)];
+    let mut lost_rank = None;
+    if rounds[0].results.iter().any(|r| r.is_err()) {
         // Ranks are lost only through the plan's RankKill (message
         // faults are absorbed by the transport), so the victim and the
-        // restart epoch are known.
-        let k = kill.ok_or(SpmdError::Dist(DistError::Protocol(
-            "rank lost without a scheduled kill",
-        )))?;
-        let adopter = (k.rank + 1) % p;
-        let mut phys_of = identity.clone();
-        phys_of[k.rank] = adopter;
-        let out2 = run_round(
-            a, b, p, &grid, model, &plan, &store, &phys_of, k.step, None, true,
-        );
-        makespan += out2.makespan();
-        round_clocks.push(out2.clocks.clone());
-        let mut states = Vec::with_capacity(p);
-        for r in out2.results {
-            match r {
-                Ok(s) => {
-                    abft.merge(&s.2);
-                    states.push(s);
-                }
-                Err(e) => return Err(SpmdError::Dist(e)),
-            }
-        }
-        (states, 1, Some(k.rank))
-    };
-
-    // Surface the first failing pivot, if any.
-    if let Some((pivot, value)) = final_states
-        .iter()
-        .filter_map(|(_, f, _)| *f)
-        .min_by(|a, b| a.0.cmp(&b.0))
-    {
-        return Err(MatrixError::NotSpd { pivot, value }.into());
+        // restart epoch are known.  A survivor adopts the dead rank's
+        // logical role.
+        let k = kill.ok_or(DistError::Protocol("rank lost without a scheduled kill"))?;
+        let mut phys = identity;
+        phys[k.rank] = (k.rank + 1) % p;
+        rounds.push(run_round(&s, a, model, &plan, &store, &phys, Some(k.step), None));
+        lost_rank = Some(k.rank);
     }
 
-    // Gather the factor from the final round's owners.
-    let mut factor = Matrix::zeros(n, n);
-    for (owned, _, _) in &final_states {
-        for (&(bi, bj), blk) in owned {
-            factor.set_submatrix(bi * b, bj * b, blk);
-        }
+    let mut abft = AbftStats::new();
+    for (_, stats) in rounds.iter().flat_map(|o| o.results.iter().flatten()) {
+        abft.merge(stats);
     }
-    for j in 0..n {
-        for i in 0..j {
-            factor[(i, j)] = 0.0;
-        }
-    }
-
+    let last = &rounds[rounds.len() - 1].results;
+    let factor = gather(&s, last.iter().map(|r| r.as_ref().map(|(out, _)| out)))?;
+    // Clean and wire traffic summed over every round's clocks (aborted
+    // rounds included — wasted retransmissions are part of the cost of
+    // the fault).
+    let clocks = rounds.iter().flat_map(|o| o.clocks.iter().cloned()).collect();
     Ok(AbftSpmdReport {
         factor,
-        makespan,
-        fault: aggregate_fault(&round_clocks),
+        makespan: rounds.iter().map(|o| o.makespan()).sum(),
+        fault: SpmdOutcome::<()> { results: Vec::new(), clocks }.fault_report(),
         abft,
-        recovery_rounds,
+        recovery_rounds: rounds.len() - 1,
         lost_rank,
     })
 }
@@ -570,7 +280,7 @@ pub fn abft_spmd_pxpotrf(
 mod tests {
     use super::*;
     use crate::spmd::spmd_pxpotrf;
-    use cholcomm_matrix::{norms, spd};
+    use cholcomm_matrix::{norms, spd, MatrixError};
 
     #[test]
     fn abft_clean_run_matches_plain_spmd_bit_for_bit() {

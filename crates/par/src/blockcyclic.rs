@@ -4,6 +4,7 @@
 //! or referenced.
 
 use cholcomm_distsim::ProcGrid;
+use cholcomm_matrix::schedule::TileGrid;
 use cholcomm_matrix::Matrix;
 use std::collections::HashMap;
 
@@ -32,14 +33,11 @@ impl DistMatrix {
         assert!(a.is_square(), "matrix must be square");
         assert!(b > 0 && b <= n, "block size in 1..=n");
         let mut local = vec![HashMap::new(); grid.len()];
-        let nb = n.div_ceil(b);
-        for bj in 0..nb {
-            for bi in bj..nb {
-                let (i0, j0) = (bi * b, bj * b);
-                let h = (n - i0).min(b);
-                let w = (n - j0).min(b);
-                let block = a.submatrix(i0, j0, h, w);
-                local[grid.block_owner(bi, bj)].insert((bi, bj), block);
+        let tiles = TileGrid::new(n, b);
+        for bj in 0..tiles.nb() {
+            for bi in bj..tiles.nb() {
+                let tile = tiles.cut_tile(a, bi, bj, Vec::new());
+                local[grid.block_owner(bi, bj)].insert((bi, bj), tile);
             }
         }
         let peak_words = local
@@ -156,25 +154,18 @@ impl DistMatrix {
         let nb = self.nb();
         for bj in 0..nb {
             for bi in bj..nb {
-                let blk = self.block(bi, bj);
-                out.set_submatrix(bi * self.b, bj * self.b, blk);
+                out.set_submatrix(bi * self.b, bj * self.b, self.block(bi, bj));
             }
         }
         // Zero the strict upper triangle that diagonal blocks spilled in.
-        for j in 0..self.n {
-            for i in 0..j {
-                out[(i, j)] = 0.0;
-            }
-        }
+        out.zero_strict_upper();
         out
     }
 
     /// Words in one `h x w` block message (full block; the diagonal-factor
     /// broadcast uses the triangular count).
     pub fn block_words(&self, bi: usize, bj: usize) -> usize {
-        let h = (self.n - bi * self.b).min(self.b);
-        let w = (self.n - bj * self.b).min(self.b);
-        h * w
+        TileGrid::new(self.n, self.b).tile_len(bi, bj)
     }
 }
 

@@ -6,20 +6,21 @@
 //! communication bounds on such processors for future work."
 //!
 //! This module takes the step the paper sketches: the same `PxPOTRF`
-//! schedule, but every processor additionally owns a *local* two-level
-//! memory (an LRU of `m_local` words over its block-contiguous local
-//! store), and each local tile operation touches it.  The report then
-//! carries both communication regimes at once: network words/messages on
-//! the critical path, and the worst per-processor local (DAM) traffic —
-//! which, with the blocked kernels, lands on the familiar
+//! schedule (`crate::alg9`), but every processor additionally owns a
+//! *local* two-level memory (an LRU of `m_local` words over its
+//! block-contiguous local store), and each local tile operation touches
+//! it — a hook on the machine executor.  The report then carries both
+//! communication regimes at once: network words/messages on the critical
+//! path, and the worst per-processor local (DAM) traffic — which, with
+//! the blocked kernels, lands on the familiar
 //! `flops_per_proc / sqrt(m_local)` bandwidth curve.
 
-use crate::blockcyclic::DistMatrix;
+use crate::alg9::{operands, run_machine, Bcast, Hook, Phase, Schedule};
+use crate::pxpotrf::BroadcastKind;
 use cholcomm_cachesim::{Access, LruTracer, Tracer};
-use cholcomm_distsim::{CostModel, CriticalPath, Machine, ProcGrid};
-use cholcomm_matrix::kernels::{gemm_nt, potf2, trsm_right_lower_transpose};
+use cholcomm_distsim::{CostModel, CriticalPath, Machine};
+use cholcomm_matrix::schedule::TileOp;
 use cholcomm_matrix::{Matrix, MatrixError};
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 
 /// Outcome of a hierarchical run.
@@ -35,30 +36,48 @@ pub struct HierReport {
     pub max_local_messages: u64,
 }
 
-/// Per-processor local address space: every block a processor ever holds
-/// (owned or received) gets a stable contiguous `b*b`-word extent.
-struct LocalSpace {
-    base_of: HashMap<(usize, usize), usize>,
-    next: usize,
+/// Every processor's local memory: an LRU over its address space, in
+/// which every tile it ever holds (owned or received) gets a stable
+/// contiguous `b*b`-word extent, in order of first touch.
+struct Touches {
     tile_words: usize,
+    bases: Vec<HashMap<(usize, usize), usize>>,
+    caches: Vec<LruTracer>,
 }
 
-impl LocalSpace {
-    fn new(tile_words: usize) -> Self {
-        LocalSpace {
-            base_of: HashMap::new(),
-            next: 0,
-            tile_words,
-        }
+impl Touches {
+    /// Proc `q` moves tile `key` through its local cache.
+    fn touch(&mut self, q: usize, key: (usize, usize), mode: Access) {
+        let fresh = self.bases[q].len() * self.tile_words;
+        let base = *self.bases[q].entry(key).or_insert(fresh);
+        let run = base..base + self.tile_words;
+        self.caches[q].touch_runs(&[run], mode);
     }
-    fn extent(&mut self, key: (usize, usize)) -> std::ops::Range<usize> {
-        let words = self.tile_words;
-        let base = *self.base_of.entry(key).or_insert_with(|| {
-            let b = self.next;
-            self.next += words;
-            b
-        });
-        base..base + words
+}
+
+impl Hook for Touches {
+    /// A tile op reads its operands, then reads and writes its target.
+    fn after_op(&mut self, rank: usize, op: TileOp, _: &Matrix<f64>) {
+        for t in operands(op) {
+            self.touch(rank, t, Access::Read);
+        }
+        self.touch(rank, op.target(), Access::Read);
+        self.touch(rank, op.target(), Access::Write);
+    }
+
+    /// Receiving lands a tile in local memory; a re-broadcast's root
+    /// reads its tiles out first.
+    fn after_bcast(&mut self, bc: &Bcast) {
+        if bc.phase == Phase::Rebroadcast {
+            for &t in &bc.tiles {
+                self.touch(bc.root, t, Access::Read);
+            }
+        }
+        for &m in bc.members.iter().filter(|&&m| m != bc.root) {
+            for &t in &bc.tiles {
+                self.touch(m, t, Access::Write);
+            }
+        }
     }
 }
 
@@ -70,131 +89,22 @@ pub fn pxpotrf_hier(
     model: CostModel,
     m_local: usize,
 ) -> Result<HierReport, MatrixError> {
+    let s = Schedule::new(a, b, p)?;
+    let b = s.tiles.b;
     assert!(
         m_local >= 3 * b * b,
         "local memory must hold three tiles (3 b^2 <= m_local)"
     );
-    let grid = ProcGrid::square(p);
-    let mut dist = DistMatrix::distribute(a, b, grid);
     let mut machine = Machine::new(p, model);
-    let nb = dist.nb();
-    let (pr, pc) = (grid.rows(), grid.cols());
-    let tile_words = b * b;
-    let mut spaces: Vec<LocalSpace> = (0..p).map(|_| LocalSpace::new(tile_words)).collect();
-    let mut caches: Vec<LruTracer> = (0..p).map(|_| LruTracer::new(m_local)).collect();
-
-    // Touch helper: proc `q` moves tile `key` through its local cache.
-    let touch = |spaces: &mut Vec<LocalSpace>,
-                     caches: &mut Vec<LruTracer>,
-                     q: usize,
-                     key: (usize, usize),
-                     mode: Access| {
-        let r = spaces[q].extent(key);
-        caches[q].touch_runs(&[r], mode);
+    let mut local = Touches {
+        tile_words: b * b,
+        bases: vec![HashMap::new(); p],
+        caches: (0..p).map(|_| LruTracer::new(m_local)).collect(),
     };
-
-    for bj in 0..nb {
-        let gcol = bj % pc;
-        let diag_owner = dist.owner(bj, bj);
-        {
-            let blk = dist.block_mut(bj, bj);
-            let h = blk.rows() as u64;
-            if let Err(MatrixError::NotSpd { pivot, value }) = potf2(blk) {
-                return Err(MatrixError::NotSpd {
-                    pivot: bj * b + pivot,
-                    value,
-                });
-            }
-            machine.compute(diag_owner, h * h * h / 3 + h * h);
-            touch(&mut spaces, &mut caches, diag_owner, (bj, bj), Access::Read);
-            touch(&mut spaces, &mut caches, diag_owner, (bj, bj), Access::Write);
-        }
-
-        let col_members = grid.col_ranks(gcol);
-        let h = dist.block(bj, bj).rows();
-        machine.broadcast(diag_owner, &col_members, h * (h + 1) / 2);
-        let diag_copy = dist.block(bj, bj).clone();
-        for &m in &col_members {
-            if m != diag_owner {
-                dist.deposit(m, bj, bj, diag_copy.clone());
-                // Receiving lands the tile in local memory.
-                touch(&mut spaces, &mut caches, m, (bj, bj), Access::Write);
-            }
-        }
-
-        for r in 0..pr {
-            let panel_proc = grid.rank(r, gcol);
-            let owned = dist.owned_panel_blocks(panel_proc, bj);
-            if owned.is_empty() {
-                continue;
-            }
-            let mut payload_words = 0usize;
-            let mut updated: Vec<(usize, Matrix<f64>)> = Vec::new();
-            for &bi in &owned {
-                let l_diag = dist.visible(panel_proc, bj, bj).clone();
-                touch(&mut spaces, &mut caches, panel_proc, (bj, bj), Access::Read);
-                let blk = dist.block_mut(bi, bj);
-                trsm_right_lower_transpose(blk, &l_diag);
-                let (bh, bw) = (blk.rows() as u64, blk.cols() as u64);
-                machine.compute(panel_proc, bh * bw * bw);
-                touch(&mut spaces, &mut caches, panel_proc, (bi, bj), Access::Read);
-                touch(&mut spaces, &mut caches, panel_proc, (bi, bj), Access::Write);
-                payload_words += (bh * bw) as usize;
-                updated.push((bi, blk.clone()));
-            }
-            let row_members = grid.row_ranks(r);
-            machine.broadcast(panel_proc, &row_members, payload_words);
-            for &m in &row_members {
-                if m != panel_proc {
-                    for (bi, blk) in &updated {
-                        dist.deposit(m, *bi, bj, blk.clone());
-                        touch(&mut spaces, &mut caches, m, (*bi, bj), Access::Write);
-                    }
-                }
-            }
-        }
-
-        let mut regroups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for bl in (bj + 1)..nb {
-            regroups.entry(dist.owner(bl, bl)).or_default().push(bl);
-        }
-        for (reproc, bls) in regroups {
-            let gc = bls[0] % pc;
-            let payload: usize = bls.iter().map(|&l| dist.block_words(l, bj)).sum();
-            let members = grid.col_ranks(gc);
-            machine.broadcast(reproc, &members, payload);
-            for &l in &bls {
-                touch(&mut spaces, &mut caches, reproc, (l, bj), Access::Read);
-                let blk = dist.visible(reproc, l, bj).clone();
-                for &m in &members {
-                    if m != reproc {
-                        dist.deposit(m, l, bj, blk.clone());
-                        touch(&mut spaces, &mut caches, m, (l, bj), Access::Write);
-                    }
-                }
-            }
-        }
-
-        for bl in (bj + 1)..nb {
-            for bk in bl..nb {
-                let q = dist.owner(bk, bl);
-                let lk = dist.visible(q, bk, bj).clone();
-                let ll = dist.visible(q, bl, bj).clone();
-                touch(&mut spaces, &mut caches, q, (bk, bj), Access::Read);
-                touch(&mut spaces, &mut caches, q, (bl, bj), Access::Read);
-                touch(&mut spaces, &mut caches, q, (bk, bl), Access::Read);
-                let blk = dist.block_mut(bk, bl);
-                gemm_nt(blk, -1.0, &lk, &ll);
-                let (bh, bw, kk) = (blk.rows() as u64, blk.cols() as u64, lk.cols() as u64);
-                machine.compute(q, 2 * bh * bw * kk);
-                touch(&mut spaces, &mut caches, q, (bk, bl), Access::Write);
-            }
-        }
-        dist.evict_received_panel(bj);
-    }
+    let dist = run_machine(&s, a, &mut machine, BroadcastKind::Tree, &mut local)?;
 
     let (mut max_w, mut max_m) = (0u64, 0u64);
-    for c in &mut caches {
+    for c in &mut local.caches {
         c.flush();
         let s = c.total_stats();
         max_w = max_w.max(s.words);

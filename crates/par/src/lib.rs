@@ -2,14 +2,28 @@
 #![deny(clippy::unwrap_used)]
 //! # cholcomm-par
 //!
-//! Parallel Cholesky, two ways:
+//! Parallel Cholesky.
 //!
-//! * [`pxpotrf`] — ScaLAPACK's `PxPOTRF` (Algorithm 9 of the paper) over
-//!   the block-cyclically distributed matrix of Figure 6, running on the
-//!   deterministic message-passing simulator of `cholcomm-distsim`.  Real
-//!   block payloads move along real broadcast trees, so the factor is
-//!   numerically verifiable while critical-path words, messages, and
-//!   flops are metered — this regenerates Table 2.
+//! * **Algorithm 9**, ScaLAPACK's `PxPOTRF`, over the block-cyclically
+//!   distributed matrix of Figure 6 — written once, as a data-oblivious
+//!   list of panel steps (tile ops, broadcasts, end of panel) in a
+//!   private `alg9` module, and run by two executors with three plug-in
+//!   points (transport, ownership map, per-step hook):
+//!   - [`pxpotrf`] — the machine executor on the deterministic
+//!     message-passing simulator of `cholcomm-distsim`: real tile
+//!     payloads move along real broadcast trees, so the factor is
+//!     verifiable while critical-path words, messages and flops are
+//!     metered — this regenerates Table 2;
+//!   - [`hier`] — the same executor with a hook that runs every tile
+//!     access through a per-processor LRU (parallelism × hierarchy);
+//!   - [`spmd`] — the rank executor: one program per OS thread over the
+//!     channel mesh of `distsim::threaded`, under a fault plan;
+//!   - [`abft`] — the rank executor with checksum, checkpoint and kill
+//!     hooks, and a `logical -> physical` ownership map that lets a
+//!     survivor adopt a lost rank's role.
+//!
+//!   [`onedim`]'s 1D baseline keeps its own loop: it broadcasts and
+//!   charges differently.
 //! * [`shared`] — an actual shared-memory parallel Cholesky built on
 //!   rayon: a fork-join recursive (AP00-shaped) factorization.
 //! * [`dag`] — the tiled right-looking schedule of
@@ -21,6 +35,7 @@
 //!   *schedules* of the paper are also the natural parallel ones.
 
 pub mod abft;
+mod alg9;
 pub mod blockcyclic;
 pub mod dag;
 pub mod hier;

@@ -18,8 +18,7 @@
 //! general-`M` bound empirically.)
 
 use cholcomm_distsim::{CostModel, CriticalPath, Machine};
-use cholcomm_matrix::kernels::gemm_nn;
-use cholcomm_matrix::{Matrix, MatrixError};
+use cholcomm_matrix::{KernelImpl, Matrix, MatrixError};
 
 /// Outcome of a 2.5D multiplication run.
 #[derive(Debug, Clone)]
@@ -126,7 +125,7 @@ pub fn matmul_25d(
                         });
                     };
                     let dst = rank(i, j, l);
-                    gemm_nn(&mut c_loc[dst], 1.0, &a_block, &b_block);
+                    KernelImpl::Reference.gemm_nn(&mut c_loc[dst], 1.0, &a_block, &b_block);
                     machine.compute(dst, 2 * (nb as u64).pow(3));
                 }
             }

@@ -1,23 +1,22 @@
 //! Algorithm 9: ScaLAPACK's `PxPOTRF` on the simulated machine.
 //!
-//! Per block-column `j`: factor the diagonal block locally; broadcast the
-//! triangular factor down the processor column; panel owners solve their
-//! blocks and broadcast the results across their processor rows
-//! (aggregated — one message per processor per iteration, as in the
-//! paper's analysis); diagonal-block owners re-broadcast down processor
-//! columns; everyone updates their trailing blocks with a rank-`b`
-//! update.
+//! Per block column: factor the diagonal block, broadcast it down its
+//! processor column; panel owners solve their blocks and broadcast them
+//! across their processor rows (one aggregated message per processor, as
+//! in the paper's analysis); diagonal owners re-broadcast down columns;
+//! everyone applies the rank-`b` update to the trailing blocks it owns.
 //!
 //! Table 2's upper bounds fall out of this schedule: `(3/2)(n/b) log P`
 //! messages and `(nb/4 + n^2/sqrt(P)) log P` words on the critical path,
 //! so choosing `b = n/sqrt(P)` attains the 2D lower bounds to within the
 //! `log P` factor.
+//!
+//! The schedule itself is `crate::alg9`'s; this module runs it with the
+//! machine executor and reports what the simulator metered.
 
-use crate::blockcyclic::DistMatrix;
-use cholcomm_distsim::{CostModel, CriticalPath, Machine, ProcGrid};
-use cholcomm_matrix::kernels::{gemm_nt, potf2, trsm_right_lower_transpose};
+use crate::alg9::{run_machine, Schedule};
+use cholcomm_distsim::{CostModel, CriticalPath, Machine};
 use cholcomm_matrix::{Matrix, MatrixError};
-use std::collections::BTreeMap;
 
 /// Outcome of one simulated `PxPOTRF` run.
 #[derive(Debug, Clone)]
@@ -82,116 +81,9 @@ pub fn pxpotrf_with(
     model: CostModel,
     bcast: BroadcastKind,
 ) -> Result<PxPotrfReport, MatrixError> {
-    let grid = ProcGrid::square(p);
-    let mut dist = DistMatrix::distribute(a, b, grid);
+    let s = Schedule::new(a, b, p)?;
     let mut machine = Machine::new(p, model);
-    let nb = dist.nb();
-    let (pr, pc) = (grid.rows(), grid.cols());
-    let do_bcast = |machine: &mut Machine, root: usize, members: &[usize], words: usize| match bcast {
-        BroadcastKind::Tree => machine.broadcast(root, members, words),
-        BroadcastKind::Ring => machine.ring_broadcast(root, members, words),
-    };
-
-    for bj in 0..nb {
-        let gcol = bj % pc;
-
-        // --- Factor the diagonal block locally (line 2) ---
-        let diag_owner = dist.owner(bj, bj);
-        {
-            let blk = dist.block_mut(bj, bj);
-            let h = blk.rows() as u64;
-            if let Err(MatrixError::NotSpd { pivot, value }) = potf2(blk) {
-                return Err(MatrixError::NotSpd {
-                    pivot: bj * b + pivot,
-                    value,
-                });
-            }
-            machine.compute(diag_owner, h * h * h / 3 + h * h);
-        }
-
-        // --- Broadcast the factor down the processor column (line 3) ---
-        let col_members = grid.col_ranks(gcol);
-        let h = dist.block(bj, bj).rows();
-        do_bcast(&mut machine, diag_owner, &col_members, h * (h + 1) / 2);
-        let diag_copy = dist.block(bj, bj).clone();
-        for &m in &col_members {
-            if m != diag_owner {
-                dist.deposit(m, bj, bj, diag_copy.clone());
-            }
-        }
-
-        // --- Panel TRSM (lines 4-5) + aggregated row broadcast (line 6) ---
-        for r in 0..pr {
-            let panel_proc = grid.rank(r, gcol);
-            let owned = dist.owned_panel_blocks(panel_proc, bj);
-            if owned.is_empty() {
-                continue;
-            }
-            let mut payload_words = 0usize;
-            let mut updated: Vec<(usize, Matrix<f64>)> = Vec::new();
-            for &bi in &owned {
-                let l_diag = dist.visible(panel_proc, bj, bj).clone();
-                let blk = dist.block_mut(bi, bj);
-                trsm_right_lower_transpose(blk, &l_diag);
-                let (bh, bw) = (blk.rows() as u64, blk.cols() as u64);
-                machine.compute(panel_proc, bh * bw * bw);
-                payload_words += (bh * bw) as usize;
-                updated.push((bi, blk.clone()));
-            }
-            // One aggregated broadcast of all this processor's panel
-            // results across its processor row.
-            let row_members = grid.row_ranks(r);
-            do_bcast(&mut machine, panel_proc, &row_members, payload_words);
-            for &m in &row_members {
-                if m != panel_proc {
-                    for (bi, blk) in &updated {
-                        dist.deposit(m, *bi, bj, blk.clone());
-                    }
-                }
-            }
-        }
-
-        // --- Diagonal owners re-broadcast down processor columns
-        //     (lines 8-10), aggregated per re-broadcasting processor ---
-        let mut regroups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for bl in (bj + 1)..nb {
-            regroups.entry(dist.owner(bl, bl)).or_default().push(bl);
-        }
-        for (reproc, bls) in regroups {
-            let gc = bls[0] % pc;
-            debug_assert!(bls.iter().all(|&l| l % pc == gc));
-            let payload: usize = bls.iter().map(|&l| dist.block_words(l, bj)).sum();
-            let members = grid.col_ranks(gc);
-            do_bcast(&mut machine, reproc, &members, payload);
-            for &l in &bls {
-                let blk = dist.visible(reproc, l, bj).clone();
-                for &m in &members {
-                    if m != reproc {
-                        dist.deposit(m, l, bj, blk.clone());
-                    }
-                }
-            }
-        }
-
-        // --- Trailing rank-b update (lines 11-13) ---
-        for bl in (bj + 1)..nb {
-            for bk in bl..nb {
-                let p_owner = dist.owner(bk, bl);
-                let lk = dist.visible(p_owner, bk, bj).clone();
-                let ll = dist.visible(p_owner, bl, bj).clone();
-                let blk = dist.block_mut(bk, bl);
-                gemm_nt(blk, -1.0, &lk, &ll);
-                let (bh, bw, kk) = (blk.rows() as u64, blk.cols() as u64, lk.cols() as u64);
-                machine.compute(p_owner, 2 * bh * bw * kk);
-            }
-        }
-
-        // Panel bj's received copies are dead after the trailing update:
-        // evict them so residency stays O(n^2/P) (memory scalability).
-        dist.evict_received_panel(bj);
-    }
-
-    let peak_resident_words = dist.peak_resident_words();
+    let dist = run_machine(&s, a, &mut machine, bcast, &mut ())?;
     Ok(PxPotrfReport {
         factor: dist.gather(),
         critical: machine.critical_path(),
@@ -199,7 +91,7 @@ pub fn pxpotrf_with(
         max_proc: machine.max_proc_totals(),
         max_proc_flops: machine.max_proc_flops(),
         total_flops: machine.total_flops(),
-        peak_resident_words,
+        peak_resident_words: dist.peak_resident_words(),
     })
 }
 

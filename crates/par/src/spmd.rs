@@ -1,9 +1,9 @@
 //! `PxPOTRF` as a true SPMD program: every rank runs the same
 //! per-processor code on its own OS thread, exchanging real block
 //! payloads through the channel mesh of
-//! [`cholcomm_distsim::threaded`] — the same Algorithm 9 schedule as
-//! [`crate::pxpotrf`], but with genuine concurrency instead of a
-//! sequential simulation.
+//! [`cholcomm_distsim::threaded`] — the Algorithm 9 schedule of
+//! `crate::alg9`, run by its rank executor under the identity ownership
+//! map, with genuine concurrency instead of a sequential simulation.
 //!
 //! Every rank derives the global communication schedule independently
 //! from `(n, b, P)` (who owns which block, who broadcasts when), which is
@@ -11,11 +11,11 @@
 //! function of the problem geometry, so no coordination messages are
 //! needed beyond the data itself.
 
-use cholcomm_distsim::threaded::{run_spmd_faulty, DistError, FaultReport, ProcCtx, SpmdOutcome};
-use cholcomm_distsim::{CostModel, ProcGrid};
+use crate::alg9::{gather, run_rank, Schedule};
+use cholcomm_distsim::threaded::{run_spmd_faulty, DistError, FaultReport, ProcCtx};
+use cholcomm_distsim::CostModel;
 use cholcomm_faults::FaultPlan;
 use cholcomm_matrix::{KernelImpl, Matrix, MatrixError};
-use std::collections::HashMap;
 
 /// Errors from the SPMD driver: numerical failures of the
 /// factorization, or a lost rank the plain driver cannot recover from
@@ -72,22 +72,6 @@ pub struct SpmdReport {
     pub fault: FaultReport,
 }
 
-pub(crate) fn pack(m: &Matrix<f64>) -> Vec<f64> {
-    m.as_slice().to_vec()
-}
-
-pub(crate) fn unpack(v: &[f64], rows: usize, cols: usize) -> Matrix<f64> {
-    assert_eq!(v.len(), rows * cols);
-    // Column-major, matching Matrix's internal layout.
-    Matrix::from_fn(rows, cols, |i, j| v[i + j * rows])
-}
-
-/// Block dimensions of `(bi, bj)` for an `n`-order matrix with block
-/// size `b`.
-pub(crate) fn dims(n: usize, b: usize, bi: usize, bj: usize) -> (usize, usize) {
-    ((n - bi * b).min(b), (n - bj * b).min(b))
-}
-
 /// Run Algorithm 9 as an SPMD program on `p` threads (perfect network).
 pub fn spmd_pxpotrf(
     a: &Matrix<f64>,
@@ -136,210 +120,21 @@ pub fn spmd_pxpotrf_faulty_with(
     plan: FaultPlan,
     kernel: KernelImpl,
 ) -> Result<SpmdReport, SpmdError> {
-    let n = a.rows();
-    if !a.is_square() {
-        return Err(MatrixError::NotSquare {
-            rows: n,
-            cols: a.cols(),
-        }
-        .into());
-    }
+    let s = Schedule::new(a, b, p)?;
     assert!(
         plan.rank_kill().is_none(),
         "this driver has no rank-loss recovery; use abft::abft_spmd_pxpotrf for RankKill plans"
     );
-    let grid = ProcGrid::square(p);
-    let nb = n.div_ceil(b);
-    let (pr, pc) = (grid.rows(), grid.cols());
-
-    // Each rank's program; returns (owned blocks, first failed pivot
-    // and its value).  A dead peer surfaces as `Err(RankLost)` for this
-    // rank instead of a panic poisoning the whole mesh.
-    type RankState = (HashMap<(usize, usize), Matrix<f64>>, Option<(usize, f64)>);
-    type RankOut = Result<RankState, DistError>;
-    let program = |ctx: &mut ProcCtx| -> RankOut {
-        let me = ctx.rank();
-        let (my_row, my_col) = grid.coords(me);
-        // Local state: my owned blocks (from the input), plus a cache of
-        // received blocks keyed like the sequential DistMatrix.
-        let mut owned: HashMap<(usize, usize), Matrix<f64>> = HashMap::new();
-        for bj in 0..nb {
-            for bi in bj..nb {
-                if grid.block_owner(bi, bj) == me {
-                    let (h, w) = dims(n, b, bi, bj);
-                    owned.insert((bi, bj), a.submatrix(bi * b, bj * b, h, w));
-                }
-            }
-        }
-        let mut cache: HashMap<(usize, usize), Matrix<f64>> = HashMap::new();
-        let mut failed: Option<(usize, f64)> = None;
-
-        for bj in 0..nb {
-            let gcol = bj % pc;
-            let (dh, _) = dims(n, b, bj, bj);
-            let diag_owner = grid.block_owner(bj, bj);
-
-            // Factor the diagonal block.
-            if me == diag_owner {
-                let blk = owned
-                    .get_mut(&(bj, bj))
-                    .ok_or(DistError::Protocol("owner holds diag"))?;
-                if let Err(MatrixError::NotSpd { pivot, value }) = kernel.potf2(blk) {
-                    failed.get_or_insert((bj * b + pivot, value));
-                }
-                ctx.compute((dh as u64).pow(3) / 3 + (dh as u64).pow(2));
-            }
-
-            // Column broadcast of the factored diagonal block.
-            if my_col == gcol {
-                let members = grid.col_ranks(gcol);
-                let payload = if me == diag_owner {
-                    Some(pack(&owned[&(bj, bj)]))
-                } else {
-                    None
-                };
-                let data = ctx.bcast(diag_owner, &members, payload)?;
-                if me != diag_owner {
-                    cache.insert((bj, bj), unpack(&data, dh, dh));
-                }
-            }
-
-            // Panel TRSM + aggregated row broadcasts.  Every rank derives
-            // each grid row's panel-block list locally.
-            for r in 0..pr {
-                let panel_proc = grid.rank(r, gcol);
-                let blocks: Vec<usize> = ((bj + 1)..nb).filter(|bi| bi % pr == r).collect();
-                if blocks.is_empty() {
-                    continue;
-                }
-                if me == panel_proc {
-                    let diag = if me == diag_owner {
-                        owned[&(bj, bj)].clone()
-                    } else {
-                        cache[&(bj, bj)].clone()
-                    };
-                    let mut payload = Vec::new();
-                    for &bi in &blocks {
-                        let blk = owned
-                            .get_mut(&(bi, bj))
-                            .ok_or(DistError::Protocol("panel owner holds its blocks"))?;
-                        kernel.trsm_right_lower_transpose(blk, &diag);
-                        let (bh, bw) = (blk.rows() as u64, blk.cols() as u64);
-                        ctx.compute(bh * bw * bw);
-                        payload.extend_from_slice(blk.as_slice());
-                    }
-                    if pr > 1 {
-                        ctx.bcast(panel_proc, &grid.row_ranks(r), Some(payload))?;
-                    }
-                } else if my_row == r && pr > 1 {
-                    let data = ctx.bcast(panel_proc, &grid.row_ranks(r), None)?;
-                    let mut off = 0;
-                    for &bi in &blocks {
-                        let (bh, bw) = dims(n, b, bi, bj);
-                        cache.insert((bi, bj), unpack(&data[off..off + bh * bw], bh, bw));
-                        off += bh * bw;
-                    }
-                }
-            }
-
-            // Diagonal owners re-broadcast panel blocks down columns.
-            // Group trailing block-rows by their diagonal owner, exactly
-            // as the sequential driver does (BTreeMap order).
-            let mut regroups: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-            for bl in (bj + 1)..nb {
-                regroups.entry(grid.block_owner(bl, bl)).or_default().push(bl);
-            }
-            for (reproc, bls) in regroups {
-                let gc = bls[0] % pc;
-                if my_col != gc || pc <= 1 {
-                    continue;
-                }
-                let members = grid.col_ranks(gc);
-                if me == reproc {
-                    let mut payload = Vec::new();
-                    for &l in &bls {
-                        let blk = owned
-                            .get(&(l, bj))
-                            .or_else(|| cache.get(&(l, bj)))
-                            .ok_or(DistError::Protocol("re-broadcaster has the panel block"))?;
-                        payload.extend_from_slice(blk.as_slice());
-                    }
-                    ctx.bcast(reproc, &members, Some(payload))?;
-                } else {
-                    let data = ctx.bcast(reproc, &members, None)?;
-                    let mut off = 0;
-                    for &l in &bls {
-                        let (bh, bw) = dims(n, b, l, bj);
-                        cache.insert((l, bj), unpack(&data[off..off + bh * bw], bh, bw));
-                        off += bh * bw;
-                    }
-                }
-            }
-
-            // Trailing update of my blocks.
-            for bl in (bj + 1)..nb {
-                for bk in bl..nb {
-                    if grid.block_owner(bk, bl) != me {
-                        continue;
-                    }
-                    let lk = owned
-                        .get(&(bk, bj))
-                        .or_else(|| cache.get(&(bk, bj)))
-                        .ok_or(DistError::Protocol("L(k,j) available"))?
-                        .clone();
-                    let ll = owned
-                        .get(&(bl, bj))
-                        .or_else(|| cache.get(&(bl, bj)))
-                        .ok_or(DistError::Protocol("L(l,j) available"))?
-                        .clone();
-                    let blk = owned
-                        .get_mut(&(bk, bl))
-                        .ok_or(DistError::Protocol("trailing owner holds its block"))?;
-                    kernel.gemm_nt(blk, -1.0, &lk, &ll);
-                    let (bh, bw, kk) = (blk.rows() as u64, blk.cols() as u64, lk.cols() as u64);
-                    ctx.compute(2 * bh * bw * kk);
-                }
-            }
-
-            // Evict the dead panel's received copies (memory scalability).
-            cache.retain(|&(_, col), _| col != bj);
-        }
-        Ok((owned, failed))
-    };
-
-    let out: SpmdOutcome<RankOut> = run_spmd_faulty(p, model, plan, program);
-
-    let mut states = Vec::with_capacity(p);
-    for r in &out.results {
-        match r {
-            Ok(state) => states.push(state),
-            Err(e) => return Err(SpmdError::Dist(*e)),
-        }
-    }
-
-    // Surface the first failing pivot, if any.
-    if let Some((pivot, value)) = states
-        .iter()
-        .filter_map(|(_, f)| *f)
-        .min_by(|a, b| a.0.cmp(&b.0))
-    {
-        return Err(MatrixError::NotSpd { pivot, value }.into());
-    }
-
-    // Gather.
-    let mut factor = Matrix::zeros(n, n);
-    for (owned, _) in &states {
-        for (&(bi, bj), blk) in owned {
-            factor.set_submatrix(bi * b, bj * b, blk);
-        }
-    }
-    for j in 0..n {
-        for i in 0..j {
-            factor[(i, j)] = 0.0;
-        }
-    }
+    let identity: Vec<usize> = (0..p).collect();
+    let out = run_spmd_faulty(p, model, plan, |ctx: &mut ProcCtx| {
+        let tiles = s.owned(&identity, ctx.rank()).into_iter();
+        let tiles = tiles.map(|(i, j)| ((i, j), s.tiles.cut_tile(a, i, j, Vec::new()))).collect();
+        run_rank(ctx, &s, &identity, tiles, 0..s.tiles.nb(), kernel, &mut ())
+    });
+    // A dead peer surfaces as `Err(RankLost)` for a rank instead of a
+    // panic poisoning the whole mesh.
     Ok(SpmdReport {
-        factor,
+        factor: gather(&s, out.results.iter().map(Result::as_ref))?,
         critical: out.critical_path(),
         makespan: out.makespan(),
         fault: out.fault_report(),
