@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 //! # cholcomm-cachesim
 //!
 //! Sequential communication-cost models for the two-level I/O (DAM) model

@@ -153,6 +153,7 @@ pub fn min_io(dag: &PebbleDag, m: usize) -> Option<u64> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

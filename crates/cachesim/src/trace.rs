@@ -279,6 +279,7 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 #[allow(clippy::single_range_in_vec_init)] // touch_runs takes &[Range]; one-run slices are the point
 mod tests {
     use super::*;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 //! # cholcomm-layout
 //!
 //! The matrix storage formats of Figure 2 of the paper, and the address

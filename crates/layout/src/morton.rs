@@ -78,6 +78,7 @@ impl Layout for Morton {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::region::{cells_block, cells_col_segment};

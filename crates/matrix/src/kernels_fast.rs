@@ -1031,18 +1031,33 @@ struct PanelFactor<'a> {
 impl InPanel for PanelFactor<'_> {
     type Out = Result<(), MatrixError>;
 
-    /// Column `j` is accumulated in a `[f64; PB]` over the finished
-    /// columns `k < j` — kept in `done`, zero above their diagonal and
-    /// past row `n`, so every step runs at the full fixed width — then
-    /// takes its `sqrt` and divisions and is stored once.
+    /// The narrowest of 8, 16 or [`PB`] lanes that holds the block: a
+    /// small system pays for its own rows, not for a full panel.
     #[inline(always)]
     fn run<const FUSED: bool>(self) -> Result<(), MatrixError> {
+        match self.n {
+            0..=8 => self.columns::<FUSED, 8>(),
+            9..=16 => self.columns::<FUSED, 16>(),
+            _ => self.columns::<FUSED, PB>(),
+        }
+    }
+}
+
+impl PanelFactor<'_> {
+    /// Column `j` is accumulated in a `[f64; W]` over the finished
+    /// columns `k < j` — kept in `done`, zero above their diagonal and
+    /// past row `n`, so every step runs at the full fixed width — then
+    /// takes its `sqrt` and divisions and is stored once.  Each live
+    /// row's operations are the same at every width `W >= n`.
+    #[inline(always)]
+    fn columns<const FUSED: bool, const W: usize>(self) -> Result<(), MatrixError> {
         let PanelFactor { data, ld, off, n } = self;
-        let mut done = [[0.0f64; PB]; PB];
+        debug_assert!(n <= W && W <= PB);
+        let mut done = [[0.0f64; W]; W];
         for j in 0..n {
             let gc = off + j;
             let col = &mut data[gc * ld + gc..gc * ld + off + n];
-            let mut acc = [0.0f64; PB];
+            let mut acc = [0.0f64; W];
             acc[j..n].copy_from_slice(col);
             for xk in &done[..j] {
                 let ljk = xk[j];
@@ -1601,7 +1616,7 @@ mod tests {
             }
             // The base cases of a factorization whose last panel is
             // ragged: a full panel, then what is left of the order.
-            for order in [33usize, 100, 136] {
+            for order in [33usize, 100, 136, 140, 150] {
                 let a = spd::random_spd(order, &mut spd::test_rng(36));
                 let last = order / PB * PB;
                 for (off, n) in [(last - PB, PB), (last, order - last)] {
@@ -1724,7 +1739,7 @@ mod tests {
 
     #[test]
     fn potf2_bit_identical_to_reference() {
-        for n in [1usize, 2, 5, 7, 31, 32, 33, 64, 65, 100, 129, 136, 200] {
+        for n in [1usize, 2, 5, 7, 8, 9, 16, 17, 24, 31, 32, 33, 64, 65, 100, 129, 136, 200] {
             let mut rng = spd::test_rng(11);
             let a = spd::random_spd(n, &mut rng);
             let mut f1 = a.clone();

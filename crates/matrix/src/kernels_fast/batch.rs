@@ -1,21 +1,20 @@
 //! Batched microkernels over an interleaved [`BatchPack`] layout.
 //!
-//! The serve layer's real traffic is Zipf-dominated by *small* systems
-//! (n ≤ 64), where one factorization never reaches BLAS-3 intensity: the
-//! words moved per system are O(n²) against only O(n³/3) flops, and the
-//! per-call dispatch/packing constants dominate.  The paper's
-//! surface-to-volume argument applies across *many* problems exactly as
-//! it does across blocks: pack `B` same-shape systems side by side and
-//! one kernel invocation amortizes its dispatch, packing, and cache
-//! traffic over `B·n³/3` flops.
+//! **What this is for now.**  The serve layer once factored every size
+//! bucket here, lane-interleaved and padded to the bucket's order.  That
+//! lost to factoring the members one after another on the per-request
+//! engine at every order the service batches (1.1–3.1x at orders 8–32,
+//! the most at 24, where padding to 32 costs 2.4x the flops), so
+//! `serve::engine::factor_batch` now does exactly that.  The pack stays
+//! as the subject of perfbench's `matrix.batch.lane_speedup` probe (32
+//! strict lanes of order 32 against 32 per-request factorizations),
+//! which is the standing evidence for that decision.
 //!
 //! **Layout.**  A [`BatchPack`] stores element `(i, j)` of system `s` at
 //! `data[((j * rows) + i) * stride + s]` — column-major per system with
-//! the *system index innermost*.  Every per-element operation of the
-//! factorization therefore becomes a contiguous sweep across `stride`
-//! lanes, which is the shape the compiler vectorizes: the inner loop of
-//! each microkernel runs across systems, not within one.  `stride` is
-//! `batch` rounded up to [`BATCH_LANES`]; padding lanes hold identity
+//! the *system index innermost*, so every per-element operation of the
+//! factorization is a contiguous sweep across `stride` lanes.  `stride`
+//! is `batch` rounded up to [`BATCH_LANES`]; padding lanes hold identity
 //! systems, whose Cholesky factor is the identity, so they are
 //! arithmetically inert and never NaN.
 //!
@@ -25,12 +24,7 @@
 //! schedule built from `syrk`/`gemm_nt`/`trsm`): updates accumulate in
 //! ascending `k` with one individually-rounded multiply and subtract per
 //! step, then one square root or division.  Lanes never interact, so a
-//! system's bits are independent of the batch it rides in — a batch of
-//! 32 gives each system the same bits as a batch of 1, which equals the
-//! sequential factorization.  [`BatchMode::Fused`] contracts each
-//! update into one FMA where the hardware has it (and is the strict
-//! sweep where it does not); still lane-local (batch-size invariant),
-//! but rounded like the fused fast kernels rather than the reference.
+//! system's bits are independent of the batch it rides in.
 //!
 //! **Padding.**  Embedding an `m × m` system at the leading principal
 //! block of a larger `n × n` pack, with identity on the trailing
@@ -38,7 +32,6 @@
 //! bit-identical to factoring the small system alone: element `(i, j)`
 //! with `i, j < m` only ever reads columns `k < j < m`, rows `≥ m`
 //! start zero and stay zero, and the trailing diagonal factors to ones.
-//! This is what lets one power-of-two bucket serve every size below it.
 
 use crate::dense::Matrix;
 use crate::error::MatrixError;
@@ -56,10 +49,6 @@ pub enum BatchMode {
     /// One individually-rounded multiply and add/subtract per update —
     /// bit-identical per system to the sequential reference path.
     Strict,
-    /// Contract each update into one hardware FMA, as
-    /// [`super::fused`] does.  Lane-local (batch-size invariant) but not
-    /// reference-rounded.
-    Fused,
 }
 
 /// `B` same-shape systems interleaved system-innermost.
@@ -161,12 +150,6 @@ impl BatchPack {
         self.data[((j * self.rows) + i) * self.stride + s] = v;
     }
 
-    /// Extract the leading `h × w` block of system `s` as a matrix.
-    pub fn extract(&self, s: usize, h: usize, w: usize) -> Matrix<f64> {
-        assert!(s < self.batch && h <= self.rows && w <= self.cols);
-        Matrix::from_fn(h, w, |i, j| self.get(i, j, s))
-    }
-
     /// Copy of the `h × w` sub-block at `(r0, c0)`, all lanes.
     fn sub(&self, r0: usize, c0: usize, h: usize, w: usize) -> BatchPack {
         debug_assert!(r0 + h <= self.rows && c0 + w <= self.cols);
@@ -200,47 +183,15 @@ impl BatchPack {
     }
 }
 
-/// One lane sweep `c ← c ± a * b`: one multiply and one add/subtract per
-/// lane, each rounded, or — `FUSED` — one `mul_add`.
-#[inline(always)]
-fn lane_sweep_body<const FUSED: bool, const SUB: bool>(c: &mut [f64], a: &[f64], b: &[f64]) {
-    for ((x, &u), &v) in c.iter_mut().zip(a).zip(b) {
-        *x = match (FUSED, SUB) {
-            (false, false) => *x + u * v,
-            (false, true) => *x - u * v,
-            (true, false) => u.mul_add(v, *x),
-            (true, true) => (-u).mul_add(v, *x),
-        };
-    }
-}
-
-/// The fused sweep compiled with FMA in scope, so `mul_add` is one
-/// vector instruction instead of a libm call per lane.
-///
-/// # Safety
-/// Caller must have detected `avx2` and `fma`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn lane_sweep_fma<const SUB: bool>(c: &mut [f64], a: &[f64], b: &[f64]) {
-    lane_sweep_body::<true, SUB>(c, a, b);
-}
-
-/// One lane sweep `c ← c - a * b` (`SUB`; in strict mode exactly the
-/// reference kernels' rounding) or `c ← c + a * b`, in `mode`.  Like
-/// [`super::fused`], the fused mode contracts only where the hardware
-/// has FMA and is the strict sweep elsewhere, so a batched fused factor
-/// equals a per-request one on every host.
+/// One lane sweep `c ← c - a * b` (`SUB`; exactly the reference
+/// kernels' rounding) or `c ← c + a * b`: one multiply and one
+/// add/subtract per lane, each rounded.
 #[inline(always)]
 fn lane_sweep<const SUB: bool>(c: &mut [f64], a: &[f64], b: &[f64], mode: BatchMode) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::is_x86_feature_detected as det;
-        if mode == BatchMode::Fused && det!("fma") && det!("avx2") {
-            // SAFETY: both features detected.
-            return unsafe { lane_sweep_fma::<SUB>(c, a, b) };
-        }
+    let BatchMode::Strict = mode;
+    for ((x, &u), &v) in c.iter_mut().zip(a).zip(b) {
+        *x = if SUB { *x - u * v } else { *x + u * v };
     }
-    lane_sweep_body::<false, SUB>(c, a, b);
 }
 
 /// Batched `C ← C + alpha · A · Bᵀ` — the GEMM shape of the blocked
@@ -464,6 +415,12 @@ mod tests {
         spd::random_spd(n, &mut spd::test_rng(seed))
     }
 
+    /// The leading `h × w` block of system `s`.
+    fn extract(pack: &BatchPack, s: usize, h: usize, w: usize) -> Matrix<f64> {
+        assert!(s < pack.batch() && h <= pack.rows() && w <= pack.cols());
+        Matrix::from_fn(h, w, |i, j| pack.get(i, j, s))
+    }
+
     /// Reference bits: the sequential unblocked factorization.
     fn reference_bits(a: &Matrix<f64>) -> u64 {
         let mut f = a.clone();
@@ -479,7 +436,7 @@ mod tests {
         assert_eq!(pack.batch(), 3);
         assert_eq!(pack.stride(), 8);
         for (s, sys) in systems.iter().enumerate() {
-            let got = pack.extract(s, sys.rows(), sys.rows());
+            let got = extract(&pack, s, sys.rows(), sys.rows());
             assert_eq!(&got, sys, "system {s}");
         }
         // Trailing diagonal of a short system is identity; off-diagonal
@@ -501,7 +458,7 @@ mod tests {
             let results = batch_potrf(&mut pack, 16, BatchMode::Strict);
             for (s, sys) in systems.iter().enumerate() {
                 assert!(results[s].is_ok(), "system {s}");
-                let got = pack.extract(s, sys.rows(), sys.rows());
+                let got = extract(&pack, s, sys.rows(), sys.rows());
                 assert_eq!(
                     lower_digest(&got),
                     reference_bits(sys),
@@ -522,8 +479,8 @@ mod tests {
         assert!(batch_potf2(&mut unblocked, BatchMode::Strict).iter().all(Result::is_ok));
         for s in 0..systems.len() {
             assert_eq!(
-                lower_digest(&blocked.extract(s, 24, 24)),
-                lower_digest(&unblocked.extract(s, 24, 24)),
+                lower_digest(&extract(&blocked, s, 24, 24)),
+                lower_digest(&extract(&unblocked, s, 24, 24)),
                 "system {s}"
             );
         }
@@ -548,8 +505,8 @@ mod tests {
         );
         assert!(results[2].is_ok());
         // The good systems' bits are untouched by the failure next lane.
-        assert_eq!(lower_digest(&pack.extract(0, 6, 6)), reference_bits(&good0));
-        assert_eq!(lower_digest(&pack.extract(2, 6, 6)), reference_bits(&good1));
+        assert_eq!(lower_digest(&extract(&pack, 0, 6, 6)), reference_bits(&good0));
+        assert_eq!(lower_digest(&extract(&pack, 2, 6, 6)), reference_bits(&good1));
     }
 
     #[test]
@@ -587,7 +544,7 @@ mod tests {
         }
         batch_gemm(&mut c, -1.0, &a, &b, BatchMode::Strict);
         for s in 0..2 {
-            assert_eq!(c.extract(s, m, nn), want, "gemm lane {s}");
+            assert_eq!(extract(&c, s, m, nn), want, "gemm lane {s}");
         }
 
         // TRSM against a factored diagonal block.
@@ -609,25 +566,8 @@ mod tests {
         }
         batch_trsm(&mut x, &lp, BatchMode::Strict);
         for s in 0..2 {
-            assert_eq!(x.extract(s, m, nn), want_x, "trsm lane {s}");
+            assert_eq!(extract(&x, s, m, nn), want_x, "trsm lane {s}");
         }
-    }
-
-    #[test]
-    fn fused_mode_is_batch_size_invariant_per_system() {
-        let sys = sample(16, 42);
-        let one = {
-            let refs: Vec<&Matrix<f64>> = vec![&sys];
-            let mut p = BatchPack::pack_square(&refs, 16).expect("pack");
-            assert!(batch_potrf(&mut p, 8, BatchMode::Fused)[0].is_ok());
-            lower_digest(&p.extract(0, 16, 16))
-        };
-        let companions: Vec<Matrix<f64>> = (0..15).map(|s| sample(16, 300 + s)).collect();
-        let mut refs: Vec<&Matrix<f64>> = vec![&sys];
-        refs.extend(companions.iter());
-        let mut p = BatchPack::pack_square(&refs, 16).expect("pack");
-        assert!(batch_potrf(&mut p, 8, BatchMode::Fused).iter().all(Result::is_ok));
-        assert_eq!(lower_digest(&p.extract(0, 16, 16)), one);
     }
 
     #[test]
@@ -641,7 +581,7 @@ mod tests {
         assert!(results.iter().all(Result::is_ok));
         // sqrt((s+1)²) == s+1 exactly.
         for s in 0..4 {
-            assert_eq!(p.extract(s, 1, 1)[(0, 0)], (s + 1) as f64);
+            assert_eq!(extract(&p, s, 1, 1)[(0, 0)], (s + 1) as f64);
         }
     }
 }

@@ -11,7 +11,7 @@
 //!   diagonal tile held across the panel solves, the column operand of a
 //!   trailing update fetched once per block column), and [`walk_left`],
 //!   the left-looking order of the paper's Algorithm 4, which the traced
-//!   LAPACK schedule, the serve engine and the batched kernels perform
+//!   LAPACK schedule, the serve engine and the batch-kernel probe perform
 //!   (every tile written once, the diagonal tile re-read per panel solve);
 //! * **the arithmetic** ([`apply`]) — the one place a [`TileOp`] becomes a
 //!   kernel call and a tile-local `NotSpd` pivot becomes a global one —
@@ -32,7 +32,8 @@
 //! (`seq::abft`), a tile cache over a file or a prefetching pipeline
 //! (`ooc`), a recorder that only notes the accesses (`ooc::pipeline`'s
 //! planner), a checkpoint updated in place (`serve::engine`), the lanes
-//! of a batch (`kernels_fast::batch`), or plain memory ([`MemTiles`]).  A
+//! of a perfbench probe's batch (`kernels_fast::batch`), or plain memory
+//! ([`MemTiles`]).  A
 //! walk never looks inside a tile — the `apply` closure it is handed does
 //! — so two stores that return the stored values produce bit-identical
 //! factors by construction, and a store that carries no data at all

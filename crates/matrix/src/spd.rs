@@ -24,10 +24,12 @@ pub fn random_spd(n: usize, rng: &mut impl Rng) -> Matrix<f64> {
 }
 
 /// The leading `lead x lead` block of `random_spd(n, rng)`, bit for bit,
-/// for `lead <= n`.  It draws all `n^2` entries of `G`, so `rng` is left
-/// exactly where `random_spd` leaves it, but forms only the block asked
-/// for: a caller that keeps a quarter of the matrix pays a quarter of the
-/// flops.
+/// for `lead <= n`.  It draws `G` column by column, one
+/// [`Rng::fill_range`] for the `lead` entries it keeps and one
+/// [`Rng::discard`] over the `n - lead` it does not, so `rng` is left
+/// exactly where `random_spd` leaves it; and it forms only the block
+/// asked for: a caller that keeps a quarter of the matrix pays a quarter
+/// of the flops.
 ///
 /// The Gram product is one strict GEMM, `A = G_lead * G_lead^T` into
 /// zeros, where `G_lead` is the leading `lead` rows of `G`.  The strict
@@ -39,12 +41,8 @@ pub fn random_spd_leading(n: usize, lead: usize, rng: &mut impl Rng) -> Matrix<f
     assert!(lead <= n, "leading block larger than the matrix");
     let mut g = Matrix::zeros(lead, n);
     for k in 0..n {
-        for x in g.col_mut(k) {
-            *x = rng.random_range(-1.0..1.0);
-        }
-        for _ in lead..n {
-            let _: f64 = rng.random_range(-1.0..1.0);
-        }
+        rng.fill_range(g.col_mut(k), -1.0..1.0);
+        rng.discard((n - lead) as u64);
     }
     let mut a = Matrix::zeros(lead, lead);
     KernelImpl::FastStrict.gemm_nt(&mut a, 1.0, &g, &g);

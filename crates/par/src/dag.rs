@@ -384,10 +384,10 @@ pub fn simulate(n: usize, b: usize, threads: usize) -> DagModel {
 /// This is the pool entry point for *embarrassingly parallel* fan-out —
 /// no DAG, no barriers inside, just recursive binary [`rayon::join`]
 /// splitting so idle workers steal halves.  The serve batcher uses it to
-/// spread lane-chunks of one size bucket across the pool: each chunk is
-/// an independent [`BatchPack`](cholcomm_matrix::BatchPack)
-/// factorization, and results come back in submission order so
-/// downstream accounting stays deterministic regardless of steal order.
+/// spread the members of one size bucket across the pool: each member is
+/// an independent per-request factorization, and results come back in
+/// submission order so downstream accounting stays deterministic
+/// regardless of steal order.
 ///
 /// With one worker (or `tasks == 1`) this degenerates to a sequential
 /// in-order loop, so results are identical at every pool size for

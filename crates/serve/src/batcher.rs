@@ -5,9 +5,9 @@
 //! single factorization never reaches BLAS-3 intensity and per-request
 //! dispatch constants dominate.  The batcher holds admitted `Factor`/
 //! `Solve` jobs briefly in **power-of-two size buckets**, per home
-//! shard, and releases a whole bucket to its shard as one unit — which
-//! the shard factors in a single run of the batched kernels
-//! ([`crate::engine::factor_batch`]).
+//! shard, and releases a whole bucket to its shard as one unit — one
+//! dispatch, whose members the shard factors in one
+//! [`crate::engine::factor_batch`] call, each at its own order.
 //!
 //! Everything here is driven synchronously from [`Service::submit`]
 //! (single-threaded by construction), so batch membership — like every
@@ -99,8 +99,8 @@ impl Batcher {
     /// Is this request one the batcher takes?  Only admitted
     /// `Factor`/`Solve` jobs of batchable size; shed requests bypass the
     /// batcher so the degraded-cache rescue stays immediate, and the
-    /// GP/Kalman kinds carry per-job state that the batched kernels
-    /// don't model.
+    /// GP/Kalman kinds carry per-job state that the batch path
+    /// doesn't model.
     pub(crate) fn takes(&self, kind: JobKind, n: usize) -> bool {
         self.config.enabled
             && matches!(kind, JobKind::Factor | JobKind::Solve)

@@ -16,7 +16,6 @@
 //! cancels on an expired deadline budget, or — under a chaos plan — dies
 //! mid-flight with a panic the shard supervisor must catch.
 
-use cholcomm_matrix::kernels_fast::batch::{batch_potrf, BatchMode, BatchPack, BATCH_LANES};
 use cholcomm_matrix::schedule::{self, Arithmetic, TileGrid, TileStore};
 use cholcomm_matrix::{KernelImpl, Matrix, MatrixError};
 
@@ -222,56 +221,62 @@ impl TileStore for InPlace<'_> {
     }
 }
 
-/// Factor a whole size bucket of systems (each square, of order ≤
-/// `bucket_n`) through the batched kernels, returning one result per
-/// system in submission order.
+/// Factor a whole size bucket of systems (each of order ≤ `bucket_n`),
+/// returning one result per system in submission order.
 ///
-/// Systems are packed [`BATCH_LANES`] at a time into interleaved
-/// [`BatchPack`]s with identity padding and factored by the blocked
-/// [`batch_potrf`] at panel width `b` — the same left-looking walk as
-/// [`factor_resumable`], over lanes.  In strict mode (any kernel but
-/// [`KernelImpl::Fast`]) every system's factor is therefore
-/// **bit-identical** to what the per-request path would have produced,
-/// at any batch size; `Fast` gets the FMA-contracted rounding, which is
-/// still batch-size invariant because lanes never interact.
+/// Each member is factored by [`factor_resumable`] with a hook that
+/// never stops it, at its own order: the per-request engine, so every
+/// factor is **bit-identical** to the unbatched path under every kernel,
+/// at any batch size.  What a batch buys is one dispatch per bucket
+/// (and the shard's digest lanes), not a different kernel: packing the
+/// systems lane by lane, each padded to `bucket_n`, lost to this loop at
+/// every order the service batches (DESIGN.md, "Batched execution").
+/// Members fail alone: a non-square member is `NotSquare` and an
+/// indefinite one `NotSpd`, and the others factor as usual.
 ///
 /// When the shard has opted into kernel parallelism
-/// ([`crate::ShardConfig::parallel`]), the lane-chunks — mutually
-/// independent by construction — are scattered across the work-stealing
-/// pool via [`cholcomm_par::scatter`]; results come back in submission
-/// order, so the pool size can change wall-clock time but never any bit
-/// of any factor.
+/// ([`crate::ShardConfig::parallel`]), the members — mutually
+/// independent — are cut into one contiguous run per pool worker and the
+/// runs scattered across the work-stealing pool via
+/// [`cholcomm_par::scatter`] (a member alone is too little work to pay
+/// for a task); results come back in submission order, so the pool size
+/// can change wall-clock time but never any bit of any factor.
+///
+/// # Panics
+/// If a square member is larger than `bucket_n`: the bucket is the
+/// caller's promise.
 pub fn factor_batch(
     problems: &[Matrix<f64>],
     bucket_n: usize,
     b: usize,
     kernel: KernelImpl,
 ) -> Vec<Result<Matrix<f64>, MatrixError>> {
-    let mode = match kernel {
-        KernelImpl::Fast => BatchMode::Fused,
-        _ => BatchMode::Strict,
+    let factor_one = |s: usize| -> Result<Matrix<f64>, MatrixError> {
+        let a = &problems[s];
+        assert!(
+            !a.is_square() || a.rows() <= bucket_n,
+            "system of order {} exceeds bucket {bucket_n}",
+            a.rows()
+        );
+        let ckpt = Checkpoint::fresh(a.clone());
+        match factor_resumable(ckpt, b, kernel, &mut |_, _| PanelControl::Continue)? {
+            FactorOutcome::Done(factor) => Ok(factor),
+            FactorOutcome::Canceled { panel } => unreachable!("nothing cancels, yet panel {panel} did"),
+        }
     };
-    let chunks: Vec<&[Matrix<f64>]> = problems.chunks(BATCH_LANES).collect();
-    let run_chunk = |c: usize| -> Vec<Result<Matrix<f64>, MatrixError>> {
-        let refs: Vec<&Matrix<f64>> = chunks[c].iter().collect();
-        let mut pack = match BatchPack::pack_square(&refs, bucket_n) {
-            Ok(p) => p,
-            Err(e) => return refs.iter().map(|_| Err(e.clone())).collect(),
-        };
-        let results = batch_potrf(&mut pack, b, mode);
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(s, r)| r.map(|()| pack.extract(s, refs[s].rows(), refs[s].rows())))
-            .collect()
+    let members = problems.len();
+    let runs = cholcomm_matrix::parallel::effective_threads().min(members);
+    if runs < 2 {
+        return (0..members).map(factor_one).collect();
+    }
+    let run = members.div_ceil(runs);
+    let factor_run = |r: usize| -> Vec<_> {
+        (r * run..members.min((r + 1) * run)).map(factor_one).collect()
     };
-    let per_chunk: Vec<Vec<Result<Matrix<f64>, MatrixError>>> =
-        if cholcomm_matrix::parallel::kernel_parallelism() && chunks.len() > 1 {
-            cholcomm_par::scatter(chunks.len(), &run_chunk)
-        } else {
-            (0..chunks.len()).map(run_chunk).collect()
-        };
-    per_chunk.into_iter().flatten().collect()
+    cholcomm_par::scatter(members.div_ceil(run), &factor_run)
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 #[cfg(test)]
@@ -374,6 +379,37 @@ mod tests {
         let payload = result.expect_err("should panic");
         let crash = payload.downcast_ref::<PanelCrash>().expect("typed payload");
         assert_eq!(crash.panel, 1);
+    }
+
+    /// A non-square member between two good ones gets `NotSquare`, and
+    /// only it: the others factor to the per-request engine's bits.
+    #[test]
+    fn a_malformed_member_fails_alone() {
+        let good = [
+            spd::random_spd(12, &mut spd::test_rng(1)),
+            spd::random_spd(16, &mut spd::test_rng(2)),
+        ];
+        let members = [good[0].clone(), Matrix::zeros(6, 5), good[1].clone()];
+        for kernel in ENGINES {
+            let results = factor_batch(&members, 16, 8, kernel);
+            assert_eq!(results.len(), 3);
+            for (got, a) in [&results[0], &results[2]].into_iter().zip(&good) {
+                let want = run_to_done(Checkpoint::fresh(a.clone()), 8, kernel);
+                assert_eq!(lower_digest(got.as_ref().unwrap()), lower_digest(&want), "{kernel:?}");
+            }
+            assert!(
+                matches!(results[1], Err(MatrixError::NotSquare { rows: 6, cols: 5 })),
+                "{kernel:?}: {:?}",
+                results[1]
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds bucket")]
+    fn a_member_larger_than_its_bucket_panics() {
+        let a = spd::random_spd(17, &mut spd::test_rng(3));
+        let _ = factor_batch(&[a], 16, 8, KernelImpl::FastStrict);
     }
 
     #[test]

@@ -29,8 +29,7 @@ pub enum Source {
     /// Served from cache *because* fresh factorization was shed — the
     /// graceful-degradation path.
     DegradedCache,
-    /// Freshly factored as one lane of a size-bucketed batch on the
-    /// batched kernels.
+    /// Freshly factored as one member of a size-bucketed batch.
     Batched,
 }
 

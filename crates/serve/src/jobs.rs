@@ -15,7 +15,7 @@
 use cholcomm_matrix::digest::{fnv1a, fnv1a_update};
 use cholcomm_matrix::{spd, Matrix};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::{Rng, RngExt, SeedableRng};
 
 /// What a request asks the service to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,7 +84,8 @@ pub fn build(kind: JobKind, key: u64, n: usize) -> Problem {
         JobKind::Solve => {
             let mut rng = spd::test_rng(seed);
             let a = spd::random_spd(n, &mut rng);
-            let rhs = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
+            let mut rhs = vec![0.0; n];
+            rng.fill_range(&mut rhs, -1.0..1.0);
             Problem { a, rhs: Some(rhs) }
         }
         JobKind::GpPosterior => {
@@ -243,7 +244,8 @@ pub fn innovation_covariance(n: usize, seed: u64) -> (Matrix<f64>, Vec<f64>) {
     for d in 0..n {
         s[(d, d)] += meas_noise * meas_noise;
     }
-    let innov = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
+    let mut innov = vec![0.0; n];
+    rng.fill_range(&mut innov, -1.0..1.0);
     (s, innov)
 }
 

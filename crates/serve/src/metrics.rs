@@ -34,7 +34,7 @@ pub struct Counters {
     pub breaker_transitions: u64,
     /// Cache entries adopted from the durable journal at shard start.
     pub cache_recovered: u64,
-    /// Size-bucketed batches dispatched onto the batched kernels.
+    /// Size-bucketed batches dispatched to a shard as one unit.
     pub batches_dispatched: u64,
     /// Requests factored as lanes of a batch (each also counts in
     /// `completed`; the ratio to `batches_dispatched` is the realized

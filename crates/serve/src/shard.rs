@@ -363,7 +363,7 @@ impl Shard {
         self.factor_fresh(job, seq, vstart_us);
     }
 
-    /// Execute one released size bucket as a single batched kernel run.
+    /// Execute one released size bucket as one unit of work.
     ///
     /// Per member, in deterministic order: announce batch membership,
     /// try the verified cache (a hit serves at cache cost and drops out
@@ -372,9 +372,8 @@ impl Shard {
     /// shed with a typed refusal, never silently factored late), then
     /// factor every survivor in one [`factor_batch`] call.  All
     /// survivors complete at the same virtual instant — the batch is one
-    /// unit of work — and each factor is bit-identical to what the
-    /// per-request path would have produced (strict lanes never
-    /// interact).
+    /// unit of work — and each factor is the per-request path's, bit for
+    /// bit, since [`factor_batch`] runs that engine on every member.
     ///
     /// The batch path deliberately bypasses the retry/crash supervisor
     /// and the circuit breaker: those guard the resumable per-request

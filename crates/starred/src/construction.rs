@@ -142,6 +142,7 @@ pub fn expected_factor(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<Star> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use cholcomm_matrix::kernels::potf2;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 //! # cholcomm-starred
 //!
 //! The machinery of the paper's lower-bound reduction (Section 2):

@@ -81,6 +81,7 @@ pub fn lu_reduction_error(a: &Matrix<f64>, b: &Matrix<f64>) -> f64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use cholcomm_matrix::spd;
