@@ -23,22 +23,29 @@
 //! of thread interleaving — which is what makes "bit-identical factor
 //! under any plan" a testable property rather than a hope.
 //!
+//! Crash consistency lives here too: [`Store`] abstracts durable storage
+//! over the real filesystem or the simulated crash disk [`SimDisk`], and
+//! [`journal`] is the one write-ahead commit protocol the out-of-core
+//! checkpoints and the service's factor cache share.
+//!
 //! Liveness is guaranteed by construction: a message or disk operation
 //! is never faulted more than [`FaultPlanBuilder::max_fault_attempts`]
 //! times, so bounded retry always succeeds eventually.
 
+pub mod journal;
 mod plan;
 mod simdisk;
 mod stats;
 mod store;
 
+pub use journal::CommitDiscipline;
 pub use plan::{
     BitFlip, CacheFlip, CrashPoint, DiskFault, DiskLatency, DiskOp, FaultPlan, FaultPlanBuilder,
     JobFault, MessageFault, RankKill,
 };
 pub use simdisk::{
-    crash_sites_exhaustive, crash_sites_sampled, crash_state, shrink_site, CrashSite, SimDisk,
-    SimOp, SimState, DEFAULT_SECTOR, EXHAUSTIVE_PENDING_CAP,
+    crash_sites_exhaustive, crash_sites_sampled, crash_state, schedule_digest, shrink_site,
+    CrashSite, SimDisk, SimOp, SimState, DEFAULT_SECTOR, EXHAUSTIVE_PENDING_CAP,
 };
 pub use stats::FaultStats;
 pub use store::{FsStore, SimStore, Store};

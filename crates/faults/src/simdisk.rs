@@ -23,6 +23,7 @@
 //! fault plan that still breaks the protocol under test.
 
 use crate::coord_hash;
+use cholcomm_matrix::digest::{fnv1a, fnv1a_update};
 use std::collections::BTreeMap;
 
 /// Default sector size (bytes) for torn-write granularity.  Small on
@@ -93,6 +94,36 @@ impl SimOp {
     pub fn sectors(&self, sector: usize) -> usize {
         self.payload_len().div_ceil(sector.max(1))
     }
+}
+
+/// FNV-1a over a recorded schedule: each op's tag byte, then its fields,
+/// strings and payloads length-prefixed.  Pins a schedule, op for op and
+/// byte for byte, in one word.
+pub fn schedule_digest(ops: &[SimOp]) -> u64 {
+    let field = |h: u64, bytes: &[u8]| {
+        fnv1a_update(fnv1a_update(h, &(bytes.len() as u64).to_le_bytes()), bytes)
+    };
+    ops.iter().fold(fnv1a(b""), |h, op| match op {
+        SimOp::WriteFile { name, bytes } => {
+            field(field(fnv1a_update(h, &[0]), name.as_bytes()), bytes)
+        }
+        SimOp::WriteAt {
+            name,
+            offset,
+            bytes,
+        } => {
+            let h = field(fnv1a_update(h, &[1]), name.as_bytes());
+            field(fnv1a_update(h, &offset.to_le_bytes()), bytes)
+        }
+        SimOp::Append { name, bytes } => {
+            field(field(fnv1a_update(h, &[2]), name.as_bytes()), bytes)
+        }
+        SimOp::Rename { from, to } => {
+            field(field(fnv1a_update(h, &[3]), from.as_bytes()), to.as_bytes())
+        }
+        SimOp::Remove { name } => field(fnv1a_update(h, &[4]), name.as_bytes()),
+        SimOp::Barrier => fnv1a_update(h, &[5]),
+    })
 }
 
 /// A complete durable filesystem image (file name to content).

@@ -1,7 +1,7 @@
-//! A minimal durable-storage interface shared by the journaled commit
-//! protocols (ooc checkpoints, serve factor cache) so the same protocol
-//! code runs over the real filesystem in production and over
-//! [`SimDisk`](crate::SimDisk) under the crash-point explorer.
+//! A minimal durable-storage interface under the write-ahead journal
+//! ([`journal`](crate::journal)), so the same protocol code runs over the
+//! real filesystem in production and over [`SimDisk`](crate::SimDisk)
+//! under the crash-point explorer.
 //!
 //! The contract is deliberately narrow — flat names, whole-file and
 //! append writes, an idempotent remove, and an explicit [`barrier`]

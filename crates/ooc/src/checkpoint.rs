@@ -1,40 +1,26 @@
 //! Panel-granularity checkpoint/restart for the out-of-core Cholesky,
-//! on a journaled commit protocol.
+//! on the write-ahead journal of [`cholcomm_faults::journal`].
 //!
 //! After each completed panel the driver writes every dirty tile back and
-//! writes a *generation*: a snapshot of the backing file plus a small
-//! manifest recording the next panel to run (and `n`, `b`, the
-//! snapshot's length and FNV-1a hash).  Generations are made durable by
-//! a write-ahead journal, not by rename:
+//! commits a *generation*: a snapshot of the backing file
+//! (`<prefix>.g<gen>.data`) plus a self-hashed manifest
+//! (`<prefix>.g<gen>.manifest`) repeating the intent record's fields —
+//! the next panel to run, `n`, `b`, the snapshot's length and FNV-1a.
+//! Both files are the commit's payload; the superseded generation is
+//! pruned after it.
 //!
-//! ```text
-//! append INTENT(gen, next_panel, n, b, len, fnv)   to <prefix>.journal
-//! write   <prefix>.g<gen>.data                     (the snapshot)
-//! write   <prefix>.g<gen>.manifest                 (self-hashed metadata)
-//! ------- barrier -------   everything above is durable
-//! append COMMIT(gen)                               to <prefix>.journal
-//! ------- barrier -------   the commit is durable
-//! remove  older generations                        (prune, crash-safe)
-//! ```
-//!
-//! Every journal record authenticates itself (a trailing `rec_fnv` over
-//! the record text), so a torn append is indistinguishable from no
-//! append: recovery parses the longest valid prefix and ignores the
-//! rest.  [`Checkpoint::load`] resumes from the **highest committed**
-//! generation, sweeps uncommitted or stale generation files and `.tmp`
-//! strays left by a crashed save, and validates everything the commit
-//! vouches for — manifest self-hash, generation agreement, geometry
-//! (`data_len` must equal the tile layout implied by `n`/`b`), snapshot
-//! length and hash, intent/manifest cross-check.  A committed
-//! generation that fails validation is a **protocol violation or
-//! storage corruption** and fails loudly with
-//! [`std::io::ErrorKind::InvalidData`] — never a silent fall-back to an
-//! older state — because "commit implies durable" is exactly the
-//! invariant the barrier before the commit record buys.  The
-//! crash-point explorer (`crates/faults`, `tests/crash_consistency.rs`)
-//! leans on that loudness: [`CommitDiscipline::UnbarrieredCommit`]
-//! deliberately skips the pre-commit barrier, and the explorer catches
-//! the resulting torn-data-behind-a-commit states.
+//! Recovery is the journal's **strict** policy: [`Checkpoint::load`]
+//! resumes from the highest committed generation, sweeps uncommitted or
+//! stale generation files and `.tmp` strays, and validates everything the
+//! commit vouches for — manifest self-hash, generation, geometry
+//! (`data_len` must equal the tile layout implied by `n`/`b`), agreement
+//! with the intent, snapshot length and hash.  A committed generation
+//! that fails is a **protocol violation or storage corruption** and fails
+//! loudly with [`std::io::ErrorKind::InvalidData`], never a silent
+//! fall-back to older state: "commit implies durable" is what the barrier
+//! before the commit record buys, and the crash-point explorer
+//! (`tests/crash_consistency.rs`) leans on that loudness to catch
+//! [`CommitDiscipline::UnbarrieredCommit`].
 //!
 //! A *full* snapshot per checkpoint is deliberate: the factorization is
 //! right-looking, so panel `k` mutates the whole trailing submatrix.
@@ -54,7 +40,8 @@
 use crate::backend::IoBackend;
 use crate::pipeline::{ooc_potrf_checkpointed_pipelined_in, PipelineConfig};
 use crate::potrf::OocError;
-use cholcomm_faults::{FsStore, Store};
+use cholcomm_faults::journal::{self, Fields, Intent, Replay};
+use cholcomm_faults::{CommitDiscipline, FsStore, Store};
 use cholcomm_matrix::digest::fnv1a;
 use std::path::Path;
 
@@ -124,20 +111,6 @@ impl<St: Store> Checkpointing<'_, St> {
     }
 }
 
-/// How strictly [`Checkpoint::save`] orders its commit record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommitDiscipline {
-    /// The correct protocol: a barrier *before* the commit record, so a
-    /// durable commit implies durable data.
-    #[default]
-    Barriered,
-    /// Deliberately broken: the commit record is appended in the same
-    /// un-barriered window as the data it vouches for.  Exists so the
-    /// crash-point explorer can prove it catches real protocol bugs —
-    /// never use it for actual checkpoints.
-    UnbarrieredCommit,
-}
-
 /// A checkpoint location rooted at a path prefix.  On disk it owns
 /// `<prefix>.journal` plus one `<prefix>.g<gen>.data` /
 /// `<prefix>.g<gen>.manifest` pair per live generation.
@@ -177,85 +150,33 @@ pub struct CheckpointReport {
     pub restores: usize,
 }
 
-/// One validated journal record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum JournalRec {
-    Intent {
-        gen: u64,
-        next_panel: usize,
-        n: usize,
-        b: usize,
-        data_len: u64,
-        data_fnv: u64,
-    },
-    Commit {
-        gen: u64,
-    },
+/// A generation's intent record; with its `gen`, also its manifest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Generation {
+    pub(crate) next_panel: usize,
+    n: usize,
+    b: usize,
+    data_len: u64,
+    data_fnv: u64,
 }
 
-/// Parse the longest valid prefix of a journal: records stop at the
-/// first line whose structure or trailing `rec_fnv` does not check out
-/// (a torn append), and everything after is ignored.
-fn parse_journal(text: &str) -> Vec<JournalRec> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some((body, fnv_hex)) = line.rsplit_once(" rec_fnv=") else {
-            break;
-        };
-        let Ok(recorded) = u64::from_str_radix(fnv_hex, 16) else {
-            break;
-        };
-        if fnv1a(body.as_bytes()) != recorded {
-            break;
-        }
-        let mut fields = body.split(' ');
-        let kind = fields.next();
-        let mut gen = None;
-        let mut next_panel = None;
-        let mut n = None;
-        let mut b = None;
-        let mut data_len = None;
-        let mut data_fnv = None;
-        for field in fields {
-            let Some((key, val)) = field.split_once('=') else {
-                continue;
-            };
-            match key {
-                "gen" => gen = val.parse().ok(),
-                "next_panel" => next_panel = val.parse().ok(),
-                "n" => n = val.parse().ok(),
-                "b" => b = val.parse().ok(),
-                "data_len" => data_len = val.parse().ok(),
-                "data_fnv" => data_fnv = u64::from_str_radix(val, 16).ok(),
-                _ => {}
-            }
-        }
-        let rec = match (kind, gen) {
-            (Some("intent"), Some(gen)) => {
-                let (Some(next_panel), Some(n), Some(b), Some(data_len), Some(data_fnv)) =
-                    (next_panel, n, b, data_len, data_fnv)
-                else {
-                    break;
-                };
-                JournalRec::Intent {
-                    gen,
-                    next_panel,
-                    n,
-                    b,
-                    data_len,
-                    data_fnv,
-                }
-            }
-            (Some("commit"), Some(gen)) => JournalRec::Commit { gen },
-            _ => break,
-        };
-        out.push(rec);
+impl Intent for Generation {
+    fn fields(&self) -> String {
+        format!(
+            "next_panel={} n={} b={} data_len={} data_fnv={:016x}",
+            self.next_panel, self.n, self.b, self.data_len, self.data_fnv
+        )
     }
-    out
-}
 
-fn journal_line(body: &str) -> String {
-    format!("{body} rec_fnv={:016x}\n", fnv1a(body.as_bytes()))
+    fn decode(fields: &Fields<'_>) -> Option<Self> {
+        Some(Generation {
+            next_panel: fields.get("next_panel")?,
+            n: fields.get("n")?,
+            b: fields.get("b")?,
+            data_len: fields.get("data_len")?,
+            data_fnv: fields.hex("data_fnv")?,
+        })
+    }
 }
 
 impl Checkpoint {
@@ -288,107 +209,33 @@ impl Checkpoint {
         format!("{}.g{}.manifest", self.prefix, gen)
     }
 
-    fn read_journal(&self, store: &impl Store) -> std::io::Result<Vec<JournalRec>> {
-        if !store.exists(&self.journal_file()) {
-            return Ok(Vec::new());
-        }
-        let bytes = store.read(&self.journal_file())?;
-        Ok(parse_journal(&String::from_utf8_lossy(&bytes)))
-    }
-
-    /// Highest gen with both an intent and a commit record, plus its
-    /// intent — and the highest gen mentioned at all (for numbering).
-    fn committed(records: &[JournalRec]) -> (Option<(u64, JournalRec)>, u64) {
-        let mut max_gen = 0;
-        let mut best: Option<(u64, JournalRec)> = None;
-        for rec in records {
-            match rec {
-                JournalRec::Intent { gen, .. } => max_gen = max_gen.max(*gen),
-                JournalRec::Commit { gen } => {
-                    max_gen = max_gen.max(*gen);
-                    let intent = records.iter().find(
-                        |r| matches!(r, JournalRec::Intent { gen: g, .. } if g == gen),
-                    );
-                    if let Some(intent) = intent {
-                        if best.as_ref().is_none_or(|(g, _)| gen > g) {
-                            best = Some((*gen, intent.clone()));
-                        }
-                    }
-                }
-            }
-        }
-        (best, max_gen)
+    fn journal(&self, store: &impl Store) -> std::io::Result<Replay<Generation>> {
+        Replay::read(store, &self.journal_file())
     }
 
     /// Delete every generation file except `keep`'s, and any `.tmp`
     /// strays under the prefix (a crashed legacy save's leftovers).
     fn sweep(&self, store: &mut impl Store, keep: Option<u64>) -> std::io::Result<()> {
-        let keep_data = keep.map(|g| self.data_file(g));
-        let keep_manifest = keep.map(|g| self.manifest_file(g));
-        for name in store.list_prefix(&format!("{}.g", self.prefix))? {
-            if Some(&name) != keep_data.as_ref() && Some(&name) != keep_manifest.as_ref() {
-                store.remove(&name)?;
-            }
-        }
-        for name in store.list_prefix(&self.prefix)? {
-            if name.ends_with(".tmp") {
-                store.remove(&name)?;
-            }
-        }
-        Ok(())
+        let kept = keep.map(|g| [self.data_file(g), self.manifest_file(g)]);
+        let kept = |name: &str| kept.as_ref().is_some_and(|kept| kept.iter().any(|k| k == name));
+        journal::sweep(store, &format!("{}.g", self.prefix), kept)?;
+        journal::sweep(store, &self.prefix, |name| !name.ends_with(".tmp"))
     }
 
-    fn parse_manifest(&self, text: &str, gen: u64) -> std::io::Result<CheckpointState> {
-        // A torn tail can shear off any suffix; the newline terminating
-        // the integrity line is the cheapest completeness witness, so a
-        // manifest that does not end with one is rejected outright.
-        if !text.ends_with('\n') {
-            return Err(bad(
-                "checkpoint manifest is not newline-terminated (torn write?)".into(),
-            ));
+    fn parse_manifest(&self, text: &str, gen: u64) -> std::io::Result<Generation> {
+        // The manifest's last line authenticates everything before it.  A
+        // torn tail can shear off any suffix, so the newline ending that
+        // line is required too: it is the cheapest completeness witness.
+        let (body, fnv_line) = text.rsplit_once("manifest_fnv=").unwrap_or((text, ""));
+        let recorded = fnv_line.strip_suffix('\n').and_then(|v| u64::from_str_radix(v, 16).ok());
+        if recorded != Some(fnv1a(body.as_bytes())) {
+            return Err(bad("checkpoint manifest failed its integrity check (torn write?)".into()));
         }
-        // The manifest's last line authenticates everything before it.
-        let body_end = text
-            .rfind("manifest_fnv=")
-            .ok_or_else(|| bad("checkpoint manifest has no integrity line".into()))?;
-        let (body, fnv_line) = text.split_at(body_end);
-        let recorded: u64 = fnv_line
-            .trim()
-            .strip_prefix("manifest_fnv=")
-            .and_then(|v| u64::from_str_radix(v, 16).ok())
-            .ok_or_else(|| bad("bad manifest integrity line".into()))?;
-        if fnv1a(body.as_bytes()) != recorded {
-            return Err(bad("checkpoint manifest failed its integrity check".into()));
-        }
-        let mut lines = body.lines();
-        if lines.next() != Some(MANIFEST_MAGIC) {
+        if body.lines().next() != Some(MANIFEST_MAGIC) {
             return Err(bad("unrecognised checkpoint manifest".into()));
         }
-        let mut mgen = None;
-        let mut next_panel = None;
-        let mut n: Option<usize> = None;
-        let mut b: Option<usize> = None;
-        let mut data_len = None;
-        let mut data_fnv = None;
-        for line in lines {
-            let Some((key, val)) = line.split_once('=') else {
-                continue;
-            };
-            match key {
-                "gen" => mgen = val.parse::<u64>().ok(),
-                "next_panel" => next_panel = val.parse().ok(),
-                "n" => n = val.parse().ok(),
-                "b" => b = val.parse().ok(),
-                "data_len" => data_len = val.parse::<u64>().ok(),
-                "data_fnv" => data_fnv = u64::from_str_radix(val, 16).ok(),
-                _ => {}
-            }
-        }
-        // data_fnv is required present (an incomplete manifest is
-        // rejected) but the authoritative hash check is against the
-        // journal intent's copy in `load_in`.
-        let (Some(mgen), Some(next_panel), Some(n), Some(b), Some(data_len), Some(_)) =
-            (mgen, next_panel, n, b, data_len, data_fnv)
+        let fields = Fields(body);
+        let (Some(mgen), Some(manifest)) = (fields.get::<u64>("gen"), Generation::decode(&fields))
         else {
             return Err(bad("incomplete checkpoint manifest".into()));
         };
@@ -401,6 +248,7 @@ impl Checkpoint {
         // Geometry must be self-consistent: a manifest whose hash checks
         // out but whose n/b disagree with its own data length was
         // assembled from mismatched pieces.
+        let Generation { n, b, data_len, .. } = manifest;
         let nb = n.div_ceil(b);
         let expect = (nb * nb * b * b * 8) as u64;
         if data_len != expect {
@@ -408,12 +256,7 @@ impl Checkpoint {
                 "manifest geometry n={n} b={b} implies {expect} data bytes, records {data_len}"
             )));
         }
-        Ok(CheckpointState {
-            next_panel,
-            n,
-            b,
-            gen,
-        })
+        Ok(manifest)
     }
 
     /// Recover from the journal on `store`: find the highest committed
@@ -426,9 +269,7 @@ impl Checkpoint {
     /// fails validation: under the barriered commit discipline that can
     /// only mean a commit-protocol violation or storage corruption.
     pub fn load_in(&self, store: &mut impl Store) -> std::io::Result<Option<CheckpointState>> {
-        let records = self.read_journal(store)?;
-        let (committed, _) = Self::committed(&records);
-        let Some((gen, intent)) = committed else {
+        let Some((gen, intent)) = self.journal(store)?.committed.pop_last() else {
             // Nothing committed: any generation files or temp strays are
             // garbage from a crashed save — roll them back.
             self.sweep(store, None)?;
@@ -444,44 +285,33 @@ impl Checkpoint {
             return Err(violation("committed manifest is missing".into()));
         }
         let manifest = store.read(&self.manifest_file(gen))?;
-        let state = self
+        let manifest = self
             .parse_manifest(&String::from_utf8_lossy(&manifest), gen)
             .map_err(|e| violation(e.to_string()))?;
-        let JournalRec::Intent {
-            next_panel,
-            n,
-            b,
-            data_len,
-            data_fnv,
-            ..
-        } = intent
-        else {
-            return Err(violation("commit without an intent record".into()));
-        };
-        if state.next_panel != next_panel || state.n != n || state.b != b {
+        if manifest != intent {
             return Err(violation(format!(
-                "manifest (next_panel={} n={} b={}) disagrees with the journal intent \
-                 (next_panel={next_panel} n={n} b={b})",
-                state.next_panel, state.n, state.b
+                "manifest {manifest:?} disagrees with the journal intent {intent:?}"
             )));
         }
         if !store.exists(&self.data_file(gen)) {
             return Err(violation("committed data snapshot is missing".into()));
         }
         let data = store.read(&self.data_file(gen))?;
-        if data.len() as u64 != data_len {
+        if data.len() as u64 != intent.data_len {
             return Err(violation(format!(
-                "checkpoint data is {} bytes, manifest records {data_len} (truncated?)",
-                data.len()
+                "checkpoint data is {} bytes, manifest records {} (truncated?)",
+                data.len(),
+                intent.data_len
             )));
         }
-        if fnv1a(&data) != data_fnv {
+        if fnv1a(&data) != intent.data_fnv {
             return Err(violation(
                 "checkpoint data failed its integrity check".into(),
             ));
         }
         self.sweep(store, Some(gen))?;
-        Ok(Some(state))
+        let Generation { next_panel, n, b, .. } = intent;
+        Ok(Some(CheckpointState { next_panel, n, b, gen }))
     }
 
     /// Snapshot the backing file as a new generation and commit it
@@ -497,48 +327,30 @@ impl Checkpoint {
         fm: &B,
         next_panel: usize,
     ) -> std::io::Result<u64> {
-        let src = backend_data_name(fm)?;
-        let data = store.read(&src)?;
-        let data_fnv = fnv1a(&data);
-        let records = self.read_journal(store)?;
-        let (committed, max_gen) = Self::committed(&records);
-        let gen = max_gen + 1;
-
-        let intent = format!(
-            "intent gen={gen} next_panel={next_panel} n={} b={} data_len={} data_fnv={data_fnv:016x}",
-            fm.n(),
-            fm.b(),
-            data.len()
-        );
-        store.append(&self.journal_file(), journal_line(&intent).as_bytes())?;
-        store.write_file(&self.data_file(gen), &data)?;
-
-        let mut body = String::new();
-        use std::fmt::Write as _;
-        let _ = writeln!(body, "{MANIFEST_MAGIC}");
-        let _ = writeln!(body, "gen={gen}");
-        let _ = writeln!(body, "next_panel={next_panel}");
-        let _ = writeln!(body, "n={}", fm.n());
-        let _ = writeln!(body, "b={}", fm.b());
-        let _ = writeln!(body, "data_len={}", data.len());
-        let _ = writeln!(body, "data_fnv={data_fnv:016x}");
-        let manifest_fnv = fnv1a(body.as_bytes());
-        let _ = writeln!(body, "manifest_fnv={manifest_fnv:016x}");
-        store.write_file(&self.manifest_file(gen), body.as_bytes())?;
-
-        if self.discipline == CommitDiscipline::Barriered {
-            // The barrier that makes "committed" mean "durable".
-            store.barrier()?;
-        }
-        store.append(
-            &self.journal_file(),
-            journal_line(&format!("commit gen={gen}")).as_bytes(),
-        )?;
-        store.barrier()?;
+        let data = store.read(&backend_data_name(fm)?)?;
+        let replay = self.journal(store)?;
+        let gen = replay.max_gen + 1;
+        let intent = Generation {
+            next_panel,
+            n: fm.n(),
+            b: fm.b(),
+            data_len: data.len() as u64,
+            data_fnv: fnv1a(&data),
+        };
+        // The manifest is the intent's fields, one per line, behind the
+        // magic and the generation, and authenticated by its last line.
+        let fields = intent.fields().replace(' ', "\n");
+        let mut manifest = format!("{MANIFEST_MAGIC}\ngen={gen}\n{fields}\n");
+        manifest += &format!("manifest_fnv={:016x}\n", fnv1a(manifest.as_bytes()));
+        let payload: [(&str, &[u8]); 2] = [
+            (&self.data_file(gen), &data),
+            (&self.manifest_file(gen), manifest.as_bytes()),
+        ];
+        journal::commit(store, &self.journal_file(), gen, &intent, &payload, self.discipline)?;
 
         // Prune the superseded generation; a crash in here leaves a
         // stray pair that the next load sweeps.
-        if let Some((old, _)) = committed {
+        if let Some(&old) = replay.committed.keys().next_back() {
             store.remove(&self.data_file(old))?;
             store.remove(&self.manifest_file(old))?;
         }
@@ -553,9 +365,7 @@ impl Checkpoint {
         store: &mut impl Store,
         fm: &mut B,
     ) -> std::io::Result<u64> {
-        let records = self.read_journal(store)?;
-        let (committed, _) = Self::committed(&records);
-        let Some((gen, _)) = committed else {
+        let Some(&gen) = self.journal(store)?.committed.keys().next_back() else {
             return Err(bad("no committed checkpoint to restore from".into()));
         };
         let data = store.read(&self.data_file(gen))?;
@@ -640,6 +450,7 @@ pub fn ooc_potrf_checkpointed<B: IoBackend>(
 mod tests {
     use super::*;
     use crate::backend::FaultyBackend;
+    use cholcomm_faults::journal::journal_line;
     use crate::filemat::{scratch_path, FileMatrix};
     use crate::potrf::ooc_potrf_with;
     use cholcomm_faults::{CrashPoint, FaultPlan};

@@ -25,11 +25,14 @@
 //! plan whose `Display` string reproduces the violation.
 
 use crate::backend::IoBackend;
-use crate::checkpoint::{Checkpoint, CommitDiscipline};
+use crate::checkpoint::{Checkpoint, Generation};
 use crate::pipeline::{ooc_potrf_checkpointed_pipelined_in, PipelineConfig};
 use crate::potrf::OocError;
 use crate::simmat::SimMatrix;
-use cholcomm_faults::{crash_state, shrink_site, CrashSite, SimDisk, SimOp, SimState, SimStore};
+use cholcomm_faults::journal::{parse_journal, Record};
+use cholcomm_faults::{
+    crash_state, shrink_site, CommitDiscipline, CrashSite, SimDisk, SimOp, SimState, SimStore,
+};
 use cholcomm_matrix::Matrix;
 use std::sync::{Arc, Mutex};
 
@@ -175,28 +178,17 @@ impl RecordedRun {
     /// Panels of progress the original run had *issued* checkpoints for
     /// by `crash_index` — the recovery re-work baseline.
     fn issued_next_panel(&self, crash_index: usize) -> usize {
-        let journal = format!("{}.journal", self.ckpt_prefix);
-        let mut issued = 0;
-        for op in self.schedule.iter().take(crash_index) {
-            let SimOp::Append { name, bytes } = op else {
-                continue;
-            };
-            if *name != journal {
-                continue;
-            }
-            let text = String::from_utf8_lossy(bytes);
-            if !text.starts_with("intent ") {
-                continue;
-            }
-            for field in text.split(' ') {
-                if let Some(v) = field.strip_prefix("next_panel=") {
-                    if let Ok(v) = v.trim().parse::<usize>() {
-                        issued = issued.max(v);
-                    }
-                }
-            }
-        }
-        issued
+        let journal = Checkpoint::at(std::path::Path::new(&self.ckpt_prefix)).journal_file();
+        let appended = self.schedule.iter().take(crash_index).filter_map(|op| match op {
+            SimOp::Append { name, bytes: b } if *name == journal => Some(String::from_utf8_lossy(b)),
+            _ => None,
+        });
+        let text: String = appended.collect();
+        let issued = parse_journal::<Generation>(&text).into_iter().filter_map(|rec| match rec {
+            Record::Intent(_, intent) => Some(intent.next_panel),
+            Record::Commit(_) => None,
+        });
+        issued.max().unwrap_or(0)
     }
 }
 
@@ -296,7 +288,7 @@ pub fn explore_crash_sites(run: &RecordedRun, sites: &[CrashSite]) -> CrashExplo
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use cholcomm_faults::{crash_sites_sampled, DEFAULT_SECTOR};
+    use cholcomm_faults::{crash_sites_sampled, schedule_digest, DEFAULT_SECTOR};
     use cholcomm_matrix::spd;
 
     #[test]
@@ -344,36 +336,6 @@ mod tests {
         // barrier drains before every checkpoint: zero and one worker
         // leave the *same* durable op schedule behind.
         assert_eq!(pipe.schedule, sync.schedule);
-    }
-
-    /// FNV-1a over a recorded schedule: each op's tag byte, then its
-    /// fields, strings and payloads length-prefixed.
-    fn schedule_digest(ops: &[SimOp]) -> u64 {
-        use cholcomm_matrix::digest::{fnv1a, fnv1a_update};
-        let field = |h: u64, bytes: &[u8]| {
-            fnv1a_update(fnv1a_update(h, &(bytes.len() as u64).to_le_bytes()), bytes)
-        };
-        ops.iter().fold(fnv1a(b""), |h, op| match op {
-            SimOp::WriteFile { name, bytes } => {
-                field(field(fnv1a_update(h, &[0]), name.as_bytes()), bytes)
-            }
-            SimOp::WriteAt {
-                name,
-                offset,
-                bytes,
-            } => {
-                let h = field(fnv1a_update(h, &[1]), name.as_bytes());
-                field(fnv1a_update(h, &offset.to_le_bytes()), bytes)
-            }
-            SimOp::Append { name, bytes } => {
-                field(field(fnv1a_update(h, &[2]), name.as_bytes()), bytes)
-            }
-            SimOp::Rename { from, to } => {
-                field(field(fnv1a_update(h, &[3]), from.as_bytes()), to.as_bytes())
-            }
-            SimOp::Remove { name } => field(fnv1a_update(h, &[4]), name.as_bytes()),
-            SimOp::Barrier => fnv1a_update(h, &[5]),
-        })
     }
 
     #[test]

@@ -37,8 +37,8 @@
 //! Checkpoints themselves carry FNV integrity hashes, so truncated or
 //! bit-rotted snapshots are rejected instead of resumed from.
 //!
-//! Durability is *tested*, not assumed: checkpoints commit through a
-//! write-ahead journal (intent, data, barrier, commit, barrier — see
+//! Durability is *tested*, not assumed: checkpoints commit through the
+//! write-ahead journal of `cholcomm_faults::journal` (see
 //! [`checkpoint`]), the [`IoBackend`] contract carries an explicit
 //! `barrier()`, and [`crashsim`] runs whole checkpointed factorizations
 //! on a simulated crash disk ([`SimMatrix`] over
@@ -57,9 +57,8 @@ pub mod simmat;
 
 pub use abft::AbftBackend;
 pub use backend::{FaultyBackend, IoBackend, LatencyModel};
-pub use checkpoint::{
-    ooc_potrf_checkpointed, Checkpoint, CheckpointReport, CheckpointState, CommitDiscipline,
-};
+pub use checkpoint::{ooc_potrf_checkpointed, Checkpoint, CheckpointReport, CheckpointState};
+pub use cholcomm_faults::CommitDiscipline;
 pub use crashsim::{
     explore_crash_sites, record_run, record_run_pipelined, CrashExploration, RecordedRun,
 };

@@ -1,116 +1,54 @@
-//! Durable factor cache: the journaled commit protocol of the ooc
-//! checkpoints, applied to a shard's [`FactorCache`].
+//! Durable factor cache: a shard's [`FactorCache`] committed through
+//! the write-ahead journal of [`cholcomm_faults::journal`], the one the
+//! ooc checkpoints use.
 //!
 //! Each shard owns one `cache-<shard>.journal` plus one entry file per
-//! committed factor.  An insert commits through the same write-ahead
-//! sequence the checkpoints use — **intent record, entry data, barrier,
-//! commit record, barrier** — so at no crash point can a commit be
-//! durable while its entry bytes are not.  Journal records
-//! self-authenticate with a trailing FNV (`rec_fnv=`), so a torn tail
-//! parses as a shorter valid prefix rather than garbage.
-//!
-//! Recovery is *lossy-safe*: a cache may silently forget entries (the
-//! cost is a refactorization), but it may never serve wrong bits.  So
-//! replay adopts only generations with both an intent and a commit
-//! record whose entry file exists, has the recorded length, and hashes
-//! to the recorded FNV; everything else — uncommitted intents, torn
-//! entries, stray files — is dropped and swept.  Adopted factors still
-//! pass through [`FactorCache`]'s ABFT-verified reads afterwards.
+//! committed factor; an insert is one journal commit whose payload is
+//! the entry file.  Recovery is the journal's *lossy* policy: a cache
+//! may silently forget entries (the cost is a refactorization), but it
+//! may never serve wrong bits.  So replay adopts every committed entry
+//! whose file exists, has the recorded length, and hashes to the
+//! recorded FNV; everything else is dropped, counted and swept.
+//! Adopted factors still pass through [`FactorCache`]'s ABFT-verified
+//! reads afterwards.
 
 use crate::cache::FactorCache;
-use cholcomm_faults::Store;
+use cholcomm_faults::journal::{self, Fields, Intent, Replay};
+use cholcomm_faults::{CommitDiscipline, Store};
 use cholcomm_matrix::digest::fnv1a;
 use cholcomm_matrix::{lower_digests, Matrix};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Recovered entries digested (and held outside the cache) at a time.
 const RECOVERY_CHUNK: usize = 32;
 
-/// Append `rec_fnv=` self-authentication to a record body.
-fn journal_line(body: &str) -> String {
-    format!("{body} rec_fnv={:016x}\n", fnv1a(body.as_bytes()))
-}
-
-/// One parsed journal record.
+/// An entry's intent record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Rec {
-    Intent {
-        gen: u64,
-        key: u64,
-        n: usize,
-        len: usize,
-        fnv: u64,
-    },
-    Commit {
-        gen: u64,
-    },
+struct Entry {
+    key: u64,
+    n: usize,
+    len: usize,
+    fnv: u64,
 }
 
-/// Parse the longest valid prefix of the journal: stop at the first
-/// line that is torn, tampered, or unparseable.
-fn parse_journal(text: &str) -> Vec<Rec> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some((body, fnv_hex)) = line.rsplit_once(" rec_fnv=") else {
-            break;
-        };
-        let Ok(recorded) = u64::from_str_radix(fnv_hex, 16) else {
-            break;
-        };
-        if fnv1a(body.as_bytes()) != recorded {
-            break;
-        }
-        let mut fields = body.split_whitespace();
-        let rec = match fields.next() {
-            Some("intent") => {
-                let mut gen = None;
-                let mut key = None;
-                let mut n = None;
-                let mut len = None;
-                let mut fnv = None;
-                for field in fields {
-                    match field.split_once('=') {
-                        Some(("gen", v)) => gen = v.parse().ok(),
-                        Some(("key", v)) => key = v.parse().ok(),
-                        Some(("n", v)) => n = v.parse().ok(),
-                        Some(("len", v)) => len = v.parse().ok(),
-                        Some(("fnv", v)) => fnv = u64::from_str_radix(v, 16).ok(),
-                        _ => {}
-                    }
-                }
-                match (gen, key, n, len, fnv) {
-                    (Some(gen), Some(key), Some(n), Some(len), Some(fnv)) => Rec::Intent {
-                        gen,
-                        key,
-                        n,
-                        len,
-                        fnv,
-                    },
-                    _ => break,
-                }
-            }
-            Some("commit") => {
-                let gen = fields
-                    .find_map(|f| f.strip_prefix("gen=").and_then(|v| v.parse().ok()));
-                match gen {
-                    Some(gen) => Rec::Commit { gen },
-                    None => break,
-                }
-            }
-            _ => break,
-        };
-        out.push(rec);
+impl Intent for Entry {
+    fn fields(&self) -> String {
+        format!("key={} n={} len={} fnv={:016x}", self.key, self.n, self.len, self.fnv)
     }
-    out
+
+    fn decode(fields: &Fields<'_>) -> Option<Self> {
+        Some(Entry {
+            key: fields.get("key")?,
+            n: fields.get("n")?,
+            len: fields.get("len")?,
+            fnv: fields.hex("fnv")?,
+        })
+    }
 }
 
 /// Serialize a factor as little-endian f64 words in storage order.
 fn to_bytes(factor: &Matrix<f64>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(factor.as_slice().len() * 8);
-    for v in factor.as_slice() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+    factor.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect()
 }
 
 /// Rebuild an `n x n` factor from its serialized bytes.
@@ -119,10 +57,8 @@ fn from_bytes(n: usize, bytes: &[u8]) -> Option<Matrix<f64>> {
         return None;
     }
     let mut m = Matrix::zeros(n, n);
-    for (slot, chunk) in m.as_mut_slice().iter_mut().zip(bytes.chunks_exact(8)) {
-        let mut word = [0u8; 8];
-        word.copy_from_slice(chunk);
-        *slot = f64::from_le_bytes(word);
+    for (slot, word) in m.as_mut_slice().iter_mut().zip(bytes.chunks_exact(8)) {
+        *slot = f64::from_le_bytes(word.try_into().ok()?);
     }
     Some(m)
 }
@@ -146,6 +82,9 @@ pub struct DurableCache {
     /// Latest committed generation per key, for pruning superseded
     /// entry files.
     by_key: BTreeMap<u64, u64>,
+    /// Recovery could not read the journal: nothing was adopted or
+    /// swept, and [`record`](DurableCache::record) refuses.
+    unreadable: bool,
 }
 
 impl DurableCache {
@@ -160,6 +99,7 @@ impl DurableCache {
             prefix,
             next_gen: 1,
             by_key: BTreeMap::new(),
+            unreadable: false,
         }
     }
 
@@ -168,37 +108,27 @@ impl DurableCache {
         format!("{}.e{}", self.prefix, gen)
     }
 
+    /// Whether [`record`](DurableCache::record) still journals: false
+    /// once recovery found the journal unreadable.
+    pub fn journaling(&self) -> bool {
+        !self.unreadable
+    }
+
     /// Replay the journal, adopting every validated committed entry into
     /// `cache` (ascending generation order, so the newest factor for a
     /// key wins) and sweeping every file the replay did not adopt.
+    ///
+    /// A journal that exists but cannot be read is not an empty one:
+    /// sweeping would delete committed entries and numbering from 1
+    /// would reuse generations.  Recovery then adopts and deletes
+    /// nothing, and journaling stops.
     pub fn recover_into(&mut self, cache: &mut FactorCache) -> RecoveryReport {
         let mut report = RecoveryReport::default();
-        let text = if self.store.exists(&self.journal) {
-            String::from_utf8_lossy(&self.store.read(&self.journal).unwrap_or_default())
-                .into_owned()
-        } else {
-            String::new()
+        let Ok(replay) = Replay::<Entry>::read(&*self.store, &self.journal) else {
+            self.unreadable = true;
+            return report;
         };
-        let records = parse_journal(&text);
-
-        let mut intents = BTreeMap::new();
-        let mut committed = Vec::new();
-        let mut max_gen = 0;
-        for rec in records {
-            match rec {
-                Rec::Intent { gen, .. } => {
-                    max_gen = max_gen.max(gen);
-                    intents.insert(gen, rec);
-                }
-                Rec::Commit { gen } => {
-                    max_gen = max_gen.max(gen);
-                    if intents.contains_key(&gen) {
-                        committed.push(gen);
-                    }
-                }
-            }
-        }
-        committed.sort_unstable();
+        let committed: Vec<(u64, Entry)> = replay.committed.into_iter().collect();
 
         // A chunk of entries is validated, then digested in one call (the
         // digests advance together, see `lower_digests`), then adopted in
@@ -206,10 +136,7 @@ impl DurableCache {
         // the cache.
         for chunk in committed.chunks(RECOVERY_CHUNK) {
             let mut adopted = Vec::with_capacity(chunk.len());
-            for &gen in chunk {
-                let Some(Rec::Intent { key, n, len, fnv, .. }) = intents.get(&gen).copied() else {
-                    continue;
-                };
+            for &(gen, Entry { key, n, len, fnv }) in chunk {
                 let factor = self
                     .store
                     .read(&self.entry_file(gen))
@@ -229,45 +156,35 @@ impl DurableCache {
                 report.recovered += 1;
             }
         }
-        self.next_gen = max_gen + 1;
-        self.sweep();
+        self.next_gen = replay.max_gen + 1;
+        // Keep only each key's latest adopted entry.  Sweeping is hygiene
+        // for a cache, so a failed removal is left to the next recovery.
+        let keep: BTreeSet<String> = self.by_key.values().map(|&g| self.entry_file(g)).collect();
+        let entries = format!("{}.e", self.prefix);
+        let _ = journal::sweep(&mut *self.store, &entries, |name| keep.contains(name));
         report
     }
 
-    /// Remove every entry file that is not some key's latest committed
-    /// generation (uncommitted strays, superseded or invalid entries).
-    fn sweep(&mut self) {
-        let keep: std::collections::BTreeSet<String> =
-            self.by_key.values().map(|&g| self.entry_file(g)).collect();
-        let listed = self
-            .store
-            .list_prefix(&format!("{}.e", self.prefix))
-            .unwrap_or_default();
-        for name in listed {
-            if !keep.contains(&name) {
-                let _ = self.store.remove(&name);
-            }
-        }
-    }
-
-    /// Journal-commit `factor` for `key`: intent, entry bytes, barrier,
-    /// commit, barrier, then prune the key's superseded entry.
+    /// Journal-commit `factor` for `key` (intent, entry bytes, barrier,
+    /// commit, barrier), then prune the key's superseded entry.
     pub fn record(&mut self, key: u64, factor: &Matrix<f64>) -> std::io::Result<()> {
+        if self.unreadable {
+            return Err(std::io::Error::other(
+                "the cache journal was unreadable at recovery: journaling stopped",
+            ));
+        }
         let gen = self.next_gen;
         self.next_gen += 1;
         let bytes = to_bytes(factor);
-        let intent = journal_line(&format!(
-            "intent gen={gen} key={key} n={} len={} fnv={:016x}",
-            factor.rows(),
-            bytes.len(),
-            fnv1a(&bytes)
-        ));
-        self.store.append(&self.journal, intent.as_bytes())?;
-        self.store.write_file(&self.entry_file(gen), &bytes)?;
-        self.store.barrier()?;
-        self.store
-            .append(&self.journal, journal_line(&format!("commit gen={gen}")).as_bytes())?;
-        self.store.barrier()?;
+        let entry = Entry {
+            key,
+            n: factor.rows(),
+            len: bytes.len(),
+            fnv: fnv1a(&bytes),
+        };
+        let payload: [(&str, &[u8]); 1] = [(&self.entry_file(gen), &bytes)];
+        let discipline = CommitDiscipline::Barriered;
+        journal::commit(&mut *self.store, &self.journal, gen, &entry, &payload, discipline)?;
         if let Some(old) = self.by_key.insert(key, gen) {
             // Superseded entry: removing it is pure hygiene — recovery
             // adopts the highest committed generation per key anyway.
@@ -281,7 +198,11 @@ impl DurableCache {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use cholcomm_faults::{SimDisk, SimStore, DEFAULT_SECTOR};
+    use cholcomm_faults::journal::journal_line;
+    use cholcomm_faults::{
+        crash_sites_exhaustive, crash_state, schedule_digest, shrink_site, CrashSite, SimDisk,
+        SimOp, SimStore, DEFAULT_SECTOR,
+    };
     use cholcomm_matrix::{lower_digest, spd};
     use std::sync::{Arc, Mutex};
 
@@ -423,19 +344,182 @@ mod tests {
         assert!(!disk.lock().unwrap().exists("cache-0.e2"));
     }
 
-    #[test]
-    fn torn_journal_tail_parses_as_a_valid_prefix() {
-        let full = format!(
-            "{}{}",
-            journal_line("intent gen=1 key=3 n=4 len=128 fnv=0000000000000000"),
-            journal_line("commit gen=1")
-        );
-        let whole = parse_journal(&full);
-        assert_eq!(whole.len(), 2);
-        for cut in 0..full.len() {
-            let recs = parse_journal(&full[..cut]);
-            assert!(recs.len() <= whole.len());
-            assert_eq!(recs, whole[..recs.len()]);
+    /// `(key, seed, n)` of a fixed insert sequence: five inserts, the
+    /// third superseding the first's key.  Generation `g` is entry
+    /// `g - 1`.
+    const SEQUENCE: [(u64, u64, usize); 5] =
+        [(10, 1, 8), (20, 2, 12), (10, 3, 8), (30, 4, 4), (40, 5, 6)];
+
+    fn sequence_factors() -> Vec<Matrix<f64>> {
+        SEQUENCE
+            .iter()
+            .map(|&(_, seed, n)| sample_factor(seed, n))
+            .collect()
+    }
+
+    /// [`SEQUENCE`] through `DurableCache::record` on a fresh disk.
+    fn recorded_sequence() -> Arc<Mutex<SimDisk>> {
+        let (disk, mut d) = sim_pair();
+        for (&(key, ..), factor) in SEQUENCE.iter().zip(sequence_factors()) {
+            d.record(key, &factor).unwrap();
         }
+        disk
+    }
+
+    #[test]
+    fn recorded_schedule_and_files_are_pinned() {
+        // Taken on the journal's two hand-written copies before they
+        // became one module: op count, schedule digest, and every file
+        // the sequence leaves as (name, length, FNV-1a).
+        let disk = recorded_sequence();
+        let guard = disk.lock().unwrap();
+        assert_eq!(guard.schedule().len(), 26);
+        assert_eq!(schedule_digest(guard.schedule()), 0x811c_f56c_f669_0e51);
+        let files: Vec<(String, usize, u64)> = guard
+            .list_prefix("cache-0")
+            .into_iter()
+            .map(|name| {
+                let bytes = guard.read(&name).unwrap();
+                (name, bytes.len(), fnv1a(&bytes))
+            })
+            .collect();
+        let want = [
+            ("cache-0.e2", 1152, 0x9d70_4b99_e5e7_ea37),
+            ("cache-0.e3", 512, 0x726f_2a31_20b0_589d),
+            ("cache-0.e4", 128, 0xd016_fff0_98d5_fd0a),
+            ("cache-0.e5", 288, 0x507a_c538_03ed_076f),
+            ("cache-0.journal", 582, 0x6e29_22df_03c5_ddb5),
+        ]
+        .map(|(name, len, fnv)| (name.to_string(), len, fnv));
+        assert_eq!(files, want);
+    }
+
+    /// Why recovering a fresh cache from the durable image at `site`
+    /// breaks the journal's contract, or `None`.  The contract, for
+    /// every key: the adopted generation is the newest one whose commit
+    /// record is durable, and its factor is bit-identical to the one
+    /// recorded.  So nothing uncommitted is adopted, and every entry
+    /// whose commit is durable — in particular every entry whose
+    /// post-commit barrier completed — is adopted unless superseded.
+    fn violation(schedule: &[SimOp], factors: &[Matrix<f64>], site: &CrashSite) -> Option<String> {
+        let state = crash_state(schedule, site, DEFAULT_SECTOR);
+        let disk = Arc::new(Mutex::new(SimDisk::from_state(state, DEFAULT_SECTOR)));
+        let mut d = DurableCache::open(0, Box::new(SimStore::new(disk)));
+        let mut cache = FactorCache::new(SEQUENCE.len());
+        d.recover_into(&mut cache);
+        let commit_durable = |gen: u64| {
+            let line = journal_line(&format!("commit gen={gen}")).into_bytes();
+            let op = schedule
+                .iter()
+                .position(|op| matches!(op, SimOp::Append { bytes, .. } if *bytes == line));
+            op.is_some_and(|op| {
+                op < site.crash_index
+                    && !site.dropped.contains(&op)
+                    && !site.torn.iter().any(|&(torn, _)| torn == op)
+            })
+        };
+        for &(key, ..) in &SEQUENCE {
+            let want = (1..=SEQUENCE.len() as u64)
+                .filter(|&gen| SEQUENCE[gen as usize - 1].0 == key && commit_durable(gen))
+                .max();
+            let got = d.by_key.get(&key).copied();
+            if got != want {
+                return Some(format!(
+                    "key {key}: adopted generation {got:?}, committed {want:?}"
+                ));
+            }
+            let served = cache.served(key, || None).map(|s| s.factor.clone());
+            if served.as_ref() != want.map(|gen| &factors[gen as usize - 1]) {
+                return Some(format!(
+                    "key {key}: served bits differ from generation {want:?}"
+                ));
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn every_crash_state_of_the_cache_journal_recovers_its_committed_entries() {
+        let disk = recorded_sequence();
+        let schedule = disk.lock().unwrap().schedule().to_vec();
+        let factors = sequence_factors();
+        let sites = crash_sites_exhaustive(&schedule, DEFAULT_SECTOR);
+        assert!(sites.len() > 2 * schedule.len(), "{} sites", sites.len());
+        let failing: Vec<String> = sites
+            .iter()
+            .filter_map(|site| Some(format!("{site}: {}", violation(&schedule, &factors, site)?)))
+            .collect();
+        assert!(
+            failing.is_empty(),
+            "{} of {} states: {failing:?}",
+            failing.len(),
+            sites.len()
+        );
+        println!(
+            "cache journal: {} ops, {} crash states, 0 violations",
+            schedule.len(),
+            sites.len()
+        );
+    }
+
+    #[test]
+    fn an_unbarriered_cache_commit_is_caught_and_shrunk() {
+        // The same sequence committed through the journal with the
+        // commit record in its entry's un-barriered window.
+        let disk = Arc::new(Mutex::new(SimDisk::new(DEFAULT_SECTOR)));
+        let mut store = SimStore::new(Arc::clone(&disk));
+        let factors = sequence_factors();
+        let mut latest = BTreeMap::new();
+        for (gen, (&(key, ..), factor)) in (1u64..).zip(SEQUENCE.iter().zip(&factors)) {
+            let bytes = to_bytes(factor);
+            let entry = Entry {
+                key,
+                n: factor.rows(),
+                len: bytes.len(),
+                fnv: fnv1a(&bytes),
+            };
+            let file = format!("cache-0.e{gen}");
+            let payload: [(&str, &[u8]); 1] = [(&file, &bytes)];
+            let broken = CommitDiscipline::UnbarrieredCommit;
+            journal::commit(&mut store, "cache-0.journal", gen, &entry, &payload, broken).unwrap();
+            if let Some(old) = latest.insert(key, gen) {
+                store.remove(&format!("cache-0.e{old}")).unwrap();
+            }
+        }
+        let schedule = disk.lock().unwrap().schedule().to_vec();
+
+        // It is DurableCache's schedule less each barrier before a commit.
+        let correct = recorded_sequence().lock().unwrap().schedule().to_vec();
+        let before_commit = |i: usize| {
+            let next = correct.get(i + 1);
+            matches!(next, Some(SimOp::Append { bytes, .. }) if bytes.starts_with(b"commit"))
+        };
+        let expect: Vec<SimOp> = (0..correct.len())
+            .filter(|&i| !(correct[i] == SimOp::Barrier && before_commit(i)))
+            .map(|i| correct[i].clone())
+            .collect();
+        assert_eq!(schedule, expect);
+
+        let sites = crash_sites_exhaustive(&schedule, DEFAULT_SECTOR);
+        let fails = |site: &CrashSite| violation(&schedule, &factors, site).is_some();
+        let failing: Vec<&CrashSite> = sites.iter().filter(|&site| fails(site)).collect();
+        let first = failing.first().expect("the broken protocol is caught");
+        let minimal = shrink_site(first, fails);
+        assert!(fails(&minimal));
+        for i in 0..minimal.dropped.len() {
+            let mut weaker = minimal.clone();
+            weaker.dropped.remove(i);
+            assert!(
+                !fails(&weaker),
+                "drop {} is load-bearing in {minimal}",
+                minimal.dropped[i]
+            );
+        }
+        assert!(minimal.to_string().starts_with("crash@"), "{minimal}");
+        println!(
+            "unbarriered cache commit: {} of {} crash states caught, minimal repro: {minimal}",
+            failing.len(),
+            sites.len()
+        );
     }
 }

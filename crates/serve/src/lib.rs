@@ -33,8 +33,8 @@
 //!   byte-identically and every completed response is bit-identical to
 //!   an unfaulted direct factorization.
 //! - **Durability** ([`durable`]): an optional journaled factor cache
-//!   (intent, entry, barrier, commit, barrier — the same commit protocol
-//!   as the ooc checkpoints) so a service restarted after a power cut
+//!   (`cholcomm_faults::journal`, the commit protocol of the ooc
+//!   checkpoints) so a service restarted after a power cut
 //!   replays its committed factors instead of refactoring them; torn or
 //!   tampered entries are dropped, never served.
 

@@ -34,6 +34,9 @@ pub struct Counters {
     pub breaker_transitions: u64,
     /// Cache entries adopted from the durable journal at shard start.
     pub cache_recovered: u64,
+    /// Shards whose durable journal existed but could not be read at
+    /// start: nothing adopted, nothing swept, journaling stopped.
+    pub journal_unreadable: u64,
     /// Size-bucketed batches dispatched to a shard as one unit.
     pub batches_dispatched: u64,
     /// Requests factored as lanes of a batch (each also counts in
@@ -62,6 +65,7 @@ impl Counters {
         self.worker_restarts += other.worker_restarts;
         self.breaker_transitions += other.breaker_transitions;
         self.cache_recovered += other.cache_recovered;
+        self.journal_unreadable += other.journal_unreadable;
         self.batches_dispatched += other.batches_dispatched;
         self.batched_factorizations += other.batched_factorizations;
         self.problems_built += other.problems_built;

@@ -788,6 +788,68 @@ mod tests {
     }
 
     #[test]
+    fn an_unreadable_journal_adopts_nothing_deletes_nothing_and_stops_journaling() {
+        use cholcomm_faults::{SimDisk, SimStore, Store, DEFAULT_SECTOR};
+        use std::sync::{Arc, Mutex};
+
+        /// Reads fail, as EIO or EACCES would on `FsStore`.
+        struct ReadFails(SimStore);
+        impl Store for ReadFails {
+            fn read(&self, name: &str) -> std::io::Result<Vec<u8>> {
+                Err(std::io::Error::other(format!("EIO reading {name}")))
+            }
+            fn exists(&self, name: &str) -> bool {
+                self.0.exists(name)
+            }
+            fn write_file(&mut self, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+                self.0.write_file(name, bytes)
+            }
+            fn append(&mut self, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+                self.0.append(name, bytes)
+            }
+            fn remove(&mut self, name: &str) -> std::io::Result<()> {
+                self.0.remove(name)
+            }
+            fn list_prefix(&self, prefix: &str) -> std::io::Result<Vec<String>> {
+                self.0.list_prefix(prefix)
+            }
+            fn barrier(&mut self) -> std::io::Result<()> {
+                self.0.barrier()
+            }
+        }
+
+        let disk = Arc::new(Mutex::new(SimDisk::new(DEFAULT_SECTOR)));
+        let config = ServiceConfig {
+            shards: 1,
+            ..ServiceConfig::default()
+        };
+        let sim = || SimStore::new(Arc::clone(&disk));
+        let mut service = Service::start_durable(config, &FaultPlan::none(), |_| Box::new(sim()));
+        let first = service.call(request(JobKind::Factor, 42, 32, 0)).unwrap();
+        assert_eq!(service.shutdown().metrics.counters.journal_unreadable, 0);
+        let ops = disk.lock().unwrap().schedule().len();
+
+        // The journal exists but cannot be read: the shard still serves
+        // (fresh), but adopts nothing and writes or deletes nothing.
+        let mut service =
+            Service::start_durable(config, &FaultPlan::none(), |_| Box::new(ReadFails(sim())));
+        let resp = service.call(request(JobKind::Factor, 42, 32, 0)).unwrap();
+        assert_eq!(resp.source, Source::Fresh);
+        assert_eq!(resp.factor_digest, first.factor_digest);
+        let counters = service.shutdown().metrics.counters;
+        assert_eq!(counters.journal_unreadable, 1);
+        assert_eq!(counters.cache_recovered, 0);
+        assert_eq!(disk.lock().unwrap().schedule().len(), ops, "no disk op issued");
+
+        // Once the journal reads again, the committed entry is intact.
+        let mut service = Service::start_durable(config, &FaultPlan::none(), |_| Box::new(sim()));
+        let resp = service.call(request(JobKind::Factor, 42, 32, 0)).unwrap();
+        assert_eq!(resp.source, Source::Cache);
+        let counters = service.shutdown().metrics.counters;
+        assert_eq!((counters.cache_recovered, counters.journal_unreadable), (1, 0));
+    }
+
+    #[test]
     fn a_recovered_solve_entry_builds_its_rhs_exactly_once() {
         use cholcomm_faults::{SimDisk, SimStore, DEFAULT_SECTOR};
         use std::sync::{Arc, Mutex};

@@ -152,6 +152,7 @@ impl Shard {
             if let Some(d) = shard.durable.as_mut() {
                 let report = d.recover_into(&mut shard.cache);
                 shard.metrics.counters.cache_recovered = report.recovered;
+                shard.metrics.counters.journal_unreadable = u64::from(!d.journaling());
             }
             while let Ok(msg) = rx.recv() {
                 match msg {

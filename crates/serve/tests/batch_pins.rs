@@ -154,6 +154,7 @@ const COUNTERS: Counters = Counters {
     worker_restarts: 0,
     breaker_transitions: 0,
     cache_recovered: 0,
+    journal_unreadable: 0,
     batches_dispatched: 86,
     batched_factorizations: 2_000,
     problems_built: 2_000,
