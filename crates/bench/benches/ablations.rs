@@ -7,7 +7,7 @@ use cholcomm_core::cachesim::LruTracer;
 use cholcomm_core::distsim::CostModel;
 use cholcomm_core::layout::{Laid, Morton};
 use cholcomm_core::matrix::spd;
-use cholcomm_core::par::pxpotrf::pxpotrf;
+use cholcomm_core::par::pxpotrf::{pxpotrf, BroadcastKind};
 use cholcomm_core::report::{fnum, TextTable};
 use cholcomm_core::seq::ap00::square_rchol;
 use cholcomm_core::seq::zoo::{run_algorithm, Algorithm, LayoutKind, ModelKind};
@@ -106,7 +106,7 @@ fn ablate_scalapack_b(n: usize, p: usize) {
         if b == 0 {
             continue;
         }
-        let rep = pxpotrf(&a, b, p, CostModel::typical()).unwrap();
+        let rep = pxpotrf(&a, b, p, CostModel::typical(), BroadcastKind::Tree).unwrap();
         t.row(vec![
             b.to_string(),
             rep.critical.words.to_string(),

@@ -1,9 +1,9 @@
-//! Strong-scaling of the rayon shared-memory Cholesky: fixed problem,
-//! growing thread pool.
+//! Strong-scaling of the shared-memory Cholesky (the tiled task DAG on
+//! the rayon pool): fixed problem, growing thread pool.
 
 use criterion::{Criterion, criterion_group, criterion_main};
 use cholcomm_core::matrix::{spd, KernelImpl};
-use cholcomm_core::par::{par_recursive_potrf, potrf_dag_with};
+use cholcomm_core::par::potrf_dag_with;
 use std::hint::black_box;
 
 fn bench_scaling(c: &mut Criterion) {
@@ -25,15 +25,6 @@ fn bench_scaling(c: &mut Criterion) {
                 pool.install(|| {
                     let mut f = a.clone();
                     potrf_dag_with(&mut f, 32, KernelImpl::Reference).unwrap();
-                    black_box(f)
-                })
-            })
-        });
-        g.bench_function(format!("recursive_t{threads}"), |bch| {
-            bch.iter(|| {
-                pool.install(|| {
-                    let mut f = a.clone();
-                    par_recursive_potrf(&mut f, 32).unwrap();
                     black_box(f)
                 })
             })

@@ -4,7 +4,7 @@
 use criterion::{Criterion, criterion_group, criterion_main};
 use cholcomm_core::distsim::CostModel;
 use cholcomm_core::matrix::spd;
-use cholcomm_core::par::pxpotrf::pxpotrf;
+use cholcomm_core::par::pxpotrf::{pxpotrf, BroadcastKind};
 use cholcomm_core::table2::{render_table2, run_table2};
 use std::hint::black_box;
 
@@ -20,7 +20,8 @@ fn bench_table2(c: &mut Criterion) {
     for (p, b) in [(4usize, 48usize), (16, 24), (16, 8), (64, 12)] {
         g.bench_function(format!("P{p}_b{b}"), |bch| {
             bch.iter(|| {
-                let rep = pxpotrf(black_box(&a), b, p, CostModel::typical()).unwrap();
+                let rep = pxpotrf(black_box(&a), b, p, CostModel::typical(), BroadcastKind::Tree)
+                    .unwrap();
                 black_box(rep.critical.words)
             })
         });

@@ -1,12 +1,12 @@
 //! Real wall-clock of the factorization kernels themselves (no
 //! instrumentation): the algorithm zoo run through the NullTracer, the
-//! reference potf2, and the rayon parallel variants.
+//! reference potf2, and the tiled task DAG on the rayon pool.
 
 use criterion::{Criterion, criterion_group, criterion_main};
 use cholcomm_core::cachesim::NullTracer;
 use cholcomm_core::layout::{ColMajor, Morton};
 use cholcomm_core::matrix::{kernels, spd, KernelImpl};
-use cholcomm_core::par::{par_recursive_potrf, potrf_dag_with};
+use cholcomm_core::par::potrf_dag_with;
 use cholcomm_core::seq::zoo::{run_alg, Algorithm};
 use std::hint::black_box;
 
@@ -53,13 +53,6 @@ fn bench_wallclock(c: &mut Criterion) {
         bch.iter(|| {
             let mut f = a.clone();
             potrf_dag_with(&mut f, 32, KernelImpl::Reference).unwrap();
-            black_box(f)
-        })
-    });
-    g.bench_function("par_recursive_c32", |bch| {
-        bch.iter(|| {
-            let mut f = a.clone();
-            par_recursive_potrf(&mut f, 32).unwrap();
             black_box(f)
         })
     });

@@ -27,6 +27,7 @@
 //! so CI compares a smoke run exactly against the committed
 //! `BENCH_ooc.json` (deterministic sections only).
 
+use cholcomm_core::faults::FsStore;
 use cholcomm_core::matrix::spd;
 use cholcomm_core::ooc::{
     filemat::scratch_path, model_overlap, ooc_potrf_checkpointed, ooc_potrf_pipelined_with,
@@ -108,14 +109,14 @@ fn run_identity() -> Identity {
     let cap = 5;
     let mut sync = FileMatrix::create(&scratch_path("ob-cksync"), &a, b).expect("create");
     let ck0 = Checkpoint::at(&scratch_path("ob-cksync").with_extension("ckpt"));
-    ooc_potrf_checkpointed(&mut sync, cap, &ck0).expect("sync checkpointed");
+    let mut fs = FsStore::new();
+    let cfg = PipelineConfig::new(cap).with_io_workers(0);
+    ooc_potrf_checkpointed(&mut sync, &ck0, &mut fs, &cfg).expect("sync checkpointed");
     let want = sync.to_matrix().expect("read");
     let mut fm = FileMatrix::create(&scratch_path("ob-ckpipe"), &a, b).expect("create");
     let ck1 = Checkpoint::at(&scratch_path("ob-ckpipe").with_extension("ckpt"));
     let cfg = PipelineConfig::new(cap).with_io_workers(2).with_lookahead(3);
-    let mut fs = cholcomm_core::faults::FsStore::new();
-    cholcomm_core::ooc::ooc_potrf_checkpointed_pipelined_in(&mut fm, &ck1, &mut fs, &cfg)
-        .expect("pipelined checkpointed");
+    ooc_potrf_checkpointed(&mut fm, &ck1, &mut fs, &cfg).expect("pipelined checkpointed");
     configs += 1;
     let checkpointed_ok = fm.to_matrix().expect("read") == want;
     if !checkpointed_ok {

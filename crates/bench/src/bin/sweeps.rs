@@ -9,7 +9,7 @@
 
 use cholcomm_core::distsim::CostModel;
 use cholcomm_core::matrix::spd;
-use cholcomm_core::par::pxpotrf::pxpotrf;
+use cholcomm_core::par::pxpotrf::{pxpotrf, BroadcastKind};
 use cholcomm_core::seq::zoo::{price_trace, Algorithm, LayoutKind, ModelKind};
 use cholcomm_core::sweep::{par_map, TraceCache};
 use std::fmt::Write as _;
@@ -78,7 +78,7 @@ fn par_sweep_vs_p(n: usize) -> String {
     let a = spd::random_spd(n, &mut rng);
     for p in [1usize, 4, 16, 64] {
         let b = (n / (p as f64).sqrt() as usize).max(1);
-        let rep = pxpotrf(&a, b, p, CostModel::typical()).unwrap();
+        let rep = pxpotrf(&a, b, p, CostModel::typical(), BroadcastKind::Tree).unwrap();
         let _ = writeln!(
             csv,
             "{p},{b},{},{},{}",

@@ -343,7 +343,8 @@ pub fn run_table1_extended(cfg: Table1Config, a: &Matrix<f64>) -> Vec<(String, u
             &counting,
             Box::new(|tr: &mut CompactTrace| {
                 let mut laid = Laid::from_matrix(a, Layered::new(n, vec![b]));
-                lapack::potrf_blocked(&mut laid, tr, b, None).expect("SPD");
+                lapack::potrf_blocked_with(&mut laid, tr, b, None, KernelImpl::Reference)
+                    .expect("SPD");
             }),
         ));
     }

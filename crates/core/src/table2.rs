@@ -6,7 +6,7 @@ use crate::report::{fnum, TextTable};
 use crate::sweep::par_map;
 use cholcomm_distsim::CostModel;
 use cholcomm_matrix::{kernels, norms, spd, Matrix};
-use cholcomm_par::pxpotrf::pxpotrf;
+use cholcomm_par::pxpotrf::{pxpotrf, BroadcastKind};
 
 /// One measured `(P, b)` point.
 #[derive(Debug, Clone)]
@@ -52,7 +52,7 @@ fn reference_factor(a: &Matrix<f64>) -> Matrix<f64> {
 
 fn run_point_against(a: &Matrix<f64>, want: &Matrix<f64>, p: usize, b: usize) -> Table2Point {
     let n = a.rows();
-    let rep = pxpotrf(a, b, p, CostModel::typical()).expect("SPD input");
+    let rep = pxpotrf(a, b, p, CostModel::typical(), BroadcastKind::Tree).expect("SPD input");
     let diff = norms::max_abs_diff(&rep.factor, want);
     assert!(
         diff < 1e-8 * (n as f64),

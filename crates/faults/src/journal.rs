@@ -17,11 +17,13 @@
 //! or malformed field) also ends.  A commit vouches for the **first**
 //! intent of its generation recorded before it ([`Replay`]): the journal
 //! is append-only, so no later record redefines a generation.  Recovery
-//! trusts only what a commit vouches for, so pruning and [`sweep`] are
-//! crash-safe at any point.  The policy is the client's: the checkpoints
-//! are **strict** (the highest committed generation must validate, or
-//! recovery fails with `InvalidData`); the factor cache is **lossy** (it
-//! adopts every committed entry that validates, drops and counts the rest).
+//! ([`Replay::recover`]) trusts only what a commit vouches for, so
+//! pruning and [`sweep`] are crash-safe at any point, and it cuts a torn
+//! tail off before anything is appended behind it.  The policy is the
+//! client's: the checkpoints are **strict** (the highest committed
+//! generation must validate, or recovery fails with `InvalidData`); the
+//! factor cache is **lossy** (it adopts every committed entry that
+//! validates, drops and counts the rest).
 
 use crate::Store;
 use cholcomm_matrix::digest::fnv1a;
@@ -85,6 +87,12 @@ pub fn journal_line(body: &str) -> String {
 
 /// The longest valid prefix of a journal's records.
 pub fn parse_journal<I: Intent>(text: &str) -> Vec<Record<I>> {
+    valid_prefix(text).map(|(_, record)| record).collect()
+}
+
+/// Each line of the longest valid prefix, with its line ending, and its
+/// record.  Lines end as for [`str::lines`].
+fn valid_prefix<I: Intent>(text: &str) -> impl Iterator<Item = (&str, Record<I>)> {
     let record = |line: &str| {
         let (body, fnv_hex) = line.rsplit_once(" rec_fnv=")?;
         if u64::from_str_radix(fnv_hex, 16).ok()? != fnv1a(body.as_bytes()) {
@@ -97,7 +105,13 @@ pub fn parse_journal<I: Intent>(text: &str) -> Vec<Record<I>> {
             _ => None,
         }
     };
-    text.lines().map_while(record).collect()
+    text.split_inclusive('\n').map_while(move |raw| {
+        let line = match raw.strip_suffix('\n') {
+            Some(line) => line.strip_suffix('\r').unwrap_or(line),
+            None => raw,
+        };
+        Some((raw, record(line)?))
+    })
 }
 
 /// What a journal's valid prefix vouches for.
@@ -112,8 +126,12 @@ pub struct Replay<I> {
 impl<I: Intent + Clone> Replay<I> {
     /// Pair the intents and commits of a journal's valid prefix.
     pub fn parse(text: &str) -> Replay<I> {
+        Self::pair(parse_journal(text))
+    }
+
+    fn pair(records: Vec<Record<I>>) -> Replay<I> {
         let (mut intents, mut committed, mut max_gen) = (BTreeMap::new(), BTreeMap::new(), 0);
-        for rec in parse_journal::<I>(text) {
+        for rec in records {
             match rec {
                 Record::Intent(gen, intent) => {
                     max_gen = max_gen.max(gen);
@@ -132,9 +150,32 @@ impl<I: Intent + Clone> Replay<I> {
 
     /// [`parse`](Self::parse) journal `name` on `store`: one that does
     /// not exist is empty, one that fails to read is an error.
-    pub fn read<S: Store + ?Sized>(store: &S, name: &str) -> std::io::Result<Replay<I>> {
+    ///
+    /// A journal holding more than its valid prefix (a torn append, or a
+    /// last record that lost its newline) is first rewritten to that
+    /// prefix: a new file, barrier, rename over the journal, barrier.
+    /// Otherwise the next append would land behind the torn bytes, where
+    /// the parser never reaches it.  A crash anywhere in the rewrite
+    /// leaves either journal, and both replay alike.
+    pub fn recover<S: Store + ?Sized>(store: &mut S, name: &str) -> std::io::Result<Replay<I>> {
         let bytes = if store.exists(name) { store.read(name)? } else { Vec::new() };
-        Ok(Self::parse(&String::from_utf8_lossy(&bytes)))
+        let text = String::from_utf8_lossy(&bytes);
+        let (mut prefix, mut records) = (String::new(), Vec::new());
+        for (line, record) in valid_prefix(&text) {
+            prefix.push_str(line);
+            records.push(record);
+        }
+        if !prefix.is_empty() && !prefix.ends_with('\n') {
+            prefix.push('\n');
+        }
+        if prefix.as_bytes() != bytes {
+            let tmp = format!("{name}.tmp");
+            store.write_file(&tmp, prefix.as_bytes())?;
+            store.barrier()?;
+            store.rename(&tmp, name)?;
+            store.barrier()?;
+        }
+        Ok(Self::pair(records))
     }
 }
 
@@ -253,6 +294,37 @@ mod tests {
     }
 
     #[test]
+    fn recover_cuts_a_torn_tail_through_a_renamed_copy_and_leaves_a_clean_journal_alone() {
+        use crate::{SimDisk, SimOp, SimStore, DEFAULT_SECTOR};
+        use std::sync::{Arc, Mutex};
+        let disk = Arc::new(Mutex::new(SimDisk::new(DEFAULT_SECTOR)));
+        let mut store = SimStore::new(Arc::clone(&disk));
+        let entry = Entry { key: 1, len: 8 };
+        commit(&mut store, "j", 1, &entry, &[], CommitDiscipline::Barriered).unwrap();
+        let valid = store.read("j").unwrap();
+        let ops = || disk.lock().unwrap().schedule().len();
+
+        let before = ops();
+        let clean = Replay::<Entry>::recover(&mut store, "j").unwrap();
+        assert_eq!(ops(), before, "a clean journal is only read");
+
+        // A torn tail, and a valid last record that lost its newline.
+        let unterminated = &valid[..valid.len() - 1];
+        for (torn, tail) in [(&valid[..], &b"intent gen=2 ke"[..]), (unterminated, b"")] {
+            store.write_file("j", &[torn, tail].concat()).unwrap();
+            store.barrier().unwrap();
+            let before = ops();
+            assert_eq!(Replay::<Entry>::recover(&mut store, "j").unwrap(), clean);
+            let repair = disk.lock().unwrap().schedule()[before..].to_vec();
+            let tmp = SimOp::WriteFile { name: "j.tmp".into(), bytes: valid.clone() };
+            let rename = SimOp::Rename { from: "j.tmp".into(), to: "j".into() };
+            assert_eq!(repair, [tmp, SimOp::Barrier, rename, SimOp::Barrier]);
+            assert_eq!(store.read("j").unwrap(), valid);
+            assert!(!store.exists("j.tmp"));
+        }
+    }
+
+    #[test]
     fn commit_orders_intent_payload_barrier_commit_barrier() {
         use crate::{SimDisk, SimOp, SimStore, DEFAULT_SECTOR};
         use std::sync::{Arc, Mutex};
@@ -261,7 +333,7 @@ mod tests {
             let mut store = SimStore::new(Arc::clone(&disk));
             let entry = Entry { key: 7, len: 2 };
             commit(&mut store, "j", 5, &entry, &[("e5", b"ab")], discipline).unwrap();
-            let replay = Replay::<Entry>::read(&store, "j").unwrap();
+            let replay = Replay::<Entry>::recover(&mut store, "j").unwrap();
             assert_eq!(replay.committed[&5], entry);
             let schedule = disk.lock().unwrap().schedule().to_vec();
             schedule

@@ -4,11 +4,11 @@
 //! under the crash-point explorer.
 //!
 //! The contract is deliberately narrow — flat names, whole-file and
-//! append writes, an idempotent remove, and an explicit [`barrier`]
-//! (fsync) — because the commit protocol must only rely on what both a
-//! POSIX filesystem and the crash model can honor.  In particular:
-//! nothing written is assumed durable until a `barrier` returns, and
-//! un-barriered writes may land torn or not at all.
+//! append writes, an idempotent remove, an atomic rename, and an
+//! explicit [`barrier`] (fsync) — because the commit protocol must only
+//! rely on what both a POSIX filesystem and the crash model can honor.
+//! In particular: nothing written is assumed durable until a `barrier`
+//! returns, and un-barriered writes may land torn or not at all.
 //!
 //! [`barrier`]: Store::barrier
 
@@ -33,6 +33,10 @@ pub trait Store {
     fn remove(&mut self, name: &str) -> std::io::Result<()>;
     /// All existing names starting with `prefix`, sorted.
     fn list_prefix(&self, prefix: &str) -> std::io::Result<Vec<String>>;
+    /// Atomically replace `to` with `from` (a metadata operation: after
+    /// a crash either name holds its old or its new bytes, never a mix).
+    /// Durable once a later barrier returns.
+    fn rename(&mut self, from: &str, to: &str) -> std::io::Result<()>;
     /// Durability barrier: on success, every prior write on this store
     /// has reached stable storage.
     fn barrier(&mut self) -> std::io::Result<()>;
@@ -40,7 +44,8 @@ pub trait Store {
 
 /// [`Store`] over the real filesystem.  Names are full paths; `barrier`
 /// fsyncs every file touched since the last barrier plus its parent
-/// directory (for renames/creates to be findable after a crash).
+/// directory (for renames/creates to be findable after a crash), so a
+/// rename is `fs::rename` plus a directory sync at the next barrier.
 #[derive(Debug, Default)]
 pub struct FsStore {
     touched: BTreeSet<PathBuf>,
@@ -118,6 +123,12 @@ impl Store for FsStore {
         Ok(out)
     }
 
+    fn rename(&mut self, from: &str, to: &str) -> std::io::Result<()> {
+        std::fs::rename(from, to)?;
+        self.mark(to);
+        Ok(())
+    }
+
     fn barrier(&mut self) -> std::io::Result<()> {
         for path in std::mem::take(&mut self.touched) {
             // Removed files and (on some platforms) directories cannot be
@@ -184,6 +195,11 @@ impl Store for SimStore {
         Ok(self.lock().list_prefix(prefix))
     }
 
+    fn rename(&mut self, from: &str, to: &str) -> std::io::Result<()> {
+        self.lock().rename(from, to);
+        Ok(())
+    }
+
     fn barrier(&mut self) -> std::io::Result<()> {
         self.lock().barrier();
         Ok(())
@@ -216,6 +232,11 @@ mod tests {
         s.remove(&format!("{base}.a")).unwrap();
         s.remove(&format!("{base}.a")).unwrap(); // idempotent
         assert!(!s.exists(&format!("{base}.a")));
+        s.write_file(&format!("{base}.c"), b"new").unwrap();
+        s.rename(&format!("{base}.c"), &format!("{base}.b")).unwrap();
+        s.barrier().unwrap();
+        assert!(!s.exists(&format!("{base}.c")));
+        assert_eq!(s.read(&format!("{base}.b")).unwrap(), b"new");
         s.remove(&format!("{base}.b")).unwrap();
         s.barrier().unwrap();
     }

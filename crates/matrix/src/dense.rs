@@ -308,6 +308,7 @@ impl<S: Scalar> fmt::Debug for Matrix<S> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -282,6 +282,7 @@ fn scalar_to_f64<S: Scalar>(s: &S) -> Option<f64> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::norms;

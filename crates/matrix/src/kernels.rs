@@ -196,6 +196,7 @@ pub fn llt<S: Scalar>(l: &Matrix<S>) -> Matrix<S> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::norms::max_abs_diff;
@@ -349,6 +350,7 @@ pub fn split_lu<S: Scalar>(a: &Matrix<S>) -> (Matrix<S>, Matrix<S>) {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod lu_tests {
     use super::*;
     use crate::norms::max_abs_diff;

@@ -1494,6 +1494,7 @@ pub mod fused {
 pub mod batch;
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::kernels;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 //! # cholcomm-matrix
 //!
 //! Dense-matrix substrate for the `cholcomm` reproduction of

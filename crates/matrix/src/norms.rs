@@ -53,6 +53,7 @@ pub fn residual_tolerance(n: usize) -> f64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::kernels::potf2;

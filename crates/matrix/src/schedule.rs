@@ -657,6 +657,7 @@ impl<S: Scalar> TileStore for MemTiles<S> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::{kernels, norms, spd};

@@ -193,6 +193,7 @@ pub fn rbf_kernel(points: &[f64], lengthscale: f64, noise: f64) -> Matrix<f64> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::kernels::potf2;

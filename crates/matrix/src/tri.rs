@@ -83,6 +83,7 @@ pub fn logdet_from_factor(factor: &Matrix<f64>) -> f64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::spd;

@@ -7,7 +7,7 @@
 //! before the caller ever sees the tile.  A multi-element corruption is
 //! unhealable from one checksum pair and surfaces as
 //! [`std::io::ErrorKind::InvalidData`]; the checkpointed driver
-//! ([`crate::checkpoint::ooc_potrf_checkpointed`]) answers it by
+//! ([`crate::ooc_potrf_checkpointed`]) answers it by
 //! restoring the last panel checkpoint and retrying the panel — the
 //! recompute-from-checkpoint fallback.  Because a flip strikes exactly
 //! once (the plan is deterministic and applied flips are remembered

@@ -38,7 +38,6 @@
 //! simulated crash disk (`SimStore`) under the explorer.
 
 use crate::backend::IoBackend;
-use crate::pipeline::{ooc_potrf_checkpointed_pipelined_in, PipelineConfig};
 use crate::potrf::OocError;
 use cholcomm_faults::journal::{self, Fields, Intent, Replay};
 use cholcomm_faults::{CommitDiscipline, FsStore, Store};
@@ -209,8 +208,8 @@ impl Checkpoint {
         format!("{}.g{}.manifest", self.prefix, gen)
     }
 
-    fn journal(&self, store: &impl Store) -> std::io::Result<Replay<Generation>> {
-        Replay::read(store, &self.journal_file())
+    fn journal(&self, store: &mut impl Store) -> std::io::Result<Replay<Generation>> {
+        Replay::recover(store, &self.journal_file())
     }
 
     /// Delete every generation file except `keep`'s, and any `.tmp`
@@ -420,31 +419,6 @@ fn backend_data_name<B: IoBackend>(fm: &B) -> std::io::Result<String> {
         })
 }
 
-/// Out-of-core Cholesky with a checkpoint after every panel.  If `ckpt`
-/// already holds a (validated) committed generation for this matrix,
-/// the data file is restored from the snapshot and the run resumes at
-/// the recorded panel; otherwise it starts from scratch.  On success
-/// the factor is barriered to stable storage and the checkpoint files
-/// are removed.
-///
-/// A crash injected by the backend surfaces as [`OocError::Io`]; the
-/// caller "restarts the process" by reopening the file
-/// ([`FileMatrix::open`](crate::FileMatrix::open)) and calling this
-/// again with the same `ckpt`.  The resumed run recomputes only the
-/// panels after the last checkpoint, and — because the schedule is
-/// deterministic — produces a factor bit-identical to an uninterrupted
-/// run's.  Every tile move blocks the compute thread: this is
-/// [`ooc_potrf_checkpointed_pipelined_in`] at zero I/O workers, with
-/// reference kernels, on the real filesystem.
-pub fn ooc_potrf_checkpointed<B: IoBackend>(
-    fm: &mut B,
-    capacity_tiles: usize,
-    ckpt: &Checkpoint,
-) -> Result<CheckpointReport, OocError> {
-    let cfg = PipelineConfig::new(capacity_tiles).with_io_workers(0);
-    ooc_potrf_checkpointed_pipelined_in(fm, ckpt, &mut FsStore::new(), &cfg).map(|(r, _)| r)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -452,6 +426,7 @@ mod tests {
     use crate::backend::FaultyBackend;
     use cholcomm_faults::journal::journal_line;
     use crate::filemat::{scratch_path, FileMatrix};
+    use crate::pipeline::{ooc_potrf_checkpointed, PipelineConfig};
     use crate::potrf::ooc_potrf_with;
     use cholcomm_faults::{CrashPoint, FaultPlan};
     use cholcomm_matrix::{norms, spd, KernelImpl};
@@ -459,6 +434,17 @@ mod tests {
 
     fn ckpt_prefix(tag: &str) -> PathBuf {
         scratch_path(tag).with_extension("ckpt")
+    }
+
+    /// The checkpointed driver at zero I/O workers on the real
+    /// filesystem.
+    fn sync_checkpointed<B: IoBackend>(
+        fm: &mut B,
+        capacity_tiles: usize,
+        ckpt: &Checkpoint,
+    ) -> Result<CheckpointReport, OocError> {
+        let cfg = PipelineConfig::new(capacity_tiles).with_io_workers(0);
+        ooc_potrf_checkpointed(fm, ckpt, &mut FsStore::new(), &cfg).map(|(report, _)| report)
     }
 
     #[test]
@@ -473,7 +459,7 @@ mod tests {
         let p2 = scratch_path("ckpt-run");
         let mut fm = FileMatrix::create(&p2, &a, 8).unwrap();
         let ckpt = Checkpoint::at(&ckpt_prefix("uninterrupted"));
-        let rep = ooc_potrf_checkpointed(&mut fm, 4, &ckpt).unwrap();
+        let rep = sync_checkpointed(&mut fm, 4, &ckpt).unwrap();
         let got = fm.to_matrix().unwrap();
         assert_eq!(norms::max_abs_diff(&got, &want), 0.0, "bit-identical");
         assert_eq!(rep.start_panel, 0);
@@ -510,7 +496,7 @@ mod tests {
                 .crash_at(CrashPoint::AfterDiskOps(60))
                 .build();
             let mut fb = FaultyBackend::new(fm, plan);
-            let err = ooc_potrf_checkpointed(&mut fb, 4, &ckpt).unwrap_err();
+            let err = sync_checkpointed(&mut fb, 4, &ckpt).unwrap_err();
             assert!(matches!(err, OocError::Io(_)), "crash surfaces as I/O death");
             assert!(fb.crashed());
         }
@@ -521,7 +507,7 @@ mod tests {
         assert!(state.next_panel < 5, "crash happened before the end");
         let mut fm = FileMatrix::open(&data_path, n, 8).unwrap();
         fm.set_persist(false); // test scratch: clean up on drop
-        let rep = ooc_potrf_checkpointed(&mut fm, 4, &ckpt).unwrap();
+        let rep = sync_checkpointed(&mut fm, 4, &ckpt).unwrap();
         assert_eq!(rep.start_panel, state.next_panel, "resumed, not restarted");
 
         let got = fm.to_matrix().unwrap();
@@ -561,14 +547,14 @@ mod tests {
                 .crash_at(CrashPoint::AfterDiskOps(10))
                 .build();
             let mut fb = FaultyBackend::new(fm, plan);
-            ooc_potrf_checkpointed(&mut fb, 3, &ckpt).unwrap_err();
+            sync_checkpointed(&mut fb, 3, &ckpt).unwrap_err();
         }
         let state = ckpt.load().unwrap().expect("baseline checkpoint exists");
         assert_eq!(state.next_panel, 0, "no panel completed before the crash");
 
         let mut fm = FileMatrix::open(&data_path, 32, 8).unwrap();
         fm.set_persist(false); // test scratch: clean up on drop
-        let rep = ooc_potrf_checkpointed(&mut fm, 3, &ckpt).unwrap();
+        let rep = sync_checkpointed(&mut fm, 3, &ckpt).unwrap();
         assert_eq!(rep.start_panel, 0);
         let got = fm.to_matrix().unwrap();
         assert_eq!(
@@ -596,14 +582,14 @@ mod tests {
                 .crash_at(CrashPoint::AfterPanel(2))
                 .build();
             let mut fb = FaultyBackend::new(fm, plan);
-            ooc_potrf_checkpointed(&mut fb, 4, &ckpt).unwrap_err();
+            sync_checkpointed(&mut fb, 4, &ckpt).unwrap_err();
         }
         let state = ckpt.load().unwrap().expect("checkpoints up to panel 2");
         assert_eq!(state.next_panel, 2, "panel 2's checkpoint never landed");
 
         let mut fm = FileMatrix::open(&data_path, 32, 8).unwrap();
         fm.set_persist(false); // test scratch: clean up on drop
-        let rep = ooc_potrf_checkpointed(&mut fm, 4, &ckpt).unwrap();
+        let rep = sync_checkpointed(&mut fm, 4, &ckpt).unwrap();
         assert_eq!(rep.start_panel, 2);
         assert_eq!(rep.panels_done, 2);
         let got = fm.to_matrix().unwrap();
@@ -633,7 +619,7 @@ mod tests {
                 .crash_at(CrashPoint::AfterDiskOps(70))
                 .build();
             let mut fb = FaultyBackend::new(fm, plan);
-            ooc_potrf_checkpointed(&mut fb, 4, &ckpt).unwrap_err();
+            sync_checkpointed(&mut fb, 4, &ckpt).unwrap_err();
             transients = fb.fault_stats();
             assert!(transients.disk_faults() >= 3, "flaky disk must have bitten: {transients:?}");
         }
@@ -642,7 +628,7 @@ mod tests {
         fm.set_persist(false); // test scratch: clean up on drop
         let plan = FaultPlan::builder(10).disk_transient_rate(0.1).build();
         let mut fb = FaultyBackend::new(fm, plan);
-        ooc_potrf_checkpointed(&mut fb, 4, &ckpt).unwrap();
+        sync_checkpointed(&mut fb, 4, &ckpt).unwrap();
         let got = fb.inner_mut().to_matrix().unwrap();
         assert_eq!(
             norms::max_abs_diff(&got, &want),
@@ -673,7 +659,7 @@ mod tests {
         let fm = FileMatrix::create(&scratch_path("ckpt-abft"), &a, 8).unwrap();
         let mut ab = AbftBackend::new(fm, plan);
         let ckpt = Checkpoint::at(&ckpt_prefix("abft"));
-        let rep = ooc_potrf_checkpointed(&mut ab, 3, &ckpt).unwrap();
+        let rep = sync_checkpointed(&mut ab, 3, &ckpt).unwrap();
         assert!(rep.restores >= 1, "multi-element corruption forced a rollback");
         assert_eq!(ab.abft_stats().unrecoverable, 1);
         assert_eq!(ab.abft_stats().corrections, 1);
@@ -706,7 +692,7 @@ mod tests {
         let fm = FileMatrix::create(&scratch_path("ckpt-scrub"), &a, 8).unwrap();
         let mut ab = AbftBackend::new(fm, plan);
         let ckpt = Checkpoint::at(&ckpt_prefix("scrub"));
-        let rep = ooc_potrf_checkpointed(&mut ab, 3, &ckpt).unwrap();
+        let rep = sync_checkpointed(&mut ab, 3, &ckpt).unwrap();
         assert!(
             ab.abft_stats().corrections >= 1,
             "the single-element flip heals in the scrub"
@@ -848,6 +834,28 @@ mod tests {
     }
 
     #[test]
+    fn a_save_after_a_torn_journal_tail_is_visible_to_the_next_load() {
+        let mut rng = spd::test_rng(234);
+        let a = spd::random_spd(16, &mut rng);
+        let p = scratch_path("ckpt-tornsave");
+        let fm = FileMatrix::create(&p, &a, 8).unwrap();
+        let ckpt = Checkpoint::at(&ckpt_prefix("tornsave"));
+        ckpt.save(&fm, 1).unwrap();
+
+        // A crash tore gen 2's intent: no newline, no rec_fnv.
+        let mut store = FsStore::new();
+        store.append(&ckpt.journal_file(), b"intent gen=2 next_pa").unwrap();
+        assert_eq!(ckpt.load().unwrap().expect("gen 1 still loads").gen, 1);
+
+        // The resumed run commits gen 2 and prunes gen 1; the next load
+        // must find gen 2, not a commit it cannot see.
+        ckpt.save(&fm, 2).unwrap();
+        let state = ckpt.load().unwrap().expect("gen 2 committed");
+        assert_eq!((state.gen, state.next_panel), (2, 2));
+        ckpt.remove().unwrap();
+    }
+
+    #[test]
     fn commit_without_intent_fails_loudly() {
         let mut rng = spd::test_rng(233);
         let a = spd::random_spd(16, &mut rng);
@@ -884,7 +892,7 @@ mod tests {
         let a2 = spd::random_spd(24, &mut rng);
         let p2 = scratch_path("ckpt-mismatch2");
         let mut fm2 = FileMatrix::create(&p2, &a2, 8).unwrap();
-        let err = ooc_potrf_checkpointed(&mut fm2, 4, &ckpt).unwrap_err();
+        let err = sync_checkpointed(&mut fm2, 4, &ckpt).unwrap_err();
         assert!(matches!(err, OocError::Io(_)));
         ckpt.remove().unwrap();
         // The original still factors fine from scratch after cleanup.

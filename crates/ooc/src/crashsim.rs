@@ -17,7 +17,7 @@
 //! Recovery is exactly what a restarted production process would do:
 //! re-create the data-file container from the original input (the file
 //! on disk may be torn to a length no `open` accepts), then run
-//! [`ooc_potrf_checkpointed_pipelined_in`] with the recording's I/O
+//! [`ooc_potrf_checkpointed`] with the recording's I/O
 //! workers — which restores the last committed checkpoint over it, or
 //! legitimately starts from scratch when nothing ever committed.  A site **fails** when recovery errors out or
 //! completes with a factor that differs from the clean run's in any
@@ -26,7 +26,7 @@
 
 use crate::backend::IoBackend;
 use crate::checkpoint::{Checkpoint, Generation};
-use crate::pipeline::{ooc_potrf_checkpointed_pipelined_in, PipelineConfig};
+use crate::pipeline::{ooc_potrf_checkpointed, PipelineConfig};
 use crate::potrf::OocError;
 use crate::simmat::SimMatrix;
 use cholcomm_faults::journal::{parse_journal, Record};
@@ -103,7 +103,7 @@ pub fn record_run_pipelined(
     let mut store = SimStore::new(Arc::clone(&disk));
     let ckpt = Checkpoint::at(std::path::Path::new(CKPT_PREFIX)).with_discipline(discipline);
     let cfg = config(capacity, io_workers, lookahead);
-    ooc_potrf_checkpointed_pipelined_in(&mut sm, &ckpt, &mut store, &cfg)?;
+    ooc_potrf_checkpointed(&mut sm, &ckpt, &mut store, &cfg)?;
     let clean_factor = sm.to_matrix()?;
     let total_panels = sm.nb();
     let schedule = disk
@@ -159,7 +159,7 @@ impl RecordedRun {
         // pipelined run is recovered by a pipelined process.
         let ckpt = Checkpoint::at(std::path::Path::new(&self.ckpt_prefix));
         let cfg = config(self.capacity, self.io_workers, self.lookahead);
-        let (report, _) = ooc_potrf_checkpointed_pipelined_in(&mut sm, &ckpt, &mut store, &cfg)?;
+        let (report, _) = ooc_potrf_checkpointed(&mut sm, &ckpt, &mut store, &cfg)?;
         Ok((sm.to_matrix()?, report.start_panel))
     }
 

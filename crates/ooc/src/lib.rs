@@ -57,16 +57,15 @@ pub mod simmat;
 
 pub use abft::AbftBackend;
 pub use backend::{FaultyBackend, IoBackend, LatencyModel};
-pub use checkpoint::{ooc_potrf_checkpointed, Checkpoint, CheckpointReport, CheckpointState};
+pub use checkpoint::{Checkpoint, CheckpointReport, CheckpointState};
 pub use cholcomm_faults::CommitDiscipline;
 pub use crashsim::{
     explore_crash_sites, record_run, record_run_pipelined, CrashExploration, RecordedRun,
 };
 pub use filemat::{FileMatrix, IoStats};
 pub use pipeline::{
-    io_workers_from_env, model_overlap, ooc_potrf_checkpointed_pipelined_in,
-    ooc_potrf_pipelined_with, ModelConfig, ModelReport, PipelineConfig, PipelineStats,
-    DEFAULT_FLOPS_PER_US, WORKING_SET,
+    io_workers_from_env, model_overlap, ooc_potrf_checkpointed, ooc_potrf_pipelined_with,
+    ModelConfig, ModelReport, PipelineConfig, PipelineStats, DEFAULT_FLOPS_PER_US, WORKING_SET,
 };
 pub use potrf::{ooc_potrf_with, OocError};
 pub use simmat::SimMatrix;

@@ -909,17 +909,30 @@ pub fn ooc_potrf_pipelined_with<B: IoBackend>(
     run_pipelined::<_, FsStore>(fm, cfg, 0, None)
 }
 
-/// Out-of-core Cholesky with the panel-granularity journaled checkpoint
-/// protocol of [`checkpoint`](crate::checkpoint), over an explicit
-/// [`Store`] — the entry point the crash-point explorer drives with a
-/// `SimStore`, so checkpoint traffic and tile traffic land on the same
-/// recorded schedule.  [`ooc_potrf_checkpointed`](crate::ooc_potrf_checkpointed)
-/// is its W = 0 case on the real filesystem.  The epoch barrier at each
-/// panel boundary drains every deferred write-back *before* the
-/// snapshot, so intent → data → barrier → commit sees exactly the
-/// states W = 0 commits.  Crash/resume therefore yields the same
-/// bit-identical factor at every W, and unhealable ABFT corruption is
-/// answered by the same quiesce-restore-retry rollback.
+/// Out-of-core Cholesky with a checkpoint after every panel, through
+/// the panel-granularity journaled protocol of
+/// [`checkpoint`](crate::checkpoint) over an explicit [`Store`]
+/// ([`FsStore`] on the real filesystem; the crash-point explorer drives
+/// a `SimStore`, so checkpoint traffic and tile traffic land on the same
+/// recorded schedule).  If `ckpt` already holds a (validated) committed
+/// generation for this matrix, the data file is restored from the
+/// snapshot and the run resumes at the recorded panel; otherwise it
+/// starts from scratch.  On success the factor is barriered to stable
+/// storage and the checkpoint files are removed.
+///
+/// A crash injected by the backend surfaces as [`OocError::Io`]; the
+/// caller "restarts the process" by reopening the file
+/// ([`FileMatrix::open`](crate::FileMatrix::open)) and calling this
+/// again with the same `ckpt`.  The resumed run recomputes only the
+/// panels after the last checkpoint, and — because the schedule is
+/// deterministic — produces a factor bit-identical to an uninterrupted
+/// run's.  At `cfg.io_workers = 0` every tile move blocks the compute
+/// thread.  At W ≥ 1 the epoch barrier at each panel boundary drains
+/// every deferred write-back *before* the snapshot, so intent → data →
+/// barrier → commit sees exactly the states W = 0 commits.  Crash/resume
+/// therefore yields the same bit-identical factor at every W, and
+/// unhealable ABFT corruption is answered by the same
+/// quiesce-restore-retry rollback.
 ///
 /// One ABFT nuance at W ≥ 1: a cross-panel prefetch may read a tile
 /// *before* `begin_panel` schedules that panel's corruption against it,
@@ -936,7 +949,7 @@ pub fn ooc_potrf_pipelined_with<B: IoBackend>(
 /// the others across a restart yields a factor that differs by the
 /// (tiny) contraction residual — restart under the engine you crashed
 /// with if bit-reproducibility matters.
-pub fn ooc_potrf_checkpointed_pipelined_in<B: IoBackend>(
+pub fn ooc_potrf_checkpointed<B: IoBackend>(
     fm: &mut B,
     ckpt: &Checkpoint,
     store: &mut impl Store,
@@ -1172,12 +1185,12 @@ mod tests {
     use cholcomm_matrix::schedule::TileGrid;
     use cholcomm_matrix::{matrix_digest, spd};
 
-    fn ooc_potrf_checkpointed_pipelined<B: IoBackend>(
+    fn checkpointed_on_fs<B: IoBackend>(
         fm: &mut B,
         ckpt: &Checkpoint,
         cfg: &PipelineConfig,
     ) -> Result<(CheckpointReport, PipelineStats), OocError> {
-        ooc_potrf_checkpointed_pipelined_in(fm, ckpt, &mut FsStore::new(), cfg)
+        ooc_potrf_checkpointed(fm, ckpt, &mut FsStore::new(), cfg)
     }
 
     /// What a `Solve` or `Update` did with its target: the allocation
@@ -1320,7 +1333,8 @@ mod tests {
         let cap = 4;
         let mut fm = FileMatrix::create(&scratch_path("planck"), &a, b).unwrap();
         let ckpt = Checkpoint::at(&scratch_path("planck").with_extension("ckpt"));
-        crate::checkpoint::ooc_potrf_checkpointed(&mut fm, cap, &ckpt).unwrap();
+        let cfg = PipelineConfig::new(cap).with_io_workers(0);
+        checkpointed_on_fs(&mut fm, &ckpt, &cfg).unwrap();
         let s = fm.stats();
         let plan = Plan::new(nb, cap, 0, true);
         assert_eq!(s.reads, plan.fetches.len() as u64);
@@ -1566,12 +1580,12 @@ mod tests {
                 .crash_at(CrashPoint::AfterPanel(1))
                 .build();
             let mut fb = FaultyBackend::new(fm, plan);
-            let err = ooc_potrf_checkpointed_pipelined(&mut fb, &ckpt, &cfg).unwrap_err();
+            let err = checkpointed_on_fs(&mut fb, &ckpt, &cfg).unwrap_err();
             assert!(matches!(err, OocError::Io(_)), "crash surfaces as Io");
         }
         // "Restart the process": reopen and resume with the same ckpt.
         let mut fm = FileMatrix::open(&path, 32, 8).unwrap();
-        let (rep, stats) = ooc_potrf_checkpointed_pipelined(&mut fm, &ckpt, &cfg).unwrap();
+        let (rep, stats) = checkpointed_on_fs(&mut fm, &ckpt, &cfg).unwrap();
         // The crash hits after panel 1 completes but *before* its
         // checkpoint commits, so the resume replays panel 1.
         assert_eq!(rep.start_panel, 1, "panel 0's checkpoint was the last committed");
@@ -1590,14 +1604,14 @@ mod tests {
         let a = spd::random_spd(40, &mut rng);
         let mut sync = FileMatrix::create(&scratch_path("pck-sync"), &a, 8).unwrap();
         let sync_ckpt = Checkpoint::at(&scratch_path("pck-sync").with_extension("ckpt"));
-        let sync_rep =
-            crate::checkpoint::ooc_potrf_checkpointed(&mut sync, 4, &sync_ckpt).unwrap();
+        let sync_cfg = PipelineConfig::new(4).with_io_workers(0);
+        let (sync_rep, _) = checkpointed_on_fs(&mut sync, &sync_ckpt, &sync_cfg).unwrap();
         let want = sync.to_matrix().unwrap();
 
         let mut fm = FileMatrix::create(&scratch_path("pck-pipe"), &a, 8).unwrap();
         let ckpt = Checkpoint::at(&scratch_path("pck-pipe").with_extension("ckpt"));
         let cfg = PipelineConfig::new(4).with_io_workers(2);
-        let (rep, _) = ooc_potrf_checkpointed_pipelined(&mut fm, &ckpt, &cfg).unwrap();
+        let (rep, _) = checkpointed_on_fs(&mut fm, &ckpt, &cfg).unwrap();
         assert_eq!(fm.to_matrix().unwrap(), want);
         assert_eq!(rep.checkpoints_written, sync_rep.checkpoints_written);
         assert_eq!(rep.panels_done, sync_rep.panels_done);
@@ -1625,7 +1639,7 @@ mod tests {
         let mut ab = AbftBackend::new(fm, plan);
         let ckpt = Checkpoint::at(&scratch_path("pabft").with_extension("ckpt"));
         let cfg = PipelineConfig::new(3).with_io_workers(2).with_lookahead(2);
-        let (rep, _) = ooc_potrf_checkpointed_pipelined(&mut ab, &ckpt, &cfg).unwrap();
+        let (rep, _) = checkpointed_on_fs(&mut ab, &ckpt, &cfg).unwrap();
         assert!(rep.restores >= 1, "multi-element corruption forced a rollback");
         assert_eq!(ab.abft_stats().unrecoverable, 1);
         assert_eq!(

@@ -685,7 +685,9 @@ mod tests {
 
     #[test]
     fn zero_workers_replay_the_synchronous_drivers_io() {
-        use crate::checkpoint::{ooc_potrf_checkpointed, Checkpoint};
+        use crate::checkpoint::Checkpoint;
+        use crate::pipeline::{ooc_potrf_checkpointed, PipelineConfig};
+        use cholcomm_faults::FsStore;
 
         // Pinned from the synchronous driver that W = 0 replaced: the
         // digest of its backend call log (tile transfers interleaved
@@ -721,8 +723,9 @@ mod tests {
             assert_eq!(io(&fm), plain, "n={n} b={b} cap={cap}, plain");
             let path = scratch_path("w0-io-ck");
             let mut fm = FileMatrix::create(&path, &a, b).unwrap();
-            ooc_potrf_checkpointed(&mut fm, cap, &Checkpoint::at(&path.with_extension("ckpt")))
-                .unwrap();
+            let ckpt = Checkpoint::at(&path.with_extension("ckpt"));
+            let cfg = PipelineConfig::new(cap).with_io_workers(0);
+            ooc_potrf_checkpointed(&mut fm, &ckpt, &mut FsStore::new(), &cfg).unwrap();
             assert_eq!(io(&fm), checkpointed, "n={n} b={b} cap={cap}, checkpointed");
         }
     }

@@ -287,7 +287,15 @@ mod tests {
         let mut rng = spd::test_rng(300);
         for (n, b, p) in [(16usize, 4usize, 4usize), (24, 4, 9), (20, 6, 4)] {
             let a = spd::random_spd(n, &mut rng);
-            let plain = spmd_pxpotrf(&a, b, p, CostModel::typical()).unwrap();
+            let plain = spmd_pxpotrf(
+                &a,
+                b,
+                p,
+                CostModel::typical(),
+                FaultPlan::none(),
+                KernelImpl::Reference,
+            )
+            .unwrap();
             let abft = abft_spmd_pxpotrf(&a, b, p, CostModel::typical(), FaultPlan::none()).unwrap();
             assert_eq!(
                 norms::max_abs_diff(&plain.factor, &abft.factor),
@@ -383,7 +391,15 @@ mod tests {
     fn abft_overhead_is_reported_separately_from_clean_traffic() {
         let mut rng = spd::test_rng(305);
         let a = spd::random_spd(24, &mut rng);
-        let plain = spmd_pxpotrf(&a, 6, 4, CostModel::typical()).unwrap();
+        let plain = spmd_pxpotrf(
+            &a,
+            6,
+            4,
+            CostModel::typical(),
+            FaultPlan::none(),
+            KernelImpl::Reference,
+        )
+        .unwrap();
         let abft = abft_spmd_pxpotrf(&a, 6, 4, CostModel::typical(), FaultPlan::none()).unwrap();
         // The clean algorithmic traffic is untouched by ABFT ...
         assert_eq!(abft.fault.clean_words, plain.fault.clean_words);

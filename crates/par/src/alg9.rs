@@ -90,11 +90,15 @@ pub(crate) struct Schedule {
 
 impl Schedule {
     /// The input contract of every Algorithm 9 entry point: `a` square,
-    /// `b` positive (a block larger than `a` is one tile), `p` a perfect
-    /// square.
+    /// `b` positive (a block larger than `a` is one tile), `p` a positive
+    /// perfect square.  A violation is an error, never a panic.
     pub(crate) fn new(a: &Matrix<f64>, b: usize, p: usize) -> Result<Self, MatrixError> {
         if b == 0 {
             let context = "block size must be positive";
+            return Err(MatrixError::DimensionMismatch { context });
+        }
+        if p == 0 || p.isqrt().pow(2) != p {
+            let context = "processor count must be a positive perfect square";
             return Err(MatrixError::DimensionMismatch { context });
         }
         let tiles = TileGrid::of(a, b.min(a.rows().max(1)))?;
@@ -430,9 +434,12 @@ mod tests {
         let a = Matrix::<f64>::zeros(6, 8);
         let want = MatrixError::NotSquare { rows: 6, cols: 8 };
         let m = CostModel::counting();
-        assert_eq!(pxpotrf(&a, 2, 4, m).unwrap_err(), want);
+        assert_eq!(pxpotrf(&a, 2, 4, m, BroadcastKind::Tree).unwrap_err(), want);
         assert_eq!(pxpotrf_hier(&a, 2, 4, m, 12).unwrap_err(), want);
-        assert_eq!(spmd_pxpotrf(&a, 2, 4, m).unwrap_err(), SpmdError::Matrix(want.clone()));
+        assert_eq!(
+            spmd_pxpotrf(&a, 2, 4, m, FaultPlan::none(), KernelImpl::Reference).unwrap_err(),
+            SpmdError::Matrix(want.clone())
+        );
         let abft = abft_spmd_pxpotrf(&a, 2, 4, m, FaultPlan::none()).unwrap_err();
         assert_eq!(abft, SpmdError::Matrix(want));
     }
@@ -442,11 +449,31 @@ mod tests {
         let a = Matrix::<f64>::identity(8);
         let want = MatrixError::DimensionMismatch { context: "block size must be positive" };
         let m = CostModel::counting();
-        assert_eq!(pxpotrf(&a, 0, 4, m).unwrap_err(), want);
+        assert_eq!(pxpotrf(&a, 0, 4, m, BroadcastKind::Tree).unwrap_err(), want);
         assert_eq!(pxpotrf_hier(&a, 0, 4, m, 12).unwrap_err(), want);
-        assert_eq!(spmd_pxpotrf(&a, 0, 4, m).unwrap_err(), SpmdError::Matrix(want.clone()));
+        assert_eq!(
+            spmd_pxpotrf(&a, 0, 4, m, FaultPlan::none(), KernelImpl::Reference).unwrap_err(),
+            SpmdError::Matrix(want.clone())
+        );
         let abft = abft_spmd_pxpotrf(&a, 0, 4, m, FaultPlan::none()).unwrap_err();
         assert_eq!(abft, SpmdError::Matrix(want));
+    }
+
+    #[test]
+    fn every_entry_point_rejects_a_processor_count_that_is_not_a_positive_square() {
+        let a = spd::random_spd(8, &mut spd::test_rng(401));
+        let want = MatrixError::DimensionMismatch {
+            context: "processor count must be a positive perfect square",
+        };
+        let m = CostModel::counting();
+        for p in [0usize, 2, 6] {
+            assert_eq!(pxpotrf(&a, 2, p, m, BroadcastKind::Tree).unwrap_err(), want, "p={p}");
+            assert_eq!(pxpotrf_hier(&a, 2, p, m, 12).unwrap_err(), want, "p={p}");
+            let spmd = spmd_pxpotrf(&a, 2, p, m, FaultPlan::none(), KernelImpl::Reference);
+            assert_eq!(spmd.unwrap_err(), SpmdError::Matrix(want.clone()), "p={p}");
+            let abft = abft_spmd_pxpotrf(&a, 2, p, m, FaultPlan::none()).unwrap_err();
+            assert_eq!(abft, SpmdError::Matrix(want.clone()), "p={p}");
+        }
     }
 
     #[test]
@@ -454,7 +481,10 @@ mod tests {
         let a = spd::random_spd(10, &mut spd::test_rng(400));
         let m = CostModel::typical();
 
-        let (big, one) = (pxpotrf(&a, 16, 4, m).unwrap(), pxpotrf(&a, 10, 4, m).unwrap());
+        let (big, one) = (
+            pxpotrf(&a, 16, 4, m, BroadcastKind::Tree).unwrap(),
+            pxpotrf(&a, 10, 4, m, BroadcastKind::Tree).unwrap(),
+        );
         assert_eq!((big.factor, big.critical, big.makespan), (one.factor, one.critical, one.makespan));
         assert_eq!((big.max_proc_flops, big.peak_resident_words), (one.max_proc_flops, one.peak_resident_words));
 
@@ -462,7 +492,10 @@ mod tests {
         assert_eq!((big.factor, big.critical), (one.factor, one.critical));
         assert_eq!((big.max_local_words, big.max_local_messages), (one.max_local_words, one.max_local_messages));
 
-        let (big, one) = (spmd_pxpotrf(&a, 16, 4, m).unwrap(), spmd_pxpotrf(&a, 10, 4, m).unwrap());
+        let (big, one) = (
+            spmd_pxpotrf(&a, 16, 4, m, FaultPlan::none(), KernelImpl::Reference).unwrap(),
+            spmd_pxpotrf(&a, 10, 4, m, FaultPlan::none(), KernelImpl::Reference).unwrap(),
+        );
         assert_eq!((big.factor, big.critical, big.makespan), (one.factor, one.critical, one.makespan));
 
         let big = abft_spmd_pxpotrf(&a, 16, 4, m, FaultPlan::none()).unwrap();

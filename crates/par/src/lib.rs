@@ -24,15 +24,14 @@
 //!
 //!   [`onedim`]'s 1D baseline keeps its own loop: it broadcasts and
 //!   charges differently.
-//! * [`shared`] — an actual shared-memory parallel Cholesky built on
-//!   rayon: a fork-join recursive (AP00-shaped) factorization.
-//! * [`dag`] — the tiled right-looking schedule of
-//!   `cholcomm_matrix::schedule` as a barrier-free task DAG on
-//!   `rayon::scope`, bitwise equal to the sequential walk at every
-//!   thread count, plus a deterministic greedy-scheduler model
-//!   ([`dag::simulate`]) that `kernel_bench` gates its scaling claim on.
-//!   Together these demonstrate that the communication-optimal
-//!   *schedules* of the paper are also the natural parallel ones.
+//! * [`dag`] — the one shared-memory parallel Cholesky: the tiled
+//!   right-looking schedule of `cholcomm_matrix::schedule` as a
+//!   barrier-free task DAG on `rayon::scope`, bitwise equal to the
+//!   sequential walk at every thread count, plus a deterministic
+//!   greedy-scheduler model ([`dag::simulate`]) that `kernel_bench`
+//!   gates its scaling claim on.  Together these demonstrate that the
+//!   communication-optimal *schedules* of the paper are also the natural
+//!   parallel ones.
 
 pub mod abft;
 mod alg9;
@@ -43,7 +42,6 @@ pub mod io;
 pub mod matmul25d;
 pub mod onedim;
 pub mod pxpotrf;
-pub mod shared;
 pub mod spmd;
 
 pub use abft::{abft_spmd_pxpotrf, AbftSpmdReport};
@@ -54,5 +52,4 @@ pub use io::{io_scope, IoScope};
 pub use matmul25d::{matmul_25d, Mm25dReport};
 pub use onedim::pxpotrf_1d;
 pub use pxpotrf::{pxpotrf, PxPotrfReport};
-pub use shared::par_recursive_potrf;
-pub use spmd::{spmd_pxpotrf, spmd_pxpotrf_faulty, SpmdError, SpmdReport};
+pub use spmd::{spmd_pxpotrf, SpmdError, SpmdReport};

@@ -107,7 +107,7 @@ pub fn pxpotrf_1d(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::pxpotrf::pxpotrf;
+    use crate::pxpotrf::{pxpotrf, BroadcastKind};
     use cholcomm_matrix::{kernels, norms, spd};
 
     #[test]
@@ -133,7 +133,7 @@ mod tests {
         let p = 16;
         let a = spd::random_spd(n, &mut rng);
         let d1 = pxpotrf_1d(&a, 4, p, CostModel::typical()).unwrap();
-        let d2 = pxpotrf(&a, n / 4, p, CostModel::typical()).unwrap();
+        let d2 = pxpotrf(&a, n / 4, p, CostModel::typical(), BroadcastKind::Tree).unwrap();
         assert!(
             d1.critical.words > 2 * d2.critical.words,
             "1D {} words vs 2D {}",

@@ -51,30 +51,21 @@ pub enum BroadcastKind {
 }
 
 /// Run Algorithm 9 on `a` with block size `b` over a square grid of `p`
-/// processors (`p` a perfect square), under `model`.
+/// processors (`p` a positive perfect square, else `DimensionMismatch`),
+/// under `model`, broadcasting along `bcast` trees.
 ///
 /// ```
 /// use cholcomm_distsim::CostModel;
 /// use cholcomm_matrix::spd;
-/// use cholcomm_par::pxpotrf::pxpotrf;
+/// use cholcomm_par::pxpotrf::{pxpotrf, BroadcastKind};
 ///
 /// let mut rng = spd::test_rng(1);
 /// let a = spd::random_spd(16, &mut rng);
-/// let report = pxpotrf(&a, 8, 4, CostModel::typical()).unwrap();
+/// let report = pxpotrf(&a, 8, 4, CostModel::typical(), BroadcastKind::Tree).unwrap();
 /// assert!(report.critical.messages > 0);
 /// assert!(report.factor[(0, 0)] > 0.0);
 /// ```
 pub fn pxpotrf(
-    a: &Matrix<f64>,
-    b: usize,
-    p: usize,
-    model: CostModel,
-) -> Result<PxPotrfReport, MatrixError> {
-    pxpotrf_with(a, b, p, model, BroadcastKind::Tree)
-}
-
-/// [`pxpotrf`] with an explicit broadcast implementation.
-pub fn pxpotrf_with(
     a: &Matrix<f64>,
     b: usize,
     p: usize,
@@ -123,7 +114,7 @@ mod tests {
         let mut rng = spd::test_rng(110);
         for (n, b, p) in [(16, 4, 4), (24, 4, 9), (24, 6, 16), (32, 8, 4), (30, 4, 9)] {
             let a = spd::random_spd(n, &mut rng);
-            let rep = pxpotrf(&a, b, p, CostModel::counting()).unwrap();
+            let rep = pxpotrf(&a, b, p, CostModel::counting(), BroadcastKind::Tree).unwrap();
             let want = sequential_factor(&a);
             let diff = norms::max_abs_diff(&rep.factor, &want);
             assert!(diff < 1e-9, "n={n} b={b} p={p}: diff {diff}");
@@ -134,7 +125,7 @@ mod tests {
     fn single_processor_has_no_communication() {
         let mut rng = spd::test_rng(111);
         let a = spd::random_spd(16, &mut rng);
-        let rep = pxpotrf(&a, 4, 1, CostModel::typical()).unwrap();
+        let rep = pxpotrf(&a, 4, 1, CostModel::typical(), BroadcastKind::Tree).unwrap();
         assert_eq!(rep.critical.words, 0);
         assert_eq!(rep.critical.messages, 0);
         assert!(rep.total_flops > 0);
@@ -147,7 +138,7 @@ mod tests {
         let n = 32;
         let a = spd::random_spd(n, &mut rng);
         for (b, p) in [(4usize, 4usize), (8, 4), (4, 16), (8, 16)] {
-            let rep = pxpotrf(&a, b, p, CostModel::typical()).unwrap();
+            let rep = pxpotrf(&a, b, p, CostModel::typical(), BroadcastKind::Tree).unwrap();
             let bound = paper_message_bound(n, b, p);
             let got = rep.critical.messages as f64;
             assert!(
@@ -164,8 +155,9 @@ mod tests {
         let n = 64;
         let p = 16;
         let a = spd::random_spd(n, &mut rng);
-        let small = pxpotrf(&a, 4, p, CostModel::typical()).unwrap();
-        let big = pxpotrf(&a, n / 4, p, CostModel::typical()).unwrap(); // b = n/sqrt(P)
+        let small = pxpotrf(&a, 4, p, CostModel::typical(), BroadcastKind::Tree).unwrap();
+        // b = n/sqrt(P)
+        let big = pxpotrf(&a, n / 4, p, CostModel::typical(), BroadcastKind::Tree).unwrap();
         assert!(
             big.critical.messages * 2 < small.critical.messages,
             "b=n/sqrt(P) gives {} messages, b=4 gives {}",
@@ -181,7 +173,7 @@ mod tests {
         let n = 64;
         let p = 16;
         let a = spd::random_spd(n, &mut rng);
-        let rep = pxpotrf(&a, n / 4, p, CostModel::counting()).unwrap();
+        let rep = pxpotrf(&a, n / 4, p, CostModel::counting(), BroadcastKind::Tree).unwrap();
         let n3 = (n as f64).powi(3);
         let per_proc = n3 / p as f64;
         assert!(
@@ -200,8 +192,8 @@ mod tests {
         let n = 64;
         let p = 16;
         let a = spd::random_spd(n, &mut rng);
-        let tree = pxpotrf_with(&a, 16, p, CostModel::typical(), BroadcastKind::Tree).unwrap();
-        let ring = pxpotrf_with(&a, 16, p, CostModel::typical(), BroadcastKind::Ring).unwrap();
+        let tree = pxpotrf(&a, 16, p, CostModel::typical(), BroadcastKind::Tree).unwrap();
+        let ring = pxpotrf(&a, 16, p, CostModel::typical(), BroadcastKind::Ring).unwrap();
         assert!(
             ring.critical.messages > tree.critical.messages,
             "ring {} vs tree {}",
@@ -220,7 +212,7 @@ mod tests {
         let n = 64;
         let p = 16;
         let a = spd::random_spd(n, &mut rng);
-        let rep = pxpotrf(&a, n / 4, p, CostModel::counting()).unwrap();
+        let rep = pxpotrf(&a, n / 4, p, CostModel::counting(), BroadcastKind::Tree).unwrap();
         let budget = n * n / p;
         assert!(
             rep.peak_resident_words <= 8 * budget,
@@ -233,7 +225,7 @@ mod tests {
     fn indefinite_matrix_reports_global_pivot() {
         let mut m = Matrix::<f64>::identity(16);
         m[(10, 10)] = -1.0;
-        let err = pxpotrf(&m, 4, 4, CostModel::counting()).unwrap_err();
+        let err = pxpotrf(&m, 4, 4, CostModel::counting(), BroadcastKind::Tree).unwrap_err();
         assert!(matches!(err, MatrixError::NotSpd { pivot: 10, .. }));
     }
 }

@@ -72,47 +72,18 @@ pub struct SpmdReport {
     pub fault: FaultReport,
 }
 
-/// Run Algorithm 9 as an SPMD program on `p` threads (perfect network).
+/// Run Algorithm 9 as an SPMD program on `p` threads, every link
+/// subjected to `plan` (`FaultPlan::none()` is a perfect network), with
+/// tile arithmetic on `kernel`.
+///
+/// The reliable transport in [`cholcomm_distsim::threaded`] recovers
+/// from drops, duplicates, corruption, and delays, so the returned
+/// factor is bit-identical to the clean run's; only the clocks and the
+/// traffic totals differ.  The per-rank program's sends, broadcasts and
+/// `ctx.compute` charges are decided by the schedule alone, so the
+/// critical-path word/message counts are identical under every engine
+/// (asserted in `tests/cross_algorithm.rs`).
 pub fn spmd_pxpotrf(
-    a: &Matrix<f64>,
-    b: usize,
-    p: usize,
-    model: CostModel,
-) -> Result<SpmdReport, SpmdError> {
-    spmd_pxpotrf_faulty_with(a, b, p, model, FaultPlan::none(), KernelImpl::Reference)
-}
-
-/// [`spmd_pxpotrf`] with an explicit kernel engine.  The per-rank
-/// program's sends, broadcasts and `ctx.compute` charges are decided by
-/// the schedule alone, so the critical-path word/message counts are
-/// identical under every engine (asserted in `tests/cross_algorithm.rs`).
-pub fn spmd_pxpotrf_with(
-    a: &Matrix<f64>,
-    b: usize,
-    p: usize,
-    model: CostModel,
-    kernel: KernelImpl,
-) -> Result<SpmdReport, SpmdError> {
-    spmd_pxpotrf_faulty_with(a, b, p, model, FaultPlan::none(), kernel)
-}
-
-/// Run Algorithm 9 as an SPMD program on `p` threads with every link
-/// subjected to `plan`.  The reliable transport in
-/// [`cholcomm_distsim::threaded`] recovers from drops, duplicates,
-/// corruption, and delays, so the returned factor is bit-identical to
-/// the clean run's; only the clocks and the traffic totals differ.
-pub fn spmd_pxpotrf_faulty(
-    a: &Matrix<f64>,
-    b: usize,
-    p: usize,
-    model: CostModel,
-    plan: FaultPlan,
-) -> Result<SpmdReport, SpmdError> {
-    spmd_pxpotrf_faulty_with(a, b, p, model, plan, KernelImpl::Reference)
-}
-
-/// [`spmd_pxpotrf_faulty`] with an explicit kernel engine.
-pub fn spmd_pxpotrf_faulty_with(
     a: &Matrix<f64>,
     b: usize,
     p: usize,
@@ -145,7 +116,7 @@ pub fn spmd_pxpotrf_faulty_with(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::pxpotrf::pxpotrf;
+    use crate::pxpotrf::{pxpotrf, BroadcastKind};
     use cholcomm_matrix::{kernels, norms, spd};
 
     #[test]
@@ -153,7 +124,15 @@ mod tests {
         let mut rng = spd::test_rng(170);
         for (n, b, p) in [(16usize, 4usize, 4usize), (24, 4, 9), (32, 8, 16), (20, 6, 4)] {
             let a = spd::random_spd(n, &mut rng);
-            let rep = spmd_pxpotrf(&a, b, p, CostModel::counting()).unwrap();
+            let rep = spmd_pxpotrf(
+                &a,
+                b,
+                p,
+                CostModel::counting(),
+                FaultPlan::none(),
+                KernelImpl::Reference,
+            )
+            .unwrap();
             let mut want = a.clone();
             kernels::potf2(&mut want).unwrap();
             let want = want.lower_triangle().unwrap();
@@ -167,8 +146,16 @@ mod tests {
         let mut rng = spd::test_rng(171);
         let n = 32;
         let a = spd::random_spd(n, &mut rng);
-        let spmd = spmd_pxpotrf(&a, 8, 16, CostModel::typical()).unwrap();
-        let sim = pxpotrf(&a, 8, 16, CostModel::typical()).unwrap();
+        let spmd = spmd_pxpotrf(
+            &a,
+            8,
+            16,
+            CostModel::typical(),
+            FaultPlan::none(),
+            KernelImpl::Reference,
+        )
+        .unwrap();
+        let sim = pxpotrf(&a, 8, 16, CostModel::typical(), BroadcastKind::Tree).unwrap();
         assert_eq!(
             norms::max_abs_diff(&spmd.factor, &sim.factor),
             0.0,
@@ -184,7 +171,15 @@ mod tests {
     fn spmd_single_processor_works() {
         let mut rng = spd::test_rng(172);
         let a = spd::random_spd(12, &mut rng);
-        let rep = spmd_pxpotrf(&a, 4, 1, CostModel::typical()).unwrap();
+        let rep = spmd_pxpotrf(
+            &a,
+            4,
+            1,
+            CostModel::typical(),
+            FaultPlan::none(),
+            KernelImpl::Reference,
+        )
+        .unwrap();
         assert_eq!(rep.critical.messages, 0);
         let r = norms::cholesky_residual(&a, &rep.factor);
         assert!(r < norms::residual_tolerance(12));
@@ -194,7 +189,15 @@ mod tests {
     fn spmd_detects_indefinite_inputs() {
         let mut m = Matrix::<f64>::identity(16);
         m[(5, 5)] = -1.0;
-        let err = spmd_pxpotrf(&m, 4, 4, CostModel::counting()).unwrap_err();
+        let err = spmd_pxpotrf(
+            &m,
+            4,
+            4,
+            CostModel::counting(),
+            FaultPlan::none(),
+            KernelImpl::Reference,
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             SpmdError::Matrix(MatrixError::NotSpd { pivot: 5, value }) if value == -1.0
@@ -205,14 +208,23 @@ mod tests {
     fn spmd_faulty_factor_is_bit_identical_to_clean() {
         let mut rng = spd::test_rng(174);
         let a = spd::random_spd(24, &mut rng);
-        let clean = spmd_pxpotrf(&a, 6, 4, CostModel::typical()).unwrap();
+        let clean = spmd_pxpotrf(
+            &a,
+            6,
+            4,
+            CostModel::typical(),
+            FaultPlan::none(),
+            KernelImpl::Reference,
+        )
+        .unwrap();
         let plan = FaultPlan::builder(99)
             .drop_rate(0.15)
             .duplicate_rate(0.05)
             .corrupt_rate(0.05)
             .delay(0.05, 1000.0)
             .build();
-        let lossy = spmd_pxpotrf_faulty(&a, 6, 4, CostModel::typical(), plan).unwrap();
+        let lossy =
+            spmd_pxpotrf(&a, 6, 4, CostModel::typical(), plan, KernelImpl::Reference).unwrap();
         assert_eq!(
             norms::max_abs_diff(&clean.factor, &lossy.factor),
             0.0,
@@ -230,7 +242,7 @@ mod tests {
         let a = spd::random_spd(20, &mut rng);
         let mk = || {
             let plan = FaultPlan::builder(7).drop_rate(0.25).corrupt_rate(0.1).build();
-            spmd_pxpotrf_faulty(&a, 5, 4, CostModel::typical(), plan).unwrap()
+            spmd_pxpotrf(&a, 5, 4, CostModel::typical(), plan, KernelImpl::Reference).unwrap()
         };
         let (r1, r2) = (mk(), mk());
         assert_eq!(r1.factor, r2.factor);
@@ -243,8 +255,24 @@ mod tests {
     fn spmd_is_deterministic() {
         let mut rng = spd::test_rng(173);
         let a = spd::random_spd(24, &mut rng);
-        let r1 = spmd_pxpotrf(&a, 6, 4, CostModel::typical()).unwrap();
-        let r2 = spmd_pxpotrf(&a, 6, 4, CostModel::typical()).unwrap();
+        let r1 = spmd_pxpotrf(
+            &a,
+            6,
+            4,
+            CostModel::typical(),
+            FaultPlan::none(),
+            KernelImpl::Reference,
+        )
+        .unwrap();
+        let r2 = spmd_pxpotrf(
+            &a,
+            6,
+            4,
+            CostModel::typical(),
+            FaultPlan::none(),
+            KernelImpl::Reference,
+        )
+        .unwrap();
         assert_eq!(r1.factor, r2.factor);
         assert_eq!(r1.makespan, r2.makespan);
         assert_eq!(r1.critical, r2.critical);

@@ -14,9 +14,8 @@
 use cholcomm_distsim::CostModel;
 use cholcomm_faults::FaultPlan;
 use cholcomm_matrix::digest::{fnv1a, lower_digest};
-use cholcomm_matrix::{spd, Matrix};
-use cholcomm_par::pxpotrf::{pxpotrf_with, BroadcastKind};
-use cholcomm_par::spmd::spmd_pxpotrf_faulty;
+use cholcomm_matrix::{spd, KernelImpl, Matrix};
+use cholcomm_par::pxpotrf::{pxpotrf, BroadcastKind};
 use cholcomm_par::{abft_spmd_pxpotrf, pxpotrf_hier, spmd_pxpotrf};
 
 /// `(n, b, p)`: square and ragged tile grids, `b` dividing and not
@@ -52,7 +51,7 @@ fn cases() -> Vec<(String, String)> {
         let tag = format!("n{n}b{b}p{p}");
 
         for (kind, name) in [(BroadcastKind::Tree, "tree"), (BroadcastKind::Ring, "ring")] {
-            let r = pxpotrf_with(&a, b, p, model, kind).unwrap();
+            let r = pxpotrf(&a, b, p, model, kind).unwrap();
             let s = format!(
                 "{:?} {} {:?} {} {} {} {:016x}",
                 r.critical,
@@ -79,7 +78,7 @@ fn cases() -> Vec<(String, String)> {
         }
 
         for (plan, name) in [(FaultPlan::none(), "clean"), (lossy(99), "lossy")] {
-            let r = spmd_pxpotrf_faulty(&a, b, p, model, plan).unwrap();
+            let r = spmd_pxpotrf(&a, b, p, model, plan, KernelImpl::Reference).unwrap();
             let s = format!(
                 "{:?} {} {:?} {:016x}",
                 r.critical,
@@ -153,9 +152,12 @@ fn cases() -> Vec<(String, String)> {
     // A failing pivot is reported the same way by every driver.
     let m = indefinite();
     let errs = [
-        format!("{:?}", pxpotrf_with(&m, 4, 4, model, BroadcastKind::Tree).unwrap_err()),
+        format!("{:?}", pxpotrf(&m, 4, 4, model, BroadcastKind::Tree).unwrap_err()),
         format!("{:?}", pxpotrf_hier(&m, 4, 4, model, 48).unwrap_err()),
-        format!("{:?}", spmd_pxpotrf(&m, 4, 4, model).unwrap_err()),
+        format!(
+            "{:?}",
+            spmd_pxpotrf(&m, 4, 4, model, FaultPlan::none(), KernelImpl::Reference).unwrap_err()
+        ),
         format!("{:?}", abft_spmd_pxpotrf(&m, 4, 4, model, FaultPlan::none()).unwrap_err()),
     ];
     out.push(("not_spd".to_string(), errs.join(" ")));

@@ -174,6 +174,7 @@ impl TileStore for AbftTiles<'_> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use cholcomm_cachesim::NullTracer;

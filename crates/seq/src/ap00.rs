@@ -419,6 +419,7 @@ pub fn gemm_nt_rec_with<S: Scalar, L: Layout, T: Tracer>(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use cholcomm_cachesim::{LruTracer, NullTracer};
@@ -585,6 +586,7 @@ pub fn cache_aware_rchol<S: Scalar, L: Layout, T: Tracer>(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tuned_tests {
     use super::*;
     use cholcomm_cachesim::LruTracer;

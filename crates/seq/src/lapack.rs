@@ -17,26 +17,17 @@ use cholcomm_layout::{Laid, Layout};
 use cholcomm_matrix::schedule::{self, TileGrid, TileStore};
 use cholcomm_matrix::{KernelImpl, Matrix, MatrixError, Scalar};
 
-/// Algorithm 4 with block size `b`, reference kernels.
+/// Algorithm 4 with block size `b` on the kernel engine `kernel`: the
+/// left-looking walk of [`cholcomm_matrix::schedule`] over traced
+/// storage.  The schedule — and hence every word/message charged to
+/// `tracer` — is identical under every engine; only the arithmetic
+/// inside the fast-memory tiles changes (bit-identically under
+/// `FastStrict`, to an FMA-contraction residual under `Fast` — see
+/// `cholcomm_matrix::kernels_fast`).
 ///
 /// When `fast_memory` is given, a [`FastMemGauge`] asserts the schedule's
 /// working set stays within it — enforcing the paper's `3 b^2 <= M`
 /// precondition (`1 <= b <= sqrt(M/3)`).
-pub fn potrf_blocked<S: Scalar, L: Layout, T: Tracer>(
-    a: &mut Laid<S, L>,
-    tracer: &mut T,
-    b: usize,
-    fast_memory: Option<usize>,
-) -> Result<(), MatrixError> {
-    potrf_blocked_with(a, tracer, b, fast_memory, KernelImpl::Reference)
-}
-
-/// Algorithm 4 with an explicit kernel engine: the left-looking walk of
-/// [`cholcomm_matrix::schedule`] over traced storage.  The schedule — and
-/// hence every word/message charged to `tracer` — is identical under
-/// every engine; only the arithmetic inside the fast-memory tiles changes
-/// (bit-identically under `FastStrict`, to an FMA-contraction residual
-/// under `Fast` — see `cholcomm_matrix::kernels_fast`).
 pub fn potrf_blocked_with<S: Scalar, L: Layout, T: Tracer>(
     a: &mut Laid<S, L>,
     tracer: &mut T,
@@ -140,6 +131,7 @@ impl<S: Scalar, L: Layout, T: Tracer> TileStore for TracedTiles<'_, S, L, T> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use cholcomm_cachesim::{CountingTracer, NullTracer};
@@ -153,7 +145,7 @@ mod tests {
         let a = spd::random_spd(n, &mut rng);
         for b in [1usize, 2, 3, 5, 8, 24, 30] {
             let mut laid = Laid::from_matrix(&a, ColMajor::square(n));
-            potrf_blocked(&mut laid, &mut NullTracer, b, None).unwrap();
+            potrf_blocked_with(&mut laid, &mut NullTracer, b, None, KernelImpl::Reference).unwrap();
             let r = norms::cholesky_residual(&a, &laid.to_matrix());
             assert!(r < norms::residual_tolerance(n), "b = {b}, residual {r}");
         }
@@ -165,7 +157,7 @@ mod tests {
         let mut rng = spd::test_rng(51);
         let a = spd::random_spd(n, &mut rng);
         let mut laid = Laid::from_matrix(&a, Blocked::square(n, 5));
-        potrf_blocked(&mut laid, &mut NullTracer, 5, None).unwrap();
+        potrf_blocked_with(&mut laid, &mut NullTracer, 5, None, KernelImpl::Reference).unwrap();
         let r = norms::cholesky_residual(&a, &laid.to_matrix());
         assert!(r < norms::residual_tolerance(n));
     }
@@ -181,7 +173,7 @@ mod tests {
         for b in [2usize, 4, 8] {
             let mut laid = Laid::from_matrix(&a, ColMajor::square(n));
             let mut tr = CountingTracer::uncapped();
-            potrf_blocked(&mut laid, &mut tr, b, None).unwrap();
+            potrf_blocked_with(&mut laid, &mut tr, b, None, KernelImpl::Reference).unwrap();
             words.push(tr.stats().words as f64);
         }
         let r01 = words[0] / words[1];
@@ -200,11 +192,11 @@ mod tests {
 
         let mut cm = Laid::from_matrix(&a, ColMajor::square(n));
         let mut tr_cm = CountingTracer::uncapped();
-        potrf_blocked(&mut cm, &mut tr_cm, b, None).unwrap();
+        potrf_blocked_with(&mut cm, &mut tr_cm, b, None, KernelImpl::Reference).unwrap();
 
         let mut bl = Laid::from_matrix(&a, Blocked::square(n, b));
         let mut tr_bl = CountingTracer::uncapped();
-        potrf_blocked(&mut bl, &mut tr_bl, b, None).unwrap();
+        potrf_blocked_with(&mut bl, &mut tr_bl, b, None, KernelImpl::Reference).unwrap();
 
         assert_eq!(tr_cm.stats().words, tr_bl.stats().words, "same bandwidth");
         let ratio = tr_cm.stats().messages as f64 / tr_bl.stats().messages as f64;
@@ -221,7 +213,13 @@ mod tests {
             &cholcomm_matrix::Matrix::identity(8),
             ColMajor::square(8),
         );
-        let _ = potrf_blocked(&mut laid, &mut NullTracer, 4, Some(16));
+        let _ = potrf_blocked_with(
+            &mut laid,
+            &mut NullTracer,
+            4,
+            Some(16),
+            KernelImpl::Reference,
+        );
     }
 
     #[test]
@@ -233,7 +231,7 @@ mod tests {
         let a = spd::random_spd(n, &mut rng);
         let mut laid = Laid::from_matrix(&a, ColMajor::square(n));
         let mut tr = CountingTracer::uncapped();
-        potrf_blocked(&mut laid, &mut tr, 1, None).unwrap();
+        potrf_blocked_with(&mut laid, &mut tr, 1, None, KernelImpl::Reference).unwrap();
         let words = tr.stats().words as f64;
         let n3 = (n as f64).powi(3);
         assert!(words > n3 / 4.0, "words {words} should be Θ(n^3) = {n3}");
@@ -274,12 +272,14 @@ mod tests {
         let mut m = cholcomm_matrix::Matrix::<f64>::identity(12);
         m[(9, 9)] = -3.0;
         let mut laid = Laid::from_matrix(&m, ColMajor::square(12));
-        let err = potrf_blocked(&mut laid, &mut NullTracer, 4, None).unwrap_err();
+        let err = potrf_blocked_with(&mut laid, &mut NullTracer, 4, None, KernelImpl::Reference)
+            .unwrap_err();
         assert!(matches!(err, MatrixError::NotSpd { pivot: 9, value } if value < 0.0));
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod right_tests {
     use super::*;
     use cholcomm_cachesim::{CountingTracer, NullTracer};
@@ -313,7 +313,7 @@ mod right_tests {
 
         let mut left = Laid::from_matrix(&a, Blocked::square(n, b));
         let mut tl = CountingTracer::uncapped();
-        potrf_blocked(&mut left, &mut tl, b, None).unwrap();
+        potrf_blocked_with(&mut left, &mut tl, b, None, KernelImpl::Reference).unwrap();
 
         let mut right = Laid::from_matrix(&a, Blocked::square(n, b));
         let mut tr = CountingTracer::uncapped();
@@ -351,7 +351,7 @@ mod right_tests {
         let mut rng = spd::test_rng(57);
         let a = spd::random_spd(n, &mut rng);
         let mut l1 = Laid::from_matrix(&a, ColMajor::square(n));
-        potrf_blocked(&mut l1, &mut NullTracer, b, None).unwrap();
+        potrf_blocked_with(&mut l1, &mut NullTracer, b, None, KernelImpl::Reference).unwrap();
         let mut l2 = Laid::from_matrix(&a, ColMajor::square(n));
         potrf_blocked_right_with(&mut l2, &mut NullTracer, b, None, KernelImpl::Reference).unwrap();
         assert_eq!(

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 //! # cholcomm-seq
 //!
 //! The sequential Cholesky algorithm zoo of Section 3.1 of the paper,
@@ -12,7 +13,7 @@
 //! |---|---|---|
 //! | Algorithm 2 | [`naive::left_looking`] | explicit column transfers |
 //! | Algorithm 3 | [`naive::right_looking`] | explicit column transfers |
-//! | Algorithm 4 | [`lapack::potrf_blocked`] | explicit `b x b` tile transfers |
+//! | Algorithm 4 | [`lapack::potrf_blocked_with`] | explicit `b x b` tile transfers |
 //! | Algorithm 5 | [`toledo::rectangular_rchol`] | cache-oblivious (ideal-cache tracer) |
 //! | Algorithm 6 | [`ap00::square_rchol`] | cache-oblivious (ideal-cache tracer) |
 //! | Algorithm 7 | [`rmatmul::recursive_matmul`] | cache-oblivious |

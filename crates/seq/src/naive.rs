@@ -241,6 +241,7 @@ pub(crate) fn check_pivot<S: Scalar>(d: S, j: usize) -> Result<(), MatrixError> 
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use cholcomm_cachesim::{CountingTracer, NullTracer};

@@ -82,6 +82,7 @@ fn panel_rec<S: Scalar, L: Layout, T: Tracer>(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use cholcomm_cachesim::{LruTracer, NullTracer};

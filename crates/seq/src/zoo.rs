@@ -10,7 +10,7 @@ use cholcomm_cachesim::{
 use cholcomm_layout::{
     Blocked, ColMajor, Laid, Layout, Morton, PackedLower, RecursivePacked, RowMajor,
 };
-use cholcomm_matrix::{Matrix, MatrixError, Scalar};
+use cholcomm_matrix::{KernelImpl, Matrix, MatrixError, Scalar};
 
 /// The sequential algorithms of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -308,7 +308,9 @@ pub fn run_alg<S: Scalar, L: Layout, T: Tracer>(
     match alg {
         Algorithm::NaiveLeft => naive::left_looking(&mut laid, tracer)?,
         Algorithm::NaiveRight => naive::right_looking(&mut laid, tracer)?,
-        Algorithm::LapackBlocked { b } => lapack::potrf_blocked(&mut laid, tracer, b, None)?,
+        Algorithm::LapackBlocked { b } => {
+            lapack::potrf_blocked_with(&mut laid, tracer, b, None, KernelImpl::Reference)?
+        }
         Algorithm::Toledo { gemm_leaf } => {
             toledo::rectangular_rchol(&mut laid, tracer, gemm_leaf)?
         }
@@ -331,6 +333,7 @@ pub fn all_algorithms(m: usize) -> Vec<Algorithm> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use cholcomm_matrix::{norms, spd};

@@ -124,7 +124,7 @@ impl DurableCache {
     /// nothing, and journaling stops.
     pub fn recover_into(&mut self, cache: &mut FactorCache) -> RecoveryReport {
         let mut report = RecoveryReport::default();
-        let Ok(replay) = Replay::<Entry>::read(&*self.store, &self.journal) else {
+        let Ok(replay) = Replay::<Entry>::recover(&mut *self.store, &self.journal) else {
             self.unreadable = true;
             return report;
         };
@@ -342,6 +342,31 @@ mod tests {
         assert_eq!(cache.stored_digest(2), None);
         // The uncommitted stray entry was swept.
         assert!(!disk.lock().unwrap().exists("cache-0.e2"));
+    }
+
+    #[test]
+    fn an_entry_recorded_after_a_torn_journal_tail_is_adopted() {
+        let (disk, mut d) = sim_pair();
+        let first = sample_factor(9, 8);
+        d.record(1, &first).unwrap();
+        {
+            // A crash tore gen 2's intent: no newline, no rec_fnv.
+            let mut guard = disk.lock().unwrap();
+            guard.append("cache-0.journal", b"intent gen=2 key=2 n=");
+            guard.barrier();
+        }
+        let mut resumed = DurableCache::open(0, Box::new(SimStore::new(disk.clone())));
+        let mut cache = FactorCache::new(8);
+        assert_eq!(resumed.recover_into(&mut cache).recovered, 1);
+        let second = sample_factor(10, 8);
+        resumed.record(2, &second).unwrap();
+
+        let mut fresh = DurableCache::open(0, Box::new(SimStore::new(disk)));
+        let mut cache = FactorCache::new(8);
+        let report = fresh.recover_into(&mut cache);
+        assert_eq!(report, RecoveryReport { recovered: 2, dropped: 0 });
+        assert_eq!(cache.stored_digest(1), Some(lower_digest(&first)));
+        assert_eq!(cache.stored_digest(2), Some(lower_digest(&second)));
     }
 
     /// `(key, seed, n)` of a fixed insert sequence: five inserts, the

@@ -1,6 +1,6 @@
 //! The shard's factorization engine: a checkpointable, cancellable,
 //! crash-injectable blocked Cholesky that is **bit-identical** to the
-//! sequential LAPACK schedule (`cholcomm_seq::lapack::potrf_blocked`).
+//! sequential LAPACK schedule (`cholcomm_seq::lapack::potrf_blocked_with`).
 //!
 //! Bit-identity is the service's core correctness claim, and it holds by
 //! construction: this engine *is* that schedule — the left-looking walk

@@ -813,6 +813,9 @@ mod tests {
             fn list_prefix(&self, prefix: &str) -> std::io::Result<Vec<String>> {
                 self.0.list_prefix(prefix)
             }
+            fn rename(&mut self, from: &str, to: &str) -> std::io::Result<()> {
+                self.0.rename(from, to)
+            }
             fn barrier(&mut self) -> std::io::Result<()> {
                 self.0.barrier()
             }

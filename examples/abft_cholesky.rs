@@ -11,10 +11,10 @@
 //! ```
 
 use cholcomm::distsim::CostModel;
-use cholcomm::faults::FaultPlan;
+use cholcomm::faults::{FaultPlan, FsStore};
 use cholcomm::matrix::{norms, spd, KernelImpl};
 use cholcomm::ooc::{
-    ooc_potrf_checkpointed, ooc_potrf_with, AbftBackend, Checkpoint, FileMatrix,
+    ooc_potrf_checkpointed, ooc_potrf_with, AbftBackend, Checkpoint, FileMatrix, PipelineConfig,
 };
 use cholcomm::par::{abft_spmd_pxpotrf, spmd_pxpotrf};
 use cholcomm::seq::abft_potrf;
@@ -61,7 +61,15 @@ fn main() {
 
     // ---- 2. SPMD PxPOTRF: flips plus a rank death -------------------
     println!("\n== SPMD PxPOTRF, p={p}: bit flips + rank 2 killed at step 3 ==");
-    let cleanp = spmd_pxpotrf(&a, b, p, CostModel::typical()).expect("clean SPMD run");
+    let cleanp = spmd_pxpotrf(
+        &a,
+        b,
+        p,
+        CostModel::typical(),
+        FaultPlan::none(),
+        KernelImpl::Reference,
+    )
+    .expect("clean SPMD run");
     let plan = FaultPlan::builder(91)
         .inject_bit_flip(1, (4, 1), (2, 2), 1 << 50)
         .bit_flip_rate(0.02)
@@ -108,7 +116,9 @@ fn main() {
     let fm = FileMatrix::create(&data_path, &a, b).expect("create working copy");
     let mut ab = AbftBackend::new(fm, plan);
     let ckpt = Checkpoint::at(&ckpt_path);
-    let crep = ooc_potrf_checkpointed(&mut ab, 4, &ckpt).expect("ABFT out-of-core run");
+    let sync = PipelineConfig::new(4).with_io_workers(0);
+    let (crep, _) = ooc_potrf_checkpointed(&mut ab, &ckpt, &mut FsStore::new(), &sync)
+        .expect("ABFT out-of-core run");
     let got = ab.inner_mut().to_matrix().expect("read back factor");
     assert_eq!(
         norms::max_abs_diff(&got, &want),

@@ -10,7 +10,7 @@
 use cholcomm::bounds;
 use cholcomm::distsim::CostModel;
 use cholcomm::matrix::{kernels, norms, spd};
-use cholcomm::par::pxpotrf::pxpotrf;
+use cholcomm::par::pxpotrf::{pxpotrf, BroadcastKind};
 
 fn main() {
     let n = 192;
@@ -24,7 +24,7 @@ fn main() {
         "b", "cp words", "cp msgs", "max flops", "makespan", "factor ok?"
     );
     for b in [6usize, 12, 24, 48] {
-        let rep = pxpotrf(&a, b, p, CostModel::typical()).expect("SPD");
+        let rep = pxpotrf(&a, b, p, CostModel::typical(), BroadcastKind::Tree).expect("SPD");
         // Verify against the sequential factor.
         let mut want = a.clone();
         kernels::potf2(&mut want).unwrap();

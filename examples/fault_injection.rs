@@ -8,12 +8,13 @@
 //! ```
 
 use cholcomm::distsim::CostModel;
-use cholcomm::faults::{CrashPoint, FaultPlan};
+use cholcomm::faults::{CrashPoint, FaultPlan, FsStore};
 use cholcomm::matrix::{norms, spd, KernelImpl};
 use cholcomm::ooc::{
     ooc_potrf_checkpointed, ooc_potrf_with, Checkpoint, FaultyBackend, FileMatrix, IoBackend,
+    PipelineConfig,
 };
-use cholcomm::par::{spmd_pxpotrf, spmd_pxpotrf_faulty};
+use cholcomm::par::spmd_pxpotrf;
 
 fn main() {
     let n = 96;
@@ -24,14 +25,23 @@ fn main() {
 
     // ---- 1. SPMD over a lossy network -------------------------------
     println!("== SPMD PxPOTRF, n={n} b={b} p={p}, lossy network ==");
-    let clean = spmd_pxpotrf(&a, b, p, CostModel::typical()).expect("clean run");
+    let clean = spmd_pxpotrf(
+        &a,
+        b,
+        p,
+        CostModel::typical(),
+        FaultPlan::none(),
+        KernelImpl::Reference,
+    )
+    .expect("clean run");
     let plan = FaultPlan::builder(7)
         .drop_rate(0.15)
         .duplicate_rate(0.05)
         .corrupt_rate(0.05)
         .delay(0.05, 1000.0)
         .build();
-    let lossy = spmd_pxpotrf_faulty(&a, b, p, CostModel::typical(), plan).expect("lossy run");
+    let lossy = spmd_pxpotrf(&a, b, p, CostModel::typical(), plan, KernelImpl::Reference)
+        .expect("lossy run");
 
     let diff = norms::max_abs_diff(&clean.factor, &lossy.factor);
     println!("max |clean - lossy| over the factor: {diff:e}");
@@ -54,6 +64,8 @@ fn main() {
     let data_path = cholcomm::ooc::filemat::scratch_path("demo-crash");
     let ckpt_path = cholcomm::ooc::filemat::scratch_path("demo-ckpt");
     let ckpt = Checkpoint::at(&ckpt_path);
+    // Checkpointed, with every tile move inline on the compute thread.
+    let sync = PipelineConfig::new(4).with_io_workers(0);
     {
         let mut fm = FileMatrix::create(&data_path, &a, b).expect("create working copy");
         fm.set_persist(true); // the backing file must survive the "crash"
@@ -63,7 +75,7 @@ fn main() {
             .crash_at(CrashPoint::AfterDiskOps(120))
             .build();
         let mut fb = FaultyBackend::new(fm, plan);
-        let died = ooc_potrf_checkpointed(&mut fb, 4, &ckpt)
+        let died = ooc_potrf_checkpointed(&mut fb, &ckpt, &mut FsStore::new(), &sync)
             .expect_err("this plan kills the run mid-factorization");
         let fs = fb.fault_stats();
         println!("run died as planned: {died}");
@@ -78,7 +90,8 @@ fn main() {
     let fm = FileMatrix::open(&data_path, n, b).expect("reopen after crash");
     let plan = FaultPlan::builder(41).disk_transient_rate(0.08).build();
     let mut fb = FaultyBackend::new(fm, plan);
-    let rep = ooc_potrf_checkpointed(&mut fb, 4, &ckpt).expect("resumed run");
+    let (rep, _) =
+        ooc_potrf_checkpointed(&mut fb, &ckpt, &mut FsStore::new(), &sync).expect("resumed run");
     println!(
         "resumed at panel {} of {}, finished {} panels, wrote {} checkpoints ({} bytes)",
         rep.start_panel,

@@ -10,8 +10,8 @@
 //! cargo run --release --example gp_regression
 //! ```
 
-use cholcomm::matrix::{tri, Matrix, MatrixError};
-use cholcomm::par::par_recursive_potrf;
+use cholcomm::matrix::{tri, KernelImpl, Matrix, MatrixError};
+use cholcomm::par::potrf_dag_with;
 use cholcomm::serve::jobs::{gp_target, GpProblem};
 
 fn main() {
@@ -20,11 +20,10 @@ fn main() {
     let n = 200;
     let gp = GpProblem::synthetic(n, 7);
 
-    // Kernel matrix K + sigma^2 I, factored with the rayon fork-join
-    // recursive Cholesky (the parallel rendition of the paper's
-    // communication-optimal recursion).
+    // Kernel matrix K + sigma^2 I, factored by the tiled task DAG on the
+    // rayon pool (the paper's blocked schedule, run in parallel).
     let mut k = gp.kernel_matrix();
-    par_recursive_potrf(&mut k, 32).expect("kernel matrix is SPD");
+    potrf_dag_with(&mut k, 32, KernelImpl::Reference).expect("kernel matrix is SPD");
 
     // alpha = K^{-1} y  via the factor.
     let alpha = tri::solve_with_factor(&k, &gp.ys);

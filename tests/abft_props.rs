@@ -5,10 +5,10 @@
 //! resilience must stay strictly separate from the clean traffic counts.
 
 use cholcomm::distsim::CostModel;
-use cholcomm::faults::FaultPlan;
+use cholcomm::faults::{FaultPlan, FsStore};
 use cholcomm::matrix::{kernels, norms, spd, KernelImpl};
 use cholcomm::ooc::{
-    ooc_potrf_checkpointed, ooc_potrf_with, AbftBackend, Checkpoint, FileMatrix,
+    ooc_potrf_checkpointed, ooc_potrf_with, AbftBackend, Checkpoint, FileMatrix, PipelineConfig,
 };
 use cholcomm::par::{abft_spmd_pxpotrf, spmd_pxpotrf};
 use cholcomm::seq::abft_potrf;
@@ -108,7 +108,15 @@ proptest! {
         let mut rng = spd::test_rng(seed);
         let a = spd::random_spd(n, &mut rng);
 
-        let clean = spmd_pxpotrf(&a, b, p, CostModel::typical()).unwrap();
+        let clean = spmd_pxpotrf(
+            &a,
+            b,
+            p,
+            CostModel::typical(),
+            FaultPlan::none(),
+            KernelImpl::Reference,
+        )
+        .unwrap();
         let plan = FaultPlan::builder(seed)
             .inject_rank_kill(victim, step)
             .build();
@@ -134,7 +142,15 @@ proptest! {
         let mut rng = spd::test_rng(seed);
         let a = spd::random_spd(n, &mut rng);
 
-        let clean = spmd_pxpotrf(&a, b, p, CostModel::typical()).unwrap();
+        let clean = spmd_pxpotrf(
+            &a,
+            b,
+            p,
+            CostModel::typical(),
+            FaultPlan::none(),
+            KernelImpl::Reference,
+        )
+        .unwrap();
         let plan = FaultPlan::builder(plan_seed).bit_flip_rate(0.1).build();
         let rep = abft_spmd_pxpotrf(&a, b, p, CostModel::typical(), plan).unwrap();
 
@@ -172,7 +188,8 @@ proptest! {
         let fm = FileMatrix::create(&data_path, &a, b).unwrap();
         let mut ab = AbftBackend::new(fm, plan);
         let ckpt = Checkpoint::at(&ckpt_path);
-        let rep = ooc_potrf_checkpointed(&mut ab, 3, &ckpt).unwrap();
+        let sync = PipelineConfig::new(3).with_io_workers(0);
+        let (rep, _) = ooc_potrf_checkpointed(&mut ab, &ckpt, &mut FsStore::new(), &sync).unwrap();
         let got = ab.inner_mut().to_matrix().unwrap();
 
         prop_assert_eq!(norms::max_abs_diff(&got, &want), 0.0);

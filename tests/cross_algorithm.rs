@@ -5,9 +5,10 @@
 
 use cholcomm::cachesim::{CountingTracer, LruTracer, Tracer};
 use cholcomm::distsim::CostModel;
+use cholcomm::faults::FaultPlan;
 use cholcomm::layout::{ColMajor, Laid};
 use cholcomm::matrix::{kernels, norms, spd, KernelImpl};
-use cholcomm::par::spmd::spmd_pxpotrf_with;
+use cholcomm::par::spmd::spmd_pxpotrf;
 use cholcomm::seq::lapack::potrf_blocked_with;
 use cholcomm::seq::naive;
 use cholcomm::seq::zoo::{all_algorithms, run_algorithm, Algorithm, LayoutKind, ModelKind};
@@ -195,7 +196,7 @@ fn spmd_critical_path_is_engine_invariant() {
 
     let mut baseline: Option<(u64, u64)> = None;
     for engine in ENGINES {
-        let rep = spmd_pxpotrf_with(&a, b, p, CostModel::typical(), engine)
+        let rep = spmd_pxpotrf(&a, b, p, CostModel::typical(), FaultPlan::none(), engine)
             .unwrap_or_else(|e| panic!("{}: {e}", engine.name()));
         let path = (rep.critical.words, rep.critical.messages);
         match baseline {

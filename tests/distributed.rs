@@ -4,7 +4,7 @@
 
 use cholcomm::distsim::CostModel;
 use cholcomm::matrix::{kernels, norms, spd, Matrix};
-use cholcomm::par::pxpotrf::{paper_message_bound, pxpotrf};
+use cholcomm::par::pxpotrf::{paper_message_bound, pxpotrf, BroadcastKind};
 use proptest::prelude::*;
 
 fn sequential(a: &Matrix<f64>) -> Matrix<f64> {
@@ -29,7 +29,7 @@ proptest! {
         let p = grid * grid;
         let mut rng = spd::test_rng(seed);
         let a = spd::random_spd(n, &mut rng);
-        let rep = pxpotrf(&a, b, p, CostModel::counting()).unwrap();
+        let rep = pxpotrf(&a, b, p, CostModel::counting(), BroadcastKind::Tree).unwrap();
         let want = sequential(&a);
         prop_assert!(
             norms::max_abs_diff(&rep.factor, &want) < 1e-8,
@@ -46,7 +46,7 @@ fn critical_path_shrinks_per_processor_as_p_grows() {
     let mut last_flops = u64::MAX;
     for p in [1usize, 4, 16] {
         let b = n / (p as f64).sqrt() as usize;
-        let rep = pxpotrf(&a, b, p, CostModel::counting()).unwrap();
+        let rep = pxpotrf(&a, b, p, CostModel::counting(), BroadcastKind::Tree).unwrap();
         assert!(
             rep.max_proc_flops < last_flops,
             "P={p}: busiest-processor flops must drop"
@@ -62,7 +62,7 @@ fn messages_scale_like_sqrt_p_log_p_at_the_optimal_block_size() {
     let a = spd::random_spd(n, &mut rng);
     for p in [4usize, 16] {
         let b = n / (p as f64).sqrt() as usize;
-        let rep = pxpotrf(&a, b, p, CostModel::typical()).unwrap();
+        let rep = pxpotrf(&a, b, p, CostModel::typical(), BroadcastKind::Tree).unwrap();
         let bound = paper_message_bound(n, b, p);
         assert!(
             (rep.critical.messages as f64) <= 3.0 * bound + 8.0,
@@ -83,8 +83,14 @@ fn word_volume_tracks_the_paper_formula_shape() {
     let n = 128;
     let mut rng = spd::test_rng(303);
     let a = spd::random_spd(n, &mut rng);
-    let w4 = pxpotrf(&a, 64, 4, CostModel::typical()).unwrap().critical.words as f64;
-    let w16 = pxpotrf(&a, 32, 16, CostModel::typical()).unwrap().critical.words as f64;
+    let w4 = pxpotrf(&a, 64, 4, CostModel::typical(), BroadcastKind::Tree)
+        .unwrap()
+        .critical
+        .words as f64;
+    let w16 = pxpotrf(&a, 32, 16, CostModel::typical(), BroadcastKind::Tree)
+        .unwrap()
+        .critical
+        .words as f64;
     let (b4, b16) = (paper_word_bound(n, 64, 4), paper_word_bound(n, 32, 16));
     assert!((b4 - b16).abs() < 1e-9, "the two predictions coincide");
     for (w, b, label) in [(w4, b4, "P=4"), (w16, b16, "P=16")] {
@@ -104,8 +110,12 @@ fn makespan_reflects_the_latency_bandwidth_tradeoff() {
     let mut rng = spd::test_rng(304);
     let a = spd::random_spd(n, &mut rng);
     let latency_heavy = CostModel { alpha: 1e6, beta: 1.0, gamma: 0.0 };
-    let small = pxpotrf(&a, 6, p, latency_heavy).unwrap().makespan;
-    let big = pxpotrf(&a, 24, p, latency_heavy).unwrap().makespan;
+    let small = pxpotrf(&a, 6, p, latency_heavy, BroadcastKind::Tree)
+        .unwrap()
+        .makespan;
+    let big = pxpotrf(&a, 24, p, latency_heavy, BroadcastKind::Tree)
+        .unwrap()
+        .makespan;
     assert!(
         big < small,
         "latency-dominated: b = n/sqrt(P) should win ({big} vs {small})"
@@ -117,7 +127,7 @@ fn p_equals_one_is_communication_free_and_exact() {
     let n = 40;
     let mut rng = spd::test_rng(305);
     let a = spd::random_spd(n, &mut rng);
-    let rep = pxpotrf(&a, 8, 1, CostModel::typical()).unwrap();
+    let rep = pxpotrf(&a, 8, 1, CostModel::typical(), BroadcastKind::Tree).unwrap();
     assert_eq!(rep.critical.words, 0);
     assert_eq!(rep.critical.messages, 0);
     assert!(norms::max_abs_diff(&rep.factor, &sequential(&a)) < 1e-9);

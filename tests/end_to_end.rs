@@ -7,7 +7,8 @@ use cholcomm::distsim::CostModel;
 use cholcomm::layout::{Laid, Morton, RecursivePacked};
 use cholcomm::matrix::{norms, spd, tri, KernelImpl, Matrix};
 use cholcomm::cachesim::NullTracer;
-use cholcomm::par::{par_recursive_potrf, potrf_dag_with, pxpotrf::pxpotrf};
+use cholcomm::par::potrf_dag_with;
+use cholcomm::par::pxpotrf::{pxpotrf, BroadcastKind};
 use cholcomm::seq::ap00::square_rchol;
 
 fn apply(a: &Matrix<f64>, x: &[f64]) -> Vec<f64> {
@@ -41,7 +42,7 @@ fn gp_regression_pipeline_predicts_a_smooth_function() {
     let f = |x: f64| (3.0 * x).cos();
     let ys: Vec<f64> = xs.iter().map(|&x| f(x)).collect();
     let mut k = spd::rbf_kernel(&xs, 0.3, 1e-3);
-    par_recursive_potrf(&mut k, 16).unwrap();
+    potrf_dag_with(&mut k, 16, KernelImpl::Reference).unwrap();
     let alpha = tri::solve_with_factor(&k, &ys);
     // Predict in-range points.
     for &xstar in &[0.52, 1.23, 2.87] {
@@ -67,13 +68,15 @@ fn distributed_and_shared_memory_factors_agree() {
     let mut rng = spd::test_rng(503);
     let a = spd::random_spd(n, &mut rng);
 
-    let dist = pxpotrf(&a, 16, 16, CostModel::counting()).unwrap().factor;
+    let dist = pxpotrf(&a, 16, 16, CostModel::counting(), BroadcastKind::Tree)
+        .unwrap()
+        .factor;
 
     let mut tiled = a.clone();
     potrf_dag_with(&mut tiled, 16, KernelImpl::Reference).unwrap();
 
-    let mut recursive = a.clone();
-    par_recursive_potrf(&mut recursive, 8).unwrap();
+    let mut fine = a.clone();
+    potrf_dag_with(&mut fine, 8, KernelImpl::Reference).unwrap();
 
     let mut seq = Laid::from_matrix(&a, Morton::square(n));
     square_rchol(&mut seq, &mut NullTracer, 8).unwrap();
@@ -82,8 +85,8 @@ fn distributed_and_shared_memory_factors_agree() {
     let seq = seq.to_matrix().lower_triangle().unwrap();
 
     assert!(norms::max_abs_diff(&dist, &tiled) < 1e-8);
-    assert!(norms::max_abs_diff(&tiled, &recursive) < 1e-8);
-    assert!(norms::max_abs_diff(&recursive, &seq) < 1e-8);
+    assert!(norms::max_abs_diff(&tiled, &fine) < 1e-8);
+    assert!(norms::max_abs_diff(&fine, &seq) < 1e-8);
 }
 
 #[test]

@@ -7,9 +7,9 @@
 
 use cholcomm::distsim::CostModel;
 use cholcomm::faults::{DiskOp, FaultPlan};
-use cholcomm::matrix::{kernels, norms, spd};
+use cholcomm::matrix::{kernels, norms, spd, KernelImpl};
 use cholcomm::ooc::{filemat::scratch_path, Checkpoint, FileMatrix};
-use cholcomm::par::spmd::{spmd_pxpotrf, spmd_pxpotrf_faulty};
+use cholcomm::par::spmd::spmd_pxpotrf;
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -73,7 +73,15 @@ proptest! {
         let mut rng = spd::test_rng(seed);
         let a = spd::random_spd(n, &mut rng);
 
-        let clean = spmd_pxpotrf(&a, b, p, CostModel::typical()).unwrap();
+        let clean = spmd_pxpotrf(
+            &a,
+            b,
+            p,
+            CostModel::typical(),
+            FaultPlan::none(),
+            KernelImpl::Reference,
+        )
+        .unwrap();
         // Duplication plus large delays is maximal reordering pressure
         // on the transport; drops and corruption exercise retransmit.
         let plan = FaultPlan::builder(plan_seed)
@@ -82,7 +90,15 @@ proptest! {
             .corrupt_rate(0.05)
             .delay(0.1, 5000.0)
             .build();
-        let lossy = spmd_pxpotrf_faulty(&a, b, p, CostModel::typical(), plan).unwrap();
+        let lossy = spmd_pxpotrf(
+            &a,
+            b,
+            p,
+            CostModel::typical(),
+            plan,
+            KernelImpl::Reference,
+        )
+        .unwrap();
 
         // Bit-identical to the clean SPMD run...
         prop_assert_eq!(

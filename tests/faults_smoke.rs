@@ -3,18 +3,27 @@
 //! checked against their clean references bit for bit.
 
 use cholcomm::distsim::CostModel;
-use cholcomm::faults::{CrashPoint, FaultPlan};
+use cholcomm::faults::{CrashPoint, FaultPlan, FsStore};
 use cholcomm::matrix::{norms, spd, KernelImpl};
 use cholcomm::ooc::{
     ooc_potrf_checkpointed, ooc_potrf_with, Checkpoint, FaultyBackend, FileMatrix, IoBackend,
+    PipelineConfig,
 };
-use cholcomm::par::spmd::{spmd_pxpotrf, spmd_pxpotrf_faulty};
+use cholcomm::par::spmd::spmd_pxpotrf;
 
 #[test]
 fn faulted_spmd_run_is_bit_identical_and_reports_overhead() {
     let mut rng = spd::test_rng(300);
     let a = spd::random_spd(48, &mut rng);
-    let clean = spmd_pxpotrf(&a, 4, 4, CostModel::typical()).unwrap();
+    let clean = spmd_pxpotrf(
+        &a,
+        4,
+        4,
+        CostModel::typical(),
+        FaultPlan::none(),
+        KernelImpl::Reference,
+    )
+    .unwrap();
 
     let plan = FaultPlan::builder(99)
         .drop_rate(0.15)
@@ -22,7 +31,7 @@ fn faulted_spmd_run_is_bit_identical_and_reports_overhead() {
         .corrupt_rate(0.05)
         .delay(0.05, 1000.0)
         .build();
-    let lossy = spmd_pxpotrf_faulty(&a, 4, 4, CostModel::typical(), plan).unwrap();
+    let lossy = spmd_pxpotrf(&a, 4, 4, CostModel::typical(), plan, KernelImpl::Reference).unwrap();
 
     // The acceptance bar: a plan dropping >= 10% of messages still
     // yields a bit-identical factor, and the report separates clean
@@ -60,7 +69,8 @@ fn crashed_ooc_run_resumes_to_the_uninterrupted_result() {
     ooc_potrf_with(&mut reference, 4, KernelImpl::Reference).unwrap();
     let want = reference.to_matrix().unwrap();
 
-    // Flaky disk + mid-run crash.
+    // Flaky disk + mid-run crash, every tile move inline.
+    let sync = PipelineConfig::new(4).with_io_workers(0);
     let data_path = cholcomm::ooc::filemat::scratch_path("smoke-crash");
     let ckpt = Checkpoint::at(&cholcomm::ooc::filemat::scratch_path("smoke-ckpt"));
     {
@@ -72,7 +82,7 @@ fn crashed_ooc_run_resumes_to_the_uninterrupted_result() {
             .crash_at(CrashPoint::AfterDiskOps(70))
             .build();
         let mut fb = FaultyBackend::new(fm, plan);
-        ooc_potrf_checkpointed(&mut fb, 4, &ckpt)
+        ooc_potrf_checkpointed(&mut fb, &ckpt, &mut FsStore::new(), &sync)
             .expect_err("the plan kills this run mid-factorization");
         let fs = fb.fault_stats();
         assert!(
@@ -92,7 +102,7 @@ fn crashed_ooc_run_resumes_to_the_uninterrupted_result() {
     fm.set_persist(false); // test scratch: clean up on drop
     let plan = FaultPlan::builder(10).disk_transient_rate(0.1).build();
     let mut fb = FaultyBackend::new(fm, plan);
-    let rep = ooc_potrf_checkpointed(&mut fb, 4, &ckpt).unwrap();
+    let (rep, _) = ooc_potrf_checkpointed(&mut fb, &ckpt, &mut FsStore::new(), &sync).unwrap();
     assert!(rep.start_panel > 0, "resumed from a checkpoint, not from scratch");
 
     let got = fb.inner_mut().to_matrix().unwrap();

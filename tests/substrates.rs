@@ -1,18 +1,18 @@
 //! Integration across the newer substrates: every execution vehicle in
-//! the workspace — sequential zoo, rayon fork-join, tiled task DAG,
+//! the workspace — sequential zoo, tiled task DAG on the rayon pool,
 //! simulated machine, SPMD threads, file-backed out-of-core —
 //! must produce the same factorization; layouts must convert losslessly
 //! in every direction; recorded schedules must be data-independent.
 
 use cholcomm::cachesim::{LruTracer, NullTracer, RecordingTracer};
 use cholcomm::distsim::CostModel;
+use cholcomm::faults::FaultPlan;
 use cholcomm::layout::convert::convert_counted;
 use cholcomm::layout::{Blocked, ColMajor, Laid, Layered, Morton, RowMajor};
 use cholcomm::matrix::{kernels, norms, spd, KernelImpl, Matrix};
 use cholcomm::ooc::{ooc_potrf_with, FileMatrix};
-use cholcomm::par::{
-    matmul_25d, par_recursive_potrf, potrf_dag_with, pxpotrf::pxpotrf, pxpotrf_1d, spmd_pxpotrf,
-};
+use cholcomm::par::pxpotrf::{pxpotrf, BroadcastKind};
+use cholcomm::par::{matmul_25d, potrf_dag_with, pxpotrf_1d, spmd_pxpotrf};
 use cholcomm::seq::ap00::square_rchol;
 use cholcomm::seq::zoo::{run_alg, Algorithm};
 
@@ -35,11 +35,6 @@ fn every_execution_vehicle_agrees() {
     square_rchol(&mut laid, &mut NullTracer, 4).unwrap();
     assert!(norms::max_abs_diff(&laid.to_matrix().lower_triangle().unwrap(), &want) < tol);
 
-    // Rayon fork-join.
-    let mut f1 = a.clone();
-    par_recursive_potrf(&mut f1, 8).unwrap();
-    assert!(norms::max_abs_diff(&f1, &want) < tol, "fork-join");
-
     // Tiled task DAG, on the global pool and on four workers.
     let mut f2 = a.clone();
     potrf_dag_with(&mut f2, 8, KernelImpl::Reference).unwrap();
@@ -54,13 +49,21 @@ fn every_execution_vehicle_agrees() {
     assert_eq!(f3, f2, "tiled DAG on 4 workers");
 
     // Simulated distributed machine (2D and 1D).
-    let d2 = pxpotrf(&a, 8, 16, CostModel::counting()).unwrap();
+    let d2 = pxpotrf(&a, 8, 16, CostModel::counting(), BroadcastKind::Tree).unwrap();
     assert!(norms::max_abs_diff(&d2.factor, &want) < tol, "pxpotrf");
     let d1 = pxpotrf_1d(&a, 8, 5, CostModel::counting()).unwrap();
     assert!(norms::max_abs_diff(&d1.factor, &want) < tol, "1D");
 
     // SPMD threads.
-    let sp = spmd_pxpotrf(&a, 8, 4, CostModel::counting()).unwrap();
+    let sp = spmd_pxpotrf(
+        &a,
+        8,
+        4,
+        CostModel::counting(),
+        FaultPlan::none(),
+        KernelImpl::Reference,
+    )
+    .unwrap();
     assert!(norms::max_abs_diff(&sp.factor, &want) < tol, "SPMD");
 
     // File-backed out-of-core.
@@ -158,8 +161,16 @@ fn spmd_and_simulated_critical_paths_are_comparable() {
     let n = 48;
     let mut rng = spd::test_rng(706);
     let a = spd::random_spd(n, &mut rng);
-    let sim = pxpotrf(&a, 12, 16, CostModel::typical()).unwrap();
-    let sp = spmd_pxpotrf(&a, 12, 16, CostModel::typical()).unwrap();
+    let sim = pxpotrf(&a, 12, 16, CostModel::typical(), BroadcastKind::Tree).unwrap();
+    let sp = spmd_pxpotrf(
+        &a,
+        12,
+        16,
+        CostModel::typical(),
+        FaultPlan::none(),
+        KernelImpl::Reference,
+    )
+    .unwrap();
     // Different clock models (rendezvous vs postal) but same schedule:
     // counts within small factors.
     let wr = sp.critical.words as f64 / sim.critical.words.max(1) as f64;
