@@ -27,6 +27,7 @@
 use crate::stats::TransferStats;
 use crate::tracer::{Access, Tracer};
 use cholcomm_layout::Run;
+use cholcomm_matrix::digest::{fnv1a, fnv1a_words};
 
 /// Mode flag stored in the high bit of the length word.
 const WRITE_BIT: u32 = 1 << 31;
@@ -196,19 +197,9 @@ impl CompactTrace {
     /// FNV-1a digest over the packed encoding — a cheap fingerprint for
     /// the determinism guard and for cache keys.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |w: u64| {
-            for b in w.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(self.starts.len() as u64);
-        for i in 0..self.starts.len() {
-            eat(self.starts[i]);
-            eat(u64::from(self.len_mode[i]));
-        }
-        h
+        let events = self.starts.iter().zip(&self.len_mode);
+        let words = events.flat_map(|(&start, &len_mode)| [start, u64::from(len_mode)]);
+        fnv1a_words(fnv1a(b""), std::iter::once(self.starts.len() as u64).chain(words))
     }
 }
 

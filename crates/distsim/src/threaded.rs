@@ -44,6 +44,7 @@
 
 use crate::cost::{CostModel, CriticalPath};
 use cholcomm_faults::{FaultPlan, FaultStats, MessageFault};
+use cholcomm_matrix::digest::word_checksum;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// A message between ranks: payload plus transport metadata and the
@@ -59,15 +60,6 @@ struct Msg {
     checksum: u64,
     path: CriticalPath,
     payload: Vec<f64>,
-}
-
-fn payload_checksum(payload: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in payload {
-        h ^= v.to_bits();
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Typed failures of the SPMD message path.
@@ -174,7 +166,7 @@ impl ProcCtx {
         self.clean_words += words as u64;
         self.clean_messages += 1;
 
-        let checksum = payload_checksum(&payload);
+        let checksum = word_checksum(&payload);
         let mut attempt: u32 = 1;
         loop {
             match self.plan.message_fault(self.rank, dst, seq, attempt) {
@@ -273,7 +265,7 @@ impl ProcCtx {
                 .recv()
                 .map_err(|_| DistError::RankLost { rank: src })?;
             let arrival = msg.send_time + self.model.message_time(msg.words) + msg.extra_latency;
-            if payload_checksum(&msg.payload) != msg.checksum {
+            if word_checksum(&msg.payload) != msg.checksum {
                 // Corrupted on the wire: occupy the link, discard, keep
                 // waiting for the retransmit.
                 self.time = self.time.max(arrival);

@@ -33,9 +33,10 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_update(FNV_OFFSET, bytes)
 }
 
-/// FNV-1a over a stream of `u64` words (little-endian bytes).
-fn fnv1a_words(h: u64, words: impl Iterator<Item = u64>) -> u64 {
-    words.fold(h, |h, w| fnv1a_update(h, &w.to_le_bytes()))
+/// Fold a stream of `u64` words into a running FNV-1a state, each word
+/// as its eight little-endian bytes (start from [`fnv1a`]`(b"")`).
+pub fn fnv1a_words(h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(h, |h, w| fnv1a_update(h, &w.to_le_bytes()))
 }
 
 /// Order-sensitive digest of the full matrix: dimensions, then every
@@ -43,10 +44,7 @@ fn fnv1a_words(h: u64, words: impl Iterator<Item = u64>) -> u64 {
 /// digest exactly when they are bit-identical (same shape, same bits —
 /// `-0.0` differs from `0.0`, NaN payloads are distinguished).
 pub fn matrix_digest(m: &Matrix<f64>) -> u64 {
-    let h = fnv1a_words(
-        FNV_OFFSET,
-        [m.rows() as u64, m.cols() as u64].into_iter(),
-    );
+    let h = fnv1a_words(FNV_OFFSET, [m.rows() as u64, m.cols() as u64]);
     fnv1a_words(h, m.as_slice().iter().map(|x| x.to_bits()))
 }
 
@@ -69,7 +67,7 @@ fn lower_words(m: &Matrix<f64>) -> ([u64; 3], impl Iterator<Item = &[f64]>) {
 /// When `m` is not square.
 pub fn lower_digest(m: &Matrix<f64>) -> u64 {
     let (header, columns) = lower_words(m);
-    let h = fnv1a_words(FNV_OFFSET, header.into_iter());
+    let h = fnv1a_words(FNV_OFFSET, header);
     columns.fold(h, |h, col| fnv1a_words(h, col.iter().map(|x| x.to_bits())))
 }
 
@@ -175,8 +173,17 @@ pub fn lower_digests(ms: &[&Matrix<f64>]) -> Vec<u64> {
 /// Digest of an `f64` slice (bit patterns, order-sensitive) — used for
 /// solution vectors and right-hand sides.
 pub fn slice_digest(xs: &[f64]) -> u64 {
-    let h = fnv1a_words(FNV_OFFSET, [xs.len() as u64].into_iter());
+    let h = fnv1a_words(FNV_OFFSET, [xs.len() as u64]);
     fnv1a_words(h, xs.iter().map(|x| x.to_bits()))
+}
+
+/// FNV-1a with each `f64`'s bit pattern as one 64-bit symbol: one xor
+/// and one multiply per word, eight times fewer than [`slice_digest`].
+/// The message checksum of the SPMD transport, which only compares it
+/// within one run; its values are not interchangeable with the byte-wise
+/// digests.
+pub fn word_checksum(xs: &[f64]) -> u64 {
+    xs.iter().fold(FNV_OFFSET, |h, x| (h ^ x.to_bits()).wrapping_mul(FNV_PRIME))
 }
 
 #[cfg(test)]
@@ -193,6 +200,19 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_update(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
+    }
+
+    #[test]
+    fn word_checksum_detects_every_single_bit_flip() {
+        let xs = [1.5, -0.0, f64::MAX];
+        let clean = word_checksum(&xs);
+        for i in 0..xs.len() {
+            for bit in 0..64 {
+                let mut ys = xs;
+                ys[i] = f64::from_bits(ys[i].to_bits() ^ (1 << bit));
+                assert_ne!(word_checksum(&ys), clean, "word {i} bit {bit}");
+            }
+        }
     }
 
     #[test]

@@ -235,7 +235,7 @@ pub fn abft_spmd_pxpotrf(
     model: CostModel,
     plan: FaultPlan,
 ) -> Result<AbftSpmdReport, SpmdError> {
-    let s = Schedule::new(a, b, p)?;
+    let s = Schedule::square(a, b, p)?;
     let kill = plan.rank_kill().filter(|k| k.rank < p && k.step < s.tiles.nb());
     assert!(kill.is_none() || p > 1, "rank-loss recovery needs at least one survivor");
 

@@ -80,8 +80,10 @@ pub(crate) fn operands(op: TileOp) -> Vec<(usize, usize)> {
     }
 }
 
-/// Algorithm 9 over one tile grid and one square processor grid, tiles
-/// owned block-cyclically (Figure 6).
+/// Algorithm 9 over one tile grid and one `pr × pc` processor grid,
+/// tiles owned block-cyclically (Figure 6).  The 2D entry points run it
+/// on the square grid; the 1D baseline is the `1 × P` grid, where every
+/// column broadcast has one member and moves nothing.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Schedule {
     pub(crate) tiles: TileGrid,
@@ -90,19 +92,30 @@ pub(crate) struct Schedule {
 
 impl Schedule {
     /// The input contract of every Algorithm 9 entry point: `a` square,
-    /// `b` positive (a block larger than `a` is one tile), `p` a positive
-    /// perfect square.  A violation is an error, never a panic.
-    pub(crate) fn new(a: &Matrix<f64>, b: usize, p: usize) -> Result<Self, MatrixError> {
+    /// `b` positive (a block larger than `a` is one tile), a `pr × pc`
+    /// grid with both sides positive.  A violation is an error, never a
+    /// panic.
+    pub(crate) fn new(a: &Matrix<f64>, b: usize, (pr, pc): (usize, usize)) -> Result<Self, MatrixError> {
         if b == 0 {
             let context = "block size must be positive";
             return Err(MatrixError::DimensionMismatch { context });
         }
+        if pr == 0 || pc == 0 {
+            let context = "processor count must be positive";
+            return Err(MatrixError::DimensionMismatch { context });
+        }
+        let tiles = TileGrid::of(a, b.min(a.rows().max(1)))?;
+        Ok(Schedule { tiles, procs: ProcGrid::new(pr, pc) })
+    }
+
+    /// [`new`](Self::new) on the square grid of the 2D entry points: `p`
+    /// must be a positive perfect square.
+    pub(crate) fn square(a: &Matrix<f64>, b: usize, p: usize) -> Result<Self, MatrixError> {
         if p == 0 || p.isqrt().pow(2) != p {
             let context = "processor count must be a positive perfect square";
             return Err(MatrixError::DimensionMismatch { context });
         }
-        let tiles = TileGrid::of(a, b.min(a.rows().max(1)))?;
-        Ok(Schedule { tiles, procs: ProcGrid::square(p) })
+        Self::new(a, b, (p.isqrt(), p.isqrt()))
     }
 
     /// Logical owner of tile `(bi, bj)`.
@@ -337,14 +350,18 @@ pub(crate) fn gather<'a>(
 mod tests {
     use super::*;
     use crate::spmd::SpmdError;
-    use crate::{abft_spmd_pxpotrf, pxpotrf, pxpotrf_hier, spmd_pxpotrf};
+    use crate::{abft_spmd_pxpotrf, pxpotrf, pxpotrf_1d, pxpotrf_hier, spmd_pxpotrf};
     use cholcomm_distsim::CostModel;
     use cholcomm_faults::FaultPlan;
     use cholcomm_matrix::spd;
     use std::collections::HashSet;
 
-    fn schedule(n: usize, b: usize, p: usize) -> Schedule {
-        Schedule::new(&Matrix::identity(n), b, p).unwrap()
+    /// The square grids of the 2D entry points and the `1 × P` grids of
+    /// the 1D baseline.
+    const GRIDS: [(usize, usize); 6] = [(1, 1), (2, 2), (3, 3), (4, 4), (1, 3), (1, 7)];
+
+    fn schedule(n: usize, b: usize, grid: (usize, usize)) -> Schedule {
+        Schedule::new(&Matrix::identity(n), b, grid).unwrap()
     }
 
     /// The logical-to-physical maps a rank executor runs under: the
@@ -361,9 +378,9 @@ mod tests {
 
     #[test]
     fn the_step_list_holds_every_tile_op_once_in_ascending_k() {
-        for p in [1, 4, 9, 16] {
+        for grid in GRIDS {
             for (n, b) in [(23, 4), (37, 8), (10, 3)] {
-                let s = schedule(n, b, p);
+                let s = schedule(n, b, grid);
                 let nb = s.tiles.nb();
                 let ops: Vec<TileOp> = (0..nb)
                     .flat_map(|k| s.panel(k))
@@ -377,11 +394,11 @@ mod tests {
                     .collect();
                 let mut sorted = ops.clone();
                 sorted.sort_by_key(|op| op.id(nb));
-                assert_eq!(sorted, TileOp::all(nb).collect::<Vec<_>>(), "n={n} b={b} p={p}");
+                assert_eq!(sorted, TileOp::all(nb).collect::<Vec<_>>(), "n={n} b={b} grid={grid:?}");
                 let mut next_k: HashMap<(usize, usize), usize> = HashMap::new();
                 for op in ops {
                     let k = next_k.entry(op.target()).or_default();
-                    assert_eq!(op.step(), *k, "n={n} b={b} p={p}: {op:?} out of order");
+                    assert_eq!(op.step(), *k, "n={n} b={b} grid={grid:?}: {op:?} out of order");
                     *k += 1;
                 }
             }
@@ -390,9 +407,9 @@ mod tests {
 
     #[test]
     fn each_rank_runs_exactly_the_ops_it_owns_and_holds_every_operand() {
-        for p in [1, 4, 9, 16] {
+        for grid in GRIDS {
             for (n, b) in [(23, 4), (37, 8)] {
-                let s = schedule(n, b, p);
+                let (s, p) = (schedule(n, b, grid), grid.0 * grid.1);
                 let nb = s.tiles.nb();
                 for phys in maps(p) {
                     let mut ran: Vec<usize> = Vec::new();
@@ -423,7 +440,7 @@ mod tests {
                     }
                     ran.sort_unstable();
                     let all: Vec<usize> = TileOp::all(nb).map(|op| op.id(nb)).collect();
-                    assert_eq!(ran, all, "n={n} b={b} p={p} phys={phys:?}: every op on exactly one rank");
+                    assert_eq!(ran, all, "n={n} b={b} grid={grid:?} phys={phys:?}: every op on exactly one rank");
                 }
             }
         }
@@ -435,6 +452,7 @@ mod tests {
         let want = MatrixError::NotSquare { rows: 6, cols: 8 };
         let m = CostModel::counting();
         assert_eq!(pxpotrf(&a, 2, 4, m, BroadcastKind::Tree).unwrap_err(), want);
+        assert_eq!(pxpotrf_1d(&a, 2, 3, m).unwrap_err(), want);
         assert_eq!(pxpotrf_hier(&a, 2, 4, m, 12).unwrap_err(), want);
         assert_eq!(
             spmd_pxpotrf(&a, 2, 4, m, FaultPlan::none(), KernelImpl::Reference).unwrap_err(),
@@ -450,6 +468,7 @@ mod tests {
         let want = MatrixError::DimensionMismatch { context: "block size must be positive" };
         let m = CostModel::counting();
         assert_eq!(pxpotrf(&a, 0, 4, m, BroadcastKind::Tree).unwrap_err(), want);
+        assert_eq!(pxpotrf_1d(&a, 0, 3, m).unwrap_err(), want);
         assert_eq!(pxpotrf_hier(&a, 0, 4, m, 12).unwrap_err(), want);
         assert_eq!(
             spmd_pxpotrf(&a, 0, 4, m, FaultPlan::none(), KernelImpl::Reference).unwrap_err(),
@@ -477,6 +496,18 @@ mod tests {
     }
 
     #[test]
+    fn the_1d_baseline_rejects_zero_processors_and_runs_any_other_count() {
+        let a = spd::random_spd(8, &mut spd::test_rng(402));
+        let want = MatrixError::DimensionMismatch { context: "processor count must be positive" };
+        let m = CostModel::counting();
+        assert_eq!(pxpotrf_1d(&a, 2, 0, m).unwrap_err(), want);
+        let one = pxpotrf_1d(&a, 2, 1, m).unwrap();
+        for p in [2usize, 3, 6] {
+            assert_eq!(pxpotrf_1d(&a, 2, p, m).unwrap().factor, one.factor, "p={p}");
+        }
+    }
+
+    #[test]
     fn every_entry_point_runs_a_block_larger_than_n_as_one_tile() {
         let a = spd::random_spd(10, &mut spd::test_rng(400));
         let m = CostModel::typical();
@@ -485,6 +516,10 @@ mod tests {
             pxpotrf(&a, 16, 4, m, BroadcastKind::Tree).unwrap(),
             pxpotrf(&a, 10, 4, m, BroadcastKind::Tree).unwrap(),
         );
+        assert_eq!((big.factor, big.critical, big.makespan), (one.factor, one.critical, one.makespan));
+        assert_eq!((big.max_proc_flops, big.peak_resident_words), (one.max_proc_flops, one.peak_resident_words));
+
+        let (big, one) = (pxpotrf_1d(&a, 16, 3, m).unwrap(), pxpotrf_1d(&a, 10, 3, m).unwrap());
         assert_eq!((big.factor, big.critical, big.makespan), (one.factor, one.critical, one.makespan));
         assert_eq!((big.max_proc_flops, big.peak_resident_words), (one.max_proc_flops, one.peak_resident_words));
 

@@ -89,7 +89,7 @@ pub fn pxpotrf_hier(
     model: CostModel,
     m_local: usize,
 ) -> Result<HierReport, MatrixError> {
-    let s = Schedule::new(a, b, p)?;
+    let s = Schedule::square(a, b, p)?;
     let b = s.tiles.b;
     assert!(
         m_local >= 3 * b * b,

@@ -13,7 +13,8 @@
 //!     message-passing simulator of `cholcomm-distsim`: real tile
 //!     payloads move along real broadcast trees, so the factor is
 //!     verifiable while critical-path words, messages and flops are
-//!     metered — this regenerates Table 2;
+//!     metered — this regenerates Table 2; [`pxpotrf_1d`], the 1D
+//!     block-column baseline, is the same executor on a `1 × P` grid;
 //!   - [`hier`] — the same executor with a hook that runs every tile
 //!     access through a per-processor LRU (parallelism × hierarchy);
 //!   - [`spmd`] — the rank executor: one program per OS thread over the
@@ -21,9 +22,6 @@
 //!   - [`abft`] — the rank executor with checksum, checkpoint and kill
 //!     hooks, and a `logical -> physical` ownership map that lets a
 //!     survivor adopt a lost rank's role.
-//!
-//!   [`onedim`]'s 1D baseline keeps its own loop: it broadcasts and
-//!   charges differently.
 //! * [`dag`] — the one shared-memory parallel Cholesky: the tiled
 //!   right-looking schedule of `cholcomm_matrix::schedule` as a
 //!   barrier-free task DAG on `rayon::scope`, bitwise equal to the
@@ -40,7 +38,6 @@ pub mod dag;
 pub mod hier;
 pub mod io;
 pub mod matmul25d;
-pub mod onedim;
 pub mod pxpotrf;
 pub mod spmd;
 
@@ -50,6 +47,5 @@ pub use dag::{potrf_dag_with, scatter, simulate as dag_simulate, DagModel};
 pub use hier::{pxpotrf_hier, HierReport};
 pub use io::{io_scope, IoScope};
 pub use matmul25d::{matmul_25d, Mm25dReport};
-pub use onedim::pxpotrf_1d;
-pub use pxpotrf::{pxpotrf, PxPotrfReport};
+pub use pxpotrf::{pxpotrf, pxpotrf_1d, PxPotrfReport};
 pub use spmd::{spmd_pxpotrf, SpmdError, SpmdReport};

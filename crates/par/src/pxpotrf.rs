@@ -11,6 +11,15 @@
 //! so choosing `b = n/sqrt(P)` attains the 2D lower bounds to within the
 //! `log P` factor.
 //!
+//! The 1D block-column baseline, the distribution the 2D lower bound
+//! exists to beat, is the same schedule on a `1 × P` grid: block-columns
+//! are dealt cyclically, and each panel's owner broadcasts its solved
+//! tiles to everyone for the trailing update.  Its critical path carries
+//! `~ (n^2 / 2) log P` words, `(2/5) sqrt(P)` times the 2D algorithm's
+//! `(5/4)(n^2/sqrt(P)) log P` at `b = n/sqrt(P)` ([`paper_word_bound`])
+//! and far above the `Omega(n^2/sqrt(P))` lower bound, which is why
+//! ScaLAPACK uses the 2D block-cyclic layout of Figure 6.
+//!
 //! The schedule itself is `crate::alg9`'s; this module runs it with the
 //! machine executor and reports what the simulator metered.
 
@@ -72,9 +81,31 @@ pub fn pxpotrf(
     model: CostModel,
     bcast: BroadcastKind,
 ) -> Result<PxPotrfReport, MatrixError> {
-    let s = Schedule::new(a, b, p)?;
-    let mut machine = Machine::new(p, model);
-    let dist = run_machine(&s, a, &mut machine, bcast, &mut ())?;
+    simulate(&Schedule::square(a, b, p)?, a, model, bcast)
+}
+
+/// The 1D block-column baseline: Algorithm 9 on `a` with block size `b`
+/// over a `1 × p` grid (`p` positive, else `DimensionMismatch`), block
+/// column `bj` owned by processor `bj mod p`, under `model`, broadcasting
+/// along binomial trees.
+pub fn pxpotrf_1d(
+    a: &Matrix<f64>,
+    b: usize,
+    p: usize,
+    model: CostModel,
+) -> Result<PxPotrfReport, MatrixError> {
+    simulate(&Schedule::new(a, b, (1, p))?, a, model, BroadcastKind::Tree)
+}
+
+/// Run `s` on `a` with the machine executor and report what it metered.
+fn simulate(
+    s: &Schedule,
+    a: &Matrix<f64>,
+    model: CostModel,
+    bcast: BroadcastKind,
+) -> Result<PxPotrfReport, MatrixError> {
+    let mut machine = Machine::new(s.procs.len(), model);
+    let dist = run_machine(s, a, &mut machine, bcast, &mut ())?;
     Ok(PxPotrfReport {
         factor: dist.gather(),
         critical: machine.critical_path(),
@@ -219,6 +250,52 @@ mod tests {
             "peak {} vs n^2/P = {budget}",
             rep.peak_resident_words
         );
+    }
+
+    #[test]
+    fn one_dim_matches_sequential() {
+        let mut rng = spd::test_rng(180);
+        for (n, b, p) in [(24usize, 4usize, 3usize), (32, 8, 4), (20, 4, 7)] {
+            let a = spd::random_spd(n, &mut rng);
+            let rep = pxpotrf_1d(&a, b, p, CostModel::counting()).unwrap();
+            let mut want = a.clone();
+            seq_potf2(&mut want).unwrap();
+            let diff = norms::max_abs_diff(&rep.factor, &want.lower_triangle().unwrap());
+            assert!(diff < 1e-9, "n={n} b={b} p={p}: {diff}");
+        }
+    }
+
+    #[test]
+    fn one_dim_bandwidth_does_not_scale() {
+        // Same n, same P: the 1D critical path carries far more words
+        // than the 2D block-cyclic algorithm at `b = n/sqrt(P)` — the
+        // raison d'etre of Figure 6 — and the gap widens with P.
+        let mut rng = spd::test_rng(181);
+        let n = 64;
+        let a = spd::random_spd(n, &mut rng);
+        let words = |p: usize| {
+            let d1 = pxpotrf_1d(&a, 4, p, CostModel::typical()).unwrap();
+            let d2 = pxpotrf(&a, n / p.isqrt(), p, CostModel::typical(), BroadcastKind::Tree).unwrap();
+            (d1.critical.words, d2.critical.words)
+        };
+        // Pinned at P = 16, the shape E15 quotes.
+        assert_eq!(words(16), (7680, 4160));
+        // The model puts 1D at `(n^2/2) log P` and 2D (`paper_word_bound`
+        // at `b = n/sqrt(P)`) at `(5/4)(n^2/sqrt(P)) log P`: the ratio
+        // `(2/5) sqrt(P)` grows with P.
+        let ratios = [4, 16, 64].map(|p| {
+            let (d1, d2) = words(p);
+            d1 as f64 / d2 as f64
+        });
+        assert!(ratios.windows(2).all(|w| w[1] > w[0]), "1D/2D word ratios over P = 4, 16, 64: {ratios:?}");
+    }
+
+    #[test]
+    fn one_dim_detects_indefinite() {
+        let mut m = Matrix::<f64>::identity(12);
+        m[(7, 7)] = -1.0;
+        let err = pxpotrf_1d(&m, 4, 3, CostModel::counting()).unwrap_err();
+        assert!(matches!(err, MatrixError::NotSpd { pivot: 7, .. }));
     }
 
     #[test]

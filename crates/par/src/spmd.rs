@@ -91,7 +91,7 @@ pub fn spmd_pxpotrf(
     plan: FaultPlan,
     kernel: KernelImpl,
 ) -> Result<SpmdReport, SpmdError> {
-    let s = Schedule::new(a, b, p)?;
+    let s = Schedule::square(a, b, p)?;
     assert!(
         plan.rank_kill().is_none(),
         "this driver has no rank-loss recovery; use abft::abft_spmd_pxpotrf for RankKill plans"

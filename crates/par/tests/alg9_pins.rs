@@ -10,18 +10,24 @@
 //!
 //! Under a `RankKill` only the factor and the recovery outcome are
 //! pinned: the aborted round's traffic depends on send-vs-death races.
+//!
+//! The `1d/` cases were captured from the `1 × P` map itself.
 
 use cholcomm_distsim::CostModel;
 use cholcomm_faults::FaultPlan;
 use cholcomm_matrix::digest::{fnv1a, lower_digest};
 use cholcomm_matrix::{spd, KernelImpl, Matrix};
 use cholcomm_par::pxpotrf::{pxpotrf, BroadcastKind};
-use cholcomm_par::{abft_spmd_pxpotrf, pxpotrf_hier, spmd_pxpotrf};
+use cholcomm_par::{abft_spmd_pxpotrf, pxpotrf_1d, pxpotrf_hier, spmd_pxpotrf};
 
 /// `(n, b, p)`: square and ragged tile grids, `b` dividing and not
 /// dividing `n`, one to sixteen processors.
 const CONFIGS: [(usize, usize, usize); 6] =
     [(16, 4, 4), (24, 4, 9), (30, 4, 9), (37, 8, 4), (64, 16, 16), (12, 4, 1)];
+
+/// The 1D baseline also runs on processor counts that are not squares,
+/// one of them with more processors than block columns.
+const ONE_DIM_CONFIGS: [(usize, usize, usize); 4] = [(24, 4, 3), (30, 4, 7), (37, 8, 5), (64, 16, 7)];
 
 fn input(n: usize) -> Matrix<f64> {
     spd::random_spd(n, &mut spd::test_rng(900 + n as u64))
@@ -149,6 +155,22 @@ fn cases() -> Vec<(String, String)> {
         out.push((format!("abft/kill{i}/n24b6p4"), s));
     }
 
+    for (n, b, p) in CONFIGS.into_iter().chain(ONE_DIM_CONFIGS) {
+        let r = pxpotrf_1d(&input(n), b, p, model).unwrap();
+        let s = format!(
+            "{:?} {} {:?} {} {} {} {:016x}",
+            r.critical,
+            r.makespan.to_bits(),
+            r.max_proc,
+            r.max_proc_flops,
+            r.total_flops,
+            r.peak_resident_words,
+            lower_digest(&r.factor)
+        );
+        out.push((format!("1d/n{n}b{b}p{p}"), s));
+    }
+    out.push(("1d/not_spd".to_string(), format!("{:?}", pxpotrf_1d(&indefinite(), 4, 3, model).unwrap_err())));
+
     // A failing pivot is reported the same way by every driver.
     let m = indefinite();
     let errs = [
@@ -227,6 +249,17 @@ const PINS: &[(&str, u64)] = &[
     ("abft/kill3/n24b6p4", 0xb98a192a1f98bbb5),
     ("abft/kill4/n24b6p4", 0x13b4a07eac63c08c),
     ("not_spd", 0x809d20f5ae011e17),
+    ("1d/n16b4p4", 0xedf3744298cbabf0),
+    ("1d/n24b4p9", 0x1037626e86666ff2),
+    ("1d/n30b4p9", 0x2bd1ffa7e50a4662),
+    ("1d/n37b8p4", 0x81012cde6a0bdf03),
+    ("1d/n64b16p16", 0x99d7d5ce74144941),
+    ("1d/n12b4p1", 0xd48817dd312181ef),
+    ("1d/n24b4p3", 0x070356f70fe36943),
+    ("1d/n30b4p7", 0x5df3b66551838d38),
+    ("1d/n37b8p5", 0xf5fc4907875a8198),
+    ("1d/n64b16p7", 0xe7b09b89466328b9),
+    ("1d/not_spd", 0x9505084ee2031b5f),
 ];
 
 #[test]

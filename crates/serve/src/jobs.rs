@@ -12,7 +12,7 @@
 //! `kalman_filter` examples previously duplicated inline; both examples
 //! now import them from here.
 
-use cholcomm_matrix::digest::{fnv1a, fnv1a_update};
+use cholcomm_matrix::digest::{fnv1a, fnv1a_words};
 use cholcomm_matrix::{spd, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
@@ -67,9 +67,7 @@ pub struct Problem {
 /// bit-equal problems, one cache slot, and one home shard.  FNV-1a over
 /// the 24 little-endian bytes of `[kind + 1, key, n]`.
 pub fn problem_digest(kind: JobKind, key: u64, n: usize) -> u64 {
-    [kind as u64 + 1, key, n as u64]
-        .iter()
-        .fold(fnv1a(b""), |h, w| fnv1a_update(h, &w.to_le_bytes()))
+    fnv1a_words(fnv1a(b""), [kind as u64 + 1, key, n as u64])
 }
 
 /// Build the problem a `(kind, key, n)` request denotes.  Pure: equal
