@@ -53,6 +53,7 @@ pub mod events;
 pub mod jobs;
 pub mod loadgen;
 pub mod metrics;
+mod reply;
 pub mod service;
 mod shard;
 

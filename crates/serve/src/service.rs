@@ -20,10 +20,11 @@ use crate::error::ServeError;
 use crate::events::{log_digest, merge_canonical, Event, EventRecord, Source};
 use crate::jobs::{problem_digest, JobKind};
 use crate::metrics::Metrics;
+use crate::reply::{self, Waiter};
 use crate::shard::{Shard, ShardJob, ShardMsg, ShardReport};
 use cholcomm_faults::FaultPlan;
 use cholcomm_matrix::{KernelImpl, Matrix};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -123,14 +124,16 @@ pub struct Response {
 pub struct Ticket {
     /// Request id.
     pub req: u64,
-    rx: Receiver<Result<Response, ServeError>>,
+    answer: Waiter<Result<Response, ServeError>>,
 }
 
 impl Ticket {
     /// Block until the request resolves.  A shard that disappeared
-    /// without answering (shutdown race) reports [`ServeError::Stopped`].
+    /// without answering (shutdown race, or a worker that died of a
+    /// genuine panic with the request running or still queued) reports
+    /// [`ServeError::Stopped`].
     pub fn wait(self) -> Result<Response, ServeError> {
-        self.rx.recv().unwrap_or(Err(ServeError::Stopped))
+        self.answer.wait().unwrap_or(Err(ServeError::Stopped))
     }
 }
 
@@ -249,9 +252,12 @@ impl Service {
         // panic the worker — and `factor_cost_us` below would overflow
         // on it before the shard ever saw it.
         if let Err(e) = Matrix::<f64>::checked_len(request.n, request.n) {
-            let (reply, rx) = unbounded();
-            let _ = reply.send(Err(ServeError::Matrix(e)));
-            return Ticket { req: req_id, rx };
+            let (reply, answer) = reply::slot();
+            reply.send(Err(ServeError::Matrix(e)));
+            return Ticket {
+                req: req_id,
+                answer,
+            };
         }
 
         let digest = problem_digest(request.kind, request.key, request.n);
@@ -301,7 +307,7 @@ impl Service {
             next_seq += 1;
         }
 
-        let (reply, rx) = unbounded();
+        let (reply, answer) = reply::slot();
         let job = ShardJob {
             req_id,
             request,
@@ -317,6 +323,8 @@ impl Service {
             // (or the typed refusal) stays immediate.
             self.batcher.push(shard, job);
         } else {
+            // A dead shard's queue refuses the job, and dropping it
+            // resolves the ticket `Stopped`.
             let _ = self.senders[shard].send(ShardMsg::One(Box::new(job)));
         }
         // Every submission advances virtual time, so every submission
@@ -324,7 +332,10 @@ impl Service {
         for ready in self.batcher.due(request.vtime_us) {
             self.dispatch(ready);
         }
-        Ticket { req: req_id, rx }
+        Ticket {
+            req: req_id,
+            answer,
+        }
     }
 
     /// Send one released bucket to its home shard as a single unit.
@@ -888,6 +899,72 @@ mod tests {
         assert_eq!(counters.cache_recovered, 1);
         assert_eq!(counters.fresh_factorizations, 0);
         assert_eq!(counters.problems_built, 1);
+    }
+
+    #[test]
+    fn a_shard_dead_of_a_genuine_panic_resolves_every_ticket_it_held() {
+        use cholcomm_faults::{SimDisk, SimStore, Store, DEFAULT_SECTOR};
+        use std::sync::{Arc, Mutex};
+        use std::time::Duration;
+
+        /// Appends panic: a bug under the journal, not an injected
+        /// crash, so the supervisor re-raises it and the worker dies.
+        struct AppendPanics(SimStore);
+        impl Store for AppendPanics {
+            fn read(&self, name: &str) -> std::io::Result<Vec<u8>> {
+                self.0.read(name)
+            }
+            fn exists(&self, name: &str) -> bool {
+                self.0.exists(name)
+            }
+            fn write_file(&mut self, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+                self.0.write_file(name, bytes)
+            }
+            fn append(&mut self, _: &str, _: &[u8]) -> std::io::Result<()> {
+                panic!("the store's append is broken");
+            }
+            fn remove(&mut self, name: &str) -> std::io::Result<()> {
+                self.0.remove(name)
+            }
+            fn list_prefix(&self, prefix: &str) -> std::io::Result<Vec<String>> {
+                self.0.list_prefix(prefix)
+            }
+            fn rename(&mut self, from: &str, to: &str) -> std::io::Result<()> {
+                self.0.rename(from, to)
+            }
+            fn barrier(&mut self) -> std::io::Result<()> {
+                self.0.barrier()
+            }
+        }
+
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let disk = Arc::new(Mutex::new(SimDisk::new(DEFAULT_SECTOR)));
+            let config = ServiceConfig {
+                shards: 1,
+                ..ServiceConfig::default()
+            };
+            let mut service = Service::start_durable(config, &FaultPlan::none(), |_| {
+                Box::new(AppendPanics(SimStore::new(Arc::clone(&disk))))
+            });
+            // The first fresh factor's journal commit kills the shard
+            // with that request running; the second waits in its queue
+            // (or arrives after the death).
+            let first = service.submit(request(JobKind::Factor, 1, 32, 0));
+            let second = service.submit(request(JobKind::Factor, 2, 32, 1));
+            let answers = (first.wait(), second.wait());
+            // Joining the dead worker re-raises its panic.
+            let shutdown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                service.shutdown();
+            }));
+            let _ = done_tx.send((answers, shutdown.is_err()));
+        });
+        let ((first, second), reraised) = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a ticket held by the dead shard never resolved");
+        assert!(matches!(first, Err(ServeError::Stopped)), "{first:?}");
+        assert!(matches!(second, Err(ServeError::Stopped)), "{second:?}");
+        assert!(reraised, "shutdown hid the worker's panic");
     }
 
     #[test]

@@ -31,10 +31,11 @@ use crate::error::ServeError;
 use crate::events::{Event, EventRecord, Source};
 use crate::jobs::{self, Problem};
 use crate::metrics::{Counters, Metrics};
+use crate::reply::Reply;
 use crate::service::{Request, Response, ShardConfig};
 use cholcomm_faults::{FaultPlan, JobFault};
 use cholcomm_matrix::{lower_digest, lower_digests, tri, Matrix};
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::Receiver;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -50,7 +51,7 @@ pub(crate) struct ShardJob {
     pub admit: Admission,
     pub next_seq: u32,
     pub submitted_at: Instant,
-    pub reply: Sender<Result<Response, ServeError>>,
+    pub reply: Reply<Result<Response, ServeError>>,
 }
 
 /// What travels on a shard's queue: a single job, or a whole size
@@ -198,7 +199,7 @@ impl Shard {
     /// entry holds the digest and the right-hand side — except on the
     /// first use of an entry recovered from the durable journal, whose
     /// right-hand side is built here, once.
-    fn complete_cached(&mut self, job: &ShardJob, seq: &mut u32, source: Source, vstart_us: u64) {
+    fn complete_cached(&mut self, job: ShardJob, seq: &mut u32, source: Source, vstart_us: u64) {
         let counters = &mut self.metrics.counters;
         let served = self
             .cache
@@ -218,7 +219,7 @@ impl Shard {
     #[allow(clippy::too_many_arguments)]
     fn complete_factored(
         &mut self,
-        job: &ShardJob,
+        job: ShardJob,
         seq: &mut u32,
         factor: Matrix<f64>,
         digest: u64,
@@ -242,7 +243,7 @@ impl Shard {
     /// answer the ticket.
     fn respond(
         &mut self,
-        job: &ShardJob,
+        job: ShardJob,
         seq: &mut u32,
         source: Source,
         factor_digest: u64,
@@ -268,7 +269,7 @@ impl Shard {
         self.metrics
             .wall_latency_us
             .push(job.submitted_at.elapsed().as_secs_f64() * 1e6);
-        let _ = job.reply.send(Ok(Response {
+        job.reply.send(Ok(Response {
             req: job.req_id,
             source,
             factor_digest,
@@ -278,7 +279,7 @@ impl Shard {
     }
 
     /// Refuse `job` with `err`.
-    fn refuse(&mut self, job: &ShardJob, seq: &mut u32, err: ServeError) {
+    fn refuse(&mut self, job: ShardJob, seq: &mut u32, err: ServeError) {
         self.emit(job.req_id, seq, Event::Failed { tag: err.tag() });
         match &err {
             ServeError::ShedOverload { .. } => self.metrics.counters.shed_overload += 1,
@@ -286,7 +287,7 @@ impl Shard {
             ServeError::DeadlineExceeded { .. } => self.metrics.counters.deadline_canceled += 1,
             _ => self.metrics.counters.failed += 1,
         }
-        let _ = job.reply.send(Err(err));
+        job.reply.send(Err(err));
     }
 
     fn record_breaker(&mut self, req: u64, seq: &mut u32, change: Option<crate::breaker::BreakerState>) {
@@ -314,17 +315,14 @@ impl Shard {
         } = job.admit
         {
             if self.cache_read(&job, &mut seq, true) {
-                self.complete_cached(&job, &mut seq, Source::DegradedCache, vstart_us);
+                self.complete_cached(job, &mut seq, Source::DegradedCache, vstart_us);
             } else {
-                self.refuse(
-                    &job,
-                    &mut seq,
-                    ServeError::ShedOverload {
-                        class: job.request.class,
-                        backlog_us,
-                        watermark_us,
-                    },
-                );
+                let err = ServeError::ShedOverload {
+                    class: job.request.class,
+                    backlog_us,
+                    watermark_us,
+                };
+                self.refuse(job, &mut seq, err);
             }
             return;
         }
@@ -340,10 +338,10 @@ impl Shard {
                 },
             );
             if self.cache_read(&job, &mut seq, true) {
-                self.complete_cached(&job, &mut seq, Source::DegradedCache, vstart_us);
+                self.complete_cached(job, &mut seq, Source::DegradedCache, vstart_us);
             } else {
                 self.refuse(
-                    &job,
+                    job,
                     &mut seq,
                     ServeError::CircuitOpen {
                         shard: self.shard_id,
@@ -356,7 +354,7 @@ impl Shard {
 
         // --- Normal path: verified cache first. ---
         if self.cache_read(&job, &mut seq, false) {
-            self.complete_cached(&job, &mut seq, Source::Cache, vstart_us);
+            self.complete_cached(job, &mut seq, Source::Cache, vstart_us);
             return;
         }
 
@@ -398,7 +396,7 @@ impl Shard {
         let mut pending: Vec<(ShardJob, u32)> = Vec::with_capacity(batch);
         for (job, mut seq) in jobs.into_iter().zip(seqs) {
             if self.cache_read(&job, &mut seq, false) {
-                self.complete_cached(&job, &mut seq, Source::Cache, vstart_us);
+                self.complete_cached(job, &mut seq, Source::Cache, vstart_us);
                 continue;
             }
             let wait_us = vstart_us.saturating_sub(job.request.vtime_us);
@@ -414,7 +412,7 @@ impl Shard {
                     },
                 );
                 self.refuse(
-                    &job,
+                    job,
                     &mut seq,
                     ServeError::DeadlineExceeded {
                         elapsed_us: wait_us,
@@ -451,7 +449,7 @@ impl Shard {
                     let digest = digests.next().expect("one digest per factored member");
                     let vend_us = vstart_us + work_us;
                     self.complete_factored(
-                        &job,
+                        job,
                         &mut seq,
                         factor,
                         digest,
@@ -462,7 +460,7 @@ impl Shard {
                 }
                 Err(e) => {
                     self.vclock_us = vstart_us + work_us;
-                    self.refuse(&job, &mut seq, ServeError::Matrix(e));
+                    self.refuse(job, &mut seq, ServeError::Matrix(e));
                 }
             }
         }
@@ -487,7 +485,7 @@ impl Shard {
                 },
             );
             self.refuse(
-                &job,
+                job,
                 &mut seq,
                 ServeError::DeadlineExceeded {
                     elapsed_us: queue_wait_us,
@@ -645,12 +643,12 @@ impl Shard {
                 self.metrics.counters.fresh_factorizations += 1;
                 let vend_us = vstart_us + work_us;
                 let digest = lower_digest(&factor);
-                self.complete_factored(&job, &mut seq, factor, digest, rhs, Source::Fresh, vend_us);
+                self.complete_factored(job, &mut seq, factor, digest, rhs, Source::Fresh, vend_us);
             }
             Err(e) => {
                 // Failed fresh work still consumed virtual time.
                 self.vclock_us = vstart_us + work_us;
-                self.refuse(&job, &mut seq, e);
+                self.refuse(job, &mut seq, e);
             }
         }
     }
