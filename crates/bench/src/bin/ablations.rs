@@ -1,8 +1,11 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
-//! message-coalescing streams, recursion leaf size, LAPACK block size,
-//! and the ScaLAPACK block-size trade.
+//! The four ablations of DESIGN.md's design choices: message-coalescing
+//! streams, recursion leaf size, LAPACK block size, and the ScaLAPACK
+//! block-size trade, each as a count table.
+//!
+//! ```text
+//! cargo run --release -p cholcomm-bench --bin ablations > results/ablations.txt
+//! ```
 
-use criterion::{Criterion, criterion_group, criterion_main};
 use cholcomm_core::cachesim::LruTracer;
 use cholcomm_core::distsim::CostModel;
 use cholcomm_core::layout::{Laid, Morton};
@@ -11,7 +14,6 @@ use cholcomm_core::par::pxpotrf::{pxpotrf, BroadcastKind};
 use cholcomm_core::report::{fnum, TextTable};
 use cholcomm_core::seq::ap00::square_rchol;
 use cholcomm_core::seq::zoo::{run_algorithm, Algorithm, LayoutKind, ModelKind};
-use std::hint::black_box;
 
 /// Ablation 1: coalescing streams 0 / 1 / 8 on AP00+Morton latency.
 fn ablate_streams(n: usize, m: usize) {
@@ -116,34 +118,9 @@ fn ablate_scalapack_b(n: usize, p: usize) {
     println!("{}", t.render());
 }
 
-fn bench_ablations(c: &mut Criterion) {
+fn main() {
     ablate_streams(64, 192);
     ablate_leaf(64, 192);
     ablate_lapack_b(128, 768);
     ablate_scalapack_b(128, 16);
-
-    // A timing handle so criterion has something to measure per run.
-    let mut rng = spd::test_rng(16);
-    let a = spd::random_spd(64, &mut rng);
-    let mut g = c.benchmark_group("ablation_leaf_sim_cost");
-    g.sample_size(10);
-    for leaf in [1usize, 4, 16] {
-        g.bench_function(format!("leaf{leaf}"), |bch| {
-            bch.iter(|| {
-                black_box(
-                    run_algorithm(
-                        Algorithm::Ap00 { leaf },
-                        black_box(&a),
-                        LayoutKind::Morton,
-                        &ModelKind::Lru { m: 192 },
-                    )
-                    .unwrap(),
-                )
-            })
-        });
-    }
-    g.finish();
 }
-
-criterion_group!(benches, bench_ablations);
-criterion_main!(benches);

@@ -1,11 +1,11 @@
-//! Out-of-core pipeline benchmark and the repo's tracked OOC artifact.
+//! The out-of-core pipeline: its evidence to stdout
+//! (`results/ooc_bench.json`), its wall clock to stderr.
 //!
 //! ```text
-//! cargo run --release -p cholcomm-bench --bin ooc_bench             # full run
-//! cargo run --release -p cholcomm-bench --bin ooc_bench -- --smoke  # CI smoke
+//! cargo run --release -p cholcomm-bench --bin ooc_bench > results/ooc_bench.json
 //! ```
 //!
-//! Four sections, written as `cholcomm-ooc-bench/v1` JSON:
+//! Four sections:
 //!
 //! - **identity** — the pipelined driver's factor is byte-compared
 //!   against the synchronous `ooc_potrf_with` (zero I/O workers) over a grid of cache
@@ -18,14 +18,13 @@
 //!   depths; ≥ 90% at every lookahead ≥ 4.
 //! - **measured** — a real `FileMatrix` run with every op actually
 //!   sleeping the sampled latency (on the compute thread at zero I/O
-//!   workers, on the workers otherwise), pipelined-vs-sync wall clock
-//!   plus the real seek/seek-distance tallies.  Wall numbers are
-//!   machine-dependent; the gate here is deliberately loose (≥ 1.2x)
-//!   and the section is excluded from CI's exact-match compare.
+//!   workers, on the workers otherwise): the pipelined leg at two I/O
+//!   workers must beat the synchronous one by ≥ 1.2x on the wall clock.
+//!   Its byte counts are fixed by the I/O sequence and go to stdout; the
+//!   wall times and the seek tallies (which vary with the workers'
+//!   interleaving) go to stderr.
 //!
-//! Every number outside **measured** is a pure function of the inputs,
-//! so CI compares a smoke run exactly against the committed
-//! `BENCH_ooc.json` (deterministic sections only).
+//! A failed gate or a mismatch exits 1.
 
 use cholcomm_core::faults::FsStore;
 use cholcomm_core::matrix::spd;
@@ -37,6 +36,10 @@ use cholcomm_core::ooc::{
 use cholcomm_core::matrix::KernelImpl;
 use std::fmt::Write as _;
 use std::time::Instant;
+
+/// Wall-clock floor of the sleeping-I/O pipeline at two I/O workers over
+/// the synchronous driver.
+const MEASURED_MIN_SPEEDUP: f64 = 1.2;
 
 struct Identity {
     configs: usize,
@@ -174,8 +177,8 @@ fn run_lookahead_sweep() -> Vec<(usize, f64)> {
         .collect()
 }
 
-fn run_measured(smoke: bool) -> Measured {
-    let (n, b, capacity, latency_us) = if smoke { (128, 16, 8, 200) } else { (256, 32, 12, 300) };
+fn run_measured() -> Measured {
+    let (n, b, capacity, latency_us) = (256, 32, 12, 300);
     let mut rng = spd::test_rng(601);
     let a = spd::random_spd(n, &mut rng);
 
@@ -225,17 +228,9 @@ fn run_measured(smoke: bool) -> Measured {
     }
 }
 
-fn to_json(
-    id: &Identity,
-    gate: &Gate,
-    sweep: &[(usize, f64)],
-    meas: &Measured,
-    mode: &str,
-) -> String {
+fn to_json(id: &Identity, gate: &Gate, sweep: &[(usize, f64)], meas: &Measured) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"cholcomm-ooc-bench/v1\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
     s.push_str("  \"identity\": {\n");
     let _ = writeln!(s, "    \"configs\": {},", id.configs);
     let _ = writeln!(s, "    \"mismatches\": {},", id.mismatches);
@@ -269,38 +264,18 @@ fn to_json(
     let _ = writeln!(s, "    \"b\": {},", meas.b);
     let _ = writeln!(s, "    \"capacity_tiles\": {},", meas.capacity);
     let _ = writeln!(s, "    \"latency_us\": {},", meas.latency_us);
-    let _ = writeln!(s, "    \"sync_wall_s\": {:.3},", meas.sync_wall_s);
-    let _ = writeln!(s, "    \"pipe_wall_s_w1\": {:.3},", meas.pipe_wall_s[0]);
-    let _ = writeln!(s, "    \"pipe_wall_s_w2\": {:.3},", meas.pipe_wall_s[1]);
-    let _ = writeln!(s, "    \"speedup_w2\": {:.3},", meas.speedup_w2);
+    let _ = writeln!(s, "    \"min_speedup_w2\": {MEASURED_MIN_SPEEDUP:.1},");
     let _ = writeln!(s, "    \"bytes_read\": {},", meas.stats.bytes_read);
-    let _ = writeln!(s, "    \"bytes_written\": {},", meas.stats.bytes_written);
-    let _ = writeln!(s, "    \"seeks\": {},", meas.stats.seeks);
-    let _ = writeln!(s, "    \"seek_distance\": {}", meas.stats.seek_distance);
+    let _ = writeln!(s, "    \"bytes_written\": {}", meas.stats.bytes_written);
     s.push_str("  }\n}\n");
     s
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| {
-            if smoke {
-                "BENCH_ooc.smoke.json".to_string()
-            } else {
-                concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ooc.json").to_string()
-            }
-        });
-    let mode = if smoke { "smoke" } else { "full" };
-    eprintln!("ooc_bench: mode={mode}");
     let mut failed = false;
 
     let id = run_identity();
-    println!(
+    eprintln!(
         "identity: {} configs, {} mismatches, {} reads, {} writes, checkpointed_ok={}",
         id.configs, id.mismatches, id.reads, id.writes, id.checkpointed_ok
     );
@@ -310,7 +285,7 @@ fn main() {
     }
 
     let gate = run_model_gate();
-    println!(
+    eprintln!(
         "model_gate: n={} b={} cap={} W={} lookahead={} latency={}us: sync={}us pipelined={}us \
          speedup={:.3} hit_rate={:.3}",
         gate.n,
@@ -331,15 +306,15 @@ fn main() {
 
     let sweep = run_lookahead_sweep();
     for &(la, hr) in &sweep {
-        println!("lookahead_sweep: lookahead={la} hit_rate={hr:.3}");
+        eprintln!("lookahead_sweep: lookahead={la} hit_rate={hr:.3}");
         if la >= 4 && hr < 0.9 {
             eprintln!("ooc_bench: FAILED hit-rate gate at lookahead {la} ({hr:.3} < 0.9)");
             failed = true;
         }
     }
 
-    let meas = run_measured(smoke);
-    println!(
+    let meas = run_measured();
+    eprintln!(
         "measured: n={} b={} cap={} latency={}us: sync {:.3}s, pipelined w1 {:.3}s w2 {:.3}s \
          (speedup {:.2}x), seeks {} distance {}",
         meas.n,
@@ -353,18 +328,20 @@ fn main() {
         meas.stats.seeks,
         meas.stats.seek_distance
     );
-    if meas.speedup_w2 < 1.2 {
+    if meas.speedup_w2 < MEASURED_MIN_SPEEDUP {
         eprintln!(
-            "ooc_bench: FAILED measured overlap gate (speedup {:.3} < 1.2)",
+            "ooc_bench: FAILED measured overlap gate (speedup {:.3} < {MEASURED_MIN_SPEEDUP})",
             meas.speedup_w2
         );
+        failed = true;
+    }
+    if meas.stats.seek_distance == 0 {
+        eprintln!("ooc_bench: FAILED the measured run recorded no seek distance");
         failed = true;
     }
 
     if failed {
         std::process::exit(1);
     }
-    let json = to_json(&id, &gate, &sweep, &meas, mode);
-    std::fs::write(&out_path, &json).expect("write ooc artifact");
-    eprintln!("ooc_bench: wrote {out_path}");
+    print!("{}", to_json(&id, &gate, &sweep, &meas));
 }

@@ -1,373 +1,266 @@
-//! Wall-clock benchmark of the trace-once / replay-many simulation
-//! engine, and the repo's tracked simulation artifact.
+//! The trace-once / replay-many simulation engine: its evidence to
+//! stdout (`results/sim_bench.json`), its wall clock to stderr.
 //!
 //! ```text
-//! cargo run --release -p cholcomm-bench --bin sim_bench             # full run
-//! cargo run --release -p cholcomm-bench --bin sim_bench -- --smoke  # CI smoke
-//! cargo run --release -p cholcomm-bench --bin sim_bench -- --smoke --baseline BENCH_sim.json
+//! cargo run --release -p cholcomm-bench --bin sim_bench > results/sim_bench.json
 //! ```
 //!
-//! Four measurements:
+//! Four measurements on AP00 + Morton at `n = 128` over a ten-point
+//! capacity ladder:
 //!
 //! * **record** — trace-record throughput: running the factorization
-//!   arithmetic with a `CompactTrace` as the tracer, in events/s.
+//!   arithmetic with a `CompactTrace` as the tracer.
 //! * **replay** — replay throughput of the recorded trace into the LRU,
-//!   stack-distance, and counting tracers, in events/s.
-//! * **sweep_multi_m** — the headline: a capacity-ladder sweep (the
-//!   `multilevel` driver's shape) done the old way (re-run the
-//!   arithmetic at every capacity) versus the engine way (record once,
-//!   price the whole ladder in ONE stack-distance replay).  The two
-//!   stats vectors must match exactly; full mode also requires the
-//!   engine to be >= 5x faster end to end.
-//! * **sweep_lru_m** — secondary: the same ladder priced per-`M` with
-//!   live LRU replays (the `seq_messages_vs_M` shape, which needs LRU
-//!   writeback semantics and so cannot share one pass).  Gated on
-//!   identical stats only; tracked for wall-clock.
-//! * **table1 / table2** — end-to-end regeneration wall-clock of the
-//!   shipped drivers, tracked so regressions show up in review.
+//!   stack-distance, and counting tracers.
+//! * **sweep_multi_m** — the headline: the capacity ladder (the
+//!   `multilevel` driver's shape) priced the old way (re-run the
+//!   arithmetic at every capacity) and the engine way (record once,
+//!   price the whole ladder in ONE stack-distance replay).
+//! * **sweep_lru_m** — the same ladder priced per-`M` with live LRU
+//!   replays (the `seq_messages_vs_M` shape, which needs LRU writeback
+//!   semantics and so cannot share one pass).
+//! * **table1** — Table 1 rebuilt point by point with a fresh trace cache
+//!   per point and with one shared cache.
 //!
-//! `--baseline <path>` reads a previous artifact and fails (exit 1) if
-//! LRU replay throughput dropped more than 30% below it — the CI
-//! regression gate.  Results are written as hand-rolled JSON (the
-//! workspace is offline, no serde) to `BENCH_sim.json` at the repo root,
-//! or `BENCH_sim.smoke.json` under `--smoke`.
+//! stdout holds only what the code determines: event counts, the packed
+//! trace size, and whether each engine result equals its direct run.  The
+//! timings go to stderr.  Exit 1 when an engine result differs from its
+//! direct run, or when a gate fails.  Both gates compare two legs of the
+//! same run, so they bind on any host:
+//!
+//! * the engine prices the capacity ladder at least
+//!   [`MULTI_M_MIN_SPEEDUP`] times faster than the direct runs;
+//! * the per-`M` LRU replays price the ladder at least
+//!   [`LRU_M_MIN_SPEEDUP`] times faster than the direct LRU runs, so a
+//!   slower LRU replay fails here.
 
+use cholcomm_core::cachesim::TransferStats;
 use cholcomm_core::matrix::spd;
 use cholcomm_core::seq::zoo::{
     price_trace, record_algorithm, run_algorithm, Algorithm, LayoutKind, ModelKind,
 };
 use cholcomm_core::sweep::TraceCache;
 use cholcomm_core::table1::table1_at_with;
-use cholcomm_core::table2::run_table2;
-use cholcomm_core::cachesim::TransferStats;
-use std::fmt::Write as _;
 use std::time::Instant;
 
-struct Report {
-    record_events: u64,
-    record_s: f64,
-    record_events_per_s: f64,
-    packed_bytes_per_event: f64,
-    replay_lru_events_per_s: f64,
-    replay_stackdist_events_per_s: f64,
-    replay_counting_events_per_s: f64,
-    sweep_points: usize,
-    sweep_direct_s: f64,
-    sweep_engine_s: f64,
-    sweep_identical: bool,
-    sweep_lru_direct_s: f64,
-    sweep_lru_engine_s: f64,
-    sweep_lru_identical: bool,
-    table1_direct_s: f64,
-    table1_engine_s: f64,
-    table1_identical: bool,
-    table2_s: f64,
-}
+/// Engine-over-direct floor for the capacity-ladder sweep.
+const MULTI_M_MIN_SPEEDUP: f64 = 5.0;
+/// Engine-over-direct floor for the per-`M` LRU sweep.
+const LRU_M_MIN_SPEEDUP: f64 = 2.5;
+/// Timed repetitions per measurement (the best one counts).
+const REPS: usize = 5;
 
-impl Report {
-    fn sweep_speedup(&self) -> f64 {
-        self.sweep_direct_s / self.sweep_engine_s
-    }
-
-    fn table1_speedup(&self) -> f64 {
-        self.table1_direct_s / self.table1_engine_s
-    }
-}
-
-fn seconds<R>(f: impl FnOnce() -> R) -> (f64, R) {
+/// Wall seconds of one call of `f`, and its result.
+fn timed<R>(f: impl Fn() -> R) -> (f64, R) {
     let t0 = Instant::now();
-    let out = f();
-    (t0.elapsed().as_secs_f64(), out)
+    let r = f();
+    (t0.elapsed().as_secs_f64(), r)
 }
 
-/// Best-of-`reps` timing.
-fn best_of<R>(reps: usize, f: impl Fn() -> R) -> (f64, R) {
-    let (mut best, mut out) = seconds(&f);
-    for _ in 1..reps {
-        let (s, o) = seconds(&f);
-        if s < best {
-            best = s;
-            out = o;
-        }
+/// Best-of-[`REPS`] wall seconds of `f`, and its last result.
+fn best_of<R>(f: impl Fn() -> R) -> (f64, R) {
+    let (mut best, mut out) = timed(&f);
+    for _ in 1..REPS {
+        let (s, r) = timed(&f);
+        best = best.min(s);
+        out = r;
     }
     (best, out)
 }
 
-/// The `M` ladder for a given `n`, respecting the `n^2 > M` regime.
-fn m_ladder(n: usize, full: &[usize]) -> Vec<usize> {
-    full.iter().copied().filter(|&m| n * n > m).collect()
+/// A direct-versus-engine comparison: best wall seconds of each leg and
+/// whether they computed the same thing.
+struct Versus {
+    direct_s: f64,
+    engine_s: f64,
+    identical: bool,
 }
 
-fn run(smoke: bool) -> Report {
-    let (n, ladder_spec, reps): (usize, &[usize], usize) = if smoke {
-        (32, &[64, 128, 256], 1)
-    } else {
-        (128, &[96, 144, 192, 288, 384, 576, 768, 1152, 1536, 3072], 3)
-    };
-    let ladder = m_ladder(n, ladder_spec);
-    let alg = Algorithm::Ap00 { leaf: 4 };
-    let layout = LayoutKind::Morton;
-    let mut rng = spd::test_rng(4242);
-    let a = spd::random_spd(n, &mut rng);
-
-    // --- record throughput ---------------------------------------------
-    let (record_s, recorded) = best_of(reps, || record_algorithm(alg, &a, layout).unwrap());
-    let trace = recorded.trace;
-    let events = trace.len() as u64;
-    let packed_bytes_per_event = trace.pack().len() as f64 / events.max(1) as f64;
-
-    // --- replay throughput ---------------------------------------------
-    let m_mid = ladder[ladder.len() / 2];
-    let (lru_s, _) = best_of(reps, || price_trace(&trace, &ModelKind::Lru { m: m_mid }));
-    let (sd_s, _) = best_of(reps, || {
-        price_trace(&trace, &ModelKind::Hierarchy { capacities: ladder.clone() })
-    });
-    let (cnt_s, _) = best_of(reps, || {
-        price_trace(&trace, &ModelKind::Counting { message_cap: Some(m_mid) })
-    });
-
-    // --- headline: the capacity-ladder sweep, direct vs engine ---------
-    // Direct re-runs the factorization arithmetic once per capacity (a
-    // single-level hierarchy each time); the engine records once and
-    // prices the *entire* ladder in a single stack-distance replay.
-    let (sweep_direct_s, direct_stats) = seconds(|| {
-        ladder
-            .iter()
-            .map(|&m| {
-                run_algorithm(alg, &a, layout, &ModelKind::Hierarchy { capacities: vec![m] })
-                    .unwrap()
-                    .levels[0]
-            })
-            .collect::<Vec<TransferStats>>()
-    });
-    let (sweep_engine_s, engine_stats) = seconds(|| {
-        let rec = record_algorithm(alg, &a, layout).unwrap();
-        price_trace(&rec.trace, &ModelKind::Hierarchy { capacities: ladder.clone() })
-    });
-    let sweep_identical = direct_stats == engine_stats;
-
-    // --- secondary: per-M LRU sweep (needs writebacks, one replay per M)
-    let (sweep_lru_direct_s, lru_direct_stats) = seconds(|| {
-        ladder
-            .iter()
-            .map(|&m| run_algorithm(alg, &a, layout, &ModelKind::Lru { m }).unwrap().levels[0])
-            .collect::<Vec<TransferStats>>()
-    });
-    let (sweep_lru_engine_s, lru_engine_stats) = seconds(|| {
-        let rec = record_algorithm(alg, &a, layout).unwrap();
-        ladder
-            .iter()
-            .map(|&m| price_trace(&rec.trace, &ModelKind::Lru { m })[0])
-            .collect::<Vec<TransferStats>>()
-    });
-    let sweep_lru_identical = lru_direct_stats == lru_engine_stats;
-
-    // --- end-to-end drivers --------------------------------------------
-    // Direct Table 1: the pre-engine shape — every point rebuilds its
-    // rows from scratch (fresh cache per point, so nothing is shared).
-    let points: &[(usize, usize)] =
-        if smoke { &[(32, 96), (32, 128)] } else { &[(64, 192), (128, 768), (128, 192)] };
-    let (table1_direct_s, direct_rows) = seconds(|| {
-        points
-            .iter()
-            .enumerate()
-            .map(|(i, &(n, m))| table1_at_with(n, m, 2000 + i as u64, &TraceCache::new()).1)
-            .collect::<Vec<_>>()
-    });
-    let (table1_engine_s, engine_rows) = seconds(|| {
-        let cache = TraceCache::new();
-        points
-            .iter()
-            .enumerate()
-            .map(|(i, &(n, m))| table1_at_with(n, m, 2000 + i as u64, &cache).1)
-            .collect::<Vec<_>>()
-    });
-    let table1_identical = direct_rows
-        .iter()
-        .flatten()
-        .zip(engine_rows.iter().flatten())
-        .all(|(d, e)| d.words == e.words && d.messages == e.messages);
-    let (table2_s, _) = seconds(|| {
-        if smoke {
-            run_table2(24, &[1, 4], 77)
-        } else {
-            run_table2(96, &[1, 4, 16], 77)
+impl Versus {
+    /// Best of `reps` alternating runs of each leg, so a stretch of host
+    /// noise lands on both legs rather than on one.
+    fn of<R: PartialEq>(reps: usize, direct: impl Fn() -> R, engine: impl Fn() -> R) -> Self {
+        let mut v = Versus {
+            direct_s: f64::INFINITY,
+            engine_s: f64::INFINITY,
+            identical: true,
+        };
+        for _ in 0..reps {
+            let (d_s, d) = timed(&direct);
+            let (e_s, e) = timed(&engine);
+            v.direct_s = v.direct_s.min(d_s);
+            v.engine_s = v.engine_s.min(e_s);
+            v.identical &= d == e;
         }
-    });
-
-    Report {
-        record_events: events,
-        record_s,
-        record_events_per_s: events as f64 / record_s,
-        packed_bytes_per_event,
-        replay_lru_events_per_s: events as f64 / lru_s,
-        replay_stackdist_events_per_s: events as f64 / sd_s,
-        replay_counting_events_per_s: events as f64 / cnt_s,
-        sweep_points: ladder.len(),
-        sweep_direct_s,
-        sweep_engine_s,
-        sweep_identical,
-        sweep_lru_direct_s,
-        sweep_lru_engine_s,
-        sweep_lru_identical,
-        table1_direct_s,
-        table1_engine_s,
-        table1_identical,
-        table2_s,
+        v
     }
-}
 
-/// Render as the `cholcomm-sim-bench/v1` JSON document.
-fn to_json(r: &Report, mode: &str) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"cholcomm-sim-bench/v1\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(
-        s,
-        "  \"threads\": {},",
-        std::thread::available_parallelism().map_or(1, |v| v.get())
-    );
-    let _ = writeln!(
-        s,
-        "  \"record\": {{\"events\": {}, \"seconds\": {:.4}, \"events_per_s\": {:.0}, \
-         \"packed_bytes_per_event\": {:.2}}},",
-        r.record_events, r.record_s, r.record_events_per_s, r.packed_bytes_per_event
-    );
-    let _ = writeln!(
-        s,
-        "  \"replay\": {{\"lru_events_per_s\": {:.0}, \"stackdist_events_per_s\": {:.0}, \
-         \"counting_events_per_s\": {:.0}}},",
-        r.replay_lru_events_per_s, r.replay_stackdist_events_per_s, r.replay_counting_events_per_s
-    );
-    let _ = writeln!(
-        s,
-        "  \"sweep_multi_m\": {{\"points\": {}, \"direct_s\": {:.4}, \"engine_s\": {:.4}, \
-         \"speedup\": {:.2}, \"identical\": {}}},",
-        r.sweep_points, r.sweep_direct_s, r.sweep_engine_s, r.sweep_speedup(), r.sweep_identical
-    );
-    let _ = writeln!(
-        s,
-        "  \"sweep_lru_m\": {{\"points\": {}, \"direct_s\": {:.4}, \"engine_s\": {:.4}, \
-         \"speedup\": {:.2}, \"identical\": {}}},",
-        r.sweep_points,
-        r.sweep_lru_direct_s,
-        r.sweep_lru_engine_s,
-        r.sweep_lru_direct_s / r.sweep_lru_engine_s,
-        r.sweep_lru_identical
-    );
-    let _ = writeln!(
-        s,
-        "  \"table1\": {{\"direct_s\": {:.4}, \"engine_s\": {:.4}, \"speedup\": {:.2}, \
-         \"identical\": {}}},",
-        r.table1_direct_s, r.table1_engine_s, r.table1_speedup(), r.table1_identical
-    );
-    let _ = writeln!(s, "  \"table2_s\": {:.4}", r.table2_s);
-    s.push_str("}\n");
-    s
-}
-
-/// Pull `"lru_events_per_s": <number>` out of a previous artifact.
-fn baseline_lru_events_per_s(json: &str) -> Option<f64> {
-    let key = "\"lru_events_per_s\":";
-    let at = json.find(key)? + key.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    fn speedup(&self) -> f64 {
+        self.direct_s / self.engine_s
+    }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let baseline = args
-        .iter()
-        .position(|a| a == "--baseline")
-        .and_then(|i| args.get(i + 1).cloned());
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| {
-            if smoke {
-                "BENCH_sim.smoke.json".to_string()
-            } else {
-                concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json").to_string()
-            }
-        });
+    let n = 128;
+    // Every capacity in the `n^2 > M` regime.
+    let ladder = vec![96, 144, 192, 288, 384, 576, 768, 1152, 1536, 3072];
+    let alg = Algorithm::Ap00 { leaf: 4 };
+    let layout = LayoutKind::Morton;
+    let a = spd::random_spd(n, &mut spd::test_rng(4242));
 
-    let mode = if smoke { "smoke" } else { "full" };
-    eprintln!("sim_bench: mode={mode}");
-    let r = run(smoke);
+    let (record_s, recorded) = best_of(|| record_algorithm(alg, &a, layout).unwrap());
+    let trace = recorded.trace;
+    let events = trace.len();
+    let packed_bytes_per_event = trace.pack().len() as f64 / events.max(1) as f64;
+    let per_s = |s: f64| events as f64 / s;
 
-    println!("record : {} events in {:.3}s ({:.2e} events/s, {:.2} B/event packed)",
-        r.record_events, r.record_s, r.record_events_per_s, r.packed_bytes_per_event);
-    println!("replay : lru {:.2e} | stackdist {:.2e} | counting {:.2e} events/s",
-        r.replay_lru_events_per_s, r.replay_stackdist_events_per_s,
-        r.replay_counting_events_per_s);
-    println!("sweep  : {} capacities, direct {:.3}s vs engine {:.3}s = {:.2}x (identical: {})",
-        r.sweep_points, r.sweep_direct_s, r.sweep_engine_s, r.sweep_speedup(), r.sweep_identical);
-    println!("lru/M  : {} M-points, direct {:.3}s vs engine {:.3}s = {:.2}x (identical: {})",
-        r.sweep_points, r.sweep_lru_direct_s, r.sweep_lru_engine_s,
-        r.sweep_lru_direct_s / r.sweep_lru_engine_s, r.sweep_lru_identical);
-    println!("table1 : direct {:.3}s vs engine {:.3}s = {:.2}x (identical: {})",
-        r.table1_direct_s, r.table1_engine_s, r.table1_speedup(), r.table1_identical);
-    println!("table2 : {:.3}s", r.table2_s);
+    let m_mid = ladder[ladder.len() / 2];
+    let (lru_s, _) = best_of(|| price_trace(&trace, &ModelKind::Lru { m: m_mid }));
+    let (sd_s, _) = best_of(|| {
+        price_trace(
+            &trace,
+            &ModelKind::Hierarchy {
+                capacities: ladder.clone(),
+            },
+        )
+    });
+    let (cnt_s, _) = best_of(|| {
+        price_trace(
+            &trace,
+            &ModelKind::Counting {
+                message_cap: Some(m_mid),
+            },
+        )
+    });
+
+    // Direct re-runs the factorization arithmetic once per capacity (a
+    // single-level hierarchy each time); the engine records once and
+    // prices the *entire* ladder in a single stack-distance replay.
+    let multi = Versus::of(
+        REPS,
+        || {
+            ladder
+                .iter()
+                .map(|&m| {
+                    run_algorithm(
+                        alg,
+                        &a,
+                        layout,
+                        &ModelKind::Hierarchy {
+                            capacities: vec![m],
+                        },
+                    )
+                    .unwrap()
+                    .levels[0]
+                })
+                .collect::<Vec<TransferStats>>()
+        },
+        || {
+            let rec = record_algorithm(alg, &a, layout).unwrap();
+            price_trace(
+                &rec.trace,
+                &ModelKind::Hierarchy {
+                    capacities: ladder.clone(),
+                },
+            )
+        },
+    );
+    // LRU needs writebacks: one replay per capacity.
+    let lru = Versus::of(
+        REPS,
+        || {
+            ladder
+                .iter()
+                .map(|&m| {
+                    run_algorithm(alg, &a, layout, &ModelKind::Lru { m })
+                        .unwrap()
+                        .levels[0]
+                })
+                .collect::<Vec<TransferStats>>()
+        },
+        || {
+            let rec = record_algorithm(alg, &a, layout).unwrap();
+            ladder
+                .iter()
+                .map(|&m| price_trace(&rec.trace, &ModelKind::Lru { m })[0])
+                .collect::<Vec<TransferStats>>()
+        },
+    );
+    // Table 1 with a fresh cache per point (nothing shared) against one
+    // shared cache, once: it is timed for the record, not gated.
+    let points = [(64, 192), (128, 768), (128, 192)];
+    let table1 = |shared: Option<&TraceCache>| {
+        points
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &(n, m))| {
+                let fresh = TraceCache::new();
+                table1_at_with(n, m, 2000 + i as u64, shared.unwrap_or(&fresh)).1
+            })
+            .map(|row| (row.words, row.messages))
+            .collect::<Vec<_>>()
+    };
+    let t1 = Versus::of(1, || table1(None), || table1(Some(&TraceCache::new())));
+
+    eprintln!(
+        "record : {events} events in {record_s:.4}s ({:.2e} events/s)",
+        per_s(record_s)
+    );
+    eprintln!(
+        "replay : lru {:.2e} | stackdist {:.2e} | counting {:.2e} events/s",
+        per_s(lru_s),
+        per_s(sd_s),
+        per_s(cnt_s)
+    );
+    for (name, v) in [("multi-M", &multi), ("lru/M", &lru), ("table1", &t1)] {
+        eprintln!(
+            "{name:<7}: direct {:.4}s vs engine {:.4}s = {:.2}x",
+            v.direct_s,
+            v.engine_s,
+            v.speedup()
+        );
+    }
 
     let mut failed = false;
-    if !r.sweep_identical {
-        eprintln!("sim_bench: engine ladder sweep stats differ from direct runs");
-        failed = true;
+    for (name, v) in [("capacity-ladder", &multi), ("LRU", &lru), ("Table 1", &t1)] {
+        if !v.identical {
+            eprintln!("sim_bench: the engine's {name} sweep differs from the direct runs");
+            failed = true;
+        }
     }
-    if !r.sweep_lru_identical {
-        eprintln!("sim_bench: engine LRU sweep stats differ from direct runs");
-        failed = true;
-    }
-    if !r.table1_identical {
-        eprintln!("sim_bench: engine Table 1 rows differ from direct runs");
-        failed = true;
-    }
-    if !smoke && r.sweep_speedup() < 5.0 {
-        eprintln!(
-            "sim_bench: multi-M sweep speedup {:.2}x is below the 5x target",
-            r.sweep_speedup()
-        );
-        failed = true;
-    }
-    if let Some(path) = baseline {
-        match std::fs::read_to_string(&path)
-            .ok()
-            .as_deref()
-            .and_then(baseline_lru_events_per_s)
-        {
-            Some(base) => {
-                let floor = 0.7 * base;
-                if r.replay_lru_events_per_s < floor {
-                    eprintln!(
-                        "sim_bench: LRU replay {:.2e} events/s dropped >30% below the \
-                         baseline {:.2e} in {path}",
-                        r.replay_lru_events_per_s, base
-                    );
-                    failed = true;
-                } else {
-                    eprintln!(
-                        "sim_bench: LRU replay {:.2e} events/s within 30% of baseline {:.2e}",
-                        r.replay_lru_events_per_s, base
-                    );
-                }
-            }
-            None => {
-                eprintln!("sim_bench: could not read lru_events_per_s from {path}");
-                failed = true;
-            }
+    for (name, v, floor) in [
+        ("capacity-ladder", &multi, MULTI_M_MIN_SPEEDUP),
+        ("LRU", &lru, LRU_M_MIN_SPEEDUP),
+    ] {
+        if v.speedup() < floor {
+            eprintln!(
+                "sim_bench: the engine's {name} sweep is only {:.2}x the direct runs \
+                 (need {floor}x)",
+                v.speedup()
+            );
+            failed = true;
         }
     }
     if failed {
         std::process::exit(1);
     }
 
-    let json = to_json(&r, mode);
-    std::fs::write(&out_path, &json).expect("write bench artifact");
-    eprintln!("sim_bench: wrote {out_path}");
+    println!("{{");
+    println!("  \"record\": {{\"events\": {events}, \"packed_bytes_per_event\": {packed_bytes_per_event:.2}}},");
+    println!(
+        "  \"sweep_multi_m\": {{\"points\": {}, \"min_speedup\": {MULTI_M_MIN_SPEEDUP:.1}, \"identical\": {}}},",
+        ladder.len(),
+        multi.identical
+    );
+    println!(
+        "  \"sweep_lru_m\": {{\"points\": {}, \"min_speedup\": {LRU_M_MIN_SPEEDUP:.1}, \"identical\": {}}},",
+        ladder.len(),
+        lru.identical
+    );
+    println!(
+        "  \"table1\": {{\"points\": {}, \"identical\": {}}}",
+        points.len(),
+        t1.identical
+    );
+    println!("}}");
 }

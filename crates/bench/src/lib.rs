@@ -1,1 +1,4 @@
-//! Benchmark harness for the cholcomm workspace: table/figure regeneration binaries (src/bin) and criterion benches (benches/).
+//! Evidence binaries for the cholcomm workspace (`src/bin`): each prints
+//! one committed `results/` file to stdout, and CI regenerates and
+//! compares every one byte for byte.  Wall-clock numbers go to stderr;
+//! the timed benchmark is `perfbench` (`benchmark/`).

@@ -1778,6 +1778,62 @@ mod tests {
     }
 
     #[test]
+    fn fused_gemm_nt_agrees_with_reference_to_contraction_residual() {
+        for (m, k, n) in [(3, 5, 2), (64, 64, 64), (129, 257, 66)] {
+            let a = random_matrix(m, k, 27);
+            let b = random_matrix(n, k, 28);
+            let init = random_matrix(m, n, 29);
+            let mut c1 = init.clone();
+            let mut c2 = init.clone();
+            kernels::gemm_nt(&mut c1, -1.0, &a, &b);
+            fused::gemm_nt(&mut c2, -1.0, &a, &b);
+            let tol = 1e-13 * k as f64;
+            assert!(norms::max_abs_diff(&c1, &c2) <= tol, "{m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn fused_syrk_agrees_with_reference_to_contraction_residual_and_upper_untouched() {
+        for (n, k) in [(5, 3), (66, 130), (131, 64), (256, 256)] {
+            let a = random_matrix(n, k, 30);
+            let init = random_matrix(n, n, 31);
+            let mut c1 = init.clone();
+            let mut c2 = init.clone();
+            kernels::syrk_lower(&mut c1, &a);
+            fused::syrk_lower(&mut c2, &a);
+            let tol = 1e-13 * k as f64;
+            assert!(norms::max_abs_diff(&c1, &c2) <= tol, "n={n} k={k}");
+            for j in 1..n {
+                for i in 0..j {
+                    assert_eq!(c2[(i, j)], init[(i, j)], "upper ({i},{j})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_trsm_and_potf2_agree_with_reference_to_contraction_residual() {
+        // A diagonally dominant SPD matrix and its factor: entries of the
+        // factor are O(sqrt(n)), so the bound is a multiple of n * eps.
+        for n in [7usize, 64, 129, 256] {
+            let a = spd::random_spd(n, &mut spd::test_rng(32));
+            let mut f1 = a.clone();
+            let mut f2 = a.clone();
+            kernels::potf2(&mut f1).unwrap();
+            fused::potf2(&mut f2).unwrap();
+            let tol = 1e-12 * n as f64;
+            assert!(norms::max_abs_diff(&f1, &f2) <= tol, "potf2 n={n}");
+
+            let init = random_matrix(40, n, 33);
+            let mut x1 = init.clone();
+            let mut x2 = init.clone();
+            kernels::trsm_right_lower_transpose(&mut x1, &f1);
+            fused::trsm_right_lower_transpose(&mut x2, &f1);
+            assert!(norms::max_abs_diff(&x1, &x2) <= tol, "trsm n={n}");
+        }
+    }
+
+    #[test]
     fn fused_potf2_factors_to_reference_accuracy() {
         for n in [7usize, 64, 129, 200] {
             let mut rng = spd::test_rng(24);

@@ -26,8 +26,8 @@
 //!   right-looking schedule of `cholcomm_matrix::schedule` as a
 //!   barrier-free task DAG on `rayon::scope`, bitwise equal to the
 //!   sequential walk at every thread count, plus a deterministic
-//!   greedy-scheduler model ([`dag::simulate`]) that `kernel_bench`
-//!   gates its scaling claim on.  Together these demonstrate that the
+//!   greedy-scheduler model ([`dag::simulate`]) that a unit test gates
+//!   the scaling claim on.  Together these demonstrate that the
 //!   communication-optimal *schedules* of the paper are also the natural
 //!   parallel ones.
 

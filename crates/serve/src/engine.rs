@@ -30,9 +30,9 @@ const FLOPS_PER_US: u64 = 4_000;
 /// at [`FLOPS_PER_US`].  Packing a bucket of systems lane-interleaved
 /// restores the surface-to-volume ratio exactly the way blocking does
 /// within one matrix: the modelled 4x is deliberately conservative
-/// against the 7.5–9x BLAS-3 saturation `kernel_bench` measures for the
-/// fast kernels, and the serve bench reports measured wall-clock
-/// speedups next to the virtual ones so the model stays honest.
+/// against the 7.5–9x BLAS-3 saturation measured for the fast kernels,
+/// and perfbench's `serve_small` reports the measured wall-clock speedup
+/// of batching next to the virtual one so the model stays honest.
 pub const BATCH_FLOPS_PER_US: u64 = 16_000;
 
 /// A resumable factorization state: panels `0..next_panel` of `state`
