@@ -10,6 +10,7 @@ use cholcomm_core::cachesim::LruTracer;
 use cholcomm_core::distsim::CostModel;
 use cholcomm_core::layout::{Laid, Morton};
 use cholcomm_core::matrix::spd;
+use cholcomm_core::multilevel::INFEASIBLE_NOTE;
 use cholcomm_core::par::pxpotrf::{pxpotrf, BroadcastKind};
 use cholcomm_core::report::{fnum, TextTable};
 use cholcomm_core::seq::ap00::square_rchol;
@@ -66,7 +67,9 @@ fn ablate_leaf(n: usize, m: usize) {
     println!("{}", t.render());
 }
 
-/// Ablation 3: LAPACK block size around sqrt(M/3).
+/// Ablation 3: LAPACK block size around sqrt(M/3).  A row whose three
+/// `b x b` blocks do not fit in `M` is marked `!`: no cache of size `M`
+/// runs that schedule, so its counts are lower bounds.
 fn ablate_lapack_b(n: usize, m: usize) {
     let mut rng = spd::test_rng(14);
     let a = spd::random_spd(n, &mut rng);
@@ -86,13 +89,14 @@ fn ablate_lapack_b(n: usize, m: usize) {
             &ModelKind::Counting { message_cap: Some(m) },
         )
         .unwrap();
+        let mark = if 3 * b * b > m { "!" } else { "" };
         t.row(vec![
             b.to_string(),
-            rep.levels[0].words.to_string(),
-            rep.levels[0].messages.to_string(),
+            format!("{}{mark}", rep.levels[0].words),
+            format!("{}{mark}", rep.levels[0].messages),
         ]);
     }
-    println!("{}", t.render());
+    println!("{}{INFEASIBLE_NOTE}", t.render());
 }
 
 /// Ablation 4: ScaLAPACK block-size trade (latency vs bandwidth).

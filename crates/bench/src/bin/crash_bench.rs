@@ -110,7 +110,7 @@ fn main() {
     // --- Exhaustive: every crash state of a small recorded run. ---
     {
         let a = spd::random_spd(8, &mut spd::test_rng(500));
-        let run = record_run(&a, 4, 3, SECTOR, CommitDiscipline::Barriered)
+        let run = record_run(&a, 4, 3, SECTOR, CommitDiscipline::Barriered, 0, 1)
             .expect("clean recorded run");
         let sites = crash_sites_exhaustive(&run.schedule, SECTOR);
         let t0 = Instant::now();
@@ -130,7 +130,7 @@ fn main() {
     // --- Sampled: seeded crash sites on a larger matrix. ---
     {
         let a = spd::random_spd(24, &mut spd::test_rng(502));
-        let run = record_run(&a, 8, 4, SECTOR, CommitDiscipline::Barriered)
+        let run = record_run(&a, 8, 4, SECTOR, CommitDiscipline::Barriered, 0, 1)
             .expect("clean recorded run");
         let sites = crash_sites_sampled(&run.schedule, SECTOR, seed, 64);
         let t0 = Instant::now();
@@ -150,7 +150,7 @@ fn main() {
     // --- Broken protocol: the explorer must catch it. ---
     {
         let a = spd::random_spd(8, &mut spd::test_rng(501));
-        let run = record_run(&a, 4, 3, SECTOR, CommitDiscipline::UnbarrieredCommit)
+        let run = record_run(&a, 4, 3, SECTOR, CommitDiscipline::UnbarrieredCommit, 0, 1)
             .expect("clean recorded run");
         let sites = crash_sites_exhaustive(&run.schedule, SECTOR);
         let t0 = Instant::now();

@@ -29,9 +29,9 @@
 use cholcomm_core::faults::FsStore;
 use cholcomm_core::matrix::spd;
 use cholcomm_core::ooc::{
-    filemat::scratch_path, model_overlap, ooc_potrf_checkpointed, ooc_potrf_pipelined_with,
-    ooc_potrf_with, Checkpoint, FileMatrix, IoStats, LatencyModel, ModelConfig, PipelineConfig,
-    DEFAULT_FLOPS_PER_US,
+    model_overlap, ooc_potrf_checkpointed, ooc_potrf_pipelined_with, ooc_potrf_with,
+    scratch_path, Checkpoint, FileMatrix, IoBackend, IoStats, LatencyModel, ModelConfig,
+    PipelineConfig, DEFAULT_FLOPS_PER_US,
 };
 use cholcomm_core::matrix::KernelImpl;
 use std::fmt::Write as _;

@@ -34,7 +34,6 @@ pub mod fxhash;
 pub mod gauge;
 pub mod lru;
 pub mod pebble;
-pub mod recording;
 pub mod setassoc;
 pub mod stackdist;
 pub mod stats;
@@ -47,7 +46,6 @@ pub use fxhash::{AddrMap, FxHashMap, FxHasher};
 pub use gauge::FastMemGauge;
 pub use lru::LruTracer;
 pub use pebble::{cholesky_dag, min_io, PebbleDag};
-pub use recording::RecordingTracer;
 pub use setassoc::SetAssocTracer;
 pub use stackdist::StackDistanceTracer;
 pub use stats::TransferStats;

@@ -10,11 +10,9 @@
 //!
 //! The encoding is deliberately flat: two parallel vectors, one `u64`
 //! start address and one `u32` length-plus-mode word per run event —
-//! 12 bytes per event, no per-event `Vec<Run>` allocations (the old
-//! [`crate::RecordingTracer`] paid a heap allocation *per touch*).
+//! 12 bytes per event, no per-event allocation.
 //! [`pack`](CompactTrace::pack) additionally delta/varint-encodes the
-//! events for storage or byte-level comparison (the determinism guard
-//! compares packed bytes across runs on different matrices).
+//! events for storage or byte-level comparison.
 //!
 //! Replay fidelity contract: replaying a trace into a tracer produces
 //! **byte-identical** [`crate::TransferStats`] to feeding the original
@@ -195,7 +193,7 @@ impl CompactTrace {
     }
 
     /// FNV-1a digest over the packed encoding — a cheap fingerprint for
-    /// the determinism guard and for cache keys.
+    /// comparing traces and for cache keys.
     pub fn digest(&self) -> u64 {
         let events = self.starts.iter().zip(&self.len_mode);
         let words = events.flat_map(|(&start, &len_mode)| [start, u64::from(len_mode)]);
@@ -276,7 +274,6 @@ mod tests {
     use super::*;
     use crate::counting::CountingTracer;
     use crate::lru::LruTracer;
-    use crate::recording::RecordingTracer;
     use crate::stackdist::StackDistanceTracer;
 
     fn sample_trace() -> CompactTrace {
@@ -320,27 +317,26 @@ mod tests {
     }
 
     #[test]
-    fn replay_equals_recording_tracer_replay() {
-        // The compact trace must price identically to the legacy
-        // event-list recorder fed with the same touches.
+    fn replay_equals_direct_lru_feeding() {
+        // Replaying the compact trace must price identically to feeding
+        // the same touches, in their original call grouping, straight
+        // to the tracer.
         let runs: Vec<(Vec<Run>, Access)> = vec![
             (vec![0..5, 7..9], Access::Read),
             (vec![2..3], Access::Write),
             (vec![40..44, 44..48], Access::Read),
         ];
         let mut compact = CompactTrace::new();
-        let mut legacy = RecordingTracer::new();
+        let mut direct = LruTracer::new(8);
         for (rs, m) in &runs {
             compact.touch_runs(rs, *m);
-            legacy.touch_runs(rs, *m);
+            direct.touch_runs(rs, *m);
         }
-        let mut a = LruTracer::new(8);
-        let mut b = LruTracer::new(8);
-        compact.replay(&mut a);
-        legacy.replay(&mut b);
-        a.flush();
-        b.flush();
-        assert_eq!(a.total_stats(), b.total_stats());
+        let mut replayed = LruTracer::new(8);
+        compact.replay(&mut replayed);
+        direct.flush();
+        replayed.flush();
+        assert_eq!(direct.total_stats(), replayed.total_stats());
     }
 
     #[test]

@@ -40,8 +40,8 @@ mod store;
 
 pub use journal::CommitDiscipline;
 pub use plan::{
-    BitFlip, CacheFlip, CrashPoint, DiskFault, DiskLatency, DiskOp, FaultPlan, FaultPlanBuilder,
-    JobFault, MessageFault, RankKill,
+    BitFlip, CacheFlip, CrashPoint, DiskFault, DiskOp, FaultPlan, FaultPlanBuilder, JobFault,
+    MessageFault, RankKill,
 };
 pub use simdisk::{
     crash_sites_exhaustive, crash_sites_sampled, crash_state, schedule_digest, shrink_site,
@@ -52,7 +52,7 @@ pub use store::{FsStore, SimStore, Store};
 
 /// One step of SplitMix64: the workspace's stable, dependency-free mixer.
 #[inline]
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);

@@ -43,24 +43,6 @@ pub enum DiskOp {
     Write,
 }
 
-/// A seeded per-operation disk latency schedule, in microseconds: every
-/// read costs `read_us`, every write `write_us`, plus a deterministic
-/// per-op jitter drawn uniformly from `0..=jitter_us` off the plan's
-/// seed.  Latency is a *performance* injection, not a fault: it never
-/// changes any result, only when results arrive — so a latency-only
-/// plan still counts as clean.  The out-of-core layer turns this into
-/// its latency model (sleeping executors pay it, modeled-time
-/// simulators price it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DiskLatency {
-    /// Base cost of one tile read, µs.
-    pub read_us: u64,
-    /// Base cost of one tile write, µs.
-    pub write_us: u64,
-    /// Upper bound of the seeded uniform per-op jitter, µs.
-    pub jitter_us: u64,
-}
-
 /// Where the process dies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
@@ -133,7 +115,6 @@ pub struct FaultPlanBuilder {
     delay_extra: f64,
     disk_transient_rate: f64,
     disk_short_read_rate: f64,
-    disk_latency: Option<DiskLatency>,
     bit_flip_rate: f64,
     job_transient_rate: f64,
     worker_crash_rate: f64,
@@ -159,7 +140,6 @@ impl FaultPlanBuilder {
             delay_extra: 0.0,
             disk_transient_rate: 0.0,
             disk_short_read_rate: 0.0,
-            disk_latency: None,
             bit_flip_rate: 0.0,
             job_transient_rate: 0.0,
             worker_crash_rate: 0.0,
@@ -217,19 +197,6 @@ impl FaultPlanBuilder {
     pub fn disk_short_read_rate(mut self, rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate));
         self.disk_short_read_rate = rate;
-        self
-    }
-
-    /// Charge every disk operation a seeded deterministic latency:
-    /// `read_us`/`write_us` base cost plus uniform jitter in
-    /// `0..=jitter_us`, all in microseconds.  See [`DiskLatency`]; query
-    /// with [`FaultPlan::disk_latency`].
-    pub fn disk_latency(mut self, read_us: u64, write_us: u64, jitter_us: u64) -> Self {
-        self.disk_latency = Some(DiskLatency {
-            read_us,
-            write_us,
-            jitter_us,
-        });
         self
     }
 
@@ -378,11 +345,6 @@ impl FaultPlan {
         FaultPlanBuilder::new(0).build()
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.inner.seed
-    }
-
     /// `true` when this plan can never inject anything.
     pub fn is_clean(&self) -> bool {
         let p = &*self.inner;
@@ -493,16 +455,6 @@ impl FaultPlan {
     /// Where (if anywhere) the process crashes.
     pub fn crash_point(&self) -> Option<CrashPoint> {
         self.inner.crash
-    }
-
-    /// The plan's disk-latency schedule, when one was injected.
-    /// Latency never alters results (see [`DiskLatency`]), so it is not
-    /// consulted by [`is_clean`](Self::is_clean).  Sampling the actual
-    /// per-op cost is the consumer's job (the OOC layer's
-    /// `LatencyModel` turns this plus the plan's seed into a
-    /// deterministic per-operation charge).
-    pub fn disk_latency(&self) -> Option<DiskLatency> {
-        self.inner.disk_latency
     }
 
     /// Explicitly injected bit flips landing at the start of `step`, in

@@ -251,12 +251,12 @@ impl SimDisk {
         })
     }
 
-    /// Read exactly `len` bytes at `offset`.
-    pub fn read_at(&self, name: &str, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
+    /// Fill `buf` with the bytes at `offset`.
+    pub fn read_at(&self, name: &str, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
         let file = self.view.get(name).ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::NotFound, format!("simdisk: no file {name}"))
         })?;
-        let off = offset as usize;
+        let (off, len) = (offset as usize, buf.len());
         if off + len > file.len() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
@@ -266,7 +266,8 @@ impl SimDisk {
                 ),
             ));
         }
-        Ok(file[off..off + len].to_vec())
+        buf.copy_from_slice(&file[off..off + len]);
+        Ok(())
     }
 
     /// Does `name` exist (in the live view)?
@@ -609,8 +610,10 @@ mod tests {
         let mut d = SimDisk::new(4);
         d.write_at("f", 8, b"xy");
         assert_eq!(d.read("f").unwrap(), vec![0, 0, 0, 0, 0, 0, 0, 0, b'x', b'y']);
-        assert_eq!(d.read_at("f", 8, 2).unwrap(), b"xy");
-        assert!(d.read_at("f", 9, 2).is_err(), "read past end");
+        let mut buf = [0u8; 2];
+        d.read_at("f", 8, &mut buf).unwrap();
+        assert_eq!(&buf, b"xy");
+        assert!(d.read_at("f", 9, &mut buf).is_err(), "read past end");
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! only here.
 
 use crate::backend::IoBackend;
-use crate::filemat::IoStats;
+use crate::tilefile::IoStats;
 use cholcomm_faults::{BitFlip, FaultPlan, FaultStats};
 use cholcomm_matrix::abft::{verify_and_heal, AbftStats, TileChecksum, TileHealth};
 use cholcomm_matrix::Matrix;
@@ -225,7 +225,7 @@ impl<B: IoBackend> IoBackend for AbftBackend<B> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::filemat::{scratch_path, FileMatrix};
+    use crate::tilefile::{scratch_path, FileMatrix};
     use crate::potrf::{ooc_potrf_with, OocError};
     use cholcomm_matrix::{norms, spd, KernelImpl};
 

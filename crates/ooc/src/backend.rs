@@ -1,16 +1,17 @@
 //! Tile-storage abstraction and the flaky-disk wrapper.
 //!
 //! [`IoBackend`] is what the out-of-core factorization actually talks
-//! to: a tile store with honest I/O accounting.  [`FileMatrix`] is the
-//! real implementation; [`FaultyBackend`] wraps any backend and injects
+//! to: a tile store with honest I/O accounting.  [`TileFile`](crate::TileFile) is the
+//! storage (a real file or a simulated crash disk under one tile
+//! format); [`FaultyBackend`] wraps any backend and injects
 //! transient `EIO`s, short reads, and crash points from a deterministic
 //! [`FaultPlan`], recovering transient failures itself with bounded
 //! retry and exponential backoff — so callers above see a disk that is
 //! slow and flaky but, within the plan's attempt cap, never actually
 //! loses data.
 
-use crate::filemat::{FileMatrix, IoStats};
-use cholcomm_faults::{CrashPoint, DiskFault, DiskOp, FaultPlan, FaultStats};
+use crate::tilefile::IoStats;
+use cholcomm_faults::{splitmix64, CrashPoint, DiskFault, DiskOp, FaultPlan, FaultStats};
 use cholcomm_matrix::Matrix;
 use std::path::Path;
 use std::time::Duration;
@@ -93,17 +94,9 @@ impl LatencyModel {
         if self.jitter_us == 0 {
             return base;
         }
-        // SplitMix64 over (seed, kind, index): the workspace's stable,
-        // dependency-free mixer.
+        // SplitMix64 over (seed, kind, index).
         let mut state = self.seed ^ tag.rotate_left(32) ^ op_index;
-        let mut z = || {
-            state = state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut v = state;
-            v = (v ^ (v >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            v = (v ^ (v >> 27)).wrapping_mul(0x94D049BB133111EB);
-            v ^ (v >> 31)
-        };
-        let h = z() ^ z();
+        let h = splitmix64(&mut state) ^ splitmix64(&mut state);
         base + h % (self.jitter_us + 1)
     }
 }
@@ -162,39 +155,6 @@ pub trait IoBackend: Send {
     /// existing backend and test unchanged.
     fn latency_model(&self) -> LatencyModel {
         LatencyModel::none()
-    }
-}
-
-impl IoBackend for FileMatrix {
-    fn n(&self) -> usize {
-        FileMatrix::n(self)
-    }
-    fn b(&self) -> usize {
-        FileMatrix::b(self)
-    }
-    fn nb(&self) -> usize {
-        FileMatrix::nb(self)
-    }
-    fn read_tile(&mut self, bi: usize, bj: usize) -> std::io::Result<Matrix<f64>> {
-        FileMatrix::read_tile(self, bi, bj)
-    }
-    fn write_tile(&mut self, bi: usize, bj: usize, tile: &Matrix<f64>) -> std::io::Result<()> {
-        FileMatrix::write_tile(self, bi, bj, tile)
-    }
-    fn stats(&self) -> IoStats {
-        FileMatrix::stats(self)
-    }
-    fn path(&self) -> Option<&Path> {
-        Some(FileMatrix::path(self))
-    }
-    fn storage_restored(&mut self) {
-        self.invalidate_cursor();
-    }
-    fn barrier(&mut self) -> std::io::Result<()> {
-        FileMatrix::barrier(self)
-    }
-    fn latency_model(&self) -> LatencyModel {
-        self.latency()
     }
 }
 
@@ -364,18 +324,7 @@ impl<B: IoBackend> IoBackend for FaultyBackend<B> {
         self.inner.barrier()
     }
     fn latency_model(&self) -> LatencyModel {
-        // A latency schedule on the fault plan overrides whatever the
-        // wrapped storage advertises; the plan's seed drives the jitter
-        // so latency is deterministic like every other plan decision.
-        match self.plan.disk_latency() {
-            Some(l) => LatencyModel {
-                read_us: l.read_us,
-                write_us: l.write_us,
-                jitter_us: l.jitter_us,
-                seed: self.plan.seed(),
-            },
-            None => self.inner.latency_model(),
-        }
+        self.inner.latency_model()
     }
 }
 
@@ -383,7 +332,7 @@ impl<B: IoBackend> IoBackend for FaultyBackend<B> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::filemat::scratch_path;
+    use crate::tilefile::{scratch_path, FileMatrix};
     use cholcomm_matrix::spd;
 
     fn small_fm(tag: &str, n: usize, b: usize) -> FileMatrix {
@@ -458,22 +407,6 @@ mod tests {
         assert_eq!(LatencyModel::none().sample(DiskOp::Write, 3), 0);
         assert!(LatencyModel::none().is_zero());
         assert!(!m.is_zero());
-    }
-
-    #[test]
-    fn plan_latency_overrides_the_wrapped_storage() {
-        let fm = small_fm("lat", 16, 8);
-        let plan = FaultPlan::builder(11).disk_latency(100, 30, 5).build();
-        assert!(plan.is_clean(), "latency-only plans stay clean");
-        let fb = FaultyBackend::new(fm, plan);
-        let m = fb.latency_model();
-        assert_eq!((m.read_us, m.write_us, m.jitter_us), (100, 30, 5));
-        assert_eq!(m.seed, 11);
-        // Without a plan schedule, the inner backend's model shines through.
-        let mut fm2 = small_fm("lat2", 16, 8);
-        fm2.set_latency_model(LatencyModel::uniform(7));
-        let fb2 = FaultyBackend::new(fm2, FaultPlan::builder(12).build());
-        assert_eq!(fb2.latency_model(), LatencyModel::uniform(7));
     }
 
     #[test]

@@ -425,7 +425,7 @@ mod tests {
     use super::*;
     use crate::backend::FaultyBackend;
     use cholcomm_faults::journal::journal_line;
-    use crate::filemat::{scratch_path, FileMatrix};
+    use crate::tilefile::{scratch_path, FileMatrix};
     use crate::pipeline::{ooc_potrf_checkpointed, PipelineConfig};
     use crate::potrf::ooc_potrf_with;
     use cholcomm_faults::{CrashPoint, FaultPlan};

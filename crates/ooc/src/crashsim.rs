@@ -28,7 +28,7 @@ use crate::backend::IoBackend;
 use crate::checkpoint::{Checkpoint, Generation};
 use crate::pipeline::{ooc_potrf_checkpointed, PipelineConfig};
 use crate::potrf::OocError;
-use crate::simmat::SimMatrix;
+use crate::tilefile::SimMatrix;
 use cholcomm_faults::journal::{parse_journal, Record};
 use cholcomm_faults::{
     crash_state, shrink_site, CommitDiscipline, CrashSite, SimDisk, SimOp, SimState, SimStore,
@@ -68,28 +68,19 @@ const DATA_NAME: &str = "a.data";
 const CKPT_PREFIX: &str = "ckpt";
 
 /// Run one checkpointed factorization of `a` on a fresh simulated disk
-/// and record its op schedule, every tile move inline on the compute
-/// thread (zero I/O workers).  The run itself is uncrashed; its schedule
-/// is the map every crash site is carved out of.
+/// and record its op schedule.  The run itself is uncrashed; its
+/// schedule is the map every crash site is carved out of.
+///
+/// `io_workers = 0` moves every tile inline on the compute thread (the
+/// synchronous driver; `lookahead` is moot); more workers prefetch up
+/// to `lookahead` tiles and defer write-backs.  The epoch barrier drains
+/// them before every checkpoint commit, so the explorer must find
+/// *zero* additional violations.  Record with `io_workers ≤ 1` when the
+/// schedule itself must be deterministic (the exhaustive explorer): one
+/// worker completes jobs in submission order, the same op order as zero
+/// workers.  Any worker count is fine when only recovery outcomes are
+/// asserted.
 pub fn record_run(
-    a: &Matrix<f64>,
-    b: usize,
-    capacity: usize,
-    sector: usize,
-    discipline: CommitDiscipline,
-) -> Result<RecordedRun, OocError> {
-    record_run_pipelined(a, b, capacity, sector, discipline, 0, 1)
-}
-
-/// [`record_run`] with `io_workers` I/O workers prefetching up to
-/// `lookahead` tiles and deferring write-backs.  The epoch barrier
-/// drains them before every checkpoint commit, so the explorer must
-/// find *zero* additional violations.  Record with `io_workers ≤ 1` when
-/// the schedule itself must be deterministic (the exhaustive explorer):
-/// one worker completes jobs in submission order, the same op order as
-/// zero workers.  Any worker count is fine when only recovery outcomes
-/// are asserted.
-pub fn record_run_pipelined(
     a: &Matrix<f64>,
     b: usize,
     capacity: usize,
@@ -295,7 +286,7 @@ mod tests {
     fn recorded_run_reproduces_the_direct_factor_and_cleans_up() {
         let mut rng = spd::test_rng(400);
         let a = spd::random_spd(8, &mut rng);
-        let run = record_run(&a, 4, 3, DEFAULT_SECTOR, CommitDiscipline::Barriered).unwrap();
+        let run = record_run(&a, 4, 3, DEFAULT_SECTOR, CommitDiscipline::Barriered, 0, 1).unwrap();
         assert_eq!(run.total_panels, 2);
         assert!(run.schedule.len() > 10, "schedule: {}", run.schedule.len());
         // The clean factor matches a plain (uncheckpointed) OOC run.
@@ -309,7 +300,7 @@ mod tests {
     fn clean_crash_sites_all_recover_bit_identically() {
         let mut rng = spd::test_rng(401);
         let a = spd::random_spd(8, &mut rng);
-        let run = record_run(&a, 4, 3, DEFAULT_SECTOR, CommitDiscipline::Barriered).unwrap();
+        let run = record_run(&a, 4, 3, DEFAULT_SECTOR, CommitDiscipline::Barriered, 0, 1).unwrap();
         // Every whole-buffer crash prefix (no drops, no tears): cheap
         // smoke for the exhaustive sweep in tests/crash_consistency.rs.
         let sites: Vec<CrashSite> = (0..=run.schedule.len()).map(CrashSite::clean).collect();
@@ -327,10 +318,8 @@ mod tests {
     fn pipelined_recording_matches_sync_schedule_with_one_worker() {
         let mut rng = spd::test_rng(403);
         let a = spd::random_spd(8, &mut rng);
-        let sync = record_run(&a, 4, 3, DEFAULT_SECTOR, CommitDiscipline::Barriered).unwrap();
-        let pipe =
-            record_run_pipelined(&a, 4, 3, DEFAULT_SECTOR, CommitDiscipline::Barriered, 1, 2)
-                .unwrap();
+        let sync = record_run(&a, 4, 3, DEFAULT_SECTOR, CommitDiscipline::Barriered, 0, 1).unwrap();
+        let pipe = record_run(&a, 4, 3, DEFAULT_SECTOR, CommitDiscipline::Barriered, 1, 2).unwrap();
         assert_eq!(pipe.clean_factor, sync.clean_factor);
         // One worker completes jobs in submission order, and the epoch
         // barrier drains before every checkpoint: zero and one worker
@@ -349,7 +338,7 @@ mod tests {
         ];
         for (n, b, cap, discipline, seed, ops, digest) in runs {
             let a = spd::random_spd(n, &mut spd::test_rng(seed));
-            let run = record_run(&a, b, cap, DEFAULT_SECTOR, discipline).unwrap();
+            let run = record_run(&a, b, cap, DEFAULT_SECTOR, discipline, 0, 1).unwrap();
             let tag = format!("n={n} b={b} cap={cap} {discipline:?}");
             assert_eq!(run.schedule.len(), ops, "{tag}");
             assert_eq!(schedule_digest(&run.schedule), digest, "{tag}");
@@ -360,9 +349,7 @@ mod tests {
     fn pipelined_crash_sites_all_recover_bit_identically() {
         let mut rng = spd::test_rng(404);
         let a = spd::random_spd(8, &mut rng);
-        let run =
-            record_run_pipelined(&a, 4, 3, DEFAULT_SECTOR, CommitDiscipline::Barriered, 2, 2)
-                .unwrap();
+        let run = record_run(&a, 4, 3, DEFAULT_SECTOR, CommitDiscipline::Barriered, 2, 2).unwrap();
         let sites: Vec<CrashSite> = (0..=run.schedule.len()).map(CrashSite::clean).collect();
         let report = explore_crash_sites(&run, &sites);
         assert!(
@@ -376,7 +363,7 @@ mod tests {
     fn sampled_sites_recover_on_a_larger_matrix() {
         let mut rng = spd::test_rng(402);
         let a = spd::random_spd(16, &mut rng);
-        let run = record_run(&a, 4, 4, DEFAULT_SECTOR, CommitDiscipline::Barriered).unwrap();
+        let run = record_run(&a, 4, 4, DEFAULT_SECTOR, CommitDiscipline::Barriered, 0, 1).unwrap();
         let sites = crash_sites_sampled(&run.schedule, run.sector, 0xC0FFEE, 40);
         let report = explore_crash_sites(&run, &sites);
         assert!(

@@ -16,6 +16,12 @@
 //! curve as the simulator's message counts — see the paper's [B08]
 //! citation for the out-of-core framing.
 //!
+//! The tile format is written once, in [`tilefile`]: one [`TileFile`]
+//! owns the layout, the byte codec, the seek accounting and the
+//! [`IoBackend`] impl over two byte devices — a real file
+//! ([`FileMatrix`]) and a named file on the simulated crash disk
+//! ([`SimMatrix`]).
+//!
 //! Tiles move through one front, the [`pipeline`]: the schedule's misses,
 //! evictions and write-backs are planned before the run, then issued
 //! either inline on the compute thread at each miss (zero I/O workers:
@@ -50,22 +56,18 @@ pub mod abft;
 pub mod backend;
 pub mod checkpoint;
 pub mod crashsim;
-pub mod filemat;
 pub mod pipeline;
 pub mod potrf;
-pub mod simmat;
+pub mod tilefile;
 
 pub use abft::AbftBackend;
 pub use backend::{FaultyBackend, IoBackend, LatencyModel};
 pub use checkpoint::{Checkpoint, CheckpointReport, CheckpointState};
 pub use cholcomm_faults::CommitDiscipline;
-pub use crashsim::{
-    explore_crash_sites, record_run, record_run_pipelined, CrashExploration, RecordedRun,
-};
-pub use filemat::{FileMatrix, IoStats};
+pub use crashsim::{explore_crash_sites, record_run, CrashExploration, RecordedRun};
 pub use pipeline::{
     io_workers_from_env, model_overlap, ooc_potrf_checkpointed, ooc_potrf_pipelined_with,
     ModelConfig, ModelReport, PipelineConfig, PipelineStats, DEFAULT_FLOPS_PER_US, WORKING_SET,
 };
 pub use potrf::{ooc_potrf_with, OocError};
-pub use simmat::SimMatrix;
+pub use tilefile::{scratch_path, FileMatrix, IoStats, SimMatrix, TileFile};

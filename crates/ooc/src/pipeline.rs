@@ -1179,7 +1179,7 @@ pub fn model_overlap(cfg: &ModelConfig) -> ModelReport {
 mod tests {
     use super::*;
     use crate::backend::FaultyBackend;
-    use crate::filemat::{scratch_path, FileMatrix};
+    use crate::tilefile::{scratch_path, FileMatrix};
     use crate::potrf::ooc_potrf_with;
     use cholcomm_faults::{CrashPoint, DiskFault, FaultPlan};
     use cholcomm_matrix::schedule::TileGrid;

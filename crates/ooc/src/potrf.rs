@@ -323,7 +323,7 @@ impl std::error::Error for OocError {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::filemat::{scratch_path, FileMatrix};
+    use crate::tilefile::{scratch_path, FileMatrix};
     use cholcomm_matrix::digest::fnv1a;
     use cholcomm_matrix::{kernels, norms, spd};
 

@@ -215,55 +215,26 @@ pub struct Recorded {
 /// algorithm reads and writes depends only on `(alg, layout, n)`, never
 /// on the matrix values — which is what makes a trace recorded on one
 /// SPD matrix reusable for pricing every fast-memory size (and every
-/// other SPD input) at that shape.  Set `CHOLCOMM_TRACE_CHECK=1` to
-/// verify that property at record time: the algorithm is re-run on a
-/// second, different SPD matrix and the two traces must be identical.
+/// other SPD input) at that shape (`tests/trace_replay.rs` holds every
+/// algorithm to it across SPD inputs and layouts).
 pub fn record_algorithm(
     alg: Algorithm,
     input: &Matrix<f64>,
     layout: LayoutKind,
 ) -> Result<Recorded, MatrixError> {
-    let mut trace = CompactTrace::new();
-    let factor = record_into(alg, input, layout, &mut trace)?;
-    if std::env::var_os("CHOLCOMM_TRACE_CHECK").is_some_and(|v| v != "0") {
-        // A different SPD matrix of the same shape: scale (SPD is closed
-        // under positive scaling) and grow the diagonal.
-        let mut other = input.clone();
-        other.map_inplace(|x| x * 0.5);
-        for i in 0..other.rows() {
-            other[(i, i)] += 1.0;
-        }
-        let mut second = CompactTrace::new();
-        record_into(alg, &other, layout, &mut second)?;
-        assert!(
-            trace.same_schedule(&second),
-            "data-dependent touch schedule: {:?} on {:?} (n = {}) produced \
-             different traces on two SPD inputs — its trace cannot be reused \
-             across matrices",
-            alg,
-            layout,
-            input.rows(),
-        );
-    }
-    Ok(Recorded { factor, trace })
-}
-
-fn record_into(
-    alg: Algorithm,
-    input: &Matrix<f64>,
-    layout: LayoutKind,
-    trace: &mut CompactTrace,
-) -> Result<Matrix<f64>, MatrixError> {
     let n = input.rows();
-    match layout {
-        LayoutKind::ColMajor => run_alg(alg, input, ColMajor::square(n), trace),
-        LayoutKind::RowMajor => run_alg(alg, input, RowMajor::square(n), trace),
-        LayoutKind::PackedLower => run_alg(alg, input, PackedLower::new(n), trace),
-        LayoutKind::Rfp => run_alg(alg, input, Rfp::new(n), trace),
-        LayoutKind::Blocked(b) => run_alg(alg, input, Blocked::square(n, b), trace),
-        LayoutKind::Morton => run_alg(alg, input, Morton::square(n), trace),
-        LayoutKind::RecursivePacked => run_alg(alg, input, RecursivePacked::new(n), trace),
-    }
+    let mut trace = CompactTrace::new();
+    let t = &mut trace;
+    let factor = match layout {
+        LayoutKind::ColMajor => run_alg(alg, input, ColMajor::square(n), t),
+        LayoutKind::RowMajor => run_alg(alg, input, RowMajor::square(n), t),
+        LayoutKind::PackedLower => run_alg(alg, input, PackedLower::new(n), t),
+        LayoutKind::Rfp => run_alg(alg, input, Rfp::new(n), t),
+        LayoutKind::Blocked(b) => run_alg(alg, input, Blocked::square(n, b), t),
+        LayoutKind::Morton => run_alg(alg, input, Morton::square(n), t),
+        LayoutKind::RecursivePacked => run_alg(alg, input, RecursivePacked::new(n), t),
+    }?;
+    Ok(Recorded { factor, trace })
 }
 
 /// Re-price a recorded trace under `model` without re-running any

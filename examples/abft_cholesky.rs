@@ -14,7 +14,8 @@ use cholcomm::distsim::CostModel;
 use cholcomm::faults::{FaultPlan, FsStore};
 use cholcomm::matrix::{norms, spd, KernelImpl};
 use cholcomm::ooc::{
-    ooc_potrf_checkpointed, ooc_potrf_with, AbftBackend, Checkpoint, FileMatrix, PipelineConfig,
+    ooc_potrf_checkpointed, ooc_potrf_with, AbftBackend, Checkpoint, FileMatrix, IoBackend,
+    PipelineConfig,
 };
 use cholcomm::par::{abft_spmd_pxpotrf, spmd_pxpotrf};
 use cholcomm::seq::abft_potrf;
@@ -99,14 +100,14 @@ fn main() {
 
     // ---- 3. Out-of-core: at-rest rot on a checksum-verified disk ----
     println!("\n== out-of-core POTRF: disk rot under a checksum-verifying backend ==");
-    let ref_path = cholcomm::ooc::filemat::scratch_path("abft-demo-ref");
+    let ref_path = cholcomm::ooc::scratch_path("abft-demo-ref");
     let mut reference = FileMatrix::create(&ref_path, &a, b).expect("create reference");
     ooc_potrf_with(&mut reference, 4, KernelImpl::Reference).expect("reference factorization");
     let want = reference.to_matrix().expect("read back reference");
     let ref_io = reference.stats();
 
-    let data_path = cholcomm::ooc::filemat::scratch_path("abft-demo");
-    let ckpt_path = cholcomm::ooc::filemat::scratch_path("abft-demo-ckpt");
+    let data_path = cholcomm::ooc::scratch_path("abft-demo");
+    let ckpt_path = cholcomm::ooc::scratch_path("abft-demo-ckpt");
     let plan = FaultPlan::builder(92)
         .inject_bit_flip(1, (3, 1), (2, 5), 1 << 51) // single: healed on read
         .inject_bit_flip(3, (5, 3), (0, 0), 1 << 44) // double strike in one tile:

@@ -56,13 +56,13 @@ fn main() {
 
     // ---- 2. Out-of-core on a flaky disk with a mid-run crash --------
     println!("== Out-of-core POTRF, n={n} b={b}, flaky disk + crash/restart ==");
-    let ref_path = cholcomm::ooc::filemat::scratch_path("demo-ref");
+    let ref_path = cholcomm::ooc::scratch_path("demo-ref");
     let mut reference = FileMatrix::create(&ref_path, &a, b).expect("create reference");
     ooc_potrf_with(&mut reference, 4, KernelImpl::Reference).expect("reference factorization");
     let want = reference.to_matrix().expect("read back reference");
 
-    let data_path = cholcomm::ooc::filemat::scratch_path("demo-crash");
-    let ckpt_path = cholcomm::ooc::filemat::scratch_path("demo-ckpt");
+    let data_path = cholcomm::ooc::scratch_path("demo-crash");
+    let ckpt_path = cholcomm::ooc::scratch_path("demo-ckpt");
     let ckpt = Checkpoint::at(&ckpt_path);
     // Checkpointed, with every tile move inline on the compute thread.
     let sync = PipelineConfig::new(4).with_io_workers(0);

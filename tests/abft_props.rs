@@ -176,14 +176,14 @@ proptest! {
         let mut rng = spd::test_rng(seed);
         let a = spd::random_spd(n, &mut rng);
 
-        let ref_path = cholcomm::ooc::filemat::scratch_path("abft-prop-ref");
+        let ref_path = cholcomm::ooc::scratch_path("abft-prop-ref");
         let mut reference = FileMatrix::create(&ref_path, &a, b).unwrap();
         ooc_potrf_with(&mut reference, 3, KernelImpl::Reference).unwrap();
         let want = reference.to_matrix().unwrap();
         drop(reference);
 
-        let data_path = cholcomm::ooc::filemat::scratch_path("abft-prop");
-        let ckpt_path = cholcomm::ooc::filemat::scratch_path("abft-prop-ckpt");
+        let data_path = cholcomm::ooc::scratch_path("abft-prop");
+        let ckpt_path = cholcomm::ooc::scratch_path("abft-prop-ckpt");
         let plan = FaultPlan::builder(plan_seed).bit_flip_rate(rate).build();
         let fm = FileMatrix::create(&data_path, &a, b).unwrap();
         let mut ab = AbftBackend::new(fm, plan);

@@ -12,8 +12,7 @@ use cholcomm::faults::{
 };
 use cholcomm::matrix::{digest::fnv1a, spd};
 use cholcomm::ooc::{
-    explore_crash_sites, filemat::scratch_path, record_run, record_run_pipelined, Checkpoint,
-    CommitDiscipline, FileMatrix,
+    explore_crash_sites, record_run, scratch_path, Checkpoint, CommitDiscipline, FileMatrix,
 };
 
 const SECTOR: usize = 64;
@@ -26,7 +25,7 @@ const SECTOR: usize = 64;
 fn exhaustive_crash_exploration_recovers_bit_identically_at_every_site() {
     let mut rng = spd::test_rng(500);
     let a = spd::random_spd(8, &mut rng);
-    let run = record_run(&a, 4, 3, SECTOR, CommitDiscipline::Barriered).expect("clean run");
+    let run = record_run(&a, 4, 3, SECTOR, CommitDiscipline::Barriered, 0, 1).expect("clean run");
 
     let sites = crash_sites_exhaustive(&run.schedule, SECTOR);
     assert!(
@@ -65,7 +64,7 @@ fn unbarriered_commit_is_caught_and_shrunk_to_a_minimal_repro() {
     let mut rng = spd::test_rng(501);
     let a = spd::random_spd(8, &mut rng);
     let run =
-        record_run(&a, 4, 3, SECTOR, CommitDiscipline::UnbarrieredCommit).expect("clean run");
+        record_run(&a, 4, 3, SECTOR, CommitDiscipline::UnbarrieredCommit, 0, 1).expect("clean run");
 
     // One recovery per site finds the violating states; shrinking is
     // exercised on the first of them (and by explore_crash_sites below).
@@ -133,7 +132,7 @@ fn unbarriered_commit_is_caught_and_shrunk_to_a_minimal_repro() {
 fn sampled_crash_exploration_recovers_on_a_larger_matrix() {
     let mut rng = spd::test_rng(502);
     let a = spd::random_spd(24, &mut rng);
-    let run = record_run(&a, 8, 4, SECTOR, CommitDiscipline::Barriered).expect("clean run");
+    let run = record_run(&a, 8, 4, SECTOR, CommitDiscipline::Barriered, 0, 1).expect("clean run");
     let sites = crash_sites_sampled(&run.schedule, SECTOR, 0xC0FFEE, 64);
     let report = explore_crash_sites(&run, &sites);
     assert!(
@@ -162,9 +161,9 @@ fn pipelined_driver_survives_every_exhaustive_crash_state() {
     // recorded schedule is deterministic — and identical to the sync
     // driver's, which pins down that pipelining changed *when* ops are
     // issued, never what lands on disk.
-    let sync = record_run(&a, 4, 3, SECTOR, CommitDiscipline::Barriered).expect("sync run");
-    let run = record_run_pipelined(&a, 4, 3, SECTOR, CommitDiscipline::Barriered, 1, 2)
-        .expect("pipelined run");
+    let sync = record_run(&a, 4, 3, SECTOR, CommitDiscipline::Barriered, 0, 1).expect("sync run");
+    let run =
+        record_run(&a, 4, 3, SECTOR, CommitDiscipline::Barriered, 1, 2).expect("pipelined run");
     assert_eq!(
         run.schedule, sync.schedule,
         "single-worker pipelined durable schedule must equal the synchronous one"
@@ -194,8 +193,8 @@ fn pipelined_driver_survives_sampled_power_cuts_with_two_workers() {
     // prefix, dropped un-barriered writes, sector tears) must still
     // recover bit-identically because nothing uncommitted is load-
     // bearing.  Recovery itself also runs pipelined with two workers.
-    let run = record_run_pipelined(&a, 8, 4, SECTOR, CommitDiscipline::Barriered, 2, 3)
-        .expect("pipelined run");
+    let run =
+        record_run(&a, 8, 4, SECTOR, CommitDiscipline::Barriered, 2, 3).expect("pipelined run");
     let sites = crash_sites_sampled(&run.schedule, SECTOR, 0xC0FFEE, 64);
     let report = explore_crash_sites(&run, &sites);
     assert!(
@@ -216,7 +215,7 @@ fn pipelined_unbarriered_commit_is_still_caught() {
     // deliberately broken commit discipline is caught there too.
     let mut rng = spd::test_rng(501);
     let a = spd::random_spd(8, &mut rng);
-    let run = record_run_pipelined(&a, 4, 3, SECTOR, CommitDiscipline::UnbarrieredCommit, 1, 2)
+    let run = record_run(&a, 4, 3, SECTOR, CommitDiscipline::UnbarrieredCommit, 1, 2)
         .expect("recorded run");
     let sites = crash_sites_exhaustive(&run.schedule, SECTOR);
     let report = explore_crash_sites(&run, &sites);

@@ -8,7 +8,7 @@
 use cholcomm::distsim::CostModel;
 use cholcomm::faults::{DiskOp, FaultPlan};
 use cholcomm::matrix::{kernels, norms, spd, KernelImpl};
-use cholcomm::ooc::{filemat::scratch_path, Checkpoint, FileMatrix};
+use cholcomm::ooc::{scratch_path, Checkpoint, FileMatrix};
 use cholcomm::par::spmd::spmd_pxpotrf;
 use proptest::prelude::*;
 use std::path::PathBuf;

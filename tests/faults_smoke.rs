@@ -64,15 +64,15 @@ fn crashed_ooc_run_resumes_to_the_uninterrupted_result() {
     let a = spd::random_spd(n, &mut rng);
 
     // Uninterrupted reference on a perfect disk.
-    let ref_path = cholcomm::ooc::filemat::scratch_path("smoke-ref");
+    let ref_path = cholcomm::ooc::scratch_path("smoke-ref");
     let mut reference = FileMatrix::create(&ref_path, &a, b).unwrap();
     ooc_potrf_with(&mut reference, 4, KernelImpl::Reference).unwrap();
     let want = reference.to_matrix().unwrap();
 
     // Flaky disk + mid-run crash, every tile move inline.
     let sync = PipelineConfig::new(4).with_io_workers(0);
-    let data_path = cholcomm::ooc::filemat::scratch_path("smoke-crash");
-    let ckpt = Checkpoint::at(&cholcomm::ooc::filemat::scratch_path("smoke-ckpt"));
+    let data_path = cholcomm::ooc::scratch_path("smoke-crash");
+    let ckpt = Checkpoint::at(&cholcomm::ooc::scratch_path("smoke-ckpt"));
     {
         let mut fm = FileMatrix::create(&data_path, &a, b).unwrap();
         fm.set_persist(true);

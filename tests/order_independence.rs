@@ -17,7 +17,7 @@ use cholcomm::distsim::CostModel;
 use cholcomm::faults::FaultPlan;
 use cholcomm::layout::{ColMajor, Laid};
 use cholcomm::matrix::{lower_digest, spd, KernelImpl, Matrix, MatrixError};
-use cholcomm::ooc::filemat::scratch_path;
+use cholcomm::ooc::scratch_path;
 use cholcomm::ooc::{
     ooc_potrf_pipelined_with, ooc_potrf_with, FileMatrix, OocError, PipelineConfig,
 };

@@ -4,7 +4,7 @@
 //! must produce the same factorization; layouts must convert losslessly
 //! in every direction; recorded schedules must be data-independent.
 
-use cholcomm::cachesim::{LruTracer, NullTracer, RecordingTracer};
+use cholcomm::cachesim::{CompactTrace, LruTracer, NullTracer};
 use cholcomm::distsim::CostModel;
 use cholcomm::faults::FaultPlan;
 use cholcomm::layout::convert::convert_counted;
@@ -110,9 +110,9 @@ fn recorded_schedules_are_data_independent() {
         Algorithm::Toledo { gemm_leaf: 4 },
         Algorithm::Ap00 { leaf: 4 },
     ] {
-        let mut r1 = RecordingTracer::new();
+        let mut r1 = CompactTrace::new();
         run_alg(alg, &a1, Morton::square(n), &mut r1).unwrap();
-        let mut r2 = RecordingTracer::new();
+        let mut r2 = CompactTrace::new();
         run_alg(alg, &a2, Morton::square(n), &mut r2).unwrap();
         assert!(
             r1.same_schedule(&r2),
@@ -128,7 +128,7 @@ fn recorded_schedule_replays_to_identical_lru_counts() {
     let n = 32;
     let mut rng = spd::test_rng(704);
     let a = spd::random_spd(n, &mut rng);
-    let mut rec = RecordingTracer::new();
+    let mut rec = CompactTrace::new();
     run_alg(Algorithm::Ap00 { leaf: 4 }, &a, Morton::square(n), &mut rec).unwrap();
     for m in [64usize, 256] {
         // Live run.

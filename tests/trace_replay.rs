@@ -147,17 +147,3 @@ fn lru_total_stats_conserve_fetch_plus_writeback() {
         .sum();
     assert!(wb.words <= written, "writeback {} > written {}", wb.words, written);
 }
-
-#[test]
-fn trace_check_guard_accepts_the_oblivious_zoo() {
-    // With the guard enabled, recording re-runs each algorithm on a
-    // second SPD matrix and asserts schedule equality; the whole zoo
-    // must pass.
-    std::env::set_var("CHOLCOMM_TRACE_CHECK", "1");
-    let a = workload(12, 604);
-    for alg in all_algorithms(48) {
-        record_algorithm(alg, &a, LayoutKind::ColMajor)
-            .unwrap_or_else(|e| panic!("{alg:?}: {e}"));
-    }
-    std::env::remove_var("CHOLCOMM_TRACE_CHECK");
-}
