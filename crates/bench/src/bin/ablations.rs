@@ -9,7 +9,7 @@
 use cholcomm_core::cachesim::LruTracer;
 use cholcomm_core::distsim::CostModel;
 use cholcomm_core::layout::{Laid, Morton};
-use cholcomm_core::matrix::spd;
+use cholcomm_core::matrix::{spd, KernelImpl};
 use cholcomm_core::multilevel::INFEASIBLE_NOTE;
 use cholcomm_core::par::pxpotrf::{pxpotrf, BroadcastKind};
 use cholcomm_core::report::{fnum, TextTable};
@@ -27,7 +27,7 @@ fn ablate_streams(n: usize, m: usize) {
     for streams in [0usize, 1, 2, 8, 32] {
         let mut tr = LruTracer::with_streams(m, true, streams);
         let mut laid = Laid::from_matrix(&a, Morton::square(n));
-        square_rchol(&mut laid, &mut tr, 4).unwrap();
+        square_rchol(&mut laid, &mut tr, 4, KernelImpl::Reference).unwrap();
         tr.flush();
         let s = tr.total_stats();
         let scale = (n as f64).powi(3) / (m as f64).powf(1.5);

@@ -40,7 +40,7 @@ use cholcomm_core::seq::zoo::{
     price_trace, record_algorithm, run_algorithm, Algorithm, LayoutKind, ModelKind,
 };
 use cholcomm_core::sweep::TraceCache;
-use cholcomm_core::table1::table1_at_with;
+use cholcomm_core::table1::table1_at;
 use std::time::Instant;
 
 /// Engine-over-direct floor for the capacity-ladder sweep.
@@ -195,7 +195,7 @@ fn main() {
             .enumerate()
             .flat_map(|(i, &(n, m))| {
                 let fresh = TraceCache::new();
-                table1_at_with(n, m, 2000 + i as u64, shared.unwrap_or(&fresh)).1
+                table1_at(n, m, 2000 + i as u64, shared.unwrap_or(&fresh)).1
             })
             .map(|row| (row.words, row.messages))
             .collect::<Vec<_>>()

@@ -8,7 +8,7 @@
 use cholcomm_core::matrix::spd;
 use cholcomm_core::sweep::TraceCache;
 use cholcomm_core::table1::{
-    render_table1, render_table1_extended, run_table1_extended, table1_at_with, Table1Config,
+    render_table1, render_table1_extended, run_table1_extended, table1_at, Table1Config,
 };
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
     let cache = TraceCache::new();
     let points = [(64usize, 192usize), (128, 768), (128, 192), (256, 3072)];
     for (i, (n, m)) in points.iter().enumerate() {
-        let (cfg, rows) = table1_at_with(*n, *m, 1000 + i as u64, &cache);
+        let (cfg, rows) = table1_at(*n, *m, 1000 + i as u64, &cache);
         println!("{}", render_table1(cfg, &rows));
     }
     // Extended rows: the additional schedule variants this workspace

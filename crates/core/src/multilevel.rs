@@ -109,7 +109,7 @@ pub fn run_multilevel(n: usize, capacities: &[usize], seed: u64) -> Vec<MlRow> {
 
 /// Footnote for rows marked `!`: the schedule's working set does not
 /// fit the capacity, so its counts are lower bounds.
-pub const INFEASIBLE_NOTE: &str = "('!' = the schedule's working set exceeds this level's capacity: the          schedule is infeasible there and the numbers are lower bounds.)\n";
+pub const INFEASIBLE_NOTE: &str = "('!' = the schedule's working set exceeds this level's capacity: the schedule is infeasible there and the numbers are lower bounds.)\n";
 
 /// Render the hierarchy experiment as text.
 pub fn render_multilevel(n: usize, capacities: &[usize], rows: &[MlRow]) -> String {

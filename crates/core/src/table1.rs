@@ -52,16 +52,11 @@ impl Table1Config {
     }
 }
 
-/// Run all nine Table 1 rows for one `(n, M)` point.
-pub fn run_table1(cfg: Table1Config, a: &Matrix<f64>) -> Vec<MeasuredRow> {
-    run_table1_with(cfg, a, &TraceCache::new())
-}
-
 /// Run all nine Table 1 rows for one `(n, M)` point, sharing recorded
 /// traces through `cache` — across points with the same `n`, the
 /// cache-oblivious rows replay an existing trace instead of re-running
 /// their arithmetic.
-pub fn run_table1_with(cfg: Table1Config, a: &Matrix<f64>, cache: &TraceCache) -> Vec<MeasuredRow> {
+pub fn run_table1(cfg: Table1Config, a: &Matrix<f64>, cache: &TraceCache) -> Vec<MeasuredRow> {
     assert_eq!(a.rows(), cfg.n);
     assert!(cfg.n * cfg.n > cfg.m, "Table 1 assumes n^2 > M");
     let b = cfg.lapack_b();
@@ -186,14 +181,10 @@ pub fn render_table1(cfg: Table1Config, rows: &[MeasuredRow]) -> String {
     t.render()
 }
 
-/// Convenience: generate the workload and run one point.
-pub fn table1_at(n: usize, m: usize, seed: u64) -> (Table1Config, Vec<MeasuredRow>) {
-    table1_at_with(n, m, seed, &TraceCache::new())
-}
-
-/// [`table1_at`] with a shared trace cache: the cache-oblivious rows'
-/// traces carry across every `(n, M)` point with the same `n`.
-pub fn table1_at_with(
+/// Generate the workload and run one point, sharing `cache`: the
+/// cache-oblivious rows' traces carry across every `(n, M)` point with
+/// the same `n`.
+pub fn table1_at(
     n: usize,
     m: usize,
     seed: u64,
@@ -202,7 +193,7 @@ pub fn table1_at_with(
     let cfg = Table1Config { n, m, leaf: 4 };
     let mut rng = spd::test_rng(seed);
     let a = spd::random_spd(n, &mut rng);
-    let rows = run_table1_with(cfg, &a, cache);
+    let rows = run_table1(cfg, &a, cache);
     (cfg, rows)
 }
 
@@ -216,7 +207,7 @@ mod tests {
         // Power-of-two n keeps the recursive algorithms' base blocks
         // aligned with the Morton quadrants (the paper's "padding to even
         // dimensions" assumption).
-        let (_, rows) = table1_at(64, 192, 7);
+        let (_, rows) = table1_at(64, 192, 7, &TraceCache::new());
         let get = |r: Table1Row, alg: &str| {
             rows.iter()
                 .find(|x| x.row == r && x.algorithm.contains(alg))
@@ -251,7 +242,7 @@ mod tests {
         let mut naive_ratio = Vec::new();
         let mut ap_ratio = Vec::new();
         for m in [96usize, 384, 1536] {
-            let (_, rows) = table1_at(n, m, 8);
+            let (_, rows) = table1_at(n, m, 8, &TraceCache::new());
             naive_ratio.push(
                 rows.iter()
                     .find(|r| r.row == Table1Row::NaiveColMajor)
@@ -274,7 +265,7 @@ mod tests {
 
     #[test]
     fn render_includes_all_rows() {
-        let (cfg, rows) = table1_at(33, 128, 9);
+        let (cfg, rows) = table1_at(33, 128, 9, &TraceCache::new());
         let s = render_table1(cfg, &rows);
         assert!(s.contains("LAPACK"));
         assert!(s.contains("Toledo"));

@@ -11,7 +11,7 @@
 use crate::report::{fnum, TextTable};
 use cholcomm_cachesim::{LruTracer, NullTracer, Tracer};
 use cholcomm_layout::{ColMajor, Laid, Morton};
-use cholcomm_matrix::{kernels, norms, spd, Matrix};
+use cholcomm_matrix::{kernels, norms, spd, KernelImpl, Matrix};
 use cholcomm_seq::rmatmul::recursive_matmul;
 use cholcomm_seq::zoo::{run_alg, Algorithm};
 use cholcomm_starred::{build_t_prime, extract_product};
@@ -68,7 +68,7 @@ pub fn reduce_with(
     let la = Laid::from_matrix(a, Morton::square(n));
     let lb = Laid::from_matrix(b, Morton::square(n));
     let mut c = Laid::from_matrix(&Matrix::zeros(n, n), Morton::square(n));
-    recursive_matmul(&mut c, &la, &lb, &mut mm_tracer, 4);
+    recursive_matmul(&mut c, &la, &lb, &mut mm_tracer, 4, KernelImpl::Reference);
     mm_tracer.flush();
     let mm_words = mm_tracer.stats().words;
 

@@ -40,7 +40,7 @@ mod store;
 
 pub use journal::CommitDiscipline;
 pub use plan::{
-    BitFlip, CacheFlip, CrashPoint, DiskFault, DiskOp, FaultPlan, FaultPlanBuilder, JobFault,
+    BitFlip, CrashPoint, DiskFault, DiskOp, FaultPlan, FaultPlanBuilder, Flip, JobFault,
     MessageFault, RankKill,
 };
 pub use simdisk::{

@@ -100,9 +100,9 @@ pub struct RankKill {
     pub step: usize,
 }
 
-/// One at-rest corruption of a cached factor: the struck element
-/// `(row, col)` and the nonzero XOR mask applied to its bit pattern.
-pub type CacheFlip = ((usize, usize), u64);
+/// One silent corruption of a tile or a cached factor: the struck
+/// element `(row, col)` and the nonzero XOR mask applied to its bits.
+pub type Flip = ((usize, usize), u64);
 
 /// Builder for a [`FaultPlan`].
 #[derive(Debug, Clone)]
@@ -124,7 +124,7 @@ pub struct FaultPlanBuilder {
     disk_injections: HashMap<(u64, u32), DiskFault>,
     bit_flip_injections: Vec<BitFlip>,
     job_injections: HashMap<(u64, u32), JobFault>,
-    cache_flip_injections: HashMap<u64, Vec<CacheFlip>>,
+    cache_flip_injections: HashMap<u64, Vec<Flip>>,
     rank_kill: Option<RankKill>,
     crash: Option<CrashPoint>,
 }
@@ -237,7 +237,7 @@ impl FaultPlanBuilder {
 
     /// Fraction of `(step, tile)` sites struck by a seeded single-bit
     /// flip (element and bit derived deterministically from the seed;
-    /// query with [`FaultPlan::random_bit_flip`]).
+    /// query with [`FaultPlan::tile_flips`]).
     pub fn bit_flip_rate(mut self, rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate));
         self.bit_flip_rate = rate;
@@ -457,62 +457,31 @@ impl FaultPlan {
         self.inner.crash
     }
 
-    /// Explicitly injected bit flips landing at the start of `step`, in
-    /// injection order.
-    pub fn bit_flips(&self, step: usize) -> Vec<BitFlip> {
-        self.inner
-            .bit_flip_injections
-            .iter()
-            .filter(|f| f.step == step)
-            .copied()
-            .collect()
-    }
-
-    /// Explicitly injected bit flips for one `(step, tile)` site.
-    pub fn bit_flips_at(&self, step: usize, tile: (usize, usize)) -> Vec<BitFlip> {
-        self.inner
-            .bit_flip_injections
-            .iter()
-            .filter(|f| f.step == step && f.tile == tile)
-            .copied()
-            .collect()
-    }
-
-    /// The seeded random flip (if any) striking tile `tile` (of shape
-    /// `rows x cols`) at the start of `step`.  A pure function of the
-    /// seed and the site, like every other decision in the plan; the
-    /// flipped element and bit are derived from the same hash.
-    pub fn random_bit_flip(
+    /// The silent corruptions (element, XOR mask) striking tile `tile`,
+    /// of shape `rows x cols`, at the start of `step`: the explicit
+    /// injections that fall inside it, in injection order, then (if the
+    /// seeded rate fires) one derived single-bit flip.  A pure function
+    /// of the seed and the site, like every other decision in the plan.
+    pub fn tile_flips(
         &self,
         step: usize,
         tile: (usize, usize),
         rows: usize,
         cols: usize,
-    ) -> Option<BitFlip> {
+    ) -> Vec<Flip> {
         let p = &*self.inner;
-        if p.bit_flip_rate == 0.0 || rows == 0 || cols == 0 {
-            return None;
-        }
-        let h = coord_hash(
-            p.seed,
-            &[0x4246u64, step as u64, tile.0 as u64, tile.1 as u64],
-        );
-        if unit(h) >= p.bit_flip_rate {
-            return None;
-        }
-        let sel = coord_hash(
-            p.seed,
-            &[0x4247u64, step as u64, tile.0 as u64, tile.1 as u64],
-        );
-        let i = (sel as usize) % rows;
-        let j = ((sel >> 20) as usize) % cols;
-        let bit = (sel >> 40) % 64;
-        Some(BitFlip {
-            step,
-            tile,
-            elem: (i, j),
-            mask: 1u64 << bit,
-        })
+        let inside =
+            |f: &&BitFlip| f.step == step && f.tile == tile && f.elem.0 < rows && f.elem.1 < cols;
+        let mut flips: Vec<Flip> = p
+            .bit_flip_injections
+            .iter()
+            .filter(inside)
+            .map(|f| (f.elem, f.mask))
+            .collect();
+        let (s, i, j) = (step as u64, tile.0 as u64, tile.1 as u64);
+        let (hit, sel) = ([0x4246u64, s, i, j], [0x4247u64, s, i, j]);
+        flips.extend(seeded_flip(p.seed, p.bit_flip_rate, &hit, &sel, rows, cols));
+        flips
     }
 
     /// The rank death (if any) scheduled by this plan.
@@ -558,25 +527,43 @@ impl FaultPlan {
     /// injections first, then (if the seeded rate fires) one derived
     /// single-bit flip.  Pure function of the seed and the job id, like
     /// every other decision in the plan.
-    pub fn cache_flips(&self, job: u64, rows: usize, cols: usize) -> Vec<CacheFlip> {
+    pub fn cache_flips(&self, job: u64, rows: usize, cols: usize) -> Vec<Flip> {
         let p = &*self.inner;
-        let mut flips: Vec<CacheFlip> = p
+        let mut flips: Vec<Flip> = p
             .cache_flip_injections
             .get(&job)
             .cloned()
             .unwrap_or_default();
-        if p.cache_flip_rate > 0.0 && rows > 0 && cols > 0 {
-            let h = coord_hash(p.seed, &[0x4346u64, job]);
-            if unit(h) < p.cache_flip_rate {
-                let sel = coord_hash(p.seed, &[0x4347u64, job]);
-                let i = (sel as usize) % rows;
-                let j = ((sel >> 20) as usize) % cols;
-                let bit = (sel >> 40) % 64;
-                flips.push(((i, j), 1u64 << bit));
-            }
-        }
+        let (hit, sel) = ([0x4346u64, job], [0x4347u64, job]);
+        flips.extend(seeded_flip(
+            p.seed,
+            p.cache_flip_rate,
+            &hit,
+            &sel,
+            rows,
+            cols,
+        ));
         flips
     }
+}
+
+/// The seeded single-bit flip of a `rows x cols` target, if `rate`
+/// fires at the site hashed as `hit`; its element and bit come from the
+/// hash of `sel`.
+fn seeded_flip(
+    seed: u64,
+    rate: f64,
+    hit: &[u64],
+    sel: &[u64],
+    rows: usize,
+    cols: usize,
+) -> Option<Flip> {
+    if rate == 0.0 || rows == 0 || cols == 0 || unit(coord_hash(seed, hit)) >= rate {
+        return None;
+    }
+    let sel = coord_hash(seed, sel);
+    let elem = ((sel as usize) % rows, ((sel >> 20) as usize) % cols);
+    Some((elem, 1u64 << ((sel >> 40) % 64)))
 }
 
 #[cfg(test)]
@@ -690,36 +677,43 @@ mod tests {
             .inject_rank_kill(3, 1)
             .build();
         assert!(!plan.is_clean());
-        assert_eq!(plan.bit_flips(2).len(), 2);
-        assert_eq!(plan.bit_flips_at(2, (1, 0)).len(), 2);
-        assert_eq!(plan.bit_flips_at(2, (0, 0)).len(), 0);
-        assert_eq!(plan.bit_flips(0).len(), 0);
+        let flips = vec![((3, 3), 1 << 52), ((0, 1), 0b1)];
+        assert_eq!(plan.tile_flips(2, (1, 0), 4, 4), flips);
+        assert_eq!(plan.tile_flips(2, (1, 0), 3, 4), flips[1..], "in-bounds only");
+        assert!(plan.tile_flips(2, (0, 0), 4, 4).is_empty());
+        assert!(plan.tile_flips(0, (1, 0), 4, 4).is_empty());
         assert_eq!(plan.rank_kill(), Some(RankKill { rank: 3, step: 1 }));
         assert_eq!(FaultPlan::none().rank_kill(), None);
     }
 
     #[test]
-    fn random_bit_flips_are_seeded_and_in_range() {
+    fn seeded_tile_flips_are_in_range_and_come_last() {
         let mk = |seed| FaultPlan::builder(seed).bit_flip_rate(0.3).build();
         let (a, b) = (mk(4), mk(4));
         let mut hits = 0;
         for step in 0..8 {
             for bi in 0..6 {
                 for bj in 0..6 {
-                    let fa = a.random_bit_flip(step, (bi, bj), 5, 7);
-                    assert_eq!(fa, b.random_bit_flip(step, (bi, bj), 5, 7));
-                    if let Some(f) = fa {
+                    let fa = a.tile_flips(step, (bi, bj), 5, 7);
+                    assert_eq!(fa, b.tile_flips(step, (bi, bj), 5, 7));
+                    for &((i, j), mask) in &fa {
                         hits += 1;
-                        assert!(f.elem.0 < 5 && f.elem.1 < 7);
-                        assert_eq!(f.mask.count_ones(), 1, "single-bit upset");
+                        assert!(i < 5 && j < 7);
+                        assert_eq!(mask.count_ones(), 1, "single-bit upset");
                     }
                 }
             }
         }
         assert!(hits > 30, "rate 0.3 over 288 sites should strike often: {hits}");
-        assert!(mk(5).random_bit_flip(0, (0, 0), 5, 7) != a.random_bit_flip(0, (0, 0), 5, 7)
-            || mk(5).random_bit_flip(1, (2, 1), 5, 7) != a.random_bit_flip(1, (2, 1), 5, 7));
-        assert_eq!(FaultPlan::none().random_bit_flip(0, (0, 0), 4, 4), None);
+        assert!(mk(5).tile_flips(0, (0, 0), 5, 7) != a.tile_flips(0, (0, 0), 5, 7)
+            || mk(5).tile_flips(1, (2, 1), 5, 7) != a.tile_flips(1, (2, 1), 5, 7));
+        assert!(FaultPlan::none().tile_flips(0, (0, 0), 4, 4).is_empty());
+        // An explicit flip comes first, the seeded one after it.
+        let both = FaultPlan::builder(4)
+            .bit_flip_rate(1.0)
+            .inject_bit_flip(0, (0, 0), (1, 1), 1);
+        let flips = both.build().tile_flips(0, (0, 0), 5, 7);
+        assert_eq!((flips.len(), flips[0]), (2, ((1, 1), 1)));
     }
 
     #[test]

@@ -24,11 +24,24 @@
 //! Detection is sound for any corruption of a single element (any set of
 //! flipped bits within one word).  Corruption of several elements is
 //! detected (some parity mismatches) but not correctable from one
-//! checksum pair; [`verify_and_heal`] reports
+//! checksum pair; [`Guard::verify`] reports
 //! [`TileHealth::Unrecoverable`] and the caller falls back to its
 //! checkpoint.  The one blind spot, as with any linear code, is a
 //! *coordinated* multi-element corruption whose masks cancel in both
 //! projections — vanishingly unlikely for independent soft errors.
+//!
+//! # One protocol, several recovery policies
+//!
+//! A flip *lands* ([`land`]) by XORing its mask into an element without
+//! touching the checksum; a tile something landed in is verified and
+//! healed.  [`Guard`] holds the checksums of a set of tiles and charges
+//! every encode, refresh, verification, correction and restore to its
+//! [`AbftStats`], so the tallies mean the same thing on every substrate.
+//! What to do with an unrecoverable tile is the caller's policy: the
+//! sequential and SPMD drivers restore it from their epoch snapshot, the
+//! out-of-core backend fails the read so its driver rolls back to the
+//! last checkpoint, and the service's factor cache evicts the entry
+//! ([`strike`], which verifies nothing when nothing landed).
 
 use crate::dense::Matrix;
 use std::collections::HashMap;
@@ -97,7 +110,7 @@ pub enum TileHealth {
 /// mismatch masks agree (the signature of a single corrupted word);
 /// the element is repaired to its original bit pattern.  Any other
 /// nonempty mismatch pattern is [`TileHealth::Unrecoverable`].
-pub fn verify_and_heal(tile: &mut Matrix<f64>, expected: &TileChecksum) -> TileHealth {
+fn verify_and_heal(tile: &mut Matrix<f64>, expected: &TileChecksum) -> TileHealth {
     let current = TileChecksum::of(tile);
     let bad_cols: Vec<usize> = (0..current.col.len())
         .filter(|&j| current.col[j] != expected.col[j])
@@ -202,153 +215,109 @@ impl std::fmt::Display for AbftStats {
     }
 }
 
-/// A dense matrix augmented with per-tile Huang–Abraham checksums: the
-/// in-memory substrate of the ABFT factorization paths.
-///
-/// Tiles are `b x b` (ragged at the right/bottom edges) over the full
-/// matrix.  Mutations go through [`update_tile`](Self::update_tile),
-/// which re-encodes the tile's checksums; [`verify_tile`](Self::verify_tile)
-/// checks a tile against its stored checksums and corrects a
-/// single-element corruption in place.  [`flip_bits`](Self::flip_bits)
-/// injects a silent data corruption *without* touching the checksums —
-/// exactly what a cosmic-ray bit flip does to DRAM.
-#[derive(Debug, Clone)]
-pub struct AbftMatrix {
-    m: Matrix<f64>,
-    b: usize,
-    nb: usize,
+/// XOR each in-bounds, nonzero `(elem, mask)` of `flips` into `tile`'s
+/// bit patterns — a silent corruption: no checksum is touched.  True
+/// when anything landed.
+pub fn land(tile: &mut Matrix<f64>, flips: &[((usize, usize), u64)]) -> bool {
+    let mut landed = false;
+    for &((i, j), mask) in flips {
+        if i < tile.rows() && j < tile.cols() && mask != 0 {
+            tile[(i, j)] = f64::from_bits(tile[(i, j)].to_bits() ^ mask);
+            landed = true;
+        }
+    }
+    landed
+}
+
+/// [`land`] `flips` in `tile`, then verify it against `checksum` (and
+/// heal a single-element corruption in place) only if something landed:
+/// a tile nothing struck is [`TileHealth::Clean`] at no cost.
+pub fn strike(
+    tile: &mut Matrix<f64>,
+    checksum: &TileChecksum,
+    flips: &[((usize, usize), u64)],
+) -> TileHealth {
+    if land(tile, flips) {
+        verify_and_heal(tile, checksum)
+    } else {
+        TileHealth::Clean
+    }
+}
+
+/// The checksums of a set of tiles keyed `(bi, bj)`, and the
+/// [`AbftStats`] of the work done on them: the one place the protocol
+/// charges its tallies.  The tiles stay with the caller, which decides
+/// what to do with an [`TileHealth::Unrecoverable`] one.
+#[derive(Debug, Clone, Default)]
+pub struct Guard {
     cks: HashMap<(usize, usize), TileChecksum>,
     stats: AbftStats,
 }
 
-impl AbftMatrix {
-    /// Encode `a` with tile size `b`.
-    pub fn encode(a: &Matrix<f64>, b: usize) -> AbftMatrix {
-        assert!(b > 0, "tile size must be positive");
-        assert!(a.is_square(), "ABFT path factors square matrices");
-        let n = a.rows();
-        let nb = n.div_ceil(b);
-        let mut am = AbftMatrix {
-            m: a.clone(),
-            b,
-            nb,
-            cks: HashMap::new(),
-            stats: AbftStats::new(),
-        };
-        for bi in 0..nb {
-            for bj in 0..nb {
-                let t = am.tile(bi, bj);
-                let ck = TileChecksum::of(&t);
-                am.stats.encodes += 1;
-                am.stats.checksum_words += ck.words();
-                am.stats.checksum_flops += (t.rows() * t.cols()) as u64;
-                am.cks.insert((bi, bj), ck);
-            }
-        }
-        am
+impl Guard {
+    /// No checksums, all-zero tallies.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Matrix order.
-    pub fn n(&self) -> usize {
-        self.m.rows()
+    /// Encode tile `key` from scratch.
+    pub fn encode(&mut self, key: (usize, usize), tile: &Matrix<f64>) {
+        self.stats.encodes += 1;
+        self.store(key, tile);
     }
 
-    /// Tile size.
-    pub fn b(&self) -> usize {
-        self.b
-    }
-
-    /// Tile-grid dimension.
-    pub fn nb(&self) -> usize {
-        self.nb
-    }
-
-    /// Height/width of tile `(bi, bj)` (ragged at the edges).
-    pub fn tile_dims(&self, bi: usize, bj: usize) -> (usize, usize) {
-        let n = self.n();
-        ((n - bi * self.b).min(self.b), (n - bj * self.b).min(self.b))
-    }
-
-    /// Copy of tile `(bi, bj)`.
-    pub fn tile(&self, bi: usize, bj: usize) -> Matrix<f64> {
-        let (h, w) = self.tile_dims(bi, bj);
-        self.m.submatrix(bi * self.b, bj * self.b, h, w)
-    }
-
-    /// Overwrite tile `(bi, bj)` and re-encode its checksums.
-    pub fn update_tile(&mut self, bi: usize, bj: usize, tile: &Matrix<f64>) {
-        let (h, w) = self.tile_dims(bi, bj);
-        assert_eq!((tile.rows(), tile.cols()), (h, w), "tile shape mismatch");
-        self.m.set_submatrix(bi * self.b, bj * self.b, tile);
-        let ck = TileChecksum::of(tile);
+    /// Re-encode tile `key` after a write to it.
+    pub fn refresh(&mut self, key: (usize, usize), tile: &Matrix<f64>) {
         self.stats.checksum_updates += 1;
-        self.stats.checksum_words += ck.words();
-        self.stats.checksum_flops += (h * w) as u64;
-        self.cks.insert((bi, bj), ck);
+        self.store(key, tile);
     }
 
-    /// Verify tile `(bi, bj)` against its stored checksums, correcting a
-    /// single corrupted element in place.
-    pub fn verify_tile(&mut self, bi: usize, bj: usize) -> TileHealth {
-        let mut t = self.tile(bi, bj);
-        let ck = self.cks.get(&(bi, bj)).expect("tile grid fully encoded");
+    fn store(&mut self, key: (usize, usize), tile: &Matrix<f64>) {
+        let ck = TileChecksum::of(tile);
+        self.stats.checksum_words += ck.words();
+        self.stats.checksum_flops += (tile.rows() * tile.cols()) as u64;
+        self.cks.insert(key, ck);
+    }
+
+    /// Verify tile `key` against its checksum, correcting a single
+    /// corrupted element in place.  Panics if `key` was never encoded.
+    pub fn verify(&mut self, key: (usize, usize), tile: &mut Matrix<f64>) -> TileHealth {
         self.stats.verifications += 1;
-        self.stats.checksum_flops += (t.rows() * t.cols()) as u64;
-        let health = verify_and_heal(&mut t, ck);
+        self.stats.checksum_flops += (tile.rows() * tile.cols()) as u64;
+        let health = verify_and_heal(tile, &self.cks[&key]);
         match health {
             TileHealth::Clean => {}
-            TileHealth::Corrected { .. } => {
-                self.stats.corrections += 1;
-                self.m.set_submatrix(bi * self.b, bj * self.b, &t);
-            }
-            TileHealth::Unrecoverable { .. } => {
-                self.stats.unrecoverable += 1;
-            }
+            TileHealth::Corrected { .. } => self.stats.corrections += 1,
+            TileHealth::Unrecoverable { .. } => self.stats.unrecoverable += 1,
         }
         health
     }
 
-    /// Restore tile `(bi, bj)` (data and checksum) from `snapshot` — the
-    /// recompute-from-checkpoint fallback for multi-element corruption.
-    /// Checkpoint traffic (the tile payload) is charged to
-    /// [`AbftStats::checkpoint_words`].
-    pub fn restore_tile_from(&mut self, snapshot: &AbftMatrix, bi: usize, bj: usize) {
-        let t = snapshot.tile(bi, bj);
-        self.stats.checkpoint_words += (t.rows() * t.cols()) as u64;
-        self.m.set_submatrix(bi * self.b, bj * self.b, &t);
-        let ck = snapshot.cks.get(&(bi, bj)).expect("snapshot fully encoded").clone();
-        self.cks.insert((bi, bj), ck);
+    /// A tile was restored from a checkpoint, moving `words` of it.
+    pub fn restored(&mut self, words: u64) {
         self.stats.restores += 1;
+        self.checkpoint(words);
     }
 
-    /// Inject a silent corruption: XOR `mask` into the bits of element
-    /// `(i, j)` of tile `(bi, bj)` *without* updating the checksums.
-    pub fn flip_bits(&mut self, bi: usize, bj: usize, elem: (usize, usize), mask: u64) {
-        let (h, w) = self.tile_dims(bi, bj);
-        assert!(elem.0 < h && elem.1 < w, "flip target outside the tile");
-        let (gi, gj) = (bi * self.b + elem.0, bj * self.b + elem.1);
-        self.m[(gi, gj)] = f64::from_bits(self.m[(gi, gj)].to_bits() ^ mask);
+    /// Charge `words` of checkpoint traffic (a snapshot written or read).
+    pub fn checkpoint(&mut self, words: u64) {
+        self.stats.checkpoint_words += words;
     }
 
-    /// The underlying matrix (upper triangle included, as stored).
-    pub fn matrix(&self) -> &Matrix<f64> {
-        &self.m
+    /// Whether tile `key` has a checksum.
+    pub fn contains(&self, key: (usize, usize)) -> bool {
+        self.cks.contains_key(&key)
     }
 
-    /// Consume into the underlying matrix.
-    pub fn into_matrix(self) -> Matrix<f64> {
-        self.m
+    /// Forget every checksum (the tiles under them were replaced
+    /// wholesale); the tallies stay.
+    pub fn clear(&mut self) {
+        self.cks.clear();
     }
 
-    /// ABFT work tallies accumulated so far.
+    /// Tallies so far.
     pub fn stats(&self) -> AbftStats {
         self.stats
-    }
-
-    /// Merge external ABFT tallies (e.g. from a snapshot clone) into
-    /// this matrix's counters.
-    pub fn add_stats(&mut self, other: &AbftStats) {
-        self.stats.merge(other);
     }
 }
 
@@ -458,46 +427,89 @@ mod tests {
         ));
     }
 
+    /// The lower tiles of `a` cut at `b`, keyed `(bi, bj)`, each encoded
+    /// into `guard`.
+    fn encoded(
+        a: &Matrix<f64>,
+        b: usize,
+        guard: &mut Guard,
+    ) -> HashMap<(usize, usize), Matrix<f64>> {
+        let grid = crate::schedule::TileGrid::new(a.rows(), b);
+        let mut tiles = HashMap::new();
+        for bi in 0..grid.nb() {
+            for bj in 0..grid.nb() {
+                let t = grid.cut_tile(a, bi, bj, Vec::new());
+                guard.encode((bi, bj), &t);
+                tiles.insert((bi, bj), t);
+            }
+        }
+        tiles
+    }
+
     #[test]
-    fn abft_matrix_roundtrip_and_heal() {
+    fn guard_roundtrip_and_heal() {
         let mut rng = spd::test_rng(33);
         let a = spd::random_spd(20, &mut rng); // ragged: 20 with b=6
-        let mut am = AbftMatrix::encode(&a, 6);
-        assert_eq!(am.nb(), 4);
-        assert_eq!(am.tile_dims(3, 3), (2, 2));
+        let mut guard = Guard::new();
+        let mut tiles = encoded(&a, 6, &mut guard);
+        assert_eq!(tiles.len(), 16);
+        assert_eq!(tiles[&(3, 3)].rows(), 2);
 
         // Corrupt one element of a ragged edge tile; verify heals it.
-        am.flip_bits(3, 1, (1, 4), 1 << 40);
+        let clean = tiles[&(3, 1)].clone();
+        let t = tiles.get_mut(&(3, 1)).unwrap();
+        assert!(land(t, &[((1, 4), 1 << 40)]));
         assert!(matches!(
-            am.verify_tile(3, 1),
+            guard.verify((3, 1), t),
             TileHealth::Corrected { row: 1, col: 4 }
         ));
-        assert_eq!(crate::norms::max_abs_diff(am.matrix(), &a), 0.0);
+        assert_eq!(crate::norms::max_abs_diff(t, &clean), 0.0);
 
-        // Update a tile; stats track the checksum row/column words.
-        let t = am.tile(0, 0);
-        am.update_tile(0, 0, &t);
-        let s = am.stats();
+        // Refresh a tile; stats track the checksum row/column words.
+        guard.refresh((0, 0), &tiles[&(0, 0)]);
+        let s = guard.stats();
         assert_eq!(s.encodes, 16);
         assert_eq!(s.checksum_updates, 1);
         assert_eq!(s.corrections, 1);
-        assert!(s.checksum_words > 0 && s.checksum_flops > 0);
+        assert_eq!(s.checksum_words, 2 * 20 * 4 + 12);
+        assert_eq!(s.checksum_flops, 20 * 20 + 2 * 6 + 36);
     }
 
     #[test]
     fn restore_from_snapshot_is_the_multi_error_fallback() {
         let mut rng = spd::test_rng(34);
         let a = spd::random_spd(12, &mut rng);
-        let mut am = AbftMatrix::encode(&a, 4);
-        let snapshot = am.clone();
-        am.flip_bits(1, 1, (0, 0), 0b1);
-        am.flip_bits(1, 1, (2, 3), 0b1);
-        assert!(matches!(am.verify_tile(1, 1), TileHealth::Unrecoverable { .. }));
-        am.restore_tile_from(&snapshot, 1, 1);
-        assert!(matches!(am.verify_tile(1, 1), TileHealth::Clean));
-        assert_eq!(crate::norms::max_abs_diff(am.matrix(), &a), 0.0);
-        assert_eq!(am.stats().restores, 1);
-        assert!(am.stats().checkpoint_words >= 16);
+        let mut guard = Guard::new();
+        let mut tiles = encoded(&a, 4, &mut guard);
+        let snapshot = tiles.clone();
+        let t = tiles.get_mut(&(1, 1)).unwrap();
+        assert!(land(t, &[((0, 0), 0b1), ((2, 3), 0b1)]));
+        assert!(matches!(guard.verify((1, 1), t), TileHealth::Unrecoverable { .. }));
+        *t = snapshot[&(1, 1)].clone();
+        guard.restored(16);
+        assert!(matches!(guard.verify((1, 1), t), TileHealth::Clean));
+        assert_eq!(crate::norms::max_abs_diff(t, &snapshot[&(1, 1)]), 0.0);
+        assert_eq!(guard.stats().restores, 1);
+        assert_eq!(guard.stats().unrecoverable, 1);
+        assert_eq!(guard.stats().checkpoint_words, 16);
+    }
+
+    #[test]
+    fn strike_lands_only_in_bounds_nonzero_flips_and_verifies_only_then() {
+        let t = sample_tile(4, 3);
+        let ck = TileChecksum::of(&t);
+        // Out of bounds or a zero mask: nothing lands, nothing to verify
+        // (a stale checksum would otherwise report the tile corrupt).
+        let stale = TileChecksum::of(&sample_tile(3, 4));
+        let mut u = t.clone();
+        let missed = [((4, 0), 1), ((0, 3), 1), ((1, 1), 0)];
+        assert!(!land(&mut u, &missed));
+        assert_eq!(strike(&mut u, &stale, &missed), TileHealth::Clean);
+        assert_eq!(u, t);
+        // One landed flip among misses is healed bit-exactly.
+        let hit = [((9, 9), 1), ((2, 1), 1 << 33)];
+        assert_eq!(strike(&mut u, &ck, &hit), TileHealth::Corrected { row: 2, col: 1 });
+        assert_eq!(u, t);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod schedule;
 pub mod spd;
 pub mod tri;
 
-pub use abft::{verify_and_heal, AbftMatrix, AbftStats, TileChecksum, TileHealth};
+pub use abft::{land, strike, AbftStats, Guard, TileChecksum, TileHealth};
 pub use dense::Matrix;
 pub use digest::{lower_digest, lower_digests, matrix_digest, slice_digest};
 pub use engine::{KernelImpl, Operand};

@@ -31,17 +31,14 @@
 
 use crate::backend::IoBackend;
 use crate::tilefile::IoStats;
-use cholcomm_faults::{BitFlip, FaultPlan, FaultStats};
-use cholcomm_matrix::abft::{verify_and_heal, AbftStats, TileChecksum, TileHealth};
+use cholcomm_faults::{FaultPlan, FaultStats, Flip};
+use cholcomm_matrix::abft::{land, AbftStats, Guard, TileHealth};
 use cholcomm_matrix::Matrix;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 
+/// A flip as queued: `(step, tile, elem, mask)`.
 type FlipKey = (usize, (usize, usize), (usize, usize), u64);
-
-fn flip_key(f: &BitFlip) -> FlipKey {
-    (f.step, f.tile, f.elem, f.mask)
-}
 
 /// A tile store whose every read is checksum-verified (and healed where
 /// the encoding allows), wrapping any [`IoBackend`].
@@ -49,13 +46,12 @@ fn flip_key(f: &BitFlip) -> FlipKey {
 pub struct AbftBackend<B: IoBackend> {
     inner: B,
     plan: FaultPlan,
-    cks: HashMap<(usize, usize), TileChecksum>,
+    guard: Guard,
     /// Flips scheduled but not yet landed, per target tile.
-    pending: HashMap<(usize, usize), Vec<BitFlip>>,
+    pending: HashMap<(usize, usize), Vec<Flip>>,
     /// Every flip ever queued — a flip strikes exactly once, even
     /// across checkpoint restores.
     queued: HashSet<FlipKey>,
-    stats: AbftStats,
 }
 
 impl<B: IoBackend> AbftBackend<B> {
@@ -64,10 +60,9 @@ impl<B: IoBackend> AbftBackend<B> {
         AbftBackend {
             inner,
             plan,
-            cks: HashMap::new(),
+            guard: Guard::new(),
             pending: HashMap::new(),
             queued: HashSet::new(),
-            stats: AbftStats::new(),
         }
     }
 
@@ -88,17 +83,7 @@ impl<B: IoBackend> AbftBackend<B> {
 
     /// ABFT work tallies accumulated so far.
     pub fn abft_stats(&self) -> AbftStats {
-        self.stats
-    }
-
-    fn encode_if_missing(&mut self, key: (usize, usize), tile: &Matrix<f64>) {
-        if !self.cks.contains_key(&key) {
-            let ck = TileChecksum::of(tile);
-            self.stats.encodes += 1;
-            self.stats.checksum_words += ck.words();
-            self.stats.checksum_flops += (tile.rows() * tile.cols()) as u64;
-            self.cks.insert(key, ck);
-        }
+        self.guard.stats()
     }
 
     /// Read tile `key` from slow memory, land any scheduled corruption,
@@ -110,34 +95,22 @@ impl<B: IoBackend> AbftBackend<B> {
         let mut t = self.inner.read_tile(bi, bj)?;
         // Encode from the (clean, at-rest) data *before* corruption
         // lands — the checksum deliberately goes stale under a flip.
-        let fresh = !self.cks.contains_key(&(bi, bj));
-        self.encode_if_missing((bi, bj), &t);
-        let flips = self.pending.remove(&(bi, bj)).unwrap_or_default();
-        for f in &flips {
-            let (i, j) = f.elem;
-            t[(i, j)] = f64::from_bits(t[(i, j)].to_bits() ^ f.mask);
+        let fresh = !self.guard.contains((bi, bj));
+        if fresh {
+            self.guard.encode((bi, bj), &t);
         }
-        if fresh && flips.is_empty() {
+        let flips = self.pending.remove(&(bi, bj)).unwrap_or_default();
+        if !land(&mut t, &flips) && fresh {
             // The checksum was just computed from this very data;
             // verifying it against itself proves nothing.
             return Ok(t);
         }
-        self.stats.verifications += 1;
-        self.stats.checksum_flops += (t.rows() * t.cols()) as u64;
-        let ck = self.cks.get(&(bi, bj)).expect("encoded above");
-        match verify_and_heal(&mut t, ck) {
-            TileHealth::Clean => Ok(t),
-            TileHealth::Corrected { .. } => {
-                self.stats.corrections += 1;
-                Ok(t)
-            }
-            TileHealth::Unrecoverable { .. } => {
-                self.stats.unrecoverable += 1;
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("abft: unhealable multi-element corruption in tile ({bi}, {bj})"),
-                ))
-            }
+        match self.guard.verify((bi, bj), &mut t) {
+            TileHealth::Unrecoverable { .. } => Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("abft: unhealable multi-element corruption in tile ({bi}, {bj})"),
+            )),
+            _ => Ok(t),
         }
     }
 }
@@ -156,11 +129,7 @@ impl<B: IoBackend> IoBackend for AbftBackend<B> {
         self.read_verified(bi, bj)
     }
     fn write_tile(&mut self, bi: usize, bj: usize, tile: &Matrix<f64>) -> std::io::Result<()> {
-        let ck = TileChecksum::of(tile);
-        self.stats.checksum_updates += 1;
-        self.stats.checksum_words += ck.words();
-        self.stats.checksum_flops += (tile.rows() * tile.cols()) as u64;
-        self.cks.insert((bi, bj), ck);
+        self.guard.refresh((bi, bj), tile);
         self.inner.write_tile(bi, bj, tile)
     }
     fn stats(&self) -> IoStats {
@@ -177,8 +146,9 @@ impl<B: IoBackend> IoBackend for AbftBackend<B> {
         // checksum is stale, re-encode lazily from the restored data.
         // `queued` survives — an already-landed flip must not strike the
         // restored copy a second time, or retries would loop forever.
-        self.cks.clear();
-        self.stats.restores += 1;
+        // The restore's bytes are the driver's checkpoint traffic.
+        self.guard.clear();
+        self.guard.restored(0);
         self.inner.storage_restored();
     }
     fn fault_stats(&self) -> FaultStats {
@@ -192,15 +162,11 @@ impl<B: IoBackend> IoBackend for AbftBackend<B> {
         let (nb, b) = (self.nb(), self.b());
         for bj in 0..nb {
             for bi in bj..nb {
-                let mut flips = self.plan.bit_flips_at(k, (bi, bj));
                 // Tiles are stored zero-padded to b x b, so the whole
                 // padded extent is a valid strike zone.
-                if let Some(f) = self.plan.random_bit_flip(k, (bi, bj), b, b) {
-                    flips.push(f);
-                }
-                for f in flips {
-                    if f.elem.0 < b && f.elem.1 < b && self.queued.insert(flip_key(&f)) {
-                        self.pending.entry((bi, bj)).or_default().push(f);
+                for (elem, mask) in self.plan.tile_flips(k, (bi, bj), b, b) {
+                    if self.queued.insert((k, (bi, bj), elem, mask)) {
+                        self.pending.entry((bi, bj)).or_default().push((elem, mask));
                     }
                 }
             }

@@ -34,13 +34,14 @@
 //! the recovery path.
 //!
 //! All storage goes through [`Store`], so the same protocol bytes run
-//! over the real filesystem ([`FsStore`]) in production and over the
-//! simulated crash disk (`SimStore`) under the explorer.
+//! over the real filesystem ([`FsStore`](cholcomm_faults::FsStore)) in
+//! production and over the simulated crash disk (`SimStore`) under the
+//! explorer.
 
 use crate::backend::IoBackend;
 use crate::potrf::OocError;
 use cholcomm_faults::journal::{self, Fields, Intent, Replay};
-use cholcomm_faults::{CommitDiscipline, FsStore, Store};
+use cholcomm_faults::{CommitDiscipline, Store};
 use cholcomm_matrix::digest::fnv1a;
 use std::path::Path;
 
@@ -85,7 +86,7 @@ impl<St: Store> Checkpointing<'_, St> {
     /// a crash inside panel 0 would leave partially-updated tiles on
     /// disk and the resume would factor corrupted input.
     pub(crate) fn resume_point<B: IoBackend>(&mut self, fm: &mut B) -> Result<usize, OocError> {
-        let start = match self.ckpt.load_in(self.store)? {
+        let start = match self.ckpt.load(self.store)? {
             Some(state) => {
                 if state.n != fm.n() || state.b != fm.b() {
                     return Err(OocError::Io(bad(format!(
@@ -96,11 +97,11 @@ impl<St: Store> Checkpointing<'_, St> {
                         fm.b()
                     ))));
                 }
-                self.report.checkpoint_bytes += self.ckpt.restore_in(self.store, fm)?;
+                self.report.checkpoint_bytes += self.ckpt.restore(self.store, fm)?;
                 state.next_panel
             }
             None => {
-                self.report.checkpoint_bytes += self.ckpt.save_in(self.store, fm, 0)?;
+                self.report.checkpoint_bytes += self.ckpt.save(self.store, fm, 0)?;
                 self.report.checkpoints_written += 1;
                 0
             }
@@ -267,7 +268,7 @@ impl Checkpoint {
     /// loudly, with no silent fall-back — when a *committed* generation
     /// fails validation: under the barriered commit discipline that can
     /// only mean a commit-protocol violation or storage corruption.
-    pub fn load_in(&self, store: &mut impl Store) -> std::io::Result<Option<CheckpointState>> {
+    pub fn load(&self, store: &mut impl Store) -> std::io::Result<Option<CheckpointState>> {
         let Some((gen, intent)) = self.journal(store)?.committed.pop_last() else {
             // Nothing committed: any generation files or temp strays are
             // garbage from a crashed save — roll them back.
@@ -319,8 +320,8 @@ impl Checkpoint {
     /// including torn or reordered un-barriered writes — leaves either
     /// this generation committed-and-valid or the previous one; the
     /// in-between states are uncommitted and swept by
-    /// [`load_in`](Self::load_in).
-    pub fn save_in<B: IoBackend>(
+    /// [`load`](Self::load).
+    pub fn save<B: IoBackend>(
         &self,
         store: &mut impl Store,
         fm: &B,
@@ -359,7 +360,7 @@ impl Checkpoint {
     /// Copy the committed snapshot back over the backing file
     /// (discarding whatever a crashed run left there) and tell the
     /// backend its storage moved under it.
-    pub fn restore_in<B: IoBackend>(
+    pub fn restore<B: IoBackend>(
         &self,
         store: &mut impl Store,
         fm: &mut B,
@@ -378,32 +379,12 @@ impl Checkpoint {
     /// first, behind a barrier, *then* the generation files: recovery
     /// must never observe a journal whose committed generation's files
     /// were already unlinked.
-    pub fn remove_in(&self, store: &mut impl Store) -> std::io::Result<()> {
+    pub fn remove(&self, store: &mut impl Store) -> std::io::Result<()> {
         store.remove(&self.journal_file())?;
         store.barrier()?;
         self.sweep(store, None)?;
         store.barrier()?;
         Ok(())
-    }
-
-    /// [`load_in`](Self::load_in) on the real filesystem.
-    pub fn load(&self) -> std::io::Result<Option<CheckpointState>> {
-        self.load_in(&mut FsStore::new())
-    }
-
-    /// [`save_in`](Self::save_in) on the real filesystem.
-    pub fn save<B: IoBackend>(&self, fm: &B, next_panel: usize) -> std::io::Result<u64> {
-        self.save_in(&mut FsStore::new(), fm, next_panel)
-    }
-
-    /// [`restore_in`](Self::restore_in) on the real filesystem.
-    pub fn restore<B: IoBackend>(&self, fm: &mut B) -> std::io::Result<u64> {
-        self.restore_in(&mut FsStore::new(), fm)
-    }
-
-    /// [`remove_in`](Self::remove_in) on the real filesystem.
-    pub fn remove(&self) -> std::io::Result<()> {
-        self.remove_in(&mut FsStore::new())
     }
 }
 
@@ -428,7 +409,7 @@ mod tests {
     use crate::tilefile::{scratch_path, FileMatrix};
     use crate::pipeline::{ooc_potrf_checkpointed, PipelineConfig};
     use crate::potrf::ooc_potrf_with;
-    use cholcomm_faults::{CrashPoint, FaultPlan};
+    use cholcomm_faults::{CrashPoint, FaultPlan, FsStore};
     use cholcomm_matrix::{norms, spd, KernelImpl};
     use std::path::PathBuf;
 
@@ -467,7 +448,7 @@ mod tests {
         // One baseline snapshot of the input plus one per panel.
         assert_eq!(rep.checkpoints_written, 5);
         assert!(rep.checkpoint_bytes > 0);
-        assert!(ckpt.load().unwrap().is_none(), "checkpoint cleaned up");
+        assert!(ckpt.load(&mut FsStore::new()).unwrap().is_none(), "checkpoint cleaned up");
         assert!(
             !std::path::Path::new(&ckpt.journal_file()).exists(),
             "journal removed on success"
@@ -502,7 +483,7 @@ mod tests {
         }
 
         // "New process": reopen the file, resume from the checkpoint.
-        let state = ckpt.load().unwrap().expect("a checkpoint was written");
+        let state = ckpt.load(&mut FsStore::new()).unwrap().expect("a checkpoint was written");
         assert!(state.next_panel > 0, "at least one panel completed pre-crash");
         assert!(state.next_panel < 5, "crash happened before the end");
         let mut fm = FileMatrix::open(&data_path, n, 8).unwrap();
@@ -549,7 +530,7 @@ mod tests {
             let mut fb = FaultyBackend::new(fm, plan);
             sync_checkpointed(&mut fb, 3, &ckpt).unwrap_err();
         }
-        let state = ckpt.load().unwrap().expect("baseline checkpoint exists");
+        let state = ckpt.load(&mut FsStore::new()).unwrap().expect("baseline checkpoint exists");
         assert_eq!(state.next_panel, 0, "no panel completed before the crash");
 
         let mut fm = FileMatrix::open(&data_path, 32, 8).unwrap();
@@ -584,7 +565,7 @@ mod tests {
             let mut fb = FaultyBackend::new(fm, plan);
             sync_checkpointed(&mut fb, 4, &ckpt).unwrap_err();
         }
-        let state = ckpt.load().unwrap().expect("checkpoints up to panel 2");
+        let state = ckpt.load(&mut FsStore::new()).unwrap().expect("checkpoints up to panel 2");
         assert_eq!(state.next_panel, 2, "panel 2's checkpoint never landed");
 
         let mut fm = FileMatrix::open(&data_path, 32, 8).unwrap();
@@ -712,21 +693,21 @@ mod tests {
         let p = scratch_path("ckpt-trunc");
         let fm = FileMatrix::create(&p, &a, 8).unwrap();
         let ckpt = Checkpoint::at(&ckpt_prefix("trunc"));
-        ckpt.save(&fm, 1).unwrap();
-        let state = ckpt.load().unwrap().expect("intact checkpoint loads");
+        ckpt.save(&mut FsStore::new(), &fm, 1).unwrap();
+        let state = ckpt.load(&mut FsStore::new()).unwrap().expect("intact checkpoint loads");
 
         // Lop bytes off the snapshot, as a torn copy or dying disk would.
         let data_path = ckpt.data_file(state.gen);
         let bytes = std::fs::read(&data_path).unwrap();
         std::fs::write(&data_path, &bytes[..bytes.len() / 2]).unwrap();
-        let err = ckpt.load().unwrap_err();
+        let err = ckpt.load(&mut FsStore::new()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("truncated"), "{err}");
         assert!(
             err.to_string().contains("commit-protocol violation"),
             "a committed-but-invalid generation must fail loudly: {err}"
         );
-        ckpt.remove().unwrap();
+        ckpt.remove(&mut FsStore::new()).unwrap();
     }
 
     #[test]
@@ -736,8 +717,8 @@ mod tests {
         let p = scratch_path("ckpt-rot");
         let fm = FileMatrix::create(&p, &a, 8).unwrap();
         let ckpt = Checkpoint::at(&ckpt_prefix("rot"));
-        ckpt.save(&fm, 1).unwrap();
-        let state = ckpt.load().unwrap().expect("intact checkpoint loads");
+        ckpt.save(&mut FsStore::new(), &fm, 1).unwrap();
+        let state = ckpt.load(&mut FsStore::new()).unwrap().expect("intact checkpoint loads");
 
         // Same length, one bit flipped.
         let data_path = ckpt.data_file(state.gen);
@@ -745,9 +726,9 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         std::fs::write(&data_path, &bytes).unwrap();
-        let err = ckpt.load().unwrap_err();
+        let err = ckpt.load(&mut FsStore::new()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        ckpt.remove().unwrap();
+        ckpt.remove(&mut FsStore::new()).unwrap();
     }
 
     #[test]
@@ -757,16 +738,16 @@ mod tests {
         let p = scratch_path("ckpt-badman");
         let fm = FileMatrix::create(&p, &a, 8).unwrap();
         let ckpt = Checkpoint::at(&ckpt_prefix("badman"));
-        ckpt.save(&fm, 2).unwrap();
-        let state = ckpt.load().unwrap().expect("intact checkpoint loads");
+        ckpt.save(&mut FsStore::new(), &fm, 2).unwrap();
+        let state = ckpt.load(&mut FsStore::new()).unwrap().expect("intact checkpoint loads");
 
         // Tamper with the recorded panel: the manifest hash must catch it.
         let man_path = ckpt.manifest_file(state.gen);
         let text = std::fs::read_to_string(&man_path).unwrap();
         std::fs::write(&man_path, text.replace("next_panel=2", "next_panel=4")).unwrap();
-        let err = ckpt.load().unwrap_err();
+        let err = ckpt.load(&mut FsStore::new()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        ckpt.remove().unwrap();
+        ckpt.remove(&mut FsStore::new()).unwrap();
     }
 
     #[test]
@@ -780,8 +761,8 @@ mod tests {
         let p = scratch_path("ckpt-torn");
         let fm = FileMatrix::create(&p, &a, 8).unwrap();
         let ckpt = Checkpoint::at(&ckpt_prefix("torn"));
-        ckpt.save(&fm, 1).unwrap();
-        let gen1 = ckpt.load().unwrap().expect("gen 1 committed").gen;
+        ckpt.save(&mut FsStore::new(), &fm, 1).unwrap();
+        let gen1 = ckpt.load(&mut FsStore::new()).unwrap().expect("gen 1 committed").gen;
 
         let mut store = FsStore::new();
         let intent = format!(
@@ -800,7 +781,7 @@ mod tests {
             .write_file(&format!("{}.data.tmp", ckpt.journal_file()), b"junk")
             .unwrap();
 
-        let state = ckpt.load().unwrap().expect("previous generation intact");
+        let state = ckpt.load(&mut FsStore::new()).unwrap().expect("previous generation intact");
         assert_eq!(state.next_panel, 1);
         assert_eq!(state.gen, gen1);
         assert!(
@@ -811,7 +792,7 @@ mod tests {
             !std::path::Path::new(&format!("{}.data.tmp", ckpt.journal_file())).exists(),
             ".tmp stray swept"
         );
-        ckpt.remove().unwrap();
+        ckpt.remove(&mut FsStore::new()).unwrap();
     }
 
     #[test]
@@ -821,16 +802,16 @@ mod tests {
         let p = scratch_path("ckpt-tornj");
         let fm = FileMatrix::create(&p, &a, 8).unwrap();
         let ckpt = Checkpoint::at(&ckpt_prefix("tornj"));
-        ckpt.save(&fm, 1).unwrap();
+        ckpt.save(&mut FsStore::new(), &fm, 1).unwrap();
 
         // A torn append: half a record, no valid rec_fnv.
         let mut store = FsStore::new();
         store
             .append(&ckpt.journal_file(), b"commit gen=2 rec_fnv=dead")
             .unwrap();
-        let state = ckpt.load().unwrap().expect("valid prefix still loads");
+        let state = ckpt.load(&mut FsStore::new()).unwrap().expect("valid prefix still loads");
         assert_eq!(state.next_panel, 1);
-        ckpt.remove().unwrap();
+        ckpt.remove(&mut FsStore::new()).unwrap();
     }
 
     #[test]
@@ -840,19 +821,19 @@ mod tests {
         let p = scratch_path("ckpt-tornsave");
         let fm = FileMatrix::create(&p, &a, 8).unwrap();
         let ckpt = Checkpoint::at(&ckpt_prefix("tornsave"));
-        ckpt.save(&fm, 1).unwrap();
+        ckpt.save(&mut FsStore::new(), &fm, 1).unwrap();
 
         // A crash tore gen 2's intent: no newline, no rec_fnv.
         let mut store = FsStore::new();
         store.append(&ckpt.journal_file(), b"intent gen=2 next_pa").unwrap();
-        assert_eq!(ckpt.load().unwrap().expect("gen 1 still loads").gen, 1);
+        assert_eq!(ckpt.load(&mut FsStore::new()).unwrap().expect("gen 1 still loads").gen, 1);
 
         // The resumed run commits gen 2 and prunes gen 1; the next load
         // must find gen 2, not a commit it cannot see.
-        ckpt.save(&fm, 2).unwrap();
-        let state = ckpt.load().unwrap().expect("gen 2 committed");
+        ckpt.save(&mut FsStore::new(), &fm, 2).unwrap();
+        let state = ckpt.load(&mut FsStore::new()).unwrap().expect("gen 2 committed");
         assert_eq!((state.gen, state.next_panel), (2, 2));
-        ckpt.remove().unwrap();
+        ckpt.remove(&mut FsStore::new()).unwrap();
     }
 
     #[test]
@@ -862,7 +843,7 @@ mod tests {
         let p = scratch_path("ckpt-orphan");
         let fm = FileMatrix::create(&p, &a, 8).unwrap();
         let ckpt = Checkpoint::at(&ckpt_prefix("orphan"));
-        ckpt.save(&fm, 1).unwrap();
+        ckpt.save(&mut FsStore::new(), &fm, 1).unwrap();
 
         // A (validly hashed) commit for a generation nobody intended:
         // only a protocol bug can produce it, so it must not be quietly
@@ -875,9 +856,9 @@ mod tests {
                 journal_line("commit gen=7").as_bytes(),
             )
             .unwrap();
-        let state = ckpt.load().unwrap().expect("orphan commit is not adopted");
+        let state = ckpt.load(&mut FsStore::new()).unwrap().expect("orphan commit is not adopted");
         assert_eq!(state.gen, 1);
-        ckpt.remove().unwrap();
+        ckpt.remove(&mut FsStore::new()).unwrap();
     }
 
     #[test]
@@ -887,14 +868,14 @@ mod tests {
         let p = scratch_path("ckpt-mismatch");
         let mut fm = FileMatrix::create(&p, &a, 8).unwrap();
         let ckpt = Checkpoint::at(&ckpt_prefix("mismatch"));
-        ckpt.save(&fm, 1).unwrap();
+        ckpt.save(&mut FsStore::new(), &fm, 1).unwrap();
         // Same files, wrong geometry.
         let a2 = spd::random_spd(24, &mut rng);
         let p2 = scratch_path("ckpt-mismatch2");
         let mut fm2 = FileMatrix::create(&p2, &a2, 8).unwrap();
         let err = sync_checkpointed(&mut fm2, 4, &ckpt).unwrap_err();
         assert!(matches!(err, OocError::Io(_)));
-        ckpt.remove().unwrap();
+        ckpt.remove(&mut FsStore::new()).unwrap();
         // The original still factors fine from scratch after cleanup.
         ooc_potrf_with(&mut fm, 4, KernelImpl::Reference).unwrap();
     }

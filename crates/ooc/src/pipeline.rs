@@ -1595,7 +1595,8 @@ mod tests {
             want,
             "crash + resume must not change a single bit"
         );
-        assert!(ckpt.load().unwrap().is_none(), "checkpoint removed after success");
+        let left = ckpt.load(&mut FsStore::new()).unwrap();
+        assert!(left.is_none(), "checkpoint removed after success");
     }
 
     #[test]

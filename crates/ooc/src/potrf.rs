@@ -187,7 +187,7 @@ pub(crate) fn drive<F: Front, St: Store>(
             }
             front.flush_boundary()?;
             ck.report.checkpoint_bytes +=
-                front.with_backend(|be| ck.ckpt.save_in(ck.store, be, k + 1))?;
+                front.with_backend(|be| ck.ckpt.save(ck.store, be, k + 1))?;
             ck.report.checkpoints_written += 1;
             ck.report.panels_done += 1;
         }
@@ -212,7 +212,7 @@ pub(crate) fn drive<F: Front, St: Store>(
         // The factor must be durable in the data file *before* the
         // checkpoint that could rebuild it is deleted.
         front.with_backend(|be| be.barrier())?;
-        ck.ckpt.remove_in(ck.store)?;
+        ck.ckpt.remove(ck.store)?;
     }
     Ok(())
 }
@@ -240,7 +240,7 @@ fn roll_back<F: Front, St: Store>(
     // poisoned panel run, no stale read may be consumed and no stale
     // write-back may land on the freshly restored file.
     front.reset(k);
-    ck.report.checkpoint_bytes += front.with_backend(|be| ck.ckpt.restore_in(ck.store, be))?;
+    ck.report.checkpoint_bytes += front.with_backend(|be| ck.ckpt.restore(ck.store, be))?;
     Ok(())
 }
 

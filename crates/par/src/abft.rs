@@ -43,7 +43,7 @@ use crate::spmd::SpmdError;
 use cholcomm_distsim::threaded::{run_spmd_faulty, DistError, FaultReport, ProcCtx, SpmdOutcome};
 use cholcomm_distsim::CostModel;
 use cholcomm_faults::{FaultPlan, RankKill};
-use cholcomm_matrix::abft::{verify_and_heal, AbftStats, TileChecksum, TileHealth};
+use cholcomm_matrix::abft::{land, AbftStats, Guard, TileHealth};
 use cholcomm_matrix::schedule::TileOp;
 use cholcomm_matrix::{KernelImpl, Matrix};
 use std::collections::HashMap;
@@ -89,18 +89,7 @@ struct Abft<'a> {
     kill: Option<RankKill>,
     plan: &'a FaultPlan,
     store: &'a BlockStore,
-    cks: HashMap<(usize, usize), TileChecksum>,
-    stats: AbftStats,
-}
-
-impl Abft<'_> {
-    /// (Re-)encode the Huang–Abraham checksum of `blk`.
-    fn encode(&mut self, key: (usize, usize), blk: &Matrix<f64>) {
-        let ck = TileChecksum::of(blk);
-        self.stats.checksum_words += ck.words();
-        self.stats.checksum_flops += (blk.rows() * blk.cols()) as u64;
-        self.cks.insert(key, ck);
-    }
+    guard: Guard,
 }
 
 impl Hook for Abft<'_> {
@@ -111,13 +100,13 @@ impl Hook for Abft<'_> {
         keys.sort_unstable();
         // Written before the kill and before any flip lands, so the store
         // always holds clean state.
-        let mut guard = lock(self.store)?;
+        let mut ckpts = lock(self.store)?;
         for key in &keys {
             let blk = &tiles[key];
-            self.stats.checkpoint_words += (blk.rows() * blk.cols()) as u64;
-            guard.insert((key.0, key.1, k), blk.clone());
+            self.guard.checkpoint((blk.rows() * blk.cols()) as u64);
+            ckpts.insert((key.0, key.1, k), blk.clone());
         }
-        drop(guard);
+        drop(ckpts);
 
         // Fail-stop kill (the round's wrapper drops our endpoints).
         if self.kill.is_some_and(|kill| kill.rank == self.me && kill.step == k) {
@@ -126,31 +115,15 @@ impl Hook for Abft<'_> {
 
         for key in keys {
             let blk = tiles.get_mut(&key).ok_or(DistError::Protocol("owned block missing"))?;
-            let mut flips = self.plan.bit_flips_at(k, key);
-            flips.extend(self.plan.random_bit_flip(k, key, blk.rows(), blk.cols()));
-            if flips.is_empty() {
-                continue;
-            }
-            for f in flips {
-                let (i, j) = f.elem;
-                if i < blk.rows() && j < blk.cols() {
-                    blk[(i, j)] = f64::from_bits(blk[(i, j)].to_bits() ^ f.mask);
-                }
-            }
-            self.stats.verifications += 1;
-            self.stats.checksum_flops += (blk.rows() * blk.cols()) as u64;
-            match verify_and_heal(blk, &self.cks[&key]) {
-                TileHealth::Clean => {}
-                TileHealth::Corrected { .. } => self.stats.corrections += 1,
-                TileHealth::Unrecoverable { .. } => {
-                    // Multi-element corruption: recompute-from-checkpoint
-                    // fallback, reading this epoch's (pre-flip) snapshot.
-                    self.stats.unrecoverable += 1;
-                    let snapshot = lock(self.store)?.get(&(key.0, key.1, k)).cloned();
-                    *blk = snapshot.ok_or(DistError::Protocol("missing epoch snapshot"))?;
-                    self.stats.restores += 1;
-                    self.stats.checkpoint_words += (blk.rows() * blk.cols()) as u64;
-                }
+            let flips = self.plan.tile_flips(k, key, blk.rows(), blk.cols());
+            if land(blk, &flips)
+                && matches!(self.guard.verify(key, blk), TileHealth::Unrecoverable { .. })
+            {
+                // Multi-element corruption: recompute-from-checkpoint
+                // fallback, reading this epoch's (pre-flip) snapshot.
+                let snapshot = lock(self.store)?.get(&(key.0, key.1, k)).cloned();
+                *blk = snapshot.ok_or(DistError::Protocol("missing epoch snapshot"))?;
+                self.guard.restored((blk.rows() * blk.cols()) as u64);
             }
         }
         Ok(())
@@ -158,8 +131,7 @@ impl Hook for Abft<'_> {
 
     /// Every tile op is followed by a checksum refresh of its target.
     fn after_op(&mut self, _: usize, op: TileOp, target: &Matrix<f64>) {
-        self.stats.checksum_updates += 1;
-        self.encode(op.target(), target);
+        self.guard.refresh(op.target(), target);
     }
 }
 
@@ -185,7 +157,7 @@ fn run_round(
             // it owns no role and exchanges nothing.
             return Ok((RankOut::default(), AbftStats::new()));
         }
-        let mut hook = Abft { me, kill, plan, store, cks: HashMap::new(), stats: AbftStats::new() };
+        let mut hook = Abft { me, kill, plan, store, guard: Guard::new() };
         let mut load = || -> Result<Tiles, DistError> {
             let mut tiles = Tiles::new();
             for (i, j) in s.owned(phys, me) {
@@ -194,12 +166,11 @@ fn run_round(
                     Some(epoch) => {
                         let blk = lock(store)?.get(&(i, j, epoch)).cloned();
                         let blk = blk.ok_or(DistError::Protocol("missing restart checkpoint"))?;
-                        hook.stats.checkpoint_words += (blk.rows() * blk.cols()) as u64;
+                        hook.guard.checkpoint((blk.rows() * blk.cols()) as u64);
                         blk
                     }
                 };
-                hook.stats.encodes += 1;
-                hook.encode((i, j), &blk);
+                hook.guard.encode((i, j), &blk);
                 tiles.insert((i, j), blk);
             }
             Ok(tiles)
@@ -207,7 +178,7 @@ fn run_round(
         let panels = restart.unwrap_or(0)..s.tiles.nb();
         let kernel = KernelImpl::Reference;
         match load().and_then(|tiles| run_rank(ctx, s, phys, tiles, panels, kernel, &mut hook)) {
-            Ok(out) => Ok((out, hook.stats)),
+            Ok(out) => Ok((out, hook.guard.stats())),
             Err(e) => {
                 // Abort cascade: drop our endpoints so peers blocked on us
                 // observe `RankLost` instead of hanging.

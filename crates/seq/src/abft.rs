@@ -1,9 +1,10 @@
 //! ABFT-protected sequential Cholesky: the right-looking blocked
-//! schedule of [`crate::lapack::potrf_blocked_right_with`], running on a
-//! checksum-augmented matrix ([`AbftMatrix`]) so silent data
-//! corruptions are detected, located, and corrected mid-factorization.
+//! schedule of [`crate::lapack::potrf_blocked_right_with`], running on
+//! the lower tiles of the matrix ([`MemTiles`]) beside a checksum
+//! [`Guard`], so silent data corruptions are detected, located, and
+//! corrected mid-factorization.
 //!
-//! At the start of every panel step (the *epoch*) the matrix is
+//! At the start of every panel step (the *epoch*) the lower tiles are
 //! snapshotted, the fault plan's [`BitFlip`](cholcomm_faults::BitFlip)s
 //! land (checksums deliberately left stale — that is what makes the
 //! corruption *silent*), and every struck tile is verified before any
@@ -19,8 +20,8 @@
 //! overhead factor over the paper's clean counts is measurable.
 
 use cholcomm_faults::FaultPlan;
-use cholcomm_matrix::abft::{AbftMatrix, AbftStats, TileHealth};
-use cholcomm_matrix::schedule::{self, TileGrid, TileStore};
+use cholcomm_matrix::abft::{land, AbftStats, Guard, TileHealth};
+use cholcomm_matrix::schedule::{self, tile_idx, MemTiles, TileStore};
 use cholcomm_matrix::{KernelImpl, Matrix, MatrixError};
 
 /// Outcome of an ABFT-protected sequential factorization.
@@ -47,64 +48,58 @@ pub fn abft_potrf(
     b: usize,
     plan: &FaultPlan,
 ) -> Result<AbftPotrfReport, MatrixError> {
-    let n = a.rows();
-    if !a.is_square() {
-        return Err(MatrixError::NotSquare {
-            rows: n,
-            cols: a.cols(),
-        });
-    }
     let mut store = AbftTiles {
-        am: AbftMatrix::encode(a, b),
+        mem: MemTiles::from_matrix(a, b)?,
+        guard: Guard::new(),
         plan,
         clean_words: 0,
     };
-    let grid = TileGrid::new(n, b);
+    let grid = store.mem.grid;
+    store.each_tile(|guard, key, tile| guard.encode(key, tile));
     schedule::factor(&mut store, grid, 0..grid.nb(), KernelImpl::Reference)?;
-    let AbftTiles {
-        mut am,
-        clean_words,
-        ..
-    } = store;
-    let nb = am.nb();
 
     // --- Final scrub: every output tile re-verified (and a straggler
     // single-element corruption corrected) before the factor leaves the
     // protected encoding.  An unrecoverable tile here is impossible by
     // construction: every flip lands at an epoch start and is healed in
-    // that same epoch, and kernels only write through `update_tile`,
-    // which re-encodes.
-    for bj in 0..nb {
-        for bi in bj..nb {
-            let health = am.verify_tile(bi, bj);
-            assert!(
-                !matches!(health, TileHealth::Unrecoverable { .. }),
-                "scrub found corruption that escaped its injection epoch"
-            );
-        }
-    }
+    // that same epoch, and every kernel write is re-encoded.
+    store.each_tile(|guard, key, tile| {
+        let health = guard.verify(key, tile);
+        assert!(
+            !matches!(health, TileHealth::Unrecoverable { .. }),
+            "scrub found corruption that escaped its injection epoch"
+        );
+    });
 
-    let abft = am.stats();
-    let mut factor = am.into_matrix();
-    for j in 0..n {
-        for i in 0..j {
-            factor[(i, j)] = 0.0;
-        }
-    }
+    let mut factor = Matrix::zeros(a.rows(), a.rows());
+    store.mem.write_back(&mut factor);
     Ok(AbftPotrfReport {
         factor,
-        abft,
-        clean_words,
+        abft: store.guard.stats(),
+        clean_words: store.clean_words,
     })
 }
 
-/// The checksum-carrying matrix as a tile store.  Gets and puts are the
-/// clean schedule's word traffic; the resilience work happens at each
-/// panel's start, before any kernel reads the data.
+/// The lower tiles and their checksum guard as a tile store.  Gets and
+/// puts are the clean schedule's word traffic; the resilience work
+/// happens at each panel's start, before any kernel reads the data.
 struct AbftTiles<'a> {
-    am: AbftMatrix,
+    mem: MemTiles<f64>,
+    guard: Guard,
     plan: &'a FaultPlan,
     clean_words: u64,
+}
+
+impl AbftTiles<'_> {
+    /// Visit every lower tile with the guard.
+    fn each_tile(&mut self, mut f: impl FnMut(&mut Guard, (usize, usize), &mut Matrix<f64>)) {
+        for bi in 0..self.mem.grid.nb() {
+            for bj in 0..=bi {
+                let tile = &mut self.mem.tiles[tile_idx(bi, bj)];
+                f(&mut self.guard, (bi, bj), tile);
+            }
+        }
+    }
 }
 
 impl TileStore for AbftTiles<'_> {
@@ -112,64 +107,37 @@ impl TileStore for AbftTiles<'_> {
     type Error = MatrixError;
 
     fn begin_panel(&mut self, k: usize) {
-        let am = &mut self.am;
-        let nb = am.nb();
         // --- Epoch snapshot: the recompute-from-checkpoint fallback for
-        // corruptions too wide for the checksums.  Charged as checkpoint
+        // corruptions too wide for the checksums, charged as checkpoint
         // traffic (one word per live lower-triangle element).
-        let snapshot = am.clone();
-        let mut epoch_words = 0u64;
-        for bj in 0..nb {
-            for bi in bj..nb {
-                let (h, w) = am.tile_dims(bi, bj);
-                epoch_words += (h * w) as u64;
+        let snapshot = self.mem.tiles.clone();
+        let words = snapshot.iter().map(|t| (t.rows() * t.cols()) as u64).sum();
+        self.guard.checkpoint(words);
+
+        // --- Silent corruption lands now, checksums left stale, and is
+        // detected / located / corrected before any kernel reads it.
+        let plan = self.plan;
+        self.each_tile(|guard, key, tile| {
+            let flips = plan.tile_flips(k, key, tile.rows(), tile.cols());
+            if land(tile, &flips)
+                && matches!(guard.verify(key, tile), TileHealth::Unrecoverable { .. })
+            {
+                *tile = snapshot[tile_idx(key.0, key.1)].clone();
+                guard.restored((tile.rows() * tile.cols()) as u64);
             }
-        }
-        am.add_stats(&AbftStats {
-            checkpoint_words: epoch_words,
-            ..AbftStats::new()
         });
-
-        // --- Silent corruption lands now, checksums left stale.
-        let mut struck: Vec<(usize, usize)> = Vec::new();
-        for bj in 0..nb {
-            for bi in bj..nb {
-                let (h, w) = am.tile_dims(bi, bj);
-                let mut any = false;
-                for f in self.plan.bit_flips_at(k, (bi, bj)) {
-                    if f.elem.0 < h && f.elem.1 < w {
-                        am.flip_bits(bi, bj, f.elem, f.mask);
-                        any = true;
-                    }
-                }
-                if let Some(f) = self.plan.random_bit_flip(k, (bi, bj), h, w) {
-                    am.flip_bits(bi, bj, f.elem, f.mask);
-                    any = true;
-                }
-                if any {
-                    struck.push((bi, bj));
-                }
-            }
-        }
-
-        // --- Detect / locate / correct before any kernel reads the data.
-        for (bi, bj) in struck {
-            if let TileHealth::Unrecoverable { .. } = am.verify_tile(bi, bj) {
-                am.restore_tile_from(&snapshot, bi, bj);
-            }
-        }
     }
 
     fn get(&mut self, i: usize, j: usize) -> Result<Matrix<f64>, MatrixError> {
-        let tile = self.am.tile(i, j);
+        let tile = self.mem.get(i, j)?;
         self.clean_words += (tile.rows() * tile.cols()) as u64;
         Ok(tile)
     }
 
     fn put(&mut self, i: usize, j: usize, tile: Matrix<f64>) -> Result<(), MatrixError> {
         self.clean_words += (tile.rows() * tile.cols()) as u64;
-        self.am.update_tile(i, j, &tile);
-        Ok(())
+        self.guard.refresh((i, j), &tile);
+        self.mem.put(i, j, tile)
     }
 }
 

@@ -17,22 +17,14 @@ use cholcomm_matrix::{KernelImpl, Matrix, MatrixError, Scalar};
 /// Default recursion base-case edge.
 pub const DEFAULT_LEAF: usize = 4;
 
-/// Algorithm 6: `L = SquareRChol(A)` in place on the lower triangle.
-pub fn square_rchol<S: Scalar, L: Layout, T: Tracer>(
-    a: &mut Laid<S, L>,
-    tracer: &mut T,
-    leaf: usize,
-) -> Result<(), MatrixError> {
-    square_rchol_with(a, tracer, leaf, KernelImpl::Reference)
-}
-
-/// Algorithm 6 with an explicit kernel engine.  Base cases gather their
-/// index region into a dense tile, run the engine's kernel, and scatter
-/// back — the `touch` charges bracketing each base case are unchanged,
-/// so words/messages are identical under every engine.  The arithmetic
+/// Algorithm 6: `L = SquareRChol(A)` in place on the lower triangle, on
+/// kernel engine `kernel`.  Base cases gather their index region into a
+/// dense tile, run the engine's kernel, and scatter back — the `touch`
+/// charges bracketing each base case are unchanged, so words/messages
+/// are identical under every engine.  The arithmetic
 /// is bit-identical under `FastStrict` and agrees to an FMA-contraction
 /// residual under `Fast` (see `cholcomm_matrix::kernels_fast`).
-pub fn square_rchol_with<S: Scalar, L: Layout, T: Tracer>(
+pub fn square_rchol<S: Scalar, L: Layout, T: Tracer>(
     a: &mut Laid<S, L>,
     tracer: &mut T,
     leaf: usize,
@@ -68,9 +60,9 @@ fn rchol_rec<S: Scalar, L: Layout, T: Tracer>(
     // L11 = SquareRChol(A11)
     rchol_rec(a, tracer, o, n1, leaf, kernel)?;
     // L21 = RTRSM(A21, L11^T)
-    rtrsm_rec_with(a, tracer, (o + n1, o), n2, n1, (o, o), leaf, kernel);
+    rtrsm_rec(a, tracer, (o + n1, o), n2, n1, (o, o), leaf, kernel);
     // A22 = A22 - L21 * L21^T  (recursive SYRK)
-    syrk_rec_with(a, tracer, (o + n1, o + n1), (o + n1, o), n2, n1, leaf, kernel);
+    syrk_rec(a, tracer, (o + n1, o + n1), (o + n1, o), n2, n1, leaf, kernel);
     // L22 = SquareRChol(A22)
     rchol_rec(a, tracer, o + n1, n2, leaf, kernel)
 }
@@ -139,22 +131,10 @@ fn leaf_potf2<S: Scalar, L: Layout, T: Tracer>(
 /// `X * L^T = X` for the `m x n` region at `x0`, with `L` the lower
 /// triangular `n x n` block at `l0` of the same storage.  Tall systems
 /// split their rows; wide ones split `L` (the two-by-two recursion of the
-/// paper with `A11/A21` handled by the row split).
-pub fn rtrsm_rec<S: Scalar, L: Layout, T: Tracer>(
-    a: &mut Laid<S, L>,
-    tracer: &mut T,
-    x0: (usize, usize),
-    m: usize,
-    n: usize,
-    l0: (usize, usize),
-    leaf: usize,
-) {
-    rtrsm_rec_with(a, tracer, x0, m, n, l0, leaf, KernelImpl::Reference)
-}
-
-/// [`rtrsm_rec`] with an explicit kernel engine (same touches, same bits).
+/// paper with `A11/A21` handled by the row split).  Every kernel engine
+/// makes the same touches and the same bits.
 #[allow(clippy::too_many_arguments)]
-pub fn rtrsm_rec_with<S: Scalar, L: Layout, T: Tracer>(
+pub fn rtrsm_rec<S: Scalar, L: Layout, T: Tracer>(
     a: &mut Laid<S, L>,
     tracer: &mut T,
     x0: (usize, usize),
@@ -209,17 +189,17 @@ pub fn rtrsm_rec_with<S: Scalar, L: Layout, T: Tracer>(
     if m > n || n <= leaf {
         // Row split (the X21/X22 half of Algorithm 8).
         let m1 = m / 2;
-        rtrsm_rec_with(a, tracer, x0, m1, n, l0, leaf, kernel);
-        rtrsm_rec_with(a, tracer, (x0.0 + m1, x0.1), m - m1, n, l0, leaf, kernel);
+        rtrsm_rec(a, tracer, x0, m1, n, l0, leaf, kernel);
+        rtrsm_rec(a, tracer, (x0.0 + m1, x0.1), m - m1, n, l0, leaf, kernel);
     } else {
         // Column split: X = [X1 X2], U = L^T upper triangular.
         // X1 = RTRSM(A1, U11); X2 = RTRSM(A2 - X1 * U12, U22),
         // where U12 = L21^T.
         let n1 = n / 2;
         let n2 = n - n1;
-        rtrsm_rec_with(a, tracer, x0, m, n1, l0, leaf, kernel);
+        rtrsm_rec(a, tracer, x0, m, n1, l0, leaf, kernel);
         // X2 -= X1 * L21^T : C(i,j) -= sum_k X1(i,k) * L21(j,k)
-        gemm_nt_rec_with(
+        gemm_nt_rec(
             a,
             tracer,
             (x0.0, x0.1 + n1),
@@ -232,7 +212,7 @@ pub fn rtrsm_rec_with<S: Scalar, L: Layout, T: Tracer>(
             leaf,
             kernel,
         );
-        rtrsm_rec_with(
+        rtrsm_rec(
             a,
             tracer,
             (x0.0, x0.1 + n1),
@@ -248,21 +228,8 @@ pub fn rtrsm_rec_with<S: Scalar, L: Layout, T: Tracer>(
 /// Recursive symmetric update `C -= A * A^T` on the `n x n` diagonal
 /// region at `c0`, with `A` the `n x k` region at `a0` (only the lower
 /// triangle of `C` is referenced or written).
-pub fn syrk_rec<S: Scalar, L: Layout, T: Tracer>(
-    a: &mut Laid<S, L>,
-    tracer: &mut T,
-    c0: (usize, usize),
-    a0: (usize, usize),
-    n: usize,
-    k: usize,
-    leaf: usize,
-) {
-    syrk_rec_with(a, tracer, c0, a0, n, k, leaf, KernelImpl::Reference)
-}
-
-/// [`syrk_rec`] with an explicit kernel engine.
 #[allow(clippy::too_many_arguments)]
-pub fn syrk_rec_with<S: Scalar, L: Layout, T: Tracer>(
+pub fn syrk_rec<S: Scalar, L: Layout, T: Tracer>(
     a: &mut Laid<S, L>,
     tracer: &mut T,
     c0: (usize, usize),
@@ -272,7 +239,7 @@ pub fn syrk_rec_with<S: Scalar, L: Layout, T: Tracer>(
     leaf: usize,
     kernel: KernelImpl,
 ) {
-    gemm_nt_rec_with(a, tracer, c0, a0, a0, n, n, k, true, leaf, kernel);
+    gemm_nt_rec(a, tracer, c0, a0, a0, n, n, k, true, leaf, kernel);
 }
 
 /// In-place recursive `C -= A * B^T` over regions of one storage:
@@ -284,28 +251,12 @@ pub fn syrk_rec_with<S: Scalar, L: Layout, T: Tracer>(
 /// The operand regions must not overlap the `C` region (true for every
 /// use inside the factorization: panels are disjoint from trailing
 /// blocks).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_rec<S: Scalar, L: Layout, T: Tracer>(
-    a: &mut Laid<S, L>,
-    tracer: &mut T,
-    c0: (usize, usize),
-    a0: (usize, usize),
-    b0: (usize, usize),
-    m: usize,
-    n: usize,
-    k: usize,
-    lower_only: bool,
-    leaf: usize,
-) {
-    gemm_nt_rec_with(a, tracer, c0, a0, b0, m, n, k, lower_only, leaf, KernelImpl::Reference)
-}
-
-/// [`gemm_nt_rec`] with an explicit kernel engine.  Base cases with no
-/// diagonal straddle gather into dense tiles and run the engine's
-/// `gemm_nt`; straddling (masked) leaves keep the element loop, whose
+///
+/// Base cases with no diagonal straddle gather into dense tiles and run
+/// the engine's `gemm_nt`; straddling (masked) leaves keep the element loop, whose
 /// cells may not even all exist in packed layouts.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_rec_with<S: Scalar, L: Layout, T: Tracer>(
+pub fn gemm_nt_rec<S: Scalar, L: Layout, T: Tracer>(
     a: &mut Laid<S, L>,
     tracer: &mut T,
     c0: (usize, usize),
@@ -369,8 +320,8 @@ pub fn gemm_nt_rec_with<S: Scalar, L: Layout, T: Tracer>(
     }
     if m >= n && m >= k {
         let m1 = m / 2;
-        gemm_nt_rec_with(a, tracer, c0, a0, b0, m1, n, k, lower_only, leaf, kernel);
-        gemm_nt_rec_with(
+        gemm_nt_rec(a, tracer, c0, a0, b0, m1, n, k, lower_only, leaf, kernel);
+        gemm_nt_rec(
             a,
             tracer,
             (c0.0 + m1, c0.1),
@@ -385,8 +336,8 @@ pub fn gemm_nt_rec_with<S: Scalar, L: Layout, T: Tracer>(
         );
     } else if k >= n {
         let k1 = k / 2;
-        gemm_nt_rec_with(a, tracer, c0, a0, b0, m, n, k1, lower_only, leaf, kernel);
-        gemm_nt_rec_with(
+        gemm_nt_rec(a, tracer, c0, a0, b0, m, n, k1, lower_only, leaf, kernel);
+        gemm_nt_rec(
             a,
             tracer,
             c0,
@@ -401,8 +352,8 @@ pub fn gemm_nt_rec_with<S: Scalar, L: Layout, T: Tracer>(
         );
     } else {
         let n1 = n / 2;
-        gemm_nt_rec_with(a, tracer, c0, a0, b0, m, n1, k, lower_only, leaf, kernel);
-        gemm_nt_rec_with(
+        gemm_nt_rec(a, tracer, c0, a0, b0, m, n1, k, lower_only, leaf, kernel);
+        gemm_nt_rec(
             a,
             tracer,
             (c0.0, c0.1 + n1),
@@ -438,7 +389,7 @@ mod tests {
         macro_rules! check {
             ($layout:expr) => {{
                 let mut laid = Laid::from_matrix(&a, $layout);
-                square_rchol(&mut laid, &mut NullTracer, 4).unwrap();
+                square_rchol(&mut laid, &mut NullTracer, 4, KernelImpl::Reference).unwrap();
                 let got = laid.to_matrix();
                 for j in 0..n {
                     for i in j..n {
@@ -464,7 +415,7 @@ mod tests {
         let a = spd::random_spd(n, &mut rng);
         for leaf in [1usize, 2, 3, 4, 8, 32] {
             let mut laid = Laid::from_matrix(&a, ColMajor::square(n));
-            square_rchol(&mut laid, &mut NullTracer, leaf).unwrap();
+            square_rchol(&mut laid, &mut NullTracer, leaf, KernelImpl::Reference).unwrap();
             let r = norms::cholesky_residual(&a, &laid.to_matrix());
             assert!(r < norms::residual_tolerance(n), "leaf {leaf}: {r}");
         }
@@ -480,7 +431,7 @@ mod tests {
         for m in [48usize, 192, 768] {
             let mut laid = Laid::from_matrix(&a, Morton::square(n));
             let mut tr = LruTracer::new(m);
-            square_rchol(&mut laid, &mut tr, 4).unwrap();
+            square_rchol(&mut laid, &mut tr, 4, KernelImpl::Reference).unwrap();
             tr.flush();
             words.push(tr.stats().words as f64);
         }
@@ -500,12 +451,12 @@ mod tests {
 
         let mut mo = Laid::from_matrix(&a, Morton::square(n));
         let mut tr_mo = LruTracer::new(m);
-        square_rchol(&mut mo, &mut tr_mo, 4).unwrap();
+        square_rchol(&mut mo, &mut tr_mo, 4, KernelImpl::Reference).unwrap();
         tr_mo.flush();
 
         let mut cm = Laid::from_matrix(&a, ColMajor::square(n));
         let mut tr_cm = LruTracer::new(m);
-        square_rchol(&mut cm, &mut tr_cm, 4).unwrap();
+        square_rchol(&mut cm, &mut tr_cm, 4, KernelImpl::Reference).unwrap();
         tr_cm.flush();
 
         let (mo_s, cm_s) = (tr_mo.stats(), tr_cm.stats());
@@ -539,7 +490,7 @@ mod tests {
         full.set_submatrix(0, 0, &l11);
         full.set_submatrix(4, 0, &b);
         let mut laid = Laid::from_matrix(&full, ColMajor::square(8));
-        rtrsm_rec(&mut laid, &mut NullTracer, (4, 0), 4, 4, (0, 0), 2);
+        rtrsm_rec(&mut laid, &mut NullTracer, (4, 0), 4, 4, (0, 0), 2, KernelImpl::Reference);
         let got = laid.to_matrix();
         for i in 0..4 {
             for j in 0..4 {
@@ -557,10 +508,10 @@ mod tests {
         let a = spd::random_spd(n, &mut rng);
         let mut l1 = Laid::from_matrix(&a, Morton::square(n));
         let mut t1 = LruTracer::new(32);
-        square_rchol(&mut l1, &mut t1, 4).unwrap();
+        square_rchol(&mut l1, &mut t1, 4, KernelImpl::Reference).unwrap();
         let mut l2 = Laid::from_matrix(&a, Morton::square(n));
         let mut t2 = LruTracer::new(4096);
-        square_rchol(&mut l2, &mut t2, 4).unwrap();
+        square_rchol(&mut l2, &mut t2, 4, KernelImpl::Reference).unwrap();
         assert_eq!(l1.to_matrix(), l2.to_matrix(), "result independent of M");
         assert!(t1.stats().words > t2.stats().words, "traffic depends on M");
     }
@@ -582,7 +533,7 @@ pub fn cache_aware_rchol<S: Scalar, L: Layout, T: Tracer>(
     m: usize,
 ) -> Result<(), MatrixError> {
     let leaf = (((m / 3) as f64).sqrt() as usize).max(1);
-    square_rchol(a, tracer, leaf)
+    square_rchol(a, tracer, leaf, KernelImpl::Reference)
 }
 
 #[cfg(test)]
@@ -609,7 +560,7 @@ mod tuned_tests {
 
         let mut t2 = LruTracer::new(m);
         let mut l2 = Laid::from_matrix(&a, Morton::square(n));
-        square_rchol(&mut l2, &mut t2, 4).unwrap();
+        square_rchol(&mut l2, &mut t2, 4, KernelImpl::Reference).unwrap();
         t2.flush();
 
         // Same asymptotic bandwidth: within 2x of each other.

@@ -18,23 +18,13 @@ pub const DEFAULT_LEAF: usize = 4;
 
 /// `C += A * B` recursively: `A` is `m x k`, `B` is `k x r`, `C` is
 /// `m x r`.  All three may live in different layouts.
-pub fn recursive_matmul<S: Scalar, LA: Layout, LB: Layout, LC: Layout, T: Tracer>(
-    c: &mut Laid<S, LC>,
-    a: &Laid<S, LA>,
-    b: &Laid<S, LB>,
-    tracer: &mut T,
-    leaf: usize,
-) {
-    recursive_matmul_with(c, a, b, tracer, leaf, KernelImpl::Reference)
-}
-
-/// [`recursive_matmul`] with an explicit kernel engine: base cases
-/// gather the three operand blocks into dense tiles and run the engine's
-/// `gemm_nn`.  The `touch_at` charges are identical under every engine,
+///
+/// Base cases gather the three operand blocks into dense tiles and run
+/// the engine's `gemm_nn`.  The `touch_at` charges are identical under every engine,
 /// so the counts are invariant under the switch; the bits are too under
 /// `FastStrict` (same order, same rounding), while `Fast` agrees to an
 /// FMA-contraction residual.
-pub fn recursive_matmul_with<S: Scalar, LA: Layout, LB: Layout, LC: Layout, T: Tracer>(
+pub fn recursive_matmul<S: Scalar, LA: Layout, LB: Layout, LC: Layout, T: Tracer>(
     c: &mut Laid<S, LC>,
     a: &Laid<S, LA>,
     b: &Laid<S, LB>,
@@ -188,7 +178,7 @@ mod tests {
             let mut c = Laid::from_matrix(&Matrix::zeros(m, r), ColMajor::new(m, r));
             let la = Laid::from_matrix(&a, ColMajor::new(m, k));
             let lb = Laid::from_matrix(&b, ColMajor::new(k, r));
-            recursive_matmul(&mut c, &la, &lb, &mut NullTracer, 4);
+            recursive_matmul(&mut c, &la, &lb, &mut NullTracer, 4, KernelImpl::Reference);
             let want = kernels::matmul(&a, &b);
             assert!(norms::max_abs_diff(&c.to_matrix(), &want) < 1e-12, "{m}x{k}x{r}");
         }
@@ -202,7 +192,7 @@ mod tests {
         let mut c = Laid::from_matrix(&init, ColMajor::square(4));
         let la = Laid::from_matrix(&a, ColMajor::square(4));
         let lb = Laid::from_matrix(&b, ColMajor::square(4));
-        recursive_matmul(&mut c, &la, &lb, &mut NullTracer, 2);
+        recursive_matmul(&mut c, &la, &lb, &mut NullTracer, 2, KernelImpl::Reference);
         let mut want = init.clone();
         kernels::gemm_nn(&mut want, 1.0, &a, &b);
         assert!(norms::max_abs_diff(&c.to_matrix(), &want) < 1e-12);
@@ -221,7 +211,7 @@ mod tests {
             let lb = Laid::from_matrix(&b, Morton::square(n));
             let mut c = Laid::from_matrix(&Matrix::zeros(n, n), Morton::square(n));
             let mut tr = LruTracer::new(m);
-            recursive_matmul(&mut c, &la, &lb, &mut tr, 4);
+            recursive_matmul(&mut c, &la, &lb, &mut tr, 4, KernelImpl::Reference);
             tr.flush();
             words.push(tr.stats().words as f64);
         }
@@ -240,7 +230,7 @@ mod tests {
         let lb = Laid::from_matrix(&b, Morton::square(n));
         let mut c = Laid::from_matrix(&Matrix::zeros(n, n), Morton::square(n));
         let mut tr = LruTracer::new(4096);
-        recursive_matmul(&mut c, &la, &lb, &mut tr, 4);
+        recursive_matmul(&mut c, &la, &lb, &mut tr, 4, KernelImpl::Reference);
         tr.flush();
         // Case IV of Theorem 3: Theta(mn + nr + mr) — here 3 n^2 reads
         // plus the n^2 write-back.

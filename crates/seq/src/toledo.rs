@@ -13,7 +13,7 @@ use crate::ap00::gemm_nt_rec;
 use crate::naive::check_pivot;
 use cholcomm_cachesim::{touch, Access, Tracer};
 use cholcomm_layout::{cells_col_segment, Laid, Layout};
-use cholcomm_matrix::{MatrixError, Scalar};
+use cholcomm_matrix::{KernelImpl, MatrixError, Scalar};
 
 /// Algorithm 5 on the full `n x n` matrix (the `m x n` panel recursion
 /// starts with `m = n`).  `gemm_leaf` sets the base-case size of the inner
@@ -76,6 +76,7 @@ fn panel_rec<S: Scalar, L: Layout, T: Tracer>(
         w1,
         true,
         gemm_leaf,
+        KernelImpl::Reference,
     );
     // [L22; L32] = RectangularRChol(right half)
     panel_rec(a, tracer, mid, w - w1, n, gemm_leaf)
@@ -153,7 +154,7 @@ mod tests {
 
         let mut t2 = LruTracer::new(m);
         let mut laid2 = Laid::from_matrix(&a, Morton::square(n));
-        crate::ap00::square_rchol(&mut laid2, &mut t2, 4).unwrap();
+        crate::ap00::square_rchol(&mut laid2, &mut t2, 4, KernelImpl::Reference).unwrap();
         t2.flush();
 
         assert!(
@@ -180,7 +181,7 @@ mod tests {
 
         let mut t2 = LruTracer::new(m);
         let mut laid2 = Laid::from_matrix(&a, ColMajor::square(n));
-        crate::ap00::square_rchol(&mut laid2, &mut t2, 4).unwrap();
+        crate::ap00::square_rchol(&mut laid2, &mut t2, 4, KernelImpl::Reference).unwrap();
         t2.flush();
 
         let ratio = t1.stats().words as f64 / t2.stats().words as f64;

@@ -285,7 +285,9 @@ pub fn run_alg<S: Scalar, L: Layout, T: Tracer>(
         Algorithm::Toledo { gemm_leaf } => {
             toledo::rectangular_rchol(&mut laid, tracer, gemm_leaf)?
         }
-        Algorithm::Ap00 { leaf } => ap00::square_rchol(&mut laid, tracer, leaf)?,
+        Algorithm::Ap00 { leaf } => {
+            ap00::square_rchol(&mut laid, tracer, leaf, KernelImpl::Reference)?
+        }
     }
     Ok(laid.to_matrix())
 }

@@ -20,7 +20,7 @@
 //! always land on the same shard), so it needs no locking and its state
 //! evolves deterministically with the shard's request sequence.
 
-use cholcomm_matrix::{lower_digest, verify_and_heal, Matrix, TileChecksum, TileHealth};
+use cholcomm_matrix::{lower_digest, strike, Matrix, TileChecksum, TileHealth};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
@@ -153,20 +153,7 @@ impl FactorCache {
             self.stats.misses += 1;
             return CacheRead::Miss;
         };
-        let mut struck = false;
-        for &((i, j), mask) in flips {
-            if i < entry.factor.rows() && j < entry.factor.cols() && mask != 0 {
-                let bits = entry.factor[(i, j)].to_bits() ^ mask;
-                entry.factor[(i, j)] = f64::from_bits(bits);
-                struck = true;
-            }
-        }
-        let health = if struck {
-            verify_and_heal(&mut entry.factor, &entry.checksum)
-        } else {
-            TileHealth::Clean
-        };
-        match health {
+        match strike(&mut entry.factor, &entry.checksum, flips) {
             TileHealth::Clean => {
                 self.touch(key);
                 self.stats.hits += 1;

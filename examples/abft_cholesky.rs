@@ -158,6 +158,6 @@ fn main() {
 
     std::fs::remove_file(&ref_path).ok();
     std::fs::remove_file(&data_path).ok();
-    ckpt.remove().ok();
+    ckpt.remove(&mut FsStore::new()).ok();
     println!("\nall three substrates absorbed the faults and reproduced their clean bits");
 }

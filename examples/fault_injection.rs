@@ -110,6 +110,6 @@ fn main() {
     println!("||A - LL^T|| / ||A|| residual: {r:e}");
 
     std::fs::remove_file(&data_path).ok();
-    ckpt.remove().ok();
+    ckpt.remove(&mut FsStore::new()).ok();
     println!("\nboth substrates recovered to the exact bits of their clean references");
 }

@@ -9,7 +9,7 @@
 use cholcomm::cachesim::LruTracer;
 use cholcomm::layout::{Laid, Morton};
 use cholcomm::matrix::{norms, spd, tri, KernelImpl, Matrix, MatrixError};
-use cholcomm::seq::ap00::square_rchol_with;
+use cholcomm::seq::ap00::square_rchol;
 
 /// Factor `a` with the square recursive algorithm.  A non-SPD input is
 /// reported structurally — `NotSpd { pivot, value }` names the failing
@@ -28,7 +28,7 @@ fn factor_with_shift(a: &Matrix<f64>, tracer: &mut LruTracer, leaf: usize) -> (M
         let mut laid = Laid::from_matrix(&work, Morton::square(n));
         // CHOLCOMM_KERNELS=fast / fast-strict selects the packed kernel
         // engine; the counted communication is identical either way.
-        match square_rchol_with(&mut laid, tracer, leaf, KernelImpl::from_env()) {
+        match square_rchol(&mut laid, tracer, leaf, KernelImpl::from_env()) {
             Ok(()) => return (laid.to_matrix(), shift),
             Err(MatrixError::NotSpd { pivot, value }) => {
                 // The shift must exceed -value to clear this pivot;

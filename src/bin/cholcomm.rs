@@ -13,11 +13,12 @@
 
 use cholcomm::cachesim::LruTracer;
 use cholcomm::layout::{Laid, Morton};
-use cholcomm::matrix::{norms, spd};
+use cholcomm::matrix::{norms, spd, KernelImpl};
 use cholcomm::multilevel::{render_multilevel, run_multilevel};
 use cholcomm::seq::zoo::{run_algorithm, Algorithm, LayoutKind, ModelKind};
 use cholcomm::table1::{render_table1, table1_at};
 use cholcomm::stability::{render_stability, run_stability};
+use cholcomm::sweep::TraceCache;
 use cholcomm::table2::{render_table2, run_table2};
 use cholcomm::theorem1::{render_reduction, run_reduction};
 use cholcomm::verify::run_all;
@@ -53,7 +54,7 @@ fn main() {
         "table1" => {
             let n = arg_usize(&args, 1, 128);
             let m = arg_usize(&args, 2, 768);
-            let (cfg, rows) = table1_at(n, m, 1);
+            let (cfg, rows) = table1_at(n, m, 1, &TraceCache::new());
             println!("{}", render_table1(cfg, &rows));
         }
         "table2" => {
@@ -125,7 +126,7 @@ fn main() {
             let t1 = std::time::Instant::now();
             let mut laid = Laid::from_matrix(&a, Morton::square(n));
             let mut null = cholcomm::cachesim::NullTracer;
-            seq::ap00::square_rchol(&mut laid, &mut null, 16).unwrap();
+            seq::ap00::square_rchol(&mut laid, &mut null, 16, KernelImpl::Reference).unwrap();
             println!("untraced AP00 wall-clock {:?}", t1.elapsed());
             let _ = LruTracer::new(64); // keep the tracer types in the CLI's public surface
         }

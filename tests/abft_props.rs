@@ -196,6 +196,6 @@ proptest! {
         let s = ab.abft_stats();
         // Rollbacks happen exactly when a read saw an unhealable tile.
         prop_assert_eq!(rep.restores > 0, s.unrecoverable > 0);
-        ckpt.remove().ok();
+        ckpt.remove(&mut FsStore::new()).ok();
     }
 }

@@ -238,8 +238,8 @@ fn committed_checkpoint(tag: &str) -> (Checkpoint, u64) {
     let a = spd::random_spd(16, &mut rng);
     let fm = FileMatrix::create(&scratch_path(tag), &a, 4).expect("matrix file");
     let ckpt = Checkpoint::at(&scratch_path(&format!("{tag}-ckpt")));
-    ckpt.save(&fm, 2).expect("save");
-    let gen = ckpt.load().expect("loads").expect("present").gen;
+    ckpt.save(&mut FsStore::new(), &fm, 2).expect("save");
+    let gen = ckpt.load(&mut FsStore::new()).expect("loads").expect("present").gen;
     (ckpt, gen)
 }
 
@@ -251,7 +251,7 @@ fn every_manifest_byte_prefix_truncation_is_rejected() {
     for cut in 0..full.len() {
         std::fs::write(&manifest_path, &full[..cut]).expect("write truncation");
         let err = ckpt
-            .load()
+            .load(&mut FsStore::new())
             .expect_err(&format!("{cut}-byte manifest prefix must be rejected"));
         assert_eq!(
             err.kind(),
@@ -264,8 +264,8 @@ fn every_manifest_byte_prefix_truncation_is_rejected() {
         );
     }
     std::fs::write(&manifest_path, &full).expect("restore");
-    assert!(ckpt.load().expect("intact again").is_some());
-    ckpt.remove().expect("cleanup");
+    assert!(ckpt.load(&mut FsStore::new()).expect("intact again").is_some());
+    ckpt.remove(&mut FsStore::new()).expect("cleanup");
 }
 
 #[test]
@@ -279,18 +279,18 @@ fn mixed_generation_data_and_manifest_pairs_are_rejected() {
     let mut rng = spd::test_rng(511);
     let a = spd::random_spd(16, &mut rng);
     let fm = FileMatrix::create(&scratch_path("cc-mixgen-m2"), &a, 4).expect("matrix file");
-    ckpt.save(&fm, 3).expect("save gen 2");
-    let gen2 = ckpt.load().expect("loads").expect("present").gen;
+    ckpt.save(&mut FsStore::new(), &fm, 3).expect("save gen 2");
+    let gen2 = ckpt.load(&mut FsStore::new()).expect("loads").expect("present").gen;
     assert_eq!(gen2, gen1 + 1);
     std::fs::write(ckpt.manifest_file(gen2), &gen1_manifest).expect("transplant");
 
-    let err = ckpt.load().expect_err("mixed generations must be rejected");
+    let err = ckpt.load(&mut FsStore::new()).expect_err("mixed generations must be rejected");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(
         err.to_string().contains("mixed-generation"),
         "the error names the failure mode: {err}"
     );
-    ckpt.remove().expect("cleanup");
+    ckpt.remove(&mut FsStore::new()).expect("cleanup");
 }
 
 #[test]
@@ -315,13 +315,13 @@ fn manifest_with_valid_hash_but_mismatched_geometry_is_rejected() {
         .write_file(&ckpt.manifest_file(gen), body.as_bytes())
         .expect("plant manifest");
 
-    let err = ckpt.load().expect_err("geometry mismatch must be rejected");
+    let err = ckpt.load(&mut FsStore::new()).expect_err("geometry mismatch must be rejected");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(
         err.to_string().contains("geometry"),
         "the error names the failure mode: {err}"
     );
-    ckpt.remove().expect("cleanup");
+    ckpt.remove(&mut FsStore::new()).expect("cleanup");
 }
 
 #[test]
@@ -342,7 +342,7 @@ fn every_journal_byte_prefix_leaves_a_recoverable_checkpoint() {
         std::fs::write(ckpt.data_file(gen), &data).expect("restore data");
         std::fs::write(ckpt.manifest_file(gen), &manifest).expect("restore manifest");
         let state = ckpt
-            .load()
+            .load(&mut FsStore::new())
             .unwrap_or_else(|e| panic!("journal prefix of {cut} bytes must not error: {e}"));
         match state {
             None => {} // commit record torn away: legitimate fresh start
@@ -353,5 +353,5 @@ fn every_journal_byte_prefix_leaves_a_recoverable_checkpoint() {
             ),
         }
     }
-    ckpt.remove().expect("cleanup");
+    ckpt.remove(&mut FsStore::new()).expect("cleanup");
 }

@@ -28,7 +28,7 @@ fn solve_spd_system_through_the_recursive_factor() {
     // Factor in the packed recursive format (half the memory), solve
     // through the densified factor.
     let mut laid = Laid::from_matrix(&a, RecursivePacked::new(n));
-    square_rchol(&mut laid, &mut NullTracer, 4).unwrap();
+    square_rchol(&mut laid, &mut NullTracer, 4, KernelImpl::Reference).unwrap();
     let x = tri::solve_with_factor(&laid.to_matrix(), &b);
     for (got, want) in x.iter().zip(&x_true) {
         assert!((got - want).abs() < 1e-7, "{got} vs {want}");
@@ -79,7 +79,7 @@ fn distributed_and_shared_memory_factors_agree() {
     potrf_dag_with(&mut fine, 8, KernelImpl::Reference).unwrap();
 
     let mut seq = Laid::from_matrix(&a, Morton::square(n));
-    square_rchol(&mut seq, &mut NullTracer, 8).unwrap();
+    square_rchol(&mut seq, &mut NullTracer, 8, KernelImpl::Reference).unwrap();
     // Full-storage in-place Cholesky leaves the strict upper triangle
     // untouched; normalise before comparing.
     let seq = seq.to_matrix().lower_triangle().unwrap();

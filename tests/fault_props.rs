@@ -6,7 +6,7 @@
 //! instead of resumed from.
 
 use cholcomm::distsim::CostModel;
-use cholcomm::faults::{DiskOp, FaultPlan};
+use cholcomm::faults::{DiskOp, FaultPlan, FsStore};
 use cholcomm::matrix::{kernels, norms, spd, KernelImpl};
 use cholcomm::ooc::{scratch_path, Checkpoint, FileMatrix};
 use cholcomm::par::spmd::spmd_pxpotrf;
@@ -123,9 +123,9 @@ fn saved_checkpoint(tag: &str) -> (Checkpoint, u64, PathBuf) {
     let fm = FileMatrix::create(&data_path, &a, 4).expect("create matrix file");
     let prefix = scratch_path(&format!("{tag}-ckpt"));
     let ckpt = Checkpoint::at(&prefix);
-    ckpt.save(&fm, 2).expect("save checkpoint");
+    ckpt.save(&mut FsStore::new(), &fm, 2).expect("save checkpoint");
     let gen = ckpt
-        .load()
+        .load(&mut FsStore::new())
         .expect("fresh checkpoint loads")
         .expect("present")
         .gen;
@@ -143,7 +143,10 @@ fn crash_during_checkpoint_save_leaves_the_previous_one_loadable() {
     std::fs::write(ckpt.data_file(gen + 1), b"half-written snapshot").unwrap();
     std::fs::write(ckpt.manifest_file(gen + 1), b"half-written manifest").unwrap();
     std::fs::write(format!("{}.tmp", ckpt.data_file(gen + 2)), b"legacy stray").unwrap();
-    let state = ckpt.load().expect("previous checkpoint intact").expect("present");
+    let state = ckpt
+        .load(&mut FsStore::new())
+        .expect("previous checkpoint intact")
+        .expect("present");
     assert_eq!((state.next_panel, state.n, state.b, state.gen), (2, 16, 4, gen));
     assert!(
         !std::path::Path::new(&ckpt.data_file(gen + 1)).exists(),
@@ -153,7 +156,7 @@ fn crash_during_checkpoint_save_leaves_the_previous_one_loadable() {
         !std::path::Path::new(&format!("{}.tmp", ckpt.data_file(gen + 2))).exists(),
         ".tmp strays are swept on load"
     );
-    ckpt.remove().unwrap();
+    ckpt.remove(&mut FsStore::new()).unwrap();
 }
 
 #[test]
@@ -162,9 +165,9 @@ fn truncated_checkpoint_data_is_rejected_not_resumed_from() {
     let data = ckpt.data_file(gen);
     let bytes = std::fs::read(&data).unwrap();
     std::fs::write(&data, &bytes[..bytes.len() / 2]).unwrap();
-    let err = ckpt.load().expect_err("truncation must be detected");
+    let err = ckpt.load(&mut FsStore::new()).expect_err("truncation must be detected");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    ckpt.remove().unwrap();
+    ckpt.remove(&mut FsStore::new()).unwrap();
 }
 
 #[test]
@@ -175,9 +178,9 @@ fn bit_rotted_checkpoint_data_is_rejected_not_resumed_from() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40; // one flipped bit, same length
     std::fs::write(&data, &bytes).unwrap();
-    let err = ckpt.load().expect_err("bit rot must be detected");
+    let err = ckpt.load(&mut FsStore::new()).expect_err("bit rot must be detected");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    ckpt.remove().unwrap();
+    ckpt.remove(&mut FsStore::new()).unwrap();
 }
 
 #[test]
@@ -186,7 +189,7 @@ fn tampered_checkpoint_manifest_is_rejected_not_resumed_from() {
     let manifest = ckpt.manifest_file(gen);
     let text = std::fs::read_to_string(&manifest).unwrap();
     std::fs::write(&manifest, text.replace("next_panel=2", "next_panel=3")).unwrap();
-    let err = ckpt.load().expect_err("manifest tampering must be detected");
+    let err = ckpt.load(&mut FsStore::new()).expect_err("manifest tampering must be detected");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    ckpt.remove().unwrap();
+    ckpt.remove(&mut FsStore::new()).unwrap();
 }

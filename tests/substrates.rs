@@ -32,7 +32,7 @@ fn every_execution_vehicle_agrees() {
 
     // Sequential recursive.
     let mut laid = Laid::from_matrix(&a, Morton::square(n));
-    square_rchol(&mut laid, &mut NullTracer, 4).unwrap();
+    square_rchol(&mut laid, &mut NullTracer, 4, KernelImpl::Reference).unwrap();
     assert!(norms::max_abs_diff(&laid.to_matrix().lower_triangle().unwrap(), &want) < tol);
 
     // Tiled task DAG, on the global pool and on four workers.
