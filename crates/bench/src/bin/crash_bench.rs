@@ -6,13 +6,15 @@
 //! cargo run --release -p cholcomm-bench --bin crash_bench -- --seed 7
 //! ```
 //!
-//! Three sections:
+//! Four sections, every run but the second right-looking:
 //!
 //! - **exhaustive** — a checkpointed out-of-core factorization is
 //!   recorded once on the simulated crash disk, then recovery is
 //!   re-driven at *every* crash state of its op schedule (all prefixes,
 //!   all survive/drop subsets of each un-barriered window, every
 //!   sector-prefix tear).  Violations must be zero.
+//! - **exhaustive_left** — the same in the left-looking order, whose
+//!   checkpoints fall on block-column boundaries.
 //! - **sampled** — the same check on a larger matrix over seeded-sampled
 //!   crash sites (`--seed` varies the sample, nothing else).
 //! - **broken_protocol** — the deliberately broken commit discipline
@@ -25,6 +27,7 @@
 //! stderr.
 
 use cholcomm_core::faults::{crash_sites_exhaustive, crash_sites_sampled};
+use cholcomm_core::matrix::schedule::Order;
 use cholcomm_core::matrix::spd;
 use cholcomm_core::ooc::{explore_crash_sites, record_run, CommitDiscipline, CrashExploration};
 use std::fmt::Write as _;
@@ -107,18 +110,22 @@ fn main() {
     let mut failed = false;
     let mut sections = Vec::new();
 
-    // --- Exhaustive: every crash state of a small recorded run. ---
-    {
+    // --- Exhaustive: every crash state of a small recorded run, in
+    // --- each order. ---
+    for (name, order) in [
+        ("exhaustive", Order::Right),
+        ("exhaustive_left", Order::Left),
+    ] {
         let a = spd::random_spd(8, &mut spd::test_rng(500));
-        let run = record_run(&a, 4, 3, SECTOR, CommitDiscipline::Barriered, 0, 1)
+        let run = record_run(&a, 4, 3, SECTOR, CommitDiscipline::Barriered, 0, 1, order)
             .expect("clean recorded run");
         let sites = crash_sites_exhaustive(&run.schedule, SECTOR);
         let t0 = Instant::now();
         let report = explore_crash_sites(&run, &sites);
-        let sec = section("exhaustive", 8, 4, &report, t0.elapsed().as_secs_f64());
+        let sec = section(name, 8, 4, &report, t0.elapsed().as_secs_f64());
         if sec.violations != 0 {
             eprintln!(
-                "crash_bench: exhaustive exploration found {} violations: {}",
+                "crash_bench: {name} exploration found {} violations: {}",
                 sec.violations,
                 report.violations[0]
             );
@@ -130,8 +137,17 @@ fn main() {
     // --- Sampled: seeded crash sites on a larger matrix. ---
     {
         let a = spd::random_spd(24, &mut spd::test_rng(502));
-        let run = record_run(&a, 8, 4, SECTOR, CommitDiscipline::Barriered, 0, 1)
-            .expect("clean recorded run");
+        let run = record_run(
+            &a,
+            8,
+            4,
+            SECTOR,
+            CommitDiscipline::Barriered,
+            0,
+            1,
+            Order::Right,
+        )
+        .expect("clean recorded run");
         let sites = crash_sites_sampled(&run.schedule, SECTOR, seed, 64);
         let t0 = Instant::now();
         let report = explore_crash_sites(&run, &sites);
@@ -150,8 +166,17 @@ fn main() {
     // --- Broken protocol: the explorer must catch it. ---
     {
         let a = spd::random_spd(8, &mut spd::test_rng(501));
-        let run = record_run(&a, 4, 3, SECTOR, CommitDiscipline::UnbarrieredCommit, 0, 1)
-            .expect("clean recorded run");
+        let run = record_run(
+            &a,
+            4,
+            3,
+            SECTOR,
+            CommitDiscipline::UnbarrieredCommit,
+            0,
+            1,
+            Order::Right,
+        )
+        .expect("clean recorded run");
         let sites = crash_sites_exhaustive(&run.schedule, SECTOR);
         let t0 = Instant::now();
         let report = explore_crash_sites(&run, &sites);

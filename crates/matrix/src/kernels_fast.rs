@@ -279,12 +279,19 @@ impl PackedTile {
     }
 
     /// The packed form of `tile`, in `tile`'s own storage: the packed
-    /// form *replaces* the plain one, no second copy is ever resident
-    /// (the strips are laid out in this thread's packing scratch and
-    /// copied back).
+    /// form *replaces* the plain one, no second copy is ever resident.
+    /// With whole strips (`rows` a multiple of `MR`) the packed form is a
+    /// permutation of the plain one, carried out in place; otherwise the
+    /// strips are laid out in this thread's packing scratch and copied
+    /// back.
     pub fn replacing(tile: Matrix<f64>) -> Self {
         let (rows, cols) = (tile.rows(), tile.cols());
         let len = Self::packed_len(&tile);
+        if rows % MR == 0 {
+            let mut data = tile.into_vec();
+            transpose_runs(&mut data, cols, rows / MR);
+            return PackedTile { rows, cols, data };
+        }
         let data = with_pack(|pack| {
             let strips = &mut pack.pa[..len];
             Self::pack_strips(strips, &tile);
@@ -369,6 +376,36 @@ impl PackedTile {
         let mut tile = Matrix::zeros(self.rows, self.cols);
         self.unpack_into(&mut tile, 0, 0);
         tile
+    }
+}
+
+/// Transpose, in place, a `m x n` row-major grid of `MR`-element runs
+/// into `n x m`: for a column-major tile of `n` whole strips and `m`
+/// columns, run `(column k, strip s)` moves to `(s, k)` — the packed
+/// layout.  Each run moves once, along the cycles of the permutation,
+/// with one run in hand.
+fn transpose_runs(data: &mut [f64], m: usize, n: usize) {
+    let total = m * n;
+    debug_assert_eq!(data.len(), total * MR);
+    let mut moved = vec![0u64; total.div_ceil(64)];
+    for start in 0..total {
+        if moved[start / 64] >> (start % 64) & 1 == 1 {
+            continue;
+        }
+        let mut carry: [f64; MR] = data[start * MR..][..MR].try_into().expect("MR elements");
+        let mut at = start;
+        loop {
+            moved[at / 64] |= 1 << (at % 64);
+            let to = (at % n) * m + at / n;
+            let run: &mut [f64; MR] = (&mut data[to * MR..][..MR])
+                .try_into()
+                .expect("MR elements");
+            std::mem::swap(&mut carry, run);
+            at = to;
+            if at == start {
+                break;
+            }
+        }
     }
 }
 
@@ -1862,6 +1899,30 @@ mod tests {
         kernels::gemm_nt(&mut back, 1.0, &x, &l);
         // gemm_nt computes X * L^T via B(j,k) reads: back = X L^T.
         assert!(norms::max_abs_diff(&back, &b) <= 1e-9);
+    }
+
+    #[test]
+    fn a_tile_packed_in_its_own_storage_is_the_packed_copy() {
+        // Whole strips (permuted in place, square and not, one run per
+        // column and many) and partial ones (through the scratch).
+        let bits = |p: &PackedTile| p.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for rows in [0usize, 16, 32, 48, 128, 1, 7, 17, 100] {
+            for cols in [0usize, 1, 8, 20, 128] {
+                let mut tile = random_matrix(rows, cols, (rows * 1000 + cols) as u64);
+                if rows > 0 && cols > 0 {
+                    tile[(rows - 1, 0)] = -0.0;
+                }
+                let mut want = PackedTile::default();
+                want.pack(&tile);
+                let at = tile.as_slice().as_ptr();
+                let got = PackedTile::replacing(tile);
+                assert_eq!((got.rows, got.cols), (want.rows, want.cols), "{rows}x{cols}");
+                assert_eq!(bits(&got), bits(&want), "{rows}x{cols}");
+                if rows % MR == 0 && rows * cols > 0 {
+                    assert_eq!(got.data.as_ptr(), at, "{rows}x{cols}: not in place");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,18 +6,20 @@
 //! owns that fact in three forms:
 //!
 //! * **the walks** — two sequential orders of the same ops, each driving
-//!   a [`TileStore`] with one fixed access sequence: [`walk`], the
-//!   right-looking order every out-of-core and ABFT driver performs (the
+//!   a [`TileStore`] with one fixed access sequence, named by [`Order`]:
+//!   [`walk`], the right-looking order the ABFT drivers perform (the
 //!   diagonal tile held across the panel solves, the column operand of a
 //!   trailing update fetched once per block column), and [`walk_left`],
 //!   the left-looking order of the paper's Algorithm 4, which the traced
-//!   LAPACK schedule, the serve engine and the batch-kernel probe perform
-//!   (every tile written once, the diagonal tile re-read per panel solve);
+//!   LAPACK schedule, the serve engine, the batch-kernel probe and (by
+//!   default) the out-of-core driver perform (every tile written once,
+//!   the diagonal tile re-read per panel solve);
 //! * **the arithmetic** ([`apply`]) — the one place a [`TileOp`] becomes a
 //!   kernel call and a tile-local `NotSpd` pivot becomes a global one —
-//!   with [`Arithmetic`], the walks' form of it, which packs the column
-//!   operand the right-looking walk holds once per block column instead
-//!   of once per update;
+//!   with [`Arithmetic`], the walks' form of it, which uses an update
+//!   operand a store hands over packed ([`MatrixTile::operand`]) as it is
+//!   and packs the column operand the right-looking walk holds once per
+//!   block column instead of once per update;
 //! * **the DAG** ([`TileOp::dep_count`], [`TileOp::for_each_successor`],
 //!   [`TileOp::flops`] and the flat task-id coding) — the same ops as a
 //!   dependence graph, for the work-stealing executor and its scheduler
@@ -51,7 +53,6 @@ use crate::error::MatrixError;
 use crate::kernels_fast::PackedTile;
 use crate::scalar::Scalar;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Tiles the walk holds live at once: the two panel operands and the
 /// tile being updated.  The floor under every tile cache's capacity and
@@ -393,6 +394,92 @@ where
     Ok(())
 }
 
+/// Which of the two walks runs a schedule: the same ops, the same
+/// operands and the same bits ([`walk`] and [`walk_left`] are two linear
+/// extensions of one DAG), but a different tile traffic — the
+/// right-looking order rewrites the trailing submatrix every panel, the
+/// left-looking one puts every tile once, final.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Order {
+    /// [`walk`]: per panel, factor, solve below, update the trailing
+    /// submatrix.
+    Right,
+    /// [`walk_left`]: per block column, bring it up to date against every
+    /// earlier panel, then factor and solve it (the paper's Algorithm 4).
+    Left,
+}
+
+impl Order {
+    /// Both orders, right-looking first.
+    pub const ALL: [Order; 2] = [Order::Right, Order::Left];
+
+    /// Stable lowercase name (`right` / `left`), as records spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Order::Right => "right",
+            Order::Left => "left",
+        }
+    }
+
+    /// [`walk`] or [`walk_left`] over `panels` (panel steps, or block
+    /// columns): the same contract.
+    pub fn walk<St, F>(
+        self,
+        store: &mut St,
+        nb: usize,
+        panels: Range<usize>,
+        apply: F,
+    ) -> Result<(), St::Error>
+    where
+        St: TileStore,
+        F: FnMut(TileOp, &mut St::Tile, &[&St::Tile]) -> Result<(), St::Error>,
+    {
+        match self {
+            Order::Right => walk(store, nb, panels, apply),
+            Order::Left => walk_left(store, nb, panels, apply),
+        }
+    }
+
+    /// Factor `panels` over a store of real tiles in this order: the walk
+    /// with [`Arithmetic`].
+    pub fn factor<S, St>(
+        self,
+        store: &mut St,
+        grid: TileGrid,
+        panels: Range<usize>,
+        kernel: KernelImpl,
+    ) -> Result<(), St::Error>
+    where
+        S: Scalar,
+        St: TileStore,
+        St::Tile: MatrixTile<S>,
+        St::Error: From<MatrixError>,
+    {
+        let mut arith = Arithmetic::new(kernel, grid);
+        self.walk(store, grid.nb(), panels, |op, target, operands| {
+            arith
+                .apply(op, target.matrix_mut(), operands)
+                .map_err(St::Error::from)
+        })
+    }
+}
+
+impl std::fmt::Display for Order {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for Order {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Self, String> {
+        Order::ALL
+            .into_iter()
+            .find(|o| o.name() == s)
+            .ok_or_else(|| format!("unknown order {s:?} (right or left)"))
+    }
+}
+
 /// The left-looking order (the paper's Algorithm 4) over block columns
 /// `panels` of an `nb x nb` tile grid: per block column `j`, bring the
 /// diagonal tile up to date against every earlier panel and factor it,
@@ -493,13 +580,16 @@ pub fn apply<S: Scalar>(
 }
 
 /// [`apply`] as the sequential walks call it, plus what it keeps between
-/// calls: under an engine that [packs](KernelImpl::packs_tiles) this
-/// grid's tiles, the column operand `L(j, k)` the right-looking walk
-/// holds across the updates of block column `j` is packed when that
-/// column starts and reused for every update in it, and the row operand
-/// is packed into a second reused buffer.  Both are scratch beside the
-/// walk's [`WORKING_SET`], like the kernels' own packing buffers.  A
-/// diagonal update is never packed for: it reads its one operand once.
+/// calls.  An update operand that arrives packed (see
+/// [`MatrixTile::operand`]) is used as it is.  Under an engine that
+/// [packs](KernelImpl::packs_tiles) this grid's tiles, a plain operand of
+/// an off-diagonal update is packed here: the column operand `L(j, k)`
+/// the right-looking walk holds across the updates of block column `j`
+/// once, when that column starts, and the row operand into a second
+/// reused buffer.  Both are scratch beside the walk's [`WORKING_SET`],
+/// like the kernels' own packing buffers.  A diagonal update is never
+/// packed for — it reads its one operand once — but runs on a packed
+/// operand when it is handed one.
 pub struct Arithmetic {
     kernel: KernelImpl,
     grid: TileGrid,
@@ -530,38 +620,55 @@ impl Arithmetic {
     ) -> Result<(), MatrixError> {
         let Arithmetic { kernel, grid, .. } = *self;
         match (op, operands) {
-            (TileOp::Update { i, j, k }, [li, lj]) if i != j && kernel.packs_tiles::<S>(grid.b) => {
+            (TileOp::Update { i, j, k }, [li, lj]) => {
+                let (li, lj) = (li.operand(), lj.operand());
+                let packed = |o: &Operand<'_, S>| matches!(o, Operand::Packed(_));
+                if i == j || !(kernel.packs_tiles::<S>(grid.b) || packed(&li) || packed(&lj)) {
+                    return apply(op, kernel, grid, target, &[li, lj]);
+                }
                 // The right-looking walk runs the updates of block column
                 // j back to back, and L(j, k) is final: pack it on the
                 // first.
-                if self.held != Some((j, k)) {
-                    kernel.pack_tile(lj.matrix(), &mut self.lj);
-                    self.held = Some((j, k));
-                }
-                kernel.pack_tile(li.matrix(), &mut self.li);
-                let packed = [Operand::Packed(&self.li), Operand::Packed(&self.lj)];
-                apply(op, kernel, grid, target, &packed)
+                let lj = match lj {
+                    Operand::Plain(m) => {
+                        if self.held != Some((j, k)) {
+                            kernel.pack_tile(m, &mut self.lj);
+                            self.held = Some((j, k));
+                        }
+                        Operand::Packed(&self.lj)
+                    }
+                    packed => packed,
+                };
+                let li = match li {
+                    Operand::Plain(m) => {
+                        kernel.pack_tile(m, &mut self.li);
+                        Operand::Packed(&self.li)
+                    }
+                    packed => packed,
+                };
+                apply(op, kernel, grid, target, &[li, lj])
             }
             (_, []) => apply(op, kernel, grid, target, &[]),
             (_, [a]) => apply(op, kernel, grid, target, &[Operand::Plain(a.matrix())]),
-            (_, [a, b]) => {
-                let operands = [Operand::Plain(a.matrix()), Operand::Plain(b.matrix())];
-                apply(op, kernel, grid, target, &operands)
-            }
             _ => unreachable!("{op:?} handed {} operand tile(s)", operands.len()),
         }
     }
 }
 
-/// A tile [`factor`] computes on: it reads as a [`Matrix`] and can be
-/// made unique for writing.  A `Matrix` is one; so is an `Arc<Matrix>`,
-/// through [`Arc::make_mut`] — which copies only while another holder
-/// still shares the tile.
+/// A tile [`Order::factor`] computes on: it reads as a [`Matrix`] and can
+/// be made unique for writing.  A `Matrix` is one; a store that shares
+/// its tiles makes one unique by copying only while another holder still
+/// shares it (the out-of-core front, through `Arc::make_mut`).
 pub trait MatrixTile<S: Scalar>: Clone {
     /// The tile's values.
     fn matrix(&self) -> &Matrix<S>;
     /// The tile's values, for writing.
     fn matrix_mut(&mut self) -> &mut Matrix<S>;
+    /// The tile as an update reads it: plain, or — for a store that keeps
+    /// a finished panel tile in micro-panel layout — already packed.
+    fn operand(&self) -> Operand<'_, S> {
+        Operand::Plain(self.matrix())
+    }
 }
 
 impl<S: Scalar> MatrixTile<S> for Matrix<S> {
@@ -571,35 +678,6 @@ impl<S: Scalar> MatrixTile<S> for Matrix<S> {
     fn matrix_mut(&mut self) -> &mut Matrix<S> {
         self
     }
-}
-
-impl<S: Scalar> MatrixTile<S> for Arc<Matrix<S>> {
-    fn matrix(&self) -> &Matrix<S> {
-        self
-    }
-    fn matrix_mut(&mut self) -> &mut Matrix<S> {
-        Arc::make_mut(self)
-    }
-}
-
-/// Factor `panels` over a store of real tiles: [`walk`] with
-/// [`Arithmetic`].
-pub fn factor<S, St>(
-    store: &mut St,
-    grid: TileGrid,
-    panels: Range<usize>,
-    kernel: KernelImpl,
-) -> Result<(), St::Error>
-where
-    S: Scalar,
-    St: TileStore,
-    St::Tile: MatrixTile<S>,
-    St::Error: From<MatrixError>,
-{
-    let mut arith = Arithmetic::new(kernel, grid);
-    walk(store, grid.nb(), panels, |op, target, operands| {
-        arith.apply(op, target.matrix_mut(), operands).map_err(St::Error::from)
-    })
 }
 
 /// The lower-triangle tiles of a square matrix in memory — the plain
@@ -795,7 +873,7 @@ mod tests {
             let a = spd::random_spd(n, &mut rng);
             let mut tiles = MemTiles::from_matrix(&a, b).unwrap();
             let grid = tiles.grid;
-            factor(&mut tiles, grid, 0..grid.nb(), KernelImpl::Reference).unwrap();
+            Order::Right.factor(&mut tiles, grid, 0..grid.nb(), KernelImpl::Reference).unwrap();
             let mut got = a.clone();
             tiles.write_back(&mut got);
             let mut want = a.clone();

@@ -2,17 +2,26 @@
 //! run either inline on the compute thread or overlapped with compute on
 //! dedicated I/O workers.
 //!
-//! Algorithm 4's tile schedule is *data-oblivious* — the sequence of
-//! gets and puts is a pure function of `(nb, capacity)` — which means the
-//! entire miss stream, every eviction victim, and every write-back is
-//! known before the factorization starts.  This module exploits that:
+//! The blocked tile schedule is *data-oblivious* — the sequence of gets
+//! and puts is a pure function of `(nb, capacity)` and the walk
+//! ([`PipelineConfig::order`]: the left-looking order of the paper's
+//! Algorithm 4 by default, which writes each lower tile once, or the
+//! right-looking one, which rewrites the trailing submatrix every panel)
+//! — which means the entire miss stream, every eviction victim, and every
+//! write-back is known before the factorization starts.  This module
+//! exploits that:
 //!
 //! 1. A deterministic **planner** ([`Plan`]) replays an LRU cache of
-//!    `capacity_tiles` tiles over the op schedule and emits one
+//!    `capacity_tiles` tiles over the walk's accesses (never evicting a
+//!    tile the walk holds between its get and its put) and emits one
 //!    [`PlannedFetch`] per miss: the tile to read, the victims to evict
-//!    (with their dirtiness), and `ready_at` — the earliest compute
+//!    (with their dirtiness), `ready_at` — the earliest compute
 //!    position at which issuing the fetch is safe (one past the last
-//!    compute access of every victim).
+//!    compute access of every victim) — and whether the read is an
+//!    update operand: a finished off-diagonal panel tile, which the read
+//!    job packs into the update kernels' micro-panel layout where it
+//!    lands (on the I/O worker at W ≥ 1, inline at W = 0), so the
+//!    arithmetic uses it as it is.
 //! 2. The **front** ([`PipelineFront`]) runs that plan on
 //!    `io_workers = W` dedicated I/O threads ([`cholcomm_par::io_scope`]).
 //!    At **W = 0** there are none: each fetch, with its evictions, runs
@@ -35,8 +44,10 @@
 //! The front reorders *transport*, never *arithmetic*: the compute loop
 //! is the same schedule walk ([`cholcomm_matrix::schedule`]) under the
 //! same driver loop at every W, and every get returns the same stored
-//! bytes it returns at W = 0.  Three hazards could break that, and each
-//! is closed structurally:
+//! values it returns at W = 0 — plain or packed, which the update
+//! kernels read to the same bits.  Both walks hand each tile its updates
+//! in ascending `k`, so the order changes the traffic, never the factor.
+//! Three hazards could break that, and each is closed structurally:
 //!
 //! * **Evict-before-last-use** — a victim may not leave the in-RAM set
 //!   while compute still needs it.  Closed by `ready_at`: the planner
@@ -80,9 +91,10 @@ use crate::backend::{IoBackend, LatencyModel};
 use crate::checkpoint::{Checkpoint, CheckpointReport, Checkpointing};
 use crate::potrf::{drive, Front, LruIndex, OocError};
 use cholcomm_faults::{DiskOp, FsStore, Store};
-use cholcomm_matrix::schedule::{self, TileOp, TileStore};
-use cholcomm_matrix::{KernelImpl, Matrix};
+use cholcomm_matrix::schedule::{MatrixTile, Order, TileOp, TileStore};
+use cholcomm_matrix::{KernelImpl, Matrix, Operand, PackedTile};
 use cholcomm_par::io::{io_scope, IoScope};
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -91,13 +103,62 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// A tile in RAM, shared between the resident set, the walk and a
+/// pending write-back: as stored, or — a finished panel tile fetched as
+/// an update operand — in the micro-panel layout the update kernels read
+/// (see [`PlannedFetch::operand`]).  A packed tile is final and clean:
+/// it is never a target, so never written.
+#[derive(Debug, Clone)]
+pub(crate) struct Tile(pub(crate) Arc<Form>);
+
+/// The two forms of a [`Tile`].
+#[derive(Debug, Clone)]
+pub(crate) enum Form {
+    Plain(Matrix<f64>),
+    Packed(PackedTile),
+}
+
+impl MatrixTile<f64> for Tile {
+    fn matrix(&self) -> &Matrix<f64> {
+        match &*self.0 {
+            Form::Plain(m) => m,
+            Form::Packed(_) => unreachable!("a packed tile is read only as an update operand"),
+        }
+    }
+    fn matrix_mut(&mut self) -> &mut Matrix<f64> {
+        match Arc::make_mut(&mut self.0) {
+            Form::Plain(m) => m,
+            Form::Packed(_) => unreachable!("a packed tile is final, never a target"),
+        }
+    }
+    fn operand(&self) -> Operand<'_, f64> {
+        match &*self.0 {
+            Form::Plain(m) => Operand::Plain(m),
+            Form::Packed(p) => Operand::Packed(p),
+        }
+    }
+}
+
+impl Tile {
+    /// A tile just read: packed in its own storage when `pack` (see
+    /// [`PackedTile::replacing`]: in place for whole 16-row strips), kept
+    /// as read otherwise.
+    fn landed(tile: Matrix<f64>, pack: bool) -> Tile {
+        Tile(Arc::new(if pack {
+            Form::Packed(PackedTile::replacing(tile))
+        } else {
+            Form::Plain(tile)
+        }))
+    }
+}
+
 /// A resident tile: shared with the walk by [`TileStore::get`], empty
 /// between a [`TileStore::take`] and the `put` that refills it.
-type Slot = Option<Arc<Matrix<f64>>>;
+type Slot = Option<Tile>;
 
 /// What a resident slot hands the walk: a share of its tile, or — for a
 /// take — the tile itself, leaving the slot empty.
-fn hand_out(slot: &mut Slot, take: bool) -> Arc<Matrix<f64>> {
+fn hand_out(slot: &mut Slot, take: bool) -> Tile {
     if take { slot.take() } else { slot.clone() }
         .expect("a taken tile is put back before it is fetched again")
 }
@@ -133,16 +194,28 @@ pub struct PipelineConfig {
     pub lookahead: usize,
     /// Kernel engine for the tile arithmetic.
     pub kernel: KernelImpl,
+    /// The walk the factorization runs: every order gives the same bits,
+    /// but left-looking (the default) writes each lower tile once, where
+    /// right-looking rewrites the trailing submatrix every panel.  A
+    /// checkpoint records it, and resumes only under the same order.
+    pub order: Order,
     /// Make each op really sleep its sampled latency where it runs — on
     /// the I/O workers, or on the compute thread at zero workers (for
     /// measured overlap benches).  Off, latency is only tallied.
     pub sleep_latency: bool,
 }
 
+/// The default prefetch depth at most.  A prefetched tile (packed, if it
+/// is an update operand) is consumed a few tiles after it lands, while
+/// it is still in cache: at `ooc_file`'s shape a depth of 8 read 13%
+/// less CPU time per pass than the whole spare capacity (33), with as
+/// few stalls (EXPERIMENTS.md, E23).
+const MAX_DEFAULT_LOOKAHEAD: usize = 8;
+
 impl PipelineConfig {
     /// Defaults: workers from the environment, lookahead =
-    /// `capacity_tiles - WORKING_SET` (at least 1), reference kernels,
-    /// latency tallied but not slept.
+    /// `capacity_tiles - WORKING_SET` clamped to `1..=8`, reference
+    /// kernels, the left-looking order, latency tallied but not slept.
     pub fn new(capacity_tiles: usize) -> Self {
         assert!(
             capacity_tiles >= WORKING_SET,
@@ -151,10 +224,17 @@ impl PipelineConfig {
         PipelineConfig {
             capacity_tiles,
             io_workers: io_workers_from_env(),
-            lookahead: capacity_tiles.saturating_sub(WORKING_SET).max(1),
+            lookahead: (capacity_tiles - WORKING_SET).clamp(1, MAX_DEFAULT_LOOKAHEAD),
             kernel: KernelImpl::Reference,
+            order: Order::Left,
             sleep_latency: false,
         }
+    }
+
+    /// Set the walk.
+    pub fn with_order(mut self, order: Order) -> Self {
+        self.order = order;
+        self
     }
 
     /// Set the I/O worker count; 0 is the synchronous driver.
@@ -196,6 +276,9 @@ pub struct PipelineStats {
     pub evict_writes: u64,
     /// Boundary/final flush writes.
     pub flush_writes: u64,
+    /// Reads packed into the update kernels' layout where they landed
+    /// (on an I/O worker, or inline at zero workers).
+    pub packed_fetches: u64,
     /// Total modeled latency of every enqueued op, µs (what a
     /// synchronous run would have blocked on).
     pub modeled_io_us: u64,
@@ -225,23 +308,27 @@ enum Access {
 
 /// The store that carries no tiles: walking the schedule over it
 /// records the access stream every real front will see.
-struct Recorder {
-    ops: Vec<Access>,
+struct Recorder<'a> {
+    /// Shared with the walk's `apply`, which notes where each op runs.
+    ops: &'a RefCell<Vec<Access>>,
     /// Mark panel boundaries (checkpointed runs flush there).
     boundaries: bool,
+    /// The panel step (right-looking) or block column (left-looking)
+    /// running: a put installs the op that finishes its tile there.
     k: usize,
 }
 
-impl Recorder {
+impl Recorder<'_> {
     /// A panel ends where the next begins, and after the last.
     fn end_panel(&mut self) {
-        if self.boundaries && !self.ops.is_empty() {
-            self.ops.push(Access::Boundary);
+        let mut ops = self.ops.borrow_mut();
+        if self.boundaries && !ops.is_empty() {
+            ops.push(Access::Boundary);
         }
     }
 }
 
-impl TileStore for Recorder {
+impl TileStore for Recorder<'_> {
     type Tile = ();
     type Error = Infallible;
 
@@ -250,11 +337,13 @@ impl TileStore for Recorder {
         self.k = k;
     }
     fn get(&mut self, bi: usize, bj: usize) -> Result<(), Infallible> {
-        self.ops.push(Access::Get(bi, bj));
+        self.ops.borrow_mut().push(Access::Get(bi, bj));
         Ok(())
     }
     fn put(&mut self, bi: usize, bj: usize, _tile: ()) -> Result<(), Infallible> {
-        self.ops.push(Access::Put(TileOp::of(bi, bj, self.k)));
+        self.ops
+            .borrow_mut()
+            .push(Access::Put(TileOp::of(bi, bj, self.k)));
         Ok(())
     }
 }
@@ -271,13 +360,21 @@ struct PlannedFetch {
     ready_at: usize,
     /// Victims in eviction order, with planned dirtiness.
     evict: Vec<((usize, usize), bool)>,
+    /// The miss reads a finished off-diagonal panel tile `(i, k)` as an
+    /// update operand (of a tile in a column `j > k`): it is final, so
+    /// every later access reads it the same way, and the front converts
+    /// it to the update kernels' packed layout where it lands.
+    operand: bool,
 }
 
-/// The deterministic lookahead plan: the schedule's access stream for
-/// panels `start..nb` with the LRU cache simulated over it.
+/// The deterministic lookahead plan: the access stream of one walk over
+/// panels (or block columns) `start..nb` with the LRU cache simulated
+/// over it.
 #[derive(Debug)]
 struct Plan {
     ops: Vec<Access>,
+    /// Every applied op, at the position of the access that follows it.
+    applied: Vec<(usize, TileOp)>,
     fetches: Vec<PlannedFetch>,
     /// Per [`Access::Boundary`], the dirty tiles its flush writes, in
     /// the sorted order the front writes them.
@@ -289,25 +386,58 @@ struct Plan {
 }
 
 impl Plan {
-    fn new(nb: usize, capacity: usize, start: usize, flush_at_boundaries: bool) -> Plan {
+    fn new(
+        nb: usize,
+        capacity: usize,
+        start: usize,
+        flush_at_boundaries: bool,
+        order: Order,
+    ) -> Plan {
         assert!(
             capacity >= WORKING_SET,
             "Algorithm 4 needs three tiles resident"
         );
+        let ops = RefCell::new(Vec::new());
         let mut rec = Recorder {
-            ops: Vec::new(),
+            ops: &ops,
             boundaries: flush_at_boundaries,
             k: start,
         };
-        let Ok(()) = schedule::walk(&mut rec, nb, start..nb, |_, _, _| Ok(()));
+        let mut applied = Vec::new();
+        let Ok(()) = order.walk(&mut rec, nb, start..nb, |op, _, _| {
+            applied.push((ops.borrow().len(), op));
+            Ok(())
+        });
         rec.end_panel();
-        let ops = rec.ops;
+        let ops = ops.into_inner();
+
+        // The walk holds a tile from a get whose next access is its put
+        // (the target of a left-looking solve across its updates, the
+        // diagonal across its own): the cache keeps it while held.
+        let mut held_from = vec![false; ops.len()];
+        let mut next_is_put: HashMap<(usize, usize), bool> = HashMap::new();
+        for (pos, op) in ops.iter().enumerate().rev() {
+            match *op {
+                Access::Get(bi, bj) => {
+                    held_from[pos] = next_is_put.insert((bi, bj), false) == Some(true);
+                }
+                Access::Put(op) => {
+                    next_is_put.insert(op.target(), true);
+                }
+                Access::Boundary => {}
+            }
+        }
 
         // Replay an LRU cache of `capacity` tiles over the schedule: a
-        // miss evicts least-recently-used tiles until one slot is free.
+        // miss evicts least-recently-used tiles the walk does not hold
+        // until one slot is free.
         let mut order = LruIndex::new();
         let mut resident: HashMap<(usize, usize), bool> = HashMap::new(); // key -> dirty
+        let mut held: HashSet<(usize, usize)> = HashSet::new();
         let mut last_access: HashMap<(usize, usize), usize> = HashMap::new();
+        // Tiles whose factor or solve has been put: final from then on.
+        // Every column before `start` was finished by an earlier run.
+        let mut finished: HashSet<(usize, usize)> = HashSet::new();
         // Position of the boundary flush that last cleaned each tile
         // (dirty -> clean without an access).  A victim the planner saw
         // *clean* only because a boundary flushed it must not be
@@ -327,7 +457,9 @@ impl Plan {
                         let mut evict = Vec::new();
                         let mut ready_at = 0usize;
                         while order.len() >= capacity {
-                            let victim = order.lru().expect("full cache has a victim");
+                            let victim = order
+                                .oldest(|key| !held.contains(&key))
+                                .expect("a full cache holds a tile the walk does not");
                             let vd = resident.remove(&victim).expect("victim is resident");
                             order.remove(victim);
                             ready_at = ready_at.max(last_access[&victim] + 1);
@@ -344,23 +476,33 @@ impl Plan {
                             cleaned_at.remove(&victim);
                             evict.push((victim, vd));
                         }
+                        let operand = bi != bj && (bj < start || finished.contains(&key));
                         fetches.push(PlannedFetch {
                             tile: key,
                             miss_pos: pos,
                             ready_at,
                             evict,
+                            operand,
                         });
                         resident.insert(key, false);
                         order.touch(key);
+                    }
+                    if held_from[pos] {
+                        held.insert(key);
                     }
                     last_access.insert(key, pos);
                 }
                 Access::Put(op) => {
                     let key = op.target();
                     // Every put follows a get of the same tile in the
-                    // schedule, so puts never miss.
+                    // schedule, and the tile is held in between, so puts
+                    // never miss.
                     debug_assert!(resident.contains_key(&key), "put of a non-resident tile");
                     resident.insert(key, true);
+                    held.remove(&key);
+                    if !matches!(op, TileOp::Update { .. }) {
+                        finished.insert(key);
+                    }
                     order.touch(key);
                     last_access.insert(key, pos);
                 }
@@ -390,6 +532,7 @@ impl Plan {
         }
         Plan {
             ops,
+            applied,
             fetches,
             boundary_writes,
             final_writes,
@@ -402,11 +545,11 @@ impl Plan {
 #[derive(Debug)]
 struct IoShared {
     /// Completed prefetch reads awaiting consumption.
-    fetched: HashMap<(usize, usize), Matrix<f64>>,
+    fetched: HashMap<(usize, usize), Tile>,
     /// Read jobs enqueued or running.
     reads_inflight: usize,
     /// Write-back payloads enqueued but not yet picked up.
-    write_data: HashMap<(usize, usize), Arc<Matrix<f64>>>,
+    write_data: HashMap<(usize, usize), Tile>,
     /// Write jobs currently executing.
     write_inflight: HashSet<(usize, usize)>,
     /// First I/O error observed, surfaced to the compute thread.
@@ -482,8 +625,9 @@ impl<'fm, B: IoBackend> PipeIo<'fm, B> {
             .unwrap_or_else(|_| Err(std::io::Error::other("a tile transfer panicked")))
     }
 
-    /// Body of a prefetch-read job.
-    fn read_job(&self, tile: (usize, usize), us: u64) {
+    /// Body of a prefetch-read job: the read, then — for an update
+    /// operand — the packing, off the compute thread at W ≥ 1.
+    fn read_job(&self, tile: (usize, usize), us: u64, pack: bool) {
         self.pay(us);
         let mut st = lock(&self.st);
         // Read-after-write hazard: a pending deferred write-back of this
@@ -501,6 +645,7 @@ impl<'fm, B: IoBackend> PipeIo<'fm, B> {
         }
         drop(st);
         let result = self.on_backend(|be| be.read_tile(tile.0, tile.1));
+        let result = result.map(|t| Tile::landed(t, pack));
         let mut st = lock(&self.st);
         st.reads_inflight -= 1;
         match result {
@@ -532,7 +677,7 @@ impl<'fm, B: IoBackend> PipeIo<'fm, B> {
             st.write_inflight.insert(tile);
             data
         };
-        let result = self.on_backend(|be| be.write_tile(tile.0, tile.1, &data));
+        let result = self.on_backend(|be| be.write_tile(tile.0, tile.1, data.matrix()));
         // Let go of the payload before the write counts as landed: the
         // compute thread may still share it (a boundary flush), and once
         // it has waited the write out it takes the tile without a copy.
@@ -608,6 +753,10 @@ struct PipelineFront<'s, 'env, 'fm, B: IoBackend> {
     nb: usize,
     /// The run checkpoints: plans carry panel-boundary flushes.
     boundaries: bool,
+    order: Order,
+    /// The engine reads update operands packed: planned operand fetches
+    /// are packed where they land.
+    pack_operands: bool,
 }
 
 impl<'s, 'env, 'fm: 'env, B: IoBackend> PipelineFront<'s, 'env, 'fm, B> {
@@ -617,6 +766,7 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend> PipelineFront<'s, 'env, 'fm, B> {
         plan: Plan,
         cfg: &PipelineConfig,
         nb: usize,
+        b: usize,
         boundaries: bool,
     ) -> Self {
         PipelineFront {
@@ -638,19 +788,21 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend> PipelineFront<'s, 'env, 'fm, B> {
             stats: PipelineStats::default(),
             nb,
             boundaries,
+            order: cfg.order,
+            pack_operands: cfg.kernel.packs_tiles::<f64>(b),
         }
     }
 
-    fn enqueue_read(&mut self, tile: (usize, usize)) {
+    fn enqueue_read(&mut self, tile: (usize, usize), pack: bool) {
         let us = self.io.model.sample(DiskOp::Read, self.op_seq);
         self.op_seq += 1;
         self.stats.modeled_io_us += us;
         lock(&self.io.st).reads_inflight += 1;
         let io = self.io;
-        self.scope.submit(move || io.read_job(tile, us));
+        self.scope.submit(move || io.read_job(tile, us, pack));
     }
 
-    fn enqueue_write(&mut self, tile: (usize, usize), data: Arc<Matrix<f64>>) {
+    fn enqueue_write(&mut self, tile: (usize, usize), data: Tile) {
         let us = self.io.model.sample(DiskOp::Write, self.op_seq);
         self.op_seq += 1;
         self.stats.modeled_io_us += us;
@@ -669,7 +821,7 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend> PipelineFront<'s, 'env, 'fm, B> {
     /// Issue the next planned fetch: its evictions, then its read.
     fn issue(&mut self) {
         let f = &mut self.plan.fetches[self.next_fetch];
-        let tile = f.tile;
+        let (tile, pack) = (f.tile, f.operand && self.pack_operands);
         for (victim, planned_dirty) in std::mem::take(&mut f.evict) {
             let (data, dirty) = self
                 .resident
@@ -677,13 +829,14 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend> PipelineFront<'s, 'env, 'fm, B> {
                 .expect("planned victim is resident at issue time");
             debug_assert_eq!(dirty, planned_dirty, "planned dirtiness of {victim:?}");
             if dirty {
-                let data = data.expect("a taken tile's put comes before its eviction");
+                let data = data.expect("a held tile is never evicted");
                 self.enqueue_write(victim, data);
                 self.stats.evict_writes += 1;
             }
         }
-        self.enqueue_read(tile);
+        self.enqueue_read(tile, pack);
         self.stats.fetches += 1;
+        self.stats.packed_fetches += u64::from(pack);
         self.next_fetch += 1;
     }
 
@@ -699,7 +852,7 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend> PipelineFront<'s, 'env, 'fm, B> {
     }
 
     /// Block until the prefetch of `tile` lands (or the run errors).
-    fn wait_fetched(&mut self, tile: (usize, usize)) -> Result<Matrix<f64>, OocError> {
+    fn wait_fetched(&mut self, tile: (usize, usize)) -> Result<Tile, OocError> {
         let mut st = lock(&self.io.st);
         // At W = 0 the read ran inline: compute blocked on all of it.
         let mut stalled = self.lookahead == 0;
@@ -744,7 +897,7 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend> PipelineFront<'s, 'env, 'fm, B> {
 
     /// Serve the access at `pos` — from the resident set, or by waiting
     /// out the prefetch of a miss — and advance the front past it.
-    fn fetch(&mut self, key: (usize, usize), take: bool) -> Result<Arc<Matrix<f64>>, OocError> {
+    fn fetch(&mut self, key: (usize, usize), take: bool) -> Result<Tile, OocError> {
         if !self.resident.contains_key(&key) {
             debug_assert_eq!(
                 self.plan.fetches.get(self.fetch_consumed).map(|f| f.tile),
@@ -759,7 +912,7 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend> PipelineFront<'s, 'env, 'fm, B> {
             self.pump();
             let tile = self.wait_fetched(key)?;
             self.fetch_consumed += 1;
-            self.resident.insert(key, (Some(Arc::new(tile)), false));
+            self.resident.insert(key, (Some(tile), false));
         }
         let (slot, _) = self
             .resident
@@ -773,19 +926,19 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend> PipelineFront<'s, 'env, 'fm, B> {
 }
 
 impl<'fm: 'env, 'env, B: IoBackend> TileStore for PipelineFront<'_, 'env, 'fm, B> {
-    type Tile = Arc<Matrix<f64>>;
+    type Tile = Tile;
     type Error = OocError;
 
     fn begin_panel(&mut self, k: usize) {
         self.io.with_backend(|be| be.begin_panel(k));
     }
-    fn get(&mut self, bi: usize, bj: usize) -> Result<Arc<Matrix<f64>>, OocError> {
+    fn get(&mut self, bi: usize, bj: usize) -> Result<Tile, OocError> {
         self.fetch((bi, bj), false)
     }
-    fn take(&mut self, bi: usize, bj: usize) -> Result<Arc<Matrix<f64>>, OocError> {
+    fn take(&mut self, bi: usize, bj: usize) -> Result<Tile, OocError> {
         self.fetch((bi, bj), true)
     }
-    fn put(&mut self, bi: usize, bj: usize, tile: Arc<Matrix<f64>>) -> Result<(), OocError> {
+    fn put(&mut self, bi: usize, bj: usize, tile: Tile) -> Result<(), OocError> {
         let slot = self
             .resident
             .get_mut(&(bi, bj))
@@ -850,7 +1003,7 @@ impl<'fm: 'env, 'env, B: IoBackend> Front for PipelineFront<'_, 'env, 'fm, B> {
                 "quiesce left jobs in flight"
             );
         }
-        self.plan = Plan::new(self.nb, self.capacity, k, self.boundaries);
+        self.plan = Plan::new(self.nb, self.capacity, k, self.boundaries, self.order);
         self.pos = 0;
         self.next_fetch = 0;
         self.fetch_consumed = 0;
@@ -871,11 +1024,11 @@ fn with_front<B: IoBackend, R>(
     boundaries: bool,
     body: impl FnOnce(&mut PipelineFront<'_, '_, '_, B>) -> Result<R, OocError>,
 ) -> Result<R, OocError> {
-    let nb = fm.nb();
-    let plan = Plan::new(nb, cfg.capacity_tiles, start, boundaries);
+    let (nb, b) = (fm.nb(), fm.b());
+    let plan = Plan::new(nb, cfg.capacity_tiles, start, boundaries, cfg.order);
     let io = PipeIo::new(fm, cfg.sleep_latency);
     io_scope(cfg.io_workers, |scope| {
-        let mut front = PipelineFront::new(&io, scope, plan, cfg, nb, boundaries);
+        let mut front = PipelineFront::new(&io, scope, plan, cfg, nb, b, boundaries);
         body(&mut front).inspect_err(|_| io.fail())
     })
 }
@@ -889,7 +1042,7 @@ fn run_pipelined<B: IoBackend, St: Store>(
     ck: Option<Checkpointing<'_, St>>,
 ) -> Result<PipelineStats, OocError> {
     with_front(fm, cfg, start, ck.is_some(), |front| {
-        drive(front, cfg.kernel, start, ck)?;
+        drive(front, cfg.kernel, cfg.order, start, ck)?;
         Ok(front.stats)
     })
 }
@@ -909,16 +1062,20 @@ pub fn ooc_potrf_pipelined_with<B: IoBackend>(
     run_pipelined::<_, FsStore>(fm, cfg, 0, None)
 }
 
-/// Out-of-core Cholesky with a checkpoint after every panel, through
-/// the panel-granularity journaled protocol of
+/// Out-of-core Cholesky with a checkpoint after every panel step
+/// (right-looking) or block column (left-looking), through the
+/// journaled protocol of
 /// [`checkpoint`](crate::checkpoint) over an explicit [`Store`]
 /// ([`FsStore`] on the real filesystem; the crash-point explorer drives
 /// a `SimStore`, so checkpoint traffic and tile traffic land on the same
 /// recorded schedule).  If `ckpt` already holds a (validated) committed
 /// generation for this matrix, the data file is restored from the
 /// snapshot and the run resumes at the recorded panel; otherwise it
-/// starts from scratch.  On success the factor is barriered to stable
-/// storage and the checkpoint files are removed.
+/// starts from scratch.  A generation records `cfg.order`, and one
+/// written under the other order is refused with
+/// [`InvalidData`](std::io::ErrorKind::InvalidData): the two leave
+/// different files at the same step.  On success the factor is
+/// barriered to stable storage and the checkpoint files are removed.
 ///
 /// A crash injected by the backend surfaces as [`OocError::Io`]; the
 /// caller "restarts the process" by reopening the file
@@ -960,10 +1117,17 @@ pub fn ooc_potrf_checkpointed<B: IoBackend>(
         ckpt,
         store,
         report: &mut report,
+        order: cfg.order,
     };
     let start = ck.resume_point(fm)?;
     let stats = run_pipelined(fm, cfg, start, Some(ck))?;
     Ok((report, stats))
+}
+
+/// [`model_overlap_with`] in the order [`PipelineConfig::new`] runs:
+/// left-looking.
+pub fn model_overlap(cfg: &ModelConfig) -> ModelReport {
+    model_overlap_with(cfg, Order::Left)
 }
 
 /// Default compute throughput of the modeled-time simulator: tile
@@ -1025,30 +1189,28 @@ fn argmin(v: &[u64]) -> usize {
 /// Deterministic event-level model of the overlap: the same [`Plan`]
 /// walked twice — once serialized (the synchronous baseline), once with
 /// reads and write-backs on `io_workers` parallel timelines, compute
-/// stalling only at misses whose read has not completed.  Compute is
-/// charged at puts (`potf2` = `b³/3`, `trsm` = `b³`, `gemm` = `2b³`
-/// flops; edge tiles charged full — it is a model).  Pure function of
-/// its config: this is what `ooc_bench` gates the ≥2x overlap claim on,
-/// exactly reproducible in CI.
-pub fn model_overlap(cfg: &ModelConfig) -> ModelReport {
+/// stalling only at misses whose read has not completed.  Every applied
+/// op is charged (`potf2` = `b³/3`, `trsm` = `b³`, `gemm` = `2b³` flops,
+/// a diagonal update too; edge tiles charged full — it is a model) at
+/// the access that follows it: its put, in the right-looking order.  A
+/// pure function of its config and `order`: `ooc_bench` gates the ≥2x
+/// overlap claim on it, exactly reproducible in CI.
+pub fn model_overlap_with(cfg: &ModelConfig, order: Order) -> ModelReport {
     let nb = cfg.n.div_ceil(cfg.b);
-    let plan = Plan::new(nb, cfg.capacity_tiles, 0, false);
+    let plan = Plan::new(nb, cfg.capacity_tiles, 0, false, order);
 
-    // Compute is charged where its result is put.
     let fb = cfg.b as f64;
     let potf2_us = ((fb * fb * fb / 3.0) / cfg.flops_per_us).round() as u64;
     let trsm_us = ((fb * fb * fb) / cfg.flops_per_us).round() as u64;
     let gemm_us = ((2.0 * fb * fb * fb) / cfg.flops_per_us).round() as u64;
-    let compute_cost: Vec<u64> = plan
-        .ops
-        .iter()
-        .map(|access| match access {
-            Access::Put(TileOp::Factor { .. }) => potf2_us,
-            Access::Put(TileOp::Solve { .. }) => trsm_us,
-            Access::Put(TileOp::Update { .. }) => gemm_us,
-            Access::Get(..) | Access::Boundary => 0,
-        })
-        .collect();
+    let mut compute_cost = vec![0u64; plan.ops.len()];
+    for &(pos, op) in &plan.applied {
+        compute_cost[pos] += match op {
+            TileOp::Factor { .. } => potf2_us,
+            TileOp::Solve { .. } => trsm_us,
+            TileOp::Update { .. } => gemm_us,
+        };
+    }
 
     // Synchronous leg: one timeline, ops in execution order (evictions,
     // then the miss read — the order the front also samples in, so both
@@ -1185,6 +1347,20 @@ mod tests {
     use cholcomm_matrix::schedule::TileGrid;
     use cholcomm_matrix::{matrix_digest, spd};
 
+    /// The synchronous driver (zero I/O workers) in `order`.
+    fn sync_in<B: IoBackend>(
+        fm: &mut B,
+        cap: usize,
+        kernel: KernelImpl,
+        order: Order,
+    ) -> Result<(), OocError> {
+        let cfg = PipelineConfig::new(cap)
+            .with_io_workers(0)
+            .with_kernel(kernel)
+            .with_order(order);
+        ooc_potrf_pipelined_with(fm, &cfg).map(drop)
+    }
+
     fn checkpointed_on_fs<B: IoBackend>(
         fm: &mut B,
         ckpt: &Checkpoint,
@@ -1198,8 +1374,8 @@ mod tests {
     /// the allocation put back.
     struct Handoff {
         op: TileOp,
-        taken: Option<(*const Matrix<f64>, usize)>,
-        put: *const Matrix<f64>,
+        taken: Option<(*const Form, usize)>,
+        put: *const Form,
     }
 
     /// A real front that also logs the accesses it serves, and how the
@@ -1209,7 +1385,7 @@ mod tests {
         k: usize,
         seen: Vec<Access>,
         /// The last take: its tile, allocation and holder count.
-        taken: Option<((usize, usize), *const Matrix<f64>, usize)>,
+        taken: Option<((usize, usize), *const Form, usize)>,
         handoffs: Vec<Handoff>,
     }
 
@@ -1226,23 +1402,23 @@ mod tests {
     }
 
     impl<F: Front> TileStore for Logged<'_, F> {
-        type Tile = Arc<Matrix<f64>>;
+        type Tile = Tile;
         type Error = OocError;
         fn begin_panel(&mut self, k: usize) {
             self.k = k;
             self.front.begin_panel(k);
         }
-        fn get(&mut self, bi: usize, bj: usize) -> Result<Arc<Matrix<f64>>, OocError> {
+        fn get(&mut self, bi: usize, bj: usize) -> Result<Tile, OocError> {
             self.seen.push(Access::Get(bi, bj));
             self.front.get(bi, bj)
         }
-        fn take(&mut self, bi: usize, bj: usize) -> Result<Arc<Matrix<f64>>, OocError> {
+        fn take(&mut self, bi: usize, bj: usize) -> Result<Tile, OocError> {
             self.seen.push(Access::Get(bi, bj));
             let t = self.front.take(bi, bj)?;
-            self.taken = Some(((bi, bj), Arc::as_ptr(&t), Arc::strong_count(&t)));
+            self.taken = Some(((bi, bj), Arc::as_ptr(&t.0), Arc::strong_count(&t.0)));
             Ok(t)
         }
-        fn put(&mut self, bi: usize, bj: usize, tile: Arc<Matrix<f64>>) -> Result<(), OocError> {
+        fn put(&mut self, bi: usize, bj: usize, tile: Tile) -> Result<(), OocError> {
             let op = TileOp::of(bi, bj, self.k);
             self.seen.push(Access::Put(op));
             if !matches!(op, TileOp::Factor { .. }) {
@@ -1250,7 +1426,7 @@ mod tests {
                 self.handoffs.push(Handoff {
                     op,
                     taken: taken.map(|(_, at, holders)| (at, holders)),
-                    put: Arc::as_ptr(&tile),
+                    put: Arc::as_ptr(&tile.0),
                 });
             }
             self.front.put(bi, bj, tile)
@@ -1278,28 +1454,34 @@ mod tests {
         let mut rng = spd::test_rng(229);
         for (n, b, start) in [(40usize, 8usize, 0usize), (37, 8, 2), (8, 8, 0), (24, 8, 3)] {
             let a = spd::random_spd(n, &mut rng);
-            let mut fm = FileMatrix::create(&scratch_path("planlog"), &a, b).unwrap();
-            let grid = TileGrid::new(n, b);
-            let cfg = PipelineConfig::new(4).with_io_workers(0);
-            let seen = with_front(&mut fm, &cfg, 0, false, |front| {
-                // Panels before `start` run unlogged, as a resumed run's
-                // predecessor would have.
-                schedule::factor(front, grid, 0..start, KernelImpl::Reference)?;
-                let mut logged = Logged::new(front, start);
-                for k in start..grid.nb() {
-                    schedule::factor(&mut logged, grid, k..k + 1, KernelImpl::Reference)?;
-                    logged.seen.push(Access::Boundary);
-                }
-                Ok(logged.seen)
-            })
-            .unwrap();
-            let plan = Plan::new(grid.nb(), 4, start, true);
-            assert_eq!(plan.ops, seen, "n={n} b={b} start={start}");
-            let plain: Vec<Access> = seen
-                .into_iter()
-                .filter(|a| *a != Access::Boundary)
-                .collect();
-            assert_eq!(Plan::new(grid.nb(), 4, start, false).ops, plain);
+            for order in Order::ALL {
+                let mut fm = FileMatrix::create(&scratch_path("planlog"), &a, b).unwrap();
+                let grid = TileGrid::new(n, b);
+                let cfg = PipelineConfig::new(4).with_io_workers(0).with_order(order);
+                let seen = with_front(&mut fm, &cfg, 0, false, |front| {
+                    // Panels before `start` run unlogged, as a resumed
+                    // run's predecessor would have.
+                    order.factor(front, grid, 0..start, KernelImpl::Reference)?;
+                    let mut logged = Logged::new(front, start);
+                    for k in start..grid.nb() {
+                        order.factor(&mut logged, grid, k..k + 1, KernelImpl::Reference)?;
+                        logged.seen.push(Access::Boundary);
+                    }
+                    Ok(logged.seen)
+                })
+                .unwrap();
+                let plan = Plan::new(grid.nb(), 4, start, true, order);
+                assert_eq!(plan.ops, seen, "n={n} b={b} start={start} {order}");
+                let plain: Vec<Access> = seen
+                    .into_iter()
+                    .filter(|a| *a != Access::Boundary)
+                    .collect();
+                assert_eq!(
+                    Plan::new(grid.nb(), 4, start, false, order).ops,
+                    plain,
+                    "{order}"
+                );
+            }
         }
     }
 
@@ -1309,38 +1491,103 @@ mod tests {
         let a = spd::random_spd(40, &mut rng);
         let b = 8;
         let nb = a.rows().div_ceil(b);
-        for cap in [3usize, 5, 12] {
-            let mut fm = FileMatrix::create(&scratch_path(&format!("plan{cap}")), &a, b).unwrap();
-            ooc_potrf_with(&mut fm, cap, KernelImpl::Reference).unwrap();
+        for order in Order::ALL {
+            for cap in [3usize, 5, 12] {
+                let mut fm =
+                    FileMatrix::create(&scratch_path(&format!("plan{cap}")), &a, b).unwrap();
+                sync_in(&mut fm, cap, KernelImpl::Reference, order).unwrap();
+                let s = fm.stats();
+                let plan = Plan::new(nb, cap, 0, false, order);
+                assert_eq!(
+                    s.reads,
+                    plan.fetches.len() as u64,
+                    "cap {cap} {order}: reads"
+                );
+                assert_eq!(
+                    s.writes,
+                    plan.evict_writes + plan.final_writes.len() as u64,
+                    "cap {cap} {order}: writes"
+                );
+                // Fetches are issuable by their miss, and in miss order.
+                for (i, f) in plan.fetches.iter().enumerate() {
+                    assert!(f.ready_at <= f.miss_pos, "fetch {i} unissuable");
+                    if i > 0 {
+                        assert!(f.miss_pos > plan.fetches[i - 1].miss_pos);
+                    }
+                }
+            }
+            // Checkpointed-shaped plan: boundary flushes account for every
+            // write the checkpointed driver issues.
+            let cap = 4;
+            let mut fm = FileMatrix::create(&scratch_path("planck"), &a, b).unwrap();
+            let ckpt = Checkpoint::at(&scratch_path("planck").with_extension("ckpt"));
+            let cfg = PipelineConfig::new(cap)
+                .with_io_workers(0)
+                .with_order(order);
+            checkpointed_on_fs(&mut fm, &ckpt, &cfg).unwrap();
             let s = fm.stats();
-            let plan = Plan::new(nb, cap, 0, false);
-            assert_eq!(s.reads, plan.fetches.len() as u64, "cap {cap}: reads");
-            assert_eq!(
-                s.writes,
-                plan.evict_writes + plan.final_writes.len() as u64,
-                "cap {cap}: writes"
-            );
-            // Fetches are issuable by their miss, and in miss order.
-            for (i, f) in plan.fetches.iter().enumerate() {
-                assert!(f.ready_at <= f.miss_pos, "fetch {i} unissuable");
-                if i > 0 {
-                    assert!(f.miss_pos > plan.fetches[i - 1].miss_pos);
+            let plan = Plan::new(nb, cap, 0, true, order);
+            assert_eq!(s.reads, plan.fetches.len() as u64, "{order}");
+            let flushes: u64 = plan.boundary_writes.iter().map(|v| v.len() as u64).sum();
+            assert_eq!(s.writes, plan.evict_writes + flushes, "{order}");
+            assert!(plan.final_writes.is_empty());
+        }
+    }
+
+    /// Every tile the plan writes — dirty evictions, boundary and final
+    /// flushes — in plan order.
+    fn planned_writes(plan: &Plan) -> Vec<(usize, usize)> {
+        let evicted = plan
+            .fetches
+            .iter()
+            .flat_map(|f| &f.evict)
+            .filter(|(_, dirty)| *dirty);
+        let mut writes: Vec<_> = evicted.map(|&(key, _)| key).collect();
+        writes.extend(plan.boundary_writes.iter().flatten().copied());
+        writes.extend(plan.final_writes.iter().copied());
+        writes
+    }
+
+    #[test]
+    fn the_planner_counts_the_ooc_file_shape_exactly() {
+        // The `ooc_file` shape: n = 3072, b = 128 (nb = 24), 36 of the
+        // 300 lower tiles resident.  No file: the plan is data-oblivious.
+        let right = Plan::new(24, 36, 0, false, Order::Right);
+        let counts = |p: &Plan| (p.fetches.len(), p.evict_writes, p.final_writes.len());
+        assert_eq!(
+            counts(&right),
+            (2740, 2479, 36),
+            "right-looking: today's traced run"
+        );
+        let left = Plan::new(24, 36, 0, false, Order::Left);
+        assert_eq!(counts(&left), (2901, 298, 2), "left-looking");
+        // Bytes moved per pass at 128 KiB a tile.
+        let tile = 128 * 128 * 8;
+        assert_eq!((2740 + 2479 + 36) * tile, 688_783_360);
+        assert_eq!((2901 + 298 + 2) * tile, 419_561_472);
+        // Every operand fetch is of a finished off-diagonal tile.
+        assert!(left
+            .fetches
+            .iter()
+            .filter(|f| f.operand)
+            .all(|f| f.tile.0 != f.tile.1));
+    }
+
+    #[test]
+    fn left_looking_writes_each_lower_tile_exactly_once() {
+        for nb in 1..=9usize {
+            let mut lower: Vec<(usize, usize)> =
+                (0..nb).flat_map(|i| (0..=i).map(move |j| (i, j))).collect();
+            lower.sort_unstable();
+            for cap in [3usize, 4, 6, 12] {
+                for boundaries in [false, true] {
+                    let plan = Plan::new(nb, cap, 0, boundaries, Order::Left);
+                    let mut writes = planned_writes(&plan);
+                    writes.sort_unstable();
+                    assert_eq!(writes, lower, "nb={nb} cap={cap} boundaries={boundaries}");
                 }
             }
         }
-        // Checkpointed-shaped plan: boundary flushes account for every
-        // write the checkpointed driver issues.
-        let cap = 4;
-        let mut fm = FileMatrix::create(&scratch_path("planck"), &a, b).unwrap();
-        let ckpt = Checkpoint::at(&scratch_path("planck").with_extension("ckpt"));
-        let cfg = PipelineConfig::new(cap).with_io_workers(0);
-        checkpointed_on_fs(&mut fm, &ckpt, &cfg).unwrap();
-        let s = fm.stats();
-        let plan = Plan::new(nb, cap, 0, true);
-        assert_eq!(s.reads, plan.fetches.len() as u64);
-        let flushes: u64 = plan.boundary_writes.iter().map(|v| v.len() as u64).sum();
-        assert_eq!(s.writes, plan.evict_writes + flushes);
-        assert!(plan.final_writes.is_empty());
     }
 
     #[test]
@@ -1348,7 +1595,10 @@ mod tests {
         let mut rng = spd::test_rng(231);
         let a = spd::random_spd(40, &mut rng);
         let b = 8;
-        for kernel in [KernelImpl::Reference, KernelImpl::Fast] {
+        for (kernel, order) in [KernelImpl::Reference, KernelImpl::Fast]
+            .into_iter()
+            .flat_map(|k| Order::ALL.map(|o| (k, o)))
+        {
             for cap in [3usize, 5, 12] {
                 let mut sync = FileMatrix::create(
                     &scratch_path(&format!("bits-sync-{kernel:?}-{cap}")),
@@ -1356,14 +1606,16 @@ mod tests {
                     b,
                 )
                 .unwrap();
-                ooc_potrf_with(&mut sync, cap, kernel).unwrap();
+                sync_in(&mut sync, cap, kernel, order).unwrap();
                 let want = sync.to_matrix().unwrap();
                 for workers in [1usize, 2] {
                     for lookahead in [1usize, 4] {
-                        let tag = format!("bits-pipe-{kernel:?}-{cap}-{workers}-{lookahead}");
+                        let tag =
+                            format!("bits-pipe-{kernel:?}-{order}-{cap}-{workers}-{lookahead}");
                         let mut fm = FileMatrix::create(&scratch_path(&tag), &a, b).unwrap();
                         let cfg = PipelineConfig::new(cap)
                             .with_kernel(kernel)
+                            .with_order(order)
                             .with_io_workers(workers)
                             .with_lookahead(lookahead);
                         let stats = ooc_potrf_pipelined_with(&mut fm, &cfg).unwrap();
@@ -1398,6 +1650,7 @@ mod tests {
         cap: usize,
         (workers, lookahead): (usize, usize),
         checkpointed: bool,
+        order: Order,
     ) -> (Vec<Handoff>, Matrix<f64>) {
         let path = scratch_path(&format!("handoff-{cap}-{workers}-{lookahead}-{checkpointed}"));
         let mut fm = FileMatrix::create(&path, a, 8).unwrap();
@@ -1407,16 +1660,18 @@ mod tests {
             ckpt: &ckpt,
             store: &mut store,
             report: &mut report,
+            order,
         });
         if let Some(ck) = ck.as_mut() {
             assert_eq!(ck.resume_point(&mut fm).unwrap(), 0);
         }
         let cfg = PipelineConfig::new(cap)
             .with_io_workers(workers)
-            .with_lookahead(lookahead);
+            .with_lookahead(lookahead)
+            .with_order(order);
         let handoffs = with_front(&mut fm, &cfg, 0, checkpointed, |front| {
             let mut logged = Logged::new(front, 0);
-            drive(&mut logged, KernelImpl::Reference, 0, ck)?;
+            drive(&mut logged, KernelImpl::Reference, order, 0, ck)?;
             Ok(logged.handoffs)
         })
         .unwrap();
@@ -1429,8 +1684,14 @@ mod tests {
         let nb = a.rows().div_ceil(8);
         let fronts = [(0, 1), (1, 1), (1, 4), (2, 1), (2, 4)];
         let runs = [false, true].map(|checkpointed| fronts.map(|pipe| (checkpointed, pipe)));
-        for cap in [3usize, 5, 12] {
-            let writes: Vec<TileOp> = Plan::new(nb, cap, 0, false)
+        for (cap, order) in [3usize, 5, 12]
+            .into_iter()
+            .flat_map(|c| Order::ALL.map(|o| (c, o)))
+        {
+            // Every Solve and Update the walk puts: all of them in the
+            // right-looking order, the solves in the left-looking one
+            // (whose updates run on the taken tile with no put between).
+            let writes: Vec<TileOp> = Plan::new(nb, cap, 0, false, order)
                 .ops
                 .into_iter()
                 .filter_map(|access| match access {
@@ -1440,8 +1701,10 @@ mod tests {
                 .collect();
             let mut factors = Vec::new();
             for (checkpointed, pipe) in runs.concat() {
-                let tag = format!("cap {cap}, (W, lookahead) {pipe:?}, checkpointed {checkpointed}");
-                let (handoffs, factor) = logged_run(&a, cap, pipe, checkpointed);
+                let tag = format!(
+                    "cap {cap}, {order}, (W, lookahead) {pipe:?}, checkpointed {checkpointed}"
+                );
+                let (handoffs, factor) = logged_run(&a, cap, pipe, checkpointed, order);
                 let ops: Vec<TileOp> = handoffs.iter().map(|h| h.op).collect();
                 assert_eq!(ops, writes, "{tag}");
                 for h in &handoffs {
@@ -1452,7 +1715,10 @@ mod tests {
                 }
                 factors.push(factor);
             }
-            assert!(factors.windows(2).all(|w| w[0] == w[1]), "cap {cap}");
+            assert!(
+                factors.windows(2).all(|w| w[0] == w[1]),
+                "cap {cap} {order}"
+            );
         }
     }
 
@@ -1482,9 +1748,11 @@ mod tests {
         // The bytes themselves, pinned: `matrix_digest` of the file a bad
         // pivot in the first, a middle or the last (ragged) diagonal tile
         // of an order-37, b = 8 matrix leaves, per capacity and engine,
-        // captured before tiles crossed the fronts by reference.  The
-        // failed tile keeps its pre-factor bytes because a `Factor` target
-        // is a `get`, never a `take`.
+        // captured in the right-looking order before tiles crossed the
+        // fronts by reference.  The failed tile keeps its pre-factor
+        // bytes because a `Factor` target is a `get`, never a `take`.
+        // The left-looking order leaves a file of its own (the finished
+        // block columns, the rest as input), the same at every W.
         use KernelImpl::{Fast, Reference};
         const GOLDEN: [(usize, usize, KernelImpl, u64); 12] = [
             (3, 0, Reference, 0xda55a5670a383986),
@@ -1505,18 +1773,26 @@ mod tests {
             let pivot = tile * 8 + 2;
             let mut m = a.clone();
             m[(pivot, pivot)] = -1.0;
-            for workers in [0usize, 1, 2] {
-                let mut fm = FileMatrix::create(&scratch_path("nspd-gold"), &m, 8).unwrap();
-                let cfg = PipelineConfig::new(cap)
-                    .with_kernel(kernel)
-                    .with_io_workers(workers);
-                let done = ooc_potrf_pipelined_with(&mut fm, &cfg);
-                let tag = format!("cap {cap}, tile {tile}, {kernel:?}, W={workers}");
-                assert!(
-                    matches!(done, Err(OocError::NotSpd { pivot: p, .. }) if p == pivot),
-                    "{tag}: {done:?}"
-                );
-                assert_eq!(matrix_digest(&fm.to_matrix().unwrap()), want, "{tag}");
+            for order in Order::ALL {
+                let mut left = None;
+                for workers in [0usize, 1, 2] {
+                    let mut fm = FileMatrix::create(&scratch_path("nspd-gold"), &m, 8).unwrap();
+                    let cfg = PipelineConfig::new(cap)
+                        .with_kernel(kernel)
+                        .with_order(order)
+                        .with_io_workers(workers);
+                    let done = ooc_potrf_pipelined_with(&mut fm, &cfg);
+                    let tag = format!("cap {cap}, tile {tile}, {kernel:?}, {order}, W={workers}");
+                    assert!(
+                        matches!(done, Err(OocError::NotSpd { pivot: p, .. }) if p == pivot),
+                        "{tag}: {done:?}"
+                    );
+                    let got = matrix_digest(&fm.to_matrix().unwrap());
+                    match order {
+                        Order::Right => assert_eq!(got, want, "{tag}"),
+                        Order::Left => assert_eq!(*left.get_or_insert(got), got, "{tag}"),
+                    }
+                }
             }
         }
     }
@@ -1531,7 +1807,8 @@ mod tests {
 
         // Zero and one worker: the backend sees the same op order, so a
         // per-op plan fires at identical indices, and the tallies equal
-        // those pinned on the synchronous driver that W = 0 replaced.
+        // those pinned on the right-looking synchronous driver that W = 0
+        // replaced.
         let plan = FaultPlan::builder(60)
             .inject_disk_fault(2, 1, DiskFault::TransientEio)
             .inject_disk_fault(7, 1, DiskFault::ShortRead)
@@ -1540,7 +1817,9 @@ mod tests {
         for workers in [0usize, 1] {
             let fm = FileMatrix::create(&scratch_path("flaky-w01"), &a, 8).unwrap();
             let mut fb = FaultyBackend::new(fm, plan.clone());
-            let cfg = PipelineConfig::new(4).with_io_workers(workers);
+            let cfg = PipelineConfig::new(4)
+                .with_io_workers(workers)
+                .with_order(Order::Right);
             ooc_potrf_pipelined_with(&mut fb, &cfg).unwrap();
             let f = fb.fault_stats();
             let tallies = (f.disk_transients, f.disk_short_reads, f.disk_retries, fb.ops());
@@ -1551,15 +1830,30 @@ mod tests {
             assert_eq!(fb.inner_mut().to_matrix().unwrap(), want, "W={workers}");
         }
 
-        // Two workers: op order may permute, so use rate faults; every
-        // transient must still be healed below the factorization.
-        let rate_plan = FaultPlan::builder(61).disk_transient_rate(0.2).build();
-        let fm = FileMatrix::create(&scratch_path("flaky-w2"), &a, 8).unwrap();
-        let mut fb = FaultyBackend::new(fm, rate_plan);
-        let cfg = PipelineConfig::new(4).with_io_workers(2);
-        ooc_potrf_pipelined_with(&mut fb, &cfg).unwrap();
-        assert!(fb.fault_stats().disk_faults() > 0, "plan should have bitten");
-        assert_eq!(fb.inner_mut().to_matrix().unwrap(), want);
+        // Every worker count in both orders, under rate faults (at two
+        // workers op order may permute): every transient must still be
+        // healed below the factorization, to the same bits.
+        for (order, workers) in Order::ALL
+            .into_iter()
+            .flat_map(|o| [0usize, 1, 2].map(|w| (o, w)))
+        {
+            let rate_plan = FaultPlan::builder(61).disk_transient_rate(0.2).build();
+            let fm = FileMatrix::create(&scratch_path("flaky-rate"), &a, 8).unwrap();
+            let mut fb = FaultyBackend::new(fm, rate_plan);
+            let cfg = PipelineConfig::new(4)
+                .with_io_workers(workers)
+                .with_order(order);
+            ooc_potrf_pipelined_with(&mut fb, &cfg).unwrap();
+            assert!(
+                fb.fault_stats().disk_faults() > 0,
+                "{order} W={workers}: plan should have bitten"
+            );
+            assert_eq!(
+                fb.inner_mut().to_matrix().unwrap(),
+                want,
+                "{order} W={workers}"
+            );
+        }
     }
 
     #[test]
@@ -1570,53 +1864,76 @@ mod tests {
         ooc_potrf_with(&mut clean, 4, KernelImpl::Reference).unwrap();
         let want = clean.to_matrix().unwrap();
 
-        let path = scratch_path("pckpt");
-        let ckpt = Checkpoint::at(&path.with_extension("ckpt"));
-        let cfg = PipelineConfig::new(4).with_io_workers(2).with_lookahead(3);
-        {
-            let mut fm = FileMatrix::create(&path, &a, 8).unwrap();
-            fm.set_persist(true); // the "dead process" leaves its file behind
-            let plan = FaultPlan::builder(62)
-                .crash_at(CrashPoint::AfterPanel(1))
-                .build();
-            let mut fb = FaultyBackend::new(fm, plan);
-            let err = checkpointed_on_fs(&mut fb, &ckpt, &cfg).unwrap_err();
-            assert!(matches!(err, OocError::Io(_)), "crash surfaces as Io");
+        for order in Order::ALL {
+            let path = scratch_path("pckpt");
+            let ckpt = Checkpoint::at(&path.with_extension("ckpt"));
+            let cfg = PipelineConfig::new(4)
+                .with_io_workers(2)
+                .with_lookahead(3)
+                .with_order(order);
+            {
+                let mut fm = FileMatrix::create(&path, &a, 8).unwrap();
+                fm.set_persist(true); // the "dead process" leaves its file behind
+                let plan = FaultPlan::builder(62)
+                    .crash_at(CrashPoint::AfterPanel(1))
+                    .build();
+                let mut fb = FaultyBackend::new(fm, plan);
+                let err = checkpointed_on_fs(&mut fb, &ckpt, &cfg).unwrap_err();
+                assert!(
+                    matches!(err, OocError::Io(_)),
+                    "{order}: crash surfaces as Io"
+                );
+            }
+            // "Restart the process": reopen and resume with the same ckpt —
+            // first under the other order, which the checkpoint refuses
+            // (its file holds the other walk's state) without touching a
+            // byte, then under its own.
+            let mut fm = FileMatrix::open(&path, 32, 8).unwrap();
+            let other = Order::ALL.into_iter().find(|&o| o != order).unwrap();
+            let refused = checkpointed_on_fs(&mut fm, &ckpt, &cfg.clone().with_order(other));
+            assert!(
+                matches!(&refused, Err(OocError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidData),
+                "{order} resumed {other}: {refused:?}"
+            );
+            let (rep, stats) = checkpointed_on_fs(&mut fm, &ckpt, &cfg).unwrap();
+            // The crash hits after panel 1 completes but *before* its
+            // checkpoint commits, so the resume replays panel 1.
+            assert_eq!(
+                rep.start_panel, 1,
+                "{order}: panel 0's checkpoint was the last committed"
+            );
+            assert!(stats.fetches > 0);
+            assert_eq!(
+                fm.to_matrix().unwrap(),
+                want,
+                "{order}: crash + resume must not change a single bit"
+            );
+            let left = ckpt.load(&mut FsStore::new()).unwrap();
+            assert!(left.is_none(), "checkpoint removed after success");
+            fm.set_persist(false);
         }
-        // "Restart the process": reopen and resume with the same ckpt.
-        let mut fm = FileMatrix::open(&path, 32, 8).unwrap();
-        let (rep, stats) = checkpointed_on_fs(&mut fm, &ckpt, &cfg).unwrap();
-        // The crash hits after panel 1 completes but *before* its
-        // checkpoint commits, so the resume replays panel 1.
-        assert_eq!(rep.start_panel, 1, "panel 0's checkpoint was the last committed");
-        assert!(stats.fetches > 0);
-        assert_eq!(
-            fm.to_matrix().unwrap(),
-            want,
-            "crash + resume must not change a single bit"
-        );
-        let left = ckpt.load(&mut FsStore::new()).unwrap();
-        assert!(left.is_none(), "checkpoint removed after success");
     }
 
     #[test]
     fn checkpointed_pipeline_matches_sync_without_faults() {
         let mut rng = spd::test_rng(234);
         let a = spd::random_spd(40, &mut rng);
-        let mut sync = FileMatrix::create(&scratch_path("pck-sync"), &a, 8).unwrap();
-        let sync_ckpt = Checkpoint::at(&scratch_path("pck-sync").with_extension("ckpt"));
-        let sync_cfg = PipelineConfig::new(4).with_io_workers(0);
-        let (sync_rep, _) = checkpointed_on_fs(&mut sync, &sync_ckpt, &sync_cfg).unwrap();
-        let want = sync.to_matrix().unwrap();
+        for order in Order::ALL {
+            let mut sync = FileMatrix::create(&scratch_path("pck-sync"), &a, 8).unwrap();
+            let sync_ckpt = Checkpoint::at(&scratch_path("pck-sync").with_extension("ckpt"));
+            let sync_cfg = PipelineConfig::new(4).with_io_workers(0).with_order(order);
+            let (sync_rep, _) = checkpointed_on_fs(&mut sync, &sync_ckpt, &sync_cfg).unwrap();
+            let want = sync.to_matrix().unwrap();
 
-        let mut fm = FileMatrix::create(&scratch_path("pck-pipe"), &a, 8).unwrap();
-        let ckpt = Checkpoint::at(&scratch_path("pck-pipe").with_extension("ckpt"));
-        let cfg = PipelineConfig::new(4).with_io_workers(2);
-        let (rep, _) = checkpointed_on_fs(&mut fm, &ckpt, &cfg).unwrap();
-        assert_eq!(fm.to_matrix().unwrap(), want);
-        assert_eq!(rep.checkpoints_written, sync_rep.checkpoints_written);
-        assert_eq!(rep.panels_done, sync_rep.panels_done);
-        assert_eq!(rep.checkpoint_bytes, sync_rep.checkpoint_bytes);
+            let mut fm = FileMatrix::create(&scratch_path("pck-pipe"), &a, 8).unwrap();
+            let ckpt = Checkpoint::at(&scratch_path("pck-pipe").with_extension("ckpt"));
+            let cfg = PipelineConfig::new(4).with_io_workers(2).with_order(order);
+            let (rep, _) = checkpointed_on_fs(&mut fm, &ckpt, &cfg).unwrap();
+            assert_eq!(fm.to_matrix().unwrap(), want, "{order}");
+            assert_eq!(rep.checkpoints_written, sync_rep.checkpoints_written);
+            assert_eq!(rep.panels_done, sync_rep.panels_done);
+            assert_eq!(rep.checkpoint_bytes, sync_rep.checkpoint_bytes);
+        }
     }
 
     #[test]
@@ -1636,18 +1953,102 @@ mod tests {
             .inject_bit_flip(1, (2, 1), (0, 0), 1 << 44)
             .inject_bit_flip(1, (2, 1), (6, 3), 1 << 45)
             .build();
-        let fm = FileMatrix::create(&scratch_path("pabft"), &a, 8).unwrap();
-        let mut ab = AbftBackend::new(fm, plan);
-        let ckpt = Checkpoint::at(&scratch_path("pabft").with_extension("ckpt"));
-        let cfg = PipelineConfig::new(3).with_io_workers(2).with_lookahead(2);
-        let (rep, _) = checkpointed_on_fs(&mut ab, &ckpt, &cfg).unwrap();
-        assert!(rep.restores >= 1, "multi-element corruption forced a rollback");
-        assert_eq!(ab.abft_stats().unrecoverable, 1);
-        assert_eq!(
-            ab.inner_mut().to_matrix().unwrap(),
-            want,
-            "restored-and-retried factor must be bit-identical"
-        );
+        for order in Order::ALL {
+            let fm = FileMatrix::create(&scratch_path("pabft"), &a, 8).unwrap();
+            let mut ab = AbftBackend::new(fm, plan.clone());
+            let ckpt = Checkpoint::at(&scratch_path("pabft").with_extension("ckpt"));
+            let cfg = PipelineConfig::new(3)
+                .with_io_workers(2)
+                .with_lookahead(2)
+                .with_order(order);
+            let (rep, _) = checkpointed_on_fs(&mut ab, &ckpt, &cfg).unwrap();
+            assert!(
+                rep.restores >= 1,
+                "{order}: multi-element corruption forced a rollback"
+            );
+            assert_eq!(ab.abft_stats().unrecoverable, 1, "{order}");
+            assert_eq!(
+                ab.inner_mut().to_matrix().unwrap(),
+                want,
+                "{order}: restored-and-retried factor must be bit-identical"
+            );
+        }
+    }
+
+    #[test]
+    fn one_factor_across_orders_workers_engines_and_faults() {
+        use crate::abft::AbftBackend;
+        use cholcomm_matrix::lower_digest;
+        use cholcomm_matrix::schedule::MemTiles;
+
+        // Ragged edges, and tile sizes off the 16-row strip, so a packed
+        // operand carries padding rows.
+        for (n, b) in [(61usize, 20usize), (45, 8)] {
+            let a = spd::random_spd(n, &mut spd::test_rng(239));
+            for kernel in [
+                KernelImpl::Reference,
+                KernelImpl::FastStrict,
+                KernelImpl::Fast,
+            ] {
+                let mut tiles = MemTiles::from_matrix(&a, b).unwrap();
+                let grid = tiles.grid;
+                Order::Right.factor(&mut tiles, grid, 0..grid.nb(), kernel).unwrap();
+                let mut want = a.clone();
+                tiles.write_back(&mut want);
+                let want = lower_digest(&want);
+                let packs = kernel.packs_tiles::<f64>(b);
+                for (order, workers) in Order::ALL
+                    .into_iter()
+                    .flat_map(|o| [0usize, 1, 2].map(|w| (o, w)))
+                {
+                    let tag = format!("n={n} b={b} {kernel:?} {order} W={workers}");
+                    let cfg = PipelineConfig::new(3)
+                        .with_kernel(kernel)
+                        .with_order(order)
+                        .with_io_workers(workers);
+
+                    let mut fm = FileMatrix::create(&scratch_path("grid"), &a, b).unwrap();
+                    let st = ooc_potrf_pipelined_with(&mut fm, &cfg).unwrap();
+                    assert_eq!(lower_digest(&fm.to_matrix().unwrap()), want, "{tag}");
+                    assert_eq!(st.packed_fetches > 0, packs, "{tag}: {st:?}");
+
+                    // A flaky disk, retried below the factorization.
+                    let plan = FaultPlan::builder(64).disk_transient_rate(0.2).build();
+                    let fm = FileMatrix::create(&scratch_path("grid-flaky"), &a, b).unwrap();
+                    let mut fb = FaultyBackend::new(fm, plan);
+                    ooc_potrf_pipelined_with(&mut fb, &cfg).unwrap();
+                    assert!(fb.fault_stats().disk_faults() > 0, "{tag}");
+                    assert_eq!(
+                        lower_digest(&fb.inner_mut().to_matrix().unwrap()),
+                        want,
+                        "{tag}: flaky"
+                    );
+
+                    // Silent corruption: single flips healed on read, a
+                    // double flip rolled back to the last checkpoint.
+                    let plan = FaultPlan::builder(65)
+                        .inject_bit_flip(1, (2, 1), (0, 0), 1 << 44)
+                        .inject_bit_flip(1, (2, 1), (6, 3), 1 << 45)
+                        .inject_bit_flip(2, (3, 0), (1, 2), 1 << 50)
+                        .build();
+                    let path = scratch_path("grid-abft");
+                    let mut ab = AbftBackend::new(FileMatrix::create(&path, &a, b).unwrap(), plan);
+                    let ckpt = Checkpoint::at(&path.with_extension("ckpt"));
+                    let (rep, _) = checkpointed_on_fs(&mut ab, &ckpt, &cfg).unwrap();
+                    let healed = ab.abft_stats();
+                    assert!(
+                        healed.corrections + healed.unrecoverable > 0,
+                        "{tag}: {healed:?}"
+                    );
+                    assert_eq!(rep.restores as u64, healed.unrecoverable, "{tag}");
+                    assert_eq!(
+                        lower_digest(&ab.inner_mut().to_matrix().unwrap()),
+                        want,
+                        "{tag}: abft"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1682,7 +2083,7 @@ mod tests {
             flops_per_us: DEFAULT_FLOPS_PER_US,
         };
         let r1 = model_overlap(&cfg);
-        let r2 = model_overlap(&cfg);
+        let r2 = model_overlap_with(&cfg, Order::Left);
         assert_eq!(r1.sync_us, r2.sync_us);
         assert_eq!(r1.pipelined_us, r2.pipelined_us);
         assert!(r1.speedup > 1.0, "overlap must beat sync: {r1:?}");
@@ -1715,13 +2116,15 @@ mod tests {
             latency: LatencyModel::uniform(100),
             flops_per_us: DEFAULT_FLOPS_PER_US,
         };
-        let r = model_overlap(&gate);
+        // Calibrated on, and held to, the right-looking order.
+        let r = model_overlap_with(&gate, Order::Right);
         assert!(r.speedup >= 2.0, "modeled overlap gate: {r:?}");
         for la in [4usize, 8, 16] {
-            let r = model_overlap(&ModelConfig {
+            let cfg = ModelConfig {
                 lookahead: la,
                 ..gate.clone()
-            });
+            };
+            let r = model_overlap_with(&cfg, Order::Right);
             assert!(r.hit_rate >= 0.9, "lookahead {la}: hit rate {}", r.hit_rate);
         }
     }

@@ -1,15 +1,16 @@
 //! Out-of-core blocked Cholesky: Algorithm 4 against the backing store,
 //! through a bounded set of resident tiles — the driver loop every run
-//! goes through, the LRU order the planner replays, and the error type.
+//! goes through (either walk of [`cholcomm_matrix::schedule`], one panel
+//! step or block column at a time), the LRU order the planner replays,
+//! and the error type.
 
 use crate::backend::IoBackend;
 use crate::checkpoint::{simulated_crash, unhealable, Checkpointing, MAX_RESTORE_RETRIES};
-use crate::pipeline::{ooc_potrf_pipelined_with, PipelineConfig};
+use crate::pipeline::{ooc_potrf_pipelined_with, PipelineConfig, Tile};
 use cholcomm_faults::Store;
-use cholcomm_matrix::schedule::{self, TileGrid, TileStore};
-use cholcomm_matrix::{KernelImpl, Matrix, MatrixError};
+use cholcomm_matrix::schedule::{Order, TileGrid, TileStore};
+use cholcomm_matrix::{KernelImpl, MatrixError};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 const NIL: usize = usize::MAX;
 
@@ -111,9 +112,19 @@ impl LruIndex {
         }
     }
 
-    /// The least recently used key, if any.
-    pub(crate) fn lru(&self) -> Option<(usize, usize)> {
-        (self.tail != NIL).then(|| self.slots[self.tail].key)
+    /// The least recently used key that `evictable` accepts, if any.
+    pub(crate) fn oldest(
+        &self,
+        evictable: impl Fn((usize, usize)) -> bool,
+    ) -> Option<(usize, usize)> {
+        let mut s = self.tail;
+        while s != NIL {
+            if evictable(self.slots[s].key) {
+                return Some(self.slots[s].key);
+            }
+            s = self.slots[s].prev;
+        }
+        None
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -131,7 +142,7 @@ impl LruIndex {
 /// get/put sequence and the schedule is data-oblivious, any two fronts
 /// that deliver the stored tile values produce bit-identical factors by
 /// construction.
-pub(crate) trait Front: TileStore<Tile = Arc<Matrix<f64>>, Error = OocError> {
+pub(crate) trait Front: TileStore<Tile = Tile, Error = OocError> {
     /// The backend under the front.
     type Backend: IoBackend;
     /// Run `f` on the backend, serialized with any tile traffic the
@@ -149,15 +160,17 @@ pub(crate) trait Front: TileStore<Tile = Arc<Matrix<f64>>, Error = OocError> {
     fn reset(&mut self, k: usize);
 }
 
-/// The out-of-core driver loop: panels `start..nb` of the right-looking
-/// schedule through `front`, with the panel-granularity checkpoint
-/// protocol when `ck` is given.  Tile gets and puts (the I/O the
-/// out-of-core analysis counts) are identical under every engine and
-/// every front; only the in-memory tile arithmetic changes with the
-/// engine, and only the tile *transport* changes with the front.
+/// The out-of-core driver loop: panel steps (right-looking) or block
+/// columns (left-looking) `start..nb` of `order`'s walk through `front`,
+/// one per checkpoint step, with the checkpoint protocol when `ck` is
+/// given.  Tile gets and puts (the I/O the out-of-core analysis counts)
+/// are identical under every engine and every front; only the in-memory
+/// tile arithmetic changes with the engine, and only the tile
+/// *transport* changes with the front.
 pub(crate) fn drive<F: Front, St: Store>(
     front: &mut F,
     kernel: KernelImpl,
+    order: Order,
     start: usize,
     mut ck: Option<Checkpointing<'_, St>>,
 ) -> Result<(), OocError> {
@@ -166,7 +179,7 @@ pub(crate) fn drive<F: Front, St: Store>(
     for k in start..nb {
         let mut retries = 0;
         loop {
-            match schedule::factor(front, grid, k..k + 1, kernel) {
+            match order.factor(front, grid, k..k + 1, kernel) {
                 Ok(()) => break,
                 Err(e @ OocError::NotSpd { .. }) => {
                     // Leave the file in a well-defined state: everything
@@ -187,7 +200,7 @@ pub(crate) fn drive<F: Front, St: Store>(
             }
             front.flush_boundary()?;
             ck.report.checkpoint_bytes +=
-                front.with_backend(|be| ck.ckpt.save(ck.store, be, k + 1))?;
+                front.with_backend(|be| ck.ckpt.save(ck.store, be, k + 1, ck.order))?;
             ck.report.checkpoints_written += 1;
             ck.report.panels_done += 1;
         }
@@ -244,17 +257,20 @@ fn roll_back<F: Front, St: Store>(
     Ok(())
 }
 
-/// Out-of-core blocked right-looking Cholesky on the backing store,
-/// with `capacity_tiles` tiles resident and every tile move blocking the
+/// Out-of-core blocked Cholesky on the backing store in the left-looking
+/// order of the paper's Algorithm 4 ([`PipelineConfig::new`]'s), with
+/// `capacity_tiles` tiles resident and every tile move blocking the
 /// compute thread: the pipeline at zero I/O workers (see
 /// [`PipelineConfig::with_io_workers`]), the baseline the paper's
 /// sequential I/O counts describe.  The tile I/O is the same under every
 /// kernel engine (see [`cholcomm_matrix::kernels_fast`]).
 ///
 /// On [`OocError::NotSpd`] every dirty tile is written back before the
-/// error is returned, so the file holds every update that completed
-/// before the failing pivot (a partially factored matrix, documented —
-/// not a torn one).
+/// error is returned, so the file holds every tile put before the
+/// failing pivot (a partially factored matrix, documented — not a torn
+/// one): in the left-looking order, the finished block columns before
+/// the failing one; in the right-looking order, the finished panels and
+/// the trailing submatrix updated through the last of them.
 pub fn ooc_potrf_with<B: IoBackend>(
     fm: &mut B,
     capacity_tiles: usize,
@@ -325,7 +341,16 @@ mod tests {
     use super::*;
     use crate::tilefile::{scratch_path, FileMatrix};
     use cholcomm_matrix::digest::fnv1a;
-    use cholcomm_matrix::{kernels, norms, spd};
+    use cholcomm_matrix::{kernels, norms, spd, Matrix};
+
+    /// The synchronous driver in the right-looking order, which the
+    /// pinned logs and counts below were captured on.
+    fn sync_right<B: IoBackend>(fm: &mut B, cap: usize) -> Result<(), OocError> {
+        let cfg = PipelineConfig::new(cap)
+            .with_io_workers(0)
+            .with_order(Order::Right);
+        ooc_potrf_pipelined_with(fm, &cfg).map(drop)
+    }
 
     #[test]
     fn ooc_factors_match_in_memory() {
@@ -658,7 +683,7 @@ mod tests {
         let nb = a.rows().div_ceil(b);
         for cap in [3usize, 5] {
             let mut mem = LoggingMem::new(&a, b);
-            ooc_potrf_with(&mut mem, cap, KernelImpl::Reference).unwrap();
+            sync_right(&mut mem, cap).unwrap();
             // Replay the same logical schedule into the model.
             let mut model = TickModel::new(cap);
             for k in 0..nb {
@@ -689,11 +714,11 @@ mod tests {
         use crate::pipeline::{ooc_potrf_checkpointed, PipelineConfig};
         use cholcomm_faults::FsStore;
 
-        // Pinned from the synchronous driver that W = 0 replaced: the
-        // digest of its backend call log (tile transfers interleaved
-        // with `begin_panel`), and its `IoStats` on a real file, plain
-        // and checkpointed, as (reads, writes, bytes read, bytes
-        // written, seeks, seek distance).
+        // Pinned from the (right-looking) synchronous driver that W = 0
+        // replaced: the digest of its backend call log (tile transfers
+        // interleaved with `begin_panel`), and its `IoStats` on a real
+        // file, plain and checkpointed, as (reads, writes, bytes read,
+        // bytes written, seeks, seek distance).
         const OP_LOGS: [(usize, usize, usize, u64); 3] = [
             (40, 8, 3, 0x657769a15b73a5dc),
             (40, 8, 5, 0xe16864690c753b26),
@@ -708,7 +733,7 @@ mod tests {
         ];
         for (n, b, cap, want) in OP_LOGS {
             let mut mem = LoggingMem::new(&spd::random_spd(n, &mut spd::test_rng(901)), b);
-            ooc_potrf_with(&mut mem, cap, KernelImpl::Reference).unwrap();
+            sync_right(&mut mem, cap).unwrap();
             let log: Vec<String> = mem.log.iter().map(Call::to_string).collect();
             assert_eq!(fnv1a(log.join(" ").as_bytes()), want, "n={n} b={b} cap={cap}");
         }
@@ -719,12 +744,14 @@ mod tests {
         for (n, b, cap, plain, checkpointed) in IO_STATS {
             let a = spd::random_spd(n, &mut spd::test_rng(900));
             let mut fm = FileMatrix::create(&scratch_path("w0-io"), &a, b).unwrap();
-            ooc_potrf_with(&mut fm, cap, KernelImpl::Reference).unwrap();
+            sync_right(&mut fm, cap).unwrap();
             assert_eq!(io(&fm), plain, "n={n} b={b} cap={cap}, plain");
             let path = scratch_path("w0-io-ck");
             let mut fm = FileMatrix::create(&path, &a, b).unwrap();
             let ckpt = Checkpoint::at(&path.with_extension("ckpt"));
-            let cfg = PipelineConfig::new(cap).with_io_workers(0);
+            let cfg = PipelineConfig::new(cap)
+                .with_io_workers(0)
+                .with_order(Order::Right);
             ooc_potrf_checkpointed(&mut fm, &ckpt, &mut FsStore::new(), &cfg).unwrap();
             assert_eq!(io(&fm), checkpointed, "n={n} b={b} cap={cap}, checkpointed");
         }

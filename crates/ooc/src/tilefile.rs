@@ -7,8 +7,9 @@
 //! where slow memory is one array of blocks, a block moves as one
 //! contiguous transfer and a jump between blocks is a seek.
 //!
-//! [`TileFile`] owns that layout, the byte codec (one reused tile
-//! buffer, no allocation per transfer), the head and seek accounting,
+//! [`TileFile`] owns that layout, the byte codec (a tile transfer moves
+//! the tile's own storage, put in byte order in place — one copy, the
+//! device's), the head and seek accounting,
 //! [`IoStats`], the [`LatencyModel`] and the one [`IoBackend`] impl.
 //! The two devices differ only in where the bytes land:
 //!
@@ -66,9 +67,9 @@ pub struct TileFile<D> {
     head: u64,
     stats: IoStats,
     latency: LatencyModel,
-    /// One tile of little-endian bytes: what a transfer moves, kept so a
-    /// tile is converted to or from matrix storage once, with no other
-    /// copy and no allocation per transfer.
+    /// One tile of little-endian bytes, for the transfers that do not
+    /// move one tile's own storage: populating the file, reading it
+    /// back, and writes on a big-endian host.
     bytes: Vec<u8>,
 }
 
@@ -184,6 +185,12 @@ mod device {
     }
 }
 
+/// The two directions of a transfer, each with the bytes it moves.
+enum Bytes<'a> {
+    Read(&'a mut [u8]),
+    Write(&'a [u8]),
+}
+
 fn lock(disk: &Arc<Mutex<SimDisk>>) -> MutexGuard<'_, SimDisk> {
     disk.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -199,6 +206,37 @@ fn encode(out: &mut [u8], vals: &[f64]) {
 fn decode(vals: &mut [f64], bytes: &[u8]) {
     for (v, le) in vals.iter_mut().zip(bytes.chunks_exact(8)) {
         *v = f64::from_le_bytes(le.try_into().expect("8-byte chunk"));
+    }
+}
+
+/// `vals` as the bytes of their storage.  A tile transfer moves these
+/// straight to or from the device: on a little-endian host they are the
+/// file's bytes already.
+fn as_bytes(vals: &[f64]) -> &[u8] {
+    // SAFETY: an `f64` is 8 initialized bytes with no padding, `u8` has
+    // alignment 1, and the view covers exactly `vals`' storage for
+    // `vals`' lifetime.  `tile_storage_round_trips_through_its_byte_view`
+    // holds it to `to_le_bytes`.
+    unsafe { std::slice::from_raw_parts(vals.as_ptr().cast::<u8>(), std::mem::size_of_val(vals)) }
+}
+
+/// [`as_bytes`] for writing: any 8 bytes are a valid `f64`, so the
+/// device may fill the storage with whatever it reads.
+fn as_bytes_mut(vals: &mut [f64]) -> &mut [u8] {
+    let len = std::mem::size_of_val(vals);
+    // SAFETY: as in `as_bytes`, and every bit pattern is a valid `f64`,
+    // so no write through the view can leave an invalid value behind;
+    // the view borrows `vals` mutably, so nothing else aliases it.
+    unsafe { std::slice::from_raw_parts_mut(vals.as_mut_ptr().cast::<u8>(), len) }
+}
+
+/// Turn values read as little-endian bytes into native ones, in place:
+/// nothing at all on a little-endian host.
+fn from_le_in_place(vals: &mut [f64]) {
+    if cfg!(target_endian = "big") {
+        for v in vals {
+            *v = f64::from_bits(u64::from_le(v.to_bits()));
+        }
     }
 }
 
@@ -253,18 +291,18 @@ impl<D: Device> TileFile<D> {
         self.latency = model;
     }
 
-    /// Move the tile buffer to (`write`) or from tile `k` in file order:
+    /// Move `bytes` to (`Write`) or from (`Read`) tile `k` in file order:
     /// one contiguous transfer, a seek first when the head is elsewhere.
-    fn transfer(&mut self, k: usize, write: bool) -> std::io::Result<()> {
-        let len = self.bytes.len() as u64;
+    fn transfer(&mut self, k: usize, bytes: Bytes<'_>) -> std::io::Result<()> {
+        let len = (self.b * self.b * 8) as u64;
         let off = k as u64 * len;
         // The head is unknown until the transfer lands (a failed one
         // leaves the cursor anywhere).
         let from = std::mem::replace(&mut self.head, UNKNOWN);
-        if write {
-            self.dev.write_at(off, from != off, &self.bytes)?;
-        } else {
-            self.dev.read_at(off, from != off, &mut self.bytes)?;
+        let write = matches!(bytes, Bytes::Write(_));
+        match bytes {
+            Bytes::Write(buf) => self.dev.write_at(off, from != off, buf)?,
+            Bytes::Read(buf) => self.dev.read_at(off, from != off, buf)?,
         }
         if from != off {
             self.stats.seeks += 1;
@@ -283,6 +321,18 @@ impl<D: Device> TileFile<D> {
         Ok(())
     }
 
+    /// [`transfer`](Self::transfer) through the tile buffer.
+    fn transfer_buffered(&mut self, k: usize, write: bool) -> std::io::Result<()> {
+        let mut buf = std::mem::take(&mut self.bytes);
+        let done = if write {
+            self.transfer(k, Bytes::Write(&buf))
+        } else {
+            self.transfer(k, Bytes::Read(&mut buf))
+        };
+        self.bytes = buf;
+        done
+    }
+
     fn index(&self, bi: usize, bj: usize) -> usize {
         debug_assert!(bi < self.nb && bj < self.nb);
         bj * self.nb + bi
@@ -293,7 +343,7 @@ impl<D: Device> TileFile<D> {
         let (saved, b, nb) = (self.stats, self.b, self.nb);
         let mut out = Matrix::zeros(self.n, self.n);
         for k in 0..nb * nb {
-            self.transfer(k, false)?;
+            self.transfer_buffered(k, false)?;
             let (bi, bj) = (k % nb, k / nb);
             let rows = bi * b..bi * b + live(self.n, b, bi);
             for j in 0..live(self.n, b, bj) {
@@ -316,16 +366,28 @@ impl<D: Device> IoBackend for TileFile<D> {
     fn nb(&self) -> usize {
         self.nb
     }
+    /// The device fills the tile's own storage, which is then put in
+    /// native byte order in place: one copy, the device's.
     fn read_tile(&mut self, bi: usize, bj: usize) -> std::io::Result<Matrix<f64>> {
-        self.transfer(self.index(bi, bj), false)?;
         let mut tile = Matrix::zeros(self.b, self.b);
-        decode(tile.as_mut_slice(), &self.bytes);
+        self.transfer(
+            self.index(bi, bj),
+            Bytes::Read(as_bytes_mut(tile.as_mut_slice())),
+        )?;
+        from_le_in_place(tile.as_mut_slice());
         Ok(tile)
     }
+    /// Straight from the tile's storage on a little-endian host; through
+    /// the tile buffer elsewhere.
     fn write_tile(&mut self, bi: usize, bj: usize, tile: &Matrix<f64>) -> std::io::Result<()> {
         assert_eq!((tile.rows(), tile.cols()), (self.b, self.b));
-        encode(&mut self.bytes, tile.as_slice());
-        self.transfer(self.index(bi, bj), true)
+        let k = self.index(bi, bj);
+        if cfg!(target_endian = "little") {
+            self.transfer(k, Bytes::Write(as_bytes(tile.as_slice())))
+        } else {
+            encode(&mut self.bytes, tile.as_slice());
+            self.transfer_buffered(k, true)
+        }
     }
     fn stats(&self) -> IoStats {
         self.stats
@@ -356,7 +418,7 @@ impl FileMatrix {
         let mut fm = Self::new(device::Fs::open(path, true)?, a.rows(), b, 0);
         for k in 0..fm.nb * fm.nb {
             encode_tile(a, b, k, &mut fm.bytes);
-            fm.transfer(k, true)?;
+            fm.transfer_buffered(k, true)?;
         }
         fm.stats = IoStats::default();
         Ok(fm)
@@ -544,6 +606,36 @@ mod tests {
         let err = SimMatrix::open(Arc::clone(&disk), "m.data", 8, 4).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(SimMatrix::open(disk, "missing", 8, 4).is_err());
+    }
+
+    #[test]
+    fn tile_storage_round_trips_through_its_byte_view() {
+        // Signed zeros, subnormals, infinities, a NaN payload and odd
+        // lengths: the view is the storage, byte for byte, in the file's
+        // little-endian order on this host, and writing through it
+        // writes the values.
+        let mut vals = [
+            0.0,
+            -0.0,
+            1.5,
+            -2.25e-310,
+            f64::INFINITY,
+            f64::from_bits(0x7ff8_dead_beef_0001),
+            f64::MIN_POSITIVE,
+        ];
+        for len in 0..=vals.len() {
+            let vals = &mut vals[..len];
+            let want: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+            let bits: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
+            if cfg!(target_endian = "little") {
+                assert_eq!(as_bytes(vals), &want[..], "len {len}");
+            }
+            let mut back = vec![7.0f64; len];
+            as_bytes_mut(&mut back).copy_from_slice(&want);
+            from_le_in_place(&mut back);
+            let got: Vec<u64> = back.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, bits, "len {len}");
+        }
     }
 
     #[test]

@@ -134,10 +134,13 @@ fn main() {
     );
     println!("  factor bit-identical to the clean-disk run");
     let clean_io_words = (ref_io.bytes_read + ref_io.bytes_written) / 8;
+    // Checksum words, plus every word of checkpoint traffic (each panel's
+    // snapshot and the rollback's restore), as the sequential and SPMD
+    // rows count their epoch snapshots.
     rows.push((
         "out-of-core",
         clean_io_words,
-        s.checksum_words + s.checkpoint_words,
+        s.checksum_words + s.checkpoint_words + crep.checkpoint_bytes / 8,
     ));
 
     // ---- The cost of resilience -------------------------------------

@@ -15,6 +15,7 @@
 
 use cholcomm::distsim::CostModel;
 use cholcomm::faults::{FaultPlan, FsStore};
+use cholcomm::matrix::schedule::Order;
 use cholcomm::matrix::{lower_digest, spd, AbftStats, Matrix};
 use cholcomm::ooc::{
     ooc_potrf_checkpointed, scratch_path, AbftBackend, Checkpoint, FileMatrix, IoBackend,
@@ -254,7 +255,10 @@ fn ooc_abft_pins() {
             let fm = FileMatrix::create(&scratch_path(&tag), &a, 8).unwrap();
             let mut ab = AbftBackend::new(fm, plan);
             let ckpt = Checkpoint::at(&scratch_path(&format!("{tag}-ckpt")));
-            let cfg = PipelineConfig::new(3).with_io_workers(workers);
+            // Pinned in the right-looking order.
+            let cfg = PipelineConfig::new(3)
+                .with_io_workers(workers)
+                .with_order(Order::Right);
             let (rep, _) =
                 ooc_potrf_checkpointed(&mut ab, &ckpt, &mut FsStore::new(), &cfg).unwrap();
             let io = ab.stats();
