@@ -6,15 +6,13 @@
 //! cargo run --release -p cholcomm-bench --bin crash_bench -- --seed 7
 //! ```
 //!
-//! Four sections, every run but the second right-looking:
+//! Three sections:
 //!
 //! - **exhaustive** — a checkpointed out-of-core factorization is
 //!   recorded once on the simulated crash disk, then recovery is
 //!   re-driven at *every* crash state of its op schedule (all prefixes,
 //!   all survive/drop subsets of each un-barriered window, every
 //!   sector-prefix tear).  Violations must be zero.
-//! - **exhaustive_left** — the same in the left-looking order, whose
-//!   checkpoints fall on block-column boundaries.
 //! - **sampled** — the same check on a larger matrix over seeded-sampled
 //!   crash sites (`--seed` varies the sample, nothing else).
 //! - **broken_protocol** — the deliberately broken commit discipline
@@ -27,7 +25,6 @@
 //! stderr.
 
 use cholcomm_core::faults::{crash_sites_exhaustive, crash_sites_sampled};
-use cholcomm_core::matrix::schedule::Order;
 use cholcomm_core::matrix::spd;
 use cholcomm_core::ooc::{explore_crash_sites, record_run, CommitDiscipline, CrashExploration};
 use std::fmt::Write as _;
@@ -110,22 +107,18 @@ fn main() {
     let mut failed = false;
     let mut sections = Vec::new();
 
-    // --- Exhaustive: every crash state of a small recorded run, in
-    // --- each order. ---
-    for (name, order) in [
-        ("exhaustive", Order::Right),
-        ("exhaustive_left", Order::Left),
-    ] {
+    // --- Exhaustive: every crash state of a small recorded run. ---
+    {
         let a = spd::random_spd(8, &mut spd::test_rng(500));
-        let run = record_run(&a, 4, 3, SECTOR, CommitDiscipline::Barriered, 0, 1, order)
+        let run = record_run(&a, 4, 3, SECTOR, CommitDiscipline::Barriered, 0, 1)
             .expect("clean recorded run");
         let sites = crash_sites_exhaustive(&run.schedule, SECTOR);
         let t0 = Instant::now();
         let report = explore_crash_sites(&run, &sites);
-        let sec = section(name, 8, 4, &report, t0.elapsed().as_secs_f64());
+        let sec = section("exhaustive", 8, 4, &report, t0.elapsed().as_secs_f64());
         if sec.violations != 0 {
             eprintln!(
-                "crash_bench: {name} exploration found {} violations: {}",
+                "crash_bench: exhaustive exploration found {} violations: {}",
                 sec.violations,
                 report.violations[0]
             );
@@ -137,17 +130,8 @@ fn main() {
     // --- Sampled: seeded crash sites on a larger matrix. ---
     {
         let a = spd::random_spd(24, &mut spd::test_rng(502));
-        let run = record_run(
-            &a,
-            8,
-            4,
-            SECTOR,
-            CommitDiscipline::Barriered,
-            0,
-            1,
-            Order::Right,
-        )
-        .expect("clean recorded run");
+        let run = record_run(&a, 8, 4, SECTOR, CommitDiscipline::Barriered, 0, 1)
+            .expect("clean recorded run");
         let sites = crash_sites_sampled(&run.schedule, SECTOR, seed, 64);
         let t0 = Instant::now();
         let report = explore_crash_sites(&run, &sites);
@@ -166,17 +150,8 @@ fn main() {
     // --- Broken protocol: the explorer must catch it. ---
     {
         let a = spd::random_spd(8, &mut spd::test_rng(501));
-        let run = record_run(
-            &a,
-            4,
-            3,
-            SECTOR,
-            CommitDiscipline::UnbarrieredCommit,
-            0,
-            1,
-            Order::Right,
-        )
-        .expect("clean recorded run");
+        let run = record_run(&a, 4, 3, SECTOR, CommitDiscipline::UnbarrieredCommit, 0, 1)
+            .expect("clean recorded run");
         let sites = crash_sites_exhaustive(&run.schedule, SECTOR);
         let t0 = Instant::now();
         let report = explore_crash_sites(&run, &sites);

@@ -5,19 +5,19 @@
 //! cargo run --release -p cholcomm-bench --bin ooc_bench > results/ooc_bench.json
 //! ```
 //!
-//! Five sections, each in the right-looking order but the third:
+//! Four sections:
 //!
 //! - **identity** — the pipelined driver's factor is byte-compared
-//!   against the synchronous driver (zero I/O workers) over a grid of cache
+//!   against the synchronous `ooc_potrf_with` (zero I/O workers) over a grid of cache
 //!   capacities, I/O worker counts, and lookahead depths (plus a
 //!   checkpointed-pipelined run); `mismatches` must be zero.
 //! - **model_gate** — the deterministic overlap model at n=2048, b=64
-//!   with a 100µs-latency disk: the pipelined makespan must beat the
-//!   synchronous one by ≥ 2x.
-//! - **model_gate_left** — the same config in the left-looking order
-//!   (the drivers' default): its exact reads and writes, and both
-//!   makespans.  No gate: with each tile written once there is less I/O
-//!   left to hide, so the ratio is lower at about the same makespan.
+//!   with a 100µs-latency disk: the pipelined makespan must come within
+//!   5% of its floor, max(compute, I/O per worker) — `efficiency` ≥ 0.95.
+//!   Its reads and writes are exact (each lower tile written once).  The
+//!   synchronous leg is only 1.91x compute here, so even a perfect
+//!   pipeline's `speedup` over it stays below 2x: it is recorded, not
+//!   gated.
 //! - **lookahead_sweep** — modeled prefetch hit rate across lookahead
 //!   depths; ≥ 90% at every lookahead ≥ 4.
 //! - **measured** — a real `FileMatrix` run with every op actually
@@ -31,15 +31,13 @@
 //! A failed gate or a mismatch exits 1.
 
 use cholcomm_core::faults::FsStore;
-use cholcomm_core::matrix::schedule::Order;
 use cholcomm_core::matrix::spd;
-use cholcomm_core::matrix::KernelImpl;
-use cholcomm_core::ooc::pipeline::model_overlap_with;
 use cholcomm_core::ooc::{
-    ooc_potrf_checkpointed, ooc_potrf_pipelined_with, scratch_path, Checkpoint, FileMatrix,
-    IoBackend, IoStats, LatencyModel, ModelConfig, ModelReport, PipelineConfig,
-    DEFAULT_FLOPS_PER_US,
+    model_overlap, ooc_potrf_checkpointed, ooc_potrf_pipelined_with, ooc_potrf_with,
+    scratch_path, Checkpoint, FileMatrix, IoBackend, IoStats, LatencyModel, ModelConfig,
+    PipelineConfig, DEFAULT_FLOPS_PER_US,
 };
+use cholcomm_core::matrix::KernelImpl;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -47,11 +45,9 @@ use std::time::Instant;
 /// the synchronous driver.
 const MEASURED_MIN_SPEEDUP: f64 = 1.2;
 
-/// Every section measures the right-looking order, where its numbers and
-/// gates were set, except the left-looking model row.
-fn right(cfg: PipelineConfig) -> PipelineConfig {
-    cfg.with_order(Order::Right)
-}
+/// Least modeled overlap efficiency: the pipelined makespan's floor
+/// over the makespan.
+const MODEL_MIN_EFFICIENCY: f64 = 0.95;
 
 struct Identity {
     configs: usize,
@@ -68,9 +64,13 @@ struct Gate {
     io_workers: usize,
     lookahead: usize,
     latency_us: u64,
+    reads: u64,
+    writes: u64,
     sync_us: u64,
     pipelined_us: u64,
+    floor_us: u64,
     speedup: f64,
+    efficiency: f64,
     hit_rate: f64,
 }
 
@@ -96,19 +96,14 @@ fn run_identity() -> Identity {
     for cap in [3usize, 5, 12] {
         let mut sync = FileMatrix::create(&scratch_path(&format!("ob-sync{cap}")), &a, b)
             .expect("create sync file");
-        let cfg = right(
-            PipelineConfig::new(cap)
-                .with_kernel(KernelImpl::Fast)
-                .with_io_workers(0),
-        );
-        ooc_potrf_pipelined_with(&mut sync, &cfg).expect("sync factorization");
+        ooc_potrf_with(&mut sync, cap, KernelImpl::Fast).expect("sync factorization");
         let want = sync.to_matrix().expect("read sync factor");
         for workers in [1usize, 2] {
             for lookahead in [1usize, 4] {
                 let mut fm =
                     FileMatrix::create(&scratch_path(&format!("ob-p{cap}-{workers}-{lookahead}")), &a, b)
                         .expect("create pipelined file");
-                let cfg = right(PipelineConfig::new(cap))
+                let cfg = PipelineConfig::new(cap)
                     .with_kernel(KernelImpl::Fast)
                     .with_io_workers(workers)
                     .with_lookahead(lookahead);
@@ -130,16 +125,12 @@ fn run_identity() -> Identity {
     let mut sync = FileMatrix::create(&scratch_path("ob-cksync"), &a, b).expect("create");
     let ck0 = Checkpoint::at(&scratch_path("ob-cksync").with_extension("ckpt"));
     let mut fs = FsStore::new();
-    let cfg = right(PipelineConfig::new(cap).with_io_workers(0));
+    let cfg = PipelineConfig::new(cap).with_io_workers(0);
     ooc_potrf_checkpointed(&mut sync, &ck0, &mut fs, &cfg).expect("sync checkpointed");
     let want = sync.to_matrix().expect("read");
     let mut fm = FileMatrix::create(&scratch_path("ob-ckpipe"), &a, b).expect("create");
     let ck1 = Checkpoint::at(&scratch_path("ob-ckpipe").with_extension("ckpt"));
-    let cfg = right(
-        PipelineConfig::new(cap)
-            .with_io_workers(2)
-            .with_lookahead(3),
-    );
+    let cfg = PipelineConfig::new(cap).with_io_workers(2).with_lookahead(3);
     ooc_potrf_checkpointed(&mut fm, &ck1, &mut fs, &cfg).expect("pipelined checkpointed");
     configs += 1;
     let checkpointed_ok = fm.to_matrix().expect("read") == want;
@@ -155,31 +146,20 @@ fn run_identity() -> Identity {
     }
 }
 
-/// The model-gate config: n=2048, b=64, 56 tiles, two I/O workers,
-/// lookahead 8, a 100µs disk.
-fn gate_config() -> ModelConfig {
-    ModelConfig {
-        n: 2048,
-        b: 64,
-        capacity_tiles: 56,
-        io_workers: 2,
-        lookahead: 8,
-        latency: LatencyModel::uniform(100),
-        flops_per_us: DEFAULT_FLOPS_PER_US,
-    }
-}
-
 fn run_model_gate() -> Gate {
-    let cfg = gate_config();
-    let (n, b, capacity, io_workers, lookahead) = (
-        cfg.n,
-        cfg.b,
-        cfg.capacity_tiles,
-        cfg.io_workers,
-        cfg.lookahead,
-    );
-    let latency_us = cfg.latency.read_us;
-    let r = model_overlap_with(&cfg, Order::Right);
+    let (n, b, capacity, io_workers, lookahead, latency_us) = (2048, 64, 56, 2, 8, 100);
+    let r = model_overlap(&ModelConfig {
+        n,
+        b,
+        capacity_tiles: capacity,
+        io_workers,
+        lookahead,
+        latency: LatencyModel::uniform(latency_us),
+        flops_per_us: DEFAULT_FLOPS_PER_US,
+    });
+    // No schedule beats the compute alone or the I/O spread over the
+    // workers.
+    let floor_us = r.compute_us.max(r.io_us / io_workers as u64);
     Gate {
         n,
         b,
@@ -187,9 +167,13 @@ fn run_model_gate() -> Gate {
         io_workers,
         lookahead,
         latency_us,
+        reads: r.reads,
+        writes: r.writes,
         sync_us: r.sync_us,
         pipelined_us: r.pipelined_us,
+        floor_us,
         speedup: r.speedup,
+        efficiency: floor_us as f64 / r.pipelined_us.max(1) as f64,
         hit_rate: r.hit_rate,
     }
 }
@@ -198,11 +182,16 @@ fn run_lookahead_sweep() -> Vec<(usize, f64)> {
     [1usize, 2, 4, 8, 16]
         .into_iter()
         .map(|la| {
-            let cfg = ModelConfig {
+            let r = model_overlap(&ModelConfig {
+                n: 2048,
+                b: 64,
+                capacity_tiles: 56,
+                io_workers: 2,
                 lookahead: la,
-                ..gate_config()
-            };
-            (la, model_overlap_with(&cfg, Order::Right).hit_rate)
+                latency: LatencyModel::uniform(100),
+                flops_per_us: DEFAULT_FLOPS_PER_US,
+            });
+            (la, r.hit_rate)
         })
         .collect()
 }
@@ -216,7 +205,7 @@ fn run_measured() -> Measured {
     // compute thread.
     let mut fm = FileMatrix::create(&scratch_path("ob-meas-sync"), &a, b).expect("create");
     fm.set_latency_model(LatencyModel::uniform(latency_us));
-    let cfg = right(PipelineConfig::new(capacity))
+    let cfg = PipelineConfig::new(capacity)
         .with_kernel(KernelImpl::Fast)
         .with_io_workers(0)
         .with_sleep_latency(true);
@@ -232,7 +221,7 @@ fn run_measured() -> Measured {
         let mut fm =
             FileMatrix::create(&scratch_path(&format!("ob-meas-p{workers}")), &a, b).expect("create");
         fm.set_latency_model(LatencyModel::uniform(latency_us));
-        let cfg = right(PipelineConfig::new(capacity))
+        let cfg = PipelineConfig::new(capacity)
             .with_kernel(KernelImpl::Fast)
             .with_io_workers(workers)
             .with_sleep_latency(true);
@@ -258,13 +247,7 @@ fn run_measured() -> Measured {
     }
 }
 
-fn to_json(
-    id: &Identity,
-    gate: &Gate,
-    left: &ModelReport,
-    sweep: &[(usize, f64)],
-    meas: &Measured,
-) -> String {
+fn to_json(id: &Identity, gate: &Gate, sweep: &[(usize, f64)], meas: &Measured) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"identity\": {\n");
@@ -281,18 +264,15 @@ fn to_json(
     let _ = writeln!(s, "    \"io_workers\": {},", gate.io_workers);
     let _ = writeln!(s, "    \"lookahead\": {},", gate.lookahead);
     let _ = writeln!(s, "    \"latency_us\": {},", gate.latency_us);
+    let _ = writeln!(s, "    \"reads\": {},", gate.reads);
+    let _ = writeln!(s, "    \"writes\": {},", gate.writes);
     let _ = writeln!(s, "    \"sync_us\": {},", gate.sync_us);
     let _ = writeln!(s, "    \"pipelined_us\": {},", gate.pipelined_us);
+    let _ = writeln!(s, "    \"floor_us\": {},", gate.floor_us);
     let _ = writeln!(s, "    \"speedup\": {:.4},", gate.speedup);
+    let _ = writeln!(s, "    \"efficiency\": {:.4},", gate.efficiency);
+    let _ = writeln!(s, "    \"min_efficiency\": {MODEL_MIN_EFFICIENCY:.2},");
     let _ = writeln!(s, "    \"hit_rate\": {:.4}", gate.hit_rate);
-    s.push_str("  },\n");
-    s.push_str("  \"model_gate_left\": {\n");
-    let _ = writeln!(s, "    \"reads\": {},", left.reads);
-    let _ = writeln!(s, "    \"writes\": {},", left.writes);
-    let _ = writeln!(s, "    \"sync_us\": {},", left.sync_us);
-    let _ = writeln!(s, "    \"pipelined_us\": {},", left.pipelined_us);
-    let _ = writeln!(s, "    \"speedup\": {:.4},", left.speedup);
-    let _ = writeln!(s, "    \"hit_rate\": {:.4}", left.hit_rate);
     s.push_str("  },\n");
     s.push_str("  \"lookahead_sweep\": [\n");
     for (i, (la, hr)) in sweep.iter().enumerate() {
@@ -331,7 +311,7 @@ fn main() {
     let gate = run_model_gate();
     eprintln!(
         "model_gate: n={} b={} cap={} W={} lookahead={} latency={}us: sync={}us pipelined={}us \
-         speedup={:.3} hit_rate={:.3}",
+         floor={}us speedup={:.3} efficiency={:.4} hit_rate={:.3}",
         gate.n,
         gate.b,
         gate.capacity,
@@ -340,19 +320,18 @@ fn main() {
         gate.latency_us,
         gate.sync_us,
         gate.pipelined_us,
+        gate.floor_us,
         gate.speedup,
+        gate.efficiency,
         gate.hit_rate
     );
-    if gate.speedup < 2.0 {
-        eprintln!("ooc_bench: FAILED modeled overlap gate (speedup {:.3} < 2.0)", gate.speedup);
+    if gate.efficiency < MODEL_MIN_EFFICIENCY {
+        eprintln!(
+            "ooc_bench: FAILED modeled overlap gate (efficiency {:.4} < {MODEL_MIN_EFFICIENCY})",
+            gate.efficiency
+        );
         failed = true;
     }
-
-    let left = model_overlap_with(&gate_config(), Order::Left);
-    eprintln!(
-        "model_gate_left: reads={} writes={} sync={}us pipelined={}us speedup={:.3} hit_rate={:.3}",
-        left.reads, left.writes, left.sync_us, left.pipelined_us, left.speedup, left.hit_rate
-    );
 
     let sweep = run_lookahead_sweep();
     for &(la, hr) in &sweep {
@@ -393,5 +372,5 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-    print!("{}", to_json(&id, &gate, &left, &sweep, &meas));
+    print!("{}", to_json(&id, &gate, &sweep, &meas));
 }

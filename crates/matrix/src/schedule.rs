@@ -6,14 +6,14 @@
 //! owns that fact in three forms:
 //!
 //! * **the walks** — two sequential orders of the same ops, each driving
-//!   a [`TileStore`] with one fixed access sequence, named by [`Order`]:
-//!   [`walk`], the right-looking order the ABFT drivers perform (the
-//!   diagonal tile held across the panel solves, the column operand of a
-//!   trailing update fetched once per block column), and [`walk_left`],
-//!   the left-looking order of the paper's Algorithm 4, which the traced
-//!   LAPACK schedule, the serve engine, the batch-kernel probe and (by
-//!   default) the out-of-core driver perform (every tile written once,
-//!   the diagonal tile re-read per panel solve);
+//!   a [`TileStore`] with one fixed access sequence: [`walk`], the
+//!   right-looking order the ABFT drivers perform (the diagonal tile held
+//!   across the panel solves, the column operand of a trailing update
+//!   fetched once per block column), and [`walk_left`], the left-looking
+//!   order of the paper's Algorithm 4, which the traced LAPACK schedule,
+//!   the serve engine, the batch-kernel probe and the out-of-core driver
+//!   perform (every tile written once, the diagonal tile re-read per
+//!   panel solve);
 //! * **the arithmetic** ([`apply`]) — the one place a [`TileOp`] becomes a
 //!   kernel call and a tile-local `NotSpd` pivot becomes a global one —
 //!   with [`Arithmetic`], the walks' form of it, which uses an update
@@ -394,90 +394,44 @@ where
     Ok(())
 }
 
-/// Which of the two walks runs a schedule: the same ops, the same
-/// operands and the same bits ([`walk`] and [`walk_left`] are two linear
-/// extensions of one DAG), but a different tile traffic — the
-/// right-looking order rewrites the trailing submatrix every panel, the
-/// left-looking one puts every tile once, final.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Order {
-    /// [`walk`]: per panel, factor, solve below, update the trailing
-    /// submatrix.
-    Right,
-    /// [`walk_left`]: per block column, bring it up to date against every
-    /// earlier panel, then factor and solve it (the paper's Algorithm 4).
-    Left,
+/// Factor `panels` over a store of real tiles: [`walk`] with
+/// [`Arithmetic`].
+pub fn factor<S, St>(
+    store: &mut St,
+    grid: TileGrid,
+    panels: Range<usize>,
+    kernel: KernelImpl,
+) -> Result<(), St::Error>
+where
+    S: Scalar,
+    St: TileStore,
+    St::Tile: MatrixTile<S>,
+    St::Error: From<MatrixError>,
+{
+    let mut arith = Arithmetic::new(kernel, grid);
+    walk(store, grid.nb(), panels, |op, target, operands| {
+        arith.apply(op, target.matrix_mut(), operands).map_err(St::Error::from)
+    })
 }
 
-impl Order {
-    /// Both orders, right-looking first.
-    pub const ALL: [Order; 2] = [Order::Right, Order::Left];
-
-    /// Stable lowercase name (`right` / `left`), as records spell it.
-    pub fn name(self) -> &'static str {
-        match self {
-            Order::Right => "right",
-            Order::Left => "left",
-        }
-    }
-
-    /// [`walk`] or [`walk_left`] over `panels` (panel steps, or block
-    /// columns): the same contract.
-    pub fn walk<St, F>(
-        self,
-        store: &mut St,
-        nb: usize,
-        panels: Range<usize>,
-        apply: F,
-    ) -> Result<(), St::Error>
-    where
-        St: TileStore,
-        F: FnMut(TileOp, &mut St::Tile, &[&St::Tile]) -> Result<(), St::Error>,
-    {
-        match self {
-            Order::Right => walk(store, nb, panels, apply),
-            Order::Left => walk_left(store, nb, panels, apply),
-        }
-    }
-
-    /// Factor `panels` over a store of real tiles in this order: the walk
-    /// with [`Arithmetic`].
-    pub fn factor<S, St>(
-        self,
-        store: &mut St,
-        grid: TileGrid,
-        panels: Range<usize>,
-        kernel: KernelImpl,
-    ) -> Result<(), St::Error>
-    where
-        S: Scalar,
-        St: TileStore,
-        St::Tile: MatrixTile<S>,
-        St::Error: From<MatrixError>,
-    {
-        let mut arith = Arithmetic::new(kernel, grid);
-        self.walk(store, grid.nb(), panels, |op, target, operands| {
-            arith
-                .apply(op, target.matrix_mut(), operands)
-                .map_err(St::Error::from)
-        })
-    }
-}
-
-impl std::fmt::Display for Order {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Order {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        Order::ALL
-            .into_iter()
-            .find(|o| o.name() == s)
-            .ok_or_else(|| format!("unknown order {s:?} (right or left)"))
-    }
+/// [`factor`] in the left-looking order: [`walk_left`] with
+/// [`Arithmetic`], over block columns `panels`.  The same bits.
+pub fn factor_left<S, St>(
+    store: &mut St,
+    grid: TileGrid,
+    panels: Range<usize>,
+    kernel: KernelImpl,
+) -> Result<(), St::Error>
+where
+    S: Scalar,
+    St: TileStore,
+    St::Tile: MatrixTile<S>,
+    St::Error: From<MatrixError>,
+{
+    let mut arith = Arithmetic::new(kernel, grid);
+    walk_left(store, grid.nb(), panels, |op, target, operands| {
+        arith.apply(op, target.matrix_mut(), operands).map_err(St::Error::from)
+    })
 }
 
 /// The left-looking order (the paper's Algorithm 4) over block columns
@@ -655,8 +609,8 @@ impl Arithmetic {
     }
 }
 
-/// A tile [`Order::factor`] computes on: it reads as a [`Matrix`] and can
-/// be made unique for writing.  A `Matrix` is one; a store that shares
+/// A tile [`factor`] computes on: it reads as a [`Matrix`] and can be
+/// made unique for writing.  A `Matrix` is one; a store that shares
 /// its tiles makes one unique by copying only while another holder still
 /// shares it (the out-of-core front, through `Arc::make_mut`).
 pub trait MatrixTile<S: Scalar>: Clone {
@@ -873,7 +827,7 @@ mod tests {
             let a = spd::random_spd(n, &mut rng);
             let mut tiles = MemTiles::from_matrix(&a, b).unwrap();
             let grid = tiles.grid;
-            Order::Right.factor(&mut tiles, grid, 0..grid.nb(), KernelImpl::Reference).unwrap();
+            factor(&mut tiles, grid, 0..grid.nb(), KernelImpl::Reference).unwrap();
             let mut got = a.clone();
             tiles.write_back(&mut got);
             let mut want = a.clone();

@@ -1,13 +1,12 @@
 //! Panel-granularity checkpoint/restart for the out-of-core Cholesky,
 //! on the write-ahead journal of [`cholcomm_faults::journal`].
 //!
-//! After each completed panel the driver writes every dirty tile back and
-//! commits a *generation*: a snapshot of the backing file
-//! (`<prefix>.g<gen>.data`) plus a self-hashed manifest
-//! (`<prefix>.g<gen>.manifest`) repeating the intent record's fields —
-//! the next panel to run, `n`, `b`, the snapshot's length and FNV-1a,
-//! and `order=left` for a left-looking run (an absent `order` reads as
-//! right-looking, so a right-looking record is what it always was).
+//! After each completed panel (a block column of the left-looking walk)
+//! the driver writes every dirty tile back and commits a *generation*: a
+//! snapshot of the backing file (`<prefix>.g<gen>.data`) plus a
+//! self-hashed manifest (`<prefix>.g<gen>.manifest`) repeating the intent
+//! record's fields — the next panel to run, `n`, `b`, the snapshot's
+//! length and FNV-1a.
 //! Both files are the commit's payload; the superseded generation is
 //! pruned after it.
 //!
@@ -24,16 +23,16 @@
 //! (`tests/crash_consistency.rs`) leans on that loudness to catch
 //! [`CommitDiscipline::UnbarrieredCommit`].
 //!
-//! A *full* snapshot per checkpoint is deliberate: a right-looking panel
-//! `k` mutates the whole trailing submatrix, and restarting mid-panel
-//! from the live data file would double-apply updates from tiles that
-//! were flushed before the crash; restoring the last boundary snapshot is
+//! A *full* snapshot per checkpoint is deliberate: restarting mid-column
+//! from the live data file would resume from tiles a crashed run
+//! flushed or not in any mix; restoring the last boundary snapshot is
 //! the only state that is both cheap to reason about and bitwise
-//! reproducible.  A left-looking block column writes only itself, but
-//! the same snapshot serves it.  The two orders leave different files at
-//! the same boundary, so a checkpoint resumes only under the order that
-//! wrote it: a mismatch is refused with `InvalidData`, like a mismatched
-//! `n` or `b`.  Checkpoint I/O is charged to
+//! reproducible.  The snapshot is of the left-looking walk's file — the
+//! finished block columns, the rest as input — so the manifest's magic
+//! names that format (`v4`), and a checkpoint an earlier driver wrote
+//! (`v3`: the right-looking walk's file, its trailing submatrix partly
+//! updated) is refused with [`std::io::ErrorKind::InvalidData`] instead
+//! of resumed into a wrong factor.  Checkpoint I/O is charged to
 //! its own counters ([`CheckpointReport`]), not to the algorithm's
 //! [`IoStats`](crate::IoStats), and is not subject to tile-level fault
 //! injection — the fault model targets the data path, recovery targets
@@ -49,10 +48,9 @@ use crate::potrf::OocError;
 use cholcomm_faults::journal::{self, Fields, Intent, Replay};
 use cholcomm_faults::{CommitDiscipline, Store};
 use cholcomm_matrix::digest::fnv1a;
-use cholcomm_matrix::schedule::Order;
 use std::path::Path;
 
-const MANIFEST_MAGIC: &str = "cholcomm-ooc-checkpoint v3";
+const MANIFEST_MAGIC: &str = "cholcomm-ooc-checkpoint v4";
 
 fn bad(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
@@ -84,8 +82,6 @@ pub(crate) struct Checkpointing<'a, St: Store> {
     pub(crate) ckpt: &'a Checkpoint,
     pub(crate) store: &'a mut St,
     pub(crate) report: &'a mut CheckpointReport,
-    /// The walk the run performs, recorded in every generation.
-    pub(crate) order: Order,
 }
 
 impl<St: Store> Checkpointing<'_, St> {
@@ -106,17 +102,11 @@ impl<St: Store> Checkpointing<'_, St> {
                         fm.b()
                     ))));
                 }
-                if state.order != self.order {
-                    return Err(OocError::Io(bad(format!(
-                        "checkpoint was written by the {}-looking order, this run is {}-looking",
-                        state.order, self.order
-                    ))));
-                }
                 self.report.checkpoint_bytes += self.ckpt.restore(self.store, fm)?;
                 state.next_panel
             }
             None => {
-                self.report.checkpoint_bytes += self.ckpt.save(self.store, fm, 0, self.order)?;
+                self.report.checkpoint_bytes += self.ckpt.save(self.store, fm, 0)?;
                 self.report.checkpoints_written += 1;
                 0
             }
@@ -144,8 +134,6 @@ pub struct CheckpointState {
     pub n: usize,
     /// Tile size the snapshot belongs to.
     pub b: usize,
-    /// The walk that wrote the snapshot.
-    pub order: Order,
     /// Committed generation the state was read from.
     pub gen: u64,
 }
@@ -175,33 +163,23 @@ pub(crate) struct Generation {
     b: usize,
     data_len: u64,
     data_fnv: u64,
-    order: Order,
 }
 
 impl Intent for Generation {
     fn fields(&self) -> String {
-        let mut fields = format!(
+        format!(
             "next_panel={} n={} b={} data_len={} data_fnv={:016x}",
             self.next_panel, self.n, self.b, self.data_len, self.data_fnv
-        );
-        if self.order != Order::Right {
-            fields += &format!(" order={}", self.order);
-        }
-        fields
+        )
     }
 
     fn decode(fields: &Fields<'_>) -> Option<Self> {
-        let order = match fields.get::<String>("order") {
-            None => Order::Right,
-            Some(name) => name.parse().ok()?,
-        };
         Some(Generation {
             next_panel: fields.get("next_panel")?,
             n: fields.get("n")?,
             b: fields.get("b")?,
             data_len: fields.get("data_len")?,
             data_fnv: fields.hex("data_fnv")?,
-            order,
         })
     }
 }
@@ -258,8 +236,15 @@ impl Checkpoint {
         if recorded != Some(fnv1a(body.as_bytes())) {
             return Err(bad("checkpoint manifest failed its integrity check (torn write?)".into()));
         }
-        if body.lines().next() != Some(MANIFEST_MAGIC) {
-            return Err(bad("unrecognised checkpoint manifest".into()));
+        match body.lines().next() {
+            Some(MANIFEST_MAGIC) => {}
+            Some(old) if old.starts_with("cholcomm-ooc-checkpoint ") => {
+                return Err(bad(format!(
+                    "checkpoint manifest is {old:?}, not {MANIFEST_MAGIC:?}: an earlier \
+                     driver's right-looking file state, which this one cannot resume"
+                )));
+            }
+            _ => return Err(bad("unrecognised checkpoint manifest".into())),
         }
         let fields = Fields(body);
         let (Some(mgen), Some(manifest)) = (fields.get::<u64>("gen"), Generation::decode(&fields))
@@ -337,25 +322,12 @@ impl Checkpoint {
             ));
         }
         self.sweep(store, Some(gen))?;
-        let Generation {
-            next_panel,
-            n,
-            b,
-            order,
-            ..
-        } = intent;
-        Ok(Some(CheckpointState {
-            next_panel,
-            n,
-            b,
-            order,
-            gen,
-        }))
+        let Generation { next_panel, n, b, .. } = intent;
+        Ok(Some(CheckpointState { next_panel, n, b, gen }))
     }
 
-    /// Snapshot the backing file as a new generation of a run in `order`
-    /// and commit it through the journal (see the module docs for the op
-    /// order).
+    /// Snapshot the backing file as a new generation and commit it
+    /// through the journal (see the module docs for the op order).
     /// Under [`CommitDiscipline::Barriered`] a crash at any instant —
     /// including torn or reordered un-barriered writes — leaves either
     /// this generation committed-and-valid or the previous one; the
@@ -366,7 +338,6 @@ impl Checkpoint {
         store: &mut impl Store,
         fm: &B,
         next_panel: usize,
-        order: Order,
     ) -> std::io::Result<u64> {
         let data = store.read(&backend_data_name(fm)?)?;
         let replay = self.journal(store)?;
@@ -377,7 +348,6 @@ impl Checkpoint {
             b: fm.b(),
             data_len: data.len() as u64,
             data_fnv: fnv1a(&data),
-            order,
         };
         // The manifest is the intent's fields, one per line, behind the
         // magic and the generation, and authenticated by its last line.
@@ -466,19 +436,7 @@ mod tests {
         capacity_tiles: usize,
         ckpt: &Checkpoint,
     ) -> Result<CheckpointReport, OocError> {
-        sync_checkpointed_in(fm, capacity_tiles, ckpt, Order::Left)
-    }
-
-    /// [`sync_checkpointed`] in `order`.
-    fn sync_checkpointed_in<B: IoBackend>(
-        fm: &mut B,
-        capacity_tiles: usize,
-        ckpt: &Checkpoint,
-        order: Order,
-    ) -> Result<CheckpointReport, OocError> {
-        let cfg = PipelineConfig::new(capacity_tiles)
-            .with_io_workers(0)
-            .with_order(order);
+        let cfg = PipelineConfig::new(capacity_tiles).with_io_workers(0);
         ooc_potrf_checkpointed(fm, ckpt, &mut FsStore::new(), &cfg).map(|(report, _)| report)
     }
 
@@ -574,22 +532,22 @@ mod tests {
         {
             let mut fm = FileMatrix::create(&data_path, &a, 8).unwrap();
             fm.set_persist(true);
-            // With the minimum cache capacity the right-looking panel-0
-            // trailing update evicts (and writes back) tiles long before
-            // the panel completes; a few ops in, the file is neither A
-            // nor a finished panel.
+            // With the minimum cache capacity the first block column
+            // overflows the cache: its fourth read evicts the solved
+            // tile (1, 0) to the file first, so after four ops the file
+            // is neither A nor a checkpointed state.
             let plan = FaultPlan::builder(5)
-                .crash_at(CrashPoint::AfterDiskOps(10))
+                .crash_at(CrashPoint::AfterDiskOps(4))
                 .build();
             let mut fb = FaultyBackend::new(fm, plan);
-            sync_checkpointed_in(&mut fb, 3, &ckpt, Order::Right).unwrap_err();
+            sync_checkpointed(&mut fb, 3, &ckpt).unwrap_err();
         }
         let state = ckpt.load(&mut FsStore::new()).unwrap().expect("baseline checkpoint exists");
         assert_eq!(state.next_panel, 0, "no panel completed before the crash");
 
         let mut fm = FileMatrix::open(&data_path, 32, 8).unwrap();
         fm.set_persist(false); // test scratch: clean up on drop
-        let rep = sync_checkpointed_in(&mut fm, 3, &ckpt, Order::Right).unwrap();
+        let rep = sync_checkpointed(&mut fm, 3, &ckpt).unwrap();
         assert_eq!(rep.start_panel, 0);
         let got = fm.to_matrix().unwrap();
         assert_eq!(
@@ -642,45 +600,34 @@ mod tests {
         ooc_potrf_with(&mut reference, 4, KernelImpl::Reference).unwrap();
         let want = reference.to_matrix().unwrap();
 
-        // A crash well inside each order's run: the left-looking one
-        // moves far fewer tiles.
-        for (order, crash_op) in [(Order::Right, 70), (Order::Left, 30)] {
-            let data_path = scratch_path("ckpt-flaky");
-            let ckpt = Checkpoint::at(&ckpt_prefix("flaky"));
-            let transients;
-            {
-                let mut fm = FileMatrix::create(&data_path, &a, 8).unwrap();
-                fm.set_persist(true);
-                let plan = FaultPlan::builder(9)
-                    .disk_transient_rate(0.1)
-                    .disk_short_read_rate(0.05)
-                    .crash_at(CrashPoint::AfterDiskOps(crash_op))
-                    .build();
-                let mut fb = FaultyBackend::new(fm, plan);
-                sync_checkpointed_in(&mut fb, 4, &ckpt, order).unwrap_err();
-                transients = fb.fault_stats();
-                assert!(
-                    transients.disk_faults() >= 3,
-                    "{order}: flaky disk must have bitten: {transients:?}"
-                );
-            }
-
-            let mut fm = FileMatrix::open(&data_path, 40, 8).unwrap();
-            fm.set_persist(false); // test scratch: clean up on drop
-            let plan = FaultPlan::builder(10).disk_transient_rate(0.1).build();
+        let data_path = scratch_path("ckpt-flaky");
+        let ckpt = Checkpoint::at(&ckpt_prefix("flaky"));
+        let transients;
+        {
+            let mut fm = FileMatrix::create(&data_path, &a, 8).unwrap();
+            fm.set_persist(true);
+            let plan = FaultPlan::builder(9)
+                .disk_transient_rate(0.1)
+                .disk_short_read_rate(0.05)
+                .crash_at(CrashPoint::AfterDiskOps(30))
+                .build();
             let mut fb = FaultyBackend::new(fm, plan);
-            let rep = sync_checkpointed_in(&mut fb, 4, &ckpt, order).unwrap();
-            assert!(
-                rep.start_panel > 0,
-                "{order}: the crash came after a checkpoint"
-            );
-            let got = fb.inner_mut().to_matrix().unwrap();
-            assert_eq!(
-                norms::max_abs_diff(&got, &want),
-                0.0,
-                "{order}: flaky disk + crash + resume must not change a single bit"
-            );
+            sync_checkpointed(&mut fb, 4, &ckpt).unwrap_err();
+            transients = fb.fault_stats();
+            assert!(transients.disk_faults() >= 3, "flaky disk must have bitten: {transients:?}");
         }
+
+        let mut fm = FileMatrix::open(&data_path, 40, 8).unwrap();
+        fm.set_persist(false); // test scratch: clean up on drop
+        let plan = FaultPlan::builder(10).disk_transient_rate(0.1).build();
+        let mut fb = FaultyBackend::new(fm, plan);
+        sync_checkpointed(&mut fb, 4, &ckpt).unwrap();
+        let got = fb.inner_mut().to_matrix().unwrap();
+        assert_eq!(
+            norms::max_abs_diff(&got, &want),
+            0.0,
+            "flaky disk + crash + resume must not change a single bit"
+        );
     }
 
     #[test]
@@ -758,12 +705,8 @@ mod tests {
         let p = scratch_path("ckpt-trunc");
         let fm = FileMatrix::create(&p, &a, 8).unwrap();
         let ckpt = Checkpoint::at(&ckpt_prefix("trunc"));
-        ckpt.save(&mut FsStore::new(), &fm, 1, Order::Right)
-            .unwrap();
-        let state = ckpt
-            .load(&mut FsStore::new())
-            .unwrap()
-            .expect("intact checkpoint loads");
+        ckpt.save(&mut FsStore::new(), &fm, 1).unwrap();
+        let state = ckpt.load(&mut FsStore::new()).unwrap().expect("intact checkpoint loads");
 
         // Lop bytes off the snapshot, as a torn copy or dying disk would.
         let data_path = ckpt.data_file(state.gen);
@@ -786,12 +729,8 @@ mod tests {
         let p = scratch_path("ckpt-rot");
         let fm = FileMatrix::create(&p, &a, 8).unwrap();
         let ckpt = Checkpoint::at(&ckpt_prefix("rot"));
-        ckpt.save(&mut FsStore::new(), &fm, 1, Order::Right)
-            .unwrap();
-        let state = ckpt
-            .load(&mut FsStore::new())
-            .unwrap()
-            .expect("intact checkpoint loads");
+        ckpt.save(&mut FsStore::new(), &fm, 1).unwrap();
+        let state = ckpt.load(&mut FsStore::new()).unwrap().expect("intact checkpoint loads");
 
         // Same length, one bit flipped.
         let data_path = ckpt.data_file(state.gen);
@@ -811,12 +750,8 @@ mod tests {
         let p = scratch_path("ckpt-badman");
         let fm = FileMatrix::create(&p, &a, 8).unwrap();
         let ckpt = Checkpoint::at(&ckpt_prefix("badman"));
-        ckpt.save(&mut FsStore::new(), &fm, 2, Order::Right)
-            .unwrap();
-        let state = ckpt
-            .load(&mut FsStore::new())
-            .unwrap()
-            .expect("intact checkpoint loads");
+        ckpt.save(&mut FsStore::new(), &fm, 2).unwrap();
+        let state = ckpt.load(&mut FsStore::new()).unwrap().expect("intact checkpoint loads");
 
         // Tamper with the recorded panel: the manifest hash must catch it.
         let man_path = ckpt.manifest_file(state.gen);
@@ -838,13 +773,8 @@ mod tests {
         let p = scratch_path("ckpt-torn");
         let fm = FileMatrix::create(&p, &a, 8).unwrap();
         let ckpt = Checkpoint::at(&ckpt_prefix("torn"));
-        ckpt.save(&mut FsStore::new(), &fm, 1, Order::Right)
-            .unwrap();
-        let gen1 = ckpt
-            .load(&mut FsStore::new())
-            .unwrap()
-            .expect("gen 1 committed")
-            .gen;
+        ckpt.save(&mut FsStore::new(), &fm, 1).unwrap();
+        let gen1 = ckpt.load(&mut FsStore::new()).unwrap().expect("gen 1 committed").gen;
 
         let mut store = FsStore::new();
         let intent = format!(
@@ -884,8 +814,7 @@ mod tests {
         let p = scratch_path("ckpt-tornj");
         let fm = FileMatrix::create(&p, &a, 8).unwrap();
         let ckpt = Checkpoint::at(&ckpt_prefix("tornj"));
-        ckpt.save(&mut FsStore::new(), &fm, 1, Order::Right)
-            .unwrap();
+        ckpt.save(&mut FsStore::new(), &fm, 1).unwrap();
 
         // A torn append: half a record, no valid rec_fnv.
         let mut store = FsStore::new();
@@ -904,8 +833,7 @@ mod tests {
         let p = scratch_path("ckpt-tornsave");
         let fm = FileMatrix::create(&p, &a, 8).unwrap();
         let ckpt = Checkpoint::at(&ckpt_prefix("tornsave"));
-        ckpt.save(&mut FsStore::new(), &fm, 1, Order::Right)
-            .unwrap();
+        ckpt.save(&mut FsStore::new(), &fm, 1).unwrap();
 
         // A crash tore gen 2's intent: no newline, no rec_fnv.
         let mut store = FsStore::new();
@@ -914,12 +842,8 @@ mod tests {
 
         // The resumed run commits gen 2 and prunes gen 1; the next load
         // must find gen 2, not a commit it cannot see.
-        ckpt.save(&mut FsStore::new(), &fm, 2, Order::Right)
-            .unwrap();
-        let state = ckpt
-            .load(&mut FsStore::new())
-            .unwrap()
-            .expect("gen 2 committed");
+        ckpt.save(&mut FsStore::new(), &fm, 2).unwrap();
+        let state = ckpt.load(&mut FsStore::new()).unwrap().expect("gen 2 committed");
         assert_eq!((state.gen, state.next_panel), (2, 2));
         ckpt.remove(&mut FsStore::new()).unwrap();
     }
@@ -931,8 +855,7 @@ mod tests {
         let p = scratch_path("ckpt-orphan");
         let fm = FileMatrix::create(&p, &a, 8).unwrap();
         let ckpt = Checkpoint::at(&ckpt_prefix("orphan"));
-        ckpt.save(&mut FsStore::new(), &fm, 1, Order::Right)
-            .unwrap();
+        ckpt.save(&mut FsStore::new(), &fm, 1).unwrap();
 
         // A (validly hashed) commit for a generation nobody intended:
         // only a protocol bug can produce it, so it must not be quietly
@@ -951,33 +874,31 @@ mod tests {
     }
 
     #[test]
-    fn the_order_is_recorded_and_a_mismatch_is_refused() {
+    fn a_checkpoint_of_the_earlier_format_is_refused() {
+        // A v3 manifest, validly hashed, as the right-looking driver
+        // wrote it: its file holds a partly updated trailing submatrix
+        // that the left-looking walk would resume into a wrong factor.
         let a = spd::random_spd(16, &mut spd::test_rng(225));
-        let mut fm = FileMatrix::create(&scratch_path("ckpt-order"), &a, 8).unwrap();
-        for (order, recorded) in [(Order::Right, None), (Order::Left, Some("left"))] {
-            let ckpt = Checkpoint::at(&ckpt_prefix("order"));
-            ckpt.save(&mut FsStore::new(), &fm, 1, order).unwrap();
-            let state = ckpt.load(&mut FsStore::new()).unwrap().expect("committed");
-            assert_eq!(state.order, order);
-            // A right-looking record is what it was before orders were
-            // recorded: no `order` field, in the journal or the manifest.
-            let journal = std::fs::read_to_string(ckpt.journal_file()).unwrap();
-            let manifest = std::fs::read_to_string(ckpt.manifest_file(state.gen)).unwrap();
-            for text in [&journal, &manifest] {
-                let field = Fields(text).get::<String>("order");
-                assert_eq!(field.as_deref(), recorded, "{order}: {text}");
-            }
-            // Resuming under the other order is refused, loudly.
-            let other = Order::ALL.into_iter().find(|&o| o != order).unwrap();
-            let cfg = PipelineConfig::new(4).with_io_workers(0).with_order(other);
-            let err =
-                ooc_potrf_checkpointed(&mut fm, &ckpt, &mut FsStore::new(), &cfg).unwrap_err();
-            assert!(
-                matches!(&err, OocError::Io(e) if e.kind() == std::io::ErrorKind::InvalidData),
-                "{order} checkpoint resumed {other}: {err:?}"
-            );
-            ckpt.remove(&mut FsStore::new()).unwrap();
-        }
+        let mut fm = FileMatrix::create(&scratch_path("ckpt-v3"), &a, 8).unwrap();
+        let ckpt = Checkpoint::at(&ckpt_prefix("v3"));
+        ckpt.save(&mut FsStore::new(), &fm, 1).unwrap();
+        let gen = ckpt.load(&mut FsStore::new()).unwrap().expect("committed").gen;
+        let man_path = ckpt.manifest_file(gen);
+        let text = std::fs::read_to_string(&man_path).unwrap();
+        let (body, _) = text.rsplit_once("manifest_fnv=").unwrap();
+        let body = body.replace(MANIFEST_MAGIC, "cholcomm-ooc-checkpoint v3");
+        let v3 = format!("{body}manifest_fnv={:016x}\n", fnv1a(body.as_bytes()));
+        std::fs::write(&man_path, v3).unwrap();
+
+        let err = ckpt.load(&mut FsStore::new()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("v3"), "{err}");
+        let err = sync_checkpointed(&mut fm, 4, &ckpt).unwrap_err();
+        assert!(
+            matches!(&err, OocError::Io(e) if e.kind() == std::io::ErrorKind::InvalidData),
+            "{err:?}"
+        );
+        ckpt.remove(&mut FsStore::new()).unwrap();
     }
 
     #[test]
@@ -987,8 +908,7 @@ mod tests {
         let p = scratch_path("ckpt-mismatch");
         let mut fm = FileMatrix::create(&p, &a, 8).unwrap();
         let ckpt = Checkpoint::at(&ckpt_prefix("mismatch"));
-        ckpt.save(&mut FsStore::new(), &fm, 1, Order::Right)
-            .unwrap();
+        ckpt.save(&mut FsStore::new(), &fm, 1).unwrap();
         // Same files, wrong geometry.
         let a2 = spd::random_spd(24, &mut rng);
         let p2 = scratch_path("ckpt-mismatch2");

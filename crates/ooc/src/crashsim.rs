@@ -33,7 +33,6 @@ use cholcomm_faults::journal::{parse_journal, Record};
 use cholcomm_faults::{
     crash_state, shrink_site, CommitDiscipline, CrashSite, SimDisk, SimOp, SimState, SimStore,
 };
-use cholcomm_matrix::schedule::Order;
 use cholcomm_matrix::Matrix;
 use std::sync::{Arc, Mutex};
 
@@ -61,8 +60,6 @@ pub struct RecordedRun {
     pub io_workers: usize,
     /// Prefetch depth the run was recorded with (moot at zero workers).
     pub lookahead: usize,
-    /// The walk the run was recorded with; recovery resumes in the same.
-    pub order: Order,
     data_name: String,
     ckpt_prefix: String,
 }
@@ -82,8 +79,7 @@ const CKPT_PREFIX: &str = "ckpt";
 /// schedule itself must be deterministic (the exhaustive explorer): one
 /// worker completes jobs in submission order, the same op order as zero
 /// workers.  Any worker count is fine when only recovery outcomes are
-/// asserted.  `order` is the walk; its checkpoints resume only under it.
-#[allow(clippy::too_many_arguments)]
+/// asserted.
 pub fn record_run(
     a: &Matrix<f64>,
     b: usize,
@@ -92,13 +88,12 @@ pub fn record_run(
     discipline: CommitDiscipline,
     io_workers: usize,
     lookahead: usize,
-    order: Order,
 ) -> Result<RecordedRun, OocError> {
     let disk = Arc::new(Mutex::new(SimDisk::new(sector)));
     let mut sm = SimMatrix::create(Arc::clone(&disk), DATA_NAME, a, b)?;
     let mut store = SimStore::new(Arc::clone(&disk));
     let ckpt = Checkpoint::at(std::path::Path::new(CKPT_PREFIX)).with_discipline(discipline);
-    let cfg = config(capacity, io_workers, lookahead, order);
+    let cfg = config(capacity, io_workers, lookahead);
     ooc_potrf_checkpointed(&mut sm, &ckpt, &mut store, &cfg)?;
     let clean_factor = sm.to_matrix()?;
     let total_panels = sm.nb();
@@ -118,17 +113,15 @@ pub fn record_run(
         total_panels,
         io_workers,
         lookahead,
-        order,
         data_name: DATA_NAME.to_string(),
         ckpt_prefix: CKPT_PREFIX.to_string(),
     })
 }
 
-fn config(capacity: usize, io_workers: usize, lookahead: usize, order: Order) -> PipelineConfig {
+fn config(capacity: usize, io_workers: usize, lookahead: usize) -> PipelineConfig {
     PipelineConfig::new(capacity)
         .with_io_workers(io_workers)
         .with_lookahead(lookahead)
-        .with_order(order)
 }
 
 impl RecordedRun {
@@ -156,7 +149,7 @@ impl RecordedRun {
         // It does run the same I/O workers as the recording, though — a
         // pipelined run is recovered by a pipelined process.
         let ckpt = Checkpoint::at(std::path::Path::new(&self.ckpt_prefix));
-        let cfg = config(self.capacity, self.io_workers, self.lookahead, self.order);
+        let cfg = config(self.capacity, self.io_workers, self.lookahead);
         let (report, _) = ooc_potrf_checkpointed(&mut sm, &ckpt, &mut store, &cfg)?;
         Ok((sm.to_matrix()?, report.start_panel))
     }
@@ -289,133 +282,64 @@ mod tests {
     use cholcomm_faults::{crash_sites_sampled, schedule_digest, DEFAULT_SECTOR};
     use cholcomm_matrix::spd;
 
-    /// A barriered recording of `a` with tile size `b`, capacity `cap`.
-    fn record(
-        a: &Matrix<f64>,
-        b: usize,
-        cap: usize,
-        (w, la): (usize, usize),
-        order: Order,
-    ) -> RecordedRun {
-        record_run(
-            a,
-            b,
-            cap,
-            DEFAULT_SECTOR,
-            CommitDiscipline::Barriered,
-            w,
-            la,
-            order,
-        )
-        .unwrap()
-    }
-
     #[test]
     fn recorded_run_reproduces_the_direct_factor_and_cleans_up() {
         let mut rng = spd::test_rng(400);
         let a = spd::random_spd(8, &mut rng);
-        for order in Order::ALL {
-            let run = record(&a, 4, 3, (0, 1), order);
-            assert_eq!(run.total_panels, 2);
-            assert!(
-                run.schedule.len() > 10,
-                "{order}: schedule {}",
-                run.schedule.len()
-            );
-            // The clean factor matches a plain (uncheckpointed) OOC run.
-            let disk = Arc::new(Mutex::new(SimDisk::new(DEFAULT_SECTOR)));
-            let mut plain = SimMatrix::create(disk, "plain.data", &a, 4).unwrap();
-            crate::ooc_potrf_with(&mut plain, 3, cholcomm_matrix::KernelImpl::Reference).unwrap();
-            assert_eq!(run.clean_factor, plain.to_matrix().unwrap(), "{order}");
-        }
+        let run = record_run(&a, 4, 3, DEFAULT_SECTOR, CommitDiscipline::Barriered, 0, 1).unwrap();
+        assert_eq!(run.total_panels, 2);
+        assert!(run.schedule.len() > 10, "schedule: {}", run.schedule.len());
+        // The clean factor matches a plain (uncheckpointed) OOC run.
+        let disk = Arc::new(Mutex::new(SimDisk::new(DEFAULT_SECTOR)));
+        let mut plain = SimMatrix::create(disk, "plain.data", &a, 4).unwrap();
+        crate::ooc_potrf_with(&mut plain, 3, cholcomm_matrix::KernelImpl::Reference).unwrap();
+        assert_eq!(run.clean_factor, plain.to_matrix().unwrap());
     }
 
     #[test]
     fn clean_crash_sites_all_recover_bit_identically() {
         let mut rng = spd::test_rng(401);
         let a = spd::random_spd(8, &mut rng);
-        for order in Order::ALL {
-            let run = record(&a, 4, 3, (0, 1), order);
-            // Every whole-buffer crash prefix (no drops, no tears): cheap
-            // smoke for the exhaustive sweep in tests/crash_consistency.rs.
-            let sites: Vec<CrashSite> = (0..=run.schedule.len()).map(CrashSite::clean).collect();
-            let report = explore_crash_sites(&run, &sites);
-            assert_eq!(report.states_explored, sites.len());
-            assert!(
-                report.violations.is_empty(),
-                "{order}: {:?}",
-                report.violations
-            );
-            assert!(report.rework_fraction() <= 1.0);
-        }
+        let run = record_run(&a, 4, 3, DEFAULT_SECTOR, CommitDiscipline::Barriered, 0, 1).unwrap();
+        // Every whole-buffer crash prefix (no drops, no tears): cheap
+        // smoke for the exhaustive sweep in tests/crash_consistency.rs.
+        let sites: Vec<CrashSite> = (0..=run.schedule.len()).map(CrashSite::clean).collect();
+        let report = explore_crash_sites(&run, &sites);
+        assert_eq!(report.states_explored, sites.len());
+        assert!(
+            report.violations.is_empty(),
+            "violations: {:?}",
+            report.violations
+        );
+        assert!(report.rework_fraction() <= 1.0);
     }
 
     #[test]
     fn pipelined_recording_matches_sync_schedule_with_one_worker() {
         let mut rng = spd::test_rng(403);
         let a = spd::random_spd(8, &mut rng);
-        for order in Order::ALL {
-            let sync = record(&a, 4, 3, (0, 1), order);
-            let pipe = record(&a, 4, 3, (1, 2), order);
-            assert_eq!(pipe.clean_factor, sync.clean_factor, "{order}");
-            // One worker completes jobs in submission order, and the epoch
-            // barrier drains before every checkpoint: zero and one worker
-            // leave the *same* durable op schedule behind.
-            assert_eq!(pipe.schedule, sync.schedule, "{order}");
-        }
+        let sync = record_run(&a, 4, 3, DEFAULT_SECTOR, CommitDiscipline::Barriered, 0, 1).unwrap();
+        let pipe = record_run(&a, 4, 3, DEFAULT_SECTOR, CommitDiscipline::Barriered, 1, 2).unwrap();
+        assert_eq!(pipe.clean_factor, sync.clean_factor);
+        // One worker completes jobs in submission order, and the epoch
+        // barrier drains before every checkpoint: zero and one worker
+        // leave the *same* durable op schedule behind.
+        assert_eq!(pipe.schedule, sync.schedule);
     }
 
     #[test]
     fn recorded_schedules_equal_the_synchronous_drivers() {
-        // `crash_bench`'s recordings: the three right-looking ones pinned
-        // on the synchronous driver that zero I/O workers replaced (op
-        // count and digest), and the left-looking exhaustive one.
+        // `crash_bench`'s three recordings, pinned at zero I/O workers:
+        // op count and digest.
         let runs = [
-            (
-                8,
-                4,
-                3,
-                CommitDiscipline::Barriered,
-                500,
-                Order::Right,
-                33,
-                0x2a3fb20b81a903f4,
-            ),
-            (
-                24,
-                8,
-                4,
-                CommitDiscipline::Barriered,
-                502,
-                Order::Right,
-                47,
-                0x9f0bc1b73d04ba5e,
-            ),
-            (
-                8,
-                4,
-                3,
-                CommitDiscipline::UnbarrieredCommit,
-                501,
-                Order::Right,
-                30,
-                0xdec66978efe50e3f,
-            ),
-            (
-                8,
-                4,
-                3,
-                CommitDiscipline::Barriered,
-                500,
-                Order::Left,
-                32,
-                0x8022570a65098ace,
-            ),
+            (8, 4, 3, CommitDiscipline::Barriered, 500, 32, 0xd2f48f3f533e7a9d),
+            (24, 8, 4, CommitDiscipline::Barriered, 502, 43, 0x8cf0f72df1a06dfa),
+            (8, 4, 3, CommitDiscipline::UnbarrieredCommit, 501, 29, 0x5b3f84b36ab4f5fb),
         ];
-        for (n, b, cap, discipline, seed, order, ops, digest) in runs {
+        for (n, b, cap, discipline, seed, ops, digest) in runs {
             let a = spd::random_spd(n, &mut spd::test_rng(seed));
-            let run = record_run(&a, b, cap, DEFAULT_SECTOR, discipline, 0, 1, order).unwrap();
-            let tag = format!("n={n} b={b} cap={cap} {discipline:?} {order}");
+            let run = record_run(&a, b, cap, DEFAULT_SECTOR, discipline, 0, 1).unwrap();
+            let tag = format!("n={n} b={b} cap={cap} {discipline:?}");
             assert_eq!(run.schedule.len(), ops, "{tag}");
             assert_eq!(schedule_digest(&run.schedule), digest, "{tag}");
         }
@@ -425,31 +349,27 @@ mod tests {
     fn pipelined_crash_sites_all_recover_bit_identically() {
         let mut rng = spd::test_rng(404);
         let a = spd::random_spd(8, &mut rng);
-        for order in Order::ALL {
-            let run = record(&a, 4, 3, (2, 2), order);
-            let sites: Vec<CrashSite> = (0..=run.schedule.len()).map(CrashSite::clean).collect();
-            let report = explore_crash_sites(&run, &sites);
-            assert!(
-                report.violations.is_empty(),
-                "{order}: {:?}",
-                report.violations
-            );
-        }
+        let run = record_run(&a, 4, 3, DEFAULT_SECTOR, CommitDiscipline::Barriered, 2, 2).unwrap();
+        let sites: Vec<CrashSite> = (0..=run.schedule.len()).map(CrashSite::clean).collect();
+        let report = explore_crash_sites(&run, &sites);
+        assert!(
+            report.violations.is_empty(),
+            "violations: {:?}",
+            report.violations
+        );
     }
 
     #[test]
     fn sampled_sites_recover_on_a_larger_matrix() {
         let mut rng = spd::test_rng(402);
         let a = spd::random_spd(16, &mut rng);
-        for order in Order::ALL {
-            let run = record(&a, 4, 4, (0, 1), order);
-            let sites = crash_sites_sampled(&run.schedule, run.sector, 0xC0FFEE, 40);
-            let report = explore_crash_sites(&run, &sites);
-            assert!(
-                report.violations.is_empty(),
-                "{order}: {:?}",
-                report.violations
-            );
-        }
+        let run = record_run(&a, 4, 4, DEFAULT_SECTOR, CommitDiscipline::Barriered, 0, 1).unwrap();
+        let sites = crash_sites_sampled(&run.schedule, run.sector, 0xC0FFEE, 40);
+        let report = explore_crash_sites(&run, &sites);
+        assert!(
+            report.violations.is_empty(),
+            "violations: {:?}",
+            report.violations
+        );
     }
 }

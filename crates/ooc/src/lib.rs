@@ -12,8 +12,7 @@
 //! blocks under LRU, a "message" is a contiguous file read/write
 //! (block-contiguous tile layout, so one tile = one seek + one stream),
 //! and the factorization is the LAPACK blocked schedule of Algorithm 4:
-//! the left-looking walk, which writes each lower tile once, by default,
-//! the right-looking one on request ([`PipelineConfig::order`]).
+//! the left-looking walk, which writes each lower tile once.
 //! The measured seek counts land on the same `Theta(n^3 / M^{3/2})`
 //! curve as the simulator's message counts — see the paper's [B08]
 //! citation for the out-of-core framing.
@@ -66,12 +65,10 @@ pub use abft::AbftBackend;
 pub use backend::{FaultyBackend, IoBackend, LatencyModel};
 pub use checkpoint::{Checkpoint, CheckpointReport, CheckpointState};
 pub use cholcomm_faults::CommitDiscipline;
-pub use cholcomm_matrix::schedule::Order;
 pub use crashsim::{explore_crash_sites, record_run, CrashExploration, RecordedRun};
 pub use pipeline::{
-    io_workers_from_env, model_overlap, model_overlap_with, ooc_potrf_checkpointed,
-    ooc_potrf_pipelined_with, ModelConfig, ModelReport, PipelineConfig, PipelineStats,
-    DEFAULT_FLOPS_PER_US, WORKING_SET,
+    io_workers_from_env, model_overlap, ooc_potrf_checkpointed, ooc_potrf_pipelined_with,
+    ModelConfig, ModelReport, PipelineConfig, PipelineStats, DEFAULT_FLOPS_PER_US, WORKING_SET,
 };
 pub use potrf::{ooc_potrf_with, OocError};
 pub use tilefile::{scratch_path, FileMatrix, IoStats, SimMatrix, TileFile};

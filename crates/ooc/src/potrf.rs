@@ -1,14 +1,14 @@
 //! Out-of-core blocked Cholesky: Algorithm 4 against the backing store,
 //! through a bounded set of resident tiles — the driver loop every run
-//! goes through (either walk of [`cholcomm_matrix::schedule`], one panel
-//! step or block column at a time), the LRU order the planner replays,
-//! and the error type.
+//! goes through (the left-looking walk of [`cholcomm_matrix::schedule`],
+//! one block column at a time), the LRU order the planner replays, and
+//! the error type.
 
 use crate::backend::IoBackend;
 use crate::checkpoint::{simulated_crash, unhealable, Checkpointing, MAX_RESTORE_RETRIES};
 use crate::pipeline::{ooc_potrf_pipelined_with, PipelineConfig, Tile};
 use cholcomm_faults::Store;
-use cholcomm_matrix::schedule::{Order, TileGrid, TileStore};
+use cholcomm_matrix::schedule::{factor_left, TileGrid, TileStore};
 use cholcomm_matrix::{KernelImpl, MatrixError};
 use std::collections::HashMap;
 
@@ -160,17 +160,15 @@ pub(crate) trait Front: TileStore<Tile = Tile, Error = OocError> {
     fn reset(&mut self, k: usize);
 }
 
-/// The out-of-core driver loop: panel steps (right-looking) or block
-/// columns (left-looking) `start..nb` of `order`'s walk through `front`,
-/// one per checkpoint step, with the checkpoint protocol when `ck` is
-/// given.  Tile gets and puts (the I/O the out-of-core analysis counts)
+/// The out-of-core driver loop: block columns `start..nb` of the
+/// left-looking walk through `front`, one per checkpoint step, with the
+/// checkpoint protocol when `ck` is given.  Tile gets and puts (the I/O the out-of-core analysis counts)
 /// are identical under every engine and every front; only the in-memory
 /// tile arithmetic changes with the engine, and only the tile
 /// *transport* changes with the front.
 pub(crate) fn drive<F: Front, St: Store>(
     front: &mut F,
     kernel: KernelImpl,
-    order: Order,
     start: usize,
     mut ck: Option<Checkpointing<'_, St>>,
 ) -> Result<(), OocError> {
@@ -179,7 +177,7 @@ pub(crate) fn drive<F: Front, St: Store>(
     for k in start..nb {
         let mut retries = 0;
         loop {
-            match order.factor(front, grid, k..k + 1, kernel) {
+            match factor_left(front, grid, k..k + 1, kernel) {
                 Ok(()) => break,
                 Err(e @ OocError::NotSpd { .. }) => {
                     // Leave the file in a well-defined state: everything
@@ -200,7 +198,7 @@ pub(crate) fn drive<F: Front, St: Store>(
             }
             front.flush_boundary()?;
             ck.report.checkpoint_bytes +=
-                front.with_backend(|be| ck.ckpt.save(ck.store, be, k + 1, ck.order))?;
+                front.with_backend(|be| ck.ckpt.save(ck.store, be, k + 1))?;
             ck.report.checkpoints_written += 1;
             ck.report.panels_done += 1;
         }
@@ -258,8 +256,7 @@ fn roll_back<F: Front, St: Store>(
 }
 
 /// Out-of-core blocked Cholesky on the backing store in the left-looking
-/// order of the paper's Algorithm 4 ([`PipelineConfig::new`]'s), with
-/// `capacity_tiles` tiles resident and every tile move blocking the
+/// order of the paper's Algorithm 4, with `capacity_tiles` tiles resident and every tile move blocking the
 /// compute thread: the pipeline at zero I/O workers (see
 /// [`PipelineConfig::with_io_workers`]), the baseline the paper's
 /// sequential I/O counts describe.  The tile I/O is the same under every
@@ -268,9 +265,8 @@ fn roll_back<F: Front, St: Store>(
 /// On [`OocError::NotSpd`] every dirty tile is written back before the
 /// error is returned, so the file holds every tile put before the
 /// failing pivot (a partially factored matrix, documented — not a torn
-/// one): in the left-looking order, the finished block columns before
-/// the failing one; in the right-looking order, the finished panels and
-/// the trailing submatrix updated through the last of them.
+/// one): the finished block columns before the failing one, the rest as
+/// input.
 pub fn ooc_potrf_with<B: IoBackend>(
     fm: &mut B,
     capacity_tiles: usize,
@@ -342,15 +338,6 @@ mod tests {
     use crate::tilefile::{scratch_path, FileMatrix};
     use cholcomm_matrix::digest::fnv1a;
     use cholcomm_matrix::{kernels, norms, spd, Matrix};
-
-    /// The synchronous driver in the right-looking order, which the
-    /// pinned logs and counts below were captured on.
-    fn sync_right<B: IoBackend>(fm: &mut B, cap: usize) -> Result<(), OocError> {
-        let cfg = PipelineConfig::new(cap)
-            .with_io_workers(0)
-            .with_order(Order::Right);
-        ooc_potrf_pipelined_with(fm, &cfg).map(drop)
-    }
 
     #[test]
     fn ooc_factors_match_in_memory() {
@@ -608,10 +595,12 @@ mod tests {
     }
 
     /// The pre-LRU-index model: per-tile last-use ticks, evict the
-    /// minimum.  The intrusive list must reproduce its behavior exactly.
+    /// minimum among the tiles the walk does not hold.  The intrusive
+    /// list must reproduce its behavior exactly.
     struct TickModel {
         capacity: usize,
         tiles: HashMap<(usize, usize), (bool, u64)>, // (dirty, last use)
+        held: Option<(usize, usize)>,
         tick: u64,
         evict_writes: Vec<(usize, usize)>,
         misses: Vec<(usize, usize)>,
@@ -622,6 +611,7 @@ mod tests {
             TickModel {
                 capacity,
                 tiles: HashMap::new(),
+                held: None,
                 tick: 0,
                 evict_writes: Vec::new(),
                 misses: Vec::new(),
@@ -632,6 +622,7 @@ mod tests {
                 let key = self
                     .tiles
                     .iter()
+                    .filter(|&(&k, _)| Some(k) != self.held)
                     .min_by_key(|(_, (_, t))| *t)
                     .map(|(&k, _)| k)
                     .expect("non-empty");
@@ -651,7 +642,13 @@ mod tests {
             self.misses.push(key);
             self.tiles.insert(key, (false, self.tick));
         }
+        /// A get whose tile the walk holds until its put.
+        fn hold(&mut self, key: (usize, usize)) {
+            self.get(key);
+            self.held = Some(key);
+        }
         fn put(&mut self, key: (usize, usize)) {
+            self.held = None;
             self.tick += 1;
             if let Some(slot) = self.tiles.get_mut(&key) {
                 *slot = (true, self.tick);
@@ -683,23 +680,23 @@ mod tests {
         let nb = a.rows().div_ceil(b);
         for cap in [3usize, 5] {
             let mut mem = LoggingMem::new(&a, b);
-            sync_right(&mut mem, cap).unwrap();
+            ooc_potrf_with(&mut mem, cap, KernelImpl::Reference).unwrap();
             // Replay the same logical schedule into the model.
             let mut model = TickModel::new(cap);
-            for k in 0..nb {
-                model.get((k, k));
-                model.put((k, k));
-                for i in (k + 1)..nb {
-                    model.get((i, k));
-                    model.put((i, k));
-                }
-                for j in (k + 1)..nb {
+            for j in 0..nb {
+                model.hold((j, j));
+                for k in 0..j {
                     model.get((j, k));
-                    for i in j..nb {
+                }
+                model.put((j, j));
+                for i in (j + 1)..nb {
+                    model.hold((i, j));
+                    for k in 0..j {
                         model.get((i, k));
-                        model.get((i, j));
-                        model.put((i, j));
+                        model.get((j, k));
                     }
+                    model.get((j, j));
+                    model.put((i, j));
                 }
             }
             assert_eq!(mem.reads(), model.misses, "cap {cap}: factor miss sequence");
@@ -714,26 +711,25 @@ mod tests {
         use crate::pipeline::{ooc_potrf_checkpointed, PipelineConfig};
         use cholcomm_faults::FsStore;
 
-        // Pinned from the (right-looking) synchronous driver that W = 0
-        // replaced: the digest of its backend call log (tile transfers
-        // interleaved with `begin_panel`), and its `IoStats` on a real
-        // file, plain and checkpointed, as (reads, writes, bytes read,
-        // bytes written, seeks, seek distance).
+        // Pinned: the digest of the zero-worker driver's backend call
+        // log (tile transfers interleaved with `begin_panel`), and its
+        // `IoStats` on a real file, plain and checkpointed, as (reads,
+        // writes, bytes read, bytes written, seeks, seek distance).
         const OP_LOGS: [(usize, usize, usize, u64); 3] = [
-            (40, 8, 3, 0x657769a15b73a5dc),
-            (40, 8, 5, 0xe16864690c753b26),
-            (37, 8, 4, 0x5ebf0652278a3de1),
+            (40, 8, 3, 0x275a455d9f8790c7),
+            (40, 8, 5, 0x6d79868a0a8d8cd5),
+            (37, 8, 4, 0xad5cfc596e085cd6),
         ];
         type Io = (u64, u64, u64, u64, u64, u64);
         const IO_STATS: [(usize, usize, usize, Io, Io); 4] = [
-            (40, 8, 3, (46, 33, 23552, 16896, 74, 209408), (46, 35, 23552, 17920, 73, 196096)),
-            (40, 8, 5, (36, 31, 18432, 15872, 62, 220672), (36, 35, 18432, 17920, 59, 195072)),
-            (37, 8, 4, (38, 31, 19456, 15872, 64, 192000), (38, 35, 19456, 17920, 62, 166400)),
-            (64, 8, 12, (105, 104, 53760, 53248, 197, 1734144), (105, 120, 53760, 61440, 181, 1469952)),
+            (40, 8, 3, (51, 15, 26112, 7680, 63, 203776), (51, 15, 26112, 7680, 62, 184320)),
+            (40, 8, 5, (43, 15, 22016, 7680, 53, 150528), (43, 15, 22016, 7680, 48, 145408)),
+            (37, 8, 4, (49, 15, 25088, 7680, 61, 176128), (49, 15, 25088, 7680, 58, 165888)),
+            (64, 8, 12, (121, 36, 61952, 18432, 147, 842240), (121, 36, 61952, 18432, 130, 737792)),
         ];
         for (n, b, cap, want) in OP_LOGS {
             let mut mem = LoggingMem::new(&spd::random_spd(n, &mut spd::test_rng(901)), b);
-            sync_right(&mut mem, cap).unwrap();
+            ooc_potrf_with(&mut mem, cap, KernelImpl::Reference).unwrap();
             let log: Vec<String> = mem.log.iter().map(Call::to_string).collect();
             assert_eq!(fnv1a(log.join(" ").as_bytes()), want, "n={n} b={b} cap={cap}");
         }
@@ -744,14 +740,12 @@ mod tests {
         for (n, b, cap, plain, checkpointed) in IO_STATS {
             let a = spd::random_spd(n, &mut spd::test_rng(900));
             let mut fm = FileMatrix::create(&scratch_path("w0-io"), &a, b).unwrap();
-            sync_right(&mut fm, cap).unwrap();
+            ooc_potrf_with(&mut fm, cap, KernelImpl::Reference).unwrap();
             assert_eq!(io(&fm), plain, "n={n} b={b} cap={cap}, plain");
             let path = scratch_path("w0-io-ck");
             let mut fm = FileMatrix::create(&path, &a, b).unwrap();
             let ckpt = Checkpoint::at(&path.with_extension("ckpt"));
-            let cfg = PipelineConfig::new(cap)
-                .with_io_workers(0)
-                .with_order(Order::Right);
+            let cfg = PipelineConfig::new(cap).with_io_workers(0);
             ooc_potrf_checkpointed(&mut fm, &ckpt, &mut FsStore::new(), &cfg).unwrap();
             assert_eq!(io(&fm), checkpointed, "n={n} b={b} cap={cap}, checkpointed");
         }

@@ -444,7 +444,7 @@ mod tests {
     fn walk_potrf(a: &mut Matrix<f64>, b: usize, kernel: KernelImpl) -> Result<(), MatrixError> {
         let mut tiles = MemTiles::from_matrix(a, b)?;
         let grid = tiles.grid;
-        schedule::Order::Right.factor(&mut tiles, grid, 0..grid.nb(), kernel)?;
+        schedule::factor(&mut tiles, grid, 0..grid.nb(), kernel)?;
         for (t, tile) in tiles.tiles.iter().enumerate() {
             let (bi, bj) = tile_coords(t);
             for j in 0..tile.cols() {

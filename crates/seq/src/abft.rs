@@ -56,7 +56,7 @@ pub fn abft_potrf(
     };
     let grid = store.mem.grid;
     store.each_tile(|guard, key, tile| guard.encode(key, tile));
-    schedule::Order::Right.factor(&mut store, grid, 0..grid.nb(), KernelImpl::Reference)?;
+    schedule::factor(&mut store, grid, 0..grid.nb(), KernelImpl::Reference)?;
 
     // --- Final scrub: every output tile re-verified (and a straggler
     // single-element corruption corrected) before the factor leaves the

@@ -330,7 +330,7 @@ mod right_tests {
         // ... and the traced walk is the in-memory walk.
         let mut tiles = MemTiles::from_matrix(&a, b).unwrap();
         let grid = tiles.grid;
-        schedule::Order::Right.factor(&mut tiles, grid, 0..grid.nb(), KernelImpl::Reference).unwrap();
+        schedule::factor(&mut tiles, grid, 0..grid.nb(), KernelImpl::Reference).unwrap();
         let mut walked = a.clone();
         tiles.write_back(&mut walked);
         assert_eq!(matrix_digest(&right_l), matrix_digest(&walked));

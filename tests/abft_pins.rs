@@ -15,7 +15,6 @@
 
 use cholcomm::distsim::CostModel;
 use cholcomm::faults::{FaultPlan, FsStore};
-use cholcomm::matrix::schedule::Order;
 use cholcomm::matrix::{lower_digest, spd, AbftStats, Matrix};
 use cholcomm::ooc::{
     ooc_potrf_checkpointed, scratch_path, AbftBackend, Checkpoint, FileMatrix, IoBackend,
@@ -224,25 +223,26 @@ fn ooc_plans() -> [FaultPlan; 4] {
 /// distance], [checkpoints written, checkpoint bytes, restores])`.
 type OocPin = (usize, usize, u64, [u64; 9], [u64; 6], [u64; 3]);
 
-/// As the driver produced them before the guard.
+/// The checkpointed left-looking driver's values at zero and one I/O
+/// worker.
 #[rustfmt::skip]
 const OOC: &[OocPin] = &[
-    (0, 0, 12986803472497870572, [10, 20, 22, 0, 0, 0, 480, 0, 3328],
-        [16384, 10240, 32, 20, 40, 87040], [5, 40960, 0]),
-    (0, 1, 12986803472497870572, [10, 20, 24, 5, 0, 0, 480, 0, 3456],
-        [16384, 10240, 32, 20, 40, 87040], [5, 40960, 0]),
-    (0, 2, 12986803472497870572, [10, 20, 22, 2, 0, 0, 480, 0, 3328],
-        [16384, 10240, 32, 20, 40, 87040], [5, 40960, 0]),
-    (0, 3, 12986803472497870572, [20, 20, 14, 0, 1, 1, 640, 0, 3456],
-        [17408, 10240, 34, 20, 41, 87040], [5, 49152, 1]),
-    (1, 0, 12986803472497870572, [10, 20, 22, 0, 0, 0, 480, 0, 3328],
-        [16384, 10240, 32, 20, 40, 87040], [5, 40960, 0]),
-    (1, 1, 12986803472497870572, [10, 20, 24, 5, 0, 0, 480, 0, 3456],
-        [16384, 10240, 32, 20, 40, 87040], [5, 40960, 0]),
-    (1, 2, 12986803472497870572, [10, 20, 22, 2, 0, 0, 480, 0, 3328],
-        [16384, 10240, 32, 20, 40, 87040], [5, 40960, 0]),
-    (1, 3, 12986803472497870572, [20, 20, 14, 0, 1, 1, 640, 0, 3456],
-        [17408, 10240, 34, 20, 41, 87040], [5, 49152, 1]),
+    (0, 0, 12986803472497870572, [10, 10, 27, 0, 0, 0, 320, 0, 3008],
+        [18944, 5120, 37, 10, 37, 84480], [5, 40960, 0]),
+    (0, 1, 12986803472497870572, [10, 10, 31, 5, 0, 0, 320, 0, 3264],
+        [18944, 5120, 37, 10, 37, 84480], [5, 40960, 0]),
+    (0, 2, 12986803472497870572, [10, 10, 29, 2, 0, 0, 320, 0, 3136],
+        [18944, 5120, 37, 10, 37, 84480], [5, 40960, 0]),
+    (0, 3, 12986803472497870572, [16, 10, 25, 0, 1, 1, 416, 0, 3264],
+        [20480, 5120, 40, 10, 40, 89088], [5, 49152, 1]),
+    (1, 0, 12986803472497870572, [10, 10, 27, 0, 0, 0, 320, 0, 3008],
+        [18944, 5120, 37, 10, 38, 86528], [5, 40960, 0]),
+    (1, 1, 12986803472497870572, [10, 10, 30, 5, 0, 0, 320, 0, 3200],
+        [18944, 5120, 37, 10, 38, 86528], [5, 40960, 0]),
+    (1, 2, 12986803472497870572, [10, 10, 29, 2, 0, 0, 320, 0, 3136],
+        [18944, 5120, 37, 10, 38, 86528], [5, 40960, 0]),
+    (1, 3, 12986803472497870572, [16, 10, 25, 0, 1, 1, 416, 0, 3264],
+        [20480, 5120, 40, 10, 41, 91136], [5, 49152, 1]),
 ];
 
 #[test]
@@ -255,10 +255,7 @@ fn ooc_abft_pins() {
             let fm = FileMatrix::create(&scratch_path(&tag), &a, 8).unwrap();
             let mut ab = AbftBackend::new(fm, plan);
             let ckpt = Checkpoint::at(&scratch_path(&format!("{tag}-ckpt")));
-            // Pinned in the right-looking order.
-            let cfg = PipelineConfig::new(3)
-                .with_io_workers(workers)
-                .with_order(Order::Right);
+            let cfg = PipelineConfig::new(3).with_io_workers(workers);
             let (rep, _) =
                 ooc_potrf_checkpointed(&mut ab, &ckpt, &mut FsStore::new(), &cfg).unwrap();
             let io = ab.stats();

@@ -10,7 +10,6 @@
 use cholcomm::faults::{
     crash_sites_exhaustive, crash_sites_sampled, shrink_site, FsStore, Store,
 };
-use cholcomm::matrix::schedule::Order;
 use cholcomm::matrix::{digest::fnv1a, spd};
 use cholcomm::ooc::{
     explore_crash_sites, record_run, scratch_path, Checkpoint, CommitDiscipline, FileMatrix,
@@ -26,39 +25,34 @@ const SECTOR: usize = 64;
 fn exhaustive_crash_exploration_recovers_bit_identically_at_every_site() {
     let mut rng = spd::test_rng(500);
     let a = spd::random_spd(8, &mut rng);
-    // Both orders: right-looking checkpoints at panel boundaries,
-    // left-looking at block-column boundaries.
-    for order in Order::ALL {
-        let run = record_run(&a, 4, 3, SECTOR, CommitDiscipline::Barriered, 0, 1, order)
-            .expect("clean run");
+    let run = record_run(&a, 4, 3, SECTOR, CommitDiscipline::Barriered, 0, 1).expect("clean run");
 
-        let sites = crash_sites_exhaustive(&run.schedule, SECTOR);
-        assert!(
-            sites.len() > run.schedule.len() * 2,
-            "{order}: adversarial states must outnumber plain prefixes ({} sites, {} ops)",
-            sites.len(),
-            run.schedule.len()
-        );
-        let report = explore_crash_sites(&run, &sites);
-        assert_eq!(report.states_explored, sites.len());
-        assert_eq!(report.crash_points, run.schedule.len() + 1);
-        assert!(
-            report.violations.is_empty(),
-            "{order}: the barriered protocol must recover bit-identically at 100% of {} crash \
-             states; violations: {}",
-            report.states_explored,
-            report
-                .violations
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("; ")
-        );
-        // Recovery re-work is bounded: a crash can throw away at most the
-        // panels since the last commit, never more than the whole run.
-        let f = report.rework_fraction();
-        assert!((0.0..=1.0).contains(&f), "{order}: rework fraction {f}");
-    }
+    let sites = crash_sites_exhaustive(&run.schedule, SECTOR);
+    assert!(
+        sites.len() > run.schedule.len() * 2,
+        "adversarial states must outnumber plain prefixes ({} sites, {} ops)",
+        sites.len(),
+        run.schedule.len()
+    );
+    let report = explore_crash_sites(&run, &sites);
+    assert_eq!(report.states_explored, sites.len());
+    assert_eq!(report.crash_points, run.schedule.len() + 1);
+    assert!(
+        report.violations.is_empty(),
+        "the barriered protocol must recover bit-identically at 100% of {} crash states; \
+         violations: {}",
+        report.states_explored,
+        report
+            .violations
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("; ")
+    );
+    // Recovery re-work is bounded: a crash can throw away at most the
+    // panels since the last commit, never more than the whole run.
+    let f = report.rework_fraction();
+    assert!((0.0..=1.0).contains(&f), "rework fraction {f}");
 }
 
 // ---------------------------------------------------------------------
@@ -69,17 +63,8 @@ fn exhaustive_crash_exploration_recovers_bit_identically_at_every_site() {
 fn unbarriered_commit_is_caught_and_shrunk_to_a_minimal_repro() {
     let mut rng = spd::test_rng(501);
     let a = spd::random_spd(8, &mut rng);
-    let run = record_run(
-        &a,
-        4,
-        3,
-        SECTOR,
-        CommitDiscipline::UnbarrieredCommit,
-        0,
-        1,
-        Order::Right,
-    )
-    .expect("clean run");
+    let run =
+        record_run(&a, 4, 3, SECTOR, CommitDiscipline::UnbarrieredCommit, 0, 1).expect("clean run");
 
     // One recovery per site finds the violating states; shrinking is
     // exercised on the first of them (and by explore_crash_sites below).
@@ -147,17 +132,7 @@ fn unbarriered_commit_is_caught_and_shrunk_to_a_minimal_repro() {
 fn sampled_crash_exploration_recovers_on_a_larger_matrix() {
     let mut rng = spd::test_rng(502);
     let a = spd::random_spd(24, &mut rng);
-    let run = record_run(
-        &a,
-        8,
-        4,
-        SECTOR,
-        CommitDiscipline::Barriered,
-        0,
-        1,
-        Order::Right,
-    )
-    .expect("clean run");
+    let run = record_run(&a, 8, 4, SECTOR, CommitDiscipline::Barriered, 0, 1).expect("clean run");
     let sites = crash_sites_sampled(&run.schedule, SECTOR, 0xC0FFEE, 64);
     let report = explore_crash_sites(&run, &sites);
     assert!(
@@ -182,36 +157,32 @@ fn sampled_crash_exploration_recovers_on_a_larger_matrix() {
 fn pipelined_driver_survives_every_exhaustive_crash_state() {
     let mut rng = spd::test_rng(500);
     let a = spd::random_spd(8, &mut rng);
-    for order in Order::ALL {
-        // One I/O worker: jobs complete in submission order, so the
-        // recorded schedule is deterministic — and identical to the sync
-        // driver's, which pins down that pipelining changed *when* ops
-        // are issued, never what lands on disk.
-        let sync = record_run(&a, 4, 3, SECTOR, CommitDiscipline::Barriered, 0, 1, order)
-            .expect("sync run");
-        let run = record_run(&a, 4, 3, SECTOR, CommitDiscipline::Barriered, 1, 2, order)
-            .expect("pipelined run");
-        assert_eq!(
-            run.schedule, sync.schedule,
-            "{order}: single-worker pipelined durable schedule must equal the synchronous one"
-        );
-        assert_eq!(run.clean_factor, sync.clean_factor);
+    // One I/O worker: jobs complete in submission order, so the
+    // recorded schedule is deterministic — and identical to the sync
+    // driver's, which pins down that pipelining changed *when* ops are
+    // issued, never what lands on disk.
+    let sync = record_run(&a, 4, 3, SECTOR, CommitDiscipline::Barriered, 0, 1).expect("sync run");
+    let run =
+        record_run(&a, 4, 3, SECTOR, CommitDiscipline::Barriered, 1, 2).expect("pipelined run");
+    assert_eq!(
+        run.schedule, sync.schedule,
+        "single-worker pipelined durable schedule must equal the synchronous one"
+    );
+    assert_eq!(run.clean_factor, sync.clean_factor);
 
-        let sites = crash_sites_exhaustive(&run.schedule, SECTOR);
-        let report = explore_crash_sites(&run, &sites);
-        assert!(
-            report.violations.is_empty(),
-            "{order}: pipelined recovery must be bit-identical at 100% of {} crash states; \
-             violations: {}",
-            report.states_explored,
-            report
-                .violations
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("; ")
-        );
-    }
+    let sites = crash_sites_exhaustive(&run.schedule, SECTOR);
+    let report = explore_crash_sites(&run, &sites);
+    assert!(
+        report.violations.is_empty(),
+        "pipelined recovery must be bit-identical at 100% of {} crash states; violations: {}",
+        report.states_explored,
+        report
+            .violations
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("; ")
+    );
 }
 
 #[test]
@@ -222,17 +193,8 @@ fn pipelined_driver_survives_sampled_power_cuts_with_two_workers() {
     // prefix, dropped un-barriered writes, sector tears) must still
     // recover bit-identically because nothing uncommitted is load-
     // bearing.  Recovery itself also runs pipelined with two workers.
-    let run = record_run(
-        &a,
-        8,
-        4,
-        SECTOR,
-        CommitDiscipline::Barriered,
-        2,
-        3,
-        Order::Right,
-    )
-    .expect("pipelined run");
+    let run =
+        record_run(&a, 8, 4, SECTOR, CommitDiscipline::Barriered, 2, 3).expect("pipelined run");
     let sites = crash_sites_sampled(&run.schedule, SECTOR, 0xC0FFEE, 64);
     let report = explore_crash_sites(&run, &sites);
     assert!(
@@ -253,17 +215,8 @@ fn pipelined_unbarriered_commit_is_still_caught() {
     // deliberately broken commit discipline is caught there too.
     let mut rng = spd::test_rng(501);
     let a = spd::random_spd(8, &mut rng);
-    let run = record_run(
-        &a,
-        4,
-        3,
-        SECTOR,
-        CommitDiscipline::UnbarrieredCommit,
-        1,
-        2,
-        Order::Right,
-    )
-    .expect("recorded run");
+    let run = record_run(&a, 4, 3, SECTOR, CommitDiscipline::UnbarrieredCommit, 1, 2)
+        .expect("recorded run");
     let sites = crash_sites_exhaustive(&run.schedule, SECTOR);
     let report = explore_crash_sites(&run, &sites);
     assert!(
@@ -285,13 +238,8 @@ fn committed_checkpoint(tag: &str) -> (Checkpoint, u64) {
     let a = spd::random_spd(16, &mut rng);
     let fm = FileMatrix::create(&scratch_path(tag), &a, 4).expect("matrix file");
     let ckpt = Checkpoint::at(&scratch_path(&format!("{tag}-ckpt")));
-    ckpt.save(&mut FsStore::new(), &fm, 2, Order::Left)
-        .expect("save");
-    let gen = ckpt
-        .load(&mut FsStore::new())
-        .expect("loads")
-        .expect("present")
-        .gen;
+    ckpt.save(&mut FsStore::new(), &fm, 2).expect("save");
+    let gen = ckpt.load(&mut FsStore::new()).expect("loads").expect("present").gen;
     (ckpt, gen)
 }
 
@@ -331,13 +279,8 @@ fn mixed_generation_data_and_manifest_pairs_are_rejected() {
     let mut rng = spd::test_rng(511);
     let a = spd::random_spd(16, &mut rng);
     let fm = FileMatrix::create(&scratch_path("cc-mixgen-m2"), &a, 4).expect("matrix file");
-    ckpt.save(&mut FsStore::new(), &fm, 3, Order::Left)
-        .expect("save gen 2");
-    let gen2 = ckpt
-        .load(&mut FsStore::new())
-        .expect("loads")
-        .expect("present")
-        .gen;
+    ckpt.save(&mut FsStore::new(), &fm, 3).expect("save gen 2");
+    let gen2 = ckpt.load(&mut FsStore::new()).expect("loads").expect("present").gen;
     assert_eq!(gen2, gen1 + 1);
     std::fs::write(ckpt.manifest_file(gen2), &gen1_manifest).expect("transplant");
 
@@ -358,7 +301,7 @@ fn manifest_with_valid_hash_but_mismatched_geometry_is_rejected() {
     // n/b imply a different data length than it records: only geometry
     // validation — not the hash — can catch this one.
     let mut body = String::new();
-    body.push_str("cholcomm-ooc-checkpoint v3\n");
+    body.push_str("cholcomm-ooc-checkpoint v4\n");
     body.push_str(&format!("gen={gen}\n"));
     body.push_str("next_panel=2\n");
     body.push_str("n=16\n");

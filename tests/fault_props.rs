@@ -7,7 +7,6 @@
 
 use cholcomm::distsim::CostModel;
 use cholcomm::faults::{DiskOp, FaultPlan, FsStore};
-use cholcomm::matrix::schedule::Order;
 use cholcomm::matrix::{kernels, norms, spd, KernelImpl};
 use cholcomm::ooc::{scratch_path, Checkpoint, FileMatrix};
 use cholcomm::par::spmd::spmd_pxpotrf;
@@ -124,7 +123,7 @@ fn saved_checkpoint(tag: &str) -> (Checkpoint, u64, PathBuf) {
     let fm = FileMatrix::create(&data_path, &a, 4).expect("create matrix file");
     let prefix = scratch_path(&format!("{tag}-ckpt"));
     let ckpt = Checkpoint::at(&prefix);
-    ckpt.save(&mut FsStore::new(), &fm, 2, Order::Right).expect("save checkpoint");
+    ckpt.save(&mut FsStore::new(), &fm, 2).expect("save checkpoint");
     let gen = ckpt
         .load(&mut FsStore::new())
         .expect("fresh checkpoint loads")

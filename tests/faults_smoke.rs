@@ -7,7 +7,7 @@ use cholcomm::faults::{CrashPoint, FaultPlan, FsStore};
 use cholcomm::matrix::{norms, spd, KernelImpl};
 use cholcomm::ooc::{
     ooc_potrf_checkpointed, ooc_potrf_with, Checkpoint, FaultyBackend, FileMatrix, IoBackend,
-    Order, PipelineConfig,
+    PipelineConfig,
 };
 use cholcomm::par::spmd::spmd_pxpotrf;
 
@@ -69,12 +69,9 @@ fn crashed_ooc_run_resumes_to_the_uninterrupted_result() {
     ooc_potrf_with(&mut reference, 4, KernelImpl::Reference).unwrap();
     let want = reference.to_matrix().unwrap();
 
-    // Flaky disk + mid-run crash, every tile move inline, in the
-    // right-looking order: its 70th disk op falls mid-factorization
-    // (the left-looking run moves far fewer tiles).
-    let sync = PipelineConfig::new(4)
-        .with_io_workers(0)
-        .with_order(Order::Right);
+    // Flaky disk + mid-run crash, every tile move inline: the 30th disk
+    // op falls mid-factorization.
+    let sync = PipelineConfig::new(4).with_io_workers(0);
     let data_path = cholcomm::ooc::scratch_path("smoke-crash");
     let ckpt = Checkpoint::at(&cholcomm::ooc::scratch_path("smoke-ckpt"));
     {
@@ -83,7 +80,7 @@ fn crashed_ooc_run_resumes_to_the_uninterrupted_result() {
         let plan = FaultPlan::builder(9)
             .disk_transient_rate(0.1)
             .disk_short_read_rate(0.05)
-            .crash_at(CrashPoint::AfterDiskOps(70))
+            .crash_at(CrashPoint::AfterDiskOps(30))
             .build();
         let mut fb = FaultyBackend::new(fm, plan);
         ooc_potrf_checkpointed(&mut fb, &ckpt, &mut FsStore::new(), &sync)

@@ -6,9 +6,7 @@
 //! unblocked, the left-looking walk (Algorithm 4), the right-looking
 //! walk, the task DAG at any pool size, the resumable serve engine, the
 //! batched lanes, Algorithm 9 as an SPMD program on 1, 4 and 9 ranks, the
-//! out-of-core front on a file (in both walks, synchronous and with one
-//! and two I/O workers, with finished panel tiles packed where they land)
-//! and,
+//! out-of-core front on a file (synchronous and with one I/O worker) and,
 //! under reference kernels, Algorithm 9 and the 1D baseline on the
 //! simulated machine — hands each tile its updates in ascending `k`.  So
 //! for a fixed engine they all produce one `lower_digest`, and they all
@@ -18,10 +16,11 @@ use cholcomm::cachesim::NullTracer;
 use cholcomm::distsim::CostModel;
 use cholcomm::faults::FaultPlan;
 use cholcomm::layout::{ColMajor, Laid};
-use cholcomm::matrix::schedule::Order;
 use cholcomm::matrix::{lower_digest, spd, KernelImpl, Matrix, MatrixError};
 use cholcomm::ooc::scratch_path;
-use cholcomm::ooc::{ooc_potrf_pipelined_with, FileMatrix, OocError, PipelineConfig};
+use cholcomm::ooc::{
+    ooc_potrf_pipelined_with, ooc_potrf_with, FileMatrix, OocError, PipelineConfig,
+};
 use cholcomm::par::dag::potrf_dag_with;
 use cholcomm::par::pxpotrf::{pxpotrf, BroadcastKind};
 use cholcomm::par::pxpotrf_1d;
@@ -104,19 +103,13 @@ fn every_order(a: &Matrix<f64>, b: usize, kernel: KernelImpl) -> Vec<(String, Fa
         out.push(("pxpotrf_1d".into(), done.map(|rep| rep.factor)));
     }
 
-    for (order, workers) in Order::ALL
-        .into_iter()
-        .flat_map(|o| [0usize, 1, 2].map(|w| (o, w)))
-    {
-        let mut file = FileMatrix::create(&scratch_path("order-ooc"), a, b).expect("scratch file");
-        let cfg = PipelineConfig::new(4)
-            .with_io_workers(workers)
-            .with_kernel(kernel)
-            .with_order(order);
-        let done = ooc_potrf_pipelined_with(&mut file, &cfg).map_err(from_ooc);
-        let label = format!("ooc {order}-looking on {workers} I/O workers");
-        out.push((label, done.map(|_| file.to_matrix().expect("read back"))));
-    }
+    let mut file = FileMatrix::create(&scratch_path("order-sync"), a, b).expect("scratch file");
+    let done = ooc_potrf_with(&mut file, 4, kernel).map_err(from_ooc);
+    out.push(("ooc".into(), done.map(|()| file.to_matrix().expect("read back"))));
+    let mut file = FileMatrix::create(&scratch_path("order-pipe"), a, b).expect("scratch file");
+    let cfg = PipelineConfig::new(4).with_io_workers(1).with_kernel(kernel);
+    let done = ooc_potrf_pipelined_with(&mut file, &cfg).map_err(from_ooc);
+    out.push(("ooc on 1 I/O worker".into(), done.map(|_| file.to_matrix().expect("read back"))));
     out
 }
 
