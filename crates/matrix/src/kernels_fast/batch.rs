@@ -362,7 +362,7 @@ pub fn batch_potrf(a: &mut BatchPack, pb: usize, mode: BatchMode) -> Vec<Result<
     let grid = TileGrid::new(a.rows, pb);
     let mut results: Vec<Result<(), MatrixError>> = vec![Ok(()); a.batch];
     let mut lanes = Lanes { a, grid };
-    let Ok(()) = walk_left(&mut lanes, grid.nb(), 0..grid.nb(), |op, target, operands| {
+    let Ok(()) = walk_left(&mut lanes, grid.nb(), 0..grid.nb(), 1, |op, target, operands| {
         match (op, operands) {
             (TileOp::Factor { k }, []) => {
                 let tile_results = batch_potf2_offset(target, mode, k * pb);

@@ -13,7 +13,8 @@
 //!   order of the paper's Algorithm 4, which the traced LAPACK schedule,
 //!   the serve engine, the batch-kernel probe and the out-of-core driver
 //!   perform (every tile written once, the diagonal tile re-read per
-//!   panel solve);
+//!   panel solve), blocked in super-columns of a given width — one block
+//!   column in memory, `Theta(sqrt(M))` out of core;
 //! * **the arithmetic** ([`apply`]) — the one place a [`TileOp`] becomes a
 //!   kernel call and a tile-local `NotSpd` pivot becomes a global one —
 //!   with [`Arithmetic`], the walks' form of it, which uses an update
@@ -333,15 +334,17 @@ pub trait TileStore {
     /// What moving a tile can fail with.
     type Error;
 
-    /// Panel step `k` is about to run (integrity layers hook this).
+    /// Panel step `k` is about to run (integrity layers hook this); in
+    /// [`walk_left`], each column of a super-column as it starts.
     fn begin_panel(&mut self, _k: usize) {}
     /// Fetch tile `(i, j)`.
     fn get(&mut self, i: usize, j: usize) -> Result<Self::Tile, Self::Error>;
     /// Fetch tile `(i, j)` to overwrite it: the walk hands it back with
     /// [`put`](Self::put) before it touches the store again for that
     /// tile.  A store that shares its tiles hands this one over instead,
-    /// so the write needs no copy; the walks take only the targets of
-    /// `Solve` and `Update`, which cannot fail.
+    /// so the write needs no copy; the walks take only targets whose put
+    /// no failing factor can stand between: of `Solve` and `Update`, and
+    /// in [`walk_left`] only off its diagonal chunk.
     fn take(&mut self, i: usize, j: usize) -> Result<Self::Tile, Self::Error> {
         self.get(i, j)
     }
@@ -415,11 +418,13 @@ where
 }
 
 /// [`factor`] in the left-looking order: [`walk_left`] with
-/// [`Arithmetic`], over block columns `panels`.  The same bits.
+/// [`Arithmetic`], over block columns `panels` in super-columns of
+/// `width`.  The same bits at every width.
 pub fn factor_left<S, St>(
     store: &mut St,
     grid: TileGrid,
     panels: Range<usize>,
+    width: usize,
     kernel: KernelImpl,
 ) -> Result<(), St::Error>
 where
@@ -429,56 +434,219 @@ where
     St::Error: From<MatrixError>,
 {
     let mut arith = Arithmetic::new(kernel, grid);
-    walk_left(store, grid.nb(), panels, |op, target, operands| {
+    walk_left(store, grid.nb(), panels, width, |op, target, operands| {
         arith.apply(op, target.matrix_mut(), operands).map_err(St::Error::from)
     })
 }
 
 /// The left-looking order (the paper's Algorithm 4) over block columns
-/// `panels` of an `nb x nb` tile grid: per block column `j`, bring the
-/// diagonal tile up to date against every earlier panel and factor it,
-/// then do the same for each tile below and solve it.  The same ops with
-/// the same operands as [`walk`] — another linear extension of the same
-/// DAG — so `apply` is the same closure; a diagonal update is handed
-/// `L(j,k)` as both operands.
+/// `panels` of an `nb x nb` tile grid, blocked: the columns run in
+/// super-columns of `width` block columns, `panels.start` first, and
+/// each super-column `j0..j0 + w` in row chunks — its diagonal chunk
+/// (rows `j0..j0 + w`, lower tiles only), then chunks of `width` tile
+/// rows down to `nb`.  A chunk is brought up to date against every
+/// earlier panel `k < j0` — each of its targets `(I, J)` from the
+/// operands `(I, k)` and `(J, k)`, fetched once per `k` for the whole
+/// chunk, `w + w` tiles (`w` on the diagonal chunk, whose rows are its
+/// columns) — and then finished column by column: the updates from the
+/// panels inside the super-column, then the factor or the solve, then
+/// one put per tile.  Each target is fetched at its first op and held
+/// until its put.  The same ops with the same operands as [`walk`] —
+/// another linear extension of the same DAG — so `apply` is the same
+/// closure; a diagonal update is handed `L(j,k)` as both operands.
 ///
-/// Every tile is put once, final.  The factored diagonal tile is fetched
-/// again for each solve below it: the `(n/b - j) * Theta(b^2)` term of
-/// the paper's analysis.
+/// Every tile is put once, final, after its updates in ascending `k`,
+/// so the bits do not depend on `width`.  The factored diagonal tile is
+/// fetched again for each solve below it: the `(n/b - j) * Theta(b^2)`
+/// term of the paper's analysis.
+///
+/// Why a width: a panel `k` finished left of the super-column is read
+/// once per chunk rather than once per target, so the walk reads about
+/// `n^3 / (3 b^3 w)` operand tiles, `1/w` of the unblocked walk's.  Its
+/// resident set is a chunk's `w^2` targets and `2w` operands, so with
+/// `M` words of fast memory the widest block is `w b = Theta(sqrt(M))`,
+/// the block size at which the paper proves Algorithm 4 attains the
+/// `Omega(n^3 / sqrt(M))` bandwidth bound.  At `width = 1` this is the
+/// unblocked walk, access for access: per block column the diagonal,
+/// then each tile below.
+///
+/// A target on the diagonal chunk is fetched with
+/// [`get`](TileStore::get): a factor on that chunk can fail with it
+/// fetched and not yet put, and the store keeps what it held.  Every
+/// other target is [taken](TileStore::take).
 pub fn walk_left<St, F>(
     store: &mut St,
     nb: usize,
     panels: Range<usize>,
+    width: usize,
     mut apply: F,
 ) -> Result<(), St::Error>
 where
     St: TileStore,
     F: FnMut(TileOp, &mut St::Tile, &[&St::Tile]) -> Result<(), St::Error>,
 {
-    for j in panels {
-        store.begin_panel(j);
-
-        let mut diag = store.get(j, j)?;
-        for k in 0..j {
-            let lj = store.get(j, k)?;
-            apply(TileOp::Update { i: j, j, k }, &mut diag, &[&lj, &lj])?;
+    assert!(width >= 1, "a super-column is at least one block column wide");
+    // A chunk's targets, row-major over a `width x width` window, and the
+    // operands of one panel step — the row operands `(I, k)` in the first
+    // `width` slots, the column operands `(J, k)` of an off-diagonal
+    // chunk in the last `width`.  On the stack at width 1, where the
+    // serve engine walks one block column of a small system per call.
+    let (mut one, mut two) = ([None], [None, None]);
+    let (mut wide_targets, mut wide_operands);
+    let (targets, operands) = if width == 1 {
+        (&mut one[..], &mut two[..])
+    } else {
+        wide_targets = vec![None; width * width];
+        wide_operands = vec![None; 2 * width];
+        (&mut wide_targets[..], &mut wide_operands[..])
+    };
+    for cols in super_columns(panels, width) {
+        let j0 = cols.start;
+        for j in cols.clone() {
+            store.begin_panel(j);
         }
-        apply(TileOp::Factor { k: j }, &mut diag, &[])?;
-        store.put(j, j, diag)?;
-
-        for i in (j + 1)..nb {
-            let mut t = store.take(i, j)?;
-            for k in 0..j {
-                let li = store.get(i, k)?;
-                let lj = store.get(j, k)?;
-                apply(TileOp::Update { i, j, k }, &mut t, &[&li, &lj])?;
+        let mut rows = cols.clone();
+        while rows.start < nb {
+            let mut chunk = Chunk {
+                rows: rows.clone(),
+                cols: cols.clone(),
+                width,
+                targets: &mut *targets,
+                operands: &mut *operands,
+            };
+            for k in 0..j0 {
+                chunk.update(store, &mut apply, cols.clone(), k)?;
             }
-            let diag = store.get(j, j)?;
-            apply(TileOp::Solve { i, k: j }, &mut t, &[&diag])?;
-            store.put(i, j, t)?;
+            for j in cols.clone() {
+                chunk.finish_column(store, &mut apply, j)?;
+            }
+            rows = rows.end..(rows.end + width).min(nb);
         }
     }
     Ok(())
+}
+
+/// Block columns `panels` in super-columns of `width`, left to right,
+/// the first starting at `panels.start` and the last possibly narrower:
+/// the order [`walk_left`] takes them in.
+pub fn super_columns(panels: Range<usize>, width: usize) -> impl Iterator<Item = Range<usize>> {
+    let end = panels.end;
+    panels.step_by(width).map(move |j0| j0..(j0 + width).min(end))
+}
+
+/// One row chunk of a [`walk_left`] super-column, with the walk's
+/// target and operand slots.
+struct Chunk<'a, T> {
+    rows: Range<usize>,
+    cols: Range<usize>,
+    width: usize,
+    targets: &'a mut [Option<T>],
+    operands: &'a mut [Option<T>],
+}
+
+impl<T> Chunk<'_, T> {
+    /// The diagonal chunk: its rows are the super-column's columns.
+    fn diagonal(&self) -> bool {
+        self.rows.start == self.cols.start
+    }
+
+    /// Slot of target `(i, j)`, fetched on first use.
+    fn target<St>(&mut self, store: &mut St, i: usize, j: usize) -> Result<usize, St::Error>
+    where
+        St: TileStore<Tile = T>,
+    {
+        let at = (i - self.rows.start) * self.width + (j - self.cols.start);
+        if self.targets[at].is_none() {
+            let tile = if self.diagonal() {
+                store.get(i, j)?
+            } else {
+                store.take(i, j)?
+            };
+            self.targets[at] = Some(tile);
+        }
+        Ok(at)
+    }
+
+    /// Slot of operand `(i, k)` of the current panel step — a row
+    /// operand, or with `column` the column operand of block column `i`
+    /// — fetched on first use.
+    fn operand<St>(
+        &mut self,
+        store: &mut St,
+        i: usize,
+        k: usize,
+        column: bool,
+    ) -> Result<usize, St::Error>
+    where
+        St: TileStore<Tile = T>,
+    {
+        let at = if column && !self.diagonal() {
+            self.width + i - self.cols.start
+        } else {
+            i - self.rows.start
+        };
+        if self.operands[at].is_none() {
+            self.operands[at] = Some(store.get(i, k)?);
+        }
+        Ok(at)
+    }
+
+    /// Apply panel `k` to every target of the chunk in block columns
+    /// `js`, column by column, each operand fetched once and let go when
+    /// the step ends.
+    fn update<St, F>(
+        &mut self,
+        store: &mut St,
+        apply: &mut F,
+        js: Range<usize>,
+        k: usize,
+    ) -> Result<(), St::Error>
+    where
+        St: TileStore<Tile = T>,
+        F: FnMut(TileOp, &mut T, &[&T]) -> Result<(), St::Error>,
+    {
+        for j in js {
+            for i in self.rows.start.max(j)..self.rows.end {
+                let t = self.target(store, i, j)?;
+                let li = self.operand(store, i, k, false)?;
+                let lj = self.operand(store, j, k, true)?;
+                let (li, lj) = (&self.operands[li], &self.operands[lj]);
+                let (Some(li), Some(lj), Some(t)) = (li, lj, &mut self.targets[t]) else {
+                    unreachable!("fetched above");
+                };
+                apply(TileOp::Update { i, j, k }, t, &[li, lj])?;
+            }
+        }
+        self.operands.iter_mut().for_each(|slot| *slot = None);
+        Ok(())
+    }
+
+    /// Finish block column `j` of the chunk: the updates from the
+    /// super-column's earlier panels, then each tile's factor or solve
+    /// and its put.
+    fn finish_column<St, F>(&mut self, store: &mut St, apply: &mut F, j: usize) -> Result<(), St::Error>
+    where
+        St: TileStore<Tile = T>,
+        F: FnMut(TileOp, &mut T, &[&T]) -> Result<(), St::Error>,
+    {
+        for k in self.cols.start..j {
+            self.update(store, apply, j..j + 1, k)?;
+        }
+        for i in self.rows.start.max(j)..self.rows.end {
+            let at = self.target(store, i, j)?;
+            let Some(mut t) = self.targets[at].take() else {
+                unreachable!("fetched above");
+            };
+            if i == j {
+                apply(TileOp::Factor { k: j }, &mut t, &[])?;
+            } else {
+                let diag = store.get(j, j)?;
+                apply(TileOp::Solve { i, k: j }, &mut t, &[&diag])?;
+            }
+            store.put(i, j, t)?;
+        }
+        Ok(())
+    }
 }
 
 /// Perform `op` on `target` with `kernel`.
@@ -719,38 +887,41 @@ mod tests {
         }
     }
 
-    /// The ops one of the walks applies over `panels`, and its accesses.
-    fn observe(left: bool, nb: usize, panels: Range<usize>) -> (Vec<TileOp>, Vec<Access>) {
+    /// The ops one of the walks applies over `panels` — the left-looking
+    /// one at super-column `width`, the right-looking one at `None` —
+    /// and its accesses.
+    fn observe(width: Option<usize>, nb: usize, panels: Range<usize>) -> (Vec<TileOp>, Vec<Access>) {
         let mut log = AccessLog::default();
         let mut ops = Vec::new();
         let apply = |op, _: &mut (), _: &[&()]| {
             ops.push(op);
             Ok(())
         };
-        let Ok(()) = if left {
-            walk_left(&mut log, nb, panels, apply)
-        } else {
-            walk(&mut log, nb, panels, apply)
+        let Ok(()) = match width {
+            Some(w) => walk_left(&mut log, nb, panels, w, apply),
+            None => walk(&mut log, nb, panels, apply),
         };
         (ops, log.0)
     }
 
     #[test]
     fn walk_order_is_a_linear_extension_of_the_dag() {
-        for (nb, left) in (0..=9usize).flat_map(|nb| [(nb, false), (nb, true)]) {
-            let (ops, accesses) = observe(left, nb, 0..nb);
-            assert_eq!(ops.len(), nb * (nb + 1) * (nb + 2) / 6, "nb={nb} left={left}");
+        let orders = [None, Some(1), Some(2), Some(3), Some(4), Some(9)];
+        for (nb, width) in (0..=9usize).flat_map(|nb| orders.map(|w| (nb, w))) {
+            let left = width.is_some();
+            let (ops, accesses) = observe(width, nb, 0..nb);
+            assert_eq!(ops.len(), nb * (nb + 1) * (nb + 2) / 6, "nb={nb} width={width:?}");
             let puts = accesses.iter().filter(|a| matches!(a, Put(..)));
             if left {
                 // Every tile is put once, final; the ops are the
                 // right-looking walk's, reordered.
-                assert_eq!(puts.count(), tile_idx(nb, 0), "nb={nb}");
+                assert_eq!(puts.count(), tile_idx(nb, 0), "nb={nb} width={width:?}");
                 let ids = |ops: &[TileOp]| {
                     let mut ids: Vec<usize> = ops.iter().map(|op| op.id(nb)).collect();
                     ids.sort_unstable();
                     ids
                 };
-                assert_eq!(ids(&ops), ids(&observe(false, nb, 0..nb).0), "nb={nb}");
+                assert_eq!(ids(&ops), ids(&observe(None, nb, 0..nb).0), "nb={nb} width={width:?}");
             } else {
                 // Every applied op is put, in order.
                 let targets: Vec<Access> = ops.iter().map(|op| op.target()).map(|(i, j)| Put(i, j)).collect();
@@ -764,7 +935,7 @@ mod tests {
             for (p, &op) in ops.iter().enumerate() {
                 let (bi, bj) = op.target();
                 assert_eq!(tile_coords(tile_idx(bi, bj)), (bi, bj));
-                assert_eq!(op.step(), next_k[tile_idx(bi, bj)], "nb={nb} left={left}: {op:?}");
+                assert_eq!(op.step(), next_k[tile_idx(bi, bj)], "nb={nb} width={width:?}: {op:?}");
                 assert_eq!(matches!(op, TileOp::Update { .. }), op.step() < bj);
                 next_k[tile_idx(bi, bj)] += 1;
                 assert_eq!(TileOp::from_id(nb, op.id(nb)), Some(op));
@@ -779,7 +950,7 @@ mod tests {
             for &op in &ops {
                 op.for_each_successor(nb, |succ| {
                     let forward = pos[op.id(nb)] < pos[succ.id(nb)];
-                    assert!(forward, "nb={nb} left={left}: {op:?} -> {succ:?}");
+                    assert!(forward, "nb={nb} width={width:?}: {op:?} -> {succ:?}");
                     indegree[succ.id(nb)] += 1;
                 });
             }
@@ -806,17 +977,42 @@ mod tests {
                     nest.push(Put(ib, jb));
                 }
             }
-            let (ops, accesses) = observe(true, nb, 0..nb);
+            let (ops, accesses) = observe(Some(1), nb, 0..nb);
             assert_eq!(accesses, nest, "nb={nb}");
 
             // One block column at a time is the same walk.
             let (mut step_ops, mut step_accesses) = (Vec::new(), Vec::new());
             for k in 0..nb {
-                let (o, a) = observe(true, nb, k..k + 1);
+                let (o, a) = observe(Some(1), nb, k..k + 1);
                 step_ops.extend(o);
                 step_accesses.extend(a);
             }
             assert_eq!((step_ops, step_accesses), (ops, accesses), "nb={nb}");
+        }
+    }
+
+    #[test]
+    fn walk_left_reads_each_earlier_panel_once_per_chunk() {
+        for (nb, width) in (0..=9usize).flat_map(|nb| (1..=4usize).map(move |w| (nb, w))) {
+            let (ops, accesses) = observe(Some(width), nb, 0..nb);
+            let (mut step_ops, mut step_accesses) = (Vec::new(), Vec::new());
+            for cols in super_columns(0..nb, width) {
+                let j0 = cols.start;
+                let (o, a) = observe(Some(width), nb, cols.clone());
+                // Per panel k < j0, a chunk reads its row operands and
+                // its column operands once: the diagonal chunk's rows are
+                // its columns, and every other chunk has `width` rows (the
+                // last, what is left).
+                let cw = cols.len();
+                let below = nb - cols.end;
+                let per_k = cw + below + below.div_ceil(width) * cw;
+                let earlier = a.iter().filter(|x| matches!(x, Get(_, k) if *k < j0));
+                assert_eq!(earlier.count(), j0 * per_k, "nb={nb} width={width} j0={j0}");
+                step_ops.extend(o);
+                step_accesses.extend(a);
+            }
+            // One super-column at a time is the same walk.
+            assert_eq!((step_ops, step_accesses), (ops, accesses), "nb={nb} width={width}");
         }
     }
 

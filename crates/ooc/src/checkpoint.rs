@@ -1,12 +1,16 @@
-//! Panel-granularity checkpoint/restart for the out-of-core Cholesky,
+//! Super-column-granularity checkpoint/restart for the out-of-core Cholesky,
 //! on the write-ahead journal of [`cholcomm_faults::journal`].
 //!
-//! After each completed panel (a block column of the left-looking walk)
-//! the driver writes every dirty tile back and commits a *generation*: a
+//! After each completed super-column (the `w` block columns of the
+//! left-looking walk the driver runs as one step; see
+//! [`super_column_width`](crate::pipeline::super_column_width)) the
+//! driver writes every dirty tile back and commits a *generation*: a
 //! snapshot of the backing file (`<prefix>.g<gen>.data`) plus a
 //! self-hashed manifest (`<prefix>.g<gen>.manifest`) repeating the intent
-//! record's fields — the next panel to run, `n`, `b`, the snapshot's
-//! length and FNV-1a.
+//! record's fields — the next panel (block column) to run, `n`, `b`, the
+//! snapshot's length and FNV-1a.  Every column before it is final and
+//! every column from it on untouched, so a generation resumes at any
+//! width.
 //! Both files are the commit's payload; the superseded generation is
 //! pruned after it.
 //!

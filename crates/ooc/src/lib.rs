@@ -33,9 +33,9 @@
 //! The disk can also be made *flaky* on purpose: [`FaultyBackend`]
 //! injects transient `EIO`s, short reads, and crash points from a
 //! deterministic `cholcomm_faults::FaultPlan`, recovering transients
-//! with bounded retry, while [`checkpoint`] adds panel-granularity
-//! checkpoint/restart so a killed factorization resumes from its last
-//! completed panel with a bit-identical result.
+//! with bounded retry, while [`checkpoint`] adds checkpoint/restart at
+//! each super-column of the walk so a killed factorization resumes from
+//! its last completed super-column with a bit-identical result.
 //!
 //! Silent *data* corruption is covered too: [`AbftBackend`] keeps a
 //! Huang–Abraham checksum beside every tile and verifies each read,
@@ -68,7 +68,8 @@ pub use cholcomm_faults::CommitDiscipline;
 pub use crashsim::{explore_crash_sites, record_run, CrashExploration, RecordedRun};
 pub use pipeline::{
     io_workers_from_env, model_overlap, ooc_potrf_checkpointed, ooc_potrf_pipelined_with,
-    ModelConfig, ModelReport, PipelineConfig, PipelineStats, DEFAULT_FLOPS_PER_US, WORKING_SET,
+    super_column_width, ModelConfig, ModelReport, PipelineConfig, PipelineStats,
+    DEFAULT_FLOPS_PER_US, WORKING_SET,
 };
 pub use potrf::{ooc_potrf_with, OocError};
 pub use tilefile::{scratch_path, FileMatrix, IoStats, SimMatrix, TileFile};

@@ -5,10 +5,11 @@
 //! The blocked tile schedule is *data-oblivious* — the sequence of gets
 //! and puts of the left-looking walk of the paper's Algorithm 4
 //! ([`walk_left`](cholcomm_matrix::schedule::walk_left), which writes
-//! each lower tile once) is a pure function of `(nb, capacity)` — which
-//! means the entire miss stream, every eviction victim, and every
-//! write-back is known before the factorization starts.  This module
-//! exploits that:
+//! each lower tile once), run in super-columns of `w` block columns per
+//! checkpoint step with `w` = [`super_column_width`]`(capacity)`, is a
+//! pure function of `(nb, capacity)` — which means the entire miss
+//! stream, every eviction victim, and every write-back is known before
+//! the factorization starts.  This module exploits that:
 //!
 //! 1. A deterministic **planner** ([`Plan`]) replays an LRU cache of
 //!    `capacity_tiles` tiles over the walk's accesses (never evicting a
@@ -32,7 +33,7 @@
 //!    outstanding reads on the workers and deferring dirty write-backs
 //!    onto the same workers; compute only stalls when it reaches a miss
 //!    whose read has not landed yet.
-//! 3. An **epoch barrier** at each panel boundary
+//! 3. An **epoch barrier** at each super-column boundary
 //!    ([`PipelineFront::flush_boundary`]) drains every deferred
 //!    write-back before the checkpoint layer snapshots the data file,
 //!    so the journaled commit protocol of
@@ -90,7 +91,7 @@ use crate::backend::{IoBackend, LatencyModel};
 use crate::checkpoint::{Checkpoint, CheckpointReport, Checkpointing};
 use crate::potrf::{drive, Front, LruIndex, OocError};
 use cholcomm_faults::{DiskOp, FsStore, Store};
-use cholcomm_matrix::schedule::{walk_left, MatrixTile, TileOp, TileStore};
+use cholcomm_matrix::schedule::{super_columns, walk_left, MatrixTile, TileOp, TileStore};
 use cholcomm_matrix::{KernelImpl, Matrix, Operand, PackedTile};
 use cholcomm_par::io::{io_scope, IoScope};
 use std::cell::RefCell;
@@ -167,6 +168,27 @@ fn hand_out(slot: &mut Slot, take: bool) -> Tile {
 /// default lookahead so prefetch depth never cannibalizes the working
 /// set.
 pub use cholcomm_matrix::schedule::WORKING_SET;
+
+/// The super-column width the out-of-core driver runs the left-looking
+/// walk at, a pure function of the cache capacity: the largest `w` with
+/// `w (w + 2) + WORKING_SET <= capacity_tiles`, and 1 below 11 tiles.
+///
+/// A chunk of [`walk_left`] holds `w^2` targets from their first update
+/// to their put and fetches `2w` operands per panel step; the rest of
+/// the cache keeps a [`WORKING_SET`] free for the tiles passing through,
+/// so a chunk's operands are never evicted while it still reads them.
+/// That makes the block `w b = Theta(sqrt(M))` for `M` = `capacity_tiles`
+/// tiles of `b^2` words, the block size at which the paper's Algorithm 4
+/// moves `O(n^3 / sqrt(M))` words: `w = 4` at `ooc_file`'s 36 tiles,
+/// against `sqrt(M / 3) = 3.5` tiles.  The widths run 1 (up to 10
+/// tiles), 2 (11–17), 3 (18–26), 4 (27–37), 5 (38–50).
+pub fn super_column_width(capacity_tiles: usize) -> usize {
+    let mut w = 1;
+    while (w + 1) * (w + 3) + WORKING_SET <= capacity_tiles {
+        w += 1;
+    }
+    w
+}
 
 /// I/O workers from `CHOLCOMM_IO_WORKERS`, clamped to `1..=8`;
 /// defaults to 2 (one read stream, one write-back stream).
@@ -286,14 +308,14 @@ impl PipelineStats {
     }
 }
 
-/// One logical tile access of the schedule, plus the panel boundary
-/// marker the checkpointed driver flushes at.
+/// One logical tile access of the schedule, plus the super-column
+/// boundary marker the checkpointed driver flushes at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Access {
     Get(usize, usize),
     /// The op whose result is installed (in its target tile).
     Put(TileOp),
-    /// A panel just finished; checkpointed runs flush here.
+    /// A super-column just finished; checkpointed runs flush here.
     Boundary,
 }
 
@@ -302,39 +324,22 @@ enum Access {
 struct Recorder<'a> {
     /// Shared with the walk's `apply`, which notes where each op runs.
     ops: &'a RefCell<Vec<Access>>,
-    /// Mark panel boundaries (checkpointed runs flush there).
-    boundaries: bool,
-    /// The block column running: a put installs the op that finishes its
-    /// tile there.
-    k: usize,
-}
-
-impl Recorder<'_> {
-    /// A panel ends where the next begins, and after the last.
-    fn end_panel(&mut self) {
-        let mut ops = self.ops.borrow_mut();
-        if self.boundaries && !ops.is_empty() {
-            ops.push(Access::Boundary);
-        }
-    }
 }
 
 impl TileStore for Recorder<'_> {
     type Tile = ();
     type Error = Infallible;
 
-    fn begin_panel(&mut self, k: usize) {
-        self.end_panel();
-        self.k = k;
-    }
     fn get(&mut self, bi: usize, bj: usize) -> Result<(), Infallible> {
         self.ops.borrow_mut().push(Access::Get(bi, bj));
         Ok(())
     }
+    /// Every put of the left-looking walk is final: it installs the
+    /// tile's factor or solve.
     fn put(&mut self, bi: usize, bj: usize, _tile: ()) -> Result<(), Infallible> {
         self.ops
             .borrow_mut()
-            .push(Access::Put(TileOp::of(bi, bj, self.k)));
+            .push(Access::Put(TileOp::of(bi, bj, bj)));
         Ok(())
     }
 }
@@ -359,7 +364,8 @@ struct PlannedFetch {
 }
 
 /// The deterministic lookahead plan: the access stream of the walk over
-/// block columns `start..nb` with the LRU cache simulated over it.
+/// block columns `start..nb`, super-column by super-column, with the LRU
+/// cache simulated over it.
 #[derive(Debug)]
 struct Plan {
     ops: Vec<Access>,
@@ -376,28 +382,34 @@ struct Plan {
 }
 
 impl Plan {
-    fn new(nb: usize, capacity: usize, start: usize, flush_at_boundaries: bool) -> Plan {
+    fn new(
+        nb: usize,
+        capacity: usize,
+        width: usize,
+        start: usize,
+        flush_at_boundaries: bool,
+    ) -> Plan {
         assert!(
             capacity >= WORKING_SET,
             "Algorithm 4 needs three tiles resident"
         );
         let ops = RefCell::new(Vec::new());
-        let mut rec = Recorder {
-            ops: &ops,
-            boundaries: flush_at_boundaries,
-            k: start,
-        };
+        let mut rec = Recorder { ops: &ops };
         let mut applied = Vec::new();
-        let Ok(()) = walk_left(&mut rec, nb, start..nb, |op, _, _| {
-            applied.push((ops.borrow().len(), op));
-            Ok(())
-        });
-        rec.end_panel();
+        for cols in super_columns(start..nb, width) {
+            let Ok(()) = walk_left(&mut rec, nb, cols, width, |op, _, _| {
+                applied.push((ops.borrow().len(), op));
+                Ok(())
+            });
+            if flush_at_boundaries {
+                ops.borrow_mut().push(Access::Boundary);
+            }
+        }
         let ops = ops.into_inner();
 
         // The walk holds a tile from a get whose next access is its put
-        // (the target of a solve across its updates, the diagonal across
-        // its own): the cache keeps it while held.
+        // (a chunk's targets, across their updates): the cache keeps it
+        // while held.
         let mut held_from = vec![false; ops.len()];
         let mut next_is_put: HashMap<(usize, usize), bool> = HashMap::new();
         for (pos, op) in ops.iter().enumerate().rev() {
@@ -971,9 +983,9 @@ impl<'fm: 'env, 'env, B: IoBackend> Front for PipelineFront<'_, 'env, 'fm, B> {
         self.io.drain_writes()
     }
 
-    /// The epoch barrier at a panel boundary: enqueue every dirty
-    /// resident tile, and drain the write queue so the checkpoint
-    /// snapshot sees the complete panel.
+    /// The epoch barrier at a super-column boundary: enqueue every
+    /// dirty resident tile, and drain the write queue so the checkpoint
+    /// snapshot sees the complete super-column.
     fn flush_boundary(&mut self) -> Result<(), OocError> {
         debug_assert!(
             matches!(self.plan.ops.get(self.pos), Some(Access::Boundary)),
@@ -1009,7 +1021,8 @@ impl<'fm: 'env, 'env, B: IoBackend> Front for PipelineFront<'_, 'env, 'fm, B> {
                 "quiesce left jobs in flight"
             );
         }
-        self.plan = Plan::new(self.nb, self.capacity, k, self.boundaries);
+        let width = super_column_width(self.capacity);
+        self.plan = Plan::new(self.nb, self.capacity, width, k, self.boundaries);
         self.pos = 0;
         self.next_fetch = 0;
         self.fetch_consumed = 0;
@@ -1031,7 +1044,8 @@ fn with_front<B: IoBackend, R>(
     body: impl FnOnce(&mut PipelineFront<'_, '_, '_, B>) -> Result<R, OocError>,
 ) -> Result<R, OocError> {
     let (nb, b) = (fm.nb(), fm.b());
-    let plan = Plan::new(nb, cfg.capacity_tiles, start, boundaries);
+    let width = super_column_width(cfg.capacity_tiles);
+    let plan = Plan::new(nb, cfg.capacity_tiles, width, start, boundaries);
     let io = PipeIo::new(fm, cfg.sleep_latency);
     io_scope(cfg.io_workers, |scope| {
         let mut front = PipelineFront::new(&io, scope, plan, cfg, nb, b, boundaries);
@@ -1048,7 +1062,7 @@ fn run_pipelined<B: IoBackend, St: Store>(
     ck: Option<Checkpointing<'_, St>>,
 ) -> Result<PipelineStats, OocError> {
     with_front(fm, cfg, start, ck.is_some(), |front| {
-        drive(front, cfg.kernel, start, ck)?;
+        drive(front, cfg.kernel, super_column_width(cfg.capacity_tiles), start, ck)?;
         Ok(front.stats)
     })
 }
@@ -1068,14 +1082,16 @@ pub fn ooc_potrf_pipelined_with<B: IoBackend>(
     run_pipelined::<_, FsStore>(fm, cfg, 0, None)
 }
 
-/// Out-of-core Cholesky with a checkpoint after every block column,
+/// Out-of-core Cholesky with a checkpoint after every super-column
+/// (see [`super_column_width`]),
 /// through the journaled protocol of
 /// [`checkpoint`](crate::checkpoint) over an explicit [`Store`]
 /// ([`FsStore`] on the real filesystem; the crash-point explorer drives
 /// a `SimStore`, so checkpoint traffic and tile traffic land on the same
 /// recorded schedule).  If `ckpt` already holds a (validated) committed
 /// generation for this matrix, the data file is restored from the
-/// snapshot and the run resumes at the recorded panel; otherwise it
+/// snapshot and the run resumes at the recorded block column, in
+/// super-columns starting there; otherwise it
 /// starts from scratch.  On success the factor is barriered to stable
 /// storage and the checkpoint files are removed.
 ///
@@ -1086,7 +1102,7 @@ pub fn ooc_potrf_pipelined_with<B: IoBackend>(
 /// panels after the last checkpoint, and — because the schedule is
 /// deterministic — produces a factor bit-identical to an uninterrupted
 /// run's.  At `cfg.io_workers = 0` every tile move blocks the compute
-/// thread.  At W ≥ 1 the epoch barrier at each panel boundary drains
+/// thread.  At W ≥ 1 the epoch barrier at each super-column boundary drains
 /// every deferred write-back *before* the snapshot, so intent → data →
 /// barrier → commit sees exactly the states W = 0 commits.  Crash/resume
 /// therefore yields the same bit-identical factor at every W, and
@@ -1192,7 +1208,8 @@ fn argmin(v: &[u64]) -> usize {
 /// `ooc_bench` gates the overlap claim on it, exactly reproducible in CI.
 pub fn model_overlap(cfg: &ModelConfig) -> ModelReport {
     let nb = cfg.n.div_ceil(cfg.b);
-    let plan = Plan::new(nb, cfg.capacity_tiles, 0, false);
+    let width = super_column_width(cfg.capacity_tiles);
+    let plan = Plan::new(nb, cfg.capacity_tiles, width, 0, false);
 
     let fb = cfg.b as f64;
     let potf2_us = ((fb * fb * fb / 3.0) / cfg.flops_per_us).round() as u64;
@@ -1364,20 +1381,18 @@ mod tests {
     /// target of every `Solve` and `Update` crossed it.
     struct Logged<'a, F> {
         front: &'a mut F,
-        k: usize,
         seen: Vec<Access>,
-        /// The last take: its tile, allocation and holder count.
-        taken: Option<((usize, usize), *const Form, usize)>,
+        /// The takes not yet put back: allocation and holder count.
+        taken: HashMap<(usize, usize), (*const Form, usize)>,
         handoffs: Vec<Handoff>,
     }
 
     impl<'a, F> Logged<'a, F> {
-        fn new(front: &'a mut F, k: usize) -> Self {
+        fn new(front: &'a mut F) -> Self {
             Logged {
                 front,
-                k,
                 seen: Vec::new(),
-                taken: None,
+                taken: HashMap::new(),
                 handoffs: Vec::new(),
             }
         }
@@ -1387,7 +1402,6 @@ mod tests {
         type Tile = Tile;
         type Error = OocError;
         fn begin_panel(&mut self, k: usize) {
-            self.k = k;
             self.front.begin_panel(k);
         }
         fn get(&mut self, bi: usize, bj: usize) -> Result<Tile, OocError> {
@@ -1397,17 +1411,16 @@ mod tests {
         fn take(&mut self, bi: usize, bj: usize) -> Result<Tile, OocError> {
             self.seen.push(Access::Get(bi, bj));
             let t = self.front.take(bi, bj)?;
-            self.taken = Some(((bi, bj), Arc::as_ptr(&t.0), Arc::strong_count(&t.0)));
+            self.taken.insert((bi, bj), (Arc::as_ptr(&t.0), Arc::strong_count(&t.0)));
             Ok(t)
         }
         fn put(&mut self, bi: usize, bj: usize, tile: Tile) -> Result<(), OocError> {
-            let op = TileOp::of(bi, bj, self.k);
+            let op = TileOp::of(bi, bj, bj);
             self.seen.push(Access::Put(op));
             if !matches!(op, TileOp::Factor { .. }) {
-                let taken = self.taken.take().filter(|&(key, ..)| key == (bi, bj));
                 self.handoffs.push(Handoff {
                     op,
-                    taken: taken.map(|(_, at, holders)| (at, holders)),
+                    taken: self.taken.remove(&(bi, bj)),
                     put: Arc::as_ptr(&tile.0),
                 });
             }
@@ -1434,30 +1447,38 @@ mod tests {
     #[test]
     fn plan_accesses_are_what_a_real_factor_panel_run_performs() {
         let mut rng = spd::test_rng(229);
-        for (n, b, start) in [(40usize, 8usize, 0usize), (37, 8, 2), (8, 8, 0), (24, 8, 3)] {
+        let runs = [(40usize, 8usize, 0usize), (37, 8, 2), (8, 8, 0), (24, 8, 3), (64, 8, 3)];
+        for ((n, b, start), cap) in runs.into_iter().flat_map(|r| [4usize, 12, 27].map(|c| (r, c))) {
             let a = spd::random_spd(n, &mut rng);
             let mut fm = FileMatrix::create(&scratch_path("planlog"), &a, b).unwrap();
             let grid = TileGrid::new(n, b);
-            let cfg = PipelineConfig::new(4).with_io_workers(0);
-            let seen = with_front(&mut fm, &cfg, 0, false, |front| {
-                // Block columns before `start` run unlogged, as a resumed
-                // run's predecessor would have.
-                factor_left(front, grid, 0..start, KernelImpl::Reference)?;
-                let mut logged = Logged::new(front, start);
-                for k in start..grid.nb() {
-                    factor_left(&mut logged, grid, k..k + 1, KernelImpl::Reference)?;
+            let width = super_column_width(cap);
+            // Block columns before `start` run unlogged and written back,
+            // as a resumed run's predecessor would have.
+            let before = PipelineConfig::new(4).with_io_workers(0);
+            with_front(&mut fm, &before, 0, false, |front| {
+                factor_left(front, grid, 0..start, 1, KernelImpl::Reference)?;
+                front.flush_final()
+            })
+            .unwrap();
+            let cfg = PipelineConfig::new(cap).with_io_workers(0);
+            let seen = with_front(&mut fm, &cfg, start, false, |front| {
+                let mut logged = Logged::new(front);
+                for cols in super_columns(start..grid.nb(), width) {
+                    factor_left(&mut logged, grid, cols, width, KernelImpl::Reference)?;
                     logged.seen.push(Access::Boundary);
                 }
                 Ok(logged.seen)
             })
             .unwrap();
-            let plan = Plan::new(grid.nb(), 4, start, true);
-            assert_eq!(plan.ops, seen, "n={n} b={b} start={start}");
+            let tag = format!("n={n} b={b} start={start} cap={cap}");
+            let plan = Plan::new(grid.nb(), cap, width, start, true);
+            assert_eq!(plan.ops, seen, "{tag}");
             let plain: Vec<Access> = seen
                 .into_iter()
                 .filter(|a| *a != Access::Boundary)
                 .collect();
-            assert_eq!(Plan::new(grid.nb(), 4, start, false).ops, plain);
+            assert_eq!(Plan::new(grid.nb(), cap, width, start, false).ops, plain, "{tag}");
         }
     }
 
@@ -1467,11 +1488,11 @@ mod tests {
         let a = spd::random_spd(40, &mut rng);
         let b = 8;
         let nb = a.rows().div_ceil(b);
-        for cap in [3usize, 5, 12] {
+        for cap in [3usize, 5, 12, 18] {
             let mut fm = FileMatrix::create(&scratch_path(&format!("plan{cap}")), &a, b).unwrap();
             ooc_potrf_with(&mut fm, cap, KernelImpl::Reference).unwrap();
             let s = fm.stats();
-            let plan = Plan::new(nb, cap, 0, false);
+            let plan = Plan::new(nb, cap, super_column_width(cap), 0, false);
             assert_eq!(s.reads, plan.fetches.len() as u64, "cap {cap}: reads");
             assert_eq!(
                 s.writes,
@@ -1494,7 +1515,7 @@ mod tests {
         let cfg = PipelineConfig::new(cap).with_io_workers(0);
         checkpointed_on_fs(&mut fm, &ckpt, &cfg).unwrap();
         let s = fm.stats();
-        let plan = Plan::new(nb, cap, 0, true);
+        let plan = Plan::new(nb, cap, 1, 0, true);
         assert_eq!(s.reads, plan.fetches.len() as u64);
         let flushes: u64 = plan.boundary_writes.iter().map(|v| v.len() as u64).sum();
         assert_eq!(s.writes, plan.evict_writes + flushes);
@@ -1518,18 +1539,44 @@ mod tests {
     #[test]
     fn the_planner_counts_the_ooc_file_shape_exactly() {
         // The `ooc_file` shape: n = 3072, b = 128 (nb = 24), 36 of the
-        // 300 lower tiles resident.  No file: the plan is data-oblivious.
-        let plan = Plan::new(24, 36, 0, false);
+        // 300 lower tiles resident, so super-columns of 4 block columns.
+        // No file: the plan is data-oblivious.
+        assert_eq!(super_column_width(36), 4);
+        let plan = Plan::new(24, 36, 4, 0, false);
         let counts = (plan.fetches.len(), plan.evict_writes, plan.final_writes.len());
-        assert_eq!(counts, (2901, 298, 2));
+        assert_eq!(counts, (1294, 290, 10));
         // Bytes moved per pass at 128 KiB a tile.
-        assert_eq!((2901 + 298 + 2) * 128 * 128 * 8, 419_561_472);
+        assert_eq!((1294 + 290 + 10) * 128 * 128 * 8, 208_928_768);
         // Every operand fetch is of a finished off-diagonal tile.
-        assert!(plan
-            .fetches
-            .iter()
-            .filter(|f| f.operand)
-            .all(|f| f.tile.0 != f.tile.1));
+        let operands: Vec<_> = plan.fetches.iter().filter(|f| f.operand).collect();
+        assert!(operands.iter().all(|f| f.tile.0 != f.tile.1));
+        assert_eq!(operands.len(), 950);
+    }
+
+    #[test]
+    fn the_derived_width_cuts_the_reads_of_the_cap_ladder() {
+        // EXPERIMENTS E24: reads and writes of the nb = 24 walk at width 1
+        // and at the width derived from the capacity.
+        const LADDER: [(usize, usize, usize, usize); 5] = [
+            // (capacity, derived width, reads at width 1, at the derived)
+            (6, 1, 4829, 4829),
+            (12, 2, 4579, 2487),
+            (36, 4, 2901, 1294),
+            (100, 8, 2258, 692),
+            (300, 16, 300, 300),
+        ];
+        for (cap, width, unblocked, blocked) in LADDER {
+            assert_eq!(super_column_width(cap), width, "cap {cap}");
+            for (w, reads) in [(1, unblocked), (width, blocked)] {
+                for boundaries in [false, true] {
+                    let plan = Plan::new(24, cap, w, 0, boundaries);
+                    let flushed: usize = plan.boundary_writes.iter().map(Vec::len).sum();
+                    let writes = plan.evict_writes as usize + flushed + plan.final_writes.len();
+                    let tag = format!("cap {cap} width {w} boundaries {boundaries}");
+                    assert_eq!((plan.fetches.len(), writes), (reads, 300), "{tag}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1538,9 +1585,10 @@ mod tests {
             let mut lower: Vec<(usize, usize)> =
                 (0..nb).flat_map(|i| (0..=i).map(move |j| (i, j))).collect();
             lower.sort_unstable();
-            for cap in [3usize, 4, 6, 12] {
+            // Widths 1, 1, 1, 2, 3 and 4.
+            for cap in [3usize, 4, 6, 12, 18, 27] {
                 for boundaries in [false, true] {
-                    let plan = Plan::new(nb, cap, 0, boundaries);
+                    let plan = Plan::new(nb, cap, super_column_width(cap), 0, boundaries);
                     let mut writes = planned_writes(&plan);
                     writes.sort_unstable();
                     assert_eq!(writes, lower, "nb={nb} cap={cap} boundaries={boundaries}");
@@ -1621,8 +1669,8 @@ mod tests {
             .with_io_workers(workers)
             .with_lookahead(lookahead);
         let handoffs = with_front(&mut fm, &cfg, 0, checkpointed, |front| {
-            let mut logged = Logged::new(front, 0);
-            drive(&mut logged, KernelImpl::Reference, 0, ck)?;
+            let mut logged = Logged::new(front);
+            drive(&mut logged, KernelImpl::Reference, super_column_width(cap), 0, ck)?;
             Ok(logged.handoffs)
         })
         .unwrap();
@@ -1635,10 +1683,11 @@ mod tests {
         let nb = a.rows().div_ceil(8);
         let fronts = [(0, 1), (1, 1), (1, 4), (2, 1), (2, 4)];
         let runs = [false, true].map(|checkpointed| fronts.map(|pipe| (checkpointed, pipe)));
-        for cap in [3usize, 5, 12] {
+        for cap in [3usize, 5, 12, 18] {
             // Every Solve and Update the walk puts: its solves (the
             // updates run on the taken tile, with no put between).
-            let writes: Vec<TileOp> = Plan::new(nb, cap, 0, false)
+            let width = super_column_width(cap);
+            let writes: Vec<TileOp> = Plan::new(nb, cap, width, 0, false)
                 .ops
                 .into_iter()
                 .filter_map(|access| match access {
@@ -1655,8 +1704,13 @@ mod tests {
                 for h in &handoffs {
                     // Taken, held by nobody else — no write-back still
                     // holding it either — and put back as the same
-                    // allocation: the kernel wrote in place.
-                    assert_eq!(h.taken, Some((h.put, 1)), "{tag}: {:?}", h.op);
+                    // allocation: the kernel wrote in place.  A solve on
+                    // a super-column's diagonal chunk is the exception:
+                    // its target is a get, kept by the cache until the
+                    // put, and the kernel writes a copy.
+                    let (i, j) = h.op.target();
+                    let taken = (i / width != j / width).then_some((h.put, 1));
+                    assert_eq!(h.taken, taken, "{tag}: {:?}", h.op);
                 }
                 factors.push(factor);
             }
@@ -1690,14 +1744,19 @@ mod tests {
         // The bytes themselves, pinned: `matrix_digest` of the file a bad
         // pivot in the first, a middle or the last (ragged) diagonal tile
         // of an order-37, b = 8 matrix leaves, per capacity and engine:
-        // the block columns before the failing one finished, the rest as
-        // input — also what the in-memory left-looking walk leaves.  The
-        // failed tile keeps its input bytes because the walk holds the
-        // diagonal it updates and factors as a `get`, never a `take`.
+        // the block columns before the failing one's super-column
+        // finished, and in it the columns of its diagonal chunk left of
+        // the failing one; the rest as input — also what the in-memory
+        // left-looking walk at the same width leaves.  The failed tile and
+        // the rest of its diagonal chunk keep their input bytes because
+        // the walk holds the diagonal chunk's targets as `get`s, never as
+        // `take`s.  At capacity 12 (width 2) tile 3 and at 18 (width 3)
+        // tile 2 fail inside a super-column: the tiles of the finished
+        // columns below the diagonal chunk are still input.
         use cholcomm_matrix::lower_digest;
         use cholcomm_matrix::schedule::MemTiles;
         use KernelImpl::{Fast, Reference};
-        const GOLDEN: [(usize, usize, KernelImpl, u64); 12] = [
+        const GOLDEN: [(usize, usize, KernelImpl, u64); 16] = [
             (3, 0, Reference, GOLD_0),
             (3, 0, Fast, GOLD_0),
             (3, 2, Reference, GOLD_2R),
@@ -1710,6 +1769,10 @@ mod tests {
             (12, 2, Fast, GOLD_2F),
             (12, 4, Reference, GOLD_4R),
             (12, 4, Fast, GOLD_4F),
+            (12, 3, Reference, 0x6a0716bfc7d0162a),
+            (12, 3, Fast, 0x2e097d267ecff492),
+            (18, 2, Reference, 0x32bb3164848458e5),
+            (18, 2, Fast, 0xfd154c6a112c1ed8),
         ];
         // A bad pivot in the first tile leaves the input untouched.
         const GOLD_0: u64 = 0xda55a5670a383986;
@@ -1724,7 +1787,8 @@ mod tests {
             m[(pivot, pivot)] = -1.0;
             let mut mem = MemTiles::from_matrix(&m, 8).unwrap();
             let grid = mem.grid;
-            assert!(factor_left(&mut mem, grid, 0..grid.nb(), kernel).is_err());
+            let width = super_column_width(cap);
+            assert!(factor_left(&mut mem, grid, 0..grid.nb(), width, kernel).is_err());
             let mut in_memory = m.clone();
             mem.write_back(&mut in_memory);
             for workers in [0usize, 1, 2] {
@@ -1739,8 +1803,8 @@ mod tests {
                     "{tag}: {done:?}"
                 );
                 let got = fm.to_matrix().unwrap();
-                assert_eq!(matrix_digest(&got), want, "{tag}: {:#x}", matrix_digest(&got));
                 assert_eq!(lower_digest(&got), lower_digest(&in_memory), "{tag}");
+                assert_eq!(matrix_digest(&got), want, "{tag}: {:#x}", matrix_digest(&got));
             }
         }
     }
@@ -1832,6 +1896,75 @@ mod tests {
     }
 
     #[test]
+    fn a_crash_after_any_column_of_a_super_column_fires_at_its_end() {
+        // Capacity 12 runs super-columns of 2: {0, 1}, {2, 3}, {4}.  A
+        // crash planned after column 2 or 3 fires once the super-column
+        // {2, 3} has finished, before its checkpoint: the resumed run
+        // starts at column 2 and replays both.
+        let a = spd::random_spd(40, &mut spd::test_rng(240));
+        let mut clean = FileMatrix::create(&scratch_path("sc-crash-clean"), &a, 8).unwrap();
+        ooc_potrf_with(&mut clean, 12, KernelImpl::Reference).unwrap();
+        let want = clean.to_matrix().unwrap();
+        for (panel, workers) in [(2usize, 0usize), (3, 0), (3, 1), (4, 2)] {
+            let tag = format!("crash after column {panel}, W={workers}");
+            let path = scratch_path(&format!("sc-crash-{panel}-{workers}"));
+            let ckpt = Checkpoint::at(&path.with_extension("ckpt"));
+            let cfg = PipelineConfig::new(12).with_io_workers(workers);
+            {
+                let mut fm = FileMatrix::create(&path, &a, 8).unwrap();
+                fm.set_persist(true);
+                let plan = FaultPlan::builder(66)
+                    .crash_at(CrashPoint::AfterPanel(panel))
+                    .build();
+                let mut fb = FaultyBackend::new(fm, plan);
+                let err = checkpointed_on_fs(&mut fb, &ckpt, &cfg).unwrap_err();
+                assert!(matches!(err, OocError::Io(_)), "{tag}: {err:?}");
+            }
+            let committed = ckpt.load(&mut FsStore::new()).unwrap().unwrap();
+            let start = panel / 2 * 2;
+            assert_eq!(committed.next_panel, start, "{tag}");
+            let mut fm = FileMatrix::open(&path, 40, 8).unwrap();
+            let (rep, _) = checkpointed_on_fs(&mut fm, &ckpt, &cfg).unwrap();
+            assert_eq!((rep.start_panel, rep.panels_done), (start, 5 - start), "{tag}");
+            assert_eq!(fm.to_matrix().unwrap(), want, "{tag}");
+            fm.set_persist(false);
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_off_the_super_column_grid_resumes_to_the_same_bits() {
+        // A `v4` checkpoint records the first unfinished block column,
+        // whatever width wrote it: columns before it are final, the rest
+        // untouched.  One committed at column 1 by a width-1 run resumes
+        // at widths 2 and 4 in super-columns starting at column 1.
+        let a = spd::random_spd(40, &mut spd::test_rng(241));
+        let mut clean = FileMatrix::create(&scratch_path("off-grid-clean"), &a, 8).unwrap();
+        ooc_potrf_with(&mut clean, 4, KernelImpl::Reference).unwrap();
+        let want = clean.to_matrix().unwrap();
+        for (cap, workers) in [(12usize, 0usize), (12, 1), (27, 0), (27, 2)] {
+            let tag = format!("resumed at capacity {cap}, W={workers}");
+            let path = scratch_path(&format!("off-grid-{cap}-{workers}"));
+            let ckpt = Checkpoint::at(&path.with_extension("ckpt"));
+            {
+                let mut fm = FileMatrix::create(&path, &a, 8).unwrap();
+                fm.set_persist(true);
+                let plan = FaultPlan::builder(67)
+                    .crash_at(CrashPoint::AfterPanel(1))
+                    .build();
+                let mut fb = FaultyBackend::new(fm, plan);
+                let cfg = PipelineConfig::new(4).with_io_workers(0);
+                assert!(checkpointed_on_fs(&mut fb, &ckpt, &cfg).is_err(), "{tag}");
+            }
+            let mut fm = FileMatrix::open(&path, 40, 8).unwrap();
+            let cfg = PipelineConfig::new(cap).with_io_workers(workers);
+            let (rep, _) = checkpointed_on_fs(&mut fm, &ckpt, &cfg).unwrap();
+            assert_eq!((rep.start_panel, rep.panels_done), (1, 4), "{tag}");
+            assert_eq!(fm.to_matrix().unwrap(), want, "{tag}");
+            fm.set_persist(false);
+        }
+    }
+
+    #[test]
     fn checkpointed_pipeline_matches_sync_without_faults() {
         let mut rng = spd::test_rng(234);
         let a = spd::random_spd(40, &mut rng);
@@ -1891,8 +2024,11 @@ mod tests {
         use cholcomm_matrix::schedule::{self, MemTiles};
 
         // Ragged edges, and tile sizes off the 16-row strip, so a packed
-        // operand carries padding rows.
-        for (n, b) in [(61usize, 20usize), (45, 8)] {
+        // operand carries padding rows; capacities of width 1, 2 and 3.
+        for ((n, b), cap) in [(61usize, 20usize), (45, 8)]
+            .into_iter()
+            .flat_map(|shape| [3usize, 11, 18].map(|cap| (shape, cap)))
+        {
             let a = spd::random_spd(n, &mut spd::test_rng(239));
             for kernel in [
                 KernelImpl::Reference,
@@ -1908,15 +2044,19 @@ mod tests {
                 let want = lower_digest(&want);
                 let packs = kernel.packs_tiles::<f64>(b);
                 for workers in [0usize, 1, 2] {
-                    let tag = format!("n={n} b={b} {kernel:?} W={workers}");
-                    let cfg = PipelineConfig::new(3)
+                    let tag = format!("n={n} b={b} cap={cap} {kernel:?} W={workers}");
+                    let cfg = PipelineConfig::new(cap)
                         .with_kernel(kernel)
                         .with_io_workers(workers);
 
                     let mut fm = FileMatrix::create(&scratch_path("grid"), &a, b).unwrap();
                     let st = ooc_potrf_pipelined_with(&mut fm, &cfg).unwrap();
                     assert_eq!(lower_digest(&fm.to_matrix().unwrap()), want, "{tag}");
-                    assert_eq!(st.packed_fetches > 0, packs, "{tag}: {st:?}");
+                    // A finished panel tile read again arrives packed;
+                    // with every tile read once, none is.
+                    let lower = (n.div_ceil(b) * (n.div_ceil(b) + 1) / 2) as u64;
+                    let again = st.fetches > lower;
+                    assert_eq!(st.packed_fetches > 0, packs && again, "{tag}: {st:?}");
 
                     // A flaky disk, retried below the factorization.
                     let plan = FaultPlan::builder(64).disk_transient_rate(0.2).build();
@@ -2031,7 +2171,7 @@ mod tests {
             floor as f64 >= 0.95 * r.pipelined_us as f64,
             "modeled overlap gate: {r:?}"
         );
-        assert_eq!((r.reads, r.writes), (6123, 528), "each lower tile written once");
+        assert_eq!((r.reads, r.writes), (2443, 528), "each lower tile written once");
         for la in [4usize, 8, 16] {
             let cfg = ModelConfig {
                 lookahead: la,

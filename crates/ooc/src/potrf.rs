@@ -1,14 +1,16 @@
 //! Out-of-core blocked Cholesky: Algorithm 4 against the backing store,
 //! through a bounded set of resident tiles — the driver loop every run
 //! goes through (the left-looking walk of [`cholcomm_matrix::schedule`],
-//! one block column at a time), the LRU order the planner replays, and
-//! the error type.
+//! one super-column of `w` block columns per checkpoint step, `w` sized
+//! from the capacity by
+//! [`super_column_width`](crate::pipeline::super_column_width)), the LRU
+//! order the planner replays, and the error type.
 
 use crate::backend::IoBackend;
 use crate::checkpoint::{simulated_crash, unhealable, Checkpointing, MAX_RESTORE_RETRIES};
 use crate::pipeline::{ooc_potrf_pipelined_with, PipelineConfig, Tile};
 use cholcomm_faults::Store;
-use cholcomm_matrix::schedule::{factor_left, TileGrid, TileStore};
+use cholcomm_matrix::schedule::{factor_left, super_columns, TileGrid, TileStore};
 use cholcomm_matrix::{KernelImpl, MatrixError};
 use std::collections::HashMap;
 
@@ -151,33 +153,42 @@ pub(crate) trait Front: TileStore<Tile = Tile, Error = OocError> {
     /// Write every dirty tile back: the end of a run, or the
     /// leave-a-well-defined-file answer to a bad pivot.
     fn flush_final(&mut self) -> Result<(), OocError>;
-    /// The flush at a panel boundary: every update of the finished panel
-    /// must be in the backend before the checkpoint snapshots it.
+    /// The flush at a super-column boundary: every tile the finished
+    /// super-column put must be in the backend before the checkpoint
+    /// snapshots it.
     fn flush_boundary(&mut self) -> Result<(), OocError>;
     /// Forget everything in RAM ahead of a checkpoint restore; compute
-    /// resumes at panel `k`.  Discarding dirty tiles is deliberate —
-    /// they are exactly what the restore rolls back.
+    /// resumes at block column `k`, a super-column's first.  Discarding
+    /// dirty tiles is deliberate — they are exactly what the restore
+    /// rolls back.
     fn reset(&mut self, k: usize);
 }
 
 /// The out-of-core driver loop: block columns `start..nb` of the
-/// left-looking walk through `front`, one per checkpoint step, with the
-/// checkpoint protocol when `ck` is given.  Tile gets and puts (the I/O the out-of-core analysis counts)
-/// are identical under every engine and every front; only the in-memory
-/// tile arithmetic changes with the engine, and only the tile
+/// left-looking walk through `front`, one super-column of `width` block
+/// columns per checkpoint step, with the checkpoint protocol when `ck`
+/// is given.  Tile gets and puts (the I/O the out-of-core analysis
+/// counts) are identical under every engine and every front; only the
+/// in-memory tile arithmetic changes with the engine, and only the tile
 /// *transport* changes with the front.
+///
+/// A backend's `crash_after_panel(k)` is asked after the super-column
+/// holding block column `k` has finished, before its checkpoint: a crash
+/// planned after any column of a super-column fires at the end of the
+/// super-column, and the resumed run replays the whole super-column.
 pub(crate) fn drive<F: Front, St: Store>(
     front: &mut F,
     kernel: KernelImpl,
+    width: usize,
     start: usize,
     mut ck: Option<Checkpointing<'_, St>>,
 ) -> Result<(), OocError> {
     let grid = front.with_backend(|be| TileGrid::new(be.n(), be.b()));
     let nb = grid.nb();
-    for k in start..nb {
+    for cols in super_columns(start..nb, width) {
         let mut retries = 0;
         loop {
-            match factor_left(front, grid, k..k + 1, kernel) {
+            match factor_left(front, grid, cols.clone(), width, kernel) {
                 Ok(()) => break,
                 Err(e @ OocError::NotSpd { .. }) => {
                     // Leave the file in a well-defined state: everything
@@ -186,21 +197,21 @@ pub(crate) fn drive<F: Front, St: Store>(
                     front.flush_final()?;
                     return Err(e);
                 }
-                Err(e) => roll_back(front, &mut ck, &mut retries, k, e)?,
+                Err(e) => roll_back(front, &mut ck, &mut retries, cols.start, e)?,
             }
         }
         if let Some(ck) = ck.as_mut() {
-            if front.with_backend(|be| be.crash_after_panel(k)) {
-                // The plan kills us after the panel but before its
-                // checkpoint: dirty tiles and queued write-backs die
+            if front.with_backend(|be| cols.clone().any(|k| be.crash_after_panel(k))) {
+                // The plan kills us after the super-column but before
+                // its checkpoint: dirty tiles and queued write-backs die
                 // with the process.
                 return Err(simulated_crash());
             }
             front.flush_boundary()?;
             ck.report.checkpoint_bytes +=
-                front.with_backend(|be| ck.ckpt.save(ck.store, be, k + 1))?;
+                front.with_backend(|be| ck.ckpt.save(ck.store, be, cols.end))?;
             ck.report.checkpoints_written += 1;
-            ck.report.panels_done += 1;
+            ck.report.panels_done += cols.len();
         }
     }
     if ck.is_none() {
@@ -229,7 +240,8 @@ pub(crate) fn drive<F: Front, St: Store>(
 }
 
 /// Answer `err` by rolling the file back to the last committed
-/// checkpoint so the caller can retry from panel `k` — if the run has
+/// checkpoint so the caller can retry from block column `k` (the start
+/// of a super-column, or `nb` for the final scrub) — if the run has
 /// checkpoints, the error is unhealable corruption, and the retry
 /// budget allows.  Otherwise hand the error back.
 fn roll_back<F: Front, St: Store>(
@@ -256,7 +268,10 @@ fn roll_back<F: Front, St: Store>(
 }
 
 /// Out-of-core blocked Cholesky on the backing store in the left-looking
-/// order of the paper's Algorithm 4, with `capacity_tiles` tiles resident and every tile move blocking the
+/// order of the paper's Algorithm 4, in super-columns sized from
+/// `capacity_tiles` (see
+/// [`super_column_width`](crate::pipeline::super_column_width)), with
+/// `capacity_tiles` tiles resident and every tile move blocking the
 /// compute thread: the pipeline at zero I/O workers (see
 /// [`PipelineConfig::with_io_workers`]), the baseline the paper's
 /// sequential I/O counts describe.  The tile I/O is the same under every
@@ -265,8 +280,9 @@ fn roll_back<F: Front, St: Store>(
 /// On [`OocError::NotSpd`] every dirty tile is written back before the
 /// error is returned, so the file holds every tile put before the
 /// failing pivot (a partially factored matrix, documented — not a torn
-/// one): the finished block columns before the failing one, the rest as
-/// input.
+/// one): the block columns before the failing one's super-column, and
+/// in it the diagonal chunk's columns left of the failing one; the rest
+/// as input.
 pub fn ooc_potrf_with<B: IoBackend>(
     fm: &mut B,
     capacity_tiles: usize,
@@ -715,17 +731,20 @@ mod tests {
         // log (tile transfers interleaved with `begin_panel`), and its
         // `IoStats` on a real file, plain and checkpointed, as (reads,
         // writes, bytes read, bytes written, seeks, seek distance).
-        const OP_LOGS: [(usize, usize, usize, u64); 3] = [
+        const OP_LOGS: [(usize, usize, usize, u64); 5] = [
             (40, 8, 3, 0x275a455d9f8790c7),
             (40, 8, 5, 0x6d79868a0a8d8cd5),
             (37, 8, 4, 0xad5cfc596e085cd6),
+            // Super-columns of 2 and 4 block columns.
+            (64, 8, 12, 0x2109670fe56b3895),
+            (64, 8, 27, 0x31f11bd99005046b),
         ];
         type Io = (u64, u64, u64, u64, u64, u64);
         const IO_STATS: [(usize, usize, usize, Io, Io); 4] = [
             (40, 8, 3, (51, 15, 26112, 7680, 63, 203776), (51, 15, 26112, 7680, 62, 184320)),
             (40, 8, 5, (43, 15, 22016, 7680, 53, 150528), (43, 15, 22016, 7680, 48, 145408)),
             (37, 8, 4, (49, 15, 25088, 7680, 61, 176128), (49, 15, 25088, 7680, 58, 165888)),
-            (64, 8, 12, (121, 36, 61952, 18432, 147, 842240), (121, 36, 61952, 18432, 130, 737792)),
+            (64, 8, 12, (99, 36, 50688, 18432, 121, 930304), (99, 36, 50688, 18432, 115, 888320)),
         ];
         for (n, b, cap, want) in OP_LOGS {
             let mut mem = LoggingMem::new(&spd::random_spd(n, &mut spd::test_rng(901)), b);

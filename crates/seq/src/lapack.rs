@@ -99,7 +99,7 @@ fn potrf_traced<S: Scalar, L: Layout, T: Tracer>(
         done
     };
     if left_looking {
-        schedule::walk_left(&mut store, grid.nb(), 0..grid.nb(), apply)
+        schedule::walk_left(&mut store, grid.nb(), 0..grid.nb(), 1, apply)
     } else {
         schedule::walk(&mut store, grid.nb(), 0..grid.nb(), apply)
     }

@@ -189,7 +189,7 @@ pub fn factor_resumable(
             state: &mut ckpt.state,
             grid,
         };
-        schedule::walk_left(&mut store, grid.nb(), jb..jb + 1, |op, target, operands| {
+        schedule::walk_left(&mut store, grid.nb(), jb..jb + 1, 1, |op, target, operands| {
             arith.apply(op, target, operands)
         })?;
         ckpt.next_panel = jb + 1;

@@ -12,7 +12,8 @@ use cholcomm::faults::{
 };
 use cholcomm::matrix::{digest::fnv1a, spd};
 use cholcomm::ooc::{
-    explore_crash_sites, record_run, scratch_path, Checkpoint, CommitDiscipline, FileMatrix,
+    explore_crash_sites, record_run, scratch_path, super_column_width, Checkpoint,
+    CommitDiscipline, FileMatrix,
 };
 
 const SECTOR: usize = 64;
@@ -224,6 +225,39 @@ fn pipelined_unbarriered_commit_is_still_caught() {
         "an un-barriered commit must be caught under the pipelined driver too \
          ({} states explored)",
         report.states_explored
+    );
+}
+
+#[test]
+fn super_columns_of_two_survive_every_crash_state_and_the_broken_twin_is_caught() {
+    // Capacity 11 runs the walk in super-columns of two block columns,
+    // so a checkpoint step covers two panels: {0, 1}, then {2}.
+    assert_eq!(super_column_width(11), 2);
+    let mut rng = spd::test_rng(503);
+    let a = spd::random_spd(12, &mut rng);
+    let run = record_run(&a, 4, 11, SECTOR, CommitDiscipline::Barriered, 0, 1).expect("clean run");
+    let sites = crash_sites_exhaustive(&run.schedule, SECTOR);
+    let report = explore_crash_sites(&run, &sites);
+    assert_eq!(report.states_explored, sites.len());
+    assert!(
+        report.violations.is_empty(),
+        "width 2 must recover bit-identically at 100% of {} crash states; violations: {}",
+        report.states_explored,
+        report
+            .violations
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("; ")
+    );
+
+    let broken = record_run(&a, 4, 11, SECTOR, CommitDiscipline::UnbarrieredCommit, 0, 1)
+        .expect("clean run");
+    let sites = crash_sites_exhaustive(&broken.schedule, SECTOR);
+    assert!(
+        sites.iter().any(|s| broken.violation_at(s).is_some()),
+        "an un-barriered commit must be caught at width 2 too ({} states)",
+        sites.len()
     );
 }
 

@@ -3,23 +3,27 @@
 //!
 //! Every kernel of every engine applies the per-element chain
 //! `c <- c - a * b` in ascending `k`, and every order in the repository —
-//! unblocked, the left-looking walk (Algorithm 4), the right-looking
-//! walk, the task DAG at any pool size, the resumable serve engine, the
-//! batched lanes, Algorithm 9 as an SPMD program on 1, 4 and 9 ranks, the
-//! out-of-core front on a file (synchronous and with one I/O worker) and,
-//! under reference kernels, Algorithm 9 and the 1D baseline on the
-//! simulated machine — hands each tile its updates in ascending `k`.  So
-//! for a fixed engine they all produce one `lower_digest`, and they all
-//! stop at the same pivot on an indefinite matrix.
+//! unblocked, the left-looking walk (Algorithm 4) in super-columns of 1,
+//! 2, 3, 4 and all block columns, the right-looking walk, the task DAG
+//! at any pool size, the resumable serve engine, the batched lanes,
+//! Algorithm 9 as an SPMD program on 1, 4 and 9 ranks, the out-of-core
+//! front on a file (synchronous and with one I/O worker, at super-column
+//! widths 1 and 3) and, under reference kernels, Algorithm 9 and the 1D
+//! baseline on the simulated machine — hands each tile its updates in
+//! ascending `k`.  So for a fixed engine they all produce one
+//! `lower_digest`, and they all stop at the same pivot on an indefinite
+//! matrix.
 
 use cholcomm::cachesim::NullTracer;
 use cholcomm::distsim::CostModel;
 use cholcomm::faults::FaultPlan;
 use cholcomm::layout::{ColMajor, Laid};
+use cholcomm::matrix::schedule::{factor_left, MemTiles};
 use cholcomm::matrix::{lower_digest, spd, KernelImpl, Matrix, MatrixError};
 use cholcomm::ooc::scratch_path;
 use cholcomm::ooc::{
-    ooc_potrf_pipelined_with, ooc_potrf_with, FileMatrix, OocError, PipelineConfig,
+    ooc_potrf_pipelined_with, ooc_potrf_with, super_column_width, FileMatrix, OocError,
+    PipelineConfig,
 };
 use cholcomm::par::dag::potrf_dag_with;
 use cholcomm::par::pxpotrf::{pxpotrf, BroadcastKind};
@@ -68,6 +72,16 @@ fn every_order(a: &Matrix<f64>, b: usize, kernel: KernelImpl) -> Vec<(String, Fa
     let done = potrf_blocked_right_with(&mut laid, &mut NullTracer, b, None, kernel);
     out.push(("right walk".into(), done.map(|()| laid.to_matrix())));
 
+    let nb = n.div_ceil(b);
+    for width in [1, 2, 3, 4, nb] {
+        let mut tiles = MemTiles::from_matrix(a, b).expect("square");
+        let grid = tiles.grid;
+        let done = factor_left(&mut tiles, grid, 0..nb, width, kernel);
+        let mut l = a.clone();
+        tiles.write_back(&mut l);
+        out.push((format!("left walk at width {width}"), done.map(|()| l)));
+    }
+
     for threads in [1usize, 2, 4] {
         let pool = ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
         let mut dag = a.clone();
@@ -106,10 +120,14 @@ fn every_order(a: &Matrix<f64>, b: usize, kernel: KernelImpl) -> Vec<(String, Fa
     let mut file = FileMatrix::create(&scratch_path("order-sync"), a, b).expect("scratch file");
     let done = ooc_potrf_with(&mut file, 4, kernel).map_err(from_ooc);
     out.push(("ooc".into(), done.map(|()| file.to_matrix().expect("read back"))));
-    let mut file = FileMatrix::create(&scratch_path("order-pipe"), a, b).expect("scratch file");
-    let cfg = PipelineConfig::new(4).with_io_workers(1).with_kernel(kernel);
-    let done = ooc_potrf_pipelined_with(&mut file, &cfg).map_err(from_ooc);
-    out.push(("ooc on 1 I/O worker".into(), done.map(|_| file.to_matrix().expect("read back"))));
+    for cap in [4, 18] {
+        let width = super_column_width(cap);
+        let mut file = FileMatrix::create(&scratch_path("order-pipe"), a, b).expect("scratch file");
+        let cfg = PipelineConfig::new(cap).with_io_workers(1).with_kernel(kernel);
+        let done = ooc_potrf_pipelined_with(&mut file, &cfg).map_err(from_ooc);
+        let l = done.map(|_| file.to_matrix().expect("read back"));
+        out.push((format!("ooc at width {width} on 1 I/O worker"), l));
+    }
     out
 }
 
