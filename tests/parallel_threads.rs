@@ -66,6 +66,51 @@ fn strict_gemm_is_bit_identical_at_every_pool_size() {
     }
 }
 
+/// Digest of `f` run with kernel parallelism off, then on a pool of each
+/// size in [`POOLS`]; every pool must equal the first.
+fn digests_at_every_pool_size(what: &str, f: impl Fn() -> Matrix<f64>) -> u64 {
+    let sequential = {
+        let prev = parallel::set_kernel_parallelism(false);
+        let d = matrix_digest(&f());
+        parallel::set_kernel_parallelism(prev);
+        d
+    };
+    for threads in POOLS {
+        let d = on_pool(threads, || matrix_digest(&f()));
+        assert_eq!(d, sequential, "{what} differs on {threads} workers");
+    }
+    sequential
+}
+
+#[test]
+fn strict_trsm_row_chunks_are_bit_identical_at_every_pool_size() {
+    // 320 rows: the in-panel solve splits into row chunks on > 1 worker.
+    let mut l = spd::random_spd(96, &mut spd::test_rng(12));
+    KernelImpl::Reference.potf2(&mut l).expect("potf2");
+    let b = mat(320, 96, 13);
+    let solve = |kernel: KernelImpl| {
+        let mut x = b.clone();
+        kernel.trsm_right_lower_transpose(&mut x, &l);
+        x
+    };
+    let strict = digests_at_every_pool_size("FastStrict trsm", || solve(KernelImpl::FastStrict));
+    assert_eq!(strict, matrix_digest(&solve(KernelImpl::Reference)), "FastStrict trsm vs Reference");
+}
+
+#[test]
+fn strict_potf2_region_solve_is_bit_identical_at_every_pool_size() {
+    // Order 600 splits at 320: the first region solve is 280 rows, which
+    // splits into row chunks on > 1 worker.
+    let a = spd::random_spd(600, &mut spd::test_rng(14));
+    let factor = |kernel: KernelImpl| {
+        let mut f = a.clone();
+        kernel.potf2(&mut f).expect("potf2");
+        f
+    };
+    let strict = digests_at_every_pool_size("FastStrict potf2", || factor(KernelImpl::FastStrict));
+    assert_eq!(strict, matrix_digest(&factor(KernelImpl::Reference)), "FastStrict potf2 vs Reference");
+}
+
 #[test]
 fn fast_gemm_is_run_to_run_deterministic_at_fixed_pool_size() {
     for threads in POOLS {
