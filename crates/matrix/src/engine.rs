@@ -2,11 +2,12 @@
 //!
 //! Every substrate (sequential LAPACK schedule, recursive AP00, shared-
 //! memory tiles, SPMD ranks, out-of-core tiles) does its arithmetic
-//! through a [`KernelImpl`] value.  The selector dispatches per call:
-//! [`KernelImpl::Fast`] and [`KernelImpl::FastStrict`] route `f64`
-//! operands to [`crate::kernels_fast`] (FMA-contracted and
-//! order-and-rounding-preserving respectively); every other scalar (and
-//! [`KernelImpl::Reference`]) runs the verbatim oracle in
+//! through a [`KernelImpl`] value, the only public door to the fast
+//! kernels.  The selector dispatches per call: [`KernelImpl::Fast`] and
+//! [`KernelImpl::FastStrict`] route `f64` operands to
+//! [`crate::kernels_fast`] in its fused (FMA-contracted) and strict
+//! (order-and-rounding-preserving) mode respectively; every other scalar
+//! (and [`KernelImpl::Reference`]) runs the verbatim oracle in
 //! [`crate::kernels`].
 //!
 //! Two invariants, tested in `tests/cross_algorithm.rs` and
@@ -21,13 +22,13 @@
 //!   per-element operation order, one rounding fewer per product — so
 //!   it agrees to a contraction residual instead of exactly.
 
-use std::any::TypeId;
+use std::any::{Any, TypeId};
 use std::sync::OnceLock;
 
 use crate::dense::Matrix;
 use crate::error::MatrixError;
 use crate::kernels;
-use crate::kernels_fast::{self, PackedTile};
+use crate::kernels_fast::{self, Mode, PackedTile};
 use crate::scalar::Scalar;
 
 /// Which arithmetic engine runs under a schedule.
@@ -39,8 +40,8 @@ pub enum KernelImpl {
     #[default]
     Reference,
     /// The packed, cache-blocked microkernels with FMA contraction
-    /// ([`crate::kernels_fast::fused`]).  `f64` only — other scalars
-    /// silently fall back to the reference oracle.
+    /// ([`crate::kernels_fast`]'s fused mode).  `f64` only — other
+    /// scalars silently fall back to the reference oracle.
     Fast,
     /// The packed microkernels with reference rounding
     /// ([`crate::kernels_fast`]'s strict mode): bit-identical results,
@@ -86,7 +87,7 @@ impl KernelImpl {
     /// gather-to-tile detour at a base case buys anything: for
     /// non-`f64` scalars (or the reference engine) it never does.
     pub fn accelerates<S: Scalar>(self) -> bool {
-        self != KernelImpl::Reference && TypeId::of::<S>() == TypeId::of::<f64>()
+        self.mode().is_some() && TypeId::of::<S>() == TypeId::of::<f64>()
     }
 
     /// Stable lowercase name (used in bench JSON and logs).
@@ -98,36 +99,45 @@ impl KernelImpl {
         }
     }
 
+    /// The fast engine's numeric mode, `None` for the reference oracle.
+    fn mode(self) -> Option<Mode> {
+        match self {
+            KernelImpl::Reference => None,
+            KernelImpl::Fast => Some(Mode::Fused),
+            KernelImpl::FastStrict => Some(Mode::Strict),
+        }
+    }
+
     /// `C <- C + alpha * A * B` (see [`kernels::gemm_nn`]).
     pub fn gemm_nn<S: Scalar>(self, c: &mut Matrix<S>, alpha: S, a: &Matrix<S>, b: &Matrix<S>) {
-        if self != KernelImpl::Reference {
-            if let (Some(cf), Some(af), Some(bf), Some(alf)) =
-                (as_f64_mut(c), as_f64(a), as_f64(b), scalar_to_f64(&alpha))
-            {
-                match self {
-                    KernelImpl::Fast => kernels_fast::fused::gemm_nn(cf, alf, af, bf),
-                    _ => kernels_fast::gemm_nn(cf, alf, af, bf),
-                }
-                return;
+        match (
+            self.mode(),
+            as_f64_mut(c),
+            as_f64(a),
+            as_f64(b),
+            scalar_to_f64(&alpha),
+        ) {
+            (Some(mode), Some(c), Some(a), Some(b), Some(alpha)) => {
+                kernels_fast::gemm_nn(c, alpha, a, b, mode)
             }
+            _ => kernels::gemm_nn(c, alpha, a, b),
         }
-        kernels::gemm_nn(c, alpha, a, b);
     }
 
     /// `C <- C + alpha * A * B^T` (see [`kernels::gemm_nt`]).
     pub fn gemm_nt<S: Scalar>(self, c: &mut Matrix<S>, alpha: S, a: &Matrix<S>, b: &Matrix<S>) {
-        if self != KernelImpl::Reference {
-            if let (Some(cf), Some(af), Some(bf), Some(alf)) =
-                (as_f64_mut(c), as_f64(a), as_f64(b), scalar_to_f64(&alpha))
-            {
-                match self {
-                    KernelImpl::Fast => kernels_fast::fused::gemm_nt(cf, alf, af, bf),
-                    _ => kernels_fast::gemm_nt(cf, alf, af, bf),
-                }
-                return;
+        match (
+            self.mode(),
+            as_f64_mut(c),
+            as_f64(a),
+            as_f64(b),
+            scalar_to_f64(&alpha),
+        ) {
+            (Some(mode), Some(c), Some(a), Some(b), Some(alpha)) => {
+                kernels_fast::gemm_nt(c, alpha, a, b, mode)
             }
+            _ => kernels::gemm_nt(c, alpha, a, b),
         }
-        kernels::gemm_nt(c, alpha, a, b);
     }
 
     /// `true` when this engine's [`update`](Self::update) reads the panel
@@ -147,17 +157,15 @@ impl KernelImpl {
 
     /// The trailing update `C <- C - A * B^T` of the tile schedule.
     /// Packed operands run the fast engines' micro-kernel straight over
-    /// them; plain ones are [`gemm_nt`](Self::gemm_nt) with `alpha = -1`.
+    /// them (the strict mode standing in for the reference, whose bits it
+    /// has); plain ones are [`gemm_nt`](Self::gemm_nt) with `alpha = -1`.
     /// Same bits either way, for every engine.
     pub fn update<S: Scalar>(self, c: &mut Matrix<S>, a: Operand<'_, S>, b: Operand<'_, S>) {
         match (a, b) {
             (Operand::Plain(a), Operand::Plain(b)) => self.gemm_nt(c, -S::one(), a, b),
             (Operand::Packed(a), Operand::Packed(b)) => {
                 let c = as_f64_mut(c).expect("only f64 tiles are packed (see packs_tiles)");
-                match self {
-                    KernelImpl::Fast => kernels_fast::fused::gemm_nt_packed(c, a, b),
-                    _ => kernels_fast::gemm_nt_packed(c, a, b),
-                }
+                kernels_fast::gemm_nt_packed(c, a, b, self.mode().unwrap_or(Mode::Strict));
             }
             _ => unreachable!("the operands of an update are packed together or not at all"),
         }
@@ -173,112 +181,52 @@ impl KernelImpl {
             Operand::Plain(a) => self.syrk_lower(c, a),
             Operand::Packed(a) => {
                 let c = as_f64_mut(c).expect("only f64 tiles are packed (see packs_tiles)");
-                match self {
-                    KernelImpl::Fast => kernels_fast::fused::syrk_lower_packed(c, a),
-                    _ => kernels_fast::syrk_lower_packed(c, a),
-                }
+                kernels_fast::syrk_lower_packed(c, a, self.mode().unwrap_or(Mode::Strict));
             }
         }
     }
 
     /// Lower-triangle `C <- C - A * A^T` (see [`kernels::syrk_lower`]).
     pub fn syrk_lower<S: Scalar>(self, c: &mut Matrix<S>, a: &Matrix<S>) {
-        if self != KernelImpl::Reference {
-            if let (Some(cf), Some(af)) = (as_f64_mut(c), as_f64(a)) {
-                match self {
-                    KernelImpl::Fast => kernels_fast::fused::syrk_lower(cf, af),
-                    _ => kernels_fast::syrk_lower(cf, af),
-                }
-                return;
-            }
+        match (self.mode(), as_f64_mut(c), as_f64(a)) {
+            (Some(mode), Some(c), Some(a)) => kernels_fast::syrk_lower(c, a, mode),
+            _ => kernels::syrk_lower(c, a),
         }
-        kernels::syrk_lower(c, a);
     }
 
     /// `X <- B * L^{-T}` (see [`kernels::trsm_right_lower_transpose`]).
     pub fn trsm_right_lower_transpose<S: Scalar>(self, b: &mut Matrix<S>, l: &Matrix<S>) {
-        if self != KernelImpl::Reference {
-            if let (Some(bf), Some(lf)) = (as_f64_mut(b), as_f64(l)) {
-                match self {
-                    KernelImpl::Fast => kernels_fast::fused::trsm_right_lower_transpose(bf, lf),
-                    _ => kernels_fast::trsm_right_lower_transpose(bf, lf),
-                }
-                return;
-            }
+        match (self.mode(), as_f64_mut(b), as_f64(l)) {
+            (Some(mode), Some(b), Some(l)) => kernels_fast::trsm_right_lower_transpose(b, l, mode),
+            _ => kernels::trsm_right_lower_transpose(b, l),
         }
-        kernels::trsm_right_lower_transpose(b, l);
     }
 
     /// In-place Cholesky of the lower triangle (see [`kernels::potf2`]).
     pub fn potf2<S: Scalar>(self, a: &mut Matrix<S>) -> Result<(), MatrixError> {
-        if self != KernelImpl::Reference {
-            if let Some(af) = as_f64_mut(a) {
-                return match self {
-                    KernelImpl::Fast => kernels_fast::fused::potf2(af),
-                    _ => kernels_fast::potf2(af),
-                };
-            }
+        match (self.mode(), as_f64_mut(a)) {
+            (Some(mode), Some(a)) => kernels_fast::potf2(a, mode),
+            _ => kernels::potf2(a),
         }
-        kernels::potf2(a)
     }
 }
 
-// The downcasts below reinterpret `Matrix<S>`/`S` as `Matrix<f64>`/`f64`
-// behind a `TypeId` proof.  Pin `f64`'s layout at compile time so a
-// hypothetical platform where the assumption breaks fails the build,
-// not the cast.
-const _: () = {
-    assert!(std::mem::size_of::<f64>() == 8);
-    assert!(std::mem::align_of::<f64>() == 8);
-};
-
-/// `&T` as `&U` iff `T` *is* `U` (same `TypeId`).  The identity check
-/// makes the pointer cast trivially sound; layout equality is
-/// re-asserted in debug builds as a belt-and-suspenders on the proof.
-#[inline]
-fn downcast_ref<T: 'static, U: 'static>(v: &T) -> Option<&U> {
-    if TypeId::of::<T>() == TypeId::of::<U>() {
-        debug_assert_eq!(std::mem::size_of::<T>(), std::mem::size_of::<U>());
-        debug_assert_eq!(std::mem::align_of::<T>(), std::mem::align_of::<U>());
-        // SAFETY: equal TypeIds of 'static types prove T == U, so this
-        // is a no-op reference cast.
-        Some(unsafe { &*(v as *const T as *const U) })
-    } else {
-        None
-    }
-}
-
-/// `&mut T` as `&mut U` iff `T` *is* `U` (same `TypeId`).
-#[inline]
-fn downcast_mut<T: 'static, U: 'static>(v: &mut T) -> Option<&mut U> {
-    if TypeId::of::<T>() == TypeId::of::<U>() {
-        debug_assert_eq!(std::mem::size_of::<T>(), std::mem::size_of::<U>());
-        debug_assert_eq!(std::mem::align_of::<T>(), std::mem::align_of::<U>());
-        // SAFETY: equal TypeIds of 'static types prove T == U.
-        Some(unsafe { &mut *(v as *mut T as *mut U) })
-    } else {
-        None
-    }
-}
-
-#[inline]
+/// `m` as an `f64` matrix, `None` for any other scalar (`Star`, `f32`),
+/// whose operands then take the reference kernels.
 fn as_f64<S: Scalar>(m: &Matrix<S>) -> Option<&Matrix<f64>> {
-    downcast_ref::<Matrix<S>, Matrix<f64>>(m)
+    (m as &dyn Any).downcast_ref()
 }
 
-#[inline]
+/// [`as_f64`] for a matrix the kernel writes.
 fn as_f64_mut<S: Scalar>(m: &mut Matrix<S>) -> Option<&mut Matrix<f64>> {
-    downcast_mut::<Matrix<S>, Matrix<f64>>(m)
+    (m as &mut dyn Any).downcast_mut()
 }
 
 /// The scalar counterpart: `alpha` as `f64`, by value, `None` for any
-/// other scalar — so the dispatchers below bail to the reference path
-/// on *one* `if let` instead of a checked matrix cast plus an
-/// unchecked scalar cast (the old shape of this code, where a buggy
-/// caller could reach the scalar transmute without the `TypeId` proof).
-#[inline]
+/// other scalar, so each dispatcher bails to the reference path on one
+/// `match`.
 fn scalar_to_f64<S: Scalar>(s: &S) -> Option<f64> {
-    downcast_ref::<S, f64>(s).copied()
+    (s as &dyn Any).downcast_ref().copied()
 }
 
 #[cfg(test)]

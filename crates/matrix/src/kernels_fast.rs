@@ -18,27 +18,28 @@
 //!   the variant is selected by runtime feature detection;
 //! * an operand that is final and read many times — a solved panel tile
 //!   of the blocked Cholesky — is packed **once**, as a [`PackedTile`],
-//!   and [`gemm_nt_packed`] runs the micro-kernel straight over two of
+//!   and `gemm_nt_packed` runs the micro-kernel straight over two of
 //!   them: one layout serves both sides of `C -= A * B^T`.
 //!
-//! The engine has two numeric modes sharing all of this machinery:
+//! The engine has two numeric modes sharing all of this machinery, passed
+//! to every kernel as a `Mode` (by [`KernelImpl`], the one public door
+//! to these kernels):
 //!
-//! * **strict** (the module-level functions, [`KernelImpl::FastStrict`]):
-//!   every multiply and add is an individually rounded IEEE-754
-//!   operation (vectors widen the loop, FMA contraction is never
-//!   enabled), and each `C` element accumulates its `k`-contributions in
-//!   ascending order with the identical `c + a * (alpha * b)` sequence
-//!   of the reference kernel — so every result is **bit-identical** to
-//!   its reference counterpart (property-tested in
-//!   `tests/kernel_engine.rs`).
-//! * **fused** (the [`fused`] submodule, [`KernelImpl::Fast`]): the same
-//!   loops with `mul_add`, letting hardware FMA contract `a*b + c` into
-//!   one rounding.  The per-element operation *order* is unchanged —
-//!   only the intermediate product's rounding is skipped — so the result
-//!   differs from the reference by a normwise-tiny contraction residual
-//!   (and is, if anything, more accurate).  On hardware without FMA the
-//!   fused mode falls back to the strict kernels and is then exactly
-//!   bit-identical too.
+//! * **strict** ([`KernelImpl::FastStrict`]): every multiply and add is an
+//!   individually rounded IEEE-754 operation (vectors widen the loop, FMA
+//!   contraction is never enabled), and each `C` element accumulates its
+//!   `k`-contributions in ascending order with the identical
+//!   `c + a * (alpha * b)` sequence of the reference kernel — so every
+//!   result is **bit-identical** to its reference counterpart
+//!   (property-tested in `tests/kernel_engine.rs`).
+//! * **fused** ([`KernelImpl::Fast`]): the same loops with `mul_add`,
+//!   letting hardware FMA contract `a*b + c` into one rounding.  The
+//!   per-element operation *order* is unchanged — only the intermediate
+//!   product's rounding is skipped — so the result differs from the
+//!   reference by a normwise-tiny contraction residual (and is, if
+//!   anything, more accurate).  On hardware without FMA the fused mode
+//!   falls back to the strict kernels and is then exactly bit-identical
+//!   too.
 //!
 //! **Parallelism.**  Large operations fan their macro-tile grids onto
 //! the vendored-rayon work-stealing pool (see [`crate::parallel`] for
@@ -56,7 +57,9 @@
 //! **Triangular kernels.**  `trsm` and `potf2` are the AP00-style
 //! recursions (`trsm_rec`, `potrf_rec`: split at a multiple of [`PB`],
 //! recurse left, apply the left half to the right through the packed GEMM
-//! engine, recurse right) down to panels of at most [`PB`] columns.  The
+//! engine, recurse right) down to panels of at most [`PB`] columns;
+//! `potrf_rec` solves the rows below its leading block with the same
+//! `trsm_rec`, `L` then lying in the factor's own storage.  The
 //! base cases do not go through the micro-kernel — their `k` extent grows
 //! with the column — but they run from registers all the same: a column
 //! of a block of rows is loaded into a fixed-size accumulator, takes
@@ -75,6 +78,7 @@
 //! run through the reference kernels (their arithmetic is branchy and
 //! never the wall-clock bottleneck).
 //!
+//! [`KernelImpl`]: crate::engine::KernelImpl
 //! [`KernelImpl::Fast`]: crate::engine::KernelImpl::Fast
 //! [`KernelImpl::FastStrict`]: crate::engine::KernelImpl::FastStrict
 
@@ -100,8 +104,8 @@ pub const PB: usize = 32;
 
 /// Numeric mode: strict keeps reference rounding, fused lets FMA
 /// contract multiply-add pairs.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Mode {
     Strict,
     Fused,
 }
@@ -461,6 +465,9 @@ mod mk_x86 {
     /// Caller must have detected `avx512f` and `fma`; `pa` must hold
     /// `kc * MR` elements, `pb` `(kc - 1) * ldb + NR`, and every column
     /// `c + jj * ldc`, `jj < NR`, `MR` elements the caller may write.
+    /// `portable_micro_kernel_matches_the_dispatched_one_in_every_variant`
+    /// runs it on a stack tile, `gemm_nn_bit_identical_to_reference` in
+    /// place in `C`.
     #[target_feature(enable = "avx512f,fma")]
     pub unsafe fn avx512<const FUSED: bool, const SUB: bool>(
         kc: usize,
@@ -509,7 +516,9 @@ mod mk_x86 {
     }
 
     /// # Safety
-    /// Caller must have detected `avx`.
+    /// Caller must have detected `avx`.  Reached only without AVX-512,
+    /// where `portable_micro_kernel_matches_the_dispatched_one_in_every_variant`
+    /// runs it.
     #[target_feature(enable = "avx")]
     pub unsafe fn strict_avx<const SUB: bool>(
         kc: usize,
@@ -522,7 +531,8 @@ mod mk_x86 {
     }
 
     /// # Safety
-    /// Caller must have detected `avx2` and `fma`.
+    /// Caller must have detected `avx2` and `fma`.  Reached only without
+    /// AVX-512, as `strict_avx` (same test).
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn fused_avx2<const SUB: bool>(
         kc: usize,
@@ -562,7 +572,8 @@ impl Strips<'_> {
     ///
     /// # Safety
     /// [`check`](Self::check) passed, and every column `c + jj * ldc`,
-    /// `jj < NR`, is `MR` elements the caller may write.
+    /// `jj < NR`, is `MR` elements the caller may write (the tests of
+    /// `mk_x86::avx512`).
     #[inline]
     unsafe fn run_avx512<const SUB: bool>(&self, mode: Mode, c: *mut f64, ldc: usize) -> bool {
         #[cfg(target_arch = "x86_64")]
@@ -571,7 +582,8 @@ impl Strips<'_> {
             if det!("avx512f") && det!("fma") {
                 let Strips { kc, pa, pb, ldb } = *self;
                 let (pa, pb) = (pa.as_ptr(), pb.as_ptr());
-                // SAFETY: features detected; the rest is the caller's.
+                // SAFETY: features detected; the rest is the caller's
+                // (the tests of `mk_x86::avx512`).
                 unsafe {
                     match mode {
                         Mode::Fused => mk_x86::avx512::<true, SUB>(kc, pa, pb, ldb, c, ldc),
@@ -593,7 +605,8 @@ impl Strips<'_> {
     fn run_on_acc<const SUB: bool>(&self, mode: Mode, acc: &mut Acc) {
         self.check();
         // SAFETY: lengths checked; `acc` is a full tile with leading
-        // dimension MR.
+        // dimension MR
+        // (`portable_micro_kernel_matches_the_dispatched_one_in_every_variant`).
         if unsafe { self.run_avx512::<SUB>(mode, acc.as_mut_ptr().cast(), MR) } {
             return;
         }
@@ -601,7 +614,8 @@ impl Strips<'_> {
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected as det;
-            // SAFETY: each variant is called only after detecting its features.
+            // SAFETY: each variant is called only after detecting its
+            // features (the test of `mk_x86::strict_avx`).
             unsafe {
                 if mode == Mode::Fused && det!("fma") && det!("avx2") {
                     return mk_x86::fused_avx2::<SUB>(kc, pa, pb, ldb, acc);
@@ -620,22 +634,24 @@ impl Strips<'_> {
     ///
     /// # Safety
     /// Every column `c + jj * ldc`, `jj < NR`, must be `MR` elements the
-    /// caller owns exclusively.
+    /// caller owns exclusively.  `gemm_nn_bit_identical_to_reference`
+    /// runs every full tile through it.
     #[inline]
     unsafe fn run_in_place<const SUB: bool>(&self, mode: Mode, c: *mut f64, ldc: usize) {
         self.check();
-        // SAFETY: lengths checked; the tile is the caller's.
+        // SAFETY: lengths checked; the tile is the caller's (same test).
         if unsafe { self.run_avx512::<SUB>(mode, c, ldc) } {
             return;
         }
         let mut acc = [[0.0f64; MR]; NR];
         for (jj, accj) in acc.iter_mut().enumerate() {
-            // SAFETY: column jj of the caller's tile.
+            // SAFETY: column jj of the caller's tile (same test, on a host
+            // without AVX-512).
             accj.copy_from_slice(unsafe { std::slice::from_raw_parts(c.add(jj * ldc), MR) });
         }
         self.run_on_acc::<SUB>(mode, &mut acc);
         for (jj, accj) in acc.iter().enumerate() {
-            // SAFETY: column jj of the caller's tile.
+            // SAFETY: column jj of the caller's tile (as above).
             unsafe { std::slice::from_raw_parts_mut(c.add(jj * ldc), MR) }.copy_from_slice(accj);
         }
     }
@@ -657,7 +673,11 @@ struct COut {
 }
 
 // SAFETY: the planners guarantee concurrently running tasks touch
-// disjoint element ranges (documented per call site).
+// disjoint element ranges (documented per call site).  In
+// `tests/parallel_threads.rs`, `strict_gemm_is_bit_identical_at_every_pool_size`
+// shares one across macro-tiles and
+// `strict_trsm_row_chunks_are_bit_identical_at_every_pool_size` across
+// the row chunks of an in-panel solve, on pools of 1 to 8 workers.
 unsafe impl Send for COut {}
 unsafe impl Sync for COut {}
 
@@ -683,6 +703,11 @@ impl COut {
     #[allow(clippy::mut_from_ref)]
     unsafe fn col_segment(&self, ld: usize, i0: usize, j: usize, mr: usize) -> &mut [f64] {
         debug_assert!(j * ld + i0 + mr <= self.len);
+        // SAFETY: in bounds (asserted in debug builds) and not aliased,
+        // by the contract above; `macro_tile`'s edge tiles
+        // (`packed_diagonal_update_is_syrk_on_the_lower_triangle_alone`)
+        // and `PanelSolve` (`panel_bodies_match_the_dispatched_kernels`)
+        // call it.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(j * ld + i0), mr) }
     }
 
@@ -694,6 +719,9 @@ impl COut {
     #[inline]
     unsafe fn read(&self, idx: usize) -> f64 {
         debug_assert!(idx < self.len);
+        // SAFETY: in bounds (asserted in debug builds) and not written
+        // concurrently, by the contract above; `PanelSolve`
+        // (`panel_bodies_match_the_dispatched_kernels`) calls it.
         unsafe { *self.ptr.add(idx) }
     }
 }
@@ -794,7 +822,8 @@ fn gemm_blocked(
                     pack_b(&mut pack.pb, b, b_op, b_row0, alpha, jc, nc, pc, kc);
                     pack_a(&mut pack.pa, a, a_row0, ic, mc, pc, kc);
                     // SAFETY: task `t` owns rows ic..ic+mc of columns
-                    // jc..jc+nc of C exclusively within this par_for.
+                    // jc..jc+nc of C exclusively within this par_for
+                    // (`strict_gemm_is_bit_identical_at_every_pool_size`).
                     macro_tile::<false>(out, ldc, ic, jc, mc, nc, kc, &pack.pa, &pack.pb, NR, diag, mode);
                 });
             });
@@ -817,7 +846,8 @@ fn gemm_blocked(
                         }
                     }
                     pack_a(&mut pack.pa, a, a_row0, ic, mc, pc, kc);
-                    // SAFETY: single task — the whole region is owned.
+                    // SAFETY: single task — the whole region is owned
+                    // (`gemm_nn_bit_identical_to_reference`).
                     macro_tile::<false>(out, ldc, ic, jc, mc, nc, kc, &pack.pa, &pack.pb, NR, diag, mode);
                 }
             }
@@ -883,7 +913,8 @@ fn macro_tile<const SUB: bool>(
             let below_diag = diag.is_none_or(|d| i0 as i64 + d >= (j0 + nr - 1) as i64);
             if mr == MR && nr == NR && below_diag {
                 // SAFETY: a full tile inside the caller's owned range
-                // (asserted above), which no other task touches.
+                // (asserted above), which no other task touches
+                // (`gemm_nn_bit_identical_to_reference`).
                 unsafe { strips.run_in_place::<SUB>(mode, c.ptr.add(j0 * ldc + i0), ldc) };
                 continue;
             }
@@ -891,7 +922,8 @@ fn macro_tile<const SUB: bool>(
             // Load C (the accumulators continue C's running sum, keeping
             // the per-element operation sequence of the reference loop).
             for (jj, accj) in acc.iter_mut().enumerate().take(nr) {
-                // SAFETY: inside the caller's owned tile.
+                // SAFETY: inside the caller's owned tile (the ragged
+                // shapes of `gemm_nn_bit_identical_to_reference`).
                 let col = unsafe { c.col_segment(ldc, i0, j0 + jj, mr) };
                 accj[..mr].copy_from_slice(col);
             }
@@ -937,14 +969,16 @@ mod panel_x86 {
     use super::InPanel;
 
     /// # Safety
-    /// Caller must have detected `avx512f` and `fma`.
+    /// Caller must have detected `avx512f` and `fma`
+    /// (`panel_bodies_match_the_dispatched_kernels`).
     #[target_feature(enable = "avx512f,fma")]
     pub unsafe fn avx512<const FUSED: bool, P: InPanel>(p: P) -> P::Out {
         p.run::<FUSED>()
     }
 
     /// # Safety
-    /// Caller must have detected `avx2` and `fma`.
+    /// Caller must have detected `avx2` and `fma` (the same test, on a
+    /// host without AVX-512).
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn avx2<const FUSED: bool, P: InPanel>(p: P) -> P::Out {
         p.run::<FUSED>()
@@ -976,10 +1010,10 @@ fn in_panel<P: InPanel>(mode: Mode, p: P) -> P::Out {
 }
 
 /// Rows `r0..r1` of a `cn <= PB`-column panel of the right-solve
-/// `X <- X * L^{-T}`, the base case of [`trsm_rec`] and [`trsm_region`]:
-/// `X(r, j)` is element `x0 + r + j * ldx` of `x`, `L(j, k)` element
-/// `l0 + j + k * ldl` of `l` (the same storage as `x` in [`trsm_region`]).
-/// The rows are the calling task's own; `l` is finished and only read.
+/// `X <- X * L^{-T}`, the base case of [`trsm_rec`]: `X(r, j)` is element
+/// `x0 + r + j * ldx` of `x`, `L(j, k)` element `l0 + j + k * ldl` of `l`
+/// (the same storage as `x` under [`potrf_rec`]).  The rows are the
+/// calling task's own; `l` is finished and only read.
 #[derive(Clone, Copy)]
 struct PanelSolve {
     x: COut,
@@ -1026,7 +1060,11 @@ impl PanelSolve {
                 // SAFETY: rows r..r+W of panel column j, inside the range
                 // `run` asserted and the calling task's own; column k < j
                 // below never aliases it.  Every block width and ragged
-                // tail runs in `panel_bodies_match_the_dispatched_kernels`.
+                // tail runs in `panel_bodies_match_the_dispatched_kernels`;
+                // row chunks on pools of 1 to 8 workers, with `L` apart and
+                // in `x`'s own storage, in `tests/parallel_threads.rs`'s
+                // `strict_trsm_row_chunks_are_bit_identical_at_every_pool_size`
+                // and `strict_potf2_region_solve_is_bit_identical_at_every_pool_size`.
                 let xj = unsafe { x.col_segment(ldx, x0 + r, j, W) };
                 let mut acc = [0.0f64; W];
                 acc.copy_from_slice(xj);
@@ -1127,7 +1165,15 @@ impl PanelFactor<'_> {
     }
 }
 
-fn gemm_nn_impl(c: &mut Matrix<f64>, alpha: f64, a: &Matrix<f64>, b: &Matrix<f64>, mode: Mode) {
+/// `C <- C + alpha * A * B`, bit-identical to [`crate::kernels::gemm_nn`]
+/// in [`Mode::Strict`].
+pub(crate) fn gemm_nn(
+    c: &mut Matrix<f64>,
+    alpha: f64,
+    a: &Matrix<f64>,
+    b: &Matrix<f64>,
+    mode: Mode,
+) {
     assert_eq!(a.cols(), b.rows(), "gemm_nn: inner dimensions");
     assert_eq!(c.rows(), a.rows(), "gemm_nn: C rows");
     assert_eq!(c.cols(), b.cols(), "gemm_nn: C cols");
@@ -1150,7 +1196,15 @@ fn gemm_nn_impl(c: &mut Matrix<f64>, alpha: f64, a: &Matrix<f64>, b: &Matrix<f64
     );
 }
 
-fn gemm_nt_impl(c: &mut Matrix<f64>, alpha: f64, a: &Matrix<f64>, b: &Matrix<f64>, mode: Mode) {
+/// `C <- C + alpha * A * B^T`, bit-identical to [`crate::kernels::gemm_nt`]
+/// in [`Mode::Strict`].
+pub(crate) fn gemm_nt(
+    c: &mut Matrix<f64>,
+    alpha: f64,
+    a: &Matrix<f64>,
+    b: &Matrix<f64>,
+    mode: Mode,
+) {
     assert_eq!(a.cols(), b.cols(), "gemm_nt: inner dimensions");
     assert_eq!(c.rows(), a.rows(), "gemm_nt: C rows");
     assert_eq!(c.cols(), b.rows(), "gemm_nt: C cols");
@@ -1173,7 +1227,24 @@ fn gemm_nt_impl(c: &mut Matrix<f64>, alpha: f64, a: &Matrix<f64>, b: &Matrix<f64
     );
 }
 
-fn gemm_nt_packed_impl(
+/// `C <- C - A * B^T` over packed operands, the same bits as
+/// [`gemm_nt`]`(c, -1.0, a, b, mode)` on the tiles they were packed from
+/// (and so, strict, as the reference): `c - a * b` is `c + a * (-1.0 * b)`
+/// operation for operation, since negation is exact, and
+/// `fnmadd(a, b, c)` is `fma(a, -b, c)`.
+pub(crate) fn gemm_nt_packed(c: &mut Matrix<f64>, a: &PackedTile, b: &PackedTile, mode: Mode) {
+    packed_update(c, a, b, None, mode);
+}
+
+/// Lower-triangle `C <- C - A * A^T` over a packed operand, the same bits
+/// as [`syrk_lower`] on the tile it was packed from: the micro-tiles
+/// strictly above the diagonal are skipped, and the strict upper triangle
+/// of `C` is neither read for accumulation nor written.
+pub(crate) fn syrk_lower_packed(c: &mut Matrix<f64>, a: &PackedTile, mode: Mode) {
+    packed_update(c, a, a, Some(0), mode);
+}
+
+fn packed_update(
     c: &mut Matrix<f64>,
     a: &PackedTile,
     b: &PackedTile,
@@ -1192,7 +1263,10 @@ fn gemm_nt_packed_impl(
     macro_tile::<true>(out, m, 0, 0, m, n, kdim, &a.data, &b.data, MR, diag, mode);
 }
 
-fn syrk_lower_impl(c: &mut Matrix<f64>, a: &Matrix<f64>, mode: Mode) {
+/// Lower-triangle `C <- C - A * A^T`, bit-identical to
+/// [`crate::kernels::syrk_lower`] in [`Mode::Strict`] (the strict upper
+/// triangle of `C` is neither read for accumulation nor written).
+pub(crate) fn syrk_lower(c: &mut Matrix<f64>, a: &Matrix<f64>, mode: Mode) {
     assert!(c.is_square(), "syrk_lower: C square");
     assert_eq!(c.rows(), a.rows(), "syrk_lower: dimensions");
     let (n, kdim) = (c.rows(), a.cols());
@@ -1222,23 +1296,47 @@ fn rec_split(n: usize) -> usize {
     ((n / 2).div_ceil(PB) * PB).clamp(1, n - 1)
 }
 
-fn trsm_right_lower_transpose_impl(b: &mut Matrix<f64>, l: &Matrix<f64>, mode: Mode) {
+/// Triangular solve `X <- B * L^{-T}` (`L` lower triangular),
+/// bit-identical to [`crate::kernels::trsm_right_lower_transpose`] in
+/// [`Mode::Strict`].
+///
+/// Recursive over column blocks down to panels of [`PB`] columns
+/// ([`trsm_rec`]): the solved left half is applied to the right half
+/// through the packed GEMM engine (ascending `k` either way), and a panel
+/// is finished by the register-accumulated in-panel substitution
+/// ([`PanelSolve`]).  Only the lower triangle of `L` is read.
+pub(crate) fn trsm_right_lower_transpose(b: &mut Matrix<f64>, l: &Matrix<f64>, mode: Mode) {
     assert!(l.is_square(), "trsm: L square");
     assert_eq!(b.cols(), l.rows(), "trsm: dimensions");
-    let n = l.rows();
-    trsm_rec(b, l, 0, n, mode);
+    let (rows, n) = (b.rows(), l.rows());
+    let l = V { data: l.as_slice(), ld: n };
+    trsm_rec(b.as_mut_slice(), rows, Some(l), 0, rows, 0, n, mode);
 }
 
-/// Recursive right-solve of `B[:, c0..c0+cn] <- B[:, c0..c0+cn] *
-/// L[c0.., c0..]^{-T}`.  Callers must have applied every update with
-/// `k < c0` already.  Splitting `L` as `[[L11, 0], [L21, L22]]`, the
-/// second column block is `X2 = (B2 - X1 * L21^T) * L22^{-T}`: the
-/// correction is one wide, full-depth GEMM instead of a thin per-panel
-/// one, so `A`-packing amortizes over many output columns.  Per-element
-/// update order stays ascending `k` (recurse left, correct, recurse
-/// right), keeping the strict mode bit-identical to the reference.
-fn trsm_rec(b: &mut Matrix<f64>, l: &Matrix<f64>, c0: usize, cn: usize, mode: Mode) {
-    let rows = b.rows();
+/// Recursive right-solve `X <- X * L^{-T}` of rows `row0..row0+rows` of
+/// columns `c0..c0+cn` of the column-major `x` (leading dimension `ldx`),
+/// `L`'s lower-triangular block sitting at `(c0, c0)` of `l`, a separate
+/// matrix, or of `x` itself when `l` is `None` (then `row0 >= c0 + cn`:
+/// the rows solved lie strictly below `L`).  Callers must have applied
+/// every update with `k < c0` already.
+///
+/// Splitting `L` as `[[L11, 0], [L21, L22]]`, the second column block is
+/// `X2 = (B2 - X1 * L21^T) * L22^{-T}`: the correction is one wide,
+/// full-depth GEMM instead of a thin per-panel one, so `A`-packing
+/// amortizes over many output columns.  Per-element update order stays
+/// ascending `k` (recurse left, correct, recurse right), keeping the
+/// strict mode bit-identical to the reference.
+#[allow(clippy::too_many_arguments)]
+fn trsm_rec(
+    x: &mut [f64],
+    ldx: usize,
+    l: Option<V<'_>>,
+    row0: usize,
+    rows: usize,
+    c0: usize,
+    cn: usize,
+    mode: Mode,
+) {
     if rows == 0 || cn == 0 {
         return;
     }
@@ -1251,44 +1349,58 @@ fn trsm_rec(b: &mut Matrix<f64>, l: &Matrix<f64>, c0: usize, cn: usize, mode: Mo
         let threads = crate::parallel::effective_threads();
         let chunks = row_chunks(rows, cn, threads);
         let chunk = rows.div_ceil(chunks);
-        let n = l.rows();
-        let (_, rest) = b.split_cols_mut(c0);
-        let (x, l) = (COut::new(&mut rest[..cn * rows]), COut::read_only(l.as_slice()));
+        let x = COut::new(x);
+        // `L` is finished and never written during the panel (in `x`, it
+        // lies strictly above `row0`), so every task reads it.
+        let (l, ldl) = l.map_or((x, ldx), |l| (COut::read_only(l.data), l.ld));
         crate::parallel::par_for(chunks, &|t| {
-            // Task `t` owns rows r0..r1 of every panel column exclusively.
-            let r0 = t * chunk;
-            let r1 = rows.min(r0 + chunk);
-            in_panel(mode, PanelSolve { x, x0: 0, ldx: rows, l, l0: c0 * (n + 1), ldl: n, cn, r0, r1 });
+            // Task `t` owns rows r0..r1 of every panel column exclusively
+            // (split on pools of 1 to 8 workers, `L` apart and in `x`, by
+            // `strict_trsm_row_chunks_are_bit_identical_at_every_pool_size`
+            // and `strict_potf2_region_solve_is_bit_identical_at_every_pool_size`).
+            let r0 = row0 + t * chunk;
+            let r1 = (row0 + rows).min(r0 + chunk);
+            let (x0, l0) = (c0 * ldx, c0 * (ldl + 1));
+            in_panel(mode, PanelSolve { x, x0, ldx, l, l0, ldl, cn, r0, r1 });
         });
         return;
     }
     let n1 = rec_split(cn);
     let n2 = cn - n1;
-    trsm_rec(b, l, c0, n1, mode);
+    trsm_rec(x, ldx, l, row0, rows, c0, n1, mode);
     // X2 -= X1 * L21^T (L21 = L[c0+n1..c0+cn, c0..c0+n1]).
-    {
-        let ldl = l.rows();
-        let (done, rest) = b.split_cols_mut(c0 + n1);
-        gemm_blocked(
-            rest,
-            rows,
-            rows,
-            n2,
-            n1,
-            -1.0,
-            V { data: &done[c0 * rows..], ld: rows.max(1) },
-            0,
-            V { data: &l.as_slice()[c0 * ldl..], ld: ldl },
-            BOp::T,
-            c0 + n1,
-            None,
-            mode,
-        );
-    }
-    trsm_rec(b, l, c0 + n1, n2, mode);
+    let (left, right) = x.split_at_mut((c0 + n1) * ldx);
+    let x1 = V { data: &left[c0 * ldx..], ld: ldx };
+    let l21 = l.map_or(x1, |l| V { data: &l.data[c0 * l.ld..], ld: l.ld });
+    gemm_blocked(
+        &mut right[row0..],
+        ldx,
+        rows,
+        n2,
+        n1,
+        -1.0,
+        x1,
+        row0,
+        l21,
+        BOp::T,
+        c0 + n1,
+        None,
+        mode,
+    );
+    trsm_rec(x, ldx, l, row0, rows, c0 + n1, n2, mode);
 }
 
-fn potf2_impl(a: &mut Matrix<f64>, mode: Mode) -> Result<(), MatrixError> {
+/// Cholesky of the lower triangle, bit-identical to
+/// [`crate::kernels::potf2`] in [`Mode::Strict`] — recursive down to
+/// diagonal blocks of [`PB`] columns ([`potrf_rec`]: factor the leading
+/// block, solve the rows below it, update the trailing block through the
+/// packed GEMM engine, recurse), each factored left-looking with its
+/// column accumulated in registers ([`PanelFactor`]).  The strict upper
+/// triangle is neither read nor written; on [`MatrixError::NotSpd`] the
+/// columns left of the pivot are final, the pivot's own holds its updated,
+/// un-scaled values, and the block columns to the right carry the updates
+/// of the blocks already finished.
+pub(crate) fn potf2(a: &mut Matrix<f64>, mode: Mode) -> Result<(), MatrixError> {
     if !a.is_square() {
         return Err(MatrixError::NotSquare {
             rows: a.rows(),
@@ -1323,7 +1435,7 @@ fn potrf_rec(
     let n2 = n - n1;
     potrf_rec(data, ld, off, n1, mode)?;
     // L21 <- A21 * L11^{-T} (rows off+n1..off+n, cols off..off+n1).
-    trsm_region(data, ld, off + n1, n2, off, n1, mode);
+    trsm_rec(data, ld, None, off + n1, n2, off, n1, mode);
     // A22 <- A22 - L21 * L21^T on the lower triangle.
     {
         let (left, right) = data.split_at_mut((off + n1) * ld);
@@ -1345,187 +1457,6 @@ fn potrf_rec(
         );
     }
     potrf_rec(data, ld, off + n1, n2, mode)
-}
-
-/// Recursive in-place triangular solve `X <- X * L^{-T}` where `X` and
-/// `L` live in the same column-major storage: `X` is rows
-/// `row0..row0+rows`, columns `l_off..l_off+ln`; `L` is the
-/// lower-triangular block at `(l_off, l_off)`.  Requires
-/// `row0 >= l_off + ln` (X strictly below L); callers have applied every
-/// update with `k < l_off`.
-#[allow(clippy::too_many_arguments)]
-fn trsm_region(
-    data: &mut [f64],
-    ld: usize,
-    row0: usize,
-    rows: usize,
-    l_off: usize,
-    ln: usize,
-    mode: Mode,
-) {
-    if rows == 0 || ln == 0 {
-        return;
-    }
-    if ln <= PB {
-        // In-panel substitution, reference order.  Row chunks of X are
-        // mutually independent (same argument as `trsm_rec`); the `L`
-        // rows read for the multipliers live strictly above `row0` and
-        // are never written during the panel, so tasks share them.
-        let threads = crate::parallel::effective_threads();
-        let chunks = row_chunks(rows, ln, threads);
-        let chunk = rows.div_ceil(chunks);
-        let out = COut::new(data);
-        crate::parallel::par_for(chunks, &|t| {
-            // Task `t` owns rows r0..r1 (all below L) exclusively.
-            let r0 = row0 + t * chunk;
-            let r1 = (row0 + rows).min(r0 + chunk);
-            let (x0, l0) = (l_off * ld, l_off * (ld + 1));
-            in_panel(mode, PanelSolve { x: out, x0, ldx: ld, l: out, l0, ldl: ld, cn: ln, r0, r1 });
-        });
-        return;
-    }
-    let n1 = rec_split(ln);
-    let n2 = ln - n1;
-    trsm_region(data, ld, row0, rows, l_off, n1, mode);
-    // X2 -= X1 * L21^T.
-    {
-        let (left, right) = data.split_at_mut((l_off + n1) * ld);
-        let lv = V { data: &left[l_off * ld..], ld };
-        gemm_blocked(
-            &mut right[row0..],
-            ld,
-            rows,
-            n2,
-            n1,
-            -1.0,
-            lv,
-            row0,
-            lv,
-            BOp::T,
-            l_off + n1,
-            None,
-            mode,
-        );
-    }
-    trsm_region(data, ld, row0, rows, l_off + n1, n2, mode);
-}
-
-/// `C <- C + alpha * A * B`, bit-identical to [`crate::kernels::gemm_nn`].
-pub fn gemm_nn(c: &mut Matrix<f64>, alpha: f64, a: &Matrix<f64>, b: &Matrix<f64>) {
-    gemm_nn_impl(c, alpha, a, b, Mode::Strict);
-}
-
-/// `C <- C + alpha * A * B^T`, bit-identical to [`crate::kernels::gemm_nt`].
-pub fn gemm_nt(c: &mut Matrix<f64>, alpha: f64, a: &Matrix<f64>, b: &Matrix<f64>) {
-    gemm_nt_impl(c, alpha, a, b, Mode::Strict);
-}
-
-/// `C <- C - A * B^T` over packed operands, bit-identical to
-/// [`gemm_nt`]`(c, -1.0, a, b)` on the tiles they were packed from (and so
-/// to the reference): `c - a * b` is `c + a * (-1.0 * b)` operation for
-/// operation, since negation is exact.
-pub fn gemm_nt_packed(c: &mut Matrix<f64>, a: &PackedTile, b: &PackedTile) {
-    gemm_nt_packed_impl(c, a, b, None, Mode::Strict);
-}
-
-/// Lower-triangle `C <- C - A * A^T` over a packed operand, bit-identical
-/// to [`syrk_lower`] on the tile it was packed from: the micro-tiles
-/// strictly above the diagonal are skipped, and the strict upper triangle
-/// of `C` is neither read for accumulation nor written.
-pub fn syrk_lower_packed(c: &mut Matrix<f64>, a: &PackedTile) {
-    gemm_nt_packed_impl(c, a, a, Some(0), Mode::Strict);
-}
-
-/// Lower-triangle `C <- C - A * A^T`, bit-identical to
-/// [`crate::kernels::syrk_lower`] (the strict upper triangle of `C` is
-/// neither read for accumulation nor written).
-pub fn syrk_lower(c: &mut Matrix<f64>, a: &Matrix<f64>) {
-    syrk_lower_impl(c, a, Mode::Strict);
-}
-
-/// Triangular solve `X <- B * L^{-T}` (`L` lower triangular), bit-identical
-/// to [`crate::kernels::trsm_right_lower_transpose`].
-///
-/// Recursive over column blocks down to panels of [`PB`] columns
-/// (`trsm_rec`): the solved left half is applied to the right half
-/// through the packed GEMM engine (ascending `k` either way), and a panel
-/// is finished by the register-accumulated in-panel substitution
-/// (`PanelSolve`).  Only the lower triangle of `L` is read.
-pub fn trsm_right_lower_transpose(b: &mut Matrix<f64>, l: &Matrix<f64>) {
-    trsm_right_lower_transpose_impl(b, l, Mode::Strict);
-}
-
-/// Cholesky of the lower triangle, bit-identical to
-/// [`crate::kernels::potf2`] — recursive down to diagonal blocks of
-/// [`PB`] columns (`potrf_rec`: factor the leading block, solve the
-/// rows below it, update the trailing block through the packed GEMM
-/// engine, recurse), each factored left-looking with its column
-/// accumulated in registers (`PanelFactor`).  The strict upper triangle
-/// is neither read nor written; on [`MatrixError::NotSpd`] the columns
-/// left of the pivot are final, the pivot's own holds its updated,
-/// un-scaled values, and the block columns to the right carry the updates
-/// of the blocks already finished.
-pub fn potf2(a: &mut Matrix<f64>) -> Result<(), MatrixError> {
-    potf2_impl(a, Mode::Strict)
-}
-
-/// The FMA-contracted mode of the fast engine ([`KernelImpl::Fast`]).
-///
-/// Identical loop structure and per-element operation *order* as the
-/// strict module-level kernels, but multiply-add pairs are fused into
-/// single-rounding FMA instructions where the hardware has them —
-/// roughly doubling throughput.  Results therefore differ from the
-/// reference oracle by a tiny contraction residual (fused products skip
-/// one rounding each); on FMA-less hardware this mode degenerates to
-/// the strict kernels and is bit-identical.
-///
-/// [`KernelImpl::Fast`]: crate::engine::KernelImpl::Fast
-pub mod fused {
-    use super::{
-        gemm_nn_impl, gemm_nt_impl, gemm_nt_packed_impl, potf2_impl, syrk_lower_impl,
-        trsm_right_lower_transpose_impl, Matrix, MatrixError, Mode, PackedTile,
-    };
-
-    /// `C <- C + alpha * A * B` (FMA-contracted [`super::gemm_nn`]).
-    pub fn gemm_nn(c: &mut Matrix<f64>, alpha: f64, a: &Matrix<f64>, b: &Matrix<f64>) {
-        gemm_nn_impl(c, alpha, a, b, Mode::Fused);
-    }
-
-    /// `C <- C + alpha * A * B^T` (FMA-contracted [`super::gemm_nt`]).
-    pub fn gemm_nt(c: &mut Matrix<f64>, alpha: f64, a: &Matrix<f64>, b: &Matrix<f64>) {
-        gemm_nt_impl(c, alpha, a, b, Mode::Fused);
-    }
-
-    /// `C <- C - A * B^T` over packed operands (FMA-contracted
-    /// [`super::gemm_nt_packed`]; the same bits as this module's
-    /// [`gemm_nt`]`(c, -1.0, a, b)`: `fnmadd(a, b, c)` is `fma(a, -b, c)`).
-    pub fn gemm_nt_packed(c: &mut Matrix<f64>, a: &PackedTile, b: &PackedTile) {
-        gemm_nt_packed_impl(c, a, b, None, Mode::Fused);
-    }
-
-    /// Lower-triangle `C <- C - A * A^T` over a packed operand
-    /// (FMA-contracted [`super::syrk_lower_packed`]; the same bits as this
-    /// module's [`syrk_lower`]).
-    pub fn syrk_lower_packed(c: &mut Matrix<f64>, a: &PackedTile) {
-        gemm_nt_packed_impl(c, a, a, Some(0), Mode::Fused);
-    }
-
-    /// Lower-triangle `C <- C - A * A^T` (FMA-contracted
-    /// [`super::syrk_lower`]).
-    pub fn syrk_lower(c: &mut Matrix<f64>, a: &Matrix<f64>) {
-        syrk_lower_impl(c, a, Mode::Fused);
-    }
-
-    /// `X <- B * L^{-T}` (FMA-contracted
-    /// [`super::trsm_right_lower_transpose`]).
-    pub fn trsm_right_lower_transpose(b: &mut Matrix<f64>, l: &Matrix<f64>) {
-        trsm_right_lower_transpose_impl(b, l, Mode::Fused);
-    }
-
-    /// Blocked lower Cholesky (FMA-contracted [`super::potf2`]).
-    pub fn potf2(a: &mut Matrix<f64>) -> Result<(), MatrixError> {
-        potf2_impl(a, Mode::Fused)
-    }
 }
 
 pub mod batch;
@@ -1553,7 +1484,7 @@ mod tests {
             let mut c1 = init.clone();
             let mut c2 = init.clone();
             kernels::gemm_nn(&mut c1, 0.5, &a, &b);
-            gemm_nn(&mut c2, 0.5, &a, &b);
+            gemm_nn(&mut c2, 0.5, &a, &b, Mode::Strict);
             assert_eq!(c1, c2, "{m}x{k}x{n}");
         }
     }
@@ -1567,7 +1498,7 @@ mod tests {
             let mut c1 = init.clone();
             let mut c2 = init.clone();
             kernels::gemm_nt(&mut c1, -1.0, &a, &b);
-            gemm_nt(&mut c2, -1.0, &a, &b);
+            gemm_nt(&mut c2, -1.0, &a, &b, Mode::Strict);
             assert_eq!(c1, c2, "{m}x{k}x{n}");
         }
     }
@@ -1687,8 +1618,11 @@ mod tests {
         // before the in-panel loops moved to registers.
         let spd = spd::random_spd(100, &mut spd::test_rng(41));
         type Potf2 = fn(&mut Matrix<f64>) -> Result<(), MatrixError>;
-        let engines: [(&str, Potf2); 3] =
-            [("reference", kernels::potf2), ("strict", potf2), ("fused", fused::potf2)];
+        let engines: [(&str, Potf2); 3] = [
+            ("reference", kernels::potf2),
+            ("strict", |a| potf2(a, Mode::Strict)),
+            ("fused", |a| potf2(a, Mode::Fused)),
+        ];
         let golden: [(usize, [u64; 3]); 3] = [
             (5, [0x028ef77409f3bb1f, 0x64261f0d64b4f5c6, 0x6d7f2e74c9c3d384]),
             (40, [0x1562511061e3246d, 0xfd7feace37f21295, 0x1363a3e621cca4ec]),
@@ -1710,26 +1644,20 @@ mod tests {
 
     #[test]
     fn packed_diagonal_update_is_syrk_on_the_lower_triangle_alone() {
-        type Syrk = fn(&mut Matrix<f64>, &Matrix<f64>);
-        type SyrkPacked = fn(&mut Matrix<f64>, &PackedTile);
-        let modes: [(Syrk, SyrkPacked); 2] = [
-            (syrk_lower, syrk_lower_packed),
-            (fused::syrk_lower, fused::syrk_lower_packed),
-        ];
         for b in [8usize, 24, 32, 100, 128] {
             let a = random_matrix(b, b, 37);
             let init = random_matrix(b, b, 38);
             let mut packed = PackedTile::default();
             packed.pack(&a);
-            for (m, (plain, on_packed)) in modes.iter().enumerate() {
+            for mode in [Mode::Strict, Mode::Fused] {
                 let (mut want, mut got) = (init.clone(), init.clone());
-                plain(&mut want, &a);
-                on_packed(&mut got, &packed);
+                syrk_lower(&mut want, &a, mode);
+                syrk_lower_packed(&mut got, &packed, mode);
                 for j in 0..b {
                     for i in 0..b {
                         // Below the diagonal the update, above it the input.
                         let w = if i >= j { want[(i, j)] } else { init[(i, j)] };
-                        assert_eq!(got[(i, j)].to_bits(), w.to_bits(), "b={b} mode {m} ({i},{j})");
+                        assert_eq!(got[(i, j)].to_bits(), w.to_bits(), "b={b} {mode:?} ({i},{j})");
                     }
                 }
             }
@@ -1744,7 +1672,7 @@ mod tests {
             let mut c1 = init.clone();
             let mut c2 = init.clone();
             kernels::syrk_lower(&mut c1, &a);
-            syrk_lower(&mut c2, &a);
+            syrk_lower(&mut c2, &a, Mode::Strict);
             assert_eq!(c1, c2, "n={n} k={k}");
             for j in 1..n {
                 for i in 0..j {
@@ -1770,7 +1698,7 @@ mod tests {
             let mut b1 = init.clone();
             let mut b2 = init.clone();
             kernels::trsm_right_lower_transpose(&mut b1, &l);
-            trsm_right_lower_transpose(&mut b2, &l);
+            trsm_right_lower_transpose(&mut b2, &l, Mode::Strict);
             assert_eq!(b1, b2, "{m}x{n}");
         }
     }
@@ -1783,7 +1711,7 @@ mod tests {
             let mut f1 = a.clone();
             let mut f2 = a.clone();
             kernels::potf2(&mut f1).unwrap();
-            potf2(&mut f2).unwrap();
+            potf2(&mut f2, Mode::Strict).unwrap();
             assert_eq!(f1, f2, "n={n}");
         }
     }
@@ -1792,11 +1720,11 @@ mod tests {
     fn potf2_rejects_indefinite_with_reference_error() {
         let mut a = Matrix::from_rows(2, 2, &[1.0, 2.0, 2.0, 1.0]);
         assert_eq!(
-            potf2(&mut a).unwrap_err(),
+            potf2(&mut a, Mode::Strict).unwrap_err(),
             MatrixError::NotSpd { pivot: 1, value: -3.0 }
         );
         let mut z = Matrix::<f64>::zeros(0, 0);
-        potf2(&mut z).unwrap();
+        potf2(&mut z, Mode::Strict).unwrap();
     }
 
     #[test]
@@ -1808,7 +1736,7 @@ mod tests {
             let mut c1 = init.clone();
             let mut c2 = init.clone();
             kernels::gemm_nn(&mut c1, -1.0, &a, &b);
-            fused::gemm_nn(&mut c2, -1.0, &a, &b);
+            gemm_nn(&mut c2, -1.0, &a, &b, Mode::Fused);
             let tol = 1e-13 * k as f64;
             assert!(norms::max_abs_diff(&c1, &c2) <= tol, "{m}x{k}x{n}");
         }
@@ -1823,7 +1751,7 @@ mod tests {
             let mut c1 = init.clone();
             let mut c2 = init.clone();
             kernels::gemm_nt(&mut c1, -1.0, &a, &b);
-            fused::gemm_nt(&mut c2, -1.0, &a, &b);
+            gemm_nt(&mut c2, -1.0, &a, &b, Mode::Fused);
             let tol = 1e-13 * k as f64;
             assert!(norms::max_abs_diff(&c1, &c2) <= tol, "{m}x{k}x{n}");
         }
@@ -1837,7 +1765,7 @@ mod tests {
             let mut c1 = init.clone();
             let mut c2 = init.clone();
             kernels::syrk_lower(&mut c1, &a);
-            fused::syrk_lower(&mut c2, &a);
+            syrk_lower(&mut c2, &a, Mode::Fused);
             let tol = 1e-13 * k as f64;
             assert!(norms::max_abs_diff(&c1, &c2) <= tol, "n={n} k={k}");
             for j in 1..n {
@@ -1857,7 +1785,7 @@ mod tests {
             let mut f1 = a.clone();
             let mut f2 = a.clone();
             kernels::potf2(&mut f1).unwrap();
-            fused::potf2(&mut f2).unwrap();
+            potf2(&mut f2, Mode::Fused).unwrap();
             let tol = 1e-12 * n as f64;
             assert!(norms::max_abs_diff(&f1, &f2) <= tol, "potf2 n={n}");
 
@@ -1865,7 +1793,7 @@ mod tests {
             let mut x1 = init.clone();
             let mut x2 = init.clone();
             kernels::trsm_right_lower_transpose(&mut x1, &f1);
-            fused::trsm_right_lower_transpose(&mut x2, &f1);
+            trsm_right_lower_transpose(&mut x2, &f1, Mode::Fused);
             assert!(norms::max_abs_diff(&x1, &x2) <= tol, "trsm n={n}");
         }
     }
@@ -1876,7 +1804,7 @@ mod tests {
             let mut rng = spd::test_rng(24);
             let a = spd::random_spd(n, &mut rng);
             let mut f = a.clone();
-            fused::potf2(&mut f).unwrap();
+            potf2(&mut f, Mode::Fused).unwrap();
             // Zero the strict upper triangle (untouched input remains).
             let l = Matrix::from_fn(n, n, |i, j| if i >= j { f[(i, j)] } else { 0.0 });
             let residual = norms::max_abs_diff(&kernels::llt(&l), &a);
@@ -1894,7 +1822,7 @@ mod tests {
         // X = B L^{-T} must satisfy X L^T = B.
         let b = random_matrix(40, n, 26);
         let mut x = b.clone();
-        fused::trsm_right_lower_transpose(&mut x, &l);
+        trsm_right_lower_transpose(&mut x, &l, Mode::Fused);
         let mut back = Matrix::zeros(40, n);
         kernels::gemm_nt(&mut back, 1.0, &x, &l);
         // gemm_nt computes X * L^T via B(j,k) reads: back = X L^T.
@@ -1974,7 +1902,7 @@ mod tests {
     #[test]
     fn fused_potf2_rejects_indefinite_with_matching_pivot() {
         let mut a = Matrix::from_rows(2, 2, &[1.0, 2.0, 2.0, 1.0]);
-        match fused::potf2(&mut a).unwrap_err() {
+        match potf2(&mut a, Mode::Fused).unwrap_err() {
             MatrixError::NotSpd { pivot, value } => {
                 assert_eq!(pivot, 1);
                 assert!((value - (-3.0)).abs() < 1e-12);

@@ -24,15 +24,15 @@ use cholcomm_matrix::{KernelImpl, Matrix, MatrixError};
 /// chosen so service-sized jobs cost tens to hundreds of virtual µs.
 const FLOPS_PER_US: u64 = 4_000;
 
-/// Modelled throughput of the *batched* kernels (virtual flops/µs).
-/// One small factorization never reaches BLAS-3 intensity — its words
-/// moved are O(n²) against O(n³/3) flops — so the unbatched model runs
-/// at [`FLOPS_PER_US`].  Packing a bucket of systems lane-interleaved
-/// restores the surface-to-volume ratio exactly the way blocking does
-/// within one matrix: the modelled 4x is deliberately conservative
-/// against the 7.5–9x BLAS-3 saturation measured for the fast kernels,
-/// and perfbench's `serve_small` reports the measured wall-clock speedup
-/// of batching next to the virtual one so the model stays honest.
+/// Virtual-clock admission constant for batched requests (virtual
+/// flops/µs), four times [`FLOPS_PER_US`].  It is not a measured kernel
+/// throughput: [`factor_batch`] runs [`factor_resumable`] on each member
+/// at its own order, the same kernel as an unbatched request.  It orders
+/// admission, deadlines and the virtual latencies of batched work, and
+/// the event-log digests (`crates/serve/tests/batch_pins.rs`,
+/// `results/serve_bench.json`) pin its value.  perfbench's `serve_small`
+/// reports the measured wall-clock speedup of batching next to the
+/// virtual one (`serve.batch_model_error`).
 pub const BATCH_FLOPS_PER_US: u64 = 16_000;
 
 /// A resumable factorization state: panels `0..next_panel` of `state`
@@ -130,27 +130,26 @@ pub fn factor_cost_us(n: usize, b: usize) -> u64 {
     (0..panel_count(n, b)).map(|jb| panel_cost_us(n, b, jb)).sum()
 }
 
-/// Modelled virtual cost (µs) of factoring one whole bucket of `batch`
-/// systems, each padded to order `bucket_n`, as a single batched kernel
-/// run: every real lane's flops at batched throughput, plus one
-/// dispatch µs per panel — charged once per *batch*, which is the whole
-/// point of batching.  Padding lanes ride free (they are SIMD slack),
-/// but padding *size* is charged honestly: a 40×40 system in a 64
-/// bucket costs 64-sized flops.
+/// Virtual cost (µs) the shard's clock charges for one batch of `batch`
+/// systems in the bucket of order `bucket_n`: `batch` times the flops of
+/// an order-`bucket_n` factorization at [`BATCH_FLOPS_PER_US`], plus one
+/// µs per panel of that order, once per batch.  Each member is charged
+/// at the bucket's order, not its own, though [`factor_batch`] factors
+/// it at its own.  A virtual-clock constant, not a model of the kernel
+/// that runs: the event-log digests pin every value it returns.
 pub fn batch_cost_us(bucket_n: usize, batch: usize, b: usize) -> u64 {
     (batch as u64).saturating_mul(factor_flops(bucket_n, b)) / BATCH_FLOPS_PER_US
         + panel_count(bucket_n, b) as u64
         + 1
 }
 
-/// The deterministic *amortized* admission cost (µs) of one batchable
-/// request: its own padded-lane share of a batch — `flops(bucket)` at
-/// batched throughput — with no per-request copy of the batch's
-/// dispatch constants.  Admission must decide at submit time, before
-/// the batch has formed, so the share cannot depend on how full the
-/// bucket ends up; charging the per-lane work (which is exact) and
-/// amortizing only the constants (which is what batching amortizes)
-/// keeps the gauge honest without making admission nondeterministic.
+/// Virtual admission cost (µs) of one batchable request: the flops of
+/// an order-`bucket_n` factorization at [`BATCH_FLOPS_PER_US`], plus one
+/// µs, with none of [`batch_cost_us`]'s per-panel charge.  Admission
+/// decides at submit time, before the batch has formed, so the cost
+/// depends on the bucket alone, never on how full it ends up.  Like
+/// [`batch_cost_us`] it is a virtual-clock constant that the event-log
+/// digests pin, not a model of the kernel that runs.
 pub fn batched_request_cost_us(bucket_n: usize, b: usize) -> u64 {
     factor_flops(bucket_n, b) / BATCH_FLOPS_PER_US + 1
 }
