@@ -1,4 +1,4 @@
-//! The Hong–Kung red–blue pebble game [HK81] — the model from which the
+//! The Hong–Kung red–blue pebble game \[HK81\] — the model from which the
 //! paper's bandwidth lower bound descends (Theorem 2 cites it for the
 //! sequential case).
 //!

@@ -1,5 +1,5 @@
 //! The "recursive packed format" of Andersen, Gustavson and Waśniewski
-//! [AGW01] (Figure 2, bottom right): only the lower triangle is stored;
+//! \[AGW01\] (Figure 2, bottom right): only the lower triangle is stored;
 //! triangular submatrices are laid out recursively, while the square
 //! off-diagonal block at each level is stored *column-major* (so that
 //! ordinary GEMM kernels can run on it).  The column-major squares are

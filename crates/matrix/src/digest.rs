@@ -149,7 +149,7 @@ fn fnv1a_streams(words: &[u64], ends: &[usize]) -> Vec<u64> {
 
 /// [`lower_digest`] of every matrix of `ms`, in order — the same
 /// values, with the digests of several factors advancing together
-/// instead of one after another (see [`LANES`]).  The lower triangles
+/// instead of one after another (see `LANES`).  The lower triangles
 /// are gathered into one scratch buffer first, so the lanes run over
 /// flat words whatever the orders of the matrices.
 ///

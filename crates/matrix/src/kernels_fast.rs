@@ -249,7 +249,7 @@ fn pack_b(
 /// A tile in the micro-panel layout the micro-kernel streams, packed
 /// once and read by every update that takes the tile as an operand.
 ///
-/// The layout is [`pack_a`]'s: `MR`-row strips, strip `s` holding
+/// The layout is `pack_a`'s: `MR`-row strips, strip `s` holding
 /// `data[(s * cols + k) * MR + ii] = T(s * MR + ii, k)`, zero past the
 /// last row.  One layout serves **both** operands of `C -= A * B^T`: the
 /// `NR = MR / 2` rows of `B` a micro-tile needs are the low or high half

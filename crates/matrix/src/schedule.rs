@@ -53,7 +53,10 @@ use crate::engine::{KernelImpl, Operand};
 use crate::error::MatrixError;
 use crate::kernels_fast::PackedTile;
 use crate::scalar::Scalar;
+use std::any::Any;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 /// Tiles the walk holds live at once: the two panel operands and the
 /// tile being updated.  The floor under every tile cache's capacity and
@@ -350,7 +353,30 @@ pub trait TileStore {
     }
     /// Install the updated tile `(i, j)`.
     fn put(&mut self, i: usize, j: usize, tile: Self::Tile) -> Result<(), Self::Error>;
+    /// Run `body` with `work` lent to a thread of this store that would
+    /// otherwise idle (an I/O worker between transfers).  `body` gets
+    /// the store and, if it has such a thread, `help`: after a call, the
+    /// thread calls `work` until it returns `false`, whenever it has
+    /// nothing of its own to do.  No call of `work` is running or starts
+    /// once `lend` has returned.  The default has no such thread: `body`
+    /// gets `None`, and [`factor_left`] applies every update on the
+    /// calling thread.
+    fn lend<R>(
+        &mut self,
+        work: &Work<'_>,
+        body: impl FnOnce(&mut Self, Option<&dyn Fn()>) -> R,
+    ) -> R
+    where
+        Self: Sized,
+    {
+        let _ = work;
+        body(self, None)
+    }
 }
+
+/// Work a walk lends a store's idle thread ([`TileStore::lend`]): each
+/// call runs at most one queued update and says whether it ran one.
+pub type Work<'a> = dyn Fn() -> bool + Sync + 'a;
 
 /// The right-looking order over `panels` of an `nb x nb` tile grid: per
 /// panel step `k`, factor the diagonal tile, solve the panel below it,
@@ -420,6 +446,20 @@ where
 /// [`factor`] in the left-looking order: [`walk_left`] with
 /// [`Arithmetic`], over block columns `panels` in super-columns of
 /// `width`.  The same bits at every width.
+///
+/// Wider than one block column, the walk [lends](TileStore::lend) the
+/// updates of each chunk step to the store's idle thread, if it has
+/// one.  Each off-diagonal update becomes a task once its target and
+/// operands are fetched.  The calling thread runs the queued tasks but
+/// one, which it keeps for the helper, and ends the step only when
+/// every task of it has finished; it runs a diagonal tile's updates
+/// itself.  A thread takes first the targets it updated at the step
+/// before, so a tile moves between cores only where the load asks for
+/// it, and each thread computes with an [`Arithmetic`] of its own.  The
+/// store calls are the inline walk's, in its order, and each target
+/// still gets its updates in ascending `k`: the same bits and the same
+/// traffic.  A helper's task that fails or panics settles its step and
+/// surfaces from here, as does an error of the walk's own.
 pub fn factor_left<S, St>(
     store: &mut St,
     grid: TileGrid,
@@ -430,12 +470,51 @@ pub fn factor_left<S, St>(
 where
     S: Scalar,
     St: TileStore,
-    St::Tile: MatrixTile<S>,
-    St::Error: From<MatrixError>,
+    St::Tile: MatrixTile<S> + Send + Sync,
+    St::Error: From<MatrixError> + Send,
 {
     let mut arith = Arithmetic::new(kernel, grid);
-    walk_left(store, grid.nb(), panels, width, |op, target, operands| {
+    let apply = |op, target: &mut St::Tile, operands: &[&St::Tile]| {
         arith.apply(op, target.matrix_mut(), operands).map_err(St::Error::from)
+    };
+    if width == 1 {
+        return walk_left(store, grid.nb(), panels, width, apply);
+    }
+    let mut helper = Arithmetic::new(kernel, grid);
+    let helper_apply = move |op, target: &mut St::Tile, operands: &[&St::Tile]| {
+        helper.apply(op, target.matrix_mut(), operands).map_err(St::Error::from)
+    };
+    walk_left_lent(store, grid.nb(), panels, width, apply, helper_apply)
+}
+
+/// [`walk_left`] with the updates of each chunk step lent to the
+/// store's idle thread ([`TileStore::lend`]), which runs them with
+/// `helper_apply`, as [`factor_left`] describes; a store with no such
+/// thread gets the inline walk.
+fn walk_left_lent<St, F, G>(
+    store: &mut St,
+    nb: usize,
+    panels: Range<usize>,
+    width: usize,
+    apply: F,
+    helper_apply: G,
+) -> Result<(), St::Error>
+where
+    St: TileStore,
+    St::Tile: Send + Sync,
+    St::Error: Send,
+    F: FnMut(TileOp, &mut St::Tile, &[&St::Tile]) -> Result<(), St::Error>,
+    G: FnMut(TileOp, &mut St::Tile, &[&St::Tile]) -> Result<(), St::Error> + Send,
+{
+    let lent = OnceLock::new();
+    let work = || lent.get().is_some_and(Lent::help);
+    store.lend(&work, |store, help| match help {
+        None => walk_left(store, nb, panels, width, apply),
+        Some(help) => {
+            let lent = lent.get_or_init(|| Lent::new(width, helper_apply));
+            let window = Window::new(0..0, 0..0, width);
+            walk_chunks(store, nb, panels, width, &mut Shared { lent, help, apply, window })
+        }
     })
 }
 
@@ -479,7 +558,7 @@ pub fn walk_left<St, F>(
     nb: usize,
     panels: Range<usize>,
     width: usize,
-    mut apply: F,
+    apply: F,
 ) -> Result<(), St::Error>
 where
     St: TileStore,
@@ -500,6 +579,26 @@ where
         wide_operands = vec![None; 2 * width];
         (&mut wide_targets[..], &mut wide_operands[..])
     };
+    let mut steps = Inline {
+        window: Window::new(0..0, 0..0, width),
+        targets,
+        operands,
+        apply,
+    };
+    walk_chunks(store, nb, panels, width, &mut steps)
+}
+
+/// The loop [`walk_left`] and [`factor_left`] share: super-columns, row
+/// chunks, and per chunk its steps against the earlier panels and its
+/// columns, each finished after the steps against the super-column's
+/// own panels left of it.
+fn walk_chunks<St: TileStore>(
+    store: &mut St,
+    nb: usize,
+    panels: Range<usize>,
+    width: usize,
+    steps: &mut impl Steps<St>,
+) -> Result<(), St::Error> {
     for cols in super_columns(panels, width) {
         let j0 = cols.start;
         for j in cols.clone() {
@@ -507,18 +606,15 @@ where
         }
         let mut rows = cols.clone();
         while rows.start < nb {
-            let mut chunk = Chunk {
-                rows: rows.clone(),
-                cols: cols.clone(),
-                width,
-                targets: &mut *targets,
-                operands: &mut *operands,
-            };
+            steps.start(Window::new(rows.clone(), cols.clone(), width));
             for k in 0..j0 {
-                chunk.update(store, &mut apply, cols.clone(), k)?;
+                steps.update(store, cols.clone(), k)?;
             }
             for j in cols.clone() {
-                chunk.finish_column(store, &mut apply, j)?;
+                for k in j0..j {
+                    steps.update(store, j..j + 1, k)?;
+                }
+                steps.finish(store, j)?;
             }
             rows = rows.end..(rows.end + width).min(nb);
         }
@@ -534,116 +630,401 @@ pub fn super_columns(panels: Range<usize>, width: usize) -> impl Iterator<Item =
     panels.step_by(width).map(move |j0| j0..(j0 + width).min(end))
 }
 
-/// One row chunk of a [`walk_left`] super-column, with the walk's
-/// target and operand slots.
-struct Chunk<'a, T> {
+/// One row chunk of a super-column and where its tiles sit in the
+/// walk's slots: targets row-major over a `width x width` window; the
+/// row operands `(I, k)` of a panel step in the first `width` operand
+/// slots, the column operands `(J, k)` of an off-diagonal chunk in the
+/// last `width`.
+struct Window {
     rows: Range<usize>,
     cols: Range<usize>,
     width: usize,
-    targets: &'a mut [Option<T>],
-    operands: &'a mut [Option<T>],
 }
 
-impl<T> Chunk<'_, T> {
+impl Window {
+    fn new(rows: Range<usize>, cols: Range<usize>, width: usize) -> Self {
+        Window { rows, cols, width }
+    }
+
     /// The diagonal chunk: its rows are the super-column's columns.
     fn diagonal(&self) -> bool {
         self.rows.start == self.cols.start
     }
 
-    /// Slot of target `(i, j)`, fetched on first use.
-    fn target<St>(&mut self, store: &mut St, i: usize, j: usize) -> Result<usize, St::Error>
-    where
-        St: TileStore<Tile = T>,
-    {
-        let at = (i - self.rows.start) * self.width + (j - self.cols.start);
-        if self.targets[at].is_none() {
-            let tile = if self.diagonal() {
-                store.get(i, j)?
-            } else {
-                store.take(i, j)?
-            };
-            self.targets[at] = Some(tile);
-        }
-        Ok(at)
+    /// The chunk's rows in block column `j`: its lower tiles.
+    fn rows_in(&self, j: usize) -> Range<usize> {
+        self.rows.start.max(j)..self.rows.end
     }
 
-    /// Slot of operand `(i, k)` of the current panel step — a row
-    /// operand, or with `column` the column operand of block column `i`
-    /// — fetched on first use.
-    fn operand<St>(
-        &mut self,
-        store: &mut St,
-        i: usize,
-        k: usize,
-        column: bool,
-    ) -> Result<usize, St::Error>
-    where
-        St: TileStore<Tile = T>,
-    {
-        let at = if column && !self.diagonal() {
+    /// Slot of target `(i, j)`.
+    fn target(&self, i: usize, j: usize) -> usize {
+        (i - self.rows.start) * self.width + (j - self.cols.start)
+    }
+
+    /// Slot of operand `(i, k)`: a row operand, or with `column` the
+    /// column operand of block column `i`.
+    fn operand(&self, i: usize, column: bool) -> usize {
+        if column && !self.diagonal() {
             self.width + i - self.cols.start
         } else {
             i - self.rows.start
-        };
-        if self.operands[at].is_none() {
-            self.operands[at] = Some(store.get(i, k)?);
         }
-        Ok(at)
     }
 
+    /// Fetch target `(i, j)` at its first op: a get on the diagonal
+    /// chunk, whose factor can fail before the put; a take elsewhere.
+    fn fetch_target<St: TileStore>(&self, store: &mut St, i: usize, j: usize) -> Result<St::Tile, St::Error> {
+        if self.diagonal() {
+            store.get(i, j)
+        } else {
+            store.take(i, j)
+        }
+    }
+}
+
+/// What the walk does with a row chunk.
+trait Steps<St: TileStore> {
+    /// A new chunk starts; every slot is empty.
+    fn start(&mut self, window: Window);
     /// Apply panel `k` to every target of the chunk in block columns
     /// `js`, column by column, each operand fetched once and let go when
     /// the step ends.
-    fn update<St, F>(
-        &mut self,
-        store: &mut St,
-        apply: &mut F,
-        js: Range<usize>,
-        k: usize,
-    ) -> Result<(), St::Error>
-    where
-        St: TileStore<Tile = T>,
-        F: FnMut(TileOp, &mut T, &[&T]) -> Result<(), St::Error>,
-    {
+    fn update(&mut self, store: &mut St, js: Range<usize>, k: usize) -> Result<(), St::Error>;
+    /// Finish block column `j`, whose updates are all applied: each
+    /// tile's factor or solve, and its put.
+    fn finish(&mut self, store: &mut St, j: usize) -> Result<(), St::Error>;
+}
+
+/// [`finish`](Steps::finish) over the tile taken out of target slot
+/// `(i, j)`: the diagonal chunk's first column has no update before its
+/// factor, so its targets are fetched here.
+fn finish_tile<St, F>(
+    store: &mut St,
+    apply: &mut F,
+    i: usize,
+    j: usize,
+    held: Option<St::Tile>,
+    window: &Window,
+) -> Result<(), St::Error>
+where
+    St: TileStore,
+    F: FnMut(TileOp, &mut St::Tile, &[&St::Tile]) -> Result<(), St::Error>,
+{
+    let mut t = match held {
+        Some(t) => t,
+        None => window.fetch_target(store, i, j)?,
+    };
+    if i == j {
+        apply(TileOp::Factor { k: j }, &mut t, &[])?;
+    } else {
+        let diag = store.get(j, j)?;
+        apply(TileOp::Solve { i, k: j }, &mut t, &[&diag])?;
+    }
+    store.put(i, j, t)
+}
+
+/// The walk's own steps: every update applied where it is fetched.
+struct Inline<'a, T, F> {
+    window: Window,
+    targets: &'a mut [Option<T>],
+    operands: &'a mut [Option<T>],
+    apply: F,
+}
+
+impl<St, F> Steps<St> for Inline<'_, St::Tile, F>
+where
+    St: TileStore,
+    F: FnMut(TileOp, &mut St::Tile, &[&St::Tile]) -> Result<(), St::Error>,
+{
+    fn start(&mut self, window: Window) {
+        self.window = window;
+    }
+
+    fn update(&mut self, store: &mut St, js: Range<usize>, k: usize) -> Result<(), St::Error> {
+        let w = &self.window;
         for j in js {
-            for i in self.rows.start.max(j)..self.rows.end {
-                let t = self.target(store, i, j)?;
-                let li = self.operand(store, i, k, false)?;
-                let lj = self.operand(store, j, k, true)?;
-                let (li, lj) = (&self.operands[li], &self.operands[lj]);
-                let (Some(li), Some(lj), Some(t)) = (li, lj, &mut self.targets[t]) else {
+            for i in w.rows_in(j) {
+                let t = &mut self.targets[w.target(i, j)];
+                if t.is_none() {
+                    *t = Some(w.fetch_target(store, i, j)?);
+                }
+                for (at, r) in [(w.operand(i, false), i), (w.operand(j, true), j)] {
+                    if self.operands[at].is_none() {
+                        self.operands[at] = Some(store.get(r, k)?);
+                    }
+                }
+                let li = &self.operands[w.operand(i, false)];
+                let lj = &self.operands[w.operand(j, true)];
+                let (Some(li), Some(lj), Some(t)) = (li, lj, &mut self.targets[w.target(i, j)]) else {
                     unreachable!("fetched above");
                 };
-                apply(TileOp::Update { i, j, k }, t, &[li, lj])?;
+                (self.apply)(TileOp::Update { i, j, k }, t, &[li, lj])?;
             }
         }
         self.operands.iter_mut().for_each(|slot| *slot = None);
         Ok(())
     }
 
-    /// Finish block column `j` of the chunk: the updates from the
-    /// super-column's earlier panels, then each tile's factor or solve
-    /// and its put.
-    fn finish_column<St, F>(&mut self, store: &mut St, apply: &mut F, j: usize) -> Result<(), St::Error>
-    where
-        St: TileStore<Tile = T>,
-        F: FnMut(TileOp, &mut T, &[&T]) -> Result<(), St::Error>,
-    {
-        for k in self.cols.start..j {
-            self.update(store, apply, j..j + 1, k)?;
+    fn finish(&mut self, store: &mut St, j: usize) -> Result<(), St::Error> {
+        for i in self.window.rows_in(j) {
+            let held = self.targets[self.window.target(i, j)].take();
+            finish_tile(store, &mut self.apply, i, j, held, &self.window)?;
         }
-        for i in self.rows.start.max(j)..self.rows.end {
-            let at = self.target(store, i, j)?;
-            let Some(mut t) = self.targets[at].take() else {
-                unreachable!("fetched above");
+        Ok(())
+    }
+}
+
+/// One update of a chunk step, queued for whichever thread takes it.
+#[derive(Debug, Clone, Copy)]
+struct Task {
+    op: TileOp,
+    target: usize,
+    li: usize,
+    lj: usize,
+}
+
+/// Why a helper's task did not finish.
+enum Failure<E> {
+    Error(E),
+    Panic(Box<dyn Any + Send>),
+}
+
+/// The queue of a chunk step, under one lock.
+struct Queue<E> {
+    /// Tasks no thread has taken yet, in the walk's order.
+    waiting: Vec<Task>,
+    /// Tasks the helper has taken and not finished.
+    running: usize,
+    /// The helper has been asked for and has not run dry since.
+    engaged: bool,
+    /// The walk waits for `running` to fall to zero.
+    settling: bool,
+    /// Per target slot: the helper ran the slot's last update.
+    helper_ran: Vec<bool>,
+    /// The first task of the helper's that failed.
+    failed: Option<Failure<E>>,
+}
+
+/// What [`factor_left`] shares with the helper: the chunk's slots, the
+/// queue of its step, and the helper's own `apply`.  A slot is written
+/// only by the walk's thread, between steps or before it queues the
+/// tasks that read it; a target is updated only by the one task that
+/// took it.
+struct Lent<T, E, G> {
+    targets: Vec<Mutex<Option<T>>>,
+    operands: Vec<RwLock<Option<T>>>,
+    queue: Mutex<Queue<E>>,
+    settled: Condvar,
+    apply: Mutex<G>,
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl<T, E, G> Lent<T, E, G>
+where
+    G: FnMut(TileOp, &mut T, &[&T]) -> Result<(), E>,
+{
+    fn new(width: usize, apply: G) -> Self {
+        Lent {
+            targets: (0..width * width).map(|_| Mutex::new(None)).collect(),
+            operands: (0..2 * width).map(|_| RwLock::new(None)).collect(),
+            queue: Mutex::new(Queue {
+                waiting: Vec::with_capacity(width * width),
+                running: 0,
+                engaged: false,
+                settling: false,
+                helper_ran: vec![false; width * width],
+                failed: None,
+            }),
+            settled: Condvar::new(),
+            apply: Mutex::new(apply),
+        }
+    }
+
+    fn read(&self, at: usize) -> RwLockReadGuard<'_, Option<T>> {
+        self.operands[at].read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run `task` with `apply`.
+    fn run(&self, task: Task, apply: &mut impl FnMut(TileOp, &mut T, &[&T]) -> Result<(), E>) -> Result<(), E> {
+        let mut target = lock(&self.targets[task.target]);
+        let (li, lj) = (self.read(task.li), self.read(task.lj));
+        let (Some(t), Some(li), Some(lj)) = (target.as_mut(), li.as_ref(), lj.as_ref()) else {
+            unreachable!("a task is queued after its tiles are fetched");
+        };
+        apply(task.op, t, &[li, lj])
+    }
+
+    /// The helper's side, one call of the lent [`Work`]: take the newest
+    /// waiting task whose target the helper updated last (else the
+    /// newest), run it, and say whether there was one.
+    fn help(&self) -> bool {
+        let task = {
+            let mut q = lock(&self.queue);
+            let own = q.waiting.iter().rposition(|t| q.helper_ran[t.target]);
+            let (Some(at), None) = (own.or(q.waiting.len().checked_sub(1)), &q.failed) else {
+                q.engaged = false;
+                return false;
             };
-            if i == j {
-                apply(TileOp::Factor { k: j }, &mut t, &[])?;
-            } else {
-                let diag = store.get(j, j)?;
-                apply(TileOp::Solve { i, k: j }, &mut t, &[&diag])?;
+            let task = q.waiting.remove(at);
+            q.helper_ran[task.target] = true;
+            q.running += 1;
+            task
+        };
+        let done = catch_unwind(AssertUnwindSafe(|| self.run(task, &mut *lock(&self.apply))));
+        let mut q = lock(&self.queue);
+        q.running -= 1;
+        match done {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => {
+                q.failed.get_or_insert(Failure::Error(e));
             }
-            store.put(i, j, t)?;
+            Err(panic) => {
+                q.failed.get_or_insert(Failure::Panic(panic));
+            }
+        }
+        if q.running == 0 && q.settling {
+            self.settled.notify_one();
+        }
+        true
+    }
+
+    /// The walk's side: queue `task`, and say whether the helper must be
+    /// asked for.
+    fn queue(&self, task: Task) -> bool {
+        let mut q = lock(&self.queue);
+        q.waiting.push(task);
+        !std::mem::replace(&mut q.engaged, true)
+    }
+
+    /// Run waiting tasks on the walk's thread while more than `reserve`
+    /// wait — the oldest first, and while any are kept for the helper
+    /// only those whose target it did not update last.
+    fn run_waiting(
+        &self,
+        reserve: usize,
+        apply: &mut impl FnMut(TileOp, &mut T, &[&T]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        loop {
+            let task = {
+                let mut q = lock(&self.queue);
+                if q.waiting.len() <= reserve || q.failed.is_some() {
+                    return Ok(());
+                }
+                let own = q.waiting.iter().position(|t| !q.helper_ran[t.target]);
+                let Some(at) = own.or((reserve == 0).then_some(0)) else {
+                    return Ok(());
+                };
+                let task = q.waiting.remove(at);
+                q.helper_ran[task.target] = false;
+                task
+            };
+            self.run(task, apply)?;
+        }
+    }
+
+    /// End a step however it ends: drop the tasks nobody took, wait out
+    /// the helper's, and let go of the operands.  Hands back the first
+    /// failure of the helper's tasks.
+    fn settle(&self) -> Option<Failure<E>> {
+        let mut q = lock(&self.queue);
+        q.waiting.clear();
+        q.settling = true;
+        while q.running > 0 {
+            q = self.settled.wait(q).unwrap_or_else(PoisonError::into_inner);
+        }
+        q.settling = false;
+        let failed = q.failed.take();
+        drop(q);
+        for slot in &self.operands {
+            *slot.write().unwrap_or_else(PoisonError::into_inner) = None;
+        }
+        failed
+    }
+}
+
+/// Settles a step when dropped, so a step that unwinds still waits out
+/// the helper's tasks.
+struct Settle<'a, T, E, G: FnMut(TileOp, &mut T, &[&T]) -> Result<(), E>>(&'a Lent<T, E, G>);
+
+impl<T, E, G: FnMut(TileOp, &mut T, &[&T]) -> Result<(), E>> Drop for Settle<'_, T, E, G> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.settle();
+        }
+    }
+}
+
+/// [`factor_left`]'s steps with a helper: the updates of a step run as
+/// [`Task`]s on both threads.
+struct Shared<'a, T, E, G, F> {
+    lent: &'a Lent<T, E, G>,
+    help: &'a dyn Fn(),
+    apply: F,
+    window: Window,
+}
+
+impl<St, G, F> Steps<St> for Shared<'_, St::Tile, St::Error, G, F>
+where
+    St: TileStore,
+    G: FnMut(TileOp, &mut St::Tile, &[&St::Tile]) -> Result<(), St::Error>,
+    F: FnMut(TileOp, &mut St::Tile, &[&St::Tile]) -> Result<(), St::Error>,
+{
+    fn start(&mut self, window: Window) {
+        self.window = window;
+    }
+
+    fn update(&mut self, store: &mut St, js: Range<usize>, k: usize) -> Result<(), St::Error> {
+        let (lent, w) = (self.lent, &self.window);
+        let settle = Settle(lent);
+        let fetched = (|| {
+            for j in js {
+                for i in w.rows_in(j) {
+                    let target = w.target(i, j);
+                    let mut slot = lock(&lent.targets[target]);
+                    if slot.is_none() {
+                        *slot = Some(w.fetch_target(store, i, j)?);
+                    }
+                    drop(slot);
+                    for (at, r) in [(w.operand(i, false), i), (w.operand(j, true), j)] {
+                        // Only this thread writes a slot: look with a
+                        // read lock, which the helper's tasks share.
+                        if lent.read(at).is_none() {
+                            let tile = store.get(r, k)?;
+                            *lent.operands[at].write().unwrap_or_else(PoisonError::into_inner) = Some(tile);
+                        }
+                    }
+                    let (li, lj) = (w.operand(i, false), w.operand(j, true));
+                    let task = Task { op: TileOp::Update { i, j, k }, target, li, lj };
+                    if i == j {
+                        // The diagonal chain stays on this thread: a
+                        // diagonal tile's updates lead to its factor, and
+                        // over a plain operand they pack in the running
+                        // thread's kernel scratch, which a helper would
+                        // have to grow.
+                        lent.run(task, &mut self.apply)?;
+                    } else if lent.queue(task) {
+                        (self.help)();
+                    }
+                    lent.run_waiting(1, &mut self.apply)?;
+                }
+            }
+            lent.run_waiting(0, &mut self.apply)
+        })();
+        drop(settle);
+        match lent.settle() {
+            Some(Failure::Panic(panic)) => resume_unwind(panic),
+            Some(Failure::Error(e)) => fetched.and(Err(e)),
+            None => fetched,
+        }
+    }
+
+    fn finish(&mut self, store: &mut St, j: usize) -> Result<(), St::Error> {
+        for i in self.window.rows_in(j) {
+            let held = lock(&self.lent.targets[self.window.target(i, j)]).take();
+            finish_tile(store, &mut self.apply, i, j, held, &self.window)?;
         }
         Ok(())
     }
@@ -862,6 +1243,8 @@ mod tests {
     use super::*;
     use crate::{kernels, norms, spd};
     use std::convert::Infallible;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Access {
@@ -1131,5 +1514,174 @@ mod tests {
                 .collect();
             assert_eq!(TileOp::all(nb).collect::<Vec<_>>(), by_decoding, "nb={nb}");
         }
+    }
+
+    /// A store call, as [`Helped`] logs it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Call {
+        Begin(usize),
+        Get(usize, usize),
+        Take(usize, usize),
+        Put(usize, usize),
+    }
+
+    /// Plain tiles in memory that log every store call, with — when
+    /// `helper` — a real helper thread behind [`TileStore::lend`].  After
+    /// each help request the next fetch waits until the helper has made
+    /// its first call: the walk keeps the newest task for the helper, so
+    /// that call takes it, and every helped step runs a task on the
+    /// helper.  The store call `fail` errs.
+    struct Helped {
+        tiles: MemTiles<f64>,
+        log: Vec<Call>,
+        helper: bool,
+        fail: Option<Call>,
+        /// Help requests made, and answered by a first call of the work.
+        requests: Arc<(AtomicUsize, AtomicUsize)>,
+        /// Calls of the lent work that ran a task.
+        helped: Arc<AtomicUsize>,
+    }
+
+    impl Helped {
+        fn new(tiles: MemTiles<f64>, helper: bool) -> Self {
+            Helped {
+                tiles,
+                log: Vec::new(),
+                helper,
+                fail: None,
+                requests: Arc::default(),
+                helped: Arc::default(),
+            }
+        }
+
+        fn fetch(&mut self, call: Call, i: usize, j: usize) -> Result<Matrix<f64>, MatrixError> {
+            let (made, answered) = &*self.requests;
+            while answered.load(Ordering::SeqCst) < made.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            self.log.push(call);
+            if self.fail == Some(call) {
+                return Err(MatrixError::NotSquare { rows: i, cols: j });
+            }
+            self.tiles.get(i, j)
+        }
+    }
+
+    impl TileStore for Helped {
+        type Tile = Matrix<f64>;
+        type Error = MatrixError;
+        fn begin_panel(&mut self, k: usize) {
+            self.log.push(Call::Begin(k));
+        }
+        fn get(&mut self, i: usize, j: usize) -> Result<Matrix<f64>, MatrixError> {
+            self.fetch(Call::Get(i, j), i, j)
+        }
+        fn take(&mut self, i: usize, j: usize) -> Result<Matrix<f64>, MatrixError> {
+            self.fetch(Call::Take(i, j), i, j)
+        }
+        fn put(&mut self, i: usize, j: usize, tile: Matrix<f64>) -> Result<(), MatrixError> {
+            self.log.push(Call::Put(i, j));
+            self.tiles.put(i, j, tile)
+        }
+        fn lend<R>(&mut self, work: &Work<'_>, body: impl FnOnce(&mut Self, Option<&dyn Fn()>) -> R) -> R {
+            if !self.helper {
+                return body(self, None);
+            }
+            let (tx, rx) = std::sync::mpsc::channel::<()>();
+            let (requests, helped) = (Arc::clone(&self.requests), Arc::clone(&self.helped));
+            std::thread::scope(|s| {
+                let answers = Arc::clone(&requests);
+                s.spawn(move || {
+                    while rx.recv().is_ok() {
+                        let mut more = work();
+                        answers.1.fetch_add(1, Ordering::SeqCst);
+                        while more {
+                            helped.fetch_add(1, Ordering::SeqCst);
+                            more = work();
+                        }
+                    }
+                });
+                let help = move || {
+                    requests.0.fetch_add(1, Ordering::SeqCst);
+                    tx.send(()).unwrap();
+                };
+                body(self, Some(&help))
+            })
+        }
+    }
+
+    #[test]
+    fn a_helper_thread_leaves_the_factor_and_the_store_calls_as_they_are() {
+        let a = spd::random_spd(45, &mut spd::test_rng(78));
+        for kernel in [KernelImpl::Reference, KernelImpl::FastStrict, KernelImpl::Fast] {
+            for (b, width) in [8usize, 16].into_iter().flat_map(|b| (1..=4usize).map(move |w| (b, w))) {
+                let tiles = MemTiles::from_matrix(&a, b).unwrap();
+                let grid = tiles.grid;
+                let run = |helper: bool| {
+                    let mut store = Helped::new(tiles.clone(), helper);
+                    factor_left(&mut store, grid, 0..grid.nb(), width, kernel).unwrap();
+                    let helped = store.helped.load(Ordering::SeqCst);
+                    (store.tiles.tiles, store.log, helped)
+                };
+                let (inline, helped) = (run(false), run(true));
+                let tag = format!("{kernel:?} b={b} width={width}");
+                assert_eq!(helped.0, inline.0, "{tag}: the factor");
+                assert_eq!(helped.1, inline.1, "{tag}: the store calls");
+                // One block column wide the walk lends nothing; wider, on
+                // 6 x 6 tiles, the helper runs some of the updates.
+                assert_eq!(inline.2, 0, "{tag}");
+                if width == 1 || b == 8 {
+                    assert_eq!(helped.2 > 0, width > 1, "{tag}");
+                }
+            }
+        }
+    }
+
+    /// The walk of `store` with a plain `apply` on the walk's thread and
+    /// `helper_apply` on the helper's, both run through the [`Arithmetic`]
+    /// of the reference engine.
+    fn walk_lent_with(
+        store: &mut Helped,
+        width: usize,
+        helper_apply: impl FnMut(TileOp, &mut Matrix<f64>, &[&Matrix<f64>]) -> Result<(), MatrixError> + Send,
+    ) -> Result<(), MatrixError> {
+        let grid = store.tiles.grid;
+        let mut arith = Arithmetic::new(KernelImpl::Reference, grid);
+        let apply = |op, t: &mut Matrix<f64>, o: &[&Matrix<f64>]| arith.apply(op, t, o);
+        walk_left_lent(store, grid.nb(), 0..grid.nb(), width, apply, helper_apply)
+    }
+
+    #[test]
+    fn a_panicking_helper_task_surfaces_as_a_panic() {
+        let a = spd::random_spd(48, &mut spd::test_rng(79));
+        let mut store = Helped::new(MemTiles::from_matrix(&a, 8).unwrap(), true);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            walk_lent_with(&mut store, 2, |_, _, _| panic!("helper task failed"))
+        }));
+        let payload = caught.expect_err("the helper's panic must surface");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("helper task failed"));
+    }
+
+    #[test]
+    fn a_fetch_error_mid_step_returns_once_the_helpers_task_has_settled() {
+        // n = 48, b = 8, width 2: the chunk of rows 4..6 in columns 2..4
+        // queues the update (4, 2, 1), asks for help, and fails fetching
+        // (5, 1) while the helper runs that update.
+        let a = spd::random_spd(48, &mut spd::test_rng(80));
+        let mut store = Helped::new(MemTiles::from_matrix(&a, 8).unwrap(), true);
+        store.fail = Some(Call::Get(5, 1));
+        let (started, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let mut arith = Arithmetic::new(KernelImpl::Reference, store.tiles.grid);
+        let done = walk_lent_with(&mut store, 2, |op, t, o| {
+            started.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            let done = arith.apply(op, t, o);
+            finished.fetch_add(1, Ordering::SeqCst);
+            done
+        });
+        assert!(matches!(done, Err(MatrixError::NotSquare { rows: 5, cols: 1 })), "{done:?}");
+        let (started, finished) = (started.load(Ordering::SeqCst), finished.load(Ordering::SeqCst));
+        assert!(started > 0 && started == finished, "{started} started, {finished} finished");
+        assert_eq!(store.log.last(), Some(&Call::Get(5, 1)), "nothing after the failed fetch");
     }
 }

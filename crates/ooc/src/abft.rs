@@ -1,7 +1,7 @@
 //! Checksum-verified tile storage: every tile read through the
 //! [`IoBackend`] is checked against a Huang–Abraham checksum kept
 //! beside the store, so silent at-rest corruption (the fault plan's
-//! [`BitFlip`]s) is detected the moment the data re-enters fast memory.
+//! [`BitFlip`](cholcomm_faults::BitFlip)s) is detected the moment the data re-enters fast memory.
 //!
 //! A single corrupted element is located and XOR-corrected bit-exactly
 //! before the caller ever sees the tile.  A multi-element corruption is

@@ -5,7 +5,7 @@
 //!
 //! This is the durability analogue of the trace-once/replay-many
 //! simulation engine: [`record_run`] executes one checkpointed POTRF
-//! against a [`SimDisk`](cholcomm_faults::SimDisk) (tile traffic via
+//! against a [`SimDisk`] (tile traffic via
 //! [`SimMatrix`], checkpoint traffic via `SimStore` on the same disk)
 //! and keeps the recorded op schedule; [`explore_crash_sites`]
 //! materializes each [`CrashSite`]'s durable image with

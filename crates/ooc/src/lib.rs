@@ -14,7 +14,7 @@
 //! and the factorization is the LAPACK blocked schedule of Algorithm 4:
 //! the left-looking walk, which writes each lower tile once.
 //! The measured seek counts land on the same `Theta(n^3 / M^{3/2})`
-//! curve as the simulator's message counts — see the paper's [B08]
+//! curve as the simulator's message counts — see the paper's \[B08\]
 //! citation for the out-of-core framing.
 //!
 //! The tile format is written once, in [`tilefile`]: one [`TileFile`]

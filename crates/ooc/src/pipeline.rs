@@ -4,17 +4,17 @@
 //!
 //! The blocked tile schedule is *data-oblivious* — the sequence of gets
 //! and puts of the left-looking walk of the paper's Algorithm 4
-//! ([`walk_left`](cholcomm_matrix::schedule::walk_left), which writes
+//! ([`walk_left`], which writes
 //! each lower tile once), run in super-columns of `w` block columns per
 //! checkpoint step with `w` = [`super_column_width`]`(capacity)`, is a
 //! pure function of `(nb, capacity)` — which means the entire miss
 //! stream, every eviction victim, and every write-back is known before
 //! the factorization starts.  This module exploits that:
 //!
-//! 1. A deterministic **planner** ([`Plan`]) replays an LRU cache of
+//! 1. A deterministic **planner** (`Plan`) replays an LRU cache of
 //!    `capacity_tiles` tiles over the walk's accesses (never evicting a
 //!    tile the walk holds between its get and its put) and emits one
-//!    [`PlannedFetch`] per miss: the tile to read, the victims to evict
+//!    `PlannedFetch` per miss: the tile to read, the victims to evict
 //!    (with their dirtiness), `ready_at` — the earliest compute
 //!    position at which issuing the fetch is safe (one past the last
 //!    compute access of every victim) — and whether the read is an
@@ -22,7 +22,7 @@
 //!    job packs into the update kernels' micro-panel layout where it
 //!    lands (on the I/O worker at W ≥ 1, inline at W = 0), so the
 //!    arithmetic uses it as it is.
-//! 2. The **front** ([`PipelineFront`]) runs that plan on
+//! 2. The **front** (`PipelineFront`) runs that plan on
 //!    `io_workers = W` dedicated I/O threads ([`cholcomm_par::io_scope`]).
 //!    At **W = 0** there are none: each fetch, with its evictions, runs
 //!    inline at its own miss, and each write-back where it is issued, so
@@ -34,7 +34,7 @@
 //!    onto the same workers; compute only stalls when it reaches a miss
 //!    whose read has not landed yet.
 //! 3. An **epoch barrier** at each super-column boundary
-//!    ([`PipelineFront::flush_boundary`]) drains every deferred
+//!    (`PipelineFront::flush_boundary`) drains every deferred
 //!    write-back before the checkpoint layer snapshots the data file,
 //!    so the journaled commit protocol of
 //!    [`checkpoint`](crate::checkpoint) is preserved unchanged.
@@ -55,7 +55,7 @@
 //!   issues a fetch (hence never evicts) before compute has passed it.
 //! * **Read-after-write** — a prefetch of a tile with a pending
 //!   deferred write-back must observe the write.  Closed in
-//!   [`PipeIo`]: a read job blocks until no write of its tile is
+//!   `PipeIo`: a read job blocks until no write of its tile is
 //!   queued or in flight (the conflicting write is always *submitted*
 //!   earlier, so this never deadlocks, even with one worker).
 //! * **Write-after-write** — two write-backs of one tile must not
@@ -91,7 +91,7 @@ use crate::backend::{IoBackend, LatencyModel};
 use crate::checkpoint::{Checkpoint, CheckpointReport, Checkpointing};
 use crate::potrf::{drive, Front, LruIndex, OocError};
 use cholcomm_faults::{DiskOp, FsStore, Store};
-use cholcomm_matrix::schedule::{super_columns, walk_left, MatrixTile, TileOp, TileStore};
+use cholcomm_matrix::schedule::{super_columns, walk_left, MatrixTile, TileOp, TileStore, Work};
 use cholcomm_matrix::{KernelImpl, Matrix, Operand, PackedTile};
 use cholcomm_par::io::{io_scope, IoScope};
 use std::cell::RefCell;
@@ -295,6 +295,10 @@ pub struct PipelineStats {
     /// Total modeled latency of every enqueued op, µs (what a
     /// synchronous run would have blocked on).
     pub modeled_io_us: u64,
+    /// Tile updates an I/O worker ran between transfers (none at zero
+    /// workers).  It depends on timing, so it is no count of the run:
+    /// no digest or `results/` file holds it.
+    pub helped_updates: u64,
 }
 
 impl PipelineStats {
@@ -952,6 +956,19 @@ impl<'fm: 'env, 'env, B: IoBackend> TileStore for PipelineFront<'_, 'env, 'fm, B
     fn get(&mut self, bi: usize, bj: usize) -> Result<Tile, OocError> {
         self.fetch((bi, bj), false)
     }
+    /// An I/O worker with no transfer waiting runs the walk's updates
+    /// (see [`cholcomm_par::io::IoScope::lend`]); at W = 0 there is none.
+    fn lend<R>(
+        &mut self,
+        work: &Work<'_>,
+        body: impl FnOnce(&mut Self, Option<&dyn Fn()>) -> R,
+    ) -> R {
+        let scope = self.scope;
+        if scope.workers() == 0 {
+            return body(self, None);
+        }
+        scope.lend(work, || body(self, Some(&|| scope.help())))
+    }
     fn take(&mut self, bi: usize, bj: usize) -> Result<Tile, OocError> {
         self.fetch((bi, bj), true)
     }
@@ -1063,7 +1080,10 @@ fn run_pipelined<B: IoBackend, St: Store>(
 ) -> Result<PipelineStats, OocError> {
     with_front(fm, cfg, start, ck.is_some(), |front| {
         drive(front, cfg.kernel, super_column_width(cfg.capacity_tiles), start, ck)?;
-        Ok(front.stats)
+        Ok(PipelineStats {
+            helped_updates: front.scope.helped(),
+            ..front.stats
+        })
     })
 }
 
@@ -1198,7 +1218,7 @@ fn argmin(v: &[u64]) -> usize {
     best
 }
 
-/// Deterministic event-level model of the overlap: the same [`Plan`]
+/// Deterministic event-level model of the overlap: the same `Plan`
 /// walked twice — once serialized (the synchronous baseline), once with
 /// reads and write-backs on `io_workers` parallel timelines, compute
 /// stalling only at misses whose read has not completed.  Every applied
@@ -2094,6 +2114,29 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn an_idle_io_worker_runs_updates_and_none_runs_at_zero_workers() {
+        // Capacity 27 walks super-columns of 4, whose chunk steps lend
+        // their updates; how many an I/O worker takes depends on timing,
+        // so a run may (rarely) leave it none: take the best of three.
+        let a = spd::random_spd(192, &mut spd::test_rng(242));
+        let mut sync = FileMatrix::create(&scratch_path("helped-sync"), &a, 16).unwrap();
+        ooc_potrf_with(&mut sync, 27, KernelImpl::Reference).unwrap();
+        let want = sync.to_matrix().unwrap();
+        for workers in [0usize, 1, 2] {
+            let mut helped = 0;
+            for _ in 0..3 {
+                let mut fm = FileMatrix::create(&scratch_path("helped"), &a, 16).unwrap();
+                let cfg = PipelineConfig::new(27).with_io_workers(workers);
+                let stats = ooc_potrf_pipelined_with(&mut fm, &cfg).unwrap();
+                assert_eq!(fm.to_matrix().unwrap(), want, "W={workers}");
+                assert_eq!(stats.fetches, sync.stats().reads, "W={workers}");
+                helped = helped.max(stats.helped_updates);
+            }
+            assert_eq!(helped > 0, workers > 0, "W={workers}: {helped} updates on a worker");
         }
     }
 

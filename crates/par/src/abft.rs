@@ -5,7 +5,7 @@
 //! Three mechanisms compose:
 //!
 //! 1. **Huang–Abraham checksums per block.**  Every rank keeps a GF(2)
-//!    checksum row/column ([`TileChecksum`]) beside each block it owns,
+//!    checksum row/column ([`TileChecksum`](cholcomm_matrix::TileChecksum)) beside each block it owns,
 //!    refreshed after every tile operation.  At the start of each panel
 //!    step, after the fault plan's [`BitFlip`](cholcomm_faults::BitFlip)s
 //!    land, every struck block is verified: a single corrupted element is
@@ -17,7 +17,7 @@
 //!    keyed `(block, epoch)`.  History is kept, not overwritten: ranks
 //!    skew, so recovery needs every block at one common epoch.
 //! 3. **Survivor-side rank-loss recovery.**  A
-//!    [`RankKill`](cholcomm_faults::RankKill) makes the victim checkpoint
+//!    [`RankKill`] makes the victim checkpoint
 //!    its epoch, then drop its channel endpoints ([`ProcCtx::die`]).
 //!    Survivors observe typed [`DistError::RankLost`] errors (never a
 //!    panic) and die in cascade.  One recovery round follows, with the
@@ -196,7 +196,7 @@ fn run_round(
 /// absorbed by the reliable transport, [`BitFlip`](cholcomm_faults::BitFlip)s
 /// are detected/located/corrected by the per-block checksums (multi-error
 /// tiles restored from the epoch checkpoint), and a
-/// [`RankKill`](cholcomm_faults::RankKill) triggers one survivor-side
+/// [`RankKill`] triggers one survivor-side
 /// recovery round.  In every case the returned factor is bit-identical
 /// to a fault-free run's.
 pub fn abft_spmd_pxpotrf(

@@ -9,7 +9,7 @@
 //!   list of panel steps (tile ops, broadcasts, end of panel) in a
 //!   private `alg9` module, and run by two executors with three plug-in
 //!   points (transport, ownership map, per-step hook):
-//!   - [`pxpotrf`] — the machine executor on the deterministic
+//!   - [`pxpotrf()`] — the machine executor on the deterministic
 //!     message-passing simulator of `cholcomm-distsim`: real tile
 //!     payloads move along real broadcast trees, so the factor is
 //!     verifiable while critical-path words, messages and flops are

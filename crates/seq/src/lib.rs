@@ -17,7 +17,7 @@
 //! | Algorithm 5 | [`toledo::rectangular_rchol`] | cache-oblivious (ideal-cache tracer) |
 //! | Algorithm 6 | [`ap00::square_rchol`] | cache-oblivious (ideal-cache tracer) |
 //! | Algorithm 7 | [`rmatmul::recursive_matmul`] | cache-oblivious |
-//! | Algorithm 8 | [`ap00::rtrsm`] (in-place variant) | cache-oblivious |
+//! | Algorithm 8 | [`ap00::rtrsm_rec`] (in-place variant) | cache-oblivious |
 //!
 //! The *explicit* algorithms declare every transfer they perform, so a
 //! [`cholcomm_cachesim::CountingTracer`] reproduces the paper's exact

@@ -25,7 +25,7 @@ use cholcomm_matrix::{KernelImpl, Matrix, MatrixError};
 const FLOPS_PER_US: u64 = 4_000;
 
 /// Virtual-clock admission constant for batched requests (virtual
-/// flops/µs), four times [`FLOPS_PER_US`].  It is not a measured kernel
+/// flops/µs), four times `FLOPS_PER_US`.  It is not a measured kernel
 /// throughput: [`factor_batch`] runs [`factor_resumable`] on each member
 /// at its own order, the same kernel as an unbatched request.  It orders
 /// admission, deadlines and the virtual latencies of batched work, and

@@ -13,11 +13,11 @@
 //! - **Deadlines** ([`engine`]): per-request budgets enforced
 //!   cooperatively at panel granularity through the engine's control
 //!   hook; no request ever hangs past its budget.
-//! - **Supervision** ([`shard`]): panic-isolated shard workers under a
+//! - **Supervision** (`shard`): panic-isolated shard workers under a
 //!   supervisor that catches injected crashes, restarts the worker, and
 //!   re-drives in-flight jobs from their last panel checkpoint —
 //!   bit-identically, by the left-looking resumability invariant.
-//! - **Retry** ([`shard`]): transient faults retried with seeded,
+//! - **Retry** (`shard`): transient faults retried with seeded,
 //!   jittered exponential backoff, bounded by a retry limit that turns
 //!   into a typed [`ServeError::RetriesExhausted`].
 //! - **Breakers** ([`breaker`]): per-shard `Healthy -> Degraded ->

@@ -1,6 +1,6 @@
 //! The seeded load generator, doubling as the chaos harness.
 //!
-//! [`LoadGen`] turns a seed into a concrete request stream: Zipf-skewed
+//! [`Workload`] turns a seed into a concrete request stream: Zipf-skewed
 //! key popularity (hot keys exercise the factor cache), BoundedPareto
 //! sizes quantized to panel-friendly multiples, Poisson (exponential
 //! inter-arrival) virtual arrivals with periodic burst windows, and a
