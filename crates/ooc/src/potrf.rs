@@ -353,7 +353,9 @@ mod tests {
     use super::*;
     use crate::tilefile::{scratch_path, FileMatrix};
     use cholcomm_matrix::digest::fnv1a;
+    use cholcomm_matrix::schedule::walk_left;
     use cholcomm_matrix::{kernels, norms, spd, Matrix};
+    use std::collections::{HashMap, HashSet};
 
     #[test]
     fn ooc_factors_match_in_memory() {
@@ -610,13 +612,15 @@ mod tests {
         }
     }
 
-    /// The pre-LRU-index model: per-tile last-use ticks, evict the
-    /// minimum among the tiles the walk does not hold.  The intrusive
-    /// list must reproduce its behavior exactly.
+    /// The reference model of the planned cache: per-tile last-use
+    /// ticks, evict the minimum among the tiles the walk does not hold.
+    /// Every tile is first got as a target and held until its one put,
+    /// so the held set is the tiles got and not yet put.
     struct TickModel {
         capacity: usize,
         tiles: HashMap<(usize, usize), (bool, u64)>, // (dirty, last use)
-        held: Option<(usize, usize)>,
+        held: HashSet<(usize, usize)>,
+        put: HashSet<(usize, usize)>,
         tick: u64,
         evict_writes: Vec<(usize, usize)>,
         misses: Vec<(usize, usize)>,
@@ -627,7 +631,8 @@ mod tests {
             TickModel {
                 capacity,
                 tiles: HashMap::new(),
-                held: None,
+                held: HashSet::new(),
+                put: HashSet::new(),
                 tick: 0,
                 evict_writes: Vec::new(),
                 misses: Vec::new(),
@@ -638,7 +643,7 @@ mod tests {
                 let key = self
                     .tiles
                     .iter()
-                    .filter(|&(&k, _)| Some(k) != self.held)
+                    .filter(|&(k, _)| !self.held.contains(k))
                     .min_by_key(|(_, (_, t))| *t)
                     .map(|(&k, _)| k)
                     .expect("non-empty");
@@ -650,6 +655,9 @@ mod tests {
         }
         fn get(&mut self, key: (usize, usize)) {
             self.tick += 1;
+            if !self.put.contains(&key) {
+                self.held.insert(key);
+            }
             if let Some(slot) = self.tiles.get_mut(&key) {
                 slot.1 = self.tick;
                 return;
@@ -658,13 +666,9 @@ mod tests {
             self.misses.push(key);
             self.tiles.insert(key, (false, self.tick));
         }
-        /// A get whose tile the walk holds until its put.
-        fn hold(&mut self, key: (usize, usize)) {
-            self.get(key);
-            self.held = Some(key);
-        }
         fn put(&mut self, key: (usize, usize)) {
-            self.held = None;
+            self.held.remove(&key);
+            self.put.insert(key);
             self.tick += 1;
             if let Some(slot) = self.tiles.get_mut(&key) {
                 *slot = (true, self.tick);
@@ -686,35 +690,41 @@ mod tests {
         }
     }
 
+    /// A store that carries no tiles and feeds every access of the walk
+    /// to a [`TickModel`].
+    struct Observed<'a>(&'a mut TickModel);
+
+    impl TileStore for Observed<'_> {
+        type Tile = ();
+        type Error = std::convert::Infallible;
+        fn get(&mut self, bi: usize, bj: usize) -> Result<(), Self::Error> {
+            self.0.get((bi, bj));
+            Ok(())
+        }
+        fn put(&mut self, bi: usize, bj: usize, _tile: ()) -> Result<(), Self::Error> {
+            self.0.put((bi, bj));
+            Ok(())
+        }
+    }
+
     #[test]
-    fn lru_index_reproduces_the_tick_model_exactly() {
+    fn the_planner_reproduces_the_tick_model_exactly() {
         // The factorization stream through the inline (W = 0) front,
         // where eviction order shapes the on-disk write pattern end to
-        // end: miss sequence and write-backs equal the tick model's.
-        let a = spd::random_spd(40, &mut spd::test_rng(201));
+        // end: miss sequence and write-backs equal the tick model's, at
+        // widths 1, 2 and 4, where a chunk's targets are held across
+        // their updates.
+        let a = spd::random_spd(96, &mut spd::test_rng(201));
         let b = 8;
         let nb = a.rows().div_ceil(b);
-        for cap in [3usize, 5] {
+        for (cap, width) in [(3usize, 1usize), (5, 1), (12, 2), (27, 4)] {
+            assert_eq!(crate::pipeline::super_column_width(cap), width);
             let mut mem = LoggingMem::new(&a, b);
             ooc_potrf_with(&mut mem, cap, KernelImpl::Reference).unwrap();
-            // Replay the same logical schedule into the model.
+            // Feed the walk's own access stream to the model.
             let mut model = TickModel::new(cap);
-            for j in 0..nb {
-                model.hold((j, j));
-                for k in 0..j {
-                    model.get((j, k));
-                }
-                model.put((j, j));
-                for i in (j + 1)..nb {
-                    model.hold((i, j));
-                    for k in 0..j {
-                        model.get((i, k));
-                        model.get((j, k));
-                    }
-                    model.get((j, j));
-                    model.put((i, j));
-                }
-            }
+            let Ok(()) = walk_left(&mut Observed(&mut model), nb, 0..nb, width, |_, _, _| Ok(()));
+            assert!(!model.evict_writes.is_empty(), "cap {cap}: the walk evicts dirty tiles");
             assert_eq!(mem.reads(), model.misses, "cap {cap}: factor miss sequence");
             let want = [model.evict_writes.clone(), model.flush()].concat();
             assert_eq!(mem.writes(), want, "cap {cap}: factor write-back order");
