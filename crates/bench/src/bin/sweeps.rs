@@ -8,10 +8,11 @@
 //! ```
 
 use cholcomm_core::distsim::CostModel;
+use cholcomm_core::matrix::parallel::par_map;
 use cholcomm_core::matrix::spd;
 use cholcomm_core::par::pxpotrf::{pxpotrf, BroadcastKind};
 use cholcomm_core::seq::zoo::{price_trace, Algorithm, LayoutKind, ModelKind};
-use cholcomm_core::sweep::{par_map, TraceCache};
+use cholcomm_core::sweep::TraceCache;
 use std::fmt::Write as _;
 
 fn seq_sweep_words_vs_n(ms: usize) -> String {

@@ -11,8 +11,9 @@
 //! `alpha / beta > (words_A - words_B) / (messages_B - messages_A)`.
 
 use crate::report::{fnum, TextTable};
-use crate::sweep::{par_map, TraceCache};
+use crate::sweep::TraceCache;
 use cholcomm_cachesim::TransferStats;
+use cholcomm_matrix::parallel::par_map;
 use cholcomm_matrix::{spd, Matrix};
 use cholcomm_seq::zoo::{price_trace, Algorithm, LayoutKind, ModelKind};
 

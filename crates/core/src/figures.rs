@@ -12,13 +12,14 @@
 //!   `P = 9`).
 
 use crate::report::TextTable;
-use crate::sweep::{par_map, TraceCache};
+use crate::sweep::TraceCache;
 use cholcomm_cachesim::{CountingTracer, Tracer};
 use cholcomm_distsim::ProcGrid;
 use cholcomm_layout::{
     cells_block, cells_col_segment, Blocked, ColMajor, Layout, Morton, PackedLower,
     RecursivePacked, RowMajor, Rfp,
 };
+use cholcomm_matrix::parallel::par_map;
 use cholcomm_matrix::spd;
 use cholcomm_seq::zoo::{price_trace, Algorithm, LayoutKind, ModelKind};
 use cholcomm_starred::dag::DepDag;

@@ -13,8 +13,9 @@
 
 use crate::bounds;
 use crate::report::{fnum, TextTable};
-use crate::sweep::{par_map, TraceCache};
+use crate::sweep::TraceCache;
 use cholcomm_cachesim::TransferStats;
+use cholcomm_matrix::parallel::par_map;
 use cholcomm_matrix::spd;
 use cholcomm_seq::zoo::{price_trace, Algorithm, LayoutKind, ModelKind};
 

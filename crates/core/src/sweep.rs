@@ -14,35 +14,15 @@
 //!   first request (verifying the factor's residual at record time) and
 //!   hands out shared references afterwards, so a sweep over five values
 //!   of `M` runs the arithmetic once, not five times.
-//! * [`par_map`] — fans independent record/replay jobs out over the
-//!   vendored rayon work-stealing pool (sized by `CHOLCOMM_THREADS`).
+//! * [`par_map`](cholcomm_matrix::parallel::par_map) — fans independent
+//!   record/replay jobs out over the vendored rayon work-stealing pool
+//!   (sized by `CHOLCOMM_THREADS`).
 
 use cholcomm_cachesim::CompactTrace;
 use cholcomm_matrix::{norms, Matrix, MatrixError};
 use cholcomm_seq::zoo::{record_algorithm, Algorithm, LayoutKind};
-use rayon::prelude::IntoParallelRefMutIterator;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-
-/// Apply `f` to every item on the rayon pool, preserving order.
-///
-/// A thin bridge over the vendored pool's `par_iter_mut`: results land in
-/// their input's slot, so the output reads exactly like `items.iter()
-/// .map(f).collect()` — just faster when the pool has threads to spare.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
-    out.par_iter_mut()
-        .enumerate()
-        .for_each(|(i, slot)| *slot = Some(f(&items[i])));
-    out.into_iter()
-        .map(|r| r.expect("par_map fills every slot"))
-        .collect()
-}
 
 /// A shared once-per-shape trace store.
 ///
@@ -114,15 +94,9 @@ impl TraceCache {
 mod tests {
     use super::*;
     use cholcomm_cachesim::Tracer;
+    use cholcomm_matrix::parallel::par_map;
     use cholcomm_matrix::spd;
     use cholcomm_seq::zoo::{price_trace, run_algorithm, ModelKind};
-
-    #[test]
-    fn par_map_preserves_order() {
-        let xs: Vec<usize> = (0..100).collect();
-        let ys = par_map(&xs, |&x| x * 3);
-        assert_eq!(ys, (0..100).map(|x| x * 3).collect::<Vec<_>>());
-    }
 
     #[test]
     fn cache_records_once_and_prices_identically() {

@@ -4,7 +4,8 @@
 
 use crate::bounds::{self, Table1Row};
 use crate::report::{fnum, TextTable};
-use crate::sweep::{par_map, TraceCache};
+use crate::sweep::TraceCache;
+use cholcomm_matrix::parallel::par_map;
 use cholcomm_matrix::{spd, KernelImpl, Matrix};
 use cholcomm_seq::zoo::{price_trace, Algorithm, LayoutKind, ModelKind};
 

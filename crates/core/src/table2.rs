@@ -3,8 +3,8 @@
 
 use crate::bounds;
 use crate::report::{fnum, TextTable};
-use crate::sweep::par_map;
 use cholcomm_distsim::CostModel;
+use cholcomm_matrix::parallel::par_map;
 use cholcomm_matrix::{kernels, norms, spd, Matrix};
 use cholcomm_par::pxpotrf::{pxpotrf, BroadcastKind};
 

@@ -24,6 +24,7 @@
 //! bit-deterministic for any fixed partition, and the partition is a
 //! pure function of the operand shape and worker count.
 
+use rayon::prelude::IntoParallelRefMutIterator;
 use std::cell::Cell;
 
 thread_local! {
@@ -78,6 +79,26 @@ fn par_for_range(lo: usize, hi: usize, f: &(impl Fn(usize) + Sync)) {
     rayon::join(|| par_for_range(lo, mid, f), || par_for_range(mid, hi, f));
 }
 
+/// Apply `f` to every item on the rayon pool, preserving order.
+///
+/// A thin bridge over the vendored pool's `par_iter_mut`: results land in
+/// their input's slot, so the output reads exactly like `items.iter()
+/// .map(f).collect()` — just faster when the pool has threads to spare.
+pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    out.par_iter_mut()
+        .enumerate()
+        .for_each(|(i, slot)| *slot = Some(f(&items[i])));
+    out.into_iter()
+        .map(|r| r.expect("par_map fills every slot"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,6 +112,15 @@ mod tests {
         });
         assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
         par_for(0, &|_| panic!("no tasks"));
+    }
+
+    #[test]
+    fn par_map_preserves_order_and_handles_edges() {
+        assert_eq!(par_map(&[] as &[usize], |&i| i), Vec::<usize>::new());
+        assert_eq!(par_map(&[0usize], |&i| i * 10), vec![0]);
+        let items: Vec<usize> = (0..37).collect();
+        let want: Vec<usize> = (0..37).map(|i| i * i).collect();
+        assert_eq!(par_map(&items, |&i| i * i), want);
     }
 
     #[test]

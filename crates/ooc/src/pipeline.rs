@@ -13,7 +13,8 @@
 //!
 //! 1. A deterministic **planner** (`Plan`) replays an LRU cache of
 //!    `capacity_tiles` tiles over the walk's accesses (never evicting a
-//!    tile the walk holds between its get and its put) and emits one
+//!    tile the walk holds between its get and its put), one record per
+//!    lower tile in a table indexed by [`tile_idx`], and emits one
 //!    `PlannedFetch` per miss: the tile to read, the victims to evict
 //!    (with their dirtiness), `ready_at` — the earliest compute
 //!    position at which issuing the fetch is safe (one past the last
@@ -89,9 +90,11 @@
 
 use crate::backend::{IoBackend, LatencyModel};
 use crate::checkpoint::{Checkpoint, CheckpointReport, Checkpointing};
-use crate::potrf::{drive, Front, LruIndex, OocError};
+use crate::potrf::{drive, Front, OocError};
 use cholcomm_faults::{DiskOp, FsStore, Store};
-use cholcomm_matrix::schedule::{super_columns, walk_left, MatrixTile, TileOp, TileStore, Work};
+use cholcomm_matrix::schedule::{
+    super_columns, tile_coords, tile_idx, walk_left, MatrixTile, TileOp, TileStore, Work,
+};
 use cholcomm_matrix::{KernelImpl, Matrix, Operand, PackedTile};
 use cholcomm_par::io::{io_scope, IoScope};
 use std::cell::RefCell;
@@ -367,6 +370,23 @@ struct PlannedFetch {
     operand: bool,
 }
 
+/// What the planner knows of one tile while it replays the cache.
+#[derive(Debug, Clone, Copy, Default)]
+struct PlannedTile {
+    resident: bool,
+    dirty: bool,
+    /// Got as a target and not yet put: the cache keeps it.
+    held: bool,
+    /// Put (a factor or a solve, final from then on), or in a column
+    /// before the plan's start.
+    finished: bool,
+    /// Position of the last access: the LRU order.
+    last: usize,
+    /// Earliest position at which the tile may leave the cache: one past
+    /// its last access, or past the boundary flush that last cleaned it.
+    free_at: usize,
+}
+
 /// The deterministic lookahead plan: the access stream of the walk over
 /// block columns `start..nb`, super-column by super-column, with the LRU
 /// cache simulated over it.
@@ -411,39 +431,17 @@ impl Plan {
         }
         let ops = ops.into_inner();
 
-        // The walk holds a tile from a get whose next access is its put
-        // (a chunk's targets, across their updates): the cache keeps it
-        // while held.
-        let mut held_from = vec![false; ops.len()];
-        let mut next_is_put: HashMap<(usize, usize), bool> = HashMap::new();
-        for (pos, op) in ops.iter().enumerate().rev() {
-            match *op {
-                Access::Get(bi, bj) => {
-                    held_from[pos] = next_is_put.insert((bi, bj), false) == Some(true);
-                }
-                Access::Put(op) => {
-                    next_is_put.insert(op.target(), true);
-                }
-                Access::Boundary => {}
-            }
-        }
-
         // Replay an LRU cache of `capacity` tiles over the schedule: a
-        // miss evicts least-recently-used tiles the walk does not hold
-        // until one slot is free.
-        let mut lru = LruIndex::new();
-        let mut resident: HashMap<(usize, usize), bool> = HashMap::new(); // key -> dirty
-        let mut held: HashSet<(usize, usize)> = HashSet::new();
-        let mut last_access: HashMap<(usize, usize), usize> = HashMap::new();
-        // Tiles put: each put is a factor or a solve, final from then on.
-        // Every column before `start` was finished by an earlier run.
-        let mut finished: HashSet<(usize, usize)> = HashSet::new();
-        // Position of the boundary flush that last cleaned each tile
-        // (dirty -> clean without an access).  A victim the planner saw
-        // *clean* only because a boundary flushed it must not be
-        // evicted before that flush runs, or the front would evict it
-        // dirty — `ready_at` is clamped past the boundary below.
-        let mut cleaned_at: HashMap<(usize, usize), usize> = HashMap::new();
+        // miss evicts the least recently used tiles the walk does not
+        // hold until one slot is free.  Every column before `start` was
+        // finished by an earlier run.
+        let mut tiles: Vec<PlannedTile> = (0..tile_idx(nb, 0))
+            .map(|t| PlannedTile {
+                finished: tile_coords(t).1 < start,
+                ..PlannedTile::default()
+            })
+            .collect();
+        let mut resident: Vec<(usize, usize)> = Vec::with_capacity(capacity);
         let mut fetches: Vec<PlannedFetch> = Vec::new();
         let mut boundary_writes = Vec::new();
         let mut evict_writes = 0u64;
@@ -451,80 +449,71 @@ impl Plan {
             match *op {
                 Access::Get(bi, bj) => {
                     let key = (bi, bj);
-                    if resident.contains_key(&key) {
-                        lru.touch(key);
-                    } else {
+                    if !tiles[tile_idx(bi, bj)].resident {
                         let mut evict = Vec::new();
                         let mut ready_at = 0usize;
-                        while lru.len() >= capacity {
-                            let victim = lru
-                                .oldest(|key| !held.contains(&key))
+                        while resident.len() >= capacity {
+                            let (at, victim) = resident
+                                .iter()
+                                .enumerate()
+                                .filter(|&(_, &(i, j))| !tiles[tile_idx(i, j)].held)
+                                .min_by_key(|&(_, &(i, j))| tiles[tile_idx(i, j)].last)
+                                .map(|(at, &victim)| (at, victim))
                                 .expect("a full cache holds a tile the walk does not");
-                            let vd = resident.remove(&victim).expect("victim is resident");
-                            lru.remove(victim);
-                            ready_at = ready_at.max(last_access[&victim] + 1);
-                            if vd {
-                                evict_writes += 1;
-                            } else if let Some(&cp) = cleaned_at.get(&victim) {
-                                // Clean only by virtue of a boundary
-                                // flush after its last access: the
-                                // eviction must wait the flush out.
-                                if cp > last_access[&victim] {
-                                    ready_at = ready_at.max(cp + 1);
-                                }
-                            }
-                            cleaned_at.remove(&victim);
-                            evict.push((victim, vd));
+                            resident.swap_remove(at);
+                            let t = &mut tiles[tile_idx(victim.0, victim.1)];
+                            ready_at = ready_at.max(t.free_at);
+                            evict_writes += u64::from(t.dirty);
+                            evict.push((victim, t.dirty));
+                            (t.resident, t.dirty) = (false, false);
                         }
-                        let operand = bi != bj && (bj < start || finished.contains(&key));
+                        let t = &mut tiles[tile_idx(bi, bj)];
                         fetches.push(PlannedFetch {
                             tile: key,
                             miss_pos: pos,
                             ready_at,
                             evict,
-                            operand,
+                            operand: bi != bj && t.finished,
                         });
-                        resident.insert(key, false);
-                        lru.touch(key);
+                        t.resident = true;
+                        resident.push(key);
                     }
-                    if held_from[pos] {
-                        held.insert(key);
-                    }
-                    last_access.insert(key, pos);
+                    let t = &mut tiles[tile_idx(bi, bj)];
+                    // A tile is first got as a target, and the walk holds
+                    // it until its one put; a finished tile is an operand.
+                    debug_assert!(!t.held, "a held tile {key:?} is got again before its put");
+                    t.held = !t.finished;
+                    (t.last, t.free_at) = (pos, pos + 1);
                 }
                 Access::Put(op) => {
-                    let key = op.target();
+                    let (bi, bj) = op.target();
+                    let t = &mut tiles[tile_idx(bi, bj)];
                     // Every put follows a get of the same tile in the
                     // schedule, and the tile is held in between, so puts
                     // never miss.
-                    debug_assert!(resident.contains_key(&key), "put of a non-resident tile");
-                    resident.insert(key, true);
-                    held.remove(&key);
-                    finished.insert(key);
-                    lru.touch(key);
-                    last_access.insert(key, pos);
+                    debug_assert!(t.resident && t.held, "put of a tile the walk does not hold");
+                    (t.dirty, t.held, t.finished) = (true, false, true);
+                    (t.last, t.free_at) = (pos, pos + 1);
                 }
                 Access::Boundary => {
-                    let mut keys: Vec<(usize, usize)> = resident
-                        .iter()
-                        .filter(|&(_, d)| *d)
-                        .map(|(&key, _)| key)
-                        .collect();
-                    keys.sort_unstable();
-                    for &key in &keys {
-                        resident.insert(key, false);
-                        cleaned_at.insert(key, pos);
+                    // Index order is key order.  A tile clean only by
+                    // virtue of this flush must not be evicted before the
+                    // flush runs, or the front would evict it dirty.
+                    let mut keys = Vec::new();
+                    for (i, t) in tiles.iter_mut().enumerate().filter(|(_, t)| t.dirty) {
+                        (t.dirty, t.free_at) = (false, pos + 1);
+                        keys.push(tile_coords(i));
                     }
                     boundary_writes.push(keys);
                 }
             }
         }
-        let mut final_writes: Vec<(usize, usize)> = resident
+        let final_writes: Vec<(usize, usize)> = tiles
             .iter()
-            .filter(|&(_, d)| *d)
-            .map(|(&key, _)| key)
+            .enumerate()
+            .filter(|(_, t)| t.dirty)
+            .map(|(i, _)| tile_coords(i))
             .collect();
-        final_writes.sort_unstable();
         if flush_at_boundaries {
             debug_assert!(final_writes.is_empty(), "boundary flushes leave nothing dirty");
         }
@@ -750,10 +739,11 @@ struct PipelineFront<'s, 'env, 'fm, B: IoBackend> {
     /// Prefetch window; 0 at W = 0, where each fetch is issued at its
     /// own miss.
     lookahead: usize,
-    /// key -> (tile, dirty); mirrors the planned cache exactly, except
+    /// Per lower tile, by [`tile_idx`]: its slot and whether it is dirty,
+    /// while it is resident.  Mirrors the planned cache exactly, except
     /// victims leave at fetch-*issue* time (provably past their last
     /// use) instead of miss time — the same time at W = 0.
-    resident: HashMap<(usize, usize), (Slot, bool)>,
+    resident: Vec<Option<(Slot, bool)>>,
     /// Compute position in `plan.ops`.
     pos: usize,
     /// Next fetch to issue.
@@ -794,7 +784,7 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend> PipelineFront<'s, 'env, 'fm, B> {
             } else {
                 cfg.lookahead.max(1)
             },
-            resident: HashMap::new(),
+            resident: vec![None; tile_idx(nb, 0)],
             pos: 0,
             next_fetch: 0,
             fetch_consumed: 0,
@@ -837,9 +827,8 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend> PipelineFront<'s, 'env, 'fm, B> {
         let f = &mut self.plan.fetches[self.next_fetch];
         let (tile, pack) = (f.tile, f.operand && self.pack_operands);
         for (victim, planned_dirty) in std::mem::take(&mut f.evict) {
-            let (data, dirty) = self
-                .resident
-                .remove(&victim)
+            let (data, dirty) = self.resident[tile_idx(victim.0, victim.1)]
+                .take()
                 .expect("planned victim is resident at issue time");
             debug_assert_eq!(dirty, planned_dirty, "planned dirtiness of {victim:?}");
             if dirty {
@@ -887,20 +876,22 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend> PipelineFront<'s, 'env, 'fm, B> {
         }
     }
 
-    /// Enqueue a write-back of every dirty resident tile, sorted by key,
-    /// and mark them clean.  The tiles stay resident, shared with their
-    /// write-backs until those land.
+    /// Enqueue a write-back of every dirty resident tile, in key order
+    /// (which is index order), and mark them clean.  The tiles stay
+    /// resident, shared with their write-backs until those land.
     fn enqueue_dirty(&mut self) -> Vec<(usize, usize)> {
-        let mut dirty: Vec<_> = self
+        let dirty: Vec<_> = self
             .resident
             .iter_mut()
-            .filter(|(_, (_, d))| *d)
-            .map(|(&key, (t, d))| {
-                *d = false;
-                (key, hand_out(t, false))
+            .enumerate()
+            .filter_map(|(i, entry)| match entry {
+                Some((slot, dirty)) if *dirty => {
+                    *dirty = false;
+                    Some((tile_coords(i), hand_out(slot, false)))
+                }
+                _ => None,
             })
             .collect();
-        dirty.sort_unstable_by_key(|&(key, _)| key);
         let keys = dirty.iter().map(|&(key, _)| key).collect();
         for (key, tile) in dirty {
             self.enqueue_write(key, tile);
@@ -912,7 +903,8 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend> PipelineFront<'s, 'env, 'fm, B> {
     /// Serve the access at `pos` — from the resident set, or by waiting
     /// out the prefetch of a miss — and advance the front past it.
     fn fetch(&mut self, key: (usize, usize), take: bool) -> Result<Tile, OocError> {
-        if !self.resident.contains_key(&key) {
+        let t = tile_idx(key.0, key.1);
+        if self.resident[t].is_none() {
             debug_assert_eq!(
                 self.plan.fetches.get(self.fetch_consumed).map(|f| f.tile),
                 Some(key),
@@ -926,11 +918,10 @@ impl<'s, 'env, 'fm: 'env, B: IoBackend> PipelineFront<'s, 'env, 'fm, B> {
             self.pump();
             let tile = self.wait_fetched(key)?;
             self.fetch_consumed += 1;
-            self.resident.insert(key, (Some(tile), false));
+            self.resident[t] = Some((Some(tile), false));
         }
-        let (slot, _) = self
-            .resident
-            .get_mut(&key)
+        let (slot, _) = self.resident[t]
+            .as_mut()
             .expect("the tile was just made resident");
         let tile = hand_out(slot, take);
         self.pos += 1;
@@ -973,11 +964,10 @@ impl<'fm: 'env, 'env, B: IoBackend> TileStore for PipelineFront<'_, 'env, 'fm, B
         self.fetch((bi, bj), true)
     }
     fn put(&mut self, bi: usize, bj: usize, tile: Tile) -> Result<(), OocError> {
-        let slot = self
-            .resident
-            .get_mut(&(bi, bj))
+        let entry = self.resident[tile_idx(bi, bj)]
+            .as_mut()
             .expect("the schedule puts only resident tiles");
-        *slot = (Some(tile), true);
+        *entry = (Some(tile), true);
         self.pos += 1;
         self.pump();
         Ok(())
@@ -1044,7 +1034,7 @@ impl<'fm: 'env, 'env, B: IoBackend> Front for PipelineFront<'_, 'env, 'fm, B> {
         self.next_fetch = 0;
         self.fetch_consumed = 0;
         self.boundaries_done = 0;
-        self.resident.clear();
+        self.resident.fill(None);
         // op_seq keeps counting: latency is a cost model, not a replay.
     }
 }
@@ -1294,7 +1284,8 @@ pub fn model_overlap(cfg: &ModelConfig) -> ModelReport {
     let mut clock = 0u64;
     let mut worker_free = vec![0u64; workers];
     let mut fetch_done = vec![0u64; plan.fetches.len()];
-    let mut write_done: HashMap<(usize, usize), u64> = HashMap::new();
+    // When each tile's last write-back lands, by `tile_idx`.
+    let mut write_done = vec![0u64; tile_idx(nb, 0)];
     let mut next_fetch = 0usize;
     let mut consumed = 0usize;
     let mut hits = 0u64;
@@ -1313,7 +1304,7 @@ pub fn model_overlap(cfg: &ModelConfig) -> ModelReport {
                         let w = argmin(&worker_free);
                         let done = clock.max(worker_free[w]) + us;
                         worker_free[w] = done;
-                        write_done.insert(victim, done);
+                        write_done[tile_idx(victim.0, victim.1)] = done;
                     }
                 }
                 let us = cfg.latency.sample(DiskOp::Read, seq);
@@ -1321,7 +1312,7 @@ pub fn model_overlap(cfg: &ModelConfig) -> ModelReport {
                 let w = argmin(&worker_free);
                 // A read of a tile with a pending write-back waits it
                 // out on its worker (read-after-write hazard).
-                let hazard = write_done.get(&f.tile).copied().unwrap_or(0);
+                let hazard = write_done[tile_idx(f.tile.0, f.tile.1)];
                 let done = clock.max(worker_free[w]).max(hazard) + us;
                 worker_free[w] = done;
                 fetch_done[next_fetch] = done;

@@ -3,8 +3,9 @@
 //! goes through (the left-looking walk of [`cholcomm_matrix::schedule`],
 //! one super-column of `w` block columns per checkpoint step, `w` sized
 //! from the capacity by
-//! [`super_column_width`](crate::pipeline::super_column_width)), the LRU
-//! order the planner replays, and the error type.
+//! [`super_column_width`](crate::pipeline::super_column_width)) and the
+//! error type.  The tile moves it makes are planned in
+//! [`pipeline`](crate::pipeline).
 
 use crate::backend::IoBackend;
 use crate::checkpoint::{simulated_crash, unhealable, Checkpointing, MAX_RESTORE_RETRIES};
@@ -12,128 +13,6 @@ use crate::pipeline::{ooc_potrf_pipelined_with, PipelineConfig, Tile};
 use cholcomm_faults::Store;
 use cholcomm_matrix::schedule::{factor_left, super_columns, TileGrid, TileStore};
 use cholcomm_matrix::{KernelImpl, MatrixError};
-use std::collections::HashMap;
-
-const NIL: usize = usize::MAX;
-
-#[derive(Debug)]
-struct LruSlot {
-    key: (usize, usize),
-    prev: usize,
-    next: usize,
-}
-
-/// Recency order over tile keys: a doubly-linked list threaded through
-/// a slot arena with a key → slot map, so *touch* and *evict-oldest*
-/// are both O(1).  Same intrusive-list pattern as the cachesim crate's
-/// LRU tracer; replaces the old per-eviction O(resident) min-tick scan.
-/// Pure bookkeeping — which tile is least recent is exactly what the
-/// tick ordering said, so resident-set behavior is unchanged (the
-/// regression test below drives the factorization and the tick model
-/// side by side).
-#[derive(Debug)]
-pub(crate) struct LruIndex {
-    map: HashMap<(usize, usize), usize>,
-    slots: Vec<LruSlot>,
-    /// Most recently used.
-    head: usize,
-    /// Least recently used — the eviction candidate.
-    tail: usize,
-    free: Vec<usize>,
-}
-
-impl LruIndex {
-    pub(crate) fn new() -> Self {
-        LruIndex {
-            map: HashMap::new(),
-            slots: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            free: Vec::new(),
-        }
-    }
-
-    fn unlink(&mut self, s: usize) {
-        let (prev, next) = (self.slots[s].prev, self.slots[s].next);
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.slots[prev].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.slots[next].prev = prev;
-        }
-    }
-
-    fn push_front(&mut self, s: usize) {
-        self.slots[s].prev = NIL;
-        self.slots[s].next = self.head;
-        if self.head != NIL {
-            self.slots[self.head].prev = s;
-        }
-        self.head = s;
-        if self.tail == NIL {
-            self.tail = s;
-        }
-    }
-
-    /// Mark `key` as just used (inserting it if new).
-    pub(crate) fn touch(&mut self, key: (usize, usize)) {
-        if let Some(&s) = self.map.get(&key) {
-            if self.head != s {
-                self.unlink(s);
-                self.push_front(s);
-            }
-            return;
-        }
-        let s = match self.free.pop() {
-            Some(s) => {
-                self.slots[s].key = key;
-                s
-            }
-            None => {
-                self.slots.push(LruSlot {
-                    key,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.slots.len() - 1
-            }
-        };
-        self.map.insert(key, s);
-        self.push_front(s);
-    }
-
-    /// Forget `key` (no-op if absent).
-    pub(crate) fn remove(&mut self, key: (usize, usize)) {
-        if let Some(s) = self.map.remove(&key) {
-            self.unlink(s);
-            self.free.push(s);
-        }
-    }
-
-    /// The least recently used key that `evictable` accepts, if any.
-    pub(crate) fn oldest(
-        &self,
-        evictable: impl Fn((usize, usize)) -> bool,
-    ) -> Option<(usize, usize)> {
-        let mut s = self.tail;
-        while s != NIL {
-            if evictable(self.slots[s].key) {
-                return Some(self.slots[s].key);
-            }
-            s = self.slots[s].prev;
-        }
-        None
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
-}
-
 /// What the one driver loop ([`drive`]) needs from a tile front beyond
 /// the schedule's gets and puts.
 ///

@@ -378,44 +378,6 @@ pub fn simulate(n: usize, b: usize, threads: usize) -> DagModel {
     }
 }
 
-/// Run `tasks` independent closures on the work-stealing pool and
-/// collect their results in task order.
-///
-/// This is the pool entry point for *embarrassingly parallel* fan-out —
-/// no DAG, no barriers inside, just recursive binary [`rayon::join`]
-/// splitting so idle workers steal halves.  The serve batcher uses it to
-/// spread the members of one size bucket across the pool: each member is
-/// an independent per-request factorization, and results come back in
-/// submission order so downstream accounting stays deterministic
-/// regardless of steal order.
-///
-/// With one worker (or `tasks == 1`) this degenerates to a sequential
-/// in-order loop, so results are identical at every pool size for
-/// deterministic `f`.
-pub fn scatter<T, F>(tasks: usize, f: &F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    fn go<T, F>(lo: usize, hi: usize, f: &F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if hi - lo == 1 {
-            return vec![f(lo)];
-        }
-        let mid = lo + (hi - lo) / 2;
-        let (mut left, right) = rayon::join(|| go(lo, mid, f), || go(mid, hi, f));
-        left.extend(right);
-        left
-    }
-    if tasks == 0 {
-        return Vec::new();
-    }
-    go(0, tasks, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,14 +574,5 @@ mod tests {
             .map(|bi| (0..=bi).map(|bj| bj + 1).sum::<usize>())
             .sum();
         assert_eq!(simulate(1024, 64, 4).tasks, expected);
-    }
-
-    #[test]
-    fn scatter_preserves_task_order_and_handles_edges() {
-        assert_eq!(scatter(0, &|i| i), Vec::<usize>::new());
-        assert_eq!(scatter(1, &|i| i * 10), vec![0]);
-        let got = scatter(37, &|i| i * i);
-        let want: Vec<usize> = (0..37).map(|i| i * i).collect();
-        assert_eq!(got, want);
     }
 }

@@ -25,15 +25,12 @@
 //! runs inline inside [`IoScope::submit`], on the caller's thread, with
 //! the same panic capture.
 
+use cholcomm_matrix::schedule::Work;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 type IoJob<'env> = Box<dyn FnOnce() + Send + 'env>;
 type PanicSlot = Mutex<Option<Box<dyn std::any::Any + Send>>>;
-
-/// Work lent to the workers: each call does one piece of it and says
-/// whether it did anything.
-pub type Work<'a> = dyn Fn() -> bool + Sync + 'a;
 
 /// What a worker takes off the queue.
 enum Msg<'env> {

@@ -43,7 +43,7 @@ pub mod spmd;
 
 pub use abft::{abft_spmd_pxpotrf, AbftSpmdReport};
 pub use blockcyclic::DistMatrix;
-pub use dag::{potrf_dag_with, scatter, simulate as dag_simulate, DagModel};
+pub use dag::{potrf_dag_with, simulate as dag_simulate, DagModel};
 pub use hier::{pxpotrf_hier, HierReport};
 pub use io::{io_scope, IoScope};
 pub use matmul25d::{matmul_25d, Mm25dReport};

@@ -16,6 +16,7 @@
 //! cancels on an expired deadline budget, or — under a chaos plan — dies
 //! mid-flight with a panic the shard supervisor must catch.
 
+use cholcomm_matrix::parallel::{effective_threads, par_map};
 use cholcomm_matrix::schedule::{self, Arithmetic, TileGrid, TileStore};
 use cholcomm_matrix::{KernelImpl, Matrix, MatrixError};
 
@@ -236,10 +237,10 @@ impl TileStore for InPlace<'_> {
 /// When the shard has opted into kernel parallelism
 /// ([`crate::ShardConfig::parallel`]), the members — mutually
 /// independent — are cut into one contiguous run per pool worker and the
-/// runs scattered across the work-stealing pool via
-/// [`cholcomm_par::scatter`] (a member alone is too little work to pay
-/// for a task); results come back in submission order, so the pool size
-/// can change wall-clock time but never any bit of any factor.
+/// runs fanned out over the work-stealing pool by [`par_map`] (a member
+/// alone is too little work to pay for a task); results come back in
+/// submission order, so the pool size can change wall-clock time but
+/// never any bit of any factor.
 ///
 /// # Panics
 /// If a square member is larger than `bucket_n`: the bucket is the
@@ -250,8 +251,7 @@ pub fn factor_batch(
     b: usize,
     kernel: KernelImpl,
 ) -> Vec<Result<Matrix<f64>, MatrixError>> {
-    let factor_one = |s: usize| -> Result<Matrix<f64>, MatrixError> {
-        let a = &problems[s];
+    let factor_one = |a: &Matrix<f64>| -> Result<Matrix<f64>, MatrixError> {
         assert!(
             !a.is_square() || a.rows() <= bucket_n,
             "system of order {} exceeds bucket {bucket_n}",
@@ -264,15 +264,12 @@ pub fn factor_batch(
         }
     };
     let members = problems.len();
-    let runs = cholcomm_matrix::parallel::effective_threads().min(members);
+    let runs = effective_threads().min(members);
     if runs < 2 {
-        return (0..members).map(factor_one).collect();
+        return problems.iter().map(factor_one).collect();
     }
-    let run = members.div_ceil(runs);
-    let factor_run = |r: usize| -> Vec<_> {
-        (r * run..members.min((r + 1) * run)).map(factor_one).collect()
-    };
-    cholcomm_par::scatter(members.div_ceil(run), &factor_run)
+    let runs: Vec<&[Matrix<f64>]> = problems.chunks(members.div_ceil(runs)).collect();
+    par_map(&runs, |run| run.iter().map(factor_one).collect::<Vec<_>>())
         .into_iter()
         .flatten()
         .collect()
